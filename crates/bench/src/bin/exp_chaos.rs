@@ -56,7 +56,6 @@ fn alert_kinds(c: &SecureCluster, slo: &str) -> Vec<AlertKind> {
 fn scenario_severed_feed(step_s: u64) -> (f64, f64) {
     let (mut c, sister) = federated_cluster();
     let alice = c.add_user("alice").expect("fresh db");
-    let db = c.db.read().clone();
     let budget = c.config.revsync_max_lag;
     let sever_at = SimTime::from_secs(60);
     let heal_after = budget + SimDuration::from_secs(120);
@@ -70,7 +69,7 @@ fn scenario_severed_feed(step_s: u64) -> (f64, f64) {
     );
     let mut ctrl = ChaosController::new(plan);
     ctrl.arm(&mut c);
-    let token = sister.write().login(&db, alice, None).expect("login");
+    let token = c.login_at(&sister, alice).expect("login");
 
     let heal_at = sever_at + heal_after;
     let recover_deadline = heal_at + c.config.revsync_anti_entropy + SimDuration::from_secs(60);
@@ -134,9 +133,8 @@ fn scenario_severed_feed(step_s: u64) -> (f64, f64) {
 fn scenario_idp_outage(step_s: u64) -> (usize, usize) {
     let (mut c, _sister) = federated_cluster();
     let alice = c.add_user("alice").expect("fresh db");
-    let db = c.db.read().clone();
     let broker = c.broker.clone().expect("llsc has a broker");
-    let minted = broker.write().login(&db, alice, None).expect("pre-outage");
+    let minted = c.login_at(&broker, alice).expect("pre-outage");
     let outage_at = SimTime::from_secs(60);
     let heal_after = SimDuration::from_secs(600);
     let plan = FaultPlan::new(0x1D9).inject(outage_at, Fault::IdpOutage { heal_after });
@@ -157,7 +155,7 @@ fn scenario_idp_outage(step_s: u64) -> (usize, usize) {
             );
             validated += 1;
             assert_or_dump!(
-                broker.write().login(&db, alice, None) == Err(CredError::Unavailable),
+                c.login_at(&broker, alice) == Err(CredError::Unavailable),
                 "new login passed during the outage".to_string(),
                 "new logins must refuse Unavailable while the IdP is dark"
             );
@@ -170,7 +168,7 @@ fn scenario_idp_outage(step_s: u64) -> (usize, usize) {
         }
     }
     assert_or_dump!(
-        broker.write().login(&db, alice, None).is_ok(),
+        c.login_at(&broker, alice).is_ok(),
         format!("{:?}", c.dependency_health(Dependency::Idp)),
         "logins must serve again after the heal"
     );
@@ -197,7 +195,6 @@ struct SweepPoint {
 fn sweep_point(seed: u64, faults: usize, horizon_s: u64, probe_s: u64) -> SweepPoint {
     let (mut c, sister) = federated_cluster();
     let alice = c.add_user("alice").expect("fresh db");
-    let db = c.db.read().clone();
     let broker = c.broker.clone().expect("llsc has a broker");
     let plan = if faults == 0 {
         FaultPlan::new(seed)
@@ -229,13 +226,13 @@ fn sweep_point(seed: u64, faults: usize, horizon_s: u64, probe_s: u64) -> SweepP
         }
         // Probe 1: a new home login (IdP/CA outages and shard seizures).
         probes += 1;
-        if broker.write().login(&db, alice, None).is_ok() {
+        if c.login_at(&broker, alice).is_ok() {
             ok += 1;
         }
         // Probe 2: a fresh sister credential validated at the home
         // replica (feed staleness fails closed).
         probes += 1;
-        if let Ok(tok) = sister.write().login(&db, alice, None) {
+        if let Ok(tok) = c.login_at(&sister, alice) {
             if c.validate_federated_token(&tok).is_ok() {
                 ok += 1;
             }

@@ -39,7 +39,6 @@ fn cross_realm_matrix() {
     let cfg = SeparationConfig::llsc().with_trusted_realms([2u32]);
     let mut c = SecureCluster::new(cfg, ClusterSpec::tiny());
     let alice = c.add_user("alice").unwrap();
-    let db = c.db.read().clone();
 
     let trusted = shared_broker(CredentialBroker::new(
         RealmId(2),
@@ -61,13 +60,10 @@ fn cross_realm_matrix() {
         .read()
         .current_token(alice)
         .unwrap();
-    let t2 = trusted.write().login(&db, alice, None).unwrap();
-    let t3 = registered_untrusted
-        .write()
-        .login(&db, alice, None)
-        .unwrap();
     let mut rogue = CredentialBroker::new(RealmId(99), 0x0BAD_5EED, BrokerPolicy::default());
-    let t99 = rogue.login(&db, alice, None).unwrap();
+    let t2 = c.login_at(&trusted, alice).unwrap();
+    let t3 = c.login_at(&registered_untrusted, alice).unwrap();
+    let t99 = rogue.login(&c.db.read(), alice, None).unwrap();
     let mut restamped = t2;
     restamped.realm = HOME_REALM;
 

@@ -59,7 +59,6 @@ fn federated_cluster(loud: bool) -> (SecureCluster, eus_fedauth::SharedBroker) {
 fn revoke_chain(trials: usize) -> (Vec<(String, usize)>, String, Vec<f64>) {
     let (mut c, sister) = federated_cluster(true);
     let alice = c.add_user("alice").expect("fresh db");
-    let db = c.db.read().clone();
     let mut rng = SimRng::seed_from_u64(0x0b5_7ace);
     let feed_s = c.config.revsync_feed_interval.as_secs_f64() as u64;
     let mut latencies = Vec::new();
@@ -69,7 +68,7 @@ fn revoke_chain(trials: usize) -> (Vec<(String, usize)>, String, Vec<f64>) {
         // Land the revoke at a random phase of the feed cadence.
         now += SimDuration::from_secs(1 + rng.range_u64(0, feed_s));
         c.advance_to(now);
-        let token = sister.write().login(&db, alice, None).expect("login");
+        let token = c.login_at(&sister, alice).expect("login");
         assert_eq!(c.validate_federated_token(&token), Ok(alice));
         let revoked_at = now;
         assert!(c.portal_revoke_serial(RealmId(2), token.serial));

@@ -220,10 +220,9 @@ fn cluster_timeline() {
         BrokerPolicy::default(),
     ));
     c.register_sister_realm(RealmId(2), sister.clone());
-    let db = c.db.read().clone();
 
     let mut table = TextTable::new(&["t", "event", "validate at home"]);
-    let token = sister.write().login(&db, alice, None).unwrap();
+    let token = c.login_at(&sister, alice).unwrap();
     let v0 = c.validate_federated_token(&token);
     table.row(&["0s".into(), "login at sister realm2".into(), verdict(&v0)]);
     assert!(v0.is_ok());
@@ -253,7 +252,7 @@ fn cluster_timeline() {
     // synchronous issuer query!) until the budget runs out, then fails
     // closed.
     c.partition_sister_feed(RealmId(2), true);
-    let fresh = sister.write().login(&db, alice, None).unwrap();
+    let fresh = c.login_at(&sister, alice).unwrap();
     // Lag counts from the last feed's issuer-side snapshot, so the budget
     // edge sits at last_sync + budget.
     let last_sync = c

@@ -61,7 +61,6 @@ mod tests {
     fn idp_outage_injects_at_the_scheduled_instant_and_heals_on_time() {
         let (mut c, _) = federated_cluster();
         let alice = c.add_user("alice").unwrap();
-        let db = c.db.read().clone();
         let plan = FaultPlan::new(1).inject(
             SimTime::from_secs(100),
             Fault::IdpOutage {
@@ -73,28 +72,18 @@ mod tests {
 
         ctrl.advance_to(&mut c, SimTime::from_secs(50));
         assert!(c.idp_available(), "fault must not fire early");
-        let minted = c
-            .broker
-            .clone()
-            .unwrap()
-            .write()
-            .login(&db, alice, None)
-            .unwrap();
+        let home = c.broker.clone().unwrap();
+        let minted = c.login_at(&home, alice).unwrap();
 
         ctrl.advance_to(&mut c, SimTime::from_secs(150));
         assert!(!c.idp_available());
         assert_eq!(
-            c.broker.clone().unwrap().write().login(&db, alice, None),
+            c.login_at(&home, alice),
             Err(CredError::Unavailable),
             "new logins refuse during the outage"
         );
         assert_eq!(
-            c.broker
-                .clone()
-                .unwrap()
-                .read()
-                .validate_token(&minted)
-                .unwrap(),
+            home.read().validate_token(&minted).unwrap(),
             alice,
             "minted tokens keep validating (graceful degradation)"
         );
@@ -115,7 +104,6 @@ mod tests {
     fn wan_partition_walks_the_feed_to_fail_closed_and_anti_entropy_recovers() {
         let (mut c, sister) = federated_cluster();
         let alice = c.add_user("alice").unwrap();
-        let db = c.db.read().clone();
         let budget = c.config.revsync_max_lag;
         let plan = FaultPlan::new(2).inject(
             SimTime::from_secs(10),
@@ -137,7 +125,7 @@ mod tests {
             ctrl.advance_to(&mut c, t);
         }
         assert_eq!(c.dependency_health(Dependency::Feed), DepHealth::FailClosed);
-        let token = sister.write().login(&db, alice, None).unwrap();
+        let token = c.login_at(&sister, alice).unwrap();
         assert!(
             matches!(
                 c.validate_federated_token(&token),

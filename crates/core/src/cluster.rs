@@ -605,10 +605,13 @@ impl SecureCluster {
     /// the broker currently holds for `user` is what PAM judges. Audit
     /// probes use this to model replaying stolen or expired material.
     pub fn ssh_raw(&mut self, user: Uid, node: NodeId) -> Result<SessionId, LoginError> {
-        let db = self.db.read().clone();
+        // The db guard is held across the PAM stack (borrowed, never
+        // copied). Global lock order: user db -> broker (PamFedAuth) ->
+        // scheduler (PamSlurm); lock_order_check enforces it stays acyclic.
+        let db = self.db.read();
         self.nodes
             .get_mut(&node)
-            .expect("known node")
+            .ok_or(LoginError::NoSuchNode(node))?
             .login(&db, user, "sshd")
     }
 
@@ -848,6 +851,20 @@ impl SecureCluster {
                 mesh.subscribe(HOME_REALM, realm);
             }
         }
+    }
+
+    /// Log `user` in at `plane` (the home broker or a sister realm's)
+    /// against this cluster's account db, holding the db read guard for
+    /// this call only (lock order: user db → broker). Don't call it while
+    /// holding `db.write()` or any broker guard.
+    pub fn login_at(
+        &self,
+        plane: &SharedBroker,
+        user: Uid,
+    ) -> Result<SignedToken, eus_fedauth::CredError> {
+        let db = self.db.read();
+        // analyze:allow(lock-discipline): db -> broker is the documented global order
+        plane.write().login(&db, user, None)
     }
 
     /// Validate a bearer token presented at the home site under the
@@ -1490,9 +1507,12 @@ impl SecureCluster {
         Ok(key)
     }
 
-    /// Authenticate a user to the portal.
+    /// Authenticate a user to the portal. Like every login entry point,
+    /// this borrows the account database under its read guard (global lock
+    /// order: user db -> broker) — a login's cost must not grow with the
+    /// number of other accounts.
     pub fn portal_login(&mut self, user: Uid) -> Result<eus_portal::Token, eus_portal::AuthError> {
-        let db = self.db.read().clone();
+        let db = self.db.read();
         self.portal.auth.login(&db, user)
     }
 
@@ -1503,7 +1523,7 @@ impl SecureCluster {
         user: Uid,
         mfa: Option<eus_fedauth::MfaCode>,
     ) -> Result<eus_portal::Token, eus_portal::AuthError> {
-        let db = self.db.read().clone();
+        let db = self.db.read();
         self.portal.auth.login_mfa(&db, user, mfa)
     }
 
@@ -1527,7 +1547,7 @@ impl SecureCluster {
         user: Uid,
         code: eus_fedauth::RecoveryCode,
     ) -> Result<eus_portal::Token, eus_portal::AuthError> {
-        let db = self.db.read().clone();
+        let db = self.db.read();
         self.portal.auth.login_recovery(&db, user, code)
     }
 
@@ -1710,8 +1730,7 @@ mod tests {
             tb.set_enabled(true);
         }
         c.register_sister_realm(RealmId(2), sister.clone());
-        let db = c.db.read().clone();
-        let token = sister.write().login(&db, alice, None).unwrap();
+        let token = c.login_at(&sister, alice).unwrap();
         assert_eq!(c.validate_federated_token(&token).unwrap(), alice);
 
         // Operator clicks revoke at the portal.
@@ -1828,13 +1847,7 @@ mod tests {
         let mut c = llsc_tiny();
         c.enable_obs(ObsConfig::enabled());
         let alice = c.add_user("alice").unwrap();
-        let token = c
-            .broker
-            .as_ref()
-            .unwrap()
-            .write()
-            .login(&c.db.read(), alice, None)
-            .unwrap();
+        let token = c.login_at(c.broker.as_ref().unwrap(), alice).unwrap();
         assert_eq!(c.validate_federated_token(&token).unwrap(), alice);
         c.broker.as_ref().unwrap().write().revoke_user(alice);
         assert!(c.validate_federated_token(&token).is_err());
@@ -1855,6 +1868,19 @@ mod tests {
         c.submit(JobSpec::new(alice, "j", SimDuration::from_secs(100)));
         c.advance_to(SimTime::from_secs(1));
         assert!(c.ssh(alice, compute).is_ok());
+    }
+
+    #[test]
+    fn ssh_to_an_unknown_node_is_a_typed_error_not_a_panic() {
+        let mut c = llsc_tiny();
+        let alice = c.add_user("alice").unwrap();
+        let ghost = NodeId(u32::MAX);
+        assert!(!c.nodes.contains_key(&ghost));
+        assert_eq!(c.ssh(alice, ghost), Err(LoginError::NoSuchNode(ghost)));
+        assert_eq!(c.ssh_raw(alice, ghost), Err(LoginError::NoSuchNode(ghost)));
+        // The cluster is still usable afterwards (no guard left behind).
+        assert!(c.ssh(alice, c.login_node()).is_ok());
+        c.add_user("bob").unwrap();
     }
 
     #[test]
@@ -1921,9 +1947,8 @@ mod tests {
         c.register_sister_realm(RealmId(2), trusted.clone());
         c.register_sister_realm(RealmId(3), untrusted.clone());
 
-        let db = c.db.read().clone();
-        let t2 = trusted.write().login(&db, alice, None).unwrap();
-        let t3 = untrusted.write().login(&db, alice, None).unwrap();
+        let t2 = c.login_at(&trusted, alice).unwrap();
+        let t3 = c.login_at(&untrusted, alice).unwrap();
         assert_eq!(c.validate_federated_token(&t2).unwrap(), alice);
         assert!(matches!(
             c.validate_federated_token(&t3),
@@ -1952,8 +1977,7 @@ mod tests {
             0xCC,
             BrokerPolicy::default(),
         ));
-        let db = c.db.read().clone();
-        let stale = sister.write().login(&db, alice, None).unwrap();
+        let stale = c.login_at(&sister, alice).unwrap();
         c.register_sister_realm(RealmId(2), sister.clone());
         assert_eq!(sister.read().now(), SimTime::from_secs(48 * 3600));
         assert!(
@@ -1964,7 +1988,7 @@ mod tests {
             "a token from the sister's pre-join past must be expired"
         );
         // Fresh sister logins on the synced clock validate normally.
-        let fresh = sister.write().login(&db, alice, None).unwrap();
+        let fresh = c.login_at(&sister, alice).unwrap();
         assert_eq!(c.validate_federated_token(&fresh).unwrap(), alice);
     }
 
@@ -1979,8 +2003,7 @@ mod tests {
             BrokerPolicy::default(),
         ));
         c.register_sister_realm(RealmId(2), sister.clone());
-        let db = c.db.read().clone();
-        let token = sister.write().login(&db, alice, None).unwrap();
+        let token = c.login_at(&sister, alice).unwrap();
         assert_eq!(c.validate_federated_token(&token).unwrap(), alice);
 
         // Revoke at the issuer. The home replica has not heard yet, so the
@@ -2015,14 +2038,13 @@ mod tests {
             BrokerPolicy::default(),
         ));
         c.register_sister_realm(RealmId(2), sister.clone());
-        let db = c.db.read().clone();
         c.partition_sister_feed(RealmId(2), true);
 
         // Fresh sister token, minted after the partition (their site is
         // fine; only the feed to us is down).
         let budget = c.config.revsync_max_lag;
         c.advance_to(SimTime::ZERO + budget + SimDuration::from_secs(1));
-        let token = sister.write().login(&db, alice, None).unwrap();
+        let token = c.login_at(&sister, alice).unwrap();
         assert!(
             matches!(
                 c.validate_federated_token(&token),
@@ -2055,14 +2077,13 @@ mod tests {
         ));
         let horizon = SimTime::from_secs(3600);
         c.register_sister_realm_until(RealmId(7), sister.clone(), horizon);
-        let db = c.db.read().clone();
-        let token = sister.write().login(&db, alice, None).unwrap();
+        let token = c.login_at(&sister, alice).unwrap();
         assert_eq!(c.validate_federated_token(&token).unwrap(), alice);
 
         // The collaboration window closes: fail closed with the precise
         // reason, not a generic refusal.
         c.advance_to(horizon);
-        let fresh = sister.write().login(&db, alice, None).unwrap();
+        let fresh = c.login_at(&sister, alice).unwrap();
         assert_eq!(
             c.validate_federated_token(&fresh),
             Err(eus_fedauth::CredError::TrustExpired {
@@ -2113,8 +2134,7 @@ mod tests {
         );
         // Well past the (ignored) horizon the realm still validates.
         c.advance_to(horizon + SimDuration::from_secs(3600));
-        let db = c.db.read().clone();
-        let token = sister.write().login(&db, alice, None).unwrap();
+        let token = c.login_at(&sister, alice).unwrap();
         assert_eq!(c.validate_federated_token(&token).unwrap(), alice);
     }
 
@@ -2210,16 +2230,15 @@ mod tests {
         let mut c = llsc_tiny();
         c.enable_obs(ObsConfig::enabled());
         let alice = c.add_user("alice").unwrap();
-        let db = c.db.read().clone();
         let broker = c.broker.clone().unwrap();
-        let token = broker.write().login(&db, alice, None).unwrap();
+        let token = c.login_at(&broker, alice).unwrap();
         assert!(c.idp_available() && c.ca_available());
 
         c.set_idp_available(false);
         // Graceful degradation: new logins refused Unavailable, the
         // already-minted token keeps validating against local state.
         assert_eq!(
-            broker.write().login(&db, alice, None),
+            c.login_at(&broker, alice),
             Err(eus_fedauth::CredError::Unavailable)
         );
         assert_eq!(broker.read().validate_token(&token).unwrap(), alice);
@@ -2261,7 +2280,7 @@ mod tests {
         c.advance_to(t);
         assert_eq!(c.dependency_health(Dependency::Idp), DepHealth::Healthy);
         assert!(!c.degraded());
-        assert!(broker.write().login(&db, alice, None).is_ok());
+        assert!(c.login_at(&broker, alice).is_ok());
     }
 
     #[test]

@@ -109,6 +109,8 @@ pub enum LoginError {
     Pam(PamDenied),
     /// The user database rejected the user.
     User(UserDbError),
+    /// The cluster has no node with this id.
+    NoSuchNode(NodeId),
 }
 
 impl fmt::Display for LoginError {
@@ -116,6 +118,7 @@ impl fmt::Display for LoginError {
         match self {
             LoginError::Pam(d) => write!(f, "{d}"),
             LoginError::User(e) => write!(f, "{e}"),
+            LoginError::NoSuchNode(n) => write!(f, "no such node {n}"),
         }
     }
 }

@@ -96,7 +96,10 @@ impl std::error::Error for UserDbError {}
 
 /// The cluster-wide account database (one instance shared by every node, the
 /// scheduler, and the firewall daemons, as `/etc/passwd`+LDAP would be).
-#[derive(Debug, Clone)]
+///
+/// Deliberately not `Clone`: readers borrow it (through the cluster's lock
+/// guard), so no per-event path can pay for a copy of every account.
+#[derive(Debug)]
 pub struct UserDb {
     users: BTreeMap<Uid, User>,
     groups: BTreeMap<Gid, Group>,

@@ -22,7 +22,6 @@ fn main() {
     let cfg = SeparationConfig::llsc().with_trusted_realms([2u32]);
     let mut cluster = SecureCluster::new(cfg, ClusterSpec::tiny());
     let alice = cluster.add_user("alice").unwrap();
-    let db = cluster.db.read().clone();
 
     // 1. Two sister sites run their own brokers. Only realm 2 is trusted.
     let lab = shared_broker(CredentialBroker::new(
@@ -42,7 +41,7 @@ fn main() {
     // 2. The collaborator logs in at *their* site and presents the token
     //    here: the home site verifies it against the issuer's CA and
     //    revocation list, because the trust policy allow-lists realm 2.
-    let visiting = lab.write().login(&db, alice, None).unwrap();
+    let visiting = cluster.login_at(&lab, alice).unwrap();
     let who = cluster.validate_federated_token(&visiting).unwrap();
     println!(
         "realm2 token {}: accepted at home as uid {who}",
@@ -51,7 +50,7 @@ fn main() {
 
     // 3. The same uid asserted by the untrusted site is refused — realm
     //    binding plus the allow-list keep identity collisions harmless.
-    let spoof = stranger.write().login(&db, alice, None).unwrap();
+    let spoof = cluster.login_at(&stranger, alice).unwrap();
     println!(
         "realm3 token {}: {}",
         spoof.serial,

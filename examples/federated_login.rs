@@ -56,10 +56,7 @@ fn main() {
 
     // 5. The legitimate user simply re-authenticates; the attacker holding
     //    yesterday's material cannot.
-    let fresh = broker
-        .write()
-        .login(&cluster.db.read(), alice, None)
-        .unwrap();
+    let fresh = cluster.login_at(&broker, alice).unwrap();
     println!(
         "relogin: fresh token {} replaces the revoked one",
         fresh.serial

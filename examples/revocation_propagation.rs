@@ -21,7 +21,6 @@ fn main() {
     let budget = cfg.revsync_max_lag;
     let mut cluster = SecureCluster::new(cfg, ClusterSpec::tiny());
     let alice = cluster.add_user("alice").unwrap();
-    let db = cluster.db.read().clone();
 
     let lab = shared_broker(CredentialBroker::new(
         RealmId(2),
@@ -37,7 +36,7 @@ fn main() {
     // accepted here against the *local* replica: signature through realm2's
     // exported verifier, revocation through the replicated CRL. No
     // round-trip to realm2.
-    let token = lab.write().login(&db, alice, None).unwrap();
+    let token = cluster.login_at(&lab, alice).unwrap();
     println!(
         "t=0s      realm2 login ({}): validate at home → {:?}",
         token.serial,
@@ -78,7 +77,7 @@ fn main() {
     // staleness budget, and then it fails CLOSED: no fresh revocation
     // data, no cross-realm acceptance.
     cluster.partition_sister_feed(RealmId(2), true);
-    let fresh = lab.write().login(&db, alice, None).unwrap();
+    let fresh = cluster.login_at(&lab, alice).unwrap();
     let t2 = t1 + budget + SimDuration::from_secs(2);
     cluster.advance_to(t2);
     println!(

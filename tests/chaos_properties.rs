@@ -164,8 +164,7 @@ impl ChaosRun {
                 format!("advance:{}", self.clock)
             }
             2 => {
-                let db = self.c.db.read().clone();
-                let r = self.sister.write().login(&db, alice, None);
+                let r = self.c.login_at(&self.sister, alice);
                 let s = shape(&r);
                 if let Ok(t) = r {
                     self.minted.push(t);
@@ -398,7 +397,6 @@ proptest! {
     ) {
         let mut run = ChaosRun::new(7, 0, false);
         let alice = run.c.add_user("alice").unwrap();
-        let db = run.c.db.read().clone();
         let budget = run.c.config.revsync_max_lag;
         let sever_at = SimTime::from_secs(offset_s);
         let heal_after = budget + SimDuration::from_secs(120);
@@ -409,7 +407,7 @@ proptest! {
         let mut ctrl = ChaosController::new(plan);
         ctrl.arm(&mut run.c);
         for _ in 0..=extra_tokens {
-            let t = run.sister.write().login(&db, alice, None).unwrap();
+            let t = run.c.login_at(&run.sister, alice).unwrap();
             run.minted.push(t);
         }
 
@@ -451,8 +449,7 @@ proptest! {
         // SLO both fires and clears (this quiet run recorded nothing).
         let mut loud = ChaosRun::new(7, 0, true);
         let alice_l = loud.c.add_user("alice").unwrap();
-        let db_l = loud.c.db.read().clone();
-        let _ = loud.sister.write().login(&db_l, alice_l, None).unwrap();
+        let _ = loud.c.login_at(&loud.sister, alice_l).unwrap();
         let mut lctrl = ChaosController::new(
             FaultPlan::new(7).inject(
                 sever_at,
@@ -487,9 +484,8 @@ proptest! {
     ) {
         let mut run = ChaosRun::new(11, 0, false);
         let alice = run.c.add_user("alice").unwrap();
-        let db = run.c.db.read().clone();
         for _ in 0..revoke_mask.len() {
-            let t = run.sister.write().login(&db, alice, None).unwrap();
+            let t = run.c.login_at(&run.sister, alice).unwrap();
             run.minted.push(t);
         }
         // Let the healthy feed deliver the mint-era state.

@@ -79,8 +79,7 @@ impl Run {
                 format!("advance:{}", self.clock)
             }
             2 => {
-                let db = self.c.db.read().clone();
-                let r = self.sister.write().login(&db, alice, None);
+                let r = self.c.login_at(&self.sister, alice);
                 let s = shape(&r);
                 if let Ok(t) = r {
                     self.minted.push(t);
@@ -171,15 +170,14 @@ proptest! {
     ) {
         let mut run = Run::new(true);
         let alice = run.c.add_user("alice").unwrap();
-        let db = run.c.db.read().clone();
         for _ in 0..extra_tokens {
-            let t = run.sister.write().login(&db, alice, None).unwrap();
+            let t = run.c.login_at(&run.sister, alice).unwrap();
             run.minted.push(t);
         }
         for i in 0..pre_advances {
             run.c.advance_to(SimTime::from_secs((i + 1) * 10));
         }
-        let token = run.sister.write().login(&db, alice, None).unwrap();
+        let token = run.c.login_at(&run.sister, alice).unwrap();
         let now = run.c.broker.as_ref().unwrap().read().now();
         prop_assert!(run.c.portal_revoke_serial(RealmId(2), token.serial));
         // One feed interval later the delta has landed at the home replica.
