@@ -31,6 +31,7 @@
 
 use crate::engine::Scheduler;
 use crate::job::JobState;
+use crate::partition::ClassId;
 use crate::privatedata::may_view;
 use eus_simcore::{SimDuration, SimTime};
 use eus_simos::{Credentials, Uid};
@@ -41,8 +42,10 @@ pub const FAIR_SHARE_HALF_LIFE: SimDuration = SimDuration::from_secs(3600);
 
 /// Decayed per-`(partition, user)` usage, the fair-share input.
 ///
-/// Cells are keyed by the *resolved* partition name (empty string = the
-/// unpartitioned cluster), matching `PartitionTable::resolve`.
+/// Cells are indexed by the dense [`ClassId`] of the *resolved* partition
+/// ([`ClassId::GLOBAL`] = the unpartitioned cluster, named `""`), matching
+/// `PartitionTable::resolve_class` — the scheduling cycle charges and
+/// scores by id. The `&str` entry points resolve the name once, here.
 #[derive(Debug, Clone)]
 pub struct FairShareLedger {
     half_life_s: f64,
@@ -51,10 +54,12 @@ pub struct FairShareLedger {
     /// accumulated cells toward `f64` overflow, so month-scale replays
     /// keep exact ordering instead of silently saturating to `inf`.
     origin_s: f64,
-    /// Scaled usage per partition, per user: `Σ cᵢ · 2^((tᵢ−origin)/h)`.
-    /// Nested so the head-selection hot path looks up by `&str` without
-    /// allocating.
-    cells: BTreeMap<String, BTreeMap<Uid, f64>>,
+    /// Scaled usage per class, per user: `Σ cᵢ · 2^((tᵢ−origin)/h)`.
+    cells: Vec<BTreeMap<Uid, f64>>,
+    /// Resolved partition name → class, for the `&str` readers. The engine
+    /// [`bind`](Self::bind)s its partition table's ids; a standalone ledger
+    /// numbers names as it first sees them.
+    names: BTreeMap<String, ClassId>,
 }
 
 /// Rebase threshold, in half-lives past the origin. `2^256 ≈ 1e77` leaves
@@ -68,7 +73,8 @@ impl FairShareLedger {
         FairShareLedger {
             half_life_s: half_life.as_secs_f64().max(1.0),
             origin_s: 0.0,
-            cells: BTreeMap::new(),
+            cells: Vec::new(),
+            names: BTreeMap::new(),
         }
     }
 
@@ -83,7 +89,7 @@ impl FairShareLedger {
     /// ancient cells underflow harmlessly to zero.
     fn rebase(&mut self, at_s: f64) {
         let factor = (-(at_s - self.origin_s) / self.half_life_s).exp2();
-        for users in self.cells.values_mut() {
+        for users in &mut self.cells {
             for v in users.values_mut() {
                 *v *= factor;
             }
@@ -91,33 +97,75 @@ impl FairShareLedger {
         self.origin_s = at_s;
     }
 
-    /// Charge `core_seconds` of consumption to `(partition, user)` at `at`.
-    pub fn charge(&mut self, partition: &str, user: Uid, core_seconds: f64, at: SimTime) {
+    /// Name `class` for the `&str` readers (idempotent).
+    pub(crate) fn bind(&mut self, class: ClassId, name: &str) {
+        if !self.names.contains_key(name) {
+            self.names.insert(name.to_string(), class);
+        }
+    }
+
+    /// Charge `core_seconds` of consumption to `(class, user)` at `at`.
+    /// Returns `true` when the charge rebased the ledger — every stored
+    /// score changed value (not order), so anything holding scores by
+    /// value must re-read them.
+    pub(crate) fn charge_class(
+        &mut self,
+        class: ClassId,
+        user: Uid,
+        core_seconds: f64,
+        at: SimTime,
+    ) -> bool {
         if core_seconds <= 0.0 {
-            return;
+            return false;
         }
         let at_s = at.since(SimTime::ZERO).as_secs_f64();
-        if (at_s - self.origin_s) / self.half_life_s > REBASE_HALF_LIVES {
+        let rebased = (at_s - self.origin_s) / self.half_life_s > REBASE_HALF_LIVES;
+        if rebased {
             self.rebase(at_s);
         }
         let w = self.weight(at);
-        *self
-            .cells
-            .entry(partition.to_string())
-            .or_default()
-            .entry(user)
-            .or_insert(0.0) += core_seconds * w;
+        if self.cells.len() <= class.index() {
+            self.cells.resize_with(class.index() + 1, BTreeMap::new);
+        }
+        if let Some(users) = self.cells.get_mut(class.index()) {
+            *users.entry(user).or_insert(0.0) += core_seconds * w;
+        }
+        rebased
+    }
+
+    /// Charge `core_seconds` of consumption to `(partition, user)` at `at`,
+    /// numbering a name this (standalone) ledger has not seen with the
+    /// next free class. A name past the last `ClassId` is not recorded.
+    pub fn charge(&mut self, partition: &str, user: Uid, core_seconds: f64, at: SimTime) {
+        let class = match self.names.get(partition) {
+            Some(&c) => c,
+            None => {
+                let Some(c) = ClassId::from_index(self.names.len()) else {
+                    return;
+                };
+                self.names.insert(partition.to_string(), c);
+                c
+            }
+        };
+        self.charge_class(class, user, core_seconds, at);
+    }
+
+    /// [`score`](Self::score) by class id — what the cycle calls.
+    pub(crate) fn score_class(&self, class: ClassId, user: Uid) -> f64 {
+        self.cells
+            .get(class.index())
+            .and_then(|users| users.get(&user))
+            .copied()
+            .unwrap_or(0.0)
     }
 
     /// The *scaled* usage for head-selection ordering: monotone in the
     /// decayed usage at any single instant, zero for users never charged.
     /// Compare with `f64::total_cmp`; lower scores schedule first.
     pub fn score(&self, partition: &str, user: Uid) -> f64 {
-        self.cells
+        self.names
             .get(partition)
-            .and_then(|users| users.get(&user))
-            .copied()
-            .unwrap_or(0.0)
+            .map_or(0.0, |&c| self.score_class(c, user))
     }
 
     /// Decayed core-seconds attributable to `(partition, user)` as of
@@ -131,8 +179,9 @@ impl FairShareLedger {
     pub fn partition_standings(&self, partition: &str, now: SimTime) -> Vec<(Uid, f64)> {
         let w = self.weight(now);
         let mut rows: Vec<(Uid, f64)> = self
-            .cells
+            .names
             .get(partition)
+            .and_then(|c| self.cells.get(c.index()))
             .map(|users| users.iter().map(|(u, v)| (*u, *v / w)).collect())
             .unwrap_or_default();
         rows.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));

@@ -48,21 +48,29 @@
 //! thread-invariant (see the table in [`crate::obs`]) and means this
 //! module needs no synchronization despite the parallel plane above it.
 
-use crate::job::{JobId, TaskAlloc};
+use crate::engine::ShadowNode;
+use crate::job::{JobId, JobSpec, TaskAlloc};
+use crate::policy::NodeSharing;
+use crate::table::NodeTable;
 use eus_simcore::SimTime;
 use eus_simos::{NodeId, Uid};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// One signed capacity transition in a planning profile: a running job's
-/// release (+) or a reservation's claim (−) / release (+) on one node.
-/// The engine builds a time-sorted `Vec<CapDelta>` per calendar rebuild
-/// and retains it on the calendar so `earliest_start` can probe-plan
-/// beyond-top-K jobs against the very same profile.
+/// release (+) or a reservation's claim (−) / release (+) on one node of
+/// the class's capacity mirror. The engine refills the calendar's
+/// time-sorted `Vec<CapDelta>` per rebuild and keeps it there so
+/// `earliest_start` can probe-plan beyond-top-K jobs against the very
+/// same profile. Transitions on nodes outside the mirror are left out:
+/// they change no fit a plan can see, so the instants they would add as
+/// anchors can never be the first feasible one.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CapDelta {
     /// When the transition happens.
     pub(crate) at: SimTime,
-    /// The node it happens on.
-    pub(crate) node: NodeId,
+    /// The node's position in the class's capacity mirror.
+    pub(crate) pos: u32,
     /// Core delta (claims negative).
     pub(crate) cores: i64,
     /// Memory delta, MiB (claims negative).
@@ -106,9 +114,10 @@ impl Reservation {
 pub struct ReservationCalendar {
     /// Planned starts, in dispatch (priority) order.
     pub reservations: Vec<Reservation>,
-    /// Engine `(state_version, queue_seq)` the plan is valid for — any
-    /// claim/release *or* arrival invalidates it; `None` = never built.
-    pub(crate) built_version: Option<(u64, u64)>,
+    /// Engine `(state_version, queue_seq, queue_shrink_epoch)` the plan is
+    /// valid for — any claim/release, arrival *or* departure (`cancel`
+    /// moves only the last) invalidates it; `None` = never built.
+    pub(crate) built_version: Option<(u64, u64, u64)>,
     /// The top-K job list the plan was derived from. If an arrival leaves
     /// this list unchanged (and no capacity moved), the standing plan is
     /// still exact and is re-tagged instead of re-derived.
@@ -151,6 +160,215 @@ impl ReservationCalendar {
     ) -> bool {
         blocks_any(&self.reservations, cand, placement, cand_end)
     }
+}
+
+/// Reusable buffers for calendar planning, all indexed by position in the
+/// class's capacity mirror. One lives in the scheduler; a steady-state
+/// rebuild allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct PlanScratch {
+    /// The top-K list a rebuild is planning for (swapped into the
+    /// calendar's `planned_for` once planned).
+    pub(crate) order: Vec<JobId>,
+    /// Fair-share top-K merge heap: `(score key, enqueue-seq, user)`.
+    pub(crate) heap: BinaryHeap<Reverse<(i64, u64, Uid)>>,
+    /// Mirror positions of the last plan's allocations, parallel to the
+    /// `allocs` it filled.
+    pub(crate) alloc_pos: Vec<u32>,
+    /// Capacity at the current anchor (every delta up to it applied).
+    snodes: Vec<ShadowNode>,
+    /// Per-node task fit at the current anchor, window claims subtracted.
+    fits: Vec<u64>,
+    /// Future claims inside the current window: `(cores, mem, gpus)` per
+    /// node; all-zero = none.
+    win: Vec<(u64, u64, u64)>,
+}
+
+/// What a plan reads of the scheduler besides the job and the profile.
+pub(crate) struct PlanCtx<'a> {
+    /// Anchors start here.
+    pub(crate) now: SimTime,
+    /// The node-sharing policy fits are judged under.
+    pub(crate) policy: NodeSharing,
+    /// Node totals, for whole-node charging.
+    pub(crate) nodes: &'a NodeTable,
+    /// The class's capacity mirror as of `now`.
+    pub(crate) base: &'a [ShadowNode],
+    /// The job's eligible nodes when they are a strict subset of `base`
+    /// (a partitioned job planned in the global class); `None` when the
+    /// base *is* the job's own partition mirror.
+    pub(crate) eligible: Option<&'a BTreeSet<NodeId>>,
+}
+
+impl PlanScratch {
+    // analyze:hot-path-begin(sched-calendar-plan)
+    /// Plan the earliest conservative reservation for one job against a
+    /// base capacity snapshot plus a time-sorted delta profile: fill
+    /// `allocs` (and `alloc_pos`) with the concrete per-node holds and
+    /// return the start. `None` = the job fits at no anchor (it would
+    /// never start even after every release). Pure with respect to
+    /// scheduler state — a calendar rebuild calls it per top-K job,
+    /// folding each plan back into the profile, and `earliest_start` calls
+    /// it once against a finished profile to answer beyond-top-K jobs.
+    ///
+    /// Anchors are `now`, then every later delta instant, visited lazily.
+    /// Two-pointer sweep: deltas below `applied` are folded into `snodes`
+    /// (at ≤ anchor); claims with index in `[applied, win_end)` sit in the
+    /// `win` overlay (the future claims inside the current window,
+    /// subtracted for the conservative minimum). Each delta enters and
+    /// leaves each structure exactly once, and per-node fits update
+    /// incrementally — O(deltas) per job.
+    pub(crate) fn plan(
+        &mut self,
+        ctx: &PlanCtx<'_>,
+        spec: &JobSpec,
+        deltas: &[CapDelta],
+        allocs: &mut Vec<(NodeId, TaskAlloc)>,
+    ) -> Option<SimTime> {
+        let PlanScratch {
+            alloc_pos,
+            snodes,
+            fits,
+            win,
+            ..
+        } = self;
+        let policy = ctx.policy;
+        let needed = spec.tasks as u64;
+        snodes.clear();
+        snodes.extend_from_slice(ctx.base);
+        win.clear();
+        win.resize(snodes.len(), (0, 0, 0));
+        fits.clear();
+        let fit_with = |sn: &ShadowNode, w: (u64, u64, u64)| -> u64 {
+            if ctx.eligible.is_some_and(|set| !set.contains(&sn.id)) {
+                return 0;
+            }
+            let mut s = *sn;
+            if w != (0, 0, 0) {
+                s.free_cores = s.free_cores.saturating_sub(w.0 as u32);
+                s.free_mem_mib = s.free_mem_mib.saturating_sub(w.1);
+                s.free_gpus = s.free_gpus.saturating_sub(w.2 as u32);
+                // A reserved slice makes the node non-idle for
+                // exclusive-style admission.
+                s.jobs += 1;
+            }
+            s.fit(spec, policy)
+        };
+        let mut total = 0u64;
+        // Re-derive node `i`'s fit after its capacity or window moved
+        // (a no-op until the first anchor has seeded `fits`).
+        let refit = |i: usize,
+                     snodes: &[ShadowNode],
+                     win: &[(u64, u64, u64)],
+                     fits: &mut [u64],
+                     total: &mut u64| {
+            if let (Some(sn), Some(w), Some(f)) = (snodes.get(i), win.get(i), fits.get_mut(i)) {
+                let nf = fit_with(sn, *w);
+                *total = *total + nf - *f;
+                *f = nf;
+            }
+        };
+        let mut applied = 0usize;
+        let mut win_end = 0usize;
+        let mut t = ctx.now;
+        loop {
+            let window_end = t + spec.time_limit;
+            while let Some(d) = deltas.get(applied).filter(|d| d.at <= t) {
+                let i = d.pos as usize;
+                // Leaving the window overlay (if it was a claim that had
+                // been counted as "future").
+                if d.cores < 0 && applied < win_end {
+                    if let Some(w) = win.get_mut(i) {
+                        w.0 -= (-d.cores) as u64;
+                        w.1 -= (-d.mem) as u64;
+                        w.2 -= (-d.gpus) as u64;
+                    }
+                }
+                if let Some(sn) = snodes.get_mut(i) {
+                    sn.free_cores = (sn.free_cores as i64 + d.cores).max(0) as u32;
+                    sn.free_mem_mib = (sn.free_mem_mib as i64 + d.mem).max(0) as u64;
+                    sn.free_gpus = (sn.free_gpus as i64 + d.gpus).max(0) as u32;
+                    if d.cores > 0 && sn.jobs > 0 {
+                        sn.jobs -= 1;
+                        if sn.jobs == 0 {
+                            sn.owner = None;
+                        }
+                    } else if d.cores < 0 {
+                        sn.jobs += 1;
+                    }
+                }
+                refit(i, snodes, win, fits, &mut total);
+                applied += 1;
+                win_end = win_end.max(applied);
+            }
+            // New future claims entering the window's far edge.
+            while let Some(d) = deltas.get(win_end).filter(|d| d.at < window_end) {
+                if d.cores < 0 {
+                    let i = d.pos as usize;
+                    if let Some(w) = win.get_mut(i) {
+                        w.0 += (-d.cores) as u64;
+                        w.1 += (-d.mem) as u64;
+                        w.2 += (-d.gpus) as u64;
+                    }
+                    refit(i, snodes, win, fits, &mut total);
+                }
+                win_end += 1;
+            }
+            if fits.is_empty() {
+                // One full pass to seed the incremental fits.
+                fits.extend(
+                    snodes
+                        .iter()
+                        .zip(win.iter())
+                        .map(|(sn, w)| fit_with(sn, *w)),
+                );
+                total = fits.iter().sum();
+            }
+            if total >= needed {
+                // Feasible: pick the concrete allocation greedily in id
+                // order against the window-minimum capacity.
+                let mut remaining = spec.tasks;
+                allocs.clear();
+                alloc_pos.clear();
+                for (i, (sn, &f)) in snodes.iter().zip(fits.iter()).enumerate() {
+                    if remaining == 0 {
+                        break;
+                    }
+                    let fit = (f as u32).min(remaining);
+                    if fit == 0 {
+                        continue;
+                    }
+                    let alloc = if policy.charges_whole_node(spec) {
+                        let Some(node) = ctx.nodes.get(&sn.id) else {
+                            continue;
+                        };
+                        TaskAlloc {
+                            tasks: fit,
+                            cores: node.cores,
+                            mem_mib: node.mem_mib,
+                            gpus: node.gpus,
+                        }
+                    } else {
+                        TaskAlloc {
+                            tasks: fit,
+                            cores: fit * spec.cpus_per_task,
+                            mem_mib: fit as u64 * spec.mem_per_task_mib,
+                            gpus: fit * spec.gpus_per_task,
+                        }
+                    };
+                    allocs.push((sn.id, alloc));
+                    alloc_pos.push(i as u32);
+                    remaining -= fit;
+                }
+                debug_assert_eq!(remaining, 0, "fit-sum promised a full placement");
+                return Some(t);
+            }
+            // Every delta at or before `t` is applied, so the next one is
+            // the next distinct instant.
+            t = deltas.get(applied)?.at;
+        }
+    }
+    // analyze:hot-path-end
 }
 
 /// The conservative-backfill admission test over any set of holds: overlap
@@ -196,7 +414,7 @@ mod tests {
     fn conflict_requires_time_and_space_overlap() {
         let cal = ReservationCalendar {
             reservations: vec![res(1, 1, 100, 200)],
-            built_version: Some((0, 0)),
+            built_version: Some((0, 0, 0)),
             planned_for: vec![JobId(1)],
             profile: Vec::new(),
         };
@@ -216,7 +434,7 @@ mod tests {
     fn lookup_and_totals() {
         let cal = ReservationCalendar {
             reservations: vec![res(1, 1, 100, 200), res(2, 2, 50, 80)],
-            built_version: Some((3, 0)),
+            built_version: Some((3, 0, 0)),
             planned_for: vec![JobId(1), JobId(2)],
             profile: Vec::new(),
         };

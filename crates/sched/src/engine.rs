@@ -96,14 +96,15 @@
 //! [`crate::reference::ReferenceScheduler`] (still property-checked by
 //! `tests/sched_equivalence.rs`).
 //!
-//! * **`fair_share`** — the queue splits into per-partition queues (keyed
-//!   by [`crate::partition::PartitionTable::resolve`]d name), each
-//!   selecting its head by the owner's *decayed usage* in that partition
-//!   ([`crate::accounting::FairShareLedger`], charged on every completion
-//!   and preemption) with FIFO tie-break. Every partition gets its own
-//!   head + shadow + backfill pass per cycle, so one partition's backlog
-//!   no longer head-of-line-blocks another partition's dispatch or
-//!   backfill budget.
+//! * **`fair_share`** — the queue splits into per-partition classes
+//!   (indexed by the dense [`ClassId`] that
+//!   [`crate::partition::PartitionTable::resolve_class`] interns each
+//!   partition to), each selecting its head by the owner's *decayed
+//!   usage* in that partition ([`crate::accounting::FairShareLedger`],
+//!   charged on every completion and preemption) with FIFO tie-break.
+//!   Every partition gets its own head + shadow + backfill pass per
+//!   cycle, so one partition's backlog no longer head-of-line-blocks
+//!   another partition's dispatch or backfill budget.
 //! * **`preemption`** — jobs carry a [`crate::job::QosClass`]; when a
 //!   latency-sensitive head cannot place, the engine kills-and-requeues
 //!   the cheapest set of strictly-lower-class victims (cost = remaining
@@ -126,13 +127,22 @@
 //! partitioned builds the flat-copy path), and per-class head/shadow memos
 //! skip recomputation on arrival floods. Like `policy`, the plane's knobs
 //! and the partition table are immutable once jobs are queued.
+//!
+//! All of the plane's per-class bookkeeping is one `ClassState`
+//! (`class.rs`) per class in a `Vec` indexed by [`ClassId`]: a job's class is resolved once, when it is enqueued, and a
+//! cycle then pays for what changed — the head is the first entry of an
+//! ordered index kept current on enqueue/dequeue/charge, the backfill
+//! window is one forward walk of the class FIFO, and a calendar rebuild
+//! plans out of reusable scratch. No partition name is cloned, compared or
+//! allocated inside a cycle.
 
 use crate::accounting::FairShareLedger;
-use crate::calendar::{CapDelta, Reservation, ReservationCalendar};
+use crate::calendar::{CapDelta, PlanCtx, PlanScratch, Reservation};
+use crate::class::{ClassState, Queued};
 use crate::job::{Job, JobId, JobSpec, JobState, TaskAlloc};
 use crate::node::{NodeState, SchedNode};
 use crate::obs::SchedObs;
-use crate::partition::{PartitionError, PartitionTable};
+use crate::partition::{ClassId, PartitionError, PartitionTable};
 use crate::policy::NodeSharing;
 use crate::privatedata::{may_view, JobView, PrivateData};
 use crate::table::{slot_of, NodeCols, NodeSet, NodeTable};
@@ -290,13 +300,13 @@ pub struct SchedMetrics {
 /// the two bits admissibility depends on. `Copy`, so building the shadow is
 /// a flat memcpy-style pass — no `SchedNode` clones, no nested maps.
 #[derive(Debug, Clone, Copy)]
-struct ShadowNode {
-    id: NodeId,
-    free_cores: u32,
-    free_mem_mib: u64,
-    free_gpus: u32,
-    jobs: u32,
-    owner: Option<Uid>,
+pub(crate) struct ShadowNode {
+    pub(crate) id: NodeId,
+    pub(crate) free_cores: u32,
+    pub(crate) free_mem_mib: u64,
+    pub(crate) free_gpus: u32,
+    pub(crate) jobs: u32,
+    pub(crate) owner: Option<Uid>,
     up: bool,
 }
 
@@ -317,7 +327,7 @@ impl ShadowNode {
     /// Tasks of `spec` this shadow node could host right now — the shadow
     /// counterpart of `node_admits` + `tasks_that_fit`, capped at
     /// `u32::MAX` exactly like the real fit computation.
-    fn fit(&self, spec: &JobSpec, policy: NodeSharing) -> u64 {
+    pub(crate) fn fit(&self, spec: &JobSpec, policy: NodeSharing) -> u64 {
         if !self.up {
             return 0;
         }
@@ -445,46 +455,32 @@ pub struct Scheduler {
     /// moment `(head, state_version, queue_shrink_epoch)` moves.
     bf_scan: Option<BfScan>,
     // ---- policy plane (all empty / unused while the knobs are off) ----
-    /// Decayed per-(partition, user) usage: the fair-share input.
+    /// Decayed per-(class, user) usage: the fair-share input.
     ledger: FairShareLedger,
-    /// Per-class FIFO queues (class = resolved partition name, "" for the
-    /// unpartitioned cluster): enqueue-seq → job. Mirror of `queue`,
-    /// maintained only when `fair_share` is on.
-    part_fifo: BTreeMap<String, BTreeMap<u64, JobId>>,
-    /// Per-class, per-(QoS band, user) queued enqueue-seqs (fair-share
-    /// head selection picks the lowest-usage user's earliest job inside
-    /// the top band). The band component is 0 when preemption is off, so
-    /// this degrades to a plain per-user index.
-    part_user: BTreeMap<String, BTreeMap<(u8, Uid), BTreeSet<u64>>>,
-    /// Per-class QoS band index (maintained when `preemption` is on):
-    /// `(255 − qos rank, seq) → job`, so iteration order is
-    /// highest-class-first with FIFO inside a band. With preemption
-    /// enabled, dispatch is band-major — an urgent arrival becomes its
-    /// class's head immediately instead of aging behind the backlog.
-    part_qos: BTreeMap<String, BTreeMap<(u8, u64), JobId>>,
-    /// Queued job → its class key (for O(log) removal).
-    job_part: BTreeMap<JobId, String>,
+    /// Per-class state, indexed by [`ClassId`] and grown when a class
+    /// first receives a job: queues and head index, calendar, head/shadow
+    /// memos, capacity mirror, shard seed. Under `fair_share` a job queues
+    /// in its partition's class; otherwise every job queues in
+    /// [`ClassId::GLOBAL`] (a mirror of `queue`) and a partition's entry
+    /// carries only its capacity mirror.
+    classes: Vec<ClassState>,
+    /// Job → the class its partition resolved to when it was enqueued
+    /// ([`ClassId::GLOBAL`] = whole cluster), a flat slab like
+    /// `queue_pos`. Written only while the policy plane is on.
+    job_class: Vec<ClassId>,
     /// Run epoch per job; bumped on preemption so stale `JobEnd` events
     /// from the killed run are ignored. Absent = epoch 0 (never preempted).
     run_epochs: BTreeMap<JobId, u32>,
     /// Preemption history (who displaced whom, when, where).
     pub preemptions: Vec<PreemptionRecord>,
-    /// Per-class reservation calendars (`reservations > 0`), rebuilt
-    /// whenever the state version moves.
-    calendars: BTreeMap<String, ReservationCalendar>,
-    /// Per-class failed-head memo `(head, state_version)`: while nothing
-    /// claimed or released *and the selected head is unchanged*, a blocked
-    /// class head stays blocked.
-    policy_head_cache: BTreeMap<String, (JobId, u64)>,
-    /// Per-class shadow memo `(head, state_version, shadow)`.
-    policy_shadow_cache: BTreeMap<String, (JobId, u64, SimTime)>,
+    /// Calendar-planning scratch (top-K list, capacity/fit/window vectors).
+    plan_scratch: PlanScratch,
+    /// The classes one policy cycle visits (reused across cycles).
+    cycle_classes: Vec<ClassId>,
     // ---- per-partition capacity mirrors + incremental head fit ----
-    /// Flat per-partition capacity mirrors (id-ascending), lazily built and
-    /// then maintained on every claim/release — partitioned shadow and
-    /// calendar builds are flat copies instead of node-map walks.
-    part_mirrors: BTreeMap<String, Vec<ShadowNode>>,
-    /// Node → partitions whose mirror contains it (mirror maintenance).
-    node_parts: BTreeMap<NodeId, Vec<String>>,
+    /// Node slot → `(class, position)` in every built class mirror that
+    /// contains the node, so mirror maintenance is a direct store.
+    node_classes: Vec<Vec<(ClassId, u32)>>,
     /// Bumped on every partition-table mutation; mirrors rebuilt lazily
     /// when they trail this.
     partitions_version: u64,
@@ -500,10 +496,6 @@ pub struct Scheduler {
     /// inline; any width produces bit-identical schedules (see the module
     /// docs' shard-merge determinism rule).
     shard_threads: usize,
-    /// Per-class head plans precomputed by [`Scheduler::plan_shards`],
-    /// consumed (and re-validated against `(head, state_version)`) by the
-    /// sequential class merge.
-    shard_seeds: BTreeMap<String, ShardSeed>,
     events: BinaryHeap<Reverse<(SimTime, u64, Ev)>>,
     next_job: u64,
     next_node: u32,
@@ -595,16 +587,6 @@ impl FifoRing {
         Some(id)
     }
 
-    /// Live entries in queue order.
-    fn iter(&self) -> impl Iterator<Item = (u64, JobId)> + '_ {
-        let base = self.base;
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|&(_, &id)| id != FIFO_TOMB)
-            .map(move |(i, &id)| (base + i as u64, id))
-    }
-
     /// First live entry with a key strictly after `cursor` (`None` = scan
     /// from the front).
     fn next_after(&self, cursor: Option<u64>) -> Option<(u64, JobId)> {
@@ -622,24 +604,14 @@ impl FifoRing {
     }
 }
 
-/// First entry of a class FIFO with a key strictly after `cursor`
-/// (`None` = from the front) — the tree-backed counterpart of
-/// [`FifoRing::next_after`] for the per-partition queues.
-fn next_in_fifo(fifo: &BTreeMap<u64, JobId>, cursor: Option<u64>) -> Option<(u64, JobId)> {
-    let range = match cursor {
-        None => fifo.range(..),
-        Some(c) => fifo.range((Bound::Excluded(c), Bound::Unbounded)),
-    };
-    range.map(|(&k, &j)| (k, j)).next()
-}
-
 /// The head whose total task-fit is being maintained incrementally.
 #[derive(Debug)]
 struct HeadFit {
     job: JobId,
     spec: Arc<JobSpec>,
-    /// Resolved partition name (`None` = whole cluster).
-    part: Option<String>,
+    /// The class the head's partition resolved to
+    /// ([`ClassId::GLOBAL`] = whole cluster).
+    part: ClassId,
     /// `Σ fit(spec)` over the head's eligible nodes, kept exact by
     /// [`Scheduler::mirror_update`].
     total: u64,
@@ -674,7 +646,7 @@ struct BfScan {
 /// the live nodes); `fit_total` is the walk's uncapped Σ fit, used to prime
 /// [`HeadFit`] on failure exactly like the inline walk would.
 #[derive(Debug, Clone)]
-struct ShardSeed {
+pub(crate) struct ShardSeed {
     head: JobId,
     version: u64,
     fit_total: u64,
@@ -768,22 +740,17 @@ impl Scheduler {
             queue_shrink_epoch: 0,
             bf_scan: None,
             ledger,
-            part_fifo: BTreeMap::new(),
-            part_user: BTreeMap::new(),
-            part_qos: BTreeMap::new(),
-            job_part: BTreeMap::new(),
+            classes: Vec::new(),
+            job_class: Vec::new(),
             run_epochs: BTreeMap::new(),
             preemptions: Vec::new(),
-            calendars: BTreeMap::new(),
-            policy_head_cache: BTreeMap::new(),
-            policy_shadow_cache: BTreeMap::new(),
-            part_mirrors: BTreeMap::new(),
-            node_parts: BTreeMap::new(),
+            plan_scratch: PlanScratch::default(),
+            cycle_classes: Vec::new(),
+            node_classes: Vec::new(),
             partitions_version: 0,
             part_mirror_version: 0,
             head_fit: None,
             shard_threads: 1,
-            shard_seeds: BTreeMap::new(),
             events: BinaryHeap::new(),
             next_job: 1,
             next_node: 1,
@@ -854,10 +821,11 @@ impl Scheduler {
         // the placeholder entry is never read).
         self.shadow_overlay.push(sn);
         self.shadow_stamp.push(0);
+        self.node_classes.push(Vec::new());
         if let Some(hf) = &mut self.head_fit {
             // A new node is in no partition yet, so it only widens a
             // whole-cluster head scope.
-            if hf.part.is_none() {
+            if hf.part == ClassId::GLOBAL {
                 hf.total += sn.fit(&hf.spec, self.config.policy);
             }
         }
@@ -877,57 +845,94 @@ impl Scheduler {
         let old = self.shadow_mirror[idx];
         self.shadow_mirror[idx] = sn;
         if let Some(hf) = &mut self.head_fit {
-            let in_scope = match &hf.part {
-                None => true,
-                Some(p) => self
-                    .partitions
-                    .get(p)
-                    .is_some_and(|part| part.nodes.contains(&nid)),
-            };
+            let in_scope = self
+                .partitions
+                .class_nodes(hf.part)
+                .is_none_or(|nodes| nodes.contains(&nid));
             if in_scope {
                 let policy = self.config.policy;
                 hf.total = hf.total + sn.fit(&hf.spec, policy) - old.fit(&hf.spec, policy);
             }
         }
-        if let Some(parts) = self.node_parts.get(&nid) {
-            for p in parts {
-                if let Some(m) = self.part_mirrors.get_mut(p) {
-                    if let Ok(i) = m.binary_search_by_key(&nid, |e| e.id) {
-                        m[i] = sn;
-                    }
-                }
+        for &(class, pos) in self.node_classes.get(idx).into_iter().flatten() {
+            let entry = self
+                .classes
+                .get_mut(class.index())
+                .and_then(|cs| cs.mirror.get_mut(pos as usize));
+            if let Some(entry) = entry {
+                *entry = sn;
             }
         }
     }
 
+    /// The state of `class`, created (and named in the ledger) on first
+    /// use. Ids are dense, so this also creates any class below it.
+    fn class_mut(&mut self, class: ClassId) -> &mut ClassState {
+        while self.classes.len() <= class.index() {
+            if let Some(c) = ClassId::from_index(self.classes.len()) {
+                self.ledger.bind(c, self.partitions.class_name(c));
+            }
+            self.classes.push(ClassState::default());
+        }
+        &mut self.classes[class.index()]
+    }
+
     /// Make sure the per-partition mirrors match the current partition
-    /// table generation, then build (once) and return the mirror for
-    /// partition `name`: its member nodes' capacity entries, id-ascending.
-    fn part_mirror(&mut self, name: &str) -> &[ShadowNode] {
+    /// table generation, then build (once) the mirror for partition
+    /// `class`: its member nodes' capacity entries, id-ascending. The
+    /// whole-cluster class needs none — [`base_mirror`](Self::base_mirror)
+    /// answers it from `shadow_mirror`.
+    fn ensure_mirror(&mut self, class: ClassId) {
         if self.part_mirror_version != self.partitions_version {
-            self.part_mirrors.clear();
-            self.node_parts.clear();
+            for cs in &mut self.classes {
+                cs.mirror.clear();
+                cs.mirror_built = false;
+            }
+            self.node_classes.iter_mut().for_each(Vec::clear);
             self.part_mirror_version = self.partitions_version;
         }
-        if !self.part_mirrors.contains_key(name) {
-            let members: Vec<NodeId> = self
-                .partitions
-                .get(name)
-                .map(|p| p.nodes.iter().copied().collect())
-                .unwrap_or_default();
-            let mut mirror = Vec::with_capacity(members.len());
-            for nid in &members {
-                if let Some(sn) = self.shadow_mirror.get(slot_of(*nid)) {
-                    mirror.push(*sn);
-                    self.node_parts
-                        .entry(*nid)
-                        .or_default()
-                        .push(name.to_string());
-                }
-            }
-            self.part_mirrors.insert(name.to_string(), mirror);
+        if class == ClassId::GLOBAL {
+            return;
         }
-        &self.part_mirrors[name]
+        let cs = self.class_mut(class);
+        if std::mem::replace(&mut cs.mirror_built, true) {
+            return;
+        }
+        let mut mirror = std::mem::take(&mut cs.mirror);
+        for nid in self.partitions.class_nodes(class).into_iter().flatten() {
+            let slot = slot_of(*nid);
+            if let (Some(sn), Some(at)) = (
+                self.shadow_mirror.get(slot),
+                self.node_classes.get_mut(slot),
+            ) {
+                at.push((class, mirror.len() as u32));
+                mirror.push(*sn);
+            }
+        }
+        self.class_mut(class).mirror = mirror;
+    }
+
+    /// The capacity mirror plans for `class` start from: the whole
+    /// cluster's, or the partition's once
+    /// [`ensure_mirror`](Self::ensure_mirror) built it.
+    fn base_mirror(&self, class: ClassId) -> &[ShadowNode] {
+        if class == ClassId::GLOBAL {
+            &self.shadow_mirror
+        } else {
+            self.classes
+                .get(class.index())
+                .map_or(&[], |cs| cs.mirror.as_slice())
+        }
+    }
+
+    /// `nid`'s position in [`base_mirror`](Self::base_mirror)`(class)`.
+    fn mirror_pos(&self, class: ClassId, nid: NodeId) -> Option<u32> {
+        let slot = slot_of(nid);
+        if class == ClassId::GLOBAL {
+            return (slot < self.shadow_mirror.len()).then_some(slot as u32);
+        }
+        let at = self.node_classes.get(slot)?;
+        at.iter().find(|(c, _)| *c == class).map(|&(_, pos)| pos)
     }
 
     /// Register an operator/coordinator exempt from PrivateData filtering.
@@ -1009,11 +1014,45 @@ impl Scheduler {
     /// present engine state. Empty unless `config.reservations > 0` and a
     /// scheduling cycle has planned since the last state change.
     pub fn held_reservations(&self) -> Vec<Reservation> {
-        self.calendars
-            .values()
-            .filter(|c| c.built_version == Some((self.state_version, self.queue_seq)))
-            .flat_map(|c| c.reservations.iter().cloned())
+        let key = self.calendar_key();
+        self.partitions
+            .classes()
+            .filter_map(|c| self.classes.get(c.index()))
+            .filter(|cs| cs.calendar.built_version == Some(key))
+            .flat_map(|cs| cs.calendar.reservations.iter().cloned())
             .collect()
+    }
+
+    /// What a calendar plan is valid for: no claim or release
+    /// (`state_version`), no arrival (`queue_seq`) and no departure
+    /// (`queue_shrink_epoch` — `cancel` moves nothing else) since.
+    fn calendar_key(&self) -> (u64, u64, u64) {
+        (self.state_version, self.queue_seq, self.queue_shrink_epoch)
+    }
+
+    /// The class a job's partition resolves to: remembered from enqueue
+    /// while the policy plane is on (its queues were keyed by it), looked
+    /// up otherwise. `None` = the job names a partition unknown today.
+    fn job_scope(&self, job: JobId, spec: &JobSpec) -> Option<ClassId> {
+        let queued = self
+            .queue_pos
+            .get(job.0 as usize)
+            .is_some_and(|&k| k != u64::MAX);
+        if queued && self.config.policy_plane_active() {
+            return Some(self.queued_scope(job));
+        }
+        self.partitions
+            .resolve_class(spec.partition.as_deref())
+            .ok()
+    }
+
+    /// The class a job of partition class `scope` queues in.
+    fn sched_class(&self, scope: ClassId) -> ClassId {
+        if self.config.fair_share {
+            scope
+        } else {
+            ClassId::GLOBAL
+        }
     }
 
     /// Answer "when will this job start?" — the question EASY alone cannot
@@ -1036,46 +1075,31 @@ impl Scheduler {
             return j.started;
         }
         let spec = Arc::clone(&j.spec);
-        let class: Option<String> = if self.config.fair_share {
-            self.job_part.get(&job).cloned()
-        } else {
-            None
-        };
+        let scope = self.job_scope(job, &spec)?;
+        let class = self.sched_class(scope);
         if self.config.reservations > 0 {
-            if let Some(head) = self.select_head(class.as_deref()) {
-                self.rebuild_calendar(class.as_deref(), head);
-                let ckey = class.clone().unwrap_or_default();
-                if let Some(r) = self.calendars.get(&ckey).and_then(|c| c.get(job)) {
+            if let Some(head) = self.select_head(class) {
+                self.rebuild_calendar(class, head);
+                let held = self.classes.get(class.index())?.calendar.get(job);
+                if let Some(r) = held {
                     return Some(r.start);
                 }
                 // Beyond the top-K: plan a one-off probe reservation on
                 // top of the finished profile (all held starts charged),
                 // instead of the optimistic single-job shadow bound. The
                 // probe is read-only — nothing is held for the job.
-                if let Some(p) = &class {
-                    self.part_mirror(p);
-                }
-                let base: Vec<ShadowNode> = match &class {
-                    Some(p) => self.part_mirrors[p].clone(),
-                    None => self.shadow_mirror.clone(),
-                };
-                let profile = self
-                    .calendars
-                    .get(&ckey)
-                    .map(|c| c.profile.clone())
-                    .unwrap_or_default();
                 let tok = self.obs.rec.span_start();
-                let planned = self.plan_reservation(job, &base, &profile);
+                let planned = self.plan_probe(class, scope, &spec);
                 self.obs.rec.incr(self.obs.c_cal_probes);
                 self.obs.rec.span_end(self.obs.sp_calendar, tok);
-                if let Some(r) = planned {
-                    return Some(r.start);
+                if planned.is_some() {
+                    return planned;
                 }
                 // Fits at no anchor (too big to ever start): fall through
                 // — the shadow probe reports the same `MAX` answer.
             }
         }
-        Some(self.shadow_probe(job, &spec))
+        Some(self.shadow_time_scoped(job, &spec, scope, false))
     }
 
     fn push_event(&mut self, at: SimTime, ev: Ev) {
@@ -1131,7 +1155,10 @@ impl Scheduler {
     }
 
     /// Cancel a pending job (running jobs run to completion, as `scancel`
-    /// would need the full kill path we don't model).
+    /// would need the full kill path we don't model). The departure moves
+    /// `queue_shrink_epoch`, which the backfill scan memo and the calendar
+    /// memo both key on: a reservation held for the cancelled job is not
+    /// served again.
     pub fn cancel(&mut self, id: JobId) -> bool {
         let Some(job) = self.jobs.get_mut(&id) else {
             return false;
@@ -1145,24 +1172,20 @@ impl Scheduler {
         true
     }
 
-    /// The QoS band key: highest class iterates first, FIFO inside a band.
-    fn qos_band(spec: &JobSpec) -> u8 {
-        255 - spec.qos.rank()
-    }
-
-    /// The band component of the per-user index key: collapsed to one band
-    /// when preemption (band-major dispatch) is off.
-    fn user_band(&self, spec: &JobSpec) -> u8 {
+    /// The QoS band a job queues in: highest class iterates first, FIFO
+    /// inside a band — collapsed to one band when preemption (band-major
+    /// dispatch) is off.
+    fn band(&self, spec: &JobSpec) -> u8 {
         if self.config.preemption {
-            Self::qos_band(spec)
+            255 - spec.qos.rank()
         } else {
             0
         }
     }
 
-    /// Append a pending job to the queue tail and to whichever policy
-    /// structures are active (fair-share per-partition queues, QoS band
-    /// index).
+    /// Append a pending job to the queue tail and, with the policy plane
+    /// on, to its class (FIFO, plus the fair-share per-user queues + head
+    /// index and the QoS band index as the knobs ask).
     fn enqueue(&mut self, id: JobId) {
         let key = self.queue_seq;
         self.queue_seq += 1;
@@ -1172,45 +1195,44 @@ impl Scheduler {
             self.queue_pos.resize(idx + 1, u64::MAX);
         }
         self.queue_pos[idx] = key;
-        if !self.config.fair_share && !self.config.preemption {
+        if !self.config.policy_plane_active() {
             return;
         }
-        let spec = Arc::clone(&self.jobs[&id].spec);
-        // Class key: resolved partition under fair-share, one global class
-        // otherwise.
-        let part = if self.config.fair_share {
-            self.partitions
-                .resolve(spec.partition.as_deref())
-                .expect("validated at submit")
-                .unwrap_or("")
-                .to_string()
-        } else {
-            String::new()
+        let spec = &self.jobs[&id].spec;
+        // The one place a job's partition name is looked up: everything
+        // downstream indexes by the class.
+        let scope = self
+            .partitions
+            .resolve_class(spec.partition.as_deref())
+            .expect("validated at submit");
+        let q = Queued {
+            job: id,
+            time_limit: spec.time_limit,
+            user: spec.user,
+            band: self.band(spec),
         };
-        if self.config.fair_share {
-            let ukey = (self.user_band(&spec), spec.user);
-            self.part_fifo
-                .entry(part.clone())
-                .or_default()
-                .insert(key, id);
-            self.part_user
-                .entry(part.clone())
-                .or_default()
-                .entry(ukey)
-                .or_default()
-                .insert(key);
+        if self.job_class.len() <= idx {
+            self.job_class.resize(idx + 1, ClassId::GLOBAL);
         }
-        if self.config.preemption {
-            self.part_qos
-                .entry(part.clone())
-                .or_default()
-                .insert((Self::qos_band(&spec), key), id);
+        self.job_class[idx] = scope;
+        let class = self.sched_class(scope);
+        let (fair_share, preemption) = (self.config.fair_share, self.config.preemption);
+        // `class` is `scope` or the (lower) whole-cluster id, and ids are
+        // dense: creating the scope's entry — it carries the partition's
+        // capacity mirror even when jobs queue globally — creates both.
+        self.class_mut(scope);
+        let Scheduler {
+            classes, ledger, ..
+        } = self;
+        if let Some(cs) = classes.get_mut(class.index()) {
+            cs.push(key, q, fair_share, preemption, || {
+                ledger.score_class(class, q.user)
+            });
         }
-        self.job_part.insert(id, part);
     }
 
-    /// Remove a job from the queue (start, cancel) and from the policy
-    /// structures if present.
+    /// Remove a job from the queue (start, cancel) and from its class's
+    /// policy structures if present.
     fn dequeue(&mut self, id: JobId) {
         let Some(key) = self
             .queue_pos
@@ -1224,33 +1246,10 @@ impl Scheduler {
         // without a `state_version` bump, so the scan memo keys on this.
         self.queue_shrink_epoch += 1;
         self.queue.remove(key);
-        if let Some(part) = self.job_part.remove(&id) {
-            if let Some(fifo) = self.part_fifo.get_mut(&part) {
-                fifo.remove(&key);
-                if fifo.is_empty() {
-                    self.part_fifo.remove(&part);
-                }
-            }
-            let ukey = (
-                self.user_band(&self.jobs[&id].spec),
-                self.jobs[&id].spec.user,
-            );
-            if let Some(users) = self.part_user.get_mut(&part) {
-                if let Some(seqs) = users.get_mut(&ukey) {
-                    seqs.remove(&key);
-                    if seqs.is_empty() {
-                        users.remove(&ukey);
-                    }
-                }
-                if users.is_empty() {
-                    self.part_user.remove(&part);
-                }
-            }
-            if let Some(bands) = self.part_qos.get_mut(&part) {
-                bands.remove(&(Self::qos_band(&self.jobs[&id].spec), key));
-                if bands.is_empty() {
-                    self.part_qos.remove(&part);
-                }
+        if let Some(&scope) = self.job_class.get(id.0 as usize) {
+            let class = self.sched_class(scope);
+            if let Some(cs) = self.classes.get_mut(class.index()) {
+                cs.remove(key);
             }
         }
     }
@@ -1522,7 +1521,7 @@ impl Scheduler {
         self.obs
             .rec
             .event(self.now, "job.end", id.0, outcome, released_cores as u64);
-        self.charge_fair_share(id, released_cores, started);
+        self.charge_fair_share(id, user, released_cores, started);
         // Epilog per node, with the "is the user gone from this node" bit.
         for (nid, alloc) in &allocations {
             let still_active = self.has_running_job_on(user, *nid);
@@ -1538,21 +1537,32 @@ impl Scheduler {
     }
 
     /// Charge a run's consumed core-seconds to the fair-share ledger
-    /// (no-op unless `fair_share` is on).
-    fn charge_fair_share(&mut self, id: JobId, cores: u32, started: SimTime) {
+    /// (no-op unless `fair_share` is on) and move the user's entries in
+    /// the class's head index to the new score — or, when the charge
+    /// rebased the ledger, rebuild every class's index: a rebase rescales
+    /// every score the indexes hold by value.
+    fn charge_fair_share(&mut self, id: JobId, user: Uid, cores: u32, started: SimTime) {
         if !self.config.fair_share {
             return;
         }
-        let spec = &self.jobs[&id].spec;
-        let user = spec.user;
-        let part = self
-            .partitions
-            .resolve(spec.partition.as_deref())
-            .expect("validated at submit")
-            .unwrap_or("")
-            .to_string();
-        let consumed = cores as f64 * self.now.since(started).as_secs_f64();
-        self.ledger.charge(&part, user, consumed, self.now);
+        let class = self.queued_scope(id);
+        let now = self.now;
+        let consumed = cores as f64 * now.since(started).as_secs_f64();
+        let Scheduler {
+            classes,
+            ledger,
+            partitions,
+            ..
+        } = self;
+        if ledger.charge_class(class, user, consumed, now) {
+            for c in partitions.classes() {
+                if let Some(cs) = classes.get_mut(c.index()) {
+                    cs.rebuild_heads(|u| ledger.score_class(c, u));
+                }
+            }
+        } else if let Some(cs) = classes.get_mut(class.index()) {
+            cs.rescore(user, ledger.score_class(class, user));
+        }
     }
 
     fn start_job(&mut self, id: JobId, placement: Vec<(NodeId, TaskAlloc)>) {
@@ -1816,39 +1826,45 @@ impl Scheduler {
     /// being tracked, so a shadow recompute after a claim/release delta
     /// costs O(releases) rather than O(nodes).
     fn shadow_time_for(&mut self, head: JobId, spec: &Arc<JobSpec>) -> SimTime {
-        self.shadow_time_inner(head, spec, true)
-    }
-
-    /// Like [`shadow_time_for`](Self::shadow_time_for) but without
-    /// installing the incremental head-fit tracker — for ad-hoc probes
-    /// ([`earliest_start`](Self::earliest_start)) that must not evict the
-    /// real head's maintained sum between scheduling cycles.
-    fn shadow_probe(&mut self, job: JobId, spec: &Arc<JobSpec>) -> SimTime {
-        self.shadow_time_inner(job, spec, false)
-    }
-
-    fn shadow_time_inner(&mut self, head: JobId, spec: &Arc<JobSpec>, track: bool) -> SimTime {
         let part = self
             .partitions
-            .resolve(spec.partition.as_deref())
-            .expect("validated at submit")
-            .map(str::to_string);
-        let total = self.head_total_fit(head, spec, &part, track);
-        self.shadow_replay(spec, &part, total)
+            .resolve_class(spec.partition.as_deref())
+            .expect("validated at submit");
+        self.shadow_time_scoped(head, spec, part, true)
     }
 
-    /// `Σ fit(spec)` over one partition's members, read straight off the
-    /// dense whole-cluster mirror (a part mirror need not be built).
-    fn part_fit_sum(&self, part: &str, spec: &JobSpec) -> u64 {
+    /// [`shadow_time_for`](Self::shadow_time_for) with the head's partition
+    /// class already in hand. `track = false` leaves the incremental
+    /// head-fit tracker alone — for ad-hoc probes
+    /// ([`earliest_start`](Self::earliest_start)) that must not evict the
+    /// real head's maintained sum between scheduling cycles.
+    fn shadow_time_scoped(
+        &mut self,
+        head: JobId,
+        spec: &Arc<JobSpec>,
+        part: ClassId,
+        track: bool,
+    ) -> SimTime {
+        let total = self.head_total_fit(head, spec, part, track);
+        self.shadow_replay(spec, part, total)
+    }
+
+    /// `Σ fit(spec)` over `part`'s members (the whole cluster for
+    /// [`ClassId::GLOBAL`]), read straight off the dense whole-cluster
+    /// mirror (a part mirror need not be built).
+    fn scope_fit_sum(&self, part: ClassId, spec: &JobSpec) -> u64 {
         let policy = self.config.policy;
-        match self.partitions.get(part) {
-            Some(p) => p
-                .nodes
+        match self.partitions.class_nodes(part) {
+            Some(nodes) => nodes
                 .iter()
                 .filter_map(|nid| self.shadow_mirror.get(slot_of(*nid)))
                 .map(|sn| sn.fit(spec, policy))
                 .sum(),
-            None => 0,
+            None => self
+                .shadow_mirror
+                .iter()
+                .map(|sn| sn.fit(spec, policy))
+                .sum(),
         }
     }
 
@@ -1860,36 +1876,27 @@ impl Scheduler {
         &mut self,
         head: JobId,
         spec: &Arc<JobSpec>,
-        part: &Option<String>,
+        part: ClassId,
         track: bool,
     ) -> u64 {
-        let policy = self.config.policy;
-        let hit = matches!(&self.head_fit, Some(hf) if hf.job == head && hf.part == *part);
-        if hit {
-            let total = self.head_fit.as_ref().map_or(0, |hf| hf.total);
+        if let Some(hf) = self
+            .head_fit
+            .as_ref()
+            .filter(|hf| hf.job == head && hf.part == part)
+        {
             debug_assert_eq!(
-                total,
-                match part {
-                    Some(p) => self.part_fit_sum(p, spec),
-                    None => self
-                        .shadow_mirror
-                        .iter()
-                        .map(|sn| sn.fit(spec, policy))
-                        .sum::<u64>(),
-                },
+                hf.total,
+                self.scope_fit_sum(part, spec),
                 "incremental head fit drifted from the mirror"
             );
-            return total;
+            return hf.total;
         }
-        let total = match part {
-            Some(p) => self.part_fit_sum(p, spec),
-            None => self.shadow_mirror.iter().map(|sn| sn.fit(spec, policy)).sum(),
-        };
+        let total = self.scope_fit_sum(part, spec);
         if track {
             self.head_fit = Some(HeadFit {
                 job: head,
                 spec: Arc::clone(spec),
-                part: part.clone(),
+                part,
                 total,
             });
         }
@@ -1901,7 +1908,7 @@ impl Scheduler {
     /// the persistent mirror, so a replay costs O(touched releases) — no
     /// O(nodes) mirror copy, partitioned or not. `running_ends` is
     /// maintained in end-time order, so no per-cycle collect + sort either.
-    fn shadow_replay(&mut self, spec: &Arc<JobSpec>, part: &Option<String>, mut total: u64) -> SimTime {
+    fn shadow_replay(&mut self, spec: &Arc<JobSpec>, part: ClassId, mut total: u64) -> SimTime {
         let policy = self.config.policy;
         let needed = spec.tasks as u64;
         if total >= needed {
@@ -1913,10 +1920,7 @@ impl Scheduler {
         let epoch = self.shadow_epoch;
         let mut overlay = std::mem::take(&mut self.shadow_overlay);
         let mut stamp = std::mem::take(&mut self.shadow_stamp);
-        let members: Option<&BTreeSet<NodeId>> = part
-            .as_deref()
-            .and_then(|p| self.partitions.get(p))
-            .map(|p| &p.nodes);
+        let members = self.partitions.class_nodes(part);
         let mut result = SimTime::MAX;
         'replay: for (&(end_t, _jid), allocs) in &self.running_ends {
             for &(nid, ref alloc) in allocs.iter() {
@@ -1981,11 +1985,10 @@ impl Scheduler {
                 None
             } else {
                 self.obs.rec.incr(self.obs.c_head_memo_miss);
-                let part: Option<String> = self
+                let part = self
                     .partitions
-                    .resolve(head_spec.partition.as_deref())
-                    .expect("validated at submit")
-                    .map(str::to_string);
+                    .resolve_class(head_spec.partition.as_deref())
+                    .expect("validated at submit");
                 // O(1) certain-fail gate: the maintained Σ fit for this
                 // head is exact (see `placement_walk`), so a total below
                 // the task count proves the walk would fail.
@@ -2122,20 +2125,19 @@ impl Scheduler {
             // depth-budget slot: the window a fresh scan would cover then
             // extends *past* `cursor`, and entries beyond it were never
             // examined — `(scanned, cursor)` no longer describe the window.
-            self.bf_scan = if self.state_version == scan_version
-                && self.queue_shrink_epoch == scan_shrink
-            {
-                Some(BfScan {
-                    head,
-                    version: scan_version,
-                    shrink: scan_shrink,
-                    cursor,
-                    scanned,
-                    exhausted,
-                })
-            } else {
-                None
-            };
+            self.bf_scan =
+                if self.state_version == scan_version && self.queue_shrink_epoch == scan_shrink {
+                    Some(BfScan {
+                        head,
+                        version: scan_version,
+                        shrink: scan_shrink,
+                        cursor,
+                        scanned,
+                        exhausted,
+                    })
+                } else {
+                    None
+                };
             self.obs.rec.span_end(self.obs.sp_backfill, bf_tok);
             return;
         }
@@ -2151,17 +2153,27 @@ impl Scheduler {
     /// Without fair-share the whole queue is one class (global FCFS order,
     /// as before) but preemption and reservations still apply.
     fn try_schedule_policy(&mut self) {
-        if self.config.fair_share {
-            let classes: Vec<String> = self.part_fifo.keys().cloned().collect();
-            if self.shard_threads > 1 && classes.len() > 1 {
-                self.plan_shards(&classes);
-            }
-            for class in classes {
-                self.schedule_class(Some(class));
-            }
-        } else {
-            self.schedule_class(None);
+        if !self.config.fair_share {
+            return self.schedule_class(ClassId::GLOBAL);
         }
+        // The classes with queued work as the cycle opens, in the order
+        // their names sort (the whole cluster's `""` first). Fixed for the
+        // cycle: a class that preemption refills mid-cycle waits for the
+        // next event, as it always has.
+        let mut active = std::mem::take(&mut self.cycle_classes);
+        active.clear();
+        active.extend(self.partitions.classes().filter(|c| {
+            self.classes
+                .get(c.index())
+                .is_some_and(|cs| !cs.fifo.is_empty())
+        }));
+        if self.shard_threads > 1 && active.len() > 1 {
+            self.plan_shards(&active);
+        }
+        for &class in &active {
+            self.schedule_class(class);
+        }
+        self.cycle_classes = active;
     }
 
     /// Fan the per-class head *planning* out over the rayon shim: for each
@@ -2174,57 +2186,42 @@ impl Scheduler {
     /// any staleness, so schedules are bit-identical at every width. Only
     /// the `sched.shard.*` counters record here (they are the counters
     /// allowed to vary with thread count — see [`crate::obs`]).
-    fn plan_shards(&mut self, classes: &[String]) {
-        self.shard_seeds.clear();
+    fn plan_shards(&mut self, classes: &[ClassId]) {
+        for cs in &mut self.classes {
+            cs.seed = None;
+        }
         let version = self.state_version;
         let policy = self.config.policy;
         // Sequential, cheap phase: select each class's head, apply the
         // same memo/gate skips the merge will apply, and pin its mirror.
-        let mut picked: Vec<(String, JobId, Arc<JobSpec>)> = Vec::new();
-        for class in classes {
-            let Some(head) = self.select_head(Some(class)) else {
+        let mut picked: Vec<(ClassId, JobId, Arc<JobSpec>)> = Vec::new();
+        for &class in classes {
+            let Some(head) = self.select_head(class) else {
                 continue;
             };
-            let known_blocked = self
-                .policy_head_cache
-                .get(class)
-                .is_some_and(|&(j, v)| j == head && v == version);
-            if known_blocked {
+            if self.known_blocked(class, head) {
                 continue;
             }
             let spec = Arc::clone(&self.jobs[&head].spec);
-            let part = (!class.is_empty()).then(|| class.clone());
             let gated = matches!(
                 &self.head_fit,
-                Some(hf) if hf.job == head && hf.part == part
+                Some(hf) if hf.job == head && hf.part == class
                     && hf.total < spec.tasks as u64
             );
             if gated {
                 continue; // the merge will gate it in O(1) too
             }
-            if !class.is_empty() {
-                self.part_mirror(class); // build before borrowing below
-            }
-            picked.push((class.clone(), head, spec));
+            self.ensure_mirror(class); // build before borrowing below
+            picked.push((class, head, spec));
         }
         if picked.is_empty() {
             return;
         }
         // analyze:hot-path-begin(sched-shard-plan)
         let planned = picked.len() as u64;
-        let work: Vec<(String, JobId, Arc<JobSpec>, &[ShadowNode])> = picked
+        let work: Vec<(ClassId, JobId, Arc<JobSpec>, &[ShadowNode])> = picked
             .into_iter()
-            .map(|(class, head, spec)| {
-                let mirror: &[ShadowNode] = if class.is_empty() {
-                    &self.shadow_mirror
-                } else {
-                    self.part_mirrors
-                        .get(&class)
-                        .map(|m| m.as_slice())
-                        .unwrap_or(&[])
-                };
-                (class, head, spec, mirror)
-            })
+            .map(|(class, head, spec)| (class, head, spec, self.base_mirror(class)))
             .collect();
         let seeds = rayon::with_threads(self.shard_threads, work, |(class, head, spec, mirror)| {
             let (plan, fit_total) = plan_from_mirror(mirror, &spec, policy);
@@ -2239,7 +2236,9 @@ impl Scheduler {
             )
         });
         for (class, seed) in seeds {
-            self.shard_seeds.insert(class, seed);
+            if let Some(cs) = self.classes.get_mut(class.index()) {
+                cs.seed = Some(seed);
+            }
         }
         self.obs.rec.add(self.obs.c_shard_plans, planned);
         // analyze:hot-path-end
@@ -2248,7 +2247,11 @@ impl Scheduler {
     /// Materialize a shard plan's `(node, tasks)` pairs into real
     /// allocations from the live node table (mirrors carry no capacity
     /// totals, which `alloc_for` needs for whole-node charging).
-    fn materialize_plan(&self, spec: &JobSpec, pairs: Vec<(NodeId, u32)>) -> Vec<(NodeId, TaskAlloc)> {
+    fn materialize_plan(
+        &self,
+        spec: &JobSpec,
+        pairs: Vec<(NodeId, u32)>,
+    ) -> Vec<(NodeId, TaskAlloc)> {
         // analyze:hot-path-begin(sched-shard-merge)
         let policy = self.config.policy;
         pairs
@@ -2262,197 +2265,163 @@ impl Scheduler {
         // analyze:hot-path-end
     }
 
-    /// The head of a scheduling class.
-    ///
-    /// * preemption on → dispatch is **QoS-band-major**: the head comes
-    ///   from the highest class present (an urgent arrival surfaces
-    ///   immediately instead of aging behind the backlog); inside that
-    ///   band, fair-share score (if on) then FIFO;
-    /// * fair-share on (preemption off) → the queued job of the user with
-    ///   the lowest decayed usage in the partition, FIFO tie-break;
-    /// * neither → plain FIFO (the global class).
-    fn select_head(&self, class: Option<&str>) -> Option<JobId> {
-        let ckey = class.unwrap_or("");
-        if self.config.preemption && !self.config.fair_share {
-            // Band-major FIFO over the QoS index.
-            return self.part_qos.get(ckey)?.values().next().copied();
-        }
-        match class {
-            None => self.queue.first().map(|(_, id)| id),
-            Some(part) => {
-                // Fair-share: lowest-usage user's earliest job — restricted
-                // to the top QoS band when preemption is also on (the
-                // per-user index is band-major, so the top band is a
-                // prefix).
-                let users = self.part_user.get(part)?;
-                let top_band = users.keys().next()?.0;
-                let mut best: Option<(f64, u64, JobId)> = None;
-                for (&(band, user), seqs) in users {
-                    if band != top_band {
-                        break;
-                    }
-                    let Some(&seq) = seqs.iter().next() else {
-                        continue; // empty sets are removed eagerly
-                    };
-                    let score = self.ledger.score(part, user);
-                    let better = match &best {
-                        None => true,
-                        Some((bs, bq, _)) => match score.total_cmp(bs) {
-                            std::cmp::Ordering::Less => true,
-                            std::cmp::Ordering::Greater => false,
-                            std::cmp::Ordering::Equal => seq < *bq,
-                        },
-                    };
-                    if better {
-                        best = Some((score, seq, self.part_fifo[part][&seq]));
-                    }
-                }
-                best.map(|(_, _, id)| id)
-            }
-        }
+    // analyze:hot-path-begin(sched-policy-cycle)
+    /// The head of a scheduling class: the first entry of the index the
+    /// knobs select (see [`ClassState::head`]) — a read, not a scan.
+    fn select_head(&self, class: ClassId) -> Option<JobId> {
+        self.classes
+            .get(class.index())?
+            .head(self.config.fair_share, self.config.preemption)
+    }
+
+    /// Is `head` memoized as blocked for `class` at this state version?
+    /// While nothing claimed or released *and the selected head is
+    /// unchanged*, a blocked class head stays blocked.
+    fn known_blocked(&self, class: ClassId, head: JobId) -> bool {
+        self.classes
+            .get(class.index())
+            .and_then(|cs| cs.head_memo)
+            .is_some_and(|(j, v)| j == head && v == self.state_version)
+    }
+
+    /// The partition class a job resolved to when it was (last) enqueued.
+    fn queued_scope(&self, job: JobId) -> ClassId {
+        self.job_class
+            .get(job.0 as usize)
+            .copied()
+            .unwrap_or(ClassId::GLOBAL)
     }
 
     /// Run one class's dispatch loop: place heads while they fit, preempt
     /// for latency-sensitive blocked heads, then backfill behind the
     /// blocked head under the shadow bound (and, with reservations on, the
     /// full conservative calendar).
-    fn schedule_class(&mut self, class: Option<String>) {
-        let ckey = class.clone().unwrap_or_default();
-        let head = loop {
+    fn schedule_class(&mut self, class: ClassId) {
+        let (head, head_spec, part) = loop {
             let sel_tok = self.obs.rec.span_start();
-            let selected = self.select_head(class.as_deref());
+            let selected = self.select_head(class);
             self.obs.rec.span_end(self.obs.sp_select, sel_tok);
             let Some(head) = selected else {
                 return;
             };
-            let head_spec = Arc::clone(&self.jobs[&head].spec);
-            let known_blocked = self
-                .policy_head_cache
-                .get(&ckey)
-                .is_some_and(|&(j, v)| j == head && v == self.state_version);
-            if !known_blocked {
-                self.obs.rec.incr(self.obs.c_head_memo_miss);
-                let part: Option<String> = self
-                    .partitions
-                    .resolve(head_spec.partition.as_deref())
-                    .expect("validated at submit")
-                    .map(str::to_string);
-                // O(1) certain-fail gate (same proof as the FCFS path).
-                let gated = matches!(
-                    &self.head_fit,
-                    Some(hf) if hf.job == head && hf.part == part
-                        && hf.total < head_spec.tasks as u64
-                );
-                let placed = if gated {
-                    self.obs.rec.incr(self.obs.c_fit_gate);
-                    None
-                } else {
-                    let tok = self.obs.rec.span_start();
-                    // A shard seed planned for exactly this (head, version)
-                    // replaces the inline walk; anything stale falls back.
-                    // analyze:hot-path-begin(sched-shard-merge)
-                    let seed = self
-                        .shard_seeds
-                        .remove(&ckey)
-                        .filter(|s| {
-                            let fresh = s.head == head && s.version == self.state_version;
-                            if !fresh {
-                                self.obs.rec.incr(self.obs.c_shard_seed_stale);
-                            }
-                            fresh
-                        });
-                    // analyze:hot-path-end
-                    let (p, fit_sum) = match seed {
-                        Some(s) => {
-                            self.obs.rec.incr(self.obs.c_shard_seed_hits);
-                            let p = s.plan.map(|pairs| self.materialize_plan(&head_spec, pairs));
-                            #[cfg(debug_assertions)]
-                            {
-                                // Differential guard: a consumed seed must
-                                // be indistinguishable from the inline walk.
-                                let eligible = self
-                                    .partitions
-                                    .eligible_nodes(head_spec.partition.as_deref())
-                                    .expect("validated at submit");
-                                let (q, qsum) = self.placement_walk(&head_spec, eligible);
-                                debug_assert_eq!(p, q, "shard plan diverged from inline walk");
-                                if q.is_none() {
-                                    debug_assert_eq!(
-                                        s.fit_total, qsum,
-                                        "shard fit sum diverged from inline walk"
-                                    );
-                                }
-                            }
-                            (p, s.fit_total)
+            let Some(head_spec) = self.jobs.get(&head).map(|j| Arc::clone(&j.spec)) else {
+                return;
+            };
+            let part = self.queued_scope(head);
+            if self.known_blocked(class, head) {
+                self.obs.rec.incr(self.obs.c_head_memo_hit);
+                break (head, head_spec, part);
+            }
+            self.obs.rec.incr(self.obs.c_head_memo_miss);
+            // O(1) certain-fail gate (same proof as the FCFS path).
+            let gated = matches!(
+                &self.head_fit,
+                Some(hf) if hf.job == head && hf.part == part
+                    && hf.total < head_spec.tasks as u64
+            );
+            let placed = if gated {
+                self.obs.rec.incr(self.obs.c_fit_gate);
+                None
+            } else {
+                let tok = self.obs.rec.span_start();
+                // A shard seed planned for exactly this (head, version)
+                // replaces the inline walk; anything stale falls back.
+                let seed = self
+                    .classes
+                    .get_mut(class.index())
+                    .and_then(|cs| cs.seed.take())
+                    .filter(|s| {
+                        let fresh = s.head == head && s.version == self.state_version;
+                        if !fresh {
+                            self.obs.rec.incr(self.obs.c_shard_seed_stale);
                         }
-                        None => {
-                            let eligible = self
-                                .partitions
-                                .eligible_nodes(head_spec.partition.as_deref())
-                                .expect("validated at submit");
-                            self.placement_walk(&head_spec, eligible)
+                        fresh
+                    });
+                let eligible = self.partitions.class_nodes(part);
+                let (p, fit_sum) = match seed {
+                    Some(s) => {
+                        self.obs.rec.incr(self.obs.c_shard_seed_hits);
+                        let p = s.plan.map(|pairs| self.materialize_plan(&head_spec, pairs));
+                        #[cfg(debug_assertions)]
+                        {
+                            // Differential guard: a consumed seed must
+                            // be indistinguishable from the inline walk.
+                            let (q, qsum) = self.placement_walk(&head_spec, eligible);
+                            debug_assert_eq!(p, q, "shard plan diverged from inline walk");
+                            if q.is_none() {
+                                debug_assert_eq!(
+                                    s.fit_total, qsum,
+                                    "shard fit sum diverged from inline walk"
+                                );
+                            }
                         }
-                    };
-                    self.obs.rec.span_end(self.obs.sp_dispatch, tok);
-                    if p.is_none() {
-                        self.head_fit = Some(HeadFit {
-                            job: head,
-                            spec: Arc::clone(&head_spec),
-                            part,
-                            total: fit_sum,
-                        });
+                        (p, s.fit_total)
                     }
-                    p
+                    None => self.placement_walk(&head_spec, eligible),
                 };
-                if let Some(p) = placed {
+                self.obs.rec.span_end(self.obs.sp_dispatch, tok);
+                if p.is_none() {
+                    self.head_fit = Some(HeadFit {
+                        job: head,
+                        spec: Arc::clone(&head_spec),
+                        part,
+                        total: fit_sum,
+                    });
+                }
+                p
+            };
+            if let Some(p) = placed {
+                self.dequeue(head);
+                self.start_job(head, p);
+                continue;
+            }
+            // The head would wait: a latency-sensitive class may
+            // displace the cheapest lower-QoS victim set instead.
+            if self.config.preemption {
+                self.obs.rec.incr(self.obs.c_preempt_searches);
+                let pre_tok = self.obs.rec.span_start();
+                let preempted = self.try_preempt_for(head, &head_spec, part);
+                self.obs.rec.span_end(self.obs.sp_preempt, pre_tok);
+                if let Some(p) = preempted {
                     self.dequeue(head);
                     self.start_job(head, p);
                     continue;
                 }
-                // The head would wait: a latency-sensitive class may
-                // displace the cheapest lower-QoS victim set instead.
-                if self.config.preemption {
-                    self.obs.rec.incr(self.obs.c_preempt_searches);
-                    let pre_tok = self.obs.rec.span_start();
-                    let preempted = self.try_preempt_for(head, &head_spec);
-                    self.obs.rec.span_end(self.obs.sp_preempt, pre_tok);
-                    if let Some(p) = preempted {
-                        self.dequeue(head);
-                        self.start_job(head, p);
-                        continue;
-                    }
-                }
-                self.policy_head_cache
-                    .insert(ckey.clone(), (head, self.state_version));
-            } else {
-                self.obs.rec.incr(self.obs.c_head_memo_hit);
             }
-            break head;
+            if let Some(cs) = self.classes.get_mut(class.index()) {
+                cs.head_memo = Some((head, self.state_version));
+            }
+            break (head, head_spec, part);
         };
         if !self.config.backfill {
             return;
         }
-        let head_spec = Arc::clone(&self.jobs[&head].spec);
-        let shadow = match self.policy_shadow_cache.get(&ckey) {
-            Some(&(j, v, s)) if j == head && v == self.state_version => {
+        let memo = self
+            .classes
+            .get(class.index())
+            .and_then(|cs| cs.shadow_memo)
+            .filter(|&(j, v, _)| j == head && v == self.state_version);
+        let shadow = match memo {
+            Some((_, _, s)) => {
                 self.obs.rec.incr(self.obs.c_shadow_memo_hit);
                 s
             }
-            _ => {
+            None => {
                 self.obs.rec.incr(self.obs.c_shadow_memo_miss);
                 let tok = self.obs.rec.span_start();
-                let s = self.shadow_time_for(head, &head_spec);
+                let s = self.shadow_time_scoped(head, &head_spec, part, true);
                 self.obs.rec.span_end(self.obs.sp_shadow, tok);
-                self.policy_shadow_cache
-                    .insert(ckey.clone(), (head, self.state_version, s));
+                if let Some(cs) = self.classes.get_mut(class.index()) {
+                    cs.shadow_memo = Some((head, self.state_version, s));
+                }
                 s
             }
         };
         if self.config.reservations > 0 {
-            self.rebuild_calendar(class.as_deref(), head);
+            self.rebuild_calendar(class, head);
         }
         let bf_tok = self.obs.rec.span_start();
-        self.backfill_class(class.as_deref(), head, shadow);
+        self.backfill_class(class, head, shadow);
         self.obs.rec.span_end(self.obs.sp_backfill, bf_tok);
     }
 
@@ -2461,98 +2430,107 @@ impl Scheduler {
     /// EASY shadow bound, the per-version failure memo, and — with
     /// reservations on — the conservative no-collision test against every
     /// held reservation.
-    fn backfill_class(&mut self, class: Option<&str>, head: JobId, shadow: SimTime) {
-        // Snapshot the holds once for the whole scan, across EVERY class's
-        // calendar (overlapping partitions share nodes): starting a
-        // candidate bumps the state version, which must not silently drop
-        // the collision test for the rest of the scan. The snapshot stays
-        // conservative — our own starts within this scan only consume
-        // capacity the plan already assumed free-later, and holds whose
-        // job has meanwhile started are filtered out.
-        let holds: Vec<Reservation> = if self.config.reservations > 0 {
-            self.calendars
-                .values()
-                .flat_map(|c| c.reservations.iter())
-                .filter(|r| {
-                    self.jobs
-                        .get(&r.job)
-                        .is_some_and(|j| j.state == JobState::Pending)
-                })
-                .cloned()
-                .collect()
-        } else {
-            Vec::new()
+    ///
+    /// The window is one forward walk of the class FIFO, which carries
+    /// each job's `time_limit` beside its id: a candidate the shadow bound
+    /// rejects — nearly all of them — costs one iterator step and a
+    /// compare, no jobs-map probe. The walk only restarts (behind the
+    /// accepted key) after an accept, which needs `&mut self`.
+    fn backfill_class(&mut self, class: ClassId, head: JobId, shadow: SimTime) {
+        let Some(&head_seq) = self.queue_pos.get(head.0 as usize) else {
+            return;
         };
-        let head_seq = self.queue_pos[head.0 as usize];
+        let now = self.now;
+        // The cross-class holds (overlapping partitions share nodes),
+        // snapshotted for the whole scan at the first candidate that finds
+        // a placement — no calendar is rebuilt and no job changes state
+        // before that point, so it is the snapshot a scan-start copy would
+        // be. Starting a candidate bumps the state version, which must not
+        // silently drop the collision test for the rest of the scan; the
+        // snapshot stays conservative — our own starts within this scan
+        // only consume capacity the plan already assumed free-later.
+        let mut holds: Option<Vec<Reservation>> = None;
         let mut scanned = 0;
-        let mut cursor: Option<u64> = None;
-        while scanned < self.config.backfill_depth {
-            // First queued entry after the cursor that isn't the head
-            // itself (the head's key is a single point, so at most one
-            // extra step skips it).
-            let mut next = match class {
-                None => self.queue.next_after(cursor),
-                Some(part) => match self.part_fifo.get(part) {
-                    Some(f) => next_in_fifo(f, cursor),
-                    None => return, // class drained entirely
-                },
-            };
-            if next.is_some_and(|(k, _)| k == head_seq) {
-                next = match class {
-                    None => self.queue.next_after(Some(head_seq)),
-                    Some(part) => match self.part_fifo.get(part) {
-                        Some(f) => next_in_fifo(f, Some(head_seq)),
-                        None => return,
-                    },
+        let mut shadow_rejects = 0u64;
+        let mut cursor = Bound::Unbounded;
+        'scan: while let Some(cs) = self.classes.get(class.index()) {
+            let mut accepted = None;
+            for (&key, q) in cs.fifo.range((cursor, Bound::Unbounded)) {
+                if key == head_seq {
+                    continue;
+                }
+                if scanned >= self.config.backfill_depth {
+                    break 'scan;
+                }
+                scanned += 1;
+                let cand = q.job;
+                let cand_end = now + q.time_limit;
+                if shadow != SimTime::MAX && cand_end > shadow {
+                    shadow_rejects += 1;
+                    continue;
+                }
+                if self.backfill_fails.0 != self.state_version {
+                    self.backfill_fails = (self.state_version, BTreeSet::new());
+                }
+                if self.backfill_fails.1.contains(&cand) {
+                    self.obs.rec.incr(self.obs.c_bf_memo_rejects);
+                    continue;
+                }
+                self.obs.rec.incr(self.obs.c_bf_attempts);
+                let Some(job) = self.jobs.get(&cand) else {
+                    continue;
                 };
-            }
-            let Some((key, cand)) = next else {
-                return;
-            };
-            scanned += 1;
-            cursor = Some(key);
-            let spec = Arc::clone(&self.jobs[&cand].spec);
-            let cand_end = self.now + spec.time_limit;
-            let fits_before_shadow = shadow == SimTime::MAX || cand_end <= shadow;
-            if !fits_before_shadow {
-                self.obs.rec.incr(self.obs.c_bf_shadow_rejects);
-                continue;
-            }
-            if self.backfill_fails.0 != self.state_version {
-                self.backfill_fails = (self.state_version, BTreeSet::new());
-            }
-            if self.backfill_fails.1.contains(&cand) {
-                self.obs.rec.incr(self.obs.c_bf_memo_rejects);
-                continue;
-            }
-            self.obs.rec.incr(self.obs.c_bf_attempts);
-            let placement = {
-                let eligible = self
-                    .partitions
-                    .eligible_nodes(spec.partition.as_deref())
-                    .expect("validated at submit");
-                self.placement_for(&spec, eligible)
-            };
-            match placement {
-                Some(p) => {
-                    if crate::calendar::blocks_any(&holds, cand, &p, cand_end) {
-                        // Placement exists but collides with a held
-                        // reservation: conservative backfill refuses. Not
-                        // memoized — the memo records placement failures,
-                        // and this isn't one.
-                        self.obs.rec.incr(self.obs.c_bf_rsv_refusals);
-                        continue;
+                let eligible = self.partitions.class_nodes(self.queued_scope(cand));
+                match self.placement_for(&job.spec, eligible) {
+                    Some(p) => {
+                        let holds = holds.get_or_insert_with(|| self.pending_holds());
+                        if crate::calendar::blocks_any(holds, cand, &p, cand_end) {
+                            // Placement exists but collides with a held
+                            // reservation: conservative backfill refuses.
+                            // Not memoized — the memo records placement
+                            // failures, and this isn't one.
+                            self.obs.rec.incr(self.obs.c_bf_rsv_refusals);
+                            continue;
+                        }
+                        accepted = Some((key, cand, p));
+                        break;
                     }
-                    self.obs.rec.incr(self.obs.c_bf_accepts);
-                    self.dequeue(cand);
-                    self.start_job(cand, p);
-                }
-                None => {
-                    self.backfill_fails.1.insert(cand);
+                    None => {
+                        self.backfill_fails.1.insert(cand);
+                    }
                 }
             }
+            let Some((key, cand, p)) = accepted else {
+                break;
+            };
+            self.obs.rec.incr(self.obs.c_bf_accepts);
+            self.dequeue(cand);
+            self.start_job(cand, p);
+            cursor = Bound::Excluded(key);
         }
+        self.obs
+            .rec
+            .add(self.obs.c_bf_shadow_rejects, shadow_rejects);
     }
+
+    /// Every held reservation, across every class's calendar, whose job
+    /// is still pending (a hold whose job has started is spent).
+    fn pending_holds(&self) -> Vec<Reservation> {
+        if self.config.reservations == 0 {
+            return Vec::new();
+        }
+        self.classes
+            .iter()
+            .flat_map(|cs| cs.calendar.reservations.iter())
+            .filter(|r| {
+                self.jobs
+                    .get(&r.job)
+                    .is_some_and(|j| j.state == JobState::Pending)
+            })
+            .cloned()
+            .collect()
+    }
+    // analyze:hot-path-end
 }
 
 // ----------------------------------------------------------------------
@@ -2569,31 +2547,24 @@ impl Scheduler {
         &mut self,
         head: JobId,
         spec: &Arc<JobSpec>,
+        part: ClassId,
     ) -> Option<Vec<(NodeId, TaskAlloc)>> {
         let policy = self.config.policy;
         let qos = spec.qos;
         if !qos.may_preempt(crate::job::QosClass::Bulk) {
             return None; // not a preemptor class at all
         }
-        let part = self
-            .partitions
-            .resolve(spec.partition.as_deref())
-            .expect("validated at submit")
-            .map(str::to_string);
-        let eligible: Option<BTreeSet<NodeId>> = self
-            .partitions
-            .eligible_nodes(spec.partition.as_deref())
-            .expect("validated at submit")
-            .cloned();
+        self.ensure_mirror(part);
+        let eligible = self.partitions.class_nodes(part);
         // Candidate victims: running, strictly lower class, holding at
         // least one eligible node. Cost-sorted ascending.
         let mut victims: Vec<(u64, JobId)> = Vec::new();
-        for (&(end_t, jid), _) in &self.running_ends {
+        for &(end_t, jid) in self.running_ends.keys() {
             let vj = &self.jobs[&jid];
             if !qos.may_preempt(vj.spec.qos) {
                 continue;
             }
-            if let Some(set) = &eligible {
+            if let Some(set) = eligible {
                 if !vj.allocations.keys().any(|n| set.contains(n)) {
                     continue;
                 }
@@ -2609,15 +2580,9 @@ impl Scheduler {
         // Simulate releases over the reusable scratch capacity copy until
         // the head's fit-sum clears its task count (allocation-free in
         // steady state — the buffer persists across calls).
-        if let Some(p) = &part {
-            self.part_mirror(p);
-        }
         let mut snodes = std::mem::take(&mut self.scan_scratch);
         snodes.clear();
-        match &part {
-            Some(p) => snodes.extend_from_slice(&self.part_mirrors[p]),
-            None => snodes.extend_from_slice(&self.shadow_mirror),
-        }
+        snodes.extend_from_slice(self.base_mirror(part));
         let needed = spec.tasks as u64;
         let mut total: u64 = snodes.iter().map(|sn| sn.fit(spec, policy)).sum();
         let mut chosen: Vec<JobId> = Vec::new();
@@ -2643,11 +2608,7 @@ impl Scheduler {
         for v in &chosen {
             self.preempt_job(*v, head);
         }
-        let eligible = self
-            .partitions
-            .eligible_nodes(spec.partition.as_deref())
-            .expect("validated at submit");
-        let placement = self.placement_for(spec, eligible);
+        let placement = self.placement_for(spec, self.partitions.class_nodes(part));
         debug_assert!(
             placement.is_some(),
             "fit-sum proved the freed capacity admits the head"
@@ -2693,7 +2654,7 @@ impl Scheduler {
         self.metrics
             .used_cores
             .add(self.now, -(released_used as f64));
-        self.charge_fair_share(id, released_cores, started);
+        self.charge_fair_share(id, user, released_cores, started);
         {
             let job = self.jobs.get_mut(&id).expect("known job");
             job.state = JobState::Pending;
@@ -2729,341 +2690,161 @@ impl Scheduler {
         });
     }
 
-    /// The top-K queued jobs of a class in dispatch order (head first).
-    /// With preemption on the order follows the QoS band index (band-major
-    /// FIFO — the fair-share within-band refinement is approximated by
-    /// band order, which is what dispatch converges to as scores equalize).
-    fn class_top_k(&self, class: Option<&str>, head: JobId, k: usize) -> Vec<JobId> {
-        let mut order = vec![head];
-        if self.config.preemption {
-            if let Some(bands) = self.part_qos.get(class.unwrap_or("")) {
-                order.extend(
-                    bands
-                        .values()
-                        .filter(|&&j| j != head)
-                        .take(k.saturating_sub(1))
-                        .copied(),
-                );
-            }
-            return order;
-        }
-        match class {
-            Some(part) => {
-                // Fair-share order: (user score, seq), derived by a K-way
-                // merge over the per-user seq sets — O(U + K log U), never
-                // a whole-queue sort. (Preemption is off on this branch,
-                // so every per-user index key has band 0.)
-                let (Some(fifo), Some(users)) =
-                    (self.part_fifo.get(part), self.part_user.get(part))
-                else {
-                    return order;
-                };
-                #[derive(PartialEq)]
-                struct Cand(f64, u64, Uid);
-                impl Eq for Cand {}
-                impl PartialOrd for Cand {
-                    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                        Some(self.cmp(other))
-                    }
-                }
-                impl Ord for Cand {
-                    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                        // Reversed: BinaryHeap is a max-heap, we pop min.
-                        other.0.total_cmp(&self.0).then(other.1.cmp(&self.1))
-                    }
-                }
-                let mut heap: BinaryHeap<Cand> = users
-                    .iter()
-                    .filter_map(|(&(_, user), seqs)| {
-                        seqs.iter()
-                            .next()
-                            .map(|&seq| Cand(self.ledger.score(part, user), seq, user))
-                    })
-                    .collect();
-                while order.len() < k {
-                    let Some(Cand(score, seq, user)) = heap.pop() else {
-                        break;
-                    };
-                    let job = fifo[&seq];
-                    if job != head {
-                        order.push(job);
-                    }
-                    // Advance this user's cursor to their next queued seq.
-                    if let Some(seqs) = users.get(&(0, user)) {
-                        if let Some(&next) =
-                            seqs.range((Bound::Excluded(seq), Bound::Unbounded)).next()
-                        {
-                            heap.push(Cand(score, next, user));
-                        }
-                    }
-                }
-            }
-            None => {
-                order.extend(
-                    self.queue
-                        .iter()
-                        .map(|(_, j)| j)
-                        .filter(|&j| j != head)
-                        .take(k.saturating_sub(1)),
-                );
-            }
-        }
-        order
-    }
-
-    /// Rebuild a class's reservation calendar for the current state
-    /// version: plan starts for the top-K queued jobs sequentially against
-    /// a capacity profile containing running-job releases and every
-    /// earlier reservation's claim/release. Anchor feasibility uses each
-    /// node's *minimum* free capacity over the candidate window (future
-    /// claims subtracted, releases ignored) — the conservative rule that
-    /// makes double-booking impossible.
-    fn rebuild_calendar(&mut self, class: Option<&str>, head: JobId) {
-        let ckey = class.unwrap_or("").to_string();
-        if self
-            .calendars
-            .get(&ckey)
-            .is_some_and(|c| c.built_version == Some((self.state_version, self.queue_seq)))
-        {
-            self.obs.rec.incr(self.obs.c_cal_memo_hits);
-            return;
-        }
-        let order = self.class_top_k(class, head, self.config.reservations);
-        // Arrival floods: if nothing claimed or released and the top-K is
-        // the same job list the standing plan was built from, the plan is
-        // still exact — re-tag it instead of re-deriving the profile.
-        if let Some(c) = self.calendars.get_mut(&ckey) {
-            if c.built_version
-                .is_some_and(|(v, _)| v == self.state_version)
-                && c.planned_for == order
-            {
-                c.built_version = Some((self.state_version, self.queue_seq));
-                self.obs.rec.incr(self.obs.c_cal_retags);
-                return;
-            }
-        }
-        if let Some(p) = class {
-            self.part_mirror(p);
-        }
-        let base: Vec<ShadowNode> = match class {
-            Some(p) => self.part_mirrors[p].clone(),
-            None => self.shadow_mirror.clone(),
-        };
+    // analyze:hot-path-begin(sched-calendar-rebuild)
+    /// Bring a class's reservation calendar up to the current
+    /// [`calendar_key`](Self::calendar_key): plan starts for the top-K
+    /// queued jobs sequentially against a capacity profile containing
+    /// running-job releases and every earlier reservation's claim/release.
+    /// Anchor feasibility uses each node's *minimum* free capacity over
+    /// the candidate window (future claims subtracted, releases ignored) —
+    /// the conservative rule that makes double-booking impossible.
+    ///
+    /// The whole call sits inside the `sched.calendar.plan` span: the memo
+    /// check, the top-K selection and the retag test are calendar work too.
+    fn rebuild_calendar(&mut self, class: ClassId, head: JobId) {
         let tok = self.obs.rec.span_start();
-        // Capacity deltas over time: running releases (+), reservation
-        // claims (−) and releases (+). Kept time-sorted.
-        let mut deltas: Vec<CapDelta> = Vec::new();
-        for (&(end_t, _jid), allocs) in &self.running_ends {
-            for &(nid, alloc) in allocs.iter() {
-                deltas.push(CapDelta {
-                    at: end_t,
-                    node: nid,
-                    cores: alloc.cores as i64,
-                    mem: alloc.mem_mib as i64,
-                    gpus: alloc.gpus as i64,
-                });
-            }
-        }
-        // Sorted once; later reservation claims/releases are inserted at
-        // their binary-searched position, so the per-job replay never
-        // re-sorts the whole profile.
-        deltas.sort_by_key(|d| d.at);
-        let mut cal = ReservationCalendar::new();
-        for &job in &order {
-            let planned = self.plan_reservation(job, &base, &deltas);
-            if let Some(r) = planned {
-                let mut insert_sorted = |d: CapDelta| {
-                    let at = deltas.partition_point(|e| e.at <= d.at);
-                    deltas.insert(at, d);
-                };
-                for (nid, a) in &r.allocs {
-                    insert_sorted(CapDelta {
-                        at: r.start,
-                        node: *nid,
-                        cores: -(a.cores as i64),
-                        mem: -(a.mem_mib as i64),
-                        gpus: -(a.gpus as i64),
-                    });
-                    insert_sorted(CapDelta {
-                        at: r.end,
-                        node: *nid,
-                        cores: a.cores as i64,
-                        mem: a.mem_mib as i64,
-                        gpus: a.gpus as i64,
-                    });
-                }
-                cal.reservations.push(r);
-            }
-        }
-        cal.planned_for = order;
-        cal.profile = deltas;
-        cal.built_version = Some((self.state_version, self.queue_seq));
-        self.calendars.insert(ckey, cal);
-        self.obs.rec.incr(self.obs.c_cal_plans);
+        self.refresh_calendar(class, head);
         self.obs.rec.span_end(self.obs.sp_calendar, tok);
     }
 
-    /// Plan the earliest conservative reservation for one job against a
-    /// base capacity snapshot plus a time-sorted delta profile. Pure with
-    /// respect to scheduler state — [`rebuild_calendar`](Self::rebuild_calendar)
-    /// calls it per top-K job (folding each plan back into the profile),
-    /// and [`earliest_start`](Self::earliest_start) calls it once against
-    /// a finished profile to answer beyond-top-K jobs. `None` = the job
-    /// fits at no anchor (it would never start even after every release).
-    fn plan_reservation(
-        &self,
-        job: JobId,
-        base: &[ShadowNode],
-        deltas: &[CapDelta],
-    ) -> Option<Reservation> {
-        let policy = self.config.policy;
-        let spec = Arc::clone(&self.jobs[&job].spec);
-        let needed = spec.tasks as u64;
-        let eligible = self
-            .partitions
-            .eligible_nodes(spec.partition.as_deref())
-            .expect("validated at submit");
-        // Anchors: now, then every future delta instant.
-        let mut anchors: Vec<SimTime> = vec![self.now];
-        anchors.extend(deltas.iter().map(|d| d.at).filter(|&t| t > self.now));
-        anchors.dedup();
-        let mut snodes = base.to_vec();
-        // Two-pointer sweep: `applied` deltas are folded into `snodes`
-        // (at ≤ anchor); claims with index in [applied, win_end) sit in
-        // the `win` overlay (the future claims inside the current
-        // window, subtracted for the conservative minimum). Each delta
-        // enters and leaves each structure exactly once, and per-node
-        // fits update incrementally — O(deltas log n) per job instead
-        // of an O(deltas²) rescan.
-        let mut win: BTreeMap<NodeId, (u64, u64, u64)> = BTreeMap::new();
-        let fit_with = |sn: &ShadowNode, win: &BTreeMap<NodeId, (u64, u64, u64)>| -> u64 {
-            if eligible.is_some_and(|set| !set.contains(&sn.id)) {
-                return 0;
-            }
-            let mut s = *sn;
-            if let Some(&(c, m, g)) = win.get(&sn.id) {
-                s.free_cores = s.free_cores.saturating_sub(c as u32);
-                s.free_mem_mib = s.free_mem_mib.saturating_sub(m);
-                s.free_gpus = s.free_gpus.saturating_sub(g as u32);
-                // A reserved slice makes the node non-idle for
-                // exclusive-style admission.
-                s.jobs += 1;
-            }
-            s.fit(&spec, policy)
+    fn refresh_calendar(&mut self, class: ClassId, head: JobId) {
+        let key = self.calendar_key();
+        let Some(cs) = self.classes.get_mut(class.index()) else {
+            return;
         };
-        let mut fits: Vec<u64> = Vec::new();
-        let mut total = 0u64;
-        let mut applied = 0usize;
-        let mut win_end = 0usize;
-        let mut planned: Option<Reservation> = None;
-        for (ai, &t) in anchors.iter().enumerate() {
-            let window_end = t + spec.time_limit;
-            while applied < deltas.len() && deltas[applied].at <= t {
-                let d = deltas[applied];
-                if let Ok(i) = snodes.binary_search_by_key(&d.node, |sn| sn.id) {
-                    // Leaving the window overlay (if it was a claim
-                    // that had been counted as "future").
-                    if d.cores < 0 && applied < win_end {
-                        if let Some(w) = win.get_mut(&d.node) {
-                            w.0 -= (-d.cores) as u64;
-                            w.1 -= (-d.mem) as u64;
-                            w.2 -= (-d.gpus) as u64;
-                            if *w == (0, 0, 0) {
-                                win.remove(&d.node);
-                            }
-                        }
-                    }
-                    let sn = &mut snodes[i];
-                    sn.free_cores = (sn.free_cores as i64 + d.cores).max(0) as u32;
-                    sn.free_mem_mib = (sn.free_mem_mib as i64 + d.mem).max(0) as u64;
-                    sn.free_gpus = (sn.free_gpus as i64 + d.gpus).max(0) as u32;
-                    if d.cores > 0 && sn.jobs > 0 {
-                        sn.jobs -= 1;
-                        if sn.jobs == 0 {
-                            sn.owner = None;
-                        }
-                    } else if d.cores < 0 {
-                        sn.jobs += 1;
-                    }
-                    if !fits.is_empty() {
-                        let f = fit_with(&snodes[i], &win);
-                        total = total + f - fits[i];
-                        fits[i] = f;
-                    }
-                }
-                applied += 1;
-                win_end = win_end.max(applied);
-            }
-            // New future claims entering the window's far edge.
-            while win_end < deltas.len() && deltas[win_end].at < window_end {
-                let d = deltas[win_end];
-                if d.cores < 0 {
-                    if let Ok(i) = snodes.binary_search_by_key(&d.node, |sn| sn.id) {
-                        let w = win.entry(d.node).or_insert((0, 0, 0));
-                        w.0 += (-d.cores) as u64;
-                        w.1 += (-d.mem) as u64;
-                        w.2 += (-d.gpus) as u64;
-                        if !fits.is_empty() {
-                            let f = fit_with(&snodes[i], &win);
-                            total = total + f - fits[i];
-                            fits[i] = f;
-                        }
-                    }
-                }
-                win_end += 1;
-            }
-            if ai == 0 {
-                // One full pass to seed the incremental fits.
-                fits = snodes.iter().map(|sn| fit_with(sn, &win)).collect();
-                total = fits.iter().sum();
-            }
-            if total < needed {
-                continue;
-            }
-            let fit_at = |sn: &ShadowNode| -> u64 { fit_with(sn, &win) };
-            // Feasible: pick the concrete allocation greedily in id
-            // order against the window-minimum capacity.
-            let mut remaining = spec.tasks;
-            let mut allocs: Vec<(NodeId, TaskAlloc)> = Vec::new();
-            for sn in &snodes {
-                if remaining == 0 {
-                    break;
-                }
-                let fit = (fit_at(sn) as u32).min(remaining);
-                if fit == 0 {
-                    continue;
-                }
-                let alloc = if policy.charges_whole_node(&spec) {
-                    let node = &self.nodes[&sn.id];
-                    TaskAlloc {
-                        tasks: fit,
-                        cores: node.cores,
-                        mem_mib: node.mem_mib,
-                        gpus: node.gpus,
-                    }
-                } else {
-                    TaskAlloc {
-                        tasks: fit,
-                        cores: fit * spec.cpus_per_task,
-                        mem_mib: fit as u64 * spec.mem_per_task_mib,
-                        gpus: fit * spec.gpus_per_task,
-                    }
-                };
-                allocs.push((sn.id, alloc));
-                remaining -= fit;
-            }
-            debug_assert_eq!(remaining, 0, "fit-sum promised a full placement");
-            planned = Some(Reservation {
-                job,
-                user: spec.user,
-                start: t,
-                end: window_end,
-                allocs,
-            });
-            break;
+        if cs.calendar.built_version == Some(key) {
+            self.obs.rec.incr(self.obs.c_cal_memo_hits);
+            return;
         }
-        planned
+        let mut scratch = std::mem::take(&mut self.plan_scratch);
+        cs.top_k(
+            head,
+            self.config.reservations,
+            self.config.fair_share,
+            self.config.preemption,
+            &mut scratch.order,
+            &mut scratch.heap,
+        );
+        // Arrival floods: if nothing claimed or released and the top-K is
+        // the same job list the standing plan was built from, the plan is
+        // still exact — re-tag it instead of re-deriving the profile.
+        let cal = &mut cs.calendar;
+        if cal.built_version.is_some_and(|v| v.0 == key.0) && cal.planned_for == scratch.order {
+            cal.built_version = Some(key);
+            self.obs.rec.incr(self.obs.c_cal_retags);
+            self.plan_scratch = scratch;
+            return;
+        }
+        self.ensure_mirror(class);
+        let mut cal = self
+            .classes
+            .get_mut(class.index())
+            .map(|cs| std::mem::take(&mut cs.calendar))
+            .unwrap_or_default();
+        // Capacity deltas over time: running releases (+), reservation
+        // claims (−) and releases (+), time-sorted. `running_ends` iterates
+        // in end-time order, so the releases arrive sorted; reservation
+        // claims/releases are inserted at their binary-searched position.
+        cal.profile.clear();
+        for (&(end_t, _jid), allocs) in &self.running_ends {
+            for &(nid, alloc) in allocs.iter() {
+                if let Some(pos) = self.mirror_pos(class, nid) {
+                    cal.profile.push(CapDelta {
+                        at: end_t,
+                        pos,
+                        cores: alloc.cores as i64,
+                        mem: alloc.mem_mib as i64,
+                        gpus: alloc.gpus as i64,
+                    });
+                }
+            }
+        }
+        // Plan into the standing reservations' buffers, in place.
+        let mut order = std::mem::take(&mut scratch.order);
+        let mut held = 0;
+        for &job in &order {
+            let Some(spec) = self.jobs.get(&job).map(|j| &j.spec) else {
+                continue;
+            };
+            if cal.reservations.len() == held {
+                cal.reservations.push(Reservation {
+                    job,
+                    user: spec.user,
+                    start: self.now,
+                    end: self.now,
+                    allocs: Vec::new(),
+                });
+            }
+            let Some(r) = cal.reservations.get_mut(held) else {
+                break;
+            };
+            let ctx = self.plan_ctx(class, self.queued_scope(job));
+            let Some(start) = scratch.plan(&ctx, spec, &cal.profile, &mut r.allocs) else {
+                continue;
+            };
+            (r.job, r.user, r.start, r.end) = (job, spec.user, start, start + spec.time_limit);
+            let profile = &mut cal.profile;
+            for (&(_, a), &pos) in r.allocs.iter().zip(&scratch.alloc_pos) {
+                let mut fold = |at: SimTime, sign: i64| {
+                    let i = profile.partition_point(|e| e.at <= at);
+                    let (cores, mem, gpus) = (a.cores as i64, a.mem_mib as i64, a.gpus as i64);
+                    profile.insert(
+                        i,
+                        CapDelta {
+                            at,
+                            pos,
+                            cores: sign * cores,
+                            mem: sign * mem,
+                            gpus: sign * gpus,
+                        },
+                    );
+                };
+                fold(r.start, -1);
+                fold(r.end, 1);
+            }
+            held += 1;
+        }
+        cal.reservations.truncate(held);
+        std::mem::swap(&mut cal.planned_for, &mut order);
+        scratch.order = order;
+        cal.built_version = Some(key);
+        if let Some(cs) = self.classes.get_mut(class.index()) {
+            cs.calendar = cal;
+        }
+        self.plan_scratch = scratch;
+        self.obs.rec.incr(self.obs.c_cal_plans);
     }
+
+    /// What a plan for a job of partition class `scope`, planned in
+    /// `class`, reads of the scheduler. The per-node eligibility filter is
+    /// only needed when the job's partition is narrower than the class's
+    /// mirror (a partitioned job in the global class).
+    fn plan_ctx(&self, class: ClassId, scope: ClassId) -> PlanCtx<'_> {
+        PlanCtx {
+            now: self.now,
+            policy: self.config.policy,
+            nodes: &self.nodes,
+            base: self.base_mirror(class),
+            eligible: if scope == class {
+                None
+            } else {
+                self.partitions.class_nodes(scope)
+            },
+        }
+    }
+
+    /// Plan a one-off reservation for a job beyond `class`'s top-K on top
+    /// of the calendar's finished profile. Holds nothing.
+    fn plan_probe(&mut self, class: ClassId, scope: ClassId, spec: &JobSpec) -> Option<SimTime> {
+        self.ensure_mirror(class);
+        let mut scratch = std::mem::take(&mut self.plan_scratch);
+        let mut allocs = Vec::new();
+        let profile = &self.classes.get(class.index())?.calendar.profile;
+        let start = scratch.plan(&self.plan_ctx(class, scope), spec, profile, &mut allocs);
+        self.plan_scratch = scratch;
+        start
+    }
+    // analyze:hot-path-end
 }
 
 #[cfg(test)]
@@ -3646,6 +3427,95 @@ mod tests {
         s.run_to_completion();
         // `second` was not delayed past its planned start window.
         assert!(s.jobs[&second].started.unwrap() <= SimTime::from_secs(50));
+    }
+
+    #[test]
+    fn cancel_invalidates_the_calendar() {
+        // One 8-core node busy to t=100; three 50 s full-node jobs queue
+        // behind it, K=2 holds the first two at t=100 and t=150.
+        let mut s = Scheduler::new(SchedConfig {
+            policy: NodeSharing::Shared,
+            reservations: 2,
+            ..SchedConfig::default()
+        });
+        s.add_node(8, 64_000, 0);
+        s.submit_at(SimTime::ZERO, job(1, 8, 100));
+        let first = s.submit_at(SimTime::from_secs(1), job(2, 8, 50));
+        let next = s.submit_at(SimTime::from_secs(2), job(3, 8, 50));
+        let last = s.submit_at(SimTime::from_secs(3), job(4, 8, 50));
+        s.run_until(SimTime::from_secs(4));
+        assert_eq!(s.earliest_start(next), Some(SimTime::from_secs(150)));
+        assert!(s.held_reservations().iter().any(|r| r.job == first));
+        // Cancelling a top-K job moves no node state and adds no arrival:
+        // the plan must still be recognized as stale.
+        assert!(s.cancel(first));
+        assert!(
+            s.held_reservations().iter().all(|r| r.job != first),
+            "a hold for a cancelled job is served from the stale plan"
+        );
+        assert_eq!(s.earliest_start(next), Some(SimTime::from_secs(100)));
+        assert_eq!(s.earliest_start(last), Some(SimTime::from_secs(150)));
+        let held: Vec<JobId> = s.held_reservations().iter().map(|r| r.job).collect();
+        assert_eq!(held, vec![next, last]);
+        s.run_to_completion();
+        assert_eq!(s.jobs[&next].started, Some(SimTime::from_secs(100)));
+        assert_eq!(s.jobs[&last].started, Some(SimTime::from_secs(150)));
+    }
+
+    #[test]
+    fn fair_share_class_of_an_unpartitioned_cluster_plans_over_every_node() {
+        // No partition table: the one fair-share class is the whole
+        // cluster, and its calendar must plan against the whole cluster's
+        // capacity, not an empty partition mirror.
+        let mut s = Scheduler::new(SchedConfig {
+            policy: NodeSharing::Shared,
+            fair_share: true,
+            reservations: 2,
+            ..SchedConfig::default()
+        });
+        s.add_node(8, 64_000, 0);
+        s.submit_at(SimTime::ZERO, job(1, 8, 100));
+        let second = s.submit_at(SimTime::from_secs(1), job(2, 8, 50));
+        let third = s.submit_at(SimTime::from_secs(2), job(3, 8, 30));
+        s.run_until(SimTime::from_secs(3));
+        assert_eq!(s.held_reservations().len(), 2);
+        assert_eq!(s.earliest_start(second), Some(SimTime::from_secs(100)));
+        assert_eq!(s.earliest_start(third), Some(SimTime::from_secs(150)));
+    }
+
+    #[test]
+    fn earliest_start_of_a_job_still_to_arrive_holds_nothing_twice() {
+        // Under fair-share a job belongs to its partition's class from the
+        // moment it is asked about, arrived or not: asking must not plan a
+        // second, whole-cluster calendar over jobs other classes already
+        // hold starts for.
+        let mut s = Scheduler::new(SchedConfig {
+            policy: NodeSharing::Shared,
+            fair_share: true,
+            reservations: 2,
+            ..SchedConfig::default()
+        });
+        s.add_node(8, 64_000, 0);
+        s.add_node(8, 64_000, 0);
+        s.partitions_mut().add("batch", [NodeId(1)], true).unwrap();
+        s.partitions_mut().add("debug", [NodeId(2)], false).unwrap();
+        s.submit_at(SimTime::ZERO, job(1, 8, 100));
+        s.submit_at(SimTime::from_secs(1), job(2, 8, 50));
+        s.submit_at(SimTime::ZERO, job(3, 8, 100).with_partition("debug"));
+        s.submit_at(SimTime::from_secs(1), job(4, 8, 50).with_partition("debug"));
+        let future = s.submit_at(
+            SimTime::from_secs(500),
+            job(5, 8, 10).with_partition("debug"),
+        );
+        s.run_until(SimTime::from_secs(2));
+        assert_eq!(
+            s.earliest_start(future),
+            Some(SimTime::from_secs(150)),
+            "planned behind debug's own queue"
+        );
+        let held = s.held_reservations();
+        let jobs: BTreeSet<JobId> = held.iter().map(|r| r.job).collect();
+        assert_eq!(jobs.len(), held.len(), "one hold per job: {held:?}");
     }
 
     #[test]

@@ -67,6 +67,7 @@
 
 pub mod accounting;
 pub mod calendar;
+mod class;
 pub mod engine;
 pub mod job;
 pub mod node;
@@ -87,7 +88,7 @@ pub use job::{Job, JobId, JobKind, JobSpec, JobState, QosClass, TaskAlloc};
 pub use node::{NodeState, SchedNode};
 pub use obs::SchedObs;
 pub use pam_slurm::{shared_scheduler, PamSlurm, SharedScheduler};
-pub use partition::{Partition, PartitionError, PartitionTable};
+pub use partition::{ClassId, Partition, PartitionError, PartitionTable};
 pub use policy::{tasks_that_fit, NodeSharing};
 pub use privatedata::{may_view, JobView, PrivateData};
 pub use reference::ReferenceScheduler;

@@ -16,7 +16,7 @@
 //! | `sched.cycle.shadow`   | EASY shadow replay (memo misses only)         |
 //! | `sched.cycle.backfill` | the backfill candidate scan                   |
 //! | `sched.cycle.preempt`  | preemption victim search + feasibility proof  |
-//! | `sched.calendar.plan`  | reservation-calendar planning (+ probes)      |
+//! | `sched.calendar.plan`  | every calendar refresh, memo hit to full plan |
 //!
 //! # Thread invariance
 //!
@@ -61,7 +61,9 @@ pub struct SchedObs {
     pub sp_shadow: SpanId,
     /// Backfill candidate scan.
     pub sp_backfill: SpanId,
-    /// Reservation calendar planning.
+    /// Reservation calendar refresh: memo check, top-K selection, retag
+    /// test and (when they miss) the plan itself; plus `earliest_start`
+    /// probes.
     pub sp_calendar: SpanId,
     /// Preemption victim search.
     pub sp_preempt: SpanId,
