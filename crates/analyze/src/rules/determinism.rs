@@ -8,8 +8,9 @@
 //! 1. wall-clock reads: `Instant::now`, any `SystemTime` use;
 //! 2. real sleeps: `thread::sleep` (a sim actor waits by advancing the
 //!    virtual clock, never the host's);
-//! 3. iteration over `HashMap`/`HashSet` bindings — hash iteration order
-//!    is seed-dependent, so any decision derived from it diverges between
+//! 3. iteration over `HashMap`/`HashSet` bindings (and `SerialSet`, the
+//!    credential plane's keyed `HashSet` alias) — hash iteration order is
+//!    seed-dependent, so any decision derived from it diverges between
 //!    runs. Keyed point lookups (`get`/`insert`/`remove`) stay legal.
 
 use crate::diag::{Diag, R1_SIM_DETERMINISM as RULE};
@@ -131,7 +132,8 @@ fn hashed_bindings(file: &SourceFile) -> BTreeSet<String> {
     let mut names = BTreeSet::new();
     let is_hash = |i: usize| {
         toks.get(i).is_some_and(|t| {
-            t.kind == TokKind::Ident && (t.text == "HashMap" || t.text == "HashSet")
+            t.kind == TokKind::Ident
+                && matches!(t.text.as_str(), "HashMap" | "HashSet" | "SerialSet")
         })
     };
     for i in 0..toks.len() {

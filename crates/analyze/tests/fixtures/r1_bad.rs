@@ -15,3 +15,7 @@ pub fn sleepy() {
 pub fn order_leak(m: &HashMap<u32, u32>) -> Vec<u32> {
     m.keys().copied().collect()
 }
+
+pub fn alias_order_leak(revoked: &SerialSet) -> Vec<u64> {
+    revoked.iter().map(|s| s.0).collect()
+}

@@ -23,7 +23,7 @@ fn r1_sim_determinism_fixture() {
     assert_all(
         &rule_ids(include_str!("fixtures/r1_bad.rs")),
         diag::R1_SIM_DETERMINISM,
-        3,
+        4,
     );
     let good = rule_ids(include_str!("fixtures/r1_good.rs"));
     assert!(good.is_empty(), "{good:?}");

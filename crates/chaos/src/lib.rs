@@ -148,6 +148,52 @@ mod tests {
     }
 
     #[test]
+    fn home_clock_skew_does_not_leak_into_a_sister_that_joins_during_it() {
+        // `ClockSkew` has no `heal_after` (plane clocks are monotone, the
+        // controller cannot rewind one): the scripted heal is a second
+        // injection clearing the skew, after which the federation clock
+        // catches up. A sister registered *inside* the window must join on
+        // the federation clock, or it stays a minute ahead for good.
+        let cfg = SeparationConfig::llsc().with_trusted_realms([2u32]);
+        let mut c = SecureCluster::new(cfg, ClusterSpec::tiny());
+        let minute = SimDuration::from_secs(60);
+        let skew = |ahead| Fault::ClockSkew {
+            realm: HOME_REALM,
+            ahead,
+        };
+        let plan = FaultPlan::new(3)
+            .inject(SimTime::from_secs(40), skew(minute))
+            .inject(SimTime::from_secs(300), skew(SimDuration::ZERO));
+        let mut ctrl = ChaosController::new(plan);
+        ctrl.arm(&mut c);
+        let home = c.broker.clone().unwrap();
+
+        ctrl.advance_to(&mut c, SimTime::from_secs(100));
+        assert_eq!(home.read().now(), SimTime::from_secs(160), "skew injected");
+        let sister = shared_broker(CredentialBroker::new(
+            RealmId(2),
+            0xC4A1,
+            BrokerPolicy::default(),
+        ));
+        c.register_sister_realm(RealmId(2), sister.clone());
+        assert_eq!(sister.read().now(), SimTime::from_secs(100));
+
+        // Healed at 300 s; the home plane waits at 360 s for the federation
+        // clock, the sister never left it.
+        ctrl.advance_to(&mut c, SimTime::from_secs(330));
+        assert!(ctrl.done());
+        assert_eq!(home.read().now(), SimTime::from_secs(360));
+        assert_eq!(sister.read().now(), SimTime::from_secs(330));
+        ctrl.advance_to(&mut c, SimTime::from_secs(400));
+        assert_eq!(home.read().now(), SimTime::from_secs(400));
+        assert_eq!(sister.read().now(), SimTime::from_secs(400));
+        assert!(
+            c.replica_lag(RealmId(2)).unwrap() <= c.config.revsync_feed_interval,
+            "the feed kept its cadence through the skew"
+        );
+    }
+
+    #[test]
     fn same_plan_same_cluster_same_applied_log() {
         let run = |seed: u64| {
             let (mut c, _) = federated_cluster();

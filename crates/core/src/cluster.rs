@@ -768,7 +768,8 @@ impl SecureCluster {
     /// directory. Whether the home site *accepts* that realm's credentials
     /// is governed solely by `config.trusted_realms` — registration alone
     /// grants nothing (fail closed). The sister's clock is advanced to the
-    /// cluster's current simulated time, so the whole federation ticks
+    /// cluster's current simulated time (the federation clock, whatever
+    /// skew is injected on the home plane), so the whole federation ticks
     /// together from the moment it joins; if the realm is trusted, the home
     /// site also bootstraps a local CRL replica and subscribes to the
     /// realm's revocation feed (`eus-revsync`).
@@ -803,11 +804,11 @@ impl SecureCluster {
             realm, HOME_REALM,
             "the home realm's plane is installed at construction and cannot be replaced"
         );
-        let now = self
-            .broker
-            .as_ref()
-            .map(|b| b.read().now())
-            .unwrap_or(SimTime::ZERO);
+        // The federation clock — what `advance_to` syncs every plane to —
+        // not the home plane's own: under an injected home skew that one
+        // runs ahead, and a newcomer pushed to it could never come back
+        // (plane clocks are monotone).
+        let now = self.sched.read().now();
         plane.write().advance_to(now);
         let dir = self
             .federation
@@ -888,11 +889,18 @@ impl SecureCluster {
         r
     }
 
+    // analyze:hot-path-begin(federated-validate)
+    /// Route once, hold the fewest guards: a home token is judged by the
+    /// directory under one home-plane read guard (plus the owning shard's,
+    /// which must stay — `try_login_shared` mutates a shard under the
+    /// plane's *read* guard); a sister token reads the home clock once,
+    /// under the guard the trust gate is judged under, and hands that same
+    /// instant to the replica, which takes no lock at all.
     fn validate_federated_token_inner(
         &self,
         token: &SignedToken,
     ) -> Result<Uid, eus_fedauth::CredError> {
-        let Some(dir) = &self.federation else {
+        let (Some(dir), Some(mesh)) = (&self.federation, &self.revsync) else {
             return Err(eus_fedauth::CredError::UnknownRealm(HOME_REALM));
         };
         if token.realm == HOME_REALM {
@@ -900,15 +908,10 @@ impl SecureCluster {
         }
         // Trust policy first (untrusted / expired realms never reach the
         // replica), then the replica-backed hot path.
-        dir.trust_gate(HOME_REALM, token.realm)?;
-        let mesh = self.revsync.as_ref().expect("fedauth implies revsync");
-        let now = self
-            .broker
-            .as_ref()
-            .map(|b| b.read().now())
-            .unwrap_or(SimTime::ZERO);
+        let now = dir.trust_gate(HOME_REALM, token.realm)?;
         mesh.validate_token_at(HOME_REALM, token, now)
     }
+    // analyze:hot-path-end
 
     /// How stale the home site's CRL replica of `realm` currently is
     /// (`None` when no replica exists: untrusted, unregistered, or the
@@ -1125,11 +1128,8 @@ impl SecureCluster {
     /// chain onto this context. Returns whether the serial was freshly
     /// revoked (false: already revoked or no such realm).
     pub fn portal_revoke_serial(&mut self, realm: RealmId, serial: CredSerial) -> bool {
-        let now = self
-            .broker
-            .as_ref()
-            .map(|b| b.read().now())
-            .unwrap_or(SimTime::ZERO);
+        // The portal ticks on the federation clock (`advance_to` syncs it).
+        let now = self.sched.read().now();
         self.portal.obs.rec.incr(self.portal.obs.c_revokes);
         let tok = self.portal.obs.trace.root("portal.route.revoke", now);
         let fresh = match &mut self.revsync {
@@ -1990,6 +1990,50 @@ mod tests {
         // Fresh sister logins on the synced clock validate normally.
         let fresh = c.login_at(&sister, alice).unwrap();
         assert_eq!(c.validate_federated_token(&fresh).unwrap(), alice);
+    }
+
+    #[test]
+    fn sister_realm_joins_on_the_federation_clock_under_home_skew() {
+        // Regression: registration read the *home plane's* clock, so under
+        // an injected home skew the newcomer (and the mesh) were pushed a
+        // minute into the future and — plane clocks being monotone — stayed
+        // ahead of every other realm after the skew healed.
+        let cfg = SeparationConfig::llsc().with_trusted_realms([2u32]);
+        let mut c = SecureCluster::new(cfg, ClusterSpec::tiny());
+        let alice = c.add_user("alice").unwrap();
+        c.set_realm_clock_skew(HOME_REALM, SimDuration::from_secs(60));
+        c.advance_to(SimTime::from_secs(100));
+        let home = c.broker.clone().unwrap();
+        assert_eq!(home.read().now(), SimTime::from_secs(160), "skew applied");
+
+        let sister = shared_broker(CredentialBroker::new(
+            RealmId(2),
+            0xC10C,
+            BrokerPolicy::default(),
+        ));
+        c.register_sister_realm(RealmId(2), sister.clone());
+        assert_eq!(sister.read().now(), SimTime::from_secs(100));
+        assert_eq!(c.revsync.as_ref().unwrap().now(), SimTime::from_secs(100));
+
+        // The feed keeps its cadence from the join instant: a revocation
+        // made right away is home within one interval of *federation* time.
+        let token = c.login_at(&sister, alice).unwrap();
+        assert_eq!(token.issued, SimTime::from_secs(100));
+        sister.write().revoke_serial(token.serial);
+        c.advance_to(
+            SimTime::from_secs(100) + c.config.revsync_feed_interval + SimDuration::from_secs(1),
+        );
+        assert_eq!(
+            c.validate_federated_token(&token),
+            Err(eus_fedauth::CredError::Revoked(token.serial))
+        );
+
+        // Heal: once the federation clock passes the skewed one, every
+        // realm reads the same instant again.
+        c.set_realm_clock_skew(HOME_REALM, SimDuration::ZERO);
+        c.advance_to(SimTime::from_secs(200));
+        assert_eq!(home.read().now(), SimTime::from_secs(200));
+        assert_eq!(sister.read().now(), SimTime::from_secs(200));
     }
 
     #[test]

@@ -88,12 +88,13 @@ impl CredentialBroker {
         if policy.require_mfa {
             idp = idp.with_mfa_required();
         }
+        let ca = CertificateAuthority::new(realm, seed)
+            .with_token_ttl(policy.token_ttl)
+            .with_cert_ttl(policy.cert_ttl);
         CredentialBroker {
             idp,
-            ca: CertificateAuthority::new(realm, seed)
-                .with_token_ttl(policy.token_ttl)
-                .with_cert_ttl(policy.cert_ttl),
-            revocations: RevocationList::new(),
+            revocations: RevocationList::new(ca.serial_set_key()),
+            ca,
             now: SimTime::ZERO,
             sessions: BTreeMap::new(),
             certs: BTreeMap::new(),

@@ -7,6 +7,7 @@
 //! comparisons, O(1) and allocation-free.
 
 use crate::realm::{IdentityAssertion, RealmId};
+use crate::revocation::SerialSetKey;
 use eus_simcore::{SimDuration, SimRng, SimTime};
 use eus_simos::Uid;
 use std::fmt;
@@ -258,6 +259,14 @@ impl CertificateAuthority {
         CredSerial(self.next_serial)
     }
 
+    /// The key this CA's revocation state hashes serials under: derived
+    /// from the signing key, so it is seeded, secret, and known to exactly
+    /// the parties that can already verify this CA's signatures — the
+    /// issuer's [`crate::RevocationList`] and any [`RealmVerifier`] export.
+    pub fn serial_set_key(&self) -> SerialSetKey {
+        SerialSetKey::from_secret(self.key)
+    }
+
     /// Mint a bearer token for an asserted identity.
     pub fn mint_token(&mut self, assertion: &IdentityAssertion, now: SimTime) -> SignedToken {
         let serial = self.next_serial();
@@ -357,8 +366,27 @@ impl RealmVerifier {
         self.realm
     }
 
-    fn ca_for_serial(&self, serial: CredSerial) -> &CertificateAuthority {
-        &self.cas[(serial.0 % self.cas.len() as u64) as usize]
+    /// The key a replica of this realm's CRL hashes serials under (the
+    /// issuing realm's first CA's — see
+    /// [`CertificateAuthority::serial_set_key`]).
+    pub fn serial_set_key(&self) -> SerialSetKey {
+        self.cas[0].serial_set_key()
+    }
+
+    // analyze:hot-path-begin(realm-verify)
+    /// The CA that minted `serial`: the only one for a single broker (no
+    /// division), the residue's for a sharded plane. The constructor
+    /// guarantees at least one CA, so the miss is unreachable; it fails
+    /// closed rather than panicking.
+    fn ca_for_serial(&self, serial: CredSerial) -> Result<&CertificateAuthority, CredError> {
+        let ca = match self.cas.as_slice() {
+            [only] => Some(only),
+            cas => serial
+                .0
+                .checked_rem(cas.len() as u64)
+                .and_then(|i| cas.get(i as usize)),
+        };
+        ca.ok_or(CredError::BadSignature)
     }
 
     /// Verify a token's realm, signature, and validity window at `now`,
@@ -366,15 +394,16 @@ impl RealmVerifier {
     /// replica's job (the whole point of splitting verification from
     /// revocation state).
     pub fn verify_token(&self, t: &SignedToken, now: SimTime) -> Result<Uid, CredError> {
-        self.ca_for_serial(t.serial).verify_token(t, now)?;
+        self.ca_for_serial(t.serial)?.verify_token(t, now)?;
         Ok(t.user)
     }
 
     /// Verify an SSH certificate the same way.
     pub fn verify_cert(&self, c: &SshCertificate, now: SimTime) -> Result<Uid, CredError> {
-        self.ca_for_serial(c.serial).verify_cert(c, now)?;
+        self.ca_for_serial(c.serial)?.verify_cert(c, now)?;
         Ok(c.user)
     }
+    // analyze:hot-path-end
 }
 
 fn window_check(issued: SimTime, expires: SimTime, now: SimTime) -> Result<(), CredError> {

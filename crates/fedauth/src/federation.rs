@@ -12,7 +12,7 @@
 //! (the `CrossRealmSpoof` audit channel stays blocked).
 
 use crate::ca::{CredError, SignedToken, SshCertificate};
-use crate::plane::SharedBroker;
+use crate::plane::{CredentialPlane, SharedBroker};
 use crate::realm::RealmId;
 use eus_simcore::SimTime;
 use eus_simos::Uid;
@@ -133,6 +133,14 @@ impl fmt::Display for TrustPolicy {
     }
 }
 
+/// One registered realm: its credential plane and the trust policy its
+/// site applies. Kept together so a policy without a plane (and a clock to
+/// judge time-boxed trust on) cannot be represented.
+struct RealmEntry {
+    plane: SharedBroker,
+    trust: TrustPolicy,
+}
+
 /// The federation directory: per-realm credential planes plus each site's
 /// trust policy. Validation of a foreign credential is delegated to the
 /// *issuing* realm's plane — its CA key verifies the signature and its
@@ -140,8 +148,7 @@ impl fmt::Display for TrustPolicy {
 /// [`TrustPolicy`] allow-lists the issuer.
 #[derive(Default)]
 pub struct FederationDirectory {
-    planes: BTreeMap<RealmId, SharedBroker>,
-    trust: BTreeMap<RealmId, TrustPolicy>,
+    realms: BTreeMap<RealmId, RealmEntry>,
 }
 
 impl FederationDirectory {
@@ -162,38 +169,22 @@ impl FederationDirectory {
             realm,
             "plane must be built for the realm it is registered under"
         );
-        self.planes.insert(realm, plane);
-        self.trust.insert(realm, trust);
+        self.realms.insert(realm, RealmEntry { plane, trust });
     }
 
     /// The registered realms, in order.
     pub fn realms(&self) -> impl Iterator<Item = RealmId> + '_ {
-        self.planes.keys().copied()
+        self.realms.keys().copied()
     }
 
     /// A realm's credential plane, if registered.
     pub fn plane(&self, realm: RealmId) -> Option<&SharedBroker> {
-        self.planes.get(&realm)
+        self.realms.get(&realm).map(|e| &e.plane)
     }
 
     /// A realm's trust policy, if registered.
     pub fn trust_policy(&self, realm: RealmId) -> Option<&TrustPolicy> {
-        self.trust.get(&realm)
-    }
-
-    /// The policy half of validation, exposed for replica-backed
-    /// validators: is a credential from `issuer` acceptable at `site`
-    /// *right now*? Fails closed for unregistered sites, realms off the
-    /// allow-list, and lapsed time-boxed trust. `now` is the site's plane
-    /// clock (the whole federation ticks on one simulated clock).
-    pub fn trust_gate(&self, site: RealmId, issuer: RealmId) -> Result<(), CredError> {
-        let policy = self.trust.get(&site).ok_or(CredError::UnknownRealm(site))?;
-        let now = self
-            .planes
-            .get(&site)
-            .map(|p| p.read().now())
-            .unwrap_or(SimTime::ZERO);
-        policy.gate(issuer, now)
+        self.realms.get(&realm).map(|e| &e.trust)
     }
 
     /// Grant (or rotate) the `site` policy's trust in `realm` after
@@ -205,22 +196,56 @@ impl FederationDirectory {
         realm: RealmId,
         expires_at: Option<SimTime>,
     ) {
-        let policy = self.trust.get_mut(&site).expect("site must be registered");
+        let entry = self.realms.get_mut(&site).expect("site must be registered");
         match expires_at {
-            Some(t) => policy.trust_until(realm, t),
-            None => policy.trust(realm),
+            Some(t) => entry.trust.trust_until(realm, t),
+            None => entry.trust.trust(realm),
         }
     }
 
-    /// The trust gate both validators share: resolve the issuing realm's
-    /// plane for a credential presented at `site`, failing closed when the
-    /// site is unregistered, the issuer is off the site's allow-list (or
-    /// its trust entry expired), or the issuer has no registered plane.
-    fn issuer_for(&self, site: RealmId, issuer: RealmId) -> Result<&SharedBroker, CredError> {
-        self.trust_gate(site, issuer)?;
-        self.planes
-            .get(&issuer)
-            .ok_or(CredError::UnknownRealm(issuer))
+    // analyze:hot-path-begin(directory-validate)
+    /// The policy half of validation, exposed for replica-backed
+    /// validators: is a credential from `issuer` acceptable at `site`
+    /// *right now*? Fails closed for unregistered sites, realms off the
+    /// allow-list, and lapsed time-boxed trust. "Now" is the site's plane
+    /// clock, read under one plane guard and returned, so the caller judges
+    /// the credential itself at the same instant the gate was judged at.
+    pub fn trust_gate(&self, site: RealmId, issuer: RealmId) -> Result<SimTime, CredError> {
+        let entry = self
+            .realms
+            .get(&site)
+            .ok_or(CredError::UnknownRealm(site))?;
+        let now = entry.plane.read().now();
+        entry.trust.gate(issuer, now)?;
+        Ok(now)
+    }
+
+    /// The route both validators share. A credential the site minted
+    /// itself is judged under **one** plane read guard: the clock is read,
+    /// the gate judged and the credential verified without re-locking. A
+    /// sister realm's is gated on the site's clock first — the guard is
+    /// released before the issuer's plane is taken, so no two plane locks
+    /// are ever held together — then verified by its issuer; an issuer
+    /// nobody registered fails closed.
+    fn validate_at(
+        &self,
+        site: RealmId,
+        issuer: RealmId,
+        judge: impl FnOnce(&dyn CredentialPlane) -> Result<Uid, CredError>,
+    ) -> Result<Uid, CredError> {
+        let entry = self
+            .realms
+            .get(&site)
+            .ok_or(CredError::UnknownRealm(site))?;
+        let plane = entry.plane.read();
+        entry.trust.gate(issuer, plane.now())?;
+        if issuer == site {
+            return judge(&**plane);
+        }
+        drop(plane);
+        let issuer_plane = self.plane(issuer).ok_or(CredError::UnknownRealm(issuer))?;
+        let plane = issuer_plane.read();
+        judge(&**plane)
     }
 
     /// Validate a bearer token presented at `site`. Home-realm tokens take
@@ -229,24 +254,21 @@ impl FederationDirectory {
     /// list); realms off the allow-list — or realms nobody registered —
     /// fail closed.
     pub fn validate_token_at(&self, site: RealmId, token: &SignedToken) -> Result<Uid, CredError> {
-        self.issuer_for(site, token.realm)?
-            .read()
-            .validate_token(token)
+        self.validate_at(site, token.realm, |plane| plane.validate_token(token))
     }
 
     /// Validate an SSH certificate presented at `site`; same trust rules as
     /// [`validate_token_at`](Self::validate_token_at).
     pub fn validate_cert_at(&self, site: RealmId, cert: &SshCertificate) -> Result<Uid, CredError> {
-        self.issuer_for(site, cert.realm)?
-            .read()
-            .validate_cert(cert)
+        self.validate_at(site, cert.realm, |plane| plane.validate_cert(cert))
     }
+    // analyze:hot-path-end
 
     /// Advance every registered plane's clock (the federation runs on one
     /// simulated clock).
     pub fn advance_to(&mut self, t: SimTime) {
-        for plane in self.planes.values() {
-            plane.write().advance_to(t);
+        for entry in self.realms.values() {
+            entry.plane.write().advance_to(t);
         }
     }
 }
@@ -254,8 +276,11 @@ impl FederationDirectory {
 impl fmt::Debug for FederationDirectory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FederationDirectory")
-            .field("realms", &self.planes.keys().collect::<Vec<_>>())
-            .field("trust", &self.trust.values().collect::<Vec<_>>())
+            .field("realms", &self.realms.keys().collect::<Vec<_>>())
+            .field(
+                "trust",
+                &self.realms.values().map(|e| &e.trust).collect::<Vec<_>>(),
+            )
             .finish()
     }
 }

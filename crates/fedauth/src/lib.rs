@@ -70,7 +70,7 @@ pub use realm::{
     IdentityAssertion, IdentityProvider, MfaCode, MfaEnrollment, MfaSecret, RealmId, RecoveryCode,
     RECOVERY_CODE_COUNT,
 };
-pub use revocation::RevocationList;
+pub use revocation::{RevocationList, SerialSet, SerialSetKey};
 pub use shard::ShardedBroker;
 
 /// splitmix64 finalizer: the identity plane's one bit-mixing primitive

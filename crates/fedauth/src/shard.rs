@@ -49,6 +49,12 @@ use rayon::prelude::*;
 /// its own lock.
 #[derive(Debug)]
 pub struct ShardedBroker {
+    /// The realm every shard mints and verifies for.
+    realm: RealmId,
+    /// The plane clock: every shard's clock, kept here so reading it takes
+    /// no shard lock. Only [`advance_to`](CredentialPlane::advance_to)
+    /// (`&mut self`) moves a shard's clock, and it copies the result back.
+    now: SimTime,
     shards: Vec<RwLock<CredentialBroker>>,
     /// Plane-level revocation delta log: serials in the order revocations
     /// were applied through the plane API (the feed `eus-revsync` ships).
@@ -84,6 +90,8 @@ impl ShardedBroker {
             })
             .collect();
         ShardedBroker {
+            realm,
+            now: SimTime::ZERO,
             shards,
             revocation_order: Vec::new(),
             revocation_compacted: 0,
@@ -169,16 +177,20 @@ impl ShardedBroker {
 
 impl CredentialPlane for ShardedBroker {
     fn realm(&self) -> RealmId {
-        self.shards[0].read().realm()
+        self.realm
     }
 
     fn now(&self) -> SimTime {
-        self.shards[0].read().now()
+        self.now
     }
 
     fn advance_to(&mut self, t: SimTime) {
         for s in &mut self.shards {
-            s.get_mut().advance_to(t);
+            let shard = s.get_mut();
+            shard.advance_to(t);
+            // Taken from the shard after it advanced, so the plane clock is
+            // monotone exactly as the shard's is.
+            self.now = shard.now();
         }
     }
 
@@ -439,6 +451,44 @@ mod tests {
             .filter(|&i| p.shards[i].read().live_sessions() > 0)
             .count();
         assert!(occupied > 1, "uid hash must spread users");
+    }
+
+    #[test]
+    fn plane_clock_is_every_shards_clock_through_any_advance_interleaving() {
+        // Forwards, repeated, backwards, zero: the plane-level clock (read
+        // without a shard lock) must be exactly what every shard would say,
+        // and what a shared-path login stamps.
+        let tape = [5u64, 5, 3, 0, 90, 60, 90, 3600, 10, 3601];
+        let run = |shards: usize| {
+            let (db, mut p, users) = setup(shards);
+            let mut seen = Vec::new();
+            for (i, secs) in tape.into_iter().enumerate() {
+                p.advance_to(SimTime::from_secs(secs));
+                for s in &p.shards {
+                    assert_eq!(s.read().now(), p.now(), "after advance_to({secs}s)");
+                    assert_eq!(s.read().realm(), p.realm());
+                }
+                let user = users[i % users.len()];
+                let t = p.try_login_shared(&db, user, None).unwrap().unwrap();
+                assert_eq!(t.issued, p.now(), "logins stamp the plane clock");
+                seen.push(p.now());
+            }
+            // A token living through the tape dies at the same instant
+            // whatever the shard count.
+            let t = p.login(&db, users[0], None).unwrap();
+            p.advance_to(t.expires - eus_simcore::SimDuration::from_micros(1));
+            assert_eq!(p.validate_token(&t), Ok(users[0]));
+            p.advance_to(t.expires);
+            assert_eq!(
+                p.validate_token(&t),
+                Err(CredError::Expired { until: t.expires })
+            );
+            seen
+        };
+        let clocks = run(4);
+        assert_eq!(clocks, run(1), "the clock never shows the shard count");
+        assert!(clocks.windows(2).all(|w| w[0] <= w[1]), "monotone");
+        assert_eq!(*clocks.last().unwrap(), SimTime::from_secs(3601));
     }
 
     #[test]

@@ -460,7 +460,10 @@ pub fn render_trace(trace: u64, spans: &[TraceSpan]) -> String {
     let mut by_name: std::collections::BTreeMap<&str, Vec<SimDuration>> =
         std::collections::BTreeMap::new();
     for s in &spans {
-        by_name.entry(s.name).or_default().push(s.end.since(s.start));
+        by_name
+            .entry(s.name)
+            .or_default()
+            .push(s.end.since(s.start));
     }
     let _ = writeln!(out, "span wall-time percentiles:");
     for (name, mut durs) in by_name {
@@ -476,7 +479,10 @@ pub fn render_trace(trace: u64, spans: &[TraceSpan]) -> String {
             durs.len(),
             pick(0.50).as_secs_f64(),
             pick(0.95).as_secs_f64(),
-            durs.last().copied().unwrap_or(SimDuration::ZERO).as_secs_f64()
+            durs.last()
+                .copied()
+                .unwrap_or(SimDuration::ZERO)
+                .as_secs_f64()
         );
     }
     out

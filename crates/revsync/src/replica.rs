@@ -18,11 +18,12 @@
 //! deltas arrive in (the regression property `tests/revsync_properties.rs`
 //! pins).
 
-use eus_fedauth::{CredError, CredSerial, RealmId, RealmVerifier, SignedToken, SshCertificate};
+use eus_fedauth::{
+    CredError, CredSerial, RealmId, RealmVerifier, SerialSet, SignedToken, SshCertificate,
+};
 use eus_obs::TraceCtx;
 use eus_simcore::{SimDuration, SimTime};
 use eus_simos::Uid;
-use std::collections::HashSet;
 
 /// One batch of revocation-log entries in flight from an issuer to a
 /// replica: entries `first_seq ..= head` of the issuer's log, snapshotted
@@ -88,7 +89,8 @@ pub enum ApplyOutcome {
 pub struct CrlReplica {
     realm: RealmId,
     verifier: RealmVerifier,
-    revoked: HashSet<CredSerial>,
+    /// Hashed under the issuer's key, which the verifier export carries.
+    revoked: SerialSet,
     applied_seq: u64,
     last_sync: SimTime,
     /// Context of the newest traced delta applied here (the "apply" span's
@@ -108,10 +110,12 @@ impl CrlReplica {
         now: SimTime,
     ) -> Self {
         let applied_seq = serials.len() as u64;
+        let mut revoked = SerialSet::with_hasher(verifier.serial_set_key());
+        revoked.extend(serials);
         CrlReplica {
             realm,
             verifier,
-            revoked: serials.into_iter().collect(),
+            revoked,
             applied_seq,
             last_sync: now,
             last_trace: TraceCtx::NONE,

@@ -33,7 +33,7 @@
 //!   to the map-based engine.
 //! * **Head-fit gate** — every failed head walk records the *uncapped*
 //!   `Σ fit` it observed (exact: any node with positive fit is in the
-//!   walked sets), priming the incrementally-maintained [`HeadFit`] total.
+//!   walked sets), priming the incrementally-maintained `HeadFit` total.
 //!   While that total stays below the head's task count the placement
 //!   re-attempt is provably futile and is skipped in O(1) — arrival storms
 //!   against a blocked head cost one counter bump, not an O(nodes) walk.
@@ -63,7 +63,7 @@
 //! # Sharded dispatch
 //!
 //! With `fair_share` on, the per-partition classes are independent up to
-//! the moment a start mutates node state — so [`Scheduler::plan_shards`]
+//! the moment a start mutates node state — so `Scheduler::plan_shards`
 //! fans the per-class head *planning* (candidate walk over that class's
 //! capacity mirror) out over the rayon shim at a caller-chosen width
 //! ([`Scheduler::set_shard_threads`]). Shards only **precompute**: each
@@ -378,6 +378,9 @@ impl ShadowNode {
     // analyze:hot-path-end
 }
 
+/// A running job's allocations, frozen at start (immutable while it runs).
+type RunAllocs = Box<[(NodeId, TaskAlloc)]>;
+
 /// The scheduler.
 #[derive(Debug)]
 pub struct Scheduler {
@@ -403,7 +406,7 @@ pub struct Scheduler {
     /// allocations (immutable while the job runs) — the shadow replay
     /// walks this in order and reads the allocations inline, with no
     /// per-release `jobs` map lookup and no per-cycle collect + sort.
-    running_ends: BTreeMap<(SimTime, JobId), Box<[(NodeId, TaskAlloc)]>>,
+    running_ends: BTreeMap<(SimTime, JobId), RunAllocs>,
     // ---- placement index, maintained on every claim/release ----
     /// Up nodes with zero running jobs (bitmap, ascending-id iteration).
     idle_nodes: NodeSet,
@@ -1587,7 +1590,7 @@ impl Scheduler {
         // Snapshot in NodeId order — the same order the allocations map
         // iterates in — so every consumer (shadow replay, calendar profile,
         // finish-time epilogs) sees exactly what the map walk saw.
-        let mut run_allocs: Box<[(NodeId, TaskAlloc)]> = placement.iter().copied().collect();
+        let mut run_allocs: RunAllocs = placement.iter().copied().collect();
         run_allocs.sort_unstable_by_key(|&(n, _)| n);
         {
             let job = self.jobs.get_mut(&id).expect("known job");

@@ -300,7 +300,9 @@ mod tests {
             mem_mib: 1_000,
             gpus: 1,
         };
-        t.get_mut(&NodeId(2)).unwrap().claim(JobId(7), alloc, Uid(9));
+        t.get_mut(&NodeId(2))
+            .unwrap()
+            .claim(JobId(7), alloc, Uid(9));
         // Columns are stale until the funnel syncs the slot.
         assert_eq!(t.cols().free_cores[1], 16);
         t.sync(NodeId(2));

@@ -61,7 +61,6 @@ fn secs(s: u64) -> SimDuration {
 struct Fixture {
     c: SecureCluster,
     shards: u32,
-    alice: Uid,
     users: [Uid; 3],
     home: SharedBroker,
     permanent: SharedBroker,
@@ -103,7 +102,6 @@ impl Fixture {
         Fixture {
             c,
             shards,
-            alice: users[0],
             users,
             home,
             permanent,
@@ -123,7 +121,7 @@ impl Fixture {
     }
 
     fn login(&self, plane: &SharedBroker) -> SignedToken {
-        self.c.login_at(plane, self.alice).unwrap()
+        self.c.login_at(plane, self.users[0]).unwrap()
     }
 
     fn validate(&self, t: &SignedToken) -> Result<Uid, CredError> {

@@ -5,7 +5,12 @@
 //!    login/validate/revoke/sweep sequence (token *material* differs, the
 //!    decisions never do);
 //! 2. a [`TrustPolicy`]-governed federation never accepts a credential from
-//!    a realm off the allow-list, whatever the op interleaving.
+//!    a realm off the allow-list, whatever the op interleaving;
+//! 3. the home plane's clock is one clock: through any interleaving of
+//!    `advance_to`, clock-skew apply / heal and shared-path logins, a
+//!    sharded plane reads the instant every one of its shards stamps, and
+//!    a token expiring inside the skew window dies at the same instant at
+//!    1 and 4 shards.
 
 use eus_fedauth::{
     shared_broker, BrokerPolicy, CredError, CredentialBroker, CredentialPlane, FederationDirectory,
@@ -210,6 +215,108 @@ proptest! {
         let mut rogue = CredentialBroker::new(ghost, 7, BrokerPolicy::default());
         let forged = rogue.login(&db, alice, None).unwrap();
         prop_assert!(dir.validate_token_at(home, &forged).is_err());
+    }
+
+    /// Plane-level clock coherence: the clock `ShardedBroker::now()` reads
+    /// without a shard lock is the clock shared-path logins stamp on every
+    /// shard, it never runs backwards, and neither it nor any verdict that
+    /// depends on it shows the shard count.
+    #[test]
+    fn plane_clock_is_coherent_and_shard_count_invariant_under_skew(
+        tape in proptest::collection::vec((0u8..5, 0u8..8), 1..48),
+    ) {
+        use hpc_user_separation::HOME_REALM;
+        struct Site {
+            c: SecureCluster,
+            users: Vec<Uid>,
+            minted: Vec<SignedToken>,
+        }
+        impl Site {
+            fn new(shards: u32) -> Self {
+                let cfg = SeparationConfig::llsc().with_broker_shards(shards);
+                let mut c = SecureCluster::new(cfg, ClusterSpec::tiny());
+                let users = (0..8).map(|i| c.add_user(&format!("u{i}")).unwrap()).collect();
+                Site { c, users, minted: Vec::new() }
+            }
+            fn plane_now(&self) -> SimTime {
+                self.c.broker.as_ref().unwrap().read().now()
+            }
+            /// Shared-path login where the plane has one (the sharded
+            /// plane), exclusive otherwise.
+            fn login(&mut self, k: usize) -> SignedToken {
+                let plane = self.c.broker.clone().unwrap();
+                let user = self.users[k % self.users.len()];
+                let db = self.c.db.read();
+                let shared = plane.read().try_login_shared(&db, user, None);
+                let t = match shared {
+                    Some(r) => r.unwrap(),
+                    None => plane.write().login(&db, user, None).unwrap(),
+                };
+                drop(db);
+                self.minted.push(t);
+                t
+            }
+        }
+        let mut single = Site::new(1);
+        let mut sharded = Site::new(4);
+        let mut fed = SimTime::ZERO;
+        let mut last = SimTime::ZERO;
+
+        for (action, arg) in tape {
+            for site in [&mut single, &mut sharded] {
+                match action {
+                    // Forward (or repeated: dt = 0) federation ticks.
+                    0 => {
+                        let dt = [0, 1, 59, 600, 3_000, 20_000, 43_000, 90_000][arg as usize];
+                        site.c.advance_to(fed + SimDuration::from_secs(dt));
+                    }
+                    // A backwards instant, straight at the plane.
+                    1 => {
+                        let back = SimTime::from_micros(
+                            fed.as_micros().saturating_sub(arg as u64 * 7_000_000),
+                        );
+                        site.c.broker.as_ref().unwrap().write().advance_to(back);
+                    }
+                    // Skew apply / heal on the home plane, then a tick so
+                    // it takes effect.
+                    2 => {
+                        let ahead = [0, 0, 30, 30, 3_600, 3_600, 40_000, 7][arg as usize];
+                        site.c.set_realm_clock_skew(HOME_REALM, SimDuration::from_secs(ahead));
+                        site.c.advance_to(fed);
+                    }
+                    // Up to the last half hour of the oldest token's life:
+                    // inside a one-hour skew it is already dead.
+                    3 => {
+                        if let Some(t) = site.minted.first() {
+                            let near = t.expires - SimDuration::from_secs(1_800);
+                            if near > fed {
+                                site.c.advance_to(near);
+                            }
+                        }
+                    }
+                    _ => {
+                        let t = site.login(arg as usize);
+                        prop_assert_eq!(t.issued, site.plane_now(), "login stamps the plane clock");
+                    }
+                }
+            }
+            fed = sharded.c.sched.read().now();
+            prop_assert_eq!(single.c.sched.read().now(), fed);
+            let now = sharded.plane_now();
+            prop_assert_eq!(single.plane_now(), now, "shard count showed in the clock");
+            prop_assert!(now >= last && now >= fed, "plane clock ran backwards");
+            last = now;
+            for (a, b) in single.minted.iter().zip(&sharded.minted) {
+                prop_assert_eq!((a.user, a.issued, a.expires), (b.user, b.issued, b.expires));
+                let want = if now >= b.expires {
+                    Err(CredError::Expired { until: b.expires })
+                } else {
+                    Ok(b.user)
+                };
+                prop_assert_eq!(single.c.validate_federated_token(a), want);
+                prop_assert_eq!(sharded.c.validate_federated_token(b), want);
+            }
+        }
     }
 }
 

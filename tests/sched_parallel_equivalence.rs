@@ -187,7 +187,12 @@ fn assert_widths_identical(
             );
             prop_assert_eq!(base.running_count(), s.running_count());
             for v in &viewers {
-                prop_assert_eq!(base.squeue(v), s.squeue(v), "squeue width {}", WIDTHS[i + 1]);
+                prop_assert_eq!(
+                    base.squeue(v),
+                    s.squeue(v),
+                    "squeue width {}",
+                    WIDTHS[i + 1]
+                );
             }
         }
         if base.pending_count() == 0 && base.running_count() == 0 && t > 900 {
@@ -204,7 +209,12 @@ fn assert_widths_identical(
     for (i, s) in rest.iter().enumerate() {
         let width = WIDTHS[i + 1];
         prop_assert_eq!(ends[0], ends[i + 1], "makespan at width {}", width);
-        prop_assert_eq!(&epilogs[0], &epilogs[i + 1], "epilog order at width {}", width);
+        prop_assert_eq!(
+            &epilogs[0],
+            &epilogs[i + 1],
+            "epilog order at width {}",
+            width
+        );
         prop_assert_eq!(base.jobs.len(), s.jobs.len());
         for (id, a) in &base.jobs {
             let b = &s.jobs[id];
