@@ -4,7 +4,7 @@
 //! list size or session count.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eus_fedauth::{BrokerPolicy, CredSerial, CredentialBroker, RealmId};
+use eus_fedauth::{BrokerPolicy, CredSerial, CredentialBroker, CredentialPlane, RealmId};
 use eus_simos::UserDb;
 use std::hint::black_box;
 

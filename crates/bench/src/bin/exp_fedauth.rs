@@ -8,7 +8,7 @@
 
 use eus_bench::table::TextTable;
 use eus_core::{audit, Channel, ClusterSpec, SeparationConfig};
-use eus_fedauth::{BrokerPolicy, CredentialBroker, RealmId};
+use eus_fedauth::{BrokerPolicy, CredentialBroker, CredentialPlane, RealmId};
 use eus_simos::UserDb;
 use std::time::Instant;
 

@@ -6,6 +6,7 @@
 //! `attacker` and a `victim` account and reports whether the channel leaked.
 
 use crate::cluster::SecureCluster;
+use eus_fedauth::CredentialPlane;
 use eus_sched::{JobId, JobSpec};
 use eus_simcore::{SimDuration, SimTime};
 use eus_simnet::{Proto, SocketAddr};

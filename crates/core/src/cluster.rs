@@ -891,11 +891,10 @@ impl SecureCluster {
 
     // analyze:hot-path-begin(federated-validate)
     /// Route once, hold the fewest guards: a home token is judged by the
-    /// directory under one home-plane read guard (plus the owning shard's,
-    /// which must stay — `try_login_shared` mutates a shard under the
-    /// plane's *read* guard); a sister token reads the home clock once,
-    /// under the guard the trust gate is judged under, and hands that same
-    /// instant to the replica, which takes no lock at all.
+    /// directory under exactly one guard, the home plane's read guard (no
+    /// shard's — a verdict reads nothing `try_login_shared` mutates); a
+    /// sister token takes none: the trust gate reads the home plane's
+    /// published clock and hands that same instant to the replica.
     fn validate_federated_token_inner(
         &self,
         token: &SignedToken,
@@ -920,7 +919,7 @@ impl SecureCluster {
     /// `config.revsync_max_lag` against the same number.
     pub fn replica_lag(&self, realm: RealmId) -> Option<SimDuration> {
         let mesh = self.revsync.as_ref()?;
-        let now = self.broker.as_ref().map(|b| b.read().now())?;
+        let now = self.federation.as_ref()?.now_at(HOME_REALM)?;
         mesh.replica_lag(HOME_REALM, realm, now)
     }
 

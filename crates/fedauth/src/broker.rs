@@ -12,11 +12,11 @@ use crate::ca::{
     CertificateAuthority, CredError, CredSerial, RealmVerifier, SignedToken, SshCertificate,
 };
 use crate::obs::{ValidateStats, CRED_TRACE_CODE};
-use crate::plane::CredentialPlane;
+use crate::plane::{CredentialPlane, PlaneClock};
 use crate::realm::{
     IdentityAssertion, IdentityProvider, MfaCode, MfaEnrollment, RealmId, RecoveryCode,
 };
-use crate::revocation::RevocationList;
+use crate::revocation::{RevocationList, SerialSet};
 use eus_obs::TraceBuffer;
 use eus_simcore::{SimDuration, SimTime};
 use eus_simos::{Uid, UserDb};
@@ -45,16 +45,18 @@ impl Default for BrokerPolicy {
     }
 }
 
-/// The broker: home-realm IdP + CA + revocation list + live-session state.
+/// What one shard lock guards: a uid partition's IdP, CA, live sessions and
+/// certificates. Revocation state is **not** here — a plane keeps one
+/// [`RevocationList`] and lends it to the methods below, and the clock is
+/// the plane's published [`PlaneClock`] — so a verdict on a *presented*
+/// credential ([`CertificateAuthority::validate_token`]) needs no shard at
+/// all. A [`CredentialBroker`] is one of these plus the list; a
+/// [`crate::ShardedBroker`] is N of them, each behind its own lock.
 #[derive(Debug)]
-pub struct CredentialBroker {
-    /// The home realm's identity provider.
-    pub idp: IdentityProvider,
-    /// The home realm's certificate authority.
-    pub ca: CertificateAuthority,
-    /// The realm-wide revocation list.
-    pub revocations: RevocationList,
-    now: SimTime,
+pub(crate) struct SessionShard {
+    pub(crate) idp: IdentityProvider,
+    pub(crate) ca: CertificateAuthority,
+    clock: PlaneClock,
     /// Live tokens per user, **keyed by serial** (serials are monotonic per
     /// CA, so iteration order is still oldest-first). The serial key makes
     /// `validate_serial` an O(log) map lookup instead of a linear scan of
@@ -66,73 +68,33 @@ pub struct CredentialBroker {
     /// Identity-provider reachability (fault injection; defaults up).
     /// While down, assertion paths fail with [`CredError::Unavailable`];
     /// validation of already-minted credentials is untouched.
-    idp_available: bool,
+    pub(crate) idp_available: bool,
     /// Certificate-authority reachability (fault injection; defaults up).
     /// While down, minting fails with [`CredError::Unavailable`];
     /// verification is local key material and keeps serving.
-    ca_available: bool,
-    /// Verify-path statistics (atomic; off by default). Recorded only by
-    /// the plane-level trait methods, so a broker serving as a
-    /// [`crate::ShardedBroker`] shard stays silent — the plane counts once.
-    pub stats: ValidateStats,
-    /// Causal trace ring for the credential plane (off by default).
-    /// Interior-mutable so entry points behind a read lock (PAM account
-    /// phase, submission gate) can mint and record spans through `&self`.
-    pub trace: TraceBuffer,
+    pub(crate) ca_available: bool,
 }
 
-impl CredentialBroker {
-    /// A broker for `realm`; `seed` determines all key/token material.
-    pub fn new(realm: RealmId, seed: u64, policy: BrokerPolicy) -> Self {
+impl SessionShard {
+    /// A shard for `realm` on the plane's `clock`; `seed` determines all
+    /// key/token material.
+    pub(crate) fn new(realm: RealmId, seed: u64, policy: BrokerPolicy, clock: PlaneClock) -> Self {
         let mut idp = IdentityProvider::new(realm, seed);
         if policy.require_mfa {
             idp = idp.with_mfa_required();
         }
-        let ca = CertificateAuthority::new(realm, seed)
-            .with_token_ttl(policy.token_ttl)
-            .with_cert_ttl(policy.cert_ttl);
-        CredentialBroker {
+        SessionShard {
             idp,
-            revocations: RevocationList::new(ca.serial_set_key()),
-            ca,
-            now: SimTime::ZERO,
+            ca: CertificateAuthority::new(realm, seed)
+                .with_token_ttl(policy.token_ttl)
+                .with_cert_ttl(policy.cert_ttl),
+            clock,
             sessions: BTreeMap::new(),
             certs: BTreeMap::new(),
             idp_available: true,
             ca_available: true,
-            stats: ValidateStats::new(),
-            trace: TraceBuffer::disabled("cred", CRED_TRACE_CODE),
         }
     }
-
-    /// Partition the CA's serial space (see
-    /// [`CertificateAuthority::set_serial_partition`]); used by
-    /// [`crate::ShardedBroker`] so shard serials never collide.
-    pub fn with_serial_partition(mut self, index: u64, stride: u64) -> Self {
-        self.ca.set_serial_partition(index, stride);
-        self
-    }
-
-    /// The broker's realm.
-    pub fn realm(&self) -> RealmId {
-        self.idp.realm
-    }
-
-    /// The broker's current clock.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advance the clock (monotonic; driven by the cluster simulation).
-    pub fn advance_to(&mut self, t: SimTime) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Issuance
-    // ------------------------------------------------------------------
 
     /// Federated login: assert identity (MFA per policy), mint a bearer
     /// token and an SSH certificate, and record them as a live session.
@@ -140,7 +102,7 @@ impl CredentialBroker {
     /// user's live sessions rather than replacing them (two portal tabs, a
     /// portal session plus an sbatch token, …); only revocation or expiry
     /// ends a session.
-    pub fn login(
+    pub(crate) fn login(
         &mut self,
         db: &UserDb,
         user: Uid,
@@ -149,13 +111,13 @@ impl CredentialBroker {
         if !self.idp_available || !self.ca_available {
             return Err(CredError::Unavailable);
         }
-        let assertion = self.idp.assert_identity(db, user, mfa, self.now)?;
+        let assertion = self.idp.assert_identity(db, user, mfa, self.clock.now())?;
         Ok(self.mint_session(&assertion))
     }
 
     /// Login with a single-use recovery code in place of the window code
     /// (the lost-authenticator path); the code is burned on success.
-    pub fn login_recovery(
+    pub(crate) fn login_recovery(
         &mut self,
         db: &UserDb,
         user: Uid,
@@ -166,14 +128,15 @@ impl CredentialBroker {
         }
         let assertion = self
             .idp
-            .assert_identity_recovery(db, user, code, self.now)?;
+            .assert_identity_recovery(db, user, code, self.clock.now())?;
         Ok(self.mint_session(&assertion))
     }
 
     /// Mint and record the token + SSH certificate for an assertion.
     fn mint_session(&mut self, assertion: &IdentityAssertion) -> SignedToken {
-        let token = self.ca.mint_token(assertion, self.now);
-        let cert = self.ca.mint_cert(assertion, self.now);
+        let now = self.clock.now();
+        let token = self.ca.mint_token(assertion, now);
+        let cert = self.ca.mint_cert(assertion, now);
         self.sessions
             .entry(assertion.user)
             .or_default()
@@ -186,25 +149,30 @@ impl CredentialBroker {
     /// simulation: enrolled users "type" the current window code (the
     /// out-of-band factor a real client would present), others log in
     /// single-factor.
-    pub fn login_auto(&mut self, db: &UserDb, user: Uid) -> Result<SignedToken, CredError> {
-        let mfa = self.idp.current_code(user, self.now);
+    pub(crate) fn login_auto(&mut self, db: &UserDb, user: Uid) -> Result<SignedToken, CredError> {
+        let mfa = self.current_mfa_code(user);
         self.login(db, user, mfa)
     }
 
     /// Mint a fresh SSH certificate against a live bearer token (the
     /// `ssh-cert fetch` workflow).
-    pub fn mint_ssh_cert(&mut self, token: &SignedToken) -> Result<SshCertificate, CredError> {
+    pub(crate) fn mint_ssh_cert(
+        &mut self,
+        revoked: &SerialSet,
+        token: &SignedToken,
+    ) -> Result<SshCertificate, CredError> {
         if !self.ca_available {
             return Err(CredError::Unavailable);
         }
-        let user = self.validate_token(token)?;
-        let assertion = crate::realm::IdentityAssertion {
-            realm: self.realm(),
+        let now = self.clock.now();
+        let user = self.ca.validate_token(token, now, revoked)?;
+        let assertion = IdentityAssertion {
+            realm: self.idp.realm,
             user,
-            asserted_at: self.now,
+            asserted_at: now,
             mfa_verified: false,
         };
-        let cert = self.ca.mint_cert(&assertion, self.now);
+        let cert = self.ca.mint_cert(&assertion, now);
         self.certs.insert(user, cert);
         Ok(cert)
     }
@@ -212,11 +180,18 @@ impl CredentialBroker {
     /// Ensure the user holds a live session (login on first touch or after
     /// expiry/revocation) — the "credentials refresh transparently at
     /// connect time" path legitimate clients use.
-    pub fn ensure_session(&mut self, db: &UserDb, user: Uid) -> Result<SignedToken, CredError> {
-        let live = self
-            .sessions
-            .get(&user)
-            .and_then(|v| v.values().rev().find(|t| self.validate_token(t).is_ok()));
+    pub(crate) fn ensure_session(
+        &mut self,
+        revoked: &SerialSet,
+        db: &UserDb,
+        user: Uid,
+    ) -> Result<SignedToken, CredError> {
+        let now = self.clock.now();
+        let live = self.sessions.get(&user).and_then(|v| {
+            v.values()
+                .rev()
+                .find(|t| self.ca.validate_token(t, now, revoked).is_ok())
+        });
         let token = match live {
             Some(t) => *t,
             // Re-login; enrolled users present their current window code.
@@ -224,72 +199,51 @@ impl CredentialBroker {
         };
         // Certificates are shorter-lived than tokens: a live session may
         // still need its cert re-minted before ssh succeeds.
-        let cert_live = self
-            .certs
-            .get(&user)
-            .is_some_and(|c| self.validate_cert(c).is_ok());
-        if !cert_live {
-            self.mint_ssh_cert(&token)?;
+        if self.authorize_ssh(revoked, user).is_err() {
+            self.mint_ssh_cert(revoked, &token)?;
         }
         Ok(token)
     }
 
-    // ------------------------------------------------------------------
-    // Verification (hot path)
-    // ------------------------------------------------------------------
-
     // analyze:hot-path-begin(broker-validate)
-    /// Validate a presented bearer token: signature, realm, window,
-    /// revocation. Returns the authenticated uid.
-    pub fn validate_token(&self, token: &SignedToken) -> Result<Uid, CredError> {
-        self.ca.verify_token(token, self.now)?;
-        if self.revocations.is_revoked(token.serial) {
-            return Err(CredError::Revoked(token.serial));
-        }
-        Ok(token.user)
-    }
-
-    /// Validate a presented SSH certificate. Returns the principal uid.
-    pub fn validate_cert(&self, cert: &SshCertificate) -> Result<Uid, CredError> {
-        self.ca.verify_cert(cert, self.now)?;
-        if self.revocations.is_revoked(cert.serial) {
-            return Err(CredError::Revoked(cert.serial));
-        }
-        Ok(cert.user)
-    }
-
-    /// Validate a serial known to the broker (portal sessions keep only the
+    /// Validate a serial known to the shard (portal sessions keep only the
     /// serial after login). O(log) via the serial-keyed session index —
     /// constant-time in the user's concurrent-session count, however many
     /// tabs and tokens they hold.
-    pub fn validate_serial(&self, user: Uid, serial: CredSerial) -> Result<(), CredError> {
-        if self.revocations.is_revoked(serial) {
+    pub(crate) fn validate_serial(
+        &self,
+        revoked: &SerialSet,
+        user: Uid,
+        serial: CredSerial,
+    ) -> Result<(), CredError> {
+        if revoked.contains(&serial) {
             return Err(CredError::Revoked(serial));
         }
         match self.sessions.get(&user).and_then(|v| v.get(&serial)) {
-            Some(t) => self.ca.verify_token(t, self.now).map(|_| ()),
+            Some(t) => self.ca.verify_token(t, self.clock.now()),
             None => Err(CredError::NoCredential(user)),
         }
     }
 
     /// sshd account phase: does this principal hold a live, unrevoked SSH
     /// certificate right now?
-    pub fn authorize_ssh(&self, user: Uid) -> Result<(), CredError> {
+    pub(crate) fn authorize_ssh(&self, revoked: &SerialSet, user: Uid) -> Result<(), CredError> {
         let cert = self.certs.get(&user).ok_or(CredError::NoCredential(user))?;
-        self.validate_cert(cert).map(|_| ())
-    }
-
-    /// Scheduler submission gate: does this principal hold a live, unrevoked
-    /// bearer token right now?
-    pub fn authorize_submit(&self, user: Uid) -> Result<(), CredError> {
-        self.authorize_submit_at(user, self.now)
+        self.ca
+            .validate_cert(cert, self.clock.now(), revoked)
+            .map(|_| ())
     }
 
     /// Submission gate for a job arriving at `at` (>= now): the token must
     /// be unrevoked now and inside its window at the arrival instant, so a
     /// future-dated submission cannot outlive its credential.
-    pub fn authorize_submit_at(&self, user: Uid, at: SimTime) -> Result<(), CredError> {
-        let when = if at > self.now { at } else { self.now };
+    pub(crate) fn authorize_submit_at(
+        &self,
+        revoked: &SerialSet,
+        user: Uid,
+        at: SimTime,
+    ) -> Result<(), CredError> {
+        let when = at.max(self.clock.now());
         let mut last = CredError::NoCredential(user);
         for token in self
             .sessions
@@ -298,7 +252,7 @@ impl CredentialBroker {
             .flat_map(|v| v.values())
             .rev()
         {
-            if self.revocations.is_revoked(token.serial) {
+            if revoked.contains(&token.serial) {
                 last = CredError::Revoked(token.serial);
                 continue;
             }
@@ -312,44 +266,26 @@ impl CredentialBroker {
     // analyze:hot-path-end
 
     /// The user's live certificate, if any (probes use this to model theft).
-    pub fn current_cert(&self, user: Uid) -> Option<SshCertificate> {
+    pub(crate) fn current_cert(&self, user: Uid) -> Option<SshCertificate> {
         self.certs.get(&user).copied()
     }
 
     /// The user's most recent token, if any (highest serial = newest).
-    pub fn current_token(&self, user: Uid) -> Option<SignedToken> {
+    pub(crate) fn current_token(&self, user: Uid) -> Option<SignedToken> {
         self.sessions
             .get(&user)
             .and_then(|v| v.values().next_back().copied())
     }
 
-    // ------------------------------------------------------------------
-    // Revocation & lifecycle
-    // ------------------------------------------------------------------
-
-    /// Revoke one serial (immediate; irreversible). Returns true the first
-    /// time, false if it was already revoked.
-    pub fn revoke_serial(&mut self, serial: CredSerial) -> bool {
-        self.revocations.revoke(serial)
-    }
-
-    /// Revoke every live credential of a user (incident response / logout).
-    /// Returns the serials newly revoked, in revocation order — the
-    /// sharded plane uses this to keep its plane-level delta log aligned
-    /// with the per-shard lists.
-    pub fn revoke_user(&mut self, user: Uid) -> Vec<CredSerial> {
-        let mut revoked = Vec::new();
+    /// Revoke every live credential of a user (incident response / logout)
+    /// into the plane's list: tokens oldest first, then the certificate.
+    pub(crate) fn revoke_user(&mut self, revocations: &mut RevocationList, user: Uid) {
         for (serial, _) in self.sessions.remove(&user).unwrap_or_default() {
-            if self.revocations.revoke(serial) {
-                revoked.push(serial);
-            }
+            revocations.revoke(serial);
         }
         if let Some(c) = self.certs.remove(&user) {
-            if self.revocations.revoke(c.serial) {
-                revoked.push(c.serial);
-            }
+            revocations.revoke(c.serial);
         }
-        revoked
     }
 
     /// Drop expired *and revoked* sessions and certificates; returns how
@@ -357,61 +293,90 @@ impl CredentialBroker {
     /// the sweep bounds the table sizes, as a production broker must.
     /// Revoked-but-unexpired entries used to survive until their window
     /// lapsed, so a busy logout cycle grew the tables between sweeps.)
-    pub fn sweep_expired(&mut self) -> usize {
-        let now = self.now;
+    pub(crate) fn sweep_expired(&mut self, revoked: &SerialSet) -> usize {
+        let now = self.clock.now();
         let before = self.live_sessions() + self.certs.len();
         for tokens in self.sessions.values_mut() {
-            tokens.retain(|serial, t| now < t.expires && !self.revocations.is_revoked(*serial));
+            tokens.retain(|serial, t| now < t.expires && !revoked.contains(serial));
         }
         self.sessions.retain(|_, tokens| !tokens.is_empty());
         self.certs
-            .retain(|_, c| now < c.expires && !self.revocations.is_revoked(c.serial));
+            .retain(|_, c| now < c.expires && !revoked.contains(&c.serial));
         before - (self.live_sessions() + self.certs.len())
     }
 
-    /// Number of live (unswept) session tokens across all users.
-    pub fn live_sessions(&self) -> usize {
+    /// Number of live (unswept) session tokens across the shard's users.
+    pub(crate) fn live_sessions(&self) -> usize {
         self.sessions.values().map(BTreeMap::len).sum()
     }
 
-    // ------------------------------------------------------------------
-    // Fault injection (eus-chaos)
-    // ------------------------------------------------------------------
-
-    /// Take the identity provider down (or back up). While down, every
-    /// assertion path fails with [`CredError::Unavailable`]; validation of
-    /// already-minted credentials keeps serving.
-    pub fn set_idp_available(&mut self, up: bool) {
-        self.idp_available = up;
+    // The MFA routes live here so the binding-enrollment policy is encoded
+    // once for both planes.
+    pub(crate) fn enroll_mfa(
+        &mut self,
+        user: Uid,
+        mfa: Option<MfaCode>,
+    ) -> Result<MfaEnrollment, CredError> {
+        self.idp.enroll_mfa_stepup(user, mfa, self.clock.now())
     }
 
-    /// Whether the identity provider is currently serving assertions.
-    pub fn idp_available(&self) -> bool {
-        self.idp_available
+    pub(crate) fn unenroll_mfa(
+        &mut self,
+        user: Uid,
+        mfa: Option<MfaCode>,
+    ) -> Result<(), CredError> {
+        self.idp.unenroll_mfa(user, mfa, self.clock.now())
     }
 
-    /// Take the certificate authority down (or back up). While down,
-    /// minting fails with [`CredError::Unavailable`]; verification is local
-    /// key material and keeps serving.
-    pub fn set_ca_available(&mut self, up: bool) {
-        self.ca_available = up;
+    pub(crate) fn current_mfa_code(&self, user: Uid) -> Option<MfaCode> {
+        self.idp.current_code(user, self.clock.now())
     }
+}
 
-    /// Whether the certificate authority is currently minting.
-    pub fn ca_available(&self) -> bool {
-        self.ca_available
+/// The broker: home-realm IdP + CA + revocation list + live-session state.
+/// Every operation is a [`CredentialPlane`] method — bring the trait into
+/// scope to call them.
+#[derive(Debug)]
+pub struct CredentialBroker {
+    /// IdP, CA, sessions and certificates: one [`SessionShard`] holding
+    /// every user.
+    pub(crate) shard: SessionShard,
+    /// The realm-wide revocation list.
+    pub revocations: RevocationList,
+    /// Verify-path statistics (atomic; off by default). Pure measurement —
+    /// never consulted by an accept/reject decision.
+    pub stats: ValidateStats,
+    /// Causal trace ring for the credential plane (off by default).
+    /// Interior-mutable so entry points behind a read lock (PAM account
+    /// phase, submission gate) can mint and record spans through `&self`.
+    pub trace: TraceBuffer,
+}
+
+impl CredentialBroker {
+    /// A broker for `realm`; `seed` determines all key/token material.
+    pub fn new(realm: RealmId, seed: u64, policy: BrokerPolicy) -> Self {
+        let shard = SessionShard::new(realm, seed, policy, PlaneClock::default());
+        CredentialBroker {
+            revocations: RevocationList::new(shard.ca.serial_set_key()),
+            shard,
+            stats: ValidateStats::new(),
+            trace: TraceBuffer::disabled("cred", CRED_TRACE_CODE),
+        }
     }
 }
 
 impl CredentialPlane for CredentialBroker {
     fn realm(&self) -> RealmId {
-        CredentialBroker::realm(self)
+        self.shard.idp.realm
     }
     fn now(&self) -> SimTime {
-        CredentialBroker::now(self)
+        self.shard.clock.now()
+    }
+    fn clock(&self) -> PlaneClock {
+        self.shard.clock.clone()
     }
     fn advance_to(&mut self, t: SimTime) {
-        CredentialBroker::advance_to(self, t)
+        self.shard.clock.advance_to(t);
     }
     fn login(
         &mut self,
@@ -419,68 +384,78 @@ impl CredentialPlane for CredentialBroker {
         user: Uid,
         mfa: Option<MfaCode>,
     ) -> Result<SignedToken, CredError> {
-        CredentialBroker::login(self, db, user, mfa)
+        self.shard.login(db, user, mfa)
     }
     fn login_auto(&mut self, db: &UserDb, user: Uid) -> Result<SignedToken, CredError> {
-        CredentialBroker::login_auto(self, db, user)
+        self.shard.login_auto(db, user)
     }
     fn mint_ssh_cert(&mut self, token: &SignedToken) -> Result<SshCertificate, CredError> {
-        CredentialBroker::mint_ssh_cert(self, token)
+        self.shard.mint_ssh_cert(self.revocations.serials(), token)
     }
     fn ensure_session(&mut self, db: &UserDb, user: Uid) -> Result<SignedToken, CredError> {
-        CredentialBroker::ensure_session(self, db, user)
+        self.shard
+            .ensure_session(self.revocations.serials(), db, user)
     }
+    // analyze:hot-path-begin(broker-validate)
     fn validate_token(&self, token: &SignedToken) -> Result<Uid, CredError> {
         let t0 = self.stats.begin();
-        let r = CredentialBroker::validate_token(self, token);
+        let r = self
+            .shard
+            .ca
+            .validate_token(token, self.now(), self.revocations.serials());
         self.stats.finish(t0, r.is_ok());
         r
     }
     fn validate_cert(&self, cert: &SshCertificate) -> Result<Uid, CredError> {
         let t0 = self.stats.begin();
-        let r = CredentialBroker::validate_cert(self, cert);
+        let r = self
+            .shard
+            .ca
+            .validate_cert(cert, self.now(), self.revocations.serials());
         self.stats.finish(t0, r.is_ok());
         r
     }
     fn validate_serial(&self, user: Uid, serial: CredSerial) -> Result<(), CredError> {
-        CredentialBroker::validate_serial(self, user, serial)
+        self.shard
+            .validate_serial(self.revocations.serials(), user, serial)
     }
+    fn authorize_ssh(&self, user: Uid) -> Result<(), CredError> {
+        self.shard.authorize_ssh(self.revocations.serials(), user)
+    }
+    fn authorize_submit(&self, user: Uid) -> Result<(), CredError> {
+        self.authorize_submit_at(user, self.now())
+    }
+    fn authorize_submit_at(&self, user: Uid, at: SimTime) -> Result<(), CredError> {
+        self.shard
+            .authorize_submit_at(self.revocations.serials(), user, at)
+    }
+    // analyze:hot-path-end
     fn validate_stats(&self) -> Option<&ValidateStats> {
         Some(&self.stats)
     }
     fn trace_buffer(&self) -> Option<&TraceBuffer> {
         Some(&self.trace)
     }
-    fn authorize_ssh(&self, user: Uid) -> Result<(), CredError> {
-        CredentialBroker::authorize_ssh(self, user)
-    }
-    fn authorize_submit(&self, user: Uid) -> Result<(), CredError> {
-        CredentialBroker::authorize_submit(self, user)
-    }
-    fn authorize_submit_at(&self, user: Uid, at: SimTime) -> Result<(), CredError> {
-        CredentialBroker::authorize_submit_at(self, user, at)
-    }
     fn current_cert(&self, user: Uid) -> Option<SshCertificate> {
-        CredentialBroker::current_cert(self, user)
+        self.shard.current_cert(user)
     }
     fn current_token(&self, user: Uid) -> Option<SignedToken> {
-        CredentialBroker::current_token(self, user)
+        self.shard.current_token(user)
     }
     fn revoke_serial(&mut self, serial: CredSerial) {
-        CredentialBroker::revoke_serial(self, serial);
+        self.revocations.revoke(serial);
     }
     fn revoke_user(&mut self, user: Uid) {
-        CredentialBroker::revoke_user(self, user);
+        self.shard.revoke_user(&mut self.revocations, user);
     }
     fn sweep_expired(&mut self) -> usize {
-        CredentialBroker::sweep_expired(self)
+        self.shard.sweep_expired(self.revocations.serials())
     }
     fn live_sessions(&self) -> usize {
-        CredentialBroker::live_sessions(self)
+        self.shard.live_sessions()
     }
     fn enroll_mfa(&mut self, user: Uid, mfa: Option<MfaCode>) -> Result<MfaEnrollment, CredError> {
-        let now = self.now;
-        self.idp.enroll_mfa_stepup(user, mfa, now)
+        self.shard.enroll_mfa(user, mfa)
     }
     fn login_recovery(
         &mut self,
@@ -488,17 +463,16 @@ impl CredentialPlane for CredentialBroker {
         user: Uid,
         code: RecoveryCode,
     ) -> Result<SignedToken, CredError> {
-        CredentialBroker::login_recovery(self, db, user, code)
+        self.shard.login_recovery(db, user, code)
     }
     fn unenroll_mfa(&mut self, user: Uid, mfa: Option<MfaCode>) -> Result<(), CredError> {
-        let now = self.now;
-        self.idp.unenroll_mfa(user, mfa, now)
+        self.shard.unenroll_mfa(user, mfa)
     }
     fn mfa_challenged(&self, user: Uid) -> bool {
-        self.idp.is_challenged(user)
+        self.shard.idp.is_challenged(user)
     }
     fn current_mfa_code(&self, user: Uid) -> Option<MfaCode> {
-        self.idp.current_code(user, self.now)
+        self.shard.current_mfa_code(user)
     }
     fn revocation_head(&self) -> u64 {
         self.revocations.head()
@@ -516,19 +490,19 @@ impl CredentialPlane for CredentialBroker {
         self.revocations.snapshot()
     }
     fn set_idp_available(&mut self, up: bool) {
-        CredentialBroker::set_idp_available(self, up)
+        self.shard.idp_available = up;
     }
     fn idp_available(&self) -> bool {
-        CredentialBroker::idp_available(self)
+        self.shard.idp_available
     }
     fn set_ca_available(&mut self, up: bool) {
-        CredentialBroker::set_ca_available(self, up)
+        self.shard.ca_available = up;
     }
     fn ca_available(&self) -> bool {
-        CredentialBroker::ca_available(self)
+        self.shard.ca_available
     }
     fn verifier(&self) -> RealmVerifier {
-        RealmVerifier::new(self.realm(), vec![self.ca.clone()])
+        RealmVerifier::new(self.realm(), vec![self.shard.ca.clone()])
     }
 }
 
@@ -632,7 +606,7 @@ mod tests {
                 ..BrokerPolicy::default()
             },
         );
-        b.idp.enroll_mfa(alice);
+        b.shard.idp.enroll_mfa(alice);
         // Explicit login without a code is refused...
         assert_eq!(b.login(&db, alice, None), Err(CredError::MfaRequired));
         // ...but the transparent paths present the current window code.

@@ -7,7 +7,7 @@
 //! comparisons, O(1) and allocation-free.
 
 use crate::realm::{IdentityAssertion, RealmId};
-use crate::revocation::SerialSetKey;
+use crate::revocation::{SerialSet, SerialSetKey};
 use eus_simcore::{SimDuration, SimRng, SimTime};
 use eus_simos::Uid;
 use std::fmt;
@@ -327,6 +327,40 @@ impl CertificateAuthority {
         }
         window_check(c.issued, c.expires, now)
     }
+
+    // analyze:hot-path-begin(ca-validate)
+    /// The one verdict routine — the issuing plane, its shards' own liveness
+    /// checks and a sister site's CRL replica all judge through it: realm,
+    /// signature and window ([`verify_token`](Self::verify_token)), then one
+    /// probe of `revoked`. Takes no lock and owns no state: the caller says
+    /// which instant and which revoked set.
+    pub fn validate_token(
+        &self,
+        t: &SignedToken,
+        now: SimTime,
+        revoked: &SerialSet,
+    ) -> Result<Uid, CredError> {
+        self.verify_token(t, now)?;
+        if revoked.contains(&t.serial) {
+            return Err(CredError::Revoked(t.serial));
+        }
+        Ok(t.user)
+    }
+
+    /// [`validate_token`](Self::validate_token) for SSH certificates.
+    pub fn validate_cert(
+        &self,
+        c: &SshCertificate,
+        now: SimTime,
+        revoked: &SerialSet,
+    ) -> Result<Uid, CredError> {
+        self.verify_cert(c, now)?;
+        if revoked.contains(&c.serial) {
+            return Err(CredError::Revoked(c.serial));
+        }
+        Ok(c.user)
+    }
+    // analyze:hot-path-end
 }
 
 /// A portable verification handle for one realm's credential plane: the
@@ -389,19 +423,28 @@ impl RealmVerifier {
         ca.ok_or(CredError::BadSignature)
     }
 
-    /// Verify a token's realm, signature, and validity window at `now`,
-    /// entirely locally. Revocation is *not* checked here — that is the
-    /// replica's job (the whole point of splitting verification from
-    /// revocation state).
-    pub fn verify_token(&self, t: &SignedToken, now: SimTime) -> Result<Uid, CredError> {
-        self.ca_for_serial(t.serial)?.verify_token(t, now)?;
-        Ok(t.user)
+    /// Judge a token entirely locally, through the minting CA's
+    /// [`validate_token`](CertificateAuthority::validate_token). The
+    /// verifier holds no revocation state — the caller brings the set it
+    /// keeps current (the issuer's own list, or a replica of it).
+    pub fn validate_token(
+        &self,
+        t: &SignedToken,
+        now: SimTime,
+        revoked: &SerialSet,
+    ) -> Result<Uid, CredError> {
+        self.ca_for_serial(t.serial)?
+            .validate_token(t, now, revoked)
     }
 
-    /// Verify an SSH certificate the same way.
-    pub fn verify_cert(&self, c: &SshCertificate, now: SimTime) -> Result<Uid, CredError> {
-        self.ca_for_serial(c.serial)?.verify_cert(c, now)?;
-        Ok(c.user)
+    /// Judge an SSH certificate the same way.
+    pub fn validate_cert(
+        &self,
+        c: &SshCertificate,
+        now: SimTime,
+        revoked: &SerialSet,
+    ) -> Result<Uid, CredError> {
+        self.ca_for_serial(c.serial)?.validate_cert(c, now, revoked)
     }
     // analyze:hot-path-end
 }

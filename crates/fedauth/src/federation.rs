@@ -12,7 +12,7 @@
 //! (the `CrossRealmSpoof` audit channel stays blocked).
 
 use crate::ca::{CredError, SignedToken, SshCertificate};
-use crate::plane::{CredentialPlane, SharedBroker};
+use crate::plane::{CredentialPlane, PlaneClock, SharedBroker};
 use crate::realm::RealmId;
 use eus_simcore::SimTime;
 use eus_simos::Uid;
@@ -133,11 +133,13 @@ impl fmt::Display for TrustPolicy {
     }
 }
 
-/// One registered realm: its credential plane and the trust policy its
+/// One registered realm: its credential plane, the clock that plane
+/// publishes (taken from it once, at registration) and the trust policy its
 /// site applies. Kept together so a policy without a plane (and a clock to
 /// judge time-boxed trust on) cannot be represented.
 struct RealmEntry {
     plane: SharedBroker,
+    clock: PlaneClock,
     trust: TrustPolicy,
 }
 
@@ -164,12 +166,23 @@ impl FederationDirectory {
     /// credential the allow-listed realm mints.
     pub fn register(&mut self, realm: RealmId, plane: SharedBroker, trust: TrustPolicy) {
         assert_eq!(trust.home(), realm, "policy home must match the realm");
-        assert_eq!(
-            plane.read().realm(),
+        let clock = {
+            let plane = plane.read();
+            assert_eq!(
+                plane.realm(),
+                realm,
+                "plane must be built for the realm it is registered under"
+            );
+            plane.clock()
+        };
+        self.realms.insert(
             realm,
-            "plane must be built for the realm it is registered under"
+            RealmEntry {
+                plane,
+                clock,
+                trust,
+            },
         );
-        self.realms.insert(realm, RealmEntry { plane, trust });
     }
 
     /// The registered realms, in order.
@@ -204,29 +217,33 @@ impl FederationDirectory {
     }
 
     // analyze:hot-path-begin(directory-validate)
+    /// `site`'s plane clock, read from the cell the plane publishes — no
+    /// guard. `None` for a site nobody registered.
+    pub fn now_at(&self, site: RealmId) -> Option<SimTime> {
+        self.realms.get(&site).map(|e| e.clock.now())
+    }
+
     /// The policy half of validation, exposed for replica-backed
     /// validators: is a credential from `issuer` acceptable at `site`
     /// *right now*? Fails closed for unregistered sites, realms off the
-    /// allow-list, and lapsed time-boxed trust. "Now" is the site's plane
-    /// clock, read under one plane guard and returned, so the caller judges
-    /// the credential itself at the same instant the gate was judged at.
+    /// allow-list, and lapsed time-boxed trust. "Now" is the site's
+    /// published plane clock — no guard is taken — and is returned, so the
+    /// caller judges the credential itself at the same instant the gate was
+    /// judged at.
     pub fn trust_gate(&self, site: RealmId, issuer: RealmId) -> Result<SimTime, CredError> {
         let entry = self
             .realms
             .get(&site)
             .ok_or(CredError::UnknownRealm(site))?;
-        let now = entry.plane.read().now();
+        let now = entry.clock.now();
         entry.trust.gate(issuer, now)?;
         Ok(now)
     }
 
-    /// The route both validators share. A credential the site minted
-    /// itself is judged under **one** plane read guard: the clock is read,
-    /// the gate judged and the credential verified without re-locking. A
-    /// sister realm's is gated on the site's clock first — the guard is
-    /// released before the issuer's plane is taken, so no two plane locks
-    /// are ever held together — then verified by its issuer; an issuer
-    /// nobody registered fails closed.
+    /// The route both validators share: gate on the site's published
+    /// clock, then **one** read guard — the issuing plane's — under which
+    /// the credential is judged. The issuer is the site itself for a
+    /// credential it minted; a sister realm nobody registered fails closed.
     fn validate_at(
         &self,
         site: RealmId,
@@ -237,14 +254,13 @@ impl FederationDirectory {
             .realms
             .get(&site)
             .ok_or(CredError::UnknownRealm(site))?;
-        let plane = entry.plane.read();
-        entry.trust.gate(issuer, plane.now())?;
-        if issuer == site {
-            return judge(&**plane);
-        }
-        drop(plane);
-        let issuer_plane = self.plane(issuer).ok_or(CredError::UnknownRealm(issuer))?;
-        let plane = issuer_plane.read();
+        entry.trust.gate(issuer, entry.clock.now())?;
+        let plane = if issuer == site {
+            &entry.plane
+        } else {
+            self.plane(issuer).ok_or(CredError::UnknownRealm(issuer))?
+        };
+        let plane = plane.read();
         judge(&**plane)
     }
 

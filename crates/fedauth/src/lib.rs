@@ -34,7 +34,7 @@
 //! * [`pam`] — [`PamFedAuth`], the sshd account-phase module.
 //!
 //! ```
-//! use eus_fedauth::{BrokerPolicy, CredentialBroker, RealmId};
+//! use eus_fedauth::{BrokerPolicy, CredentialBroker, CredentialPlane, RealmId};
 //! use eus_simos::UserDb;
 //!
 //! let mut db = UserDb::new();
@@ -65,7 +65,7 @@ pub use ca::{
 pub use federation::{FederationDirectory, TrustPolicy};
 pub use obs::ValidateStats;
 pub use pam::PamFedAuth;
-pub use plane::{shared_broker, CredentialPlane, SharedBroker};
+pub use plane::{shared_broker, CredentialPlane, PlaneClock, SharedBroker};
 pub use realm::{
     IdentityAssertion, IdentityProvider, MfaCode, MfaEnrollment, MfaSecret, RealmId, RecoveryCode,
     RECOVERY_CODE_COUNT,

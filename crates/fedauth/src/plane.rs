@@ -16,7 +16,35 @@ use eus_simcore::SimTime;
 use eus_simos::{Uid, UserDb};
 use parking_lot::RwLock;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// A plane's published clock: the one cell its
+/// [`advance_to`](CredentialPlane::advance_to) stores to and every reader of
+/// "now" loads from — the plane itself, its shards, and (through
+/// [`CredentialPlane::clock`]) the [`crate::FederationDirectory`], which
+/// judges time-boxed trust and replica staleness on it without taking the
+/// plane's guard. There is no second copy of the instant to keep in step.
+#[derive(Debug, Clone, Default)]
+pub struct PlaneClock(Arc<AtomicU64>);
+
+impl PlaneClock {
+    // analyze:hot-path-begin(plane-clock)
+    /// The instant the plane last advanced to. The `Acquire` load pairs
+    /// with the `Release` half of the plane's advance: a reader that sees
+    /// instant *t* sees everything the plane wrote before it advanced to
+    /// *t*.
+    #[inline]
+    pub fn now(&self) -> SimTime {
+        SimTime::from_micros(self.0.load(Ordering::Acquire))
+    }
+    // analyze:hot-path-end
+
+    /// Monotone advance; only the owning plane moves its clock.
+    pub(crate) fn advance_to(&self, t: SimTime) {
+        self.0.fetch_max(t.as_micros(), Ordering::AcqRel);
+    }
+}
 
 /// A credential plane: issuance, verification, revocation, and lifecycle of
 /// short-lived federated credentials for one realm.
@@ -32,6 +60,10 @@ pub trait CredentialPlane: fmt::Debug + Send + Sync {
 
     /// The plane's current clock.
     fn now(&self) -> SimTime;
+
+    /// A handle on the plane's published clock: reads the same cell
+    /// [`now`](Self::now) does, from outside the plane's guard.
+    fn clock(&self) -> PlaneClock;
 
     /// Advance the clock (monotonic; driven by the cluster simulation).
     fn advance_to(&mut self, t: SimTime);

@@ -136,6 +136,13 @@ impl RevocationList {
         self.revoked.contains(&serial)
     }
 
+    /// The membership set itself: what a verdict probes
+    /// ([`crate::CertificateAuthority::validate_token`]).
+    #[inline]
+    pub fn serials(&self) -> &SerialSet {
+        &self.revoked
+    }
+
     /// Number of revoked serials.
     pub fn len(&self) -> usize {
         self.revoked.len()

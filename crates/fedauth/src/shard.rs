@@ -1,12 +1,11 @@
 //! [`ShardedBroker`]: the credential plane at millions-of-sessions scale.
 //!
-//! One [`CredentialBroker`] keeps every live session in one table behind one
-//! lock. For a site serving millions of users that table — and the lock —
-//! becomes the bottleneck. The sharded broker partitions sessions, SSH
-//! certificates, and revocations across N uid-hashed shards: every per-user
+//! One [`crate::CredentialBroker`] keeps every live session in one table
+//! behind one lock. For a site serving millions of users that table — and
+//! the lock — becomes the bottleneck. The sharded broker partitions sessions
+//! and SSH certificates across N uid-hashed shards: every per-user
 //! operation touches exactly one shard, and batch verification fans out
-//! across shards (near-linear in shard count up to the core count, measured
-//! by `benches/broker_shard_throughput.rs`).
+//! across shard buckets (measured by `benches/broker_shard_throughput.rs`).
 //!
 //! **Per-shard locking.** Each shard sits behind its own `RwLock`, so the
 //! plane supports *shared-path mutation*: callers holding the plane-wide
@@ -18,6 +17,16 @@
 //! trait methods use lock-free exclusive access (`get_mut`), so the
 //! single-threaded paths pay nothing for the locks.
 //!
+//! **What the shard locks guard — and what they do not.** A shard lock
+//! guards what a shared-path login mutates: the shard's sessions,
+//! certificates, IdP state and its CA's mint counters. A *verdict on a
+//! presented credential* reads none of that. It reads the CA keys (fixed at
+//! construction, kept as one plane-level [`RealmVerifier`]), the revoked
+//! set (one plane-level [`RevocationList`], written only through
+//! `&mut self`) and the clock (the plane's published [`PlaneClock`]) — so
+//! `validate_token` / `validate_cert` take **no** shard lock: the caller's
+//! plane read guard is the only guard on the route.
+//!
 //! Correctness-by-construction details:
 //!
 //! * each shard's CA mints serials in a disjoint residue class
@@ -25,7 +34,7 @@
 //!   a serial's owning shard is recoverable without knowing the uid;
 //! * every shard shares the realm id, so realm binding (the
 //!   `CrossRealmSpoof` defense) is unchanged;
-//! * the plane keeps its own plane-level revocation delta log, appended in
+//! * revocation state is one plane-level list, its delta log appended in
 //!   the order revocations pass through the plane API — so the feed a
 //!   sister realm replicates (`eus-revsync`) is identical whether the
 //!   issuer runs one broker or N shards;
@@ -34,11 +43,12 @@
 //!   (property-tested in `tests/federation_properties.rs`). Token *material*
 //!   differs (different seeded streams), decisions never do.
 
-use crate::broker::{BrokerPolicy, CredentialBroker};
+use crate::broker::{BrokerPolicy, SessionShard};
 use crate::ca::{CredError, CredSerial, RealmVerifier, SignedToken, SshCertificate};
 use crate::obs::{ValidateStats, CRED_TRACE_CODE};
-use crate::plane::CredentialPlane;
+use crate::plane::{CredentialPlane, PlaneClock};
 use crate::realm::{MfaCode, MfaEnrollment, RealmId, RecoveryCode};
+use crate::revocation::RevocationList;
 use eus_obs::TraceBuffer;
 use eus_simcore::SimTime;
 use eus_simos::{Uid, UserDb};
@@ -49,19 +59,17 @@ use rayon::prelude::*;
 /// its own lock.
 #[derive(Debug)]
 pub struct ShardedBroker {
-    /// The realm every shard mints and verifies for.
-    realm: RealmId,
-    /// The plane clock: every shard's clock, kept here so reading it takes
-    /// no shard lock. Only [`advance_to`](CredentialPlane::advance_to)
-    /// (`&mut self`) moves a shard's clock, and it copies the result back.
-    now: SimTime,
-    shards: Vec<RwLock<CredentialBroker>>,
-    /// Plane-level revocation delta log: serials in the order revocations
-    /// were applied through the plane API (the feed `eus-revsync` ships).
-    revocation_order: Vec<CredSerial>,
-    /// How many leading plane-log entries have been compacted away (the
-    /// oldest retained entry has sequence number `revocation_compacted + 1`).
-    revocation_compacted: u64,
+    /// The plane clock, published: every shard reads this same cell, and
+    /// [`advance_to`](CredentialPlane::advance_to) is one store to it.
+    clock: PlaneClock,
+    /// Every shard's CA verification state, in shard order — immutable
+    /// after construction (minting moves a CA's counters, never its key).
+    verifier: RealmVerifier,
+    /// The realm's one revocation list. Only `&mut self` paths write it, so
+    /// verdicts probe it under nothing but the caller's plane guard; its
+    /// delta log is in plane-API order (the feed `eus-revsync` ships).
+    revocations: RevocationList,
+    shards: Vec<RwLock<SessionShard>>,
     /// Core count sampled once at construction: the batch-path dispatch
     /// decision, without a per-call affinity syscall.
     fanout_threads: usize,
@@ -81,20 +89,20 @@ impl ShardedBroker {
     /// stream).
     pub fn new(realm: RealmId, seed: u64, shards: usize, policy: BrokerPolicy) -> Self {
         assert!(shards >= 1, "at least one shard");
-        let shards = (0..shards)
+        let clock = PlaneClock::default();
+        let shards: Vec<SessionShard> = (0..shards)
             .map(|i| {
-                RwLock::new(
-                    CredentialBroker::new(realm, mix(seed ^ i as u64), policy)
-                        .with_serial_partition(i as u64, shards as u64),
-                )
+                let mut s = SessionShard::new(realm, mix(seed ^ i as u64), policy, clock.clone());
+                s.ca.set_serial_partition(i as u64, shards as u64);
+                s
             })
             .collect();
+        let verifier = RealmVerifier::new(realm, shards.iter().map(|s| s.ca.clone()).collect());
         ShardedBroker {
-            realm,
-            now: SimTime::ZERO,
-            shards,
-            revocation_order: Vec::new(),
-            revocation_compacted: 0,
+            clock,
+            revocations: RevocationList::new(verifier.serial_set_key()),
+            verifier,
+            shards: shards.into_iter().map(RwLock::new).collect(),
             fanout_threads: std::thread::available_parallelism().map_or(1, |v| v.get()),
             stats: ValidateStats::new(),
             trace: TraceBuffer::disabled("cred", CRED_TRACE_CODE),
@@ -121,30 +129,34 @@ impl ShardedBroker {
         (mix(user.0 as u64) % self.shards.len() as u64) as usize
     }
 
-    /// The lock guarding `user`'s shard — the one indexing site the hot
-    /// validate paths share. The index is structurally in bounds:
+    /// The lock guarding `user`'s shard — the one indexing site the
+    /// session-reading gates share. The index is structurally in bounds:
     /// [`shard_of`](Self::shard_of) reduces modulo `shards.len()` and the
     /// constructor asserts at least one shard.
-    fn shard(&self, user: Uid) -> &RwLock<CredentialBroker> {
+    fn shard(&self, user: Uid) -> &RwLock<SessionShard> {
         &self.shards[self.shard_of(user)]
     }
 
     /// Exclusive lock-free access to the shard for a user (`&mut self`
     /// paths never contend, so they skip the lock entirely).
-    fn shard_mut(&mut self, user: Uid) -> &mut CredentialBroker {
+    fn shard_mut(&mut self, user: Uid) -> &mut SessionShard {
         let i = self.shard_of(user);
         self.shards[i].get_mut()
     }
 
-    /// The shard that minted `serial` (serials are partitioned into residue
-    /// classes, so ownership is arithmetic, not a lookup).
-    fn shard_of_serial(&self, serial: CredSerial) -> usize {
-        (serial.0 % self.shards.len() as u64) as usize
+    // analyze:hot-path-begin(sharded-judge)
+    /// A verdict on a presented token, under no lock of this plane's: the
+    /// routine a sister site's CRL replica runs, on the plane's own clock
+    /// and revoked set. A serial routes to its minting CA by residue.
+    fn judge_token(&self, token: &SignedToken) -> Result<Uid, CredError> {
+        self.verifier
+            .validate_token(token, self.clock.now(), self.revocations.serials())
     }
+    // analyze:hot-path-end
 
     /// The always-bucketed batch path: tokens bucket by owning shard,
-    /// shards verify their buckets concurrently (the rayon shim runs real
-    /// scoped-thread fan-out), results scatter back in input order.
+    /// buckets verify concurrently (the rayon shim runs real scoped-thread
+    /// fan-out), results scatter back in input order.
     /// [`CredentialPlane::validate_batch`] dispatches here when there is
     /// parallelism to exploit; callers who know better can use it directly.
     pub fn validate_batch_fanout(&self, tokens: &[SignedToken]) -> Vec<Result<Uid, CredError>> {
@@ -157,10 +169,9 @@ impl ShardedBroker {
         }
         let per_shard: Vec<Vec<(usize, Result<Uid, CredError>)>> = buckets
             .par_iter()
-            .map(|(s, idxs)| {
-                let shard = self.shards[*s].read();
+            .map(|(_, idxs)| {
                 idxs.iter()
-                    .map(|&i| (i, shard.validate_token(&tokens[i])))
+                    .map(|&i| (i, self.judge_token(&tokens[i])))
                     .collect()
             })
             .collect();
@@ -177,21 +188,19 @@ impl ShardedBroker {
 
 impl CredentialPlane for ShardedBroker {
     fn realm(&self) -> RealmId {
-        self.realm
+        self.verifier.realm()
     }
 
     fn now(&self) -> SimTime {
-        self.now
+        self.clock.now()
+    }
+
+    fn clock(&self) -> PlaneClock {
+        self.clock.clone()
     }
 
     fn advance_to(&mut self, t: SimTime) {
-        for s in &mut self.shards {
-            let shard = s.get_mut();
-            shard.advance_to(t);
-            // Taken from the shard after it advanced, so the plane clock is
-            // monotone exactly as the shard's is.
-            self.now = shard.now();
-        }
+        self.clock.advance_to(t);
     }
 
     fn login(
@@ -208,42 +217,56 @@ impl CredentialPlane for ShardedBroker {
     }
 
     fn mint_ssh_cert(&mut self, token: &SignedToken) -> Result<SshCertificate, CredError> {
-        self.shard_mut(token.user).mint_ssh_cert(token)
+        let i = self.shard_of(token.user);
+        self.shards[i]
+            .get_mut()
+            .mint_ssh_cert(self.revocations.serials(), token)
     }
 
     fn ensure_session(&mut self, db: &UserDb, user: Uid) -> Result<SignedToken, CredError> {
-        self.shard_mut(user).ensure_session(db, user)
+        let i = self.shard_of(user);
+        self.shards[i]
+            .get_mut()
+            .ensure_session(self.revocations.serials(), db, user)
     }
 
     // analyze:hot-path-begin(sharded-validate)
     fn validate_token(&self, token: &SignedToken) -> Result<Uid, CredError> {
         let t0 = self.stats.begin();
-        let r = self.shard(token.user).read().validate_token(token);
+        let r = self.judge_token(token);
         self.stats.finish(t0, r.is_ok());
         r
     }
 
     fn validate_cert(&self, cert: &SshCertificate) -> Result<Uid, CredError> {
         let t0 = self.stats.begin();
-        let r = self.shard(cert.user).read().validate_cert(cert);
+        let r = self
+            .verifier
+            .validate_cert(cert, self.clock.now(), self.revocations.serials());
         self.stats.finish(t0, r.is_ok());
         r
     }
 
     fn validate_serial(&self, user: Uid, serial: CredSerial) -> Result<(), CredError> {
-        self.shard(user).read().validate_serial(user, serial)
+        self.shard(user)
+            .read()
+            .validate_serial(self.revocations.serials(), user, serial)
     }
 
     fn authorize_ssh(&self, user: Uid) -> Result<(), CredError> {
-        self.shard(user).read().authorize_ssh(user)
+        self.shard(user)
+            .read()
+            .authorize_ssh(self.revocations.serials(), user)
     }
 
     fn authorize_submit(&self, user: Uid) -> Result<(), CredError> {
-        self.shard(user).read().authorize_submit(user)
+        self.authorize_submit_at(user, self.clock.now())
     }
 
     fn authorize_submit_at(&self, user: Uid, at: SimTime) -> Result<(), CredError> {
-        self.shard(user).read().authorize_submit_at(user, at)
+        self.shard(user)
+            .read()
+            .authorize_submit_at(self.revocations.serials(), user, at)
     }
     // analyze:hot-path-end
 
@@ -256,24 +279,21 @@ impl CredentialPlane for ShardedBroker {
     }
 
     fn revoke_serial(&mut self, serial: CredSerial) {
-        // A user's tokens are minted by — and validated at — the same shard,
-        // and that shard's serials fill one residue class, so routing by
-        // residue lands the revocation exactly where the token validates.
-        let i = self.shard_of_serial(serial);
-        if self.shards[i].get_mut().revoke_serial(serial) {
-            self.revocation_order.push(serial);
-        }
+        self.revocations.revoke(serial);
     }
 
     fn revoke_user(&mut self, user: Uid) {
-        let revoked = self.shard_mut(user).revoke_user(user);
-        self.revocation_order.extend(revoked);
+        let i = self.shard_of(user);
+        self.shards[i]
+            .get_mut()
+            .revoke_user(&mut self.revocations, user);
     }
 
     fn sweep_expired(&mut self) -> usize {
+        let revoked = self.revocations.serials();
         self.shards
             .iter_mut()
-            .map(|s| s.get_mut().sweep_expired())
+            .map(|s| s.get_mut().sweep_expired(revoked))
             .sum()
     }
 
@@ -281,11 +301,8 @@ impl CredentialPlane for ShardedBroker {
         self.shards.iter().map(|s| s.read().live_sessions()).sum()
     }
 
-    // MFA routes delegate to the owning shard's own plane impl, so the
-    // binding-enrollment policy is encoded exactly once (in
-    // CredentialBroker's CredentialPlane impl).
     fn enroll_mfa(&mut self, user: Uid, mfa: Option<MfaCode>) -> Result<MfaEnrollment, CredError> {
-        CredentialPlane::enroll_mfa(self.shard_mut(user), user, mfa)
+        self.shard_mut(user).enroll_mfa(user, mfa)
     }
 
     fn login_recovery(
@@ -298,81 +315,63 @@ impl CredentialPlane for ShardedBroker {
     }
 
     fn unenroll_mfa(&mut self, user: Uid, mfa: Option<MfaCode>) -> Result<(), CredError> {
-        CredentialPlane::unenroll_mfa(self.shard_mut(user), user, mfa)
+        self.shard_mut(user).unenroll_mfa(user, mfa)
     }
 
     fn mfa_challenged(&self, user: Uid) -> bool {
-        CredentialPlane::mfa_challenged(&*self.shard(user).read(), user)
+        self.shard(user).read().idp.is_challenged(user)
     }
 
     fn current_mfa_code(&self, user: Uid) -> Option<MfaCode> {
-        CredentialPlane::current_mfa_code(&*self.shard(user).read(), user)
+        self.shard(user).read().current_mfa_code(user)
     }
 
     fn revocation_head(&self) -> u64 {
-        self.revocation_compacted + self.revocation_order.len() as u64
+        self.revocations.head()
     }
 
     fn revocations_since(&self, since: u64) -> Vec<CredSerial> {
-        let from = (since.saturating_sub(self.revocation_compacted) as usize)
-            .min(self.revocation_order.len());
-        self.revocation_order[from..].to_vec()
+        self.revocations.entries_since(since).to_vec()
     }
 
     fn compact_revocations_below(&mut self, upto: u64) -> u64 {
-        let upto = upto.min(self.revocation_head());
-        if upto <= self.revocation_compacted {
-            return 0;
-        }
-        let drop = (upto - self.revocation_compacted) as usize;
-        self.revocation_order.drain(..drop);
-        self.revocation_compacted = upto;
-        drop as u64
+        self.revocations.compact_below(upto)
     }
 
     fn revocation_floor(&self) -> u64 {
-        self.revocation_compacted
+        self.revocations.floor()
     }
 
     fn revocation_snapshot(&self) -> Vec<CredSerial> {
-        // Union of the shard membership sets (revocations only enter
-        // through the plane API, so this equals the full plane log),
-        // sorted so the payload is seed-stable.
-        let mut all: Vec<CredSerial> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.read().revocations.snapshot())
-            .collect();
-        all.sort_unstable();
-        all
+        self.revocations.snapshot()
     }
 
     fn set_idp_available(&mut self, up: bool) {
         for s in &mut self.shards {
-            s.get_mut().set_idp_available(up);
+            s.get_mut().idp_available = up;
         }
     }
 
     fn idp_available(&self) -> bool {
-        self.shards.iter().all(|s| s.read().idp_available())
+        self.shards.iter().all(|s| s.read().idp_available)
     }
 
     fn set_ca_available(&mut self, up: bool) {
         for s in &mut self.shards {
-            s.get_mut().set_ca_available(up);
+            s.get_mut().ca_available = up;
         }
     }
 
     fn ca_available(&self) -> bool {
-        self.shards.iter().all(|s| s.read().ca_available())
+        self.shards.iter().all(|s| s.read().ca_available)
     }
 
     fn seize_shard(&mut self, shard: usize, seized: bool) -> bool {
         match self.shards.get_mut(shard) {
             Some(s) => {
-                let b = s.get_mut();
-                b.set_idp_available(!seized);
-                b.set_ca_available(!seized);
+                let s = s.get_mut();
+                s.idp_available = !seized;
+                s.ca_available = !seized;
                 true
             }
             None => false,
@@ -380,10 +379,7 @@ impl CredentialPlane for ShardedBroker {
     }
 
     fn verifier(&self) -> RealmVerifier {
-        RealmVerifier::new(
-            self.realm(),
-            self.shards.iter().map(|s| s.read().ca.clone()).collect(),
-        )
+        self.verifier.clone()
     }
 
     /// Shared-path login through the owning shard's own write lock: the
@@ -423,6 +419,8 @@ impl CredentialPlane for ShardedBroker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::broker::CredentialBroker;
+    use crate::revocation::SerialSet;
 
     fn setup(shards: usize) -> (UserDb, ShardedBroker, Vec<Uid>) {
         let mut db = UserDb::new();
@@ -455,19 +453,17 @@ mod tests {
 
     #[test]
     fn plane_clock_is_every_shards_clock_through_any_advance_interleaving() {
-        // Forwards, repeated, backwards, zero: the plane-level clock (read
-        // without a shard lock) must be exactly what every shard would say,
-        // and what a shared-path login stamps.
+        // Forwards, repeated, backwards, zero: the published clock (read
+        // with no lock at all) must be exactly what the plane says and what
+        // a shared-path login on any shard stamps.
         let tape = [5u64, 5, 3, 0, 90, 60, 90, 3600, 10, 3601];
         let run = |shards: usize| {
             let (db, mut p, users) = setup(shards);
+            let published = p.clock();
             let mut seen = Vec::new();
             for (i, secs) in tape.into_iter().enumerate() {
                 p.advance_to(SimTime::from_secs(secs));
-                for s in &p.shards {
-                    assert_eq!(s.read().now(), p.now(), "after advance_to({secs}s)");
-                    assert_eq!(s.read().realm(), p.realm());
-                }
+                assert_eq!(published.now(), p.now(), "after advance_to({secs}s)");
                 let user = users[i % users.len()];
                 let t = p.try_login_shared(&db, user, None).unwrap().unwrap();
                 assert_eq!(t.issued, p.now(), "logins stamp the plane clock");
@@ -499,22 +495,20 @@ mod tests {
             for _ in 0..10 {
                 let t = p.login(&db, u, None).unwrap();
                 assert!(seen.insert(t.serial), "serial collision across shards");
-                assert_eq!(p.shard_of_serial(t.serial), p.shard_of(u));
+                assert_eq!((t.serial.0 % 8) as usize, p.shard_of(u));
             }
         }
     }
 
     #[test]
-    fn serial_revocation_routes_to_the_minting_shard() {
+    fn serial_revocation_is_judged_without_the_minting_shard() {
         let (db, mut p, users) = setup(4);
         let t = p.login(&db, users[3], None).unwrap();
         p.revoke_serial(t.serial);
+        // Every shard write-locked (a login in flight on each): the verdict
+        // still arrives, because it needs none of them.
+        let _held: Vec<_> = p.shards.iter().map(|s| s.write()).collect();
         assert_eq!(p.validate_token(&t), Err(CredError::Revoked(t.serial)));
-        // Only one shard carries the revocation entry.
-        let lists = (0..4)
-            .filter(|&i| !p.shards[i].read().revocations.is_empty())
-            .count();
-        assert_eq!(lists, 1);
     }
 
     #[test]
@@ -531,13 +525,6 @@ mod tests {
         assert_eq!(log[0], t1.serial, "API order, not shard order");
         assert_eq!(log[1], t0.serial);
         assert_eq!(p.revocations_since(2).len(), 1);
-        // The plane log and the shard lists agree on membership.
-        for s in &log {
-            assert!(p.shards[p.shard_of_serial(*s)]
-                .read()
-                .revocations
-                .is_revoked(*s));
-        }
     }
 
     #[test]
@@ -562,18 +549,20 @@ mod tests {
             .map(|&u| p.login(&db, u, None).unwrap())
             .collect();
         let v = p.verifier();
+        let none_revoked = SerialSet::with_hasher(v.serial_set_key());
         for (u, t) in users.iter().zip(&tokens) {
-            assert_eq!(v.verify_token(t, p.now()).unwrap(), *u);
+            assert_eq!(v.validate_token(t, p.now(), &none_revoked).unwrap(), *u);
         }
-        // The verifier checks signatures only — revocation is the replica's
-        // job, so a revoked-at-issuer token still *verifies* here.
+        // The verifier holds no revocation state — that is the caller's
+        // set — so a revoked-at-issuer token still passes against a set
+        // that has not heard.
         p.revoke_serial(tokens[0].serial);
-        assert!(v.verify_token(&tokens[0], p.now()).is_ok());
+        assert!(v.validate_token(&tokens[0], p.now(), &none_revoked).is_ok());
         // Tampering still breaks the signature.
         let mut forged = tokens[1];
         forged.user = Uid(999);
         assert_eq!(
-            v.verify_token(&forged, p.now()),
+            v.validate_token(&forged, p.now(), &none_revoked),
             Err(CredError::BadSignature)
         );
     }

@@ -979,7 +979,7 @@ impl std::fmt::Debug for RevSyncMesh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eus_fedauth::{shared_broker, BrokerPolicy, CredentialBroker};
+    use eus_fedauth::{shared_broker, BrokerPolicy, CredentialBroker, CredentialPlane};
     use eus_simos::UserDb;
 
     fn two_realm_mesh(

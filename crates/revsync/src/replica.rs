@@ -221,8 +221,9 @@ impl CrlReplica {
     // analyze:hot-path-begin(replica-lookup)
     /// Validate a bearer token against the replica with a staleness budget:
     /// refuse outright when the replica is older than `max_lag` (bounded
-    /// staleness fails closed), otherwise verify the signature/window
-    /// locally and consult the local revoked set. No issuer contact.
+    /// staleness fails closed), otherwise the routine the issuing plane
+    /// itself judges with ([`RealmVerifier::validate_token`]) over the
+    /// local revoked set. No issuer contact.
     pub fn validate_token(
         &self,
         token: &SignedToken,
@@ -230,11 +231,7 @@ impl CrlReplica {
         max_lag: SimDuration,
     ) -> Result<Uid, CredError> {
         self.check_fresh(now, max_lag)?;
-        let user = self.verifier.verify_token(token, now)?;
-        if self.is_revoked(token.serial) {
-            return Err(CredError::Revoked(token.serial));
-        }
-        Ok(user)
+        self.verifier.validate_token(token, now, &self.revoked)
     }
 
     /// [`validate_token`](Self::validate_token) for SSH certificates.
@@ -245,11 +242,7 @@ impl CrlReplica {
         max_lag: SimDuration,
     ) -> Result<Uid, CredError> {
         self.check_fresh(now, max_lag)?;
-        let user = self.verifier.verify_cert(cert, now)?;
-        if self.is_revoked(cert.serial) {
-            return Err(CredError::Revoked(cert.serial));
-        }
-        Ok(user)
+        self.verifier.validate_cert(cert, now, &self.revoked)
     }
 
     fn check_fresh(&self, now: SimTime, max_lag: SimDuration) -> Result<(), CredError> {

@@ -4,7 +4,8 @@
 //! and minted token material never collides at portal scale.
 
 use eus_fedauth::{
-    BrokerPolicy, CertificateAuthority, CredentialBroker, IdentityProvider, RealmId, SignedToken,
+    BrokerPolicy, CertificateAuthority, CredentialBroker, CredentialPlane, IdentityProvider,
+    RealmId, SignedToken,
 };
 use eus_simcore::{SimDuration, SimTime};
 use eus_simos::{Uid, UserDb};

@@ -6,11 +6,16 @@
 //!    decisions never do);
 //! 2. a [`TrustPolicy`]-governed federation never accepts a credential from
 //!    a realm off the allow-list, whatever the op interleaving;
-//! 3. the home plane's clock is one clock: through any interleaving of
-//!    `advance_to`, clock-skew apply / heal and shared-path logins, a
-//!    sharded plane reads the instant every one of its shards stamps, and
-//!    a token expiring inside the skew window dies at the same instant at
-//!    1 and 4 shards.
+//! 3. the home plane's clock is one clock, and it is the published one:
+//!    through any interleaving of shared-path logins (taken under the
+//!    plane's *read* guard), `revoke_user` / `revoke_serial` /
+//!    `sweep_expired`, clock-skew apply / heal and every way a plane can be
+//!    advanced, the cell the federation directory reads without a guard is
+//!    `plane.now()`, and every live, revoked, forged and re-stamped token
+//!    is judged exactly as a lone [`CredentialBroker`] fed the same ops
+//!    judges it — at 1 and 4 shards;
+//! 4. (`--cfg lock_order_check` builds) a home-token validation acquires
+//!    exactly one lock, a sister-token validation and `replica_lag` none.
 
 use eus_fedauth::{
     shared_broker, BrokerPolicy, CredError, CredentialBroker, CredentialPlane, FederationDirectory,
@@ -217,13 +222,15 @@ proptest! {
         prop_assert!(dir.validate_token_at(home, &forged).is_err());
     }
 
-    /// Plane-level clock coherence: the clock `ShardedBroker::now()` reads
-    /// without a shard lock is the clock shared-path logins stamp on every
-    /// shard, it never runs backwards, and neither it nor any verdict that
-    /// depends on it shows the shard count.
+    /// Plane-level clock coherence and verdict equivalence: the clock the
+    /// directory reads with no guard is `plane.now()` however the plane was
+    /// advanced, it is the clock shared-path logins stamp on every shard,
+    /// it never runs backwards and never shows the shard count — and every
+    /// verdict, at the plane and through the façade, is the lone-broker
+    /// model's.
     #[test]
     fn plane_clock_is_coherent_and_shard_count_invariant_under_skew(
-        tape in proptest::collection::vec((0u8..5, 0u8..8), 1..48),
+        tape in proptest::collection::vec((0u8..9, 0u8..8), 1..48),
     ) {
         use hpc_user_separation::HOME_REALM;
         struct Site {
@@ -235,14 +242,19 @@ proptest! {
             fn new(shards: u32) -> Self {
                 let cfg = SeparationConfig::llsc().with_broker_shards(shards);
                 let mut c = SecureCluster::new(cfg, ClusterSpec::tiny());
-                let users = (0..8).map(|i| c.add_user(&format!("u{i}")).unwrap()).collect();
-                Site { c, users, minted: Vec::new() }
+                let users: Vec<Uid> =
+                    (0..8).map(|i| c.add_user(&format!("u{i}")).unwrap()).collect();
+                // Provisioning logged each account in once.
+                let plane = c.broker.clone().unwrap();
+                let minted = users.iter().map(|&u| plane.read().current_token(u).unwrap()).collect();
+                Site { c, users, minted }
             }
             fn plane_now(&self) -> SimTime {
                 self.c.broker.as_ref().unwrap().read().now()
             }
-            /// Shared-path login where the plane has one (the sharded
-            /// plane), exclusive otherwise.
+            /// Shared-path login — the plane's *read* guard held across it
+            /// — where the plane has one (the sharded plane), exclusive
+            /// otherwise.
             fn login(&mut self, k: usize) -> SignedToken {
                 let plane = self.c.broker.clone().unwrap();
                 let user = self.users[k % self.users.len()];
@@ -257,25 +269,52 @@ proptest! {
                 t
             }
         }
+        /// A verdict with the one payload that differs between planes (a
+        /// token's own serial: shards mint in residue classes) named, not
+        /// numbered.
+        fn verdict(t: &SignedToken, r: Result<Uid, CredError>) -> String {
+            match r {
+                Err(CredError::Revoked(s)) if s == t.serial => "Err(Revoked(own serial))".into(),
+                other => format!("{other:?}"),
+            }
+        }
+        let forged = |t: &SignedToken| SignedToken { user: Uid(t.user.0 + 1000), ..*t };
+        let restamped = |t: &SignedToken| SignedToken { realm: RealmId(2), ..*t };
+
         let mut single = Site::new(1);
         let mut sharded = Site::new(4);
+        // The model: one broker, no cluster, no lock — the same accounts
+        // logged in at the same instants.
+        let mut db = UserDb::new();
+        let mut model = CredentialBroker::new(HOME_REALM, 7, BrokerPolicy::default());
+        let mut model_minted: Vec<SignedToken> = (0..8)
+            .map(|i| {
+                let u = db.create_user(&format!("u{i}")).unwrap();
+                model.login(&db, u, None).unwrap()
+            })
+            .collect();
         let mut fed = SimTime::ZERO;
         let mut last = SimTime::ZERO;
 
         for (action, arg) in tape {
+            let mut swept = Vec::new();
             for site in [&mut single, &mut sharded] {
+                let plane = site.c.broker.clone().unwrap();
                 match action {
                     // Forward (or repeated: dt = 0) federation ticks.
                     0 => {
                         let dt = [0, 1, 59, 600, 3_000, 20_000, 43_000, 90_000][arg as usize];
                         site.c.advance_to(fed + SimDuration::from_secs(dt));
                     }
-                    // A backwards instant, straight at the plane.
+                    // Straight at the plane: a backwards instant, or one
+                    // ahead of the federation's.
                     1 => {
-                        let back = SimTime::from_micros(
-                            fed.as_micros().saturating_sub(arg as u64 * 7_000_000),
-                        );
-                        site.c.broker.as_ref().unwrap().write().advance_to(back);
+                        let to = if arg % 2 == 0 {
+                            fed.as_micros().saturating_sub(arg as u64 * 7_000_000)
+                        } else {
+                            fed.as_micros() + arg as u64 * 7_000_000
+                        };
+                        plane.write().advance_to(SimTime::from_micros(to));
                     }
                     // Skew apply / heal on the home plane, then a tick so
                     // it takes effect.
@@ -287,18 +326,34 @@ proptest! {
                     // Up to the last half hour of the oldest token's life:
                     // inside a one-hour skew it is already dead.
                     3 => {
-                        if let Some(t) = site.minted.first() {
-                            let near = t.expires - SimDuration::from_secs(1_800);
-                            if near > fed {
-                                site.c.advance_to(near);
-                            }
+                        let near = site.minted[0].expires - SimDuration::from_secs(1_800);
+                        if near > fed {
+                            site.c.advance_to(near);
                         }
                     }
-                    _ => {
+                    4 => {
                         let t = site.login(arg as usize);
                         prop_assert_eq!(t.issued, site.plane_now(), "login stamps the plane clock");
                     }
+                    5 => plane.write().revoke_user(site.users[arg as usize]),
+                    6 => {
+                        let serial = site.minted[arg as usize * 5 % site.minted.len()].serial;
+                        plane.write().revoke_serial(serial);
+                    }
+                    7 => swept.push(plane.write().sweep_expired()),
+                    // Through the directory, past the scheduler's clock.
+                    _ => {
+                        let t = fed + SimDuration::from_secs(arg as u64 * 500);
+                        site.c.federation.as_mut().unwrap().advance_to(t);
+                    }
                 }
+                let now = site.plane_now();
+                prop_assert_eq!(plane.read().clock().now(), now);
+                prop_assert_eq!(
+                    site.c.federation.as_ref().unwrap().now_at(HOME_REALM),
+                    Some(now),
+                    "the directory reads another clock after action {}", action
+                );
             }
             fed = sharded.c.sched.read().now();
             prop_assert_eq!(single.c.sched.read().now(), fed);
@@ -306,17 +361,118 @@ proptest! {
             prop_assert_eq!(single.plane_now(), now, "shard count showed in the clock");
             prop_assert!(now >= last && now >= fed, "plane clock ran backwards");
             last = now;
-            for (a, b) in single.minted.iter().zip(&sharded.minted) {
-                prop_assert_eq!((a.user, a.issued, a.expires), (b.user, b.issued, b.expires));
-                let want = if now >= b.expires {
-                    Err(CredError::Expired { until: b.expires })
-                } else {
-                    Ok(b.user)
-                };
-                prop_assert_eq!(single.c.validate_federated_token(a), want);
-                prop_assert_eq!(sharded.c.validate_federated_token(b), want);
+
+            // The same op at the model, which takes the instant as given.
+            match action {
+                4 => {
+                    let u = Uid(sharded.minted.last().unwrap().user.0);
+                    model_minted.push(model.login(&db, u, None).unwrap());
+                }
+                5 => model.revoke_user(sharded.users[arg as usize]),
+                6 => {
+                    let serial = model_minted[arg as usize * 5 % model_minted.len()].serial;
+                    model.revoke_serial(serial);
+                }
+                7 => prop_assert_eq!(swept, vec![model.sweep_expired(); 2], "sweep counts"),
+                _ => {}
+            }
+            model.advance_to(now);
+
+            prop_assert_eq!(single.minted.len(), model_minted.len());
+            prop_assert_eq!(sharded.minted.len(), model_minted.len());
+            for (i, m) in model_minted.iter().enumerate() {
+                for site in [&single, &sharded] {
+                    let t = &site.minted[i];
+                    prop_assert_eq!((t.user, t.issued, t.expires), (m.user, m.issued, m.expires));
+                    let plane = site.c.broker.as_ref().unwrap();
+                    for (probe, at_model) in [
+                        (*t, *m),
+                        (forged(t), forged(m)),
+                        (restamped(t), restamped(m)),
+                    ] {
+                        let want = verdict(m, model.validate_token(&at_model));
+                        prop_assert_eq!(
+                            verdict(t, plane.read().validate_token(&probe)), want.clone(),
+                            "plane verdict on token {} after action {}", i, action
+                        );
+                        let facade = verdict(t, site.c.validate_federated_token(&probe));
+                        if probe.realm == HOME_REALM {
+                            prop_assert_eq!(facade, want, "façade verdict on token {}", i);
+                        } else {
+                            prop_assert_eq!(
+                                facade,
+                                format!("{:?}", Err::<Uid, _>(CredError::UntrustedRealm {
+                                    ours: HOME_REALM,
+                                    theirs: probe.realm,
+                                }))
+                            );
+                        }
+                    }
+                }
             }
         }
+    }
+}
+
+/// Guard counts on the validate routes, from the lock-order build's
+/// per-thread acquisition counter: a home token is judged under exactly one
+/// guard (the home plane's read guard — no shard's), a sister token and
+/// `replica_lag` under none, whatever the verdict and the shard count.
+#[cfg(lock_order_check)]
+#[test]
+fn a_home_validation_takes_one_guard_and_a_sister_validation_none() {
+    fn guards<R>(f: impl FnOnce() -> R) -> (u64, R) {
+        let before = parking_lot::acquisitions();
+        let r = f();
+        (parking_lot::acquisitions() - before, r)
+    }
+    let sister_realm = RealmId(2);
+    for shards in [1, 4] {
+        let cfg = SeparationConfig::llsc()
+            .with_broker_shards(shards)
+            .with_trusted_realms(vec![sister_realm.0]);
+        let mut c = SecureCluster::new(cfg, ClusterSpec::tiny());
+        let users: Vec<Uid> = (0..6)
+            .map(|i| c.add_user(&format!("u{i}")).unwrap())
+            .collect();
+        let home = c.broker.clone().unwrap();
+        let sister = shared_broker(CredentialBroker::new(
+            sister_realm,
+            9,
+            BrokerPolicy::default(),
+        ));
+        let sister_tokens: Vec<SignedToken> = users
+            .iter()
+            .map(|&u| c.login_at(&sister, u).unwrap())
+            .collect();
+        c.register_sister_realm(sister_realm, sister.clone());
+        // One revoked credential on each route, delivered by the feed.
+        home.write().revoke_user(users[0]);
+        sister.write().revoke_user(users[0]);
+        c.advance_to(SimTime::from_secs(60));
+
+        for (i, &u) in users.iter().enumerate() {
+            let live = home.read().current_token(u);
+            // users[0] was revoked: its sessions are gone, judge a forgery
+            // of a neighbour's token instead.
+            let (token, want_ok) = match live {
+                Some(t) => (t, true),
+                None => {
+                    let t = home.read().current_token(users[1]).unwrap();
+                    (SignedToken { user: u, ..t }, false)
+                }
+            };
+            let (n, r) = guards(|| c.validate_federated_token(&token));
+            assert_eq!(r.is_ok(), want_ok, "home token of user {i}: {r:?}");
+            assert_eq!(n, 1, "home validation at {shards} shard(s)");
+
+            let (n, r) = guards(|| c.validate_federated_token(&sister_tokens[i]));
+            assert_eq!(r.is_ok(), i != 0, "sister token of user {i}: {r:?}");
+            assert_eq!(n, 0, "sister validation at {shards} shard(s)");
+        }
+        let (n, lag) = guards(|| c.replica_lag(sister_realm));
+        assert!(lag.is_some());
+        assert_eq!(n, 0, "replica_lag at {shards} shard(s)");
     }
 }
 
