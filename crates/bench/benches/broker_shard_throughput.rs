@@ -1,7 +1,7 @@
 //! Sharded-broker batch-verification throughput: the scale claim, measured.
 //!
-//! A single broker verifies a batch sequentially; the sharded plane buckets
-//! tokens by uid-hash and fans the buckets out across shards on real
+//! A single broker verifies a batch sequentially; the sharded plane splits
+//! the batch into one chunk per shard and fans the chunks out on real
 //! threads (the rayon shim's scoped-thread pool). Throughput should grow
 //! near-linearly with shard count until the core count saturates, and the
 //! 1-shard row must stay at single-broker cost (no sharding tax on small
@@ -50,8 +50,8 @@ fn bench_batch_validate(c: &mut Criterion) {
     }
     g.finish();
 
-    // The always-bucketed fan-out path, regardless of core count (on a
-    // 1-core box this shows the bucketing overhead the dispatcher avoids).
+    // The always-fanned-out path, regardless of core count (on a 1-core
+    // box this shows the chunking overhead the dispatcher avoids).
     let mut g = c.benchmark_group("fedauth/shard_batch_fanout");
     for shards in [2usize, 8] {
         let (plane, tokens) = populated(shards);

@@ -5,7 +5,7 @@
 //! the lock — becomes the bottleneck. The sharded broker partitions sessions
 //! and SSH certificates across N uid-hashed shards: every per-user
 //! operation touches exactly one shard, and batch verification fans out
-//! across shard buckets (measured by `benches/broker_shard_throughput.rs`).
+//! in chunks (measured by `benches/broker_shard_throughput.rs`).
 //!
 //! **Per-shard locking.** Each shard sits behind its own `RwLock`, so the
 //! plane supports *shared-path mutation*: callers holding the plane-wide
@@ -154,35 +154,21 @@ impl ShardedBroker {
     }
     // analyze:hot-path-end
 
-    /// The always-bucketed batch path: tokens bucket by owning shard,
-    /// buckets verify concurrently (the rayon shim runs real scoped-thread
-    /// fan-out), results scatter back in input order.
+    /// The always-fanned-out batch path: the batch splits into one
+    /// contiguous chunk per shard's worth of parallelism, chunks verify
+    /// concurrently (the rayon shim runs real scoped-thread fan-out) and
+    /// concatenate back in input order — a verdict needs no shard, so
+    /// there is nothing to bucket by.
     /// [`CredentialPlane::validate_batch`] dispatches here when there is
     /// parallelism to exploit; callers who know better can use it directly.
     pub fn validate_batch_fanout(&self, tokens: &[SignedToken]) -> Vec<Result<Uid, CredError>> {
-        let n = self.shards.len();
-        let mut buckets: Vec<(usize, Vec<usize>)> = (0..n)
-            .map(|s| (s, Vec::with_capacity(tokens.len() / n + 1)))
-            .collect();
-        for (i, t) in tokens.iter().enumerate() {
-            buckets[self.shard_of(t.user)].1.push(i);
-        }
-        let per_shard: Vec<Vec<(usize, Result<Uid, CredError>)>> = buckets
+        let per_chunk = tokens.len().div_ceil(self.shards.len()).max(1);
+        let chunks: Vec<&[SignedToken]> = tokens.chunks(per_chunk).collect();
+        let verdicts: Vec<Vec<Result<Uid, CredError>>> = chunks
             .par_iter()
-            .map(|(_, idxs)| {
-                idxs.iter()
-                    .map(|&i| (i, self.judge_token(&tokens[i])))
-                    .collect()
-            })
+            .map(|chunk| chunk.iter().map(|t| self.judge_token(t)).collect())
             .collect();
-        let mut out: Vec<Result<Uid, CredError>> = Vec::with_capacity(tokens.len());
-        out.resize(tokens.len(), Err(CredError::NoCredential(Uid(0))));
-        for bucket in per_shard {
-            for (i, r) in bucket {
-                out[i] = r;
-            }
-        }
-        out
+        verdicts.into_iter().flatten().collect()
     }
 }
 
@@ -394,10 +380,10 @@ impl CredentialPlane for ShardedBroker {
         Some(self.shard(user).write().login(db, user, mfa))
     }
 
-    /// Shard-parallel batch verification
+    /// Parallel batch verification
     /// ([`validate_batch_fanout`](ShardedBroker::validate_batch_fanout))
     /// when there is parallelism to exploit; plain sequential otherwise
-    /// (bucketing only pays when threads exist to fan out to).
+    /// (chunking only pays when threads exist to fan out to).
     fn validate_batch(&self, tokens: &[SignedToken]) -> Vec<Result<Uid, CredError>> {
         if self.shards.len() == 1 || self.fanout_threads == 1 || tokens.len() < 2 {
             self.stats.batch(false);
@@ -581,7 +567,7 @@ mod tests {
         // Poison a few: revoke one, tamper one.
         p.revoke_serial(tokens[5].serial);
         tokens[9].user = Uid(424242);
-        // Both the dispatching entry point and the always-bucketed fan-out
+        // Both the dispatching entry point and the always-fanned-out
         // path (the dispatcher may fall back to sequential on 1-core boxes).
         for batch in [p.validate_batch(&tokens), p.validate_batch_fanout(&tokens)] {
             assert_eq!(batch.len(), tokens.len());

@@ -392,7 +392,7 @@ proptest! {
                     ] {
                         let want = verdict(m, model.validate_token(&at_model));
                         prop_assert_eq!(
-                            verdict(t, plane.read().validate_token(&probe)), want.clone(),
+                            &verdict(t, plane.read().validate_token(&probe)), &want,
                             "plane verdict on token {} after action {}", i, action
                         );
                         let facade = verdict(t, site.c.validate_federated_token(&probe));
