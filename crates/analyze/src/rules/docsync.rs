@@ -17,13 +17,6 @@
 //!   `crates/chaos/src/fault.rs`. A fault the chaos plane can inject but
 //!   the docs don't list is a failure mode nobody plans drills for; a
 //!   documented fault with no variant promises coverage that isn't there.
-//! - The **counter-family thread-invariance table** mirrors the `sched.*`
-//!   counter registrations, grouped by family (`plane.subsystem.*`). The
-//!   sharded dispatcher's contract is that every family except
-//!   `sched.shard.*` is bit-identical at any plan width; a family
-//!   registered without a row ships a counter with an undeclared
-//!   invariance contract, and a row without a registration documents a
-//!   contract nothing upholds.
 
 use crate::diag::{Diag, R4_DOCS_SYNC as RULE};
 use crate::lexer::{lex, TokKind};
@@ -227,60 +220,6 @@ pub fn check(
             });
         }
     }
-
-    // --- scheduler counter-family thread-invariance table ---
-    let mut sched_families: BTreeMap<String, &Registration> = BTreeMap::new();
-    for r in spans.iter().filter(|r| r.kind == "counter") {
-        let mut segs = r.name.split('.');
-        if let (Some("sched"), Some(sub)) = (segs.next(), segs.next()) {
-            sched_families.entry(format!("sched.{sub}.*")).or_insert(r);
-        }
-    }
-    let (inv_header, inv_rows) = table_rows(arch, "counter family");
-    if inv_rows.is_empty() && !sched_families.is_empty() {
-        out.push(Diag {
-            file: arch_path.to_string(),
-            line: 1,
-            rule: RULE,
-            msg: "ARCHITECTURE.md has no counter-family thread-invariance table \
-                  (header cell `counter family`)"
-                .into(),
-            hint: "restore the `| counter family | thread-invariant | why |` table".into(),
-        });
-    }
-    for (family, reg) in &sched_families {
-        if !inv_rows.contains_key(family) {
-            out.push(Diag {
-                file: arch_path.to_string(),
-                line: inv_header.unwrap_or(1),
-                rule: RULE,
-                msg: format!(
-                    "scheduler counter family `{family}` (e.g. `{}` registered at {}:{}) \
-                     has no row in the ARCHITECTURE.md thread-invariance table",
-                    reg.name, reg.file, reg.line
-                ),
-                hint: "add a row declaring whether the family is bit-identical at any \
-                       shard width, and why"
-                    .into(),
-            });
-        }
-    }
-    for (name, line) in &inv_rows {
-        if !sched_families.contains_key(name.as_str()) {
-            out.push(Diag {
-                file: arch_path.to_string(),
-                line: *line,
-                rule: RULE,
-                msg: format!(
-                    "ARCHITECTURE.md thread-invariance table documents counter family \
-                     `{name}` with no registered `sched.*` counter in it"
-                ),
-                hint: "remove the row or restore a rec.counter(\"…\") registration in \
-                       the family"
-                    .into(),
-            });
-        }
-    }
 }
 
 /// Parse the variants of `pub enum <name> { … }` with their lines.
@@ -378,7 +317,7 @@ mod tests {
     const CHANNELS: &str = "pub enum Channel {\n    ProcList,\n    NetTcp,\n}\n";
     const FAULTS: &str =
         "pub enum Fault {\n    NodeCrash { node: NodeId },\n    IdpOutage { heal_after: SimDuration },\n}\n";
-    const ARCH: &str = "# arch\n\n| channel | sect |\n|---|---|\n| `ProcList` | 1 |\n| `NetTcp` | 2 |\n\n| span | covers |\n|---|---|\n| `sched.cycle.select` | x |\n\n| slo | target |\n|---|---|\n| `cred.validate.latency` | 10ms |\n\n| fault | label |\n|---|---|\n| `NodeCrash` | node.crash |\n| `IdpOutage` | idp.outage |\n\n| counter family | thread-invariant |\n|---|---|\n| `sched.memo.*` | yes |\n| `sched.shard.*` | no |\n";
+    const ARCH: &str = "# arch\n\n| channel | sect |\n|---|---|\n| `ProcList` | 1 |\n| `NetTcp` | 2 |\n\n| span | covers |\n|---|---|\n| `sched.cycle.select` | x |\n\n| slo | target |\n|---|---|\n| `cred.validate.latency` | 10ms |\n\n| fault | label |\n|---|---|\n| `NodeCrash` | node.crash |\n| `IdpOutage` | idp.outage |\n";
 
     fn reg(name: &str, kind: &str) -> Registration {
         Registration {
@@ -406,46 +345,10 @@ mod tests {
             &[
                 span_reg("sched.cycle.select"),
                 reg("cred.validate.latency", "slo"),
-                reg("sched.memo.head_hit", "counter"),
-                reg("sched.shard.plans", "counter"),
             ],
             &mut out,
         );
         assert!(out.is_empty(), "{out:?}");
-    }
-
-    #[test]
-    fn counter_family_table_drift_is_caught_both_directions() {
-        let mut out = Vec::new();
-        // Code registers a family the table lacks; the table documents a
-        // family (`sched.shard.*`) with no registered counter left in it.
-        check(
-            ARCH,
-            "ARCHITECTURE.md",
-            CHANNELS,
-            "channels.rs",
-            FAULTS,
-            "fault.rs",
-            &[
-                span_reg("sched.cycle.select"),
-                reg("cred.validate.latency", "slo"),
-                reg("sched.memo.head_hit", "counter"),
-                reg("sched.backfill.accepts", "counter"),
-            ],
-            &mut out,
-        );
-        assert!(
-            out.iter()
-                .any(|d| d.msg.contains("sched.backfill.*") && d.msg.contains("no row")),
-            "{out:?}"
-        );
-        assert!(
-            out.iter()
-                .any(|d| d.msg.contains("sched.shard.*") && d.msg.contains("no registered")),
-            "{out:?}"
-        );
-        // Non-sched counters carry no invariance contract.
-        assert!(!out.iter().any(|d| d.msg.contains("cred.validate")));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! LLSC-like trace, plus the backfill on/off cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eus_bench::{partition_round_robin, standard_trace};
+use eus_bench::standard_trace;
 use eus_sched::{NodeSharing, ReferenceScheduler, SchedConfig, Scheduler};
 use std::hint::black_box;
 
@@ -108,42 +108,6 @@ fn bench_policy_plane_cost(c: &mut Criterion) {
     g.finish();
 }
 
-/// Shard-plan width cost on the fair-share path: the identical two-class
-/// trace at plan width 1 (sharding off) vs 4 (planning fanned over the
-/// rayon shim). Schedules are bit-identical by construction — this row
-/// measures only the fan-out overhead, keeping the "sharding is a pure
-/// planning optimization" claim priced.
-fn bench_shard_width_cost(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sched/shard_width");
-    g.sample_size(10);
-    // Alternate jobs between the two partitions so both classes stay
-    // populated (the shard plane only engages with >1 schedulable class).
-    let trace = partition_round_robin(standard_trace(20, 1, 99).to_shared(), &["batch", "debug"]);
-    for width in [1usize, 4] {
-        g.bench_with_input(BenchmarkId::new("threads", width), &trace, |b, trace| {
-            b.iter(|| {
-                let mut s = Scheduler::new(SchedConfig {
-                    policy: NodeSharing::Shared,
-                    fair_share: true,
-                    ..SchedConfig::default()
-                });
-                let ids: Vec<_> = (0..16).map(|_| s.add_node(16, 65_536, 0)).collect();
-                let (a, b_half) = ids.split_at(8);
-                s.partitions_mut()
-                    .add("batch", a.iter().copied(), true)
-                    .unwrap();
-                s.partitions_mut()
-                    .add("debug", b_half.iter().copied(), false)
-                    .unwrap();
-                s.set_shard_threads(width);
-                trace.submit_all(&mut s);
-                black_box(s.run_to_completion())
-            })
-        });
-    }
-    g.finish();
-}
-
 fn bench_backfill_cost(c: &mut Criterion) {
     let mut g = c.benchmark_group("sched/backfill");
     g.sample_size(10);
@@ -172,7 +136,6 @@ criterion_group!(
     bench_policies,
     bench_256_nodes_vs_reference,
     bench_policy_plane_cost,
-    bench_shard_width_cost,
     bench_backfill_cost
 );
 criterion_main!(benches);

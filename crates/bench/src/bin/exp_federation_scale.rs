@@ -10,10 +10,8 @@
 //!    under llsc (trust list or no trust list, sharded or single broker)
 //!    and re-opens only when the whole credential plane is ablated.
 //! 3. **Shard scale**: a uid-hashed [`ShardedBroker`] sustains
-//!    single-broker validate throughput per op, partitions a million-ish
-//!    session table into bounded shards, and fans batch verification out
-//!    across cores (near-linear on multicore; this box reports its core
-//!    count).
+//!    single-broker validate throughput per op and partitions a
+//!    million-ish session table into bounded shards.
 
 use eus_bench::table::TextTable;
 use eus_core::{audit, Channel, ClusterSpec, SecureCluster, SeparationConfig, HOME_REALM};
@@ -166,8 +164,7 @@ fn ablation_rows() {
 }
 
 fn shard_scale() {
-    let cores = std::thread::available_parallelism().map_or(1, |v| v.get());
-    println!("-- sharded-broker scale ({cores} core(s) for fan-out) --\n");
+    println!("-- sharded-broker scale --\n");
     const USERS: usize = 512;
     const SESSIONS_PER_USER: usize = 32;
     let mut db = UserDb::new();
@@ -181,7 +178,6 @@ fn shard_scale() {
         "largest shard",
         "login µs/op",
         "validate ns/op",
-        "batch Melem/s",
     ]);
     for shards in [1usize, 2, 4, 8, 16] {
         let mut plane = ShardedBroker::new(HOME_REALM, 7, shards, BrokerPolicy::default());
@@ -205,11 +201,6 @@ fn shard_scale() {
         }
         let validate_ns = t0.elapsed().as_nanos() as f64 / iters as f64;
 
-        let t0 = Instant::now();
-        let verdicts = plane.validate_batch(&tokens);
-        let batch_s = t0.elapsed().as_secs_f64();
-        assert!(verdicts.iter().all(Result::is_ok));
-
         // Table-bound check: sessions partition, no shard hoards.
         let per_shard_max = plane.largest_shard_sessions();
         assert_eq!(plane.live_sessions(), tokens.len());
@@ -220,12 +211,10 @@ fn shard_scale() {
             per_shard_max.to_string(),
             format!("{login_us:.2}"),
             format!("{validate_ns:.0}"),
-            format!("{:.1}", tokens.len() as f64 / batch_s / 1e6),
         ]);
     }
     print!("{}", table.render());
-    println!("\nper-op validate stays flat as shard count grows (O(1) routing);");
-    println!("batch fan-out parallelism equals the machine's core count.\n");
+    println!("\nper-op validate stays flat as shard count grows (O(1) routing).\n");
 }
 
 fn main() {

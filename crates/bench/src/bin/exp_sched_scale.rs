@@ -16,11 +16,8 @@
 //! counts, or the instrumentation perturbed the schedule).
 //!
 //! Each scale additionally replays a fair-share storm (four striped
-//! partitions, jobs decorated round-robin) at shard width 1 and at the
-//! `RAYON_THREADS` width, asserting the two schedules bit-identical
-//! before emitting both as `"fair_share": true` rows with a `"threads"`
-//! field — the scale-level proof that sharded dispatch is a pure
-//! planning optimization.
+//! partitions, jobs decorated round-robin) and emits it as a
+//! `"fair_share": true` row.
 
 use eus_bench::table::{f, TextTable};
 use eus_obs::ObsConfig;
@@ -32,19 +29,16 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Striped partitions for the fair-share rows: node `i` lands in
-/// `p{i % SHARD_PARTS}`, job `j` requests `p{j % SHARD_PARTS}`.
-const SHARD_PARTS: usize = 4;
+/// `p{i % FAIR_SHARE_PARTS}`, job `j` requests `p{j % FAIR_SHARE_PARTS}`.
+const FAIR_SHARE_PARTS: usize = 4;
 
 struct Row {
     nodes: u32,
     jobs: usize,
     policy: NodeSharing,
     backfill: bool,
-    /// Fair-share rows carry the striped-partition storm (and are the
-    /// only rows where `threads` can exceed 1).
+    /// Fair-share rows carry the striped-partition storm.
     fair_share: bool,
-    /// Shard-plan width the row replayed under (`Scheduler::set_shard_threads`).
-    threads: usize,
     wall_ms: f64,
     events: u64,
     events_per_sec: f64,
@@ -64,15 +58,35 @@ fn storm_for(nodes_hint: u64, jobs: usize) -> SharedTrace {
     submission_storm(&pop, jobs, SimTime::from_secs(600), &mut rng).to_shared()
 }
 
-fn replay(nodes: u32, policy: NodeSharing, backfill: bool, trace: &SharedTrace) -> Row {
+/// The scheduler a row replays through. Fair-share rows stripe the nodes
+/// across [`FAIR_SHARE_PARTS`] partitions (one scheduling class each).
+fn scheduler(nodes: u32, policy: NodeSharing, backfill: bool, fair_share: bool) -> Scheduler {
     let mut s = Scheduler::new(SchedConfig {
         policy,
         backfill,
+        fair_share,
         ..SchedConfig::default()
     });
-    for _ in 0..nodes {
-        s.add_node(16, 65_536, 0);
+    let ids: Vec<_> = (0..nodes).map(|_| s.add_node(16, 65_536, 0)).collect();
+    if fair_share {
+        for p in 0..FAIR_SHARE_PARTS {
+            let stripe = ids.iter().copied().skip(p).step_by(FAIR_SHARE_PARTS);
+            s.partitions_mut()
+                .add(&format!("p{p}"), stripe, p == 0)
+                .unwrap_or_else(|e| panic!("partition p{p}: {e}"));
+        }
     }
+    s
+}
+
+fn replay(
+    nodes: u32,
+    policy: NodeSharing,
+    backfill: bool,
+    fair_share: bool,
+    trace: &SharedTrace,
+) -> Row {
+    let mut s = scheduler(nodes, policy, backfill, fair_share);
     let t0 = Instant::now();
     trace.submit_all(&mut s);
     let end = s.run_to_completion();
@@ -86,15 +100,8 @@ fn replay(nodes: u32, policy: NodeSharing, backfill: bool, trace: &SharedTrace) 
     // Second, obs-enabled pass over the same storm: per-phase breakdowns
     // for the JSON row. Replaying loud also proves the instrumentation
     // does not perturb the schedule — identical makespan and outcomes.
-    let mut loud = Scheduler::new(SchedConfig {
-        policy,
-        backfill,
-        ..SchedConfig::default()
-    });
+    let mut loud = scheduler(nodes, policy, backfill, fair_share);
     loud.enable_obs(ObsConfig::enabled());
-    for _ in 0..nodes {
-        loud.add_node(16, 65_536, 0);
-    }
     trace.submit_all(&mut loud);
     let loud_end = loud.run_to_completion();
     assert_eq!(
@@ -108,8 +115,7 @@ fn replay(nodes: u32, policy: NodeSharing, backfill: bool, trace: &SharedTrace) 
         jobs: trace.len(),
         policy,
         backfill,
-        fair_share: false,
-        threads: 1,
+        fair_share,
         wall_ms: wall.as_secs_f64() * 1e3,
         events,
         events_per_sec: events as f64 / wall.as_secs_f64(),
@@ -122,77 +128,11 @@ fn replay(nodes: u32, policy: NodeSharing, backfill: bool, trace: &SharedTrace) 
 }
 
 /// Decorate a storm with round-robin partition requests so the fair-share
-/// replay exercises multi-class head selection (the sharded plane only
-/// engages with more than one schedulable class).
+/// replay exercises multi-class head selection.
 fn partitioned(trace: &SharedTrace) -> SharedTrace {
-    let names: Vec<String> = (0..SHARD_PARTS).map(|i| format!("p{i}")).collect();
+    let names: Vec<String> = (0..FAIR_SHARE_PARTS).map(|i| format!("p{i}")).collect();
     let refs: Vec<&str> = names.iter().map(String::as_str).collect();
     eus_bench::partition_round_robin(trace.clone(), &refs)
-}
-
-/// Build the fair-share scheduler for the sharded rows: shared nodes
-/// striped across [`SHARD_PARTS`] partitions, EASY backfill on, shard
-/// planning at `threads`.
-fn sharded_scheduler(nodes: u32, threads: usize) -> Scheduler {
-    let mut s = Scheduler::new(SchedConfig {
-        policy: NodeSharing::Shared,
-        backfill: true,
-        fair_share: true,
-        ..SchedConfig::default()
-    });
-    let mut stripes: Vec<Vec<_>> = vec![Vec::new(); SHARD_PARTS];
-    for i in 0..nodes {
-        let id = s.add_node(16, 65_536, 0);
-        stripes[i as usize % SHARD_PARTS].push(id);
-    }
-    for (p, ids) in stripes.into_iter().enumerate() {
-        s.partitions_mut()
-            .add(&format!("p{p}"), ids, p == 0)
-            .unwrap_or_else(|e| panic!("partition p{p}: {e}"));
-    }
-    s.set_shard_threads(threads);
-    s
-}
-
-/// Replay the partitioned storm through the fair-share engine at a given
-/// shard width. Same quiet-timed / loud-obs structure as [`replay`].
-fn replay_sharded(nodes: u32, threads: usize, trace: &SharedTrace) -> Row {
-    let mut s = sharded_scheduler(nodes, threads);
-    let t0 = Instant::now();
-    trace.submit_all(&mut s);
-    let end = s.run_to_completion();
-    let wall = t0.elapsed();
-    let terminal = s.metrics.completed.get() + s.metrics.failed.get() + s.metrics.timed_out.get();
-    assert_eq!(s.pending_count(), 0, "fair-share storm must drain");
-    assert_eq!(s.running_count(), 0);
-    let events = trace.len() as u64 + terminal;
-
-    let mut loud = sharded_scheduler(nodes, threads);
-    loud.enable_obs(ObsConfig::enabled());
-    trace.submit_all(&mut loud);
-    let loud_end = loud.run_to_completion();
-    assert_eq!(
-        loud_end, end,
-        "obs-enabled fair-share replay must match (threads {threads})"
-    );
-    assert_eq!(loud.metrics.completed.get(), s.metrics.completed.get());
-
-    Row {
-        nodes,
-        jobs: trace.len(),
-        policy: NodeSharing::Shared,
-        backfill: true,
-        fair_share: true,
-        threads,
-        wall_ms: wall.as_secs_f64() * 1e3,
-        events,
-        events_per_sec: events as f64 / wall.as_secs_f64(),
-        makespan_s: end.since(SimTime::ZERO).as_secs_f64(),
-        completed: s.metrics.completed.get(),
-        obs_json: obs_fields(&loud),
-        shadow_memo_ratio: loud.obs.shadow_memo_ratio(),
-        backfill_accept_ratio: loud.obs.backfill_accept_ratio(),
-    }
 }
 
 /// Render the obs-enabled pass's breakdown as the row's `"phases"` (span
@@ -256,7 +196,6 @@ fn main() {
         let mut table = TextTable::new(&[
             "policy",
             "backfill",
-            "threads",
             "wall ms",
             "events",
             "events/sec",
@@ -273,7 +212,6 @@ fn main() {
                     r.policy.to_string()
                 },
                 if r.backfill { "easy" } else { "fcfs" }.to_string(),
-                r.threads.to_string(),
                 f(r.wall_ms, 1),
                 r.events.to_string(),
                 f(r.events_per_sec, 0),
@@ -286,27 +224,12 @@ fn main() {
         };
         for policy in NodeSharing::all() {
             for backfill in [false, true] {
-                push(&mut table, replay(nodes, policy, backfill, &trace));
+                push(&mut table, replay(nodes, policy, backfill, false, &trace));
             }
         }
-        // Fair-share rows: the same storm striped across partitions,
-        // replayed sequentially and sharded. The schedules must be
-        // bit-identical — sharding is a planning optimization, never a
-        // policy change.
-        let ptrace = partitioned(&trace);
-        let par_width = rayon::default_threads().max(2);
-        let seq = replay_sharded(nodes, 1, &ptrace);
-        let par = replay_sharded(nodes, par_width, &ptrace);
-        assert_eq!(
-            seq.makespan_s, par.makespan_s,
-            "sharded makespan must be bit-identical at {nodes} nodes"
-        );
-        assert_eq!(
-            seq.completed, par.completed,
-            "sharded completions must be bit-identical at {nodes} nodes"
-        );
-        push(&mut table, seq);
-        push(&mut table, par);
+        // Fair-share row: the same storm striped across partitions.
+        let fair = replay(nodes, NodeSharing::Shared, true, true, &partitioned(&trace));
+        push(&mut table, fair);
         print!("{}", table.render());
         println!();
     }
@@ -342,7 +265,7 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{ \"nodes\": {}, \"jobs\": {}, \"policy\": \"{}\", \"backfill\": {}, \
-             \"fair_share\": {}, \"threads\": {}, \
+             \"fair_share\": {}, \
              \"wall_ms\": {:.2}, \"events\": {}, \"events_per_sec\": {:.0}, \
              \"makespan_s\": {:.0}, \"completed\": {}, {} }}{}",
             r.nodes,
@@ -350,7 +273,6 @@ fn main() {
             r.policy,
             r.backfill,
             r.fair_share,
-            r.threads,
             r.wall_ms,
             r.events,
             r.events_per_sec,

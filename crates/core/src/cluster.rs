@@ -1050,18 +1050,7 @@ impl SecureCluster {
         // staleness budget (the same line the `revsync.replica.lag` SLO
         // aims at) the feed is degraded; past the full budget, validation
         // is already refusing, so the ladder says fail-closed.
-        let mut worst: Option<SimDuration> = None;
-        if let Some(mesh) = &self.revsync {
-            for realm in mesh.realms().collect::<Vec<_>>() {
-                if realm == HOME_REALM {
-                    continue;
-                }
-                if let Some(lag) = mesh.replica_lag(HOME_REALM, realm, t) {
-                    worst = Some(worst.map_or(lag, |w| w.max(lag)));
-                }
-            }
-        }
-        let next_feed = match worst {
+        let next_feed = match self.worst_sister_lag(t) {
             None => DepHealth::Healthy,
             Some(lag) if lag > budget => DepHealth::FailClosed,
             Some(lag) if lag > budget / 2 => match self.health_feed {
@@ -1073,6 +1062,16 @@ impl SecureCluster {
         self.note_health(Dependency::Idp, next_idp, t);
         self.note_health(Dependency::Ca, next_ca, t);
         self.note_health(Dependency::Feed, next_feed, t);
+    }
+
+    /// The staleness at `t` of the home site's most stale sister-realm
+    /// replica (`None` with no mesh, or no sister subscribed to).
+    fn worst_sister_lag(&self, t: SimTime) -> Option<SimDuration> {
+        let mesh = self.revsync.as_ref()?;
+        mesh.realms()
+            .filter(|&realm| realm != HOME_REALM)
+            .filter_map(|realm| mesh.replica_lag(HOME_REALM, realm, t))
+            .max()
     }
 
     /// One step of the outage ladder for a binary up/down dependency:
@@ -1238,21 +1237,10 @@ impl SecureCluster {
                 }
             }
             // revsync.replica.lag: the worst replica's staleness, in µs.
-            if let Some(mesh) = &self.revsync {
-                let mut worst: Option<SimDuration> = None;
-                for realm in mesh.realms().collect::<Vec<_>>() {
-                    if realm == HOME_REALM {
-                        continue;
-                    }
-                    if let Some(lag) = mesh.replica_lag(HOME_REALM, realm, t) {
-                        worst = Some(worst.map_or(lag, |w| w.max(lag)));
-                    }
-                }
-                if let Some(lag) = worst {
-                    self.obs
-                        .slo
-                        .record(self.obs.slo_replica_lag, t, lag.as_micros() as f64);
-                }
+            if let Some(lag) = self.worst_sister_lag(t) {
+                self.obs
+                    .slo
+                    .record(self.obs.slo_replica_lag, t, lag.as_micros() as f64);
             }
             // sched.interactive.wait: mean queue wait of interactive-QoS
             // starts this boundary, in µs.
@@ -1429,6 +1417,19 @@ impl SecureCluster {
     // Network
     // ------------------------------------------------------------------
 
+    /// The credentials an endpoint of `user`'s runs under: the login
+    /// credentials, or those after `newgrp` to a group the user belongs to.
+    fn endpoint_cred(&self, user: Uid, newgrp: Option<Gid>) -> Result<Credentials, ConnectError> {
+        let db = self.db.read();
+        let cred = db.credentials(user).expect("known user");
+        match newgrp {
+            Some(group) => db
+                .newgrp(&cred, group)
+                .map_err(|_| ConnectError::NewgrpRefused { user, group }),
+            None => Ok(cred),
+        }
+    }
+
     /// Bind a listener as `user` on a node, optionally after `newgrp` to a
     /// project group (the UBF opt-in).
     pub fn listen(
@@ -1439,15 +1440,7 @@ impl SecureCluster {
         port: Port,
         newgrp: Option<Gid>,
     ) -> Result<(), ConnectError> {
-        let cred = self.credentials(user);
-        let cred = match newgrp {
-            Some(g) => self
-                .db
-                .read()
-                .newgrp(&cred, g)
-                .map_err(|_| ConnectError::NoSuchHost(node))?,
-            None => cred,
-        };
+        let cred = self.endpoint_cred(user, newgrp)?;
         self.fabric
             .listen(node, proto, port, PeerInfo::from_cred(&cred))
     }
@@ -1481,15 +1474,7 @@ impl SecureCluster {
         content: &str,
         newgrp: Option<Gid>,
     ) -> Result<RouteKey, ConnectError> {
-        let cred = self.credentials(user);
-        let cred = match newgrp {
-            Some(g) => self
-                .db
-                .read()
-                .newgrp(&cred, g)
-                .map_err(|_| ConnectError::NoSuchHost(node))?,
-            None => cred,
-        };
+        let cred = self.endpoint_cred(user, newgrp)?;
         let endpoint = self
             .apps
             .launch(&mut self.fabric, node, &cred, port, content)?;

@@ -26,8 +26,7 @@
 //! * [`plane`] — the [`CredentialPlane`] trait those enforcement points
 //!   code against, so single and sharded brokers interchange freely.
 //! * [`shard`] — [`ShardedBroker`]: N uid-hashed shards with disjoint
-//!   serial spaces and shard-parallel batch verification, for
-//!   millions-of-sessions scale.
+//!   serial spaces, for millions-of-sessions scale.
 //! * [`federation`] — [`TrustPolicy`] realm allow-lists and the
 //!   [`FederationDirectory`] that lets a trusted sister realm's credential
 //!   validate at the home site while untrusted realms fail closed.

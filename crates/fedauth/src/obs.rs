@@ -1,9 +1,8 @@
 //! Lock-free validate-path statistics for the credential plane.
 //!
 //! The broker's verification hot path runs behind a `RwLock` read guard
-//! (`&self`), often from several threads at once (the sharded batch
-//! fan-out), so it cannot use the single-writer
-//! [`eus_obs::Recorder`]. [`ValidateStats`] wraps
+//! (`&self`), possibly from several threads at once, so it cannot use the
+//! single-writer [`eus_obs::Recorder`]. [`ValidateStats`] wraps
 //! [`eus_obs::SharedStats`] — relaxed atomic slots — with the handle set
 //! the verify path records through: call/outcome counts and wall-clock
 //! nanoseconds (sum + max). Disabled (the default) every record call is
@@ -26,8 +25,6 @@ pub struct ValidateStats {
     s_rejects: SharedId,
     s_ns: SharedId,
     s_ns_max: SharedId,
-    s_batches: SharedId,
-    s_fanout_batches: SharedId,
 }
 
 impl ValidateStats {
@@ -40,8 +37,6 @@ impl ValidateStats {
             s_rejects: stats.slot("cred.validate.rejects"),
             s_ns: stats.slot("cred.validate.ns"),
             s_ns_max: stats.slot("cred.validate.ns_max"),
-            s_batches: stats.slot("cred.validate.batches"),
-            s_fanout_batches: stats.slot("cred.validate.fanout_batches"),
             stats,
         }
     }
@@ -74,14 +69,6 @@ impl ValidateStats {
             self.stats.incr(if ok { self.s_ok } else { self.s_rejects });
             self.stats.add(self.s_ns, ns);
             self.stats.max(self.s_ns_max, ns);
-        }
-    }
-
-    /// Count one batch call; `fanout` marks the shard-parallel path.
-    pub fn batch(&self, fanout: bool) {
-        self.stats.incr(self.s_batches);
-        if fanout {
-            self.stats.incr(self.s_fanout_batches);
         }
     }
 
@@ -120,14 +107,6 @@ impl ValidateStats {
         }
     }
 
-    /// Batch calls recorded (and how many took the fan-out path).
-    pub fn batches(&self) -> (u64, u64) {
-        (
-            self.stats.value(self.s_batches),
-            self.stats.value(self.s_fanout_batches),
-        )
-    }
-
     /// Every slot as `(name, value)`.
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
         self.stats.snapshot()
@@ -151,9 +130,7 @@ mod tests {
         let t = s.begin();
         assert!(t.is_none());
         s.finish(t, true);
-        s.batch(true);
         assert_eq!(s.calls(), 0);
-        assert_eq!(s.batches(), (0, 0));
     }
 
     #[test]
@@ -164,14 +141,11 @@ mod tests {
             let t = s.begin();
             s.finish(t, i % 2 == 0);
         }
-        s.batch(false);
-        s.batch(true);
         assert_eq!(s.calls(), 5);
         assert_eq!(s.ok(), 3);
         assert_eq!(s.rejects(), 2);
         assert!(s.total_ns() >= s.max_ns());
         assert!(s.mean_ns() >= 0.0);
-        assert_eq!(s.batches(), (2, 1));
         assert!(s.snapshot().iter().any(|(n, _)| *n == "cred.validate.ok"));
     }
 }

@@ -156,13 +156,6 @@ pub trait CredentialPlane: fmt::Debug + Send + Sync {
     /// stand-in for reading the authenticator out of band).
     fn current_mfa_code(&self, user: Uid) -> Option<MfaCode>;
 
-    /// Validate a batch of tokens. Implementations with internal
-    /// parallelism (sharding) override this to fan out; the default checks
-    /// sequentially. Result order matches input order.
-    fn validate_batch(&self, tokens: &[SignedToken]) -> Vec<Result<Uid, CredError>> {
-        tokens.iter().map(|t| self.validate_token(t)).collect()
-    }
-
     // ------------------------------------------------------------------
     // Revocation delta feed (eus-revsync)
     // ------------------------------------------------------------------

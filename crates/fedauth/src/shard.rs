@@ -4,16 +4,14 @@
 //! behind one lock. For a site serving millions of users that table — and
 //! the lock — becomes the bottleneck. The sharded broker partitions sessions
 //! and SSH certificates across N uid-hashed shards: every per-user
-//! operation touches exactly one shard, and batch verification fans out
-//! in chunks (measured by `benches/broker_shard_throughput.rs`).
+//! operation touches exactly one shard.
 //!
 //! **Per-shard locking.** Each shard sits behind its own `RwLock`, so the
 //! plane supports *shared-path mutation*: callers holding the plane-wide
 //! lock only for reading can still log users in through
 //! [`CredentialPlane::try_login_shared`] — concurrent logins that hash to
 //! different shards proceed in parallel instead of serializing on one
-//! plane-wide write lock (the ROADMAP follow-on;
-//! `benches/broker_shard_throughput.rs` has the measured win). The `&mut`
+//! plane-wide write lock. The `&mut`
 //! trait methods use lock-free exclusive access (`get_mut`), so the
 //! single-threaded paths pay nothing for the locks.
 //!
@@ -53,7 +51,6 @@ use eus_obs::TraceBuffer;
 use eus_simcore::SimTime;
 use eus_simos::{Uid, UserDb};
 use parking_lot::RwLock;
-use rayon::prelude::*;
 
 /// A credential plane partitioned across N uid-hashed shards, each behind
 /// its own lock.
@@ -70,9 +67,6 @@ pub struct ShardedBroker {
     /// delta log is in plane-API order (the feed `eus-revsync` ships).
     revocations: RevocationList,
     shards: Vec<RwLock<SessionShard>>,
-    /// Core count sampled once at construction: the batch-path dispatch
-    /// decision, without a per-call affinity syscall.
-    fanout_threads: usize,
     /// Verify-path statistics (atomic; off by default). Pure measurement —
     /// never consulted by an accept/reject decision.
     pub stats: ValidateStats,
@@ -103,7 +97,6 @@ impl ShardedBroker {
             revocations: RevocationList::new(verifier.serial_set_key()),
             verifier,
             shards: shards.into_iter().map(RwLock::new).collect(),
-            fanout_threads: std::thread::available_parallelism().map_or(1, |v| v.get()),
             stats: ValidateStats::new(),
             trace: TraceBuffer::disabled("cred", CRED_TRACE_CODE),
         }
@@ -153,23 +146,6 @@ impl ShardedBroker {
             .validate_token(token, self.clock.now(), self.revocations.serials())
     }
     // analyze:hot-path-end
-
-    /// The always-fanned-out batch path: the batch splits into one
-    /// contiguous chunk per shard's worth of parallelism, chunks verify
-    /// concurrently (the rayon shim runs real scoped-thread fan-out) and
-    /// concatenate back in input order — a verdict needs no shard, so
-    /// there is nothing to bucket by.
-    /// [`CredentialPlane::validate_batch`] dispatches here when there is
-    /// parallelism to exploit; callers who know better can use it directly.
-    pub fn validate_batch_fanout(&self, tokens: &[SignedToken]) -> Vec<Result<Uid, CredError>> {
-        let per_chunk = tokens.len().div_ceil(self.shards.len()).max(1);
-        let chunks: Vec<&[SignedToken]> = tokens.chunks(per_chunk).collect();
-        let verdicts: Vec<Vec<Result<Uid, CredError>>> = chunks
-            .par_iter()
-            .map(|chunk| chunk.iter().map(|t| self.judge_token(t)).collect())
-            .collect();
-        verdicts.into_iter().flatten().collect()
-    }
 }
 
 impl CredentialPlane for ShardedBroker {
@@ -380,19 +356,6 @@ impl CredentialPlane for ShardedBroker {
         Some(self.shard(user).write().login(db, user, mfa))
     }
 
-    /// Parallel batch verification
-    /// ([`validate_batch_fanout`](ShardedBroker::validate_batch_fanout))
-    /// when there is parallelism to exploit; plain sequential otherwise
-    /// (chunking only pays when threads exist to fan out to).
-    fn validate_batch(&self, tokens: &[SignedToken]) -> Vec<Result<Uid, CredError>> {
-        if self.shards.len() == 1 || self.fanout_threads == 1 || tokens.len() < 2 {
-            self.stats.batch(false);
-            return tokens.iter().map(|t| self.validate_token(t)).collect();
-        }
-        self.stats.batch(true);
-        self.validate_batch_fanout(tokens)
-    }
-
     fn validate_stats(&self) -> Option<&ValidateStats> {
         Some(&self.stats)
     }
@@ -551,32 +514,6 @@ mod tests {
             v.validate_token(&forged, p.now(), &none_revoked),
             Err(CredError::BadSignature)
         );
-    }
-
-    #[test]
-    fn batch_validation_matches_pointwise() {
-        let (db, mut p, users) = setup(4);
-        let mut tokens: Vec<SignedToken> = users
-            .iter()
-            .flat_map(|&u| {
-                (0..4)
-                    .map(|_| p.login(&db, u, None).unwrap())
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        // Poison a few: revoke one, tamper one.
-        p.revoke_serial(tokens[5].serial);
-        tokens[9].user = Uid(424242);
-        // Both the dispatching entry point and the always-fanned-out
-        // path (the dispatcher may fall back to sequential on 1-core boxes).
-        for batch in [p.validate_batch(&tokens), p.validate_batch_fanout(&tokens)] {
-            assert_eq!(batch.len(), tokens.len());
-            for (t, r) in tokens.iter().zip(&batch) {
-                assert_eq!(*r, p.validate_token(t), "batch must equal pointwise");
-            }
-            assert!(batch[5].is_err());
-            assert!(batch[9].is_err());
-        }
     }
 
     #[test]

@@ -40,13 +40,6 @@
 //! claim, release, failure, or repair) *or* the queue composition changes
 //! (a new arrival deserves its reservation), so stale promises are never
 //! consulted.
-//!
-//! Under sharded dispatch ([`crate::engine::Scheduler::set_shard_threads`])
-//! calendars are never planned on shard workers: shard seeds carry only
-//! the head's *immediate* placement walk, and every rebuild runs on the
-//! sequential class merge. That keeps the `sched.calendar.*` counters
-//! thread-invariant (see the table in [`crate::obs`]) and means this
-//! module needs no synchronization despite the parallel plane above it.
 
 use crate::engine::ShadowNode;
 use crate::job::{JobId, JobSpec, TaskAlloc};

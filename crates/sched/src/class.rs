@@ -28,7 +28,7 @@
 //! stored values are all stale).
 
 use crate::calendar::ReservationCalendar;
-use crate::engine::{ShadowNode, ShardSeed};
+use crate::engine::ShadowNode;
 use crate::job::JobId;
 use eus_simcore::{SimDuration, SimTime};
 use eus_simos::Uid;
@@ -90,14 +90,12 @@ pub(crate) struct ClassState {
     pub(crate) shadow_memo: Option<(JobId, u64, SimTime)>,
     /// Flat capacity mirror of the class's partition (id-ascending),
     /// built on first use and then maintained on every claim/release —
-    /// shard plans, victim scans and calendar builds are flat copies
+    /// victim scans and calendar builds are flat copies
     /// instead of node-map walks. Unused for the whole-cluster class,
     /// whose mirror is the engine's own.
     pub(crate) mirror: Vec<ShadowNode>,
     /// Has `mirror` been built against the current partition table?
     pub(crate) mirror_built: bool,
-    /// The head plan a shard worker precomputed for this cycle.
-    pub(crate) seed: Option<ShardSeed>,
 }
 
 impl ClassState {

@@ -11,7 +11,7 @@
 //! At 10k-node scale the naive cycle — collect-and-sort every node per
 //! placement attempt, clone the whole node map per EASY shadow computation,
 //! shift a `Vec` queue — is quadratic-ish in cluster size and queue depth.
-//! This engine instead runs on a **cache-native, shardable core**: dense
+//! This engine instead runs on a **cache-native core**: dense
 //! struct-of-arrays node storage, bitmap candidate sets, epoch-stamped
 //! overlay scratch, and memoized scan state, all updated incrementally on
 //! every claim/release so a scheduling cycle touches only viable state:
@@ -60,29 +60,9 @@
 //!   strings, and partition eligible-sets are borrowed rather than cloned
 //!   per cycle.
 //!
-//! # Sharded dispatch
-//!
-//! With `fair_share` on, the per-partition classes are independent up to
-//! the moment a start mutates node state — so `Scheduler::plan_shards`
-//! fans the per-class head *planning* (candidate walk over that class's
-//! capacity mirror) out over the rayon shim at a caller-chosen width
-//! ([`Scheduler::set_shard_threads`]). Shards only **precompute**: each
-//! returns a pure plan `(node, tasks)` + fit total against the cycle's
-//! frozen `state_version`, and the sequential merge consumes seeds in the
-//! same `(partition, enqueue-seq)` order the single-threaded loop uses,
-//! re-validating `(head, version)` and falling back to the inline walk on
-//! any staleness. **Shard-merge determinism rule:** a seed may only be
-//! consumed at the exact `(head, state_version)` it was planned for, and
-//! consumption order is the sequential class order — so parallel runs are
-//! bit-identical to `shard_threads = 1` at any width. Only the
-//! `sched.shard.*` counters vary with thread count (see
-//! [`crate::obs`] for the full thread-invariance table).
-//!
 //! The pre-overhaul implementation is retained verbatim in
 //! [`crate::reference`]; `tests/sched_equivalence.rs` proves the two
-//! observationally identical over random traces × policies,
-//! `tests/sched_parallel_equivalence.rs` proves the sharded core
-//! bit-identical across thread counts 1/2/4/8, and
+//! observationally identical over random traces × policies, and
 //! `benches/sched_throughput.rs` + `exp_sched_scale` keep the speedup
 //! measured. One invariant to keep in mind: `config.policy` must not change
 //! mid-run (the index assumes placement decisions were made under the same
@@ -462,7 +442,7 @@ pub struct Scheduler {
     ledger: FairShareLedger,
     /// Per-class state, indexed by [`ClassId`] and grown when a class
     /// first receives a job: queues and head index, calendar, head/shadow
-    /// memos, capacity mirror, shard seed. Under `fair_share` a job queues
+    /// memos, capacity mirror. Under `fair_share` a job queues
     /// in its partition's class; otherwise every job queues in
     /// [`ClassId::GLOBAL`] (a mirror of `queue`) and a partition's entry
     /// carries only its capacity mirror.
@@ -494,11 +474,6 @@ pub struct Scheduler {
     /// fail/repair delta — drops the remaining O(nodes) initial sum from
     /// each shadow compute.
     head_fit: Option<HeadFit>,
-    // ---- sharded dispatch (fair-share classes fan out over rayon) ----
-    /// Worker width for per-class head planning. `1` (the default) plans
-    /// inline; any width produces bit-identical schedules (see the module
-    /// docs' shard-merge determinism rule).
-    shard_threads: usize,
     events: BinaryHeap<Reverse<(SimTime, u64, Ev)>>,
     next_job: u64,
     next_node: u32,
@@ -642,80 +617,6 @@ struct BfScan {
     exhausted: bool,
 }
 
-/// One class's precomputed head plan from [`Scheduler::plan_shards`]: the
-/// candidate walk's result against that class's capacity mirror at a frozen
-/// `state_version`. `plan` holds `(node, tasks)` pairs (mirrors carry no
-/// capacity-total columns, so the merge materializes real `TaskAlloc`s from
-/// the live nodes); `fit_total` is the walk's uncapped Σ fit, used to prime
-/// [`HeadFit`] on failure exactly like the inline walk would.
-#[derive(Debug, Clone)]
-pub(crate) struct ShardSeed {
-    head: JobId,
-    version: u64,
-    fit_total: u64,
-    plan: Option<Vec<(NodeId, u32)>>,
-}
-
-/// The pure, thread-safe half of the placement walk: reproduce
-/// [`Scheduler::placement_walk`]'s candidate order and fit arithmetic
-/// against a capacity mirror alone, with no access to the scheduler. Two
-/// ascending-id passes — the user's solely-owned nodes (mirror `owner ==
-/// user`, exactly the `owned_nodes` membership), then the policy source
-/// set (free cores on the shared path, idle otherwise, skipping the
-/// owned nodes) — produce the identical `(node, tasks)` pairs and the
-/// identical uncapped Σ fit the inline walk would, which is what makes a
-/// consumed [`ShardSeed`] bit-equivalent to not sharding at all.
-fn plan_from_mirror(
-    mirror: &[ShadowNode],
-    spec: &JobSpec,
-    policy: NodeSharing,
-) -> (Option<Vec<(NodeId, u32)>>, u64) {
-    let user = spec.user;
-    let shared_path = matches!(policy, NodeSharing::Shared) && !spec.request_exclusive;
-    let mut remaining = spec.tasks;
-    let mut fit_total = 0u64;
-    let mut plan = Vec::new();
-    // Phase 1: solely-owned nodes (packing affinity), id order.
-    for sn in mirror {
-        if sn.owner != Some(user) {
-            continue;
-        }
-        let full = sn.fit(spec, policy);
-        fit_total += full;
-        let fit = (full.min(u32::MAX as u64) as u32).min(remaining);
-        if fit > 0 {
-            plan.push((sn.id, fit));
-            remaining -= fit;
-        }
-    }
-    // Phase 2: the policy source set, id order, skipping phase-1 nodes.
-    for sn in mirror {
-        if sn.owner == Some(user) {
-            continue; // phase 1 (idle nodes are never owned)
-        }
-        let in_source = if shared_path {
-            sn.up && sn.free_cores > 0
-        } else {
-            sn.up && sn.jobs == 0
-        };
-        if !in_source {
-            continue;
-        }
-        let full = sn.fit(spec, policy);
-        fit_total += full;
-        let fit = (full.min(u32::MAX as u64) as u32).min(remaining);
-        if fit > 0 {
-            plan.push((sn.id, fit));
-            remaining -= fit;
-        }
-    }
-    if remaining == 0 {
-        (Some(plan), fit_total)
-    } else {
-        (None, fit_total)
-    }
-}
-
 impl Scheduler {
     /// An empty scheduler.
     pub fn new(config: SchedConfig) -> Self {
@@ -753,7 +654,6 @@ impl Scheduler {
             partitions_version: 0,
             part_mirror_version: 0,
             head_fit: None,
-            shard_threads: 1,
             events: BinaryHeap::new(),
             next_job: 1,
             next_node: 1,
@@ -782,21 +682,6 @@ impl Scheduler {
     /// against the reference with instrumentation compiled in.
     pub fn enable_obs(&mut self, cfg: eus_obs::ObsConfig) {
         self.obs = SchedObs::new(&cfg);
-    }
-
-    /// Fan per-partition head planning out over `n` OS threads (the rayon
-    /// shim's explicit-width entry). `1` (the default) plans inline. Any
-    /// width yields bit-identical schedules: shards only *precompute*
-    /// plans against the cycle's frozen state, and consumption keeps the
-    /// sequential `(partition, enqueue-seq)` merge order —
-    /// `tests/sched_parallel_equivalence.rs` proves the sweep.
-    pub fn set_shard_threads(&mut self, n: usize) {
-        self.shard_threads = n.max(1);
-    }
-
-    /// Current shard planning width.
-    pub fn shard_threads(&self) -> usize {
-        self.shard_threads
     }
 
     /// Attach the causal context a traced submission arrived with; the
@@ -2170,102 +2055,10 @@ impl Scheduler {
                 .get(c.index())
                 .is_some_and(|cs| !cs.fifo.is_empty())
         }));
-        if self.shard_threads > 1 && active.len() > 1 {
-            self.plan_shards(&active);
-        }
         for &class in &active {
             self.schedule_class(class);
         }
         self.cycle_classes = active;
-    }
-
-    /// Fan the per-class head *planning* out over the rayon shim: for each
-    /// class whose head is neither memo-blocked nor fit-gated, run the
-    /// candidate walk against that class's capacity mirror on a worker
-    /// thread and stash the result as a [`ShardSeed`]. Pure precomputation
-    /// against the frozen `state_version` — consumption happens in the
-    /// sequential class merge ([`Scheduler::schedule_class`]), which
-    /// re-validates `(head, version)` and falls back to the inline walk on
-    /// any staleness, so schedules are bit-identical at every width. Only
-    /// the `sched.shard.*` counters record here (they are the counters
-    /// allowed to vary with thread count — see [`crate::obs`]).
-    fn plan_shards(&mut self, classes: &[ClassId]) {
-        for cs in &mut self.classes {
-            cs.seed = None;
-        }
-        let version = self.state_version;
-        let policy = self.config.policy;
-        // Sequential, cheap phase: select each class's head, apply the
-        // same memo/gate skips the merge will apply, and pin its mirror.
-        let mut picked: Vec<(ClassId, JobId, Arc<JobSpec>)> = Vec::new();
-        for &class in classes {
-            let Some(head) = self.select_head(class) else {
-                continue;
-            };
-            if self.known_blocked(class, head) {
-                continue;
-            }
-            let spec = Arc::clone(&self.jobs[&head].spec);
-            let gated = matches!(
-                &self.head_fit,
-                Some(hf) if hf.job == head && hf.part == class
-                    && hf.total < spec.tasks as u64
-            );
-            if gated {
-                continue; // the merge will gate it in O(1) too
-            }
-            self.ensure_mirror(class); // build before borrowing below
-            picked.push((class, head, spec));
-        }
-        if picked.is_empty() {
-            return;
-        }
-        // analyze:hot-path-begin(sched-shard-plan)
-        let planned = picked.len() as u64;
-        let work: Vec<(ClassId, JobId, Arc<JobSpec>, &[ShadowNode])> = picked
-            .into_iter()
-            .map(|(class, head, spec)| (class, head, spec, self.base_mirror(class)))
-            .collect();
-        let seeds = rayon::with_threads(self.shard_threads, work, |(class, head, spec, mirror)| {
-            let (plan, fit_total) = plan_from_mirror(mirror, &spec, policy);
-            (
-                class,
-                ShardSeed {
-                    head,
-                    version,
-                    fit_total,
-                    plan,
-                },
-            )
-        });
-        for (class, seed) in seeds {
-            if let Some(cs) = self.classes.get_mut(class.index()) {
-                cs.seed = Some(seed);
-            }
-        }
-        self.obs.rec.add(self.obs.c_shard_plans, planned);
-        // analyze:hot-path-end
-    }
-
-    /// Materialize a shard plan's `(node, tasks)` pairs into real
-    /// allocations from the live node table (mirrors carry no capacity
-    /// totals, which `alloc_for` needs for whole-node charging).
-    fn materialize_plan(
-        &self,
-        spec: &JobSpec,
-        pairs: Vec<(NodeId, u32)>,
-    ) -> Vec<(NodeId, TaskAlloc)> {
-        // analyze:hot-path-begin(sched-shard-merge)
-        let policy = self.config.policy;
-        pairs
-            .into_iter()
-            .filter_map(|(nid, fit)| {
-                self.nodes
-                    .get(&nid)
-                    .map(|n| (nid, Self::alloc_for(n, spec, policy, fit)))
-            })
-            .collect()
-        // analyze:hot-path-end
     }
 
     // analyze:hot-path-begin(sched-policy-cycle)
@@ -2327,41 +2120,8 @@ impl Scheduler {
                 None
             } else {
                 let tok = self.obs.rec.span_start();
-                // A shard seed planned for exactly this (head, version)
-                // replaces the inline walk; anything stale falls back.
-                let seed = self
-                    .classes
-                    .get_mut(class.index())
-                    .and_then(|cs| cs.seed.take())
-                    .filter(|s| {
-                        let fresh = s.head == head && s.version == self.state_version;
-                        if !fresh {
-                            self.obs.rec.incr(self.obs.c_shard_seed_stale);
-                        }
-                        fresh
-                    });
                 let eligible = self.partitions.class_nodes(part);
-                let (p, fit_sum) = match seed {
-                    Some(s) => {
-                        self.obs.rec.incr(self.obs.c_shard_seed_hits);
-                        let p = s.plan.map(|pairs| self.materialize_plan(&head_spec, pairs));
-                        #[cfg(debug_assertions)]
-                        {
-                            // Differential guard: a consumed seed must
-                            // be indistinguishable from the inline walk.
-                            let (q, qsum) = self.placement_walk(&head_spec, eligible);
-                            debug_assert_eq!(p, q, "shard plan diverged from inline walk");
-                            if q.is_none() {
-                                debug_assert_eq!(
-                                    s.fit_total, qsum,
-                                    "shard fit sum diverged from inline walk"
-                                );
-                            }
-                        }
-                        (p, s.fit_total)
-                    }
-                    None => self.placement_walk(&head_spec, eligible),
-                };
+                let (p, fit_sum) = self.placement_walk(&head_spec, eligible);
                 self.obs.rec.span_end(self.obs.sp_dispatch, tok);
                 if p.is_none() {
                     self.head_fit = Some(HeadFit {

@@ -17,31 +17,6 @@
 //! | `sched.cycle.backfill` | the backfill candidate scan                   |
 //! | `sched.cycle.preempt`  | preemption victim search + feasibility proof  |
 //! | `sched.calendar.plan`  | every calendar refresh, memo hit to full plan |
-//!
-//! # Thread invariance
-//!
-//! Sharded dispatch ([`crate::engine::Scheduler::set_shard_threads`])
-//! produces bit-identical schedules at every width, and — because shard
-//! *planning* records only the `sched.shard.*` counters, while every
-//! decision on the merge path fires exactly as it would inline — every
-//! **decision counter** is thread-invariant too. The split, asserted by
-//! the seed-replay test in `tests/sched_parallel_equivalence.rs` and
-//! cross-checked against ARCHITECTURE.md by eus-analyze R4:
-//!
-//! | counter family              | thread-invariant? | why                                        |
-//! |-----------------------------|-------------------|--------------------------------------------|
-//! | `sched.memo.*`              | yes               | memo checks run on the sequential merge    |
-//! | `sched.shadow.*`            | yes               | shadows never run on shard workers         |
-//! | `sched.backfill.*`          | yes               | backfill is sequential per class           |
-//! | `sched.preempt.*`           | yes               | preemption runs on the merge path          |
-//! | `sched.calendar.*`          | yes               | calendars rebuild on the merge path        |
-//! | `sched.jobs.*`              | yes               | starts/finishes are schedule facts         |
-//! | `sched.interactive.*`       | yes               | derived from starts                        |
-//! | `sched.shard.*`             | no                | records planning fan-out, width-dependent  |
-//!
-//! (`sched.shard.plans` counts planned classes — width-dependent only in
-//! that `shard_threads = 1` skips planning entirely; `seed_hits` /
-//! `seed_stale` depend on how many seeds the merge could consume.)
 
 use eus_obs::{CounterId, ObsConfig, ObsSnapshot, Recorder, SpanId, TraceBuffer};
 
@@ -118,16 +93,10 @@ pub struct SchedObs {
     pub c_interactive_wait_us: CounterId,
     /// Interactive-QoS jobs started (the denominator for the wait SLO).
     pub c_interactive_waits: CounterId,
-    /// Classes whose head plan was fanned out to shard workers. The
-    /// `sched.shard.*` family is the only one allowed to vary with
-    /// [`crate::engine::Scheduler::set_shard_threads`] (see the module
-    /// docs' thread-invariance table).
+    /// Registered and never incremented: planning is single-threaded, but
+    /// `benchmark/` (not editable outside a `benchmark`-archetype PR) still
+    /// reads `sched.shard.plans`. That PR drops both ends.
     pub c_shard_plans: CounterId,
-    /// Shard seeds consumed by the merge at their exact `(head, version)`.
-    pub c_shard_seed_hits: CounterId,
-    /// Shard seeds discarded as stale (head or version moved since
-    /// planning); the merge fell back to the inline walk.
-    pub c_shard_seed_stale: CounterId,
     /// Causal trace ring: `sched.job.dispatch` spans stitched to the
     /// submission context recorded at `try_submit`.
     pub trace: TraceBuffer,
@@ -169,8 +138,6 @@ impl SchedObs {
             c_interactive_wait_us: rec.counter("sched.interactive.wait_us"),
             c_interactive_waits: rec.counter("sched.interactive.waits"),
             c_shard_plans: rec.counter("sched.shard.plans"),
-            c_shard_seed_hits: rec.counter("sched.shard.seed_hits"),
-            c_shard_seed_stale: rec.counter("sched.shard.seed_stale"),
             trace: TraceBuffer::new("sched", SCHED_TRACE_CODE, 4096, cfg.enabled),
             rec,
         }

@@ -12,12 +12,7 @@
 //!
 //! `tests/sched_equivalence.rs` replays random traces through both
 //! schedulers and asserts identical observable behavior (start times,
-//! placements, epilogs, squeue views) across all `NodeSharing` policies;
-//! `tests/sched_parallel_equivalence.rs` extends the same oracle role to
-//! the sharded engine — with every policy knob off, every shard width
-//! must stay trace-identical to *this* module, which anchors the whole
-//! width-sweep (widths agreeing with each other is necessary but not
-//! sufficient; they must also agree with the naive semantics).
+//! placements, epilogs, squeue views) across all `NodeSharing` policies.
 //! `benches/sched_throughput.rs` races the two at 256 nodes so the speedup
 //! claim stays measured. Do **not** optimize this module — its slowness is
 //! its value.

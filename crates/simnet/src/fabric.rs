@@ -15,7 +15,7 @@ use crate::netfilter::{ConnState, Firewall, PacketMeta, Verdict};
 use crate::rdma::MemoryRegion;
 use crate::socket::{BindError, PeerInfo, SocketTable};
 use eus_simcore::{Counter, Histogram, SimDuration, SimRng};
-use eus_simos::NodeId;
+use eus_simos::{Gid, NodeId, Uid};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -151,6 +151,14 @@ pub enum ConnectError {
     /// The connection-setup packet was lost on a lossy link (fault
     /// injection: [`Fabric::set_link_loss`]).
     LinkLost,
+    /// The endpoint asked to run under a group (`newgrp`) its user may
+    /// not assume: no such group, or not a member of it.
+    NewgrpRefused {
+        /// The user who asked.
+        user: Uid,
+        /// The group asked for.
+        group: Gid,
+    },
 }
 
 impl fmt::Display for ConnectError {
@@ -168,6 +176,9 @@ impl fmt::Display for ConnectError {
                 write!(f, "link {a} <-> {b} is partitioned")
             }
             ConnectError::LinkLost => f.write_str("setup packet lost on a lossy link"),
+            ConnectError::NewgrpRefused { user, group } => {
+                write!(f, "{user} may not newgrp to {group}")
+            }
         }
     }
 }

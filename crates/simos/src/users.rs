@@ -107,6 +107,8 @@ pub struct UserDb {
     groups_by_name: BTreeMap<String, Gid>,
     next_uid: u32,
     next_gid: u32,
+    /// Bumped whenever an existing group gains or loses a member.
+    membership_epoch: u64,
 }
 
 impl Default for UserDb {
@@ -125,6 +127,7 @@ impl UserDb {
             groups_by_name: BTreeMap::new(),
             next_uid: 1000,
             next_gid: 1000,
+            membership_epoch: 0,
         };
         db.users.insert(
             ROOT_UID,
@@ -263,6 +266,7 @@ impl UserDb {
             .expect("checked above")
             .members
             .insert(user);
+        self.membership_epoch += 1;
         Ok(())
     }
 
@@ -283,7 +287,17 @@ impl UserDb {
         if !g.members.remove(&user) {
             return Err(UserDbError::NotMember { user, group: gid });
         }
+        self.membership_epoch += 1;
         Ok(())
+    }
+
+    /// Changes every time an existing group gains or loses a member
+    /// ([`add_to_group`](Self::add_to_group),
+    /// [`remove_from_group`](Self::remove_from_group)). Anything that
+    /// caches an answer derived from membership compares this and drops
+    /// its cache when it has moved.
+    pub fn membership_epoch(&self) -> u64 {
+        self.membership_epoch
     }
 
     /// Promote a member to data steward (existing steward or root only).
@@ -428,16 +442,21 @@ mod tests {
     fn project_group_steward_workflow() {
         let (mut db, uids) = db_with(&["lead", "member", "outsider"]);
         let g = db.create_project_group("proj", uids[0]).unwrap();
+        let epoch = db.membership_epoch();
         // Steward can add; non-steward cannot.
         db.add_to_group(uids[0], g, uids[1]).unwrap();
+        assert_ne!(db.membership_epoch(), epoch, "a join moves the epoch");
+        let epoch = db.membership_epoch();
         let err = db.add_to_group(uids[2], g, uids[2]).unwrap_err();
         assert!(matches!(err, UserDbError::NotSteward { .. }));
+        assert_eq!(db.membership_epoch(), epoch, "a refused join does not");
         // Members get it in their supplementary set.
         let cred = db.credentials(uids[1]).unwrap();
         assert!(cred.is_member(g));
         // Steward can remove.
         db.remove_from_group(uids[0], g, uids[1]).unwrap();
         assert!(!db.is_member(uids[1], g));
+        assert_ne!(db.membership_epoch(), epoch, "a leave moves the epoch");
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! open many flows between the same (user, user) pairs in bursts (MPI rank
 //! wire-up). A small positive/negative cache with bounded capacity removes
 //! repeat ident queries; the `ubf_overhead` bench ablates it. Entries are
-//! keyed by both endpoints' (uid, egid) so a `newgrp` restart or group
-//! change naturally misses.
+//! keyed by both endpoints' (uid, egid), so a `newgrp` restart naturally
+//! misses. A change of group *membership* does not change the key: the
+//! daemon compares [`eus_simos::UserDb::membership_epoch`] on every
+//! decision and calls [`DecisionCache::invalidate_all`] when it has moved.
 
+use crate::policy::Decision;
 use eus_simnet::PeerInfo;
 use eus_simos::{Gid, Uid};
 use std::collections::HashMap;
@@ -35,7 +38,7 @@ impl CacheKey {
 /// Bounded FIFO-evicting decision cache.
 #[derive(Debug, Clone)]
 pub struct DecisionCache {
-    map: HashMap<CacheKey, bool>,
+    map: HashMap<CacheKey, Decision>,
     order: std::collections::VecDeque<CacheKey>,
     capacity: usize,
 }
@@ -52,16 +55,16 @@ impl DecisionCache {
 
     // analyze:hot-path-begin(ubf-cache)
     /// Cached decision, if present.
-    pub fn get(&self, key: &CacheKey) -> Option<bool> {
+    pub fn get(&self, key: &CacheKey) -> Option<Decision> {
         self.map.get(key).copied()
     }
 
     /// Record a decision.
-    pub fn put(&mut self, key: CacheKey, allowed: bool) {
+    pub fn put(&mut self, key: CacheKey, decision: Decision) {
         if self.capacity == 0 {
             return;
         }
-        if self.map.insert(key, allowed).is_none() {
+        if self.map.insert(key, decision).is_none() {
             self.order.push_back(key);
             if self.order.len() > self.capacity {
                 if let Some(evicted) = self.order.pop_front() {
@@ -93,6 +96,9 @@ impl DecisionCache {
 mod tests {
     use super::*;
 
+    const ALLOW: Decision = Decision::AllowSameUser;
+    const DENY: Decision = Decision::Deny;
+
     fn peer(uid: u32, egid: u32) -> PeerInfo {
         PeerInfo {
             uid: Uid(uid),
@@ -106,8 +112,8 @@ mod tests {
         let mut c = DecisionCache::new(8);
         let k = CacheKey::new(&peer(1, 1), &peer(2, 7));
         assert_eq!(c.get(&k), None);
-        c.put(k, true);
-        assert_eq!(c.get(&k), Some(true));
+        c.put(k, ALLOW);
+        assert_eq!(c.get(&k), Some(ALLOW));
         // Different egid on the listener → different key (newgrp restart).
         let k2 = CacheKey::new(&peer(1, 1), &peer(2, 8));
         assert_eq!(c.get(&k2), None);
@@ -119,20 +125,20 @@ mod tests {
         let k1 = CacheKey::new(&peer(1, 1), &peer(9, 9));
         let k2 = CacheKey::new(&peer(2, 2), &peer(9, 9));
         let k3 = CacheKey::new(&peer(3, 3), &peer(9, 9));
-        c.put(k1, true);
-        c.put(k2, false);
-        c.put(k3, true);
+        c.put(k1, ALLOW);
+        c.put(k2, DENY);
+        c.put(k3, ALLOW);
         assert_eq!(c.len(), 2);
         assert_eq!(c.get(&k1), None, "oldest evicted");
-        assert_eq!(c.get(&k2), Some(false));
-        assert_eq!(c.get(&k3), Some(true));
+        assert_eq!(c.get(&k2), Some(DENY));
+        assert_eq!(c.get(&k3), Some(ALLOW));
     }
 
     #[test]
     fn zero_capacity_disables() {
         let mut c = DecisionCache::new(0);
         let k = CacheKey::new(&peer(1, 1), &peer(2, 2));
-        c.put(k, true);
+        c.put(k, ALLOW);
         assert_eq!(c.get(&k), None);
         assert!(c.is_empty());
     }
@@ -140,7 +146,7 @@ mod tests {
     #[test]
     fn invalidate_all_clears() {
         let mut c = DecisionCache::new(4);
-        c.put(CacheKey::new(&peer(1, 1), &peer(2, 2)), true);
+        c.put(CacheKey::new(&peer(1, 1), &peer(2, 2)), ALLOW);
         c.invalidate_all();
         assert!(c.is_empty());
     }
@@ -149,9 +155,9 @@ mod tests {
     fn reinsert_does_not_duplicate_order() {
         let mut c = DecisionCache::new(2);
         let k = CacheKey::new(&peer(1, 1), &peer(2, 2));
-        c.put(k, true);
-        c.put(k, false); // update in place
+        c.put(k, ALLOW);
+        c.put(k, DENY); // update in place
         assert_eq!(c.len(), 1);
-        assert_eq!(c.get(&k), Some(false));
+        assert_eq!(c.get(&k), Some(DENY));
     }
 }

@@ -6,6 +6,13 @@
 //! 2. an ident-style query to the peer host (skipped on a cache hit),
 //! 3. the [`crate::policy::decide`] check against the shared user database.
 //!
+//! **Cache coherence.** A cached verdict can rest on group membership, and
+//! its key — (uid, egid) of both ends — does not move when a user joins or
+//! leaves a group. So every decision first compares the database's
+//! [`UserDb::membership_epoch`] with the one the cache was filled under and
+//! drops the whole cache when it has moved: a group opt-in follows
+//! *current* membership on every host, with no TTL and no manual flush.
+//!
 //! Statistics are exported through a shared handle so experiments can read
 //! them after the daemon has been moved into the fabric.
 
@@ -57,6 +64,15 @@ impl UbfStatsInner {
     pub fn allowed(&self) -> u64 {
         self.total() - self.denied.get()
     }
+
+    fn record(&mut self, d: Decision) {
+        match d {
+            Decision::AllowSameUser => self.allowed_same_user.incr(),
+            Decision::AllowGroupMember => self.allowed_group.incr(),
+            Decision::AllowSystemService => self.allowed_system.incr(),
+            Decision::Deny => self.denied.incr(),
+        }
+    }
 }
 
 /// Shared statistics handle.
@@ -85,6 +101,8 @@ pub struct UbfDaemon {
     db: SharedUserDb,
     config: UbfConfig,
     cache: DecisionCache,
+    /// The [`UserDb::membership_epoch`] every cached decision was made under.
+    cache_epoch: u64,
     stats: UbfStats,
     pkt: UbfPacketStats,
 }
@@ -93,10 +111,12 @@ impl UbfDaemon {
     /// Create a daemon bound to the shared user database.
     pub fn new(db: SharedUserDb, config: UbfConfig) -> Self {
         let cache = DecisionCache::new(config.cache_capacity);
+        let cache_epoch = db.read().membership_epoch();
         UbfDaemon {
             db,
             config,
             cache,
+            cache_epoch,
             stats: Arc::new(Mutex::new(UbfStatsInner::default())),
             pkt: UbfPacketStats::disabled(),
         }
@@ -118,21 +138,6 @@ impl UbfDaemon {
     pub fn packet_stats(&self) -> UbfPacketStats {
         self.pkt.clone()
     }
-
-    /// Drop all cached decisions (call after group membership changes).
-    pub fn invalidate_cache(&mut self) {
-        self.cache.invalidate_all();
-    }
-
-    fn record(&self, d: Decision) {
-        let mut s = self.stats.lock();
-        match d {
-            Decision::AllowSameUser => s.allowed_same_user.incr(),
-            Decision::AllowGroupMember => s.allowed_group.incr(),
-            Decision::AllowSystemService => s.allowed_system.incr(),
-            Decision::Deny => s.denied.incr(),
-        }
-    }
 }
 
 impl QueueHandler for UbfDaemon {
@@ -148,50 +153,45 @@ impl QueueHandler for UbfDaemon {
         pkt.stats().incr(pkt.s_packets);
 
         let key = CacheKey::new(&ctx.initiator, &ctx.listener);
-        let allowed = if let Some(hit) = self.cache.get(&key) {
-            ctx.costs.cache_hit = true;
-            self.stats.lock().cache_hits.incr();
-            pkt.stats().incr(pkt.s_cache_hits);
-            // Re-record the decision class for counters: recompute cheaply
-            // from the cached bit only.
-            if hit {
-                // The exact allow class is not cached; count as same-user
-                // bucket would distort stats, so consult policy again only
-                // for classification — membership lookup, no ident.
-                ctx.costs.daemon_lookups += 1;
-                let d = decide(
-                    &self.config.policy,
-                    &self.db.read(),
-                    &ctx.initiator,
-                    &ctx.listener,
-                );
-                self.record(d);
-            } else {
-                self.record(Decision::Deny);
+        let (d, hit) = {
+            let db = self.db.read();
+            if db.membership_epoch() != self.cache_epoch {
+                self.cache.invalidate_all();
+                self.cache_epoch = db.membership_epoch();
             }
-            hit
+            match self.cache.get(&key) {
+                Some(d) => (d, true),
+                None => (
+                    decide(&self.config.policy, &db, &ctx.initiator, &ctx.listener),
+                    false,
+                ),
+            }
+        };
+        let mut stats = self.stats.lock();
+        if hit {
+            ctx.costs.cache_hit = true;
+            if d.allowed() {
+                // The cost model charges an allow hit one membership lookup.
+                ctx.costs.daemon_lookups += 1;
+            }
+            stats.cache_hits.incr();
+            pkt.stats().incr(pkt.s_cache_hits);
         } else {
             // Cache miss: ident round trip to the peer host, then a group
             // membership lookup.
             ctx.costs.ident_rtts += 1;
             ctx.costs.daemon_lookups += 1;
-            self.stats.lock().ident_queries.incr();
+            stats.ident_queries.incr();
             pkt.stats().incr(pkt.s_cache_misses);
             pkt.stats().incr(pkt.s_ident_rtts);
-            let d = decide(
-                &self.config.policy,
-                &self.db.read(),
-                &ctx.initiator,
-                &ctx.listener,
-            );
-            self.record(d);
-            self.cache.put(key, d.allowed());
+            self.cache.put(key, d);
             pkt.stats()
                 .max(pkt.s_occupancy_peak, self.cache.len() as u64);
-            d.allowed()
-        };
+        }
+        stats.record(d);
+        drop(stats);
 
-        if allowed {
+        if d.allowed() {
             Verdict::Accept
         } else {
             pkt.stats().incr(pkt.s_denies);
@@ -293,40 +293,29 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_cache_after_membership_change() {
+    fn membership_change_drops_cached_decisions() {
         let (db, a, b) = db_two_users();
+        let proj = db.write().create_project_group("proj", a).unwrap();
         let mut daemon = UbfDaemon::new(db.clone(), UbfConfig::default());
-
-        // b → a denied and cached.
-        let mut c = SetupCosts::default();
-        assert_eq!(daemon.judge(&mut ctx_for(&db, b, a, &mut c)), Verdict::Drop);
-
-        // a creates a project group, adds b, and relaunches the listener
-        // with egid = proj.
-        let proj = {
-            let mut guard = db.write();
-            let proj = guard.create_project_group("proj", a).unwrap();
-            guard.add_to_group(a, proj, b).unwrap();
-            proj
+        // a listens with egid = proj; b connects. Same cache key throughout.
+        let judge = |daemon: &mut UbfDaemon| {
+            let mut costs = SetupCosts::default();
+            let mut ctx = ctx_for(&db, b, a, &mut costs);
+            let guard = db.read();
+            ctx.listener =
+                PeerInfo::from_cred(&guard.newgrp(&guard.credentials(a).unwrap(), proj).unwrap());
+            drop(guard);
+            (daemon.judge(&mut ctx), ctx.costs.cache_hit)
         };
-        daemon.invalidate_cache();
+        assert_eq!(judge(&mut daemon), (Verdict::Drop, false));
+        assert_eq!(judge(&mut daemon), (Verdict::Drop, true));
 
-        let mut costs = SetupCosts::default();
-        let guard = db.read();
-        let mut ctx = QueueCtx {
-            tuple: FiveTuple {
-                proto: Proto::Tcp,
-                src: SocketAddr::new(NodeId(1), 40001),
-                dst: SocketAddr::new(NodeId(2), 8888),
-            },
-            initiator: PeerInfo::from_cred(&guard.credentials(b).unwrap()),
-            listener: PeerInfo::from_cred(
-                &guard.newgrp(&guard.credentials(a).unwrap(), proj).unwrap(),
-            ),
-            costs: &mut costs,
-        };
-        drop(guard);
-        assert_eq!(daemon.judge(&mut ctx), Verdict::Accept);
-        assert_eq!(daemon.stats().lock().allowed_group.get(), 1);
+        db.write().add_to_group(a, proj, b).unwrap();
+        assert_eq!(judge(&mut daemon), (Verdict::Accept, false), "stale deny");
+        assert_eq!(judge(&mut daemon), (Verdict::Accept, true));
+
+        db.write().remove_from_group(a, proj, b).unwrap();
+        assert_eq!(judge(&mut daemon), (Verdict::Drop, false), "stale allow");
+        assert_eq!(daemon.stats().lock().allowed_group.get(), 2);
     }
 }

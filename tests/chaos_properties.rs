@@ -6,7 +6,8 @@
 //!    separation audit stays at its expected residuals, every dependency
 //!    ladder walks back to `Healthy` once the plan is spent, and the
 //!    scheduler conserves jobs (nothing lost, nothing double-run, every
-//!    casualty attributed to a crash record).
+//!    casualty attributed to a crash record). Checked with the
+//!    scheduler's policy plane off and with fair-share classes on.
 //! 2. **Quiet ≡ loud** — a chaos run with every observability ring on
 //!    takes *identical decisions* to the same run with obs off. Chaos +
 //!    measurement is still pure measurement.
@@ -33,6 +34,7 @@ use hpc_user_separation::obs::{AlertKind, ObsConfig};
 use hpc_user_separation::sched::{JobSpec, JobState};
 use hpc_user_separation::{ClusterSpec, DepHealth, Dependency, SecureCluster, SeparationConfig};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn cases(default: u32) -> u32 {
     std::env::var("CHAOS_PROPTEST_CASES")
@@ -62,7 +64,7 @@ struct ChaosRun {
     outcomes: Vec<String>,
     submitted: usize,
     /// Route submissions across the two fair-share partitions (policy
-    /// plane runs only) so sharded dispatch has multiple classes to fan.
+    /// plane runs only) so every cycle has two classes to schedule.
     partitioned: bool,
 }
 
@@ -77,27 +79,25 @@ fn shape<T>(r: &Result<T, CredError>) -> String {
 impl ChaosRun {
     /// `faults == 0` builds a clean (fault-free) control run.
     fn new(seed: u64, faults: usize, loud: bool) -> Self {
-        Self::build(seed, faults, loud, None)
+        Self::build(seed, faults, loud, false)
     }
 
     /// A soak twin with the scheduler's policy plane on: fair-share over
-    /// two single-node partitions, dispatch sharded over `threads` workers
-    /// (`Some(1)` is the sequential control — same plane, no fan-out).
-    fn new_sharded(seed: u64, faults: usize, threads: usize) -> Self {
-        Self::build(seed, faults, false, Some(threads))
+    /// two single-node partitions.
+    fn new_fair_share(seed: u64, faults: usize) -> Self {
+        Self::build(seed, faults, false, true)
     }
 
-    fn build(seed: u64, faults: usize, loud: bool, plane: Option<usize>) -> Self {
+    fn build(seed: u64, faults: usize, loud: bool, fair_share: bool) -> Self {
         let mut cfg = SeparationConfig::llsc().with_trusted_realms([2u32]);
-        if plane.is_some() {
+        if fair_share {
             cfg = cfg.with_fair_share();
         }
         let mut c = SecureCluster::new(cfg, ClusterSpec::tiny());
-        if let Some(threads) = plane {
+        if fair_share {
             let ids = c.compute_ids.clone();
             let half = ids.len() / 2;
             let mut sched = c.sched.write();
-            sched.set_shard_threads(threads);
             sched
                 .partitions_mut()
                 .add("batch", ids[..half].to_vec(), true)
@@ -139,7 +139,7 @@ impl ChaosRun {
             clock: SimTime::ZERO,
             outcomes: Vec::new(),
             submitted: 0,
-            partitioned: plane.is_some(),
+            partitioned: fair_share,
         }
     }
 
@@ -223,6 +223,54 @@ impl ChaosRun {
     }
 }
 
+/// Property 1's body: drive `ops` under the run's fault plan, settle, and
+/// check the posture — audit at its expected residuals, every ladder
+/// healed, every job accounted for.
+fn never_breaches_and_heals(
+    mut run: ChaosRun,
+    ops: &[(u8, u8)],
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let alice = run.c.add_user("alice").unwrap();
+    for &op in ops {
+        run.step(alice, op);
+    }
+    run.settle();
+    prop_assert!(run.ctrl.done(), "plan must be fully delivered");
+
+    // The separation posture never regresses under chaos.
+    prop_assert!(
+        run_audit(&run.c.config, &ClusterSpec::tiny()).only_expected_residuals(),
+        "fault schedule must not open a separation channel"
+    );
+
+    // Every dependency ladder walked home after the last heal.
+    for dep in [Dependency::Idp, Dependency::Ca, Dependency::Feed] {
+        prop_assert_eq!(
+            run.ladder(dep),
+            DepHealth::Healthy,
+            "{:?} ladder stranded after full heal window (seed {})",
+            dep,
+            seed
+        );
+    }
+
+    // Job conservation: drain the queue, then every submitted job is
+    // in exactly one terminal state and every casualty traces to a
+    // recorded crash. Nothing lost, nothing stuck, nothing double-run.
+    run.c.run_to_completion();
+    let sched = run.c.sched.read();
+    let count = |f: fn(&JobState) -> bool| sched.jobs.values().filter(|j| f(&j.state)).count();
+    let completed = count(|s| *s == JobState::Completed);
+    let failed = count(|s| *s == JobState::Failed);
+    let nonterminal = count(|s| !s.is_terminal());
+    let recorded: usize = sched.failures.iter().map(|r| r.failed_jobs.len()).sum();
+    prop_assert_eq!(nonterminal, 0, "no job left in limbo");
+    prop_assert_eq!(completed + failed, run.submitted, "all work accounted for");
+    prop_assert_eq!(failed, recorded, "every casualty traces to a crash record");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: cases(24), ..ProptestConfig::default() })]
 
@@ -233,94 +281,18 @@ proptest! {
         seed in any::<u64>(),
         ops in proptest::collection::vec((0u8..6, 0u8..8), 1..40),
     ) {
-        let mut run = ChaosRun::new(seed, 5, false);
-        let alice = run.c.add_user("alice").unwrap();
-        for &op in &ops {
-            run.step(alice, op);
-        }
-        run.settle();
-        prop_assert!(run.ctrl.done(), "plan must be fully delivered");
-
-        // The separation posture never regresses under chaos.
-        prop_assert!(
-            run_audit(&run.c.config, &ClusterSpec::tiny()).only_expected_residuals(),
-            "fault schedule must not open a separation channel"
-        );
-
-        // Every dependency ladder walked home after the last heal.
-        for dep in [Dependency::Idp, Dependency::Ca, Dependency::Feed] {
-            prop_assert_eq!(
-                run.ladder(dep),
-                DepHealth::Healthy,
-                "{:?} ladder stranded after full heal window (seed {})",
-                dep,
-                seed
-            );
-        }
-
-        // Job conservation: drain the queue, then every submitted job is
-        // in exactly one terminal state and every casualty traces to a
-        // recorded crash. Nothing lost, nothing stuck, nothing double-run.
-        run.c.run_to_completion();
-        let sched = run.c.sched.read();
-        let completed = sched.jobs.values().filter(|j| j.state == JobState::Completed).count();
-        let failed = sched.jobs.values().filter(|j| j.state == JobState::Failed).count();
-        let nonterminal = sched.jobs.values().filter(|j| !j.state.is_terminal()).count();
-        let recorded: usize = sched.failures.iter().map(|r| r.failed_jobs.len()).sum();
-        prop_assert_eq!(nonterminal, 0, "no job left in limbo");
-        prop_assert_eq!(completed + failed, run.submitted, "all work accounted for");
-        prop_assert_eq!(failed, recorded, "every casualty traces to a crash record");
+        never_breaches_and_heals(ChaosRun::new(seed, 5, false), &ops, seed)?;
     }
 
-    /// Sharded-dispatch soak: a random fault plan over the policy-plane
-    /// scheduler with dispatch fanned over 4 shard workers. The parallel
-    /// engine under chaos must (a) take decisions identical to its
-    /// sequential twin — same outcome stream, same job states, starts and
-    /// placements — and (b) leave the separation posture exactly where a
-    /// sequential run leaves it: expected audit residuals only, every
-    /// ladder healed, every job accounted for.
+    /// Property 1 again with the scheduler's policy plane on (the only
+    /// chaos run that has it): fair-share classes over two partitions,
+    /// the same random fault plans, the same posture afterwards.
     #[test]
     fn sharded_dispatch_under_chaos_matches_sequential_and_never_breaches(
         seed in any::<u64>(),
         ops in proptest::collection::vec((0u8..6, 0u8..8), 1..40),
     ) {
-        let mut seq = ChaosRun::new_sharded(seed, 5, 1);
-        let mut par = ChaosRun::new_sharded(seed, 5, 4);
-        let alice_s = seq.c.add_user("alice").unwrap();
-        let alice_p = par.c.add_user("alice").unwrap();
-        for &op in &ops {
-            seq.step(alice_s, op);
-            par.step(alice_p, op);
-        }
-        seq.settle();
-        par.settle();
-        prop_assert_eq!(&seq.outcomes, &par.outcomes, "width must not steer decisions");
-        prop_assert!(par.ctrl.done(), "plan must be fully delivered");
-        prop_assert!(
-            run_audit(&par.c.config, &ClusterSpec::tiny()).only_expected_residuals(),
-            "sharded dispatch must not open a separation channel"
-        );
-        for dep in [Dependency::Idp, Dependency::Ca, Dependency::Feed] {
-            prop_assert_eq!(par.ladder(dep), DepHealth::Healthy, "{:?} ladder", dep);
-        }
-        seq.c.run_to_completion();
-        par.c.run_to_completion();
-        let ssched = seq.c.sched.read();
-        let psched = par.c.sched.read();
-        prop_assert_eq!(ssched.jobs.len(), psched.jobs.len());
-        for (id, a) in &ssched.jobs {
-            let b = &psched.jobs[id];
-            prop_assert_eq!(a.state, b.state, "state of {} diverged at width 4", id);
-            prop_assert_eq!(a.started, b.started, "start of {} diverged at width 4", id);
-            prop_assert_eq!(&a.allocations, &b.allocations, "placement of {}", id);
-        }
-        let nonterminal = psched.jobs.values().filter(|j| !j.state.is_terminal()).count();
-        let completed = psched.jobs.values().filter(|j| j.state == JobState::Completed).count();
-        let failed = psched.jobs.values().filter(|j| j.state == JobState::Failed).count();
-        let recorded: usize = psched.failures.iter().map(|r| r.failed_jobs.len()).sum();
-        prop_assert_eq!(nonterminal, 0, "no job left in limbo");
-        prop_assert_eq!(completed + failed, par.submitted, "all work accounted for");
-        prop_assert_eq!(failed, recorded, "every casualty traces to a crash record");
+        never_breaches_and_heals(ChaosRun::new_fair_share(seed, 5), &ops, seed)?;
     }
 
     /// Property 2 (quiet ≡ loud): turning every ring on changes nothing

@@ -108,6 +108,56 @@ fn second_connection_hits_the_decision_cache() {
     assert!(hits >= 1);
 }
 
+/// A group opt-in follows *current* membership: a deny cached before a
+/// user joins the listener's group, and an allow cached before they leave
+/// it, must both die with the membership change — same host pair, same
+/// listener, same (uid, egid) cache key, no manual invalidation.
+#[test]
+fn cached_decisions_follow_group_membership_changes() {
+    let (mut c, alice, _, eve, proj) = hardened();
+    let n1 = c.compute_ids[0];
+    let n2 = c.compute_ids[1];
+    let to = SocketAddr::new(n2, 9550);
+    c.listen(alice, n2, Proto::Tcp, 9550, Some(proj)).unwrap();
+
+    let denied = |r: Result<_, ConnectError>| matches!(r, Err(ConnectError::DeniedByDaemon { .. }));
+    // Twice, so the deny is answered from n2's cache the second time.
+    assert!(denied(c.connect(eve, n1, to, Proto::Tcp)));
+    assert!(denied(c.connect(eve, n1, to, Proto::Tcp)));
+
+    c.add_project_member(alice, proj, eve).unwrap();
+    assert!(
+        c.connect(eve, n1, to, Proto::Tcp).is_ok(),
+        "stale deny: eve joined proj but n2 still refuses her"
+    );
+    assert!(c.connect(eve, n1, to, Proto::Tcp).is_ok());
+
+    c.db.write().remove_from_group(alice, proj, eve).unwrap();
+    assert!(
+        denied(c.connect(eve, n1, to, Proto::Tcp)),
+        "stale allow: eve left proj but n2 still admits her"
+    );
+}
+
+/// A refused `newgrp` is reported as what it is, not as a missing host.
+#[test]
+fn refused_newgrp_names_the_user_and_group() {
+    let (mut c, _, _, eve, proj) = hardened();
+    let node = c.compute_ids[0];
+    let no_such = eus_simos::Gid(u32::MAX);
+    for group in [proj, no_such] {
+        let refused = Err(ConnectError::NewgrpRefused { user: eve, group });
+        assert_eq!(c.listen(eve, node, Proto::Tcp, 9560, Some(group)), refused);
+        let job = hpc_user_separation::sched::JobId(1);
+        assert_eq!(
+            c.launch_webapp(eve, job, "app", node, 9561, "x", Some(group))
+                .map(|_| ()),
+            refused
+        );
+    }
+    assert_eq!(c.portal.routes.len(), 0, "no route for a refused launch");
+}
+
 #[test]
 fn rdma_tcp_setup_governed_native_cm_not() {
     let (mut c, alice, _bob, eve, _proj) = hardened();

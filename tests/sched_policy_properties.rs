@@ -16,15 +16,18 @@
 //! * **knobs off = reference** — with the whole plane disabled, traces
 //!   decorated with QoS classes replay bit-identically on the optimized
 //!   engine and the retained `ReferenceScheduler` (QoS is carried, not
-//!   acted on).
+//!   acted on);
+//! * **replay determinism** — the same decorated trace and node-failure
+//!   schedule replayed twice yields identical placements, epilogs,
+//!   preemption records and flight-recorder event stream.
 
 use hpc_user_separation::obs::ObsConfig;
 use hpc_user_separation::sched::{
     JobSpec, JobState, NodeSharing, QosClass, ReferenceScheduler, SchedConfig, Scheduler,
 };
 use hpc_user_separation::simcore::{SimDuration, SimRng, SimTime};
-use hpc_user_separation::simos::UserDb;
-use hpc_user_separation::workloads::UserPopulation;
+use hpc_user_separation::simos::{NodeId, UserDb};
+use hpc_user_separation::workloads::{UserPopulation, WorkloadMix};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::BTreeMap;
@@ -90,10 +93,8 @@ fn plane_scheduler(policy: NodeSharing, nodes: u32, with_partitions: bool) -> Sc
     }
     if with_partitions {
         let half = nodes / 2;
-        let batch: Vec<_> = (1..=half).map(hpc_user_separation::simos::NodeId).collect();
-        let debug: Vec<_> = (half + 1..=nodes)
-            .map(hpc_user_separation::simos::NodeId)
-            .collect();
+        let batch: Vec<_> = (1..=half).map(NodeId).collect();
+        let debug: Vec<_> = (half + 1..=nodes).map(NodeId).collect();
         s.partitions_mut().add("batch", batch, true).unwrap();
         s.partitions_mut().add("debug", debug, false).unwrap();
     }
@@ -346,6 +347,80 @@ fn run_off_matches_reference(
     Ok(())
 }
 
+/// The LLSC-like mix decorated with the request shapes `qos_trace` lacks:
+/// per-job `--exclusive`, wall-time limits tighter than the run time, and
+/// an uneven split over both partitions and the default class.
+fn decorated_trace(seed: u64) -> Vec<(SimTime, Arc<JobSpec>)> {
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut db = UserDb::new();
+    let pop = UserPopulation::build(&mut db, 10, 3, 1.0, &mut rng);
+    let trace = WorkloadMix::llsc_like().generate(&pop, SimTime::from_secs(900), &mut rng);
+    trace
+        .entries
+        .iter()
+        .enumerate()
+        .map(|(i, e)| {
+            let mut spec = e.spec.clone().with_qos(qos_from(i));
+            spec.request_exclusive = i % 7 == 3;
+            if i % 11 == 5 {
+                spec.time_limit =
+                    SimDuration::from_secs_f64((spec.duration.as_secs_f64() / 2.0).max(1.0));
+            }
+            spec.partition = match i % 5 {
+                0 | 1 => Some("batch".to_string()),
+                2 => Some("debug".to_string()),
+                _ => None,
+            };
+            (e.at, Arc::new(spec))
+        })
+        .collect()
+}
+
+/// Same decorated trace and node-failure schedule through two fresh
+/// engines ⇒ the same run, down to the flight-recorder event stream.
+fn assert_replay_deterministic(
+    seed: u64,
+    policy: NodeSharing,
+    failures: u32,
+) -> Result<(), TestCaseError> {
+    const NODES: u32 = 8;
+    let replay = || {
+        let mut s = plane_scheduler(policy, NODES, true);
+        s.enable_obs(ObsConfig::enabled().with_flight_capacity(512));
+        for (at, spec) in decorated_trace(seed) {
+            s.submit_at_shared(at, spec);
+        }
+        let mut frng = SimRng::seed_from_u64(seed ^ 0xfa11);
+        for _ in 0..failures {
+            let at = SimTime::from_secs(frng.range_u64(1, 900));
+            let node = NodeId(frng.range_u64(1, NODES as u64 + 1) as u32);
+            s.schedule_node_failure(at, node);
+        }
+        let end = s.run_to_completion();
+        let epilogs = s.drain_epilogs();
+        (s, end, epilogs)
+    };
+    let (a, end_a, epilogs_a) = replay();
+    let (b, end_b, epilogs_b) = replay();
+    prop_assert_eq!(end_a, end_b, "makespan");
+    prop_assert_eq!(epilogs_a, epilogs_b, "epilog order");
+    prop_assert_eq!(a.jobs.len(), b.jobs.len());
+    for (id, ja) in &a.jobs {
+        let jb = &b.jobs[id];
+        prop_assert_eq!(ja.state, jb.state, "state of {}", id);
+        prop_assert_eq!(ja.started, jb.started, "start of {}", id);
+        prop_assert_eq!(ja.ended, jb.ended, "end of {}", id);
+        prop_assert_eq!(&ja.allocations, &jb.allocations, "placement of {}", id);
+    }
+    prop_assert_eq!(&a.preemptions, &b.preemptions, "preemption records");
+    prop_assert_eq!(
+        a.obs.rec.flight.events(),
+        b.obs.rec.flight.events(),
+        "flight stream"
+    );
+    Ok(())
+}
+
 fn policy_from(i: u8) -> NodeSharing {
     match i % 3 {
         0 => NodeSharing::Shared,
@@ -382,6 +457,16 @@ proptest! {
         policy_idx in 0u8..3,
     ) {
         assert_off_matches_reference(seed, policy_from(policy_idx))?;
+    }
+
+    /// A decorated trace under node failures replays identically.
+    #[test]
+    fn decorated_trace_under_node_failures_replays_identically(
+        seed in 0u64..10_000,
+        policy_idx in 0u8..3,
+        failures in 1u32..4,
+    ) {
+        assert_replay_deterministic(seed, policy_from(policy_idx), failures)?;
     }
 }
 
