@@ -1421,7 +1421,9 @@ impl SecureCluster {
     /// credentials, or those after `newgrp` to a group the user belongs to.
     fn endpoint_cred(&self, user: Uid, newgrp: Option<Gid>) -> Result<Credentials, ConnectError> {
         let db = self.db.read();
-        let cred = db.credentials(user).expect("known user");
+        let cred = db
+            .credentials(user)
+            .map_err(|_| ConnectError::NoSuchUser(user))?;
         match newgrp {
             Some(group) => db
                 .newgrp(&cred, group)
@@ -1453,7 +1455,7 @@ impl SecureCluster {
         to: SocketAddr,
         proto: Proto,
     ) -> Result<(ConnId, SimDuration), ConnectError> {
-        let peer = PeerInfo::from_cred(&self.credentials(user));
+        let peer = PeerInfo::from_cred(&self.endpoint_cred(user, None)?);
         self.fabric.connect(from, peer, to, proto)
     }
 

@@ -11,18 +11,19 @@
 //! At 10k-node scale the naive cycle — collect-and-sort every node per
 //! placement attempt, clone the whole node map per EASY shadow computation,
 //! shift a `Vec` queue — is quadratic-ish in cluster size and queue depth.
-//! This engine instead runs on a **cache-native core**: dense
-//! struct-of-arrays node storage, bitmap candidate sets, epoch-stamped
+//! This engine instead runs on a **cache-native core**: dense node slots
+//! with one derived capacity row each, bitmap candidate sets, epoch-stamped
 //! overlay scratch, and memoized scan state, all updated incrementally on
 //! every claim/release so a scheduling cycle touches only viable state:
 //!
-//! * **SoA node table** — nodes live in a dense [`crate::table::NodeTable`]
-//!   (`slot = id − 1`) whose placement-relevant fields (free cores/mem/gpus,
-//!   job count, sole owner, up bit) are mirrored into flat columns. A
-//!   placement walk reads 4–16 bytes per rejected candidate instead of
-//!   chasing a `BTreeMap` pointer into a ~200-byte struct; the columns are
-//!   refreshed from the same `mirror_update` funnel that maintains the
-//!   shadow mirror, so they can never drift between decisions.
+//! * **Capacity rows** — nodes live in a dense [`crate::table::NodeTable`]
+//!   (`slot = id − 1`); the slot is the truth, and the `mirror_update`
+//!   funnel derives one 40-byte `ShadowNode` row per node from it (free
+//!   cores/mem/gpus, job count, sole owner, up bit) on every claim /
+//!   release / fail / repair. The placement walk, the shadow replay, the
+//!   calendar and the preemption proof all read that row through the one
+//!   fit routine, `ShadowNode::fit`, so they cannot disagree about what a
+//!   node admits.
 //! * **Placement index** — bitmap [`crate::table::NodeSet`]s replace the
 //!   old id-ordered tree sets: `idle_nodes` (no running jobs — the only
 //!   admissible "other" nodes under `Exclusive`, `WholeNodeUser`, and
@@ -125,7 +126,7 @@ use crate::obs::SchedObs;
 use crate::partition::{ClassId, PartitionError, PartitionTable};
 use crate::policy::NodeSharing;
 use crate::privatedata::{may_view, JobView, PrivateData};
-use crate::table::{slot_of, NodeCols, NodeSet, NodeTable};
+use crate::table::{slot_of, NodeSet, NodeTable};
 use eus_obs::TraceCtx;
 use eus_simcore::{Counter, Histogram, SimDuration, SimTime, TimeWeighted};
 use eus_simos::{Credentials, NodeId, Uid};
@@ -276,10 +277,12 @@ pub struct SchedMetrics {
     pub timed_out: Counter,
 }
 
-/// One node's state in the EASY shadow replay: just the capacity deltas and
-/// the two bits admissibility depends on. `Copy`, so building the shadow is
+/// One node's capacity row: the free counters and the bits admissibility
+/// depends on, derived from the `SchedNode` slot by `mirror_update`. The
+/// placement walk reads it in place; the EASY shadow replay, the calendar
+/// and the preemption proof work on copies. `Copy`, so building a shadow is
 /// a flat memcpy-style pass — no `SchedNode` clones, no nested maps.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ShadowNode {
     pub(crate) id: NodeId,
     pub(crate) free_cores: u32,
@@ -304,9 +307,9 @@ impl ShadowNode {
     }
 
     // analyze:hot-path-begin(sched-shadow-fit)
-    /// Tasks of `spec` this shadow node could host right now — the shadow
-    /// counterpart of `node_admits` + `tasks_that_fit`, capped at
-    /// `u32::MAX` exactly like the real fit computation.
+    /// Tasks of `spec` this node could host right now — the one fit
+    /// routine the engine runs, equal to the oracle's `node_admits` +
+    /// `tasks_that_fit` (capped at `u32::MAX` like them).
     pub(crate) fn fit(&self, spec: &JobSpec, policy: NodeSharing) -> u64 {
         if !self.up {
             return 0;
@@ -366,8 +369,8 @@ type RunAllocs = Box<[(NodeId, TaskAlloc)]>;
 pub struct Scheduler {
     /// Configuration (immutable per run for clean experiments).
     pub config: SchedConfig,
-    /// Compute nodes: dense SoA storage, placement columns kept in sync by
-    /// the `mirror_update` funnel.
+    /// Compute nodes: dense slots, the one authoritative copy of each
+    /// node's capacity (`shadow_mirror` is derived from it).
     pub nodes: NodeTable,
     /// Every job ever submitted.
     pub jobs: BTreeMap<JobId, Job>,
@@ -398,9 +401,9 @@ pub struct Scheduler {
     // ---- reusable scan scratch (allocation-free steady state) ----
     /// Victim-scan scratch for `try_preempt_for` (reused across calls).
     scan_scratch: Vec<ShadowNode>,
-    /// Persistent per-node capacity mirror, id-ascending, maintained on
-    /// every claim/release/fail/repair — the partition-free shadow build is
-    /// a flat copy of this instead of an O(n) walk of the node `BTreeMap`.
+    /// One capacity row per node (`slot = id − 1`), derived from the slot
+    /// in `nodes` on every claim/release/fail/repair. Placement reads it in
+    /// place; the partition-free shadow build is a flat copy of it.
     shadow_mirror: Vec<ShadowNode>,
     /// Epoch-stamped shadow overlay (dense, `slot = id − 1`): a replay
     /// first-touch copies each node it releases on from `shadow_mirror`
@@ -727,7 +730,6 @@ impl Scheduler {
     /// funnels through here, which is what lets shadow builds start from a
     /// flat copy and a ready-made sum instead of an O(nodes) walk.
     fn mirror_update(&mut self, nid: NodeId) {
-        self.nodes.sync(nid);
         let sn = ShadowNode::from_node(&self.nodes[&nid]);
         let idx = slot_of(nid);
         let old = self.shadow_mirror[idx];
@@ -1544,48 +1546,6 @@ impl Scheduler {
         }
     }
 
-    /// Column-based admissibility + capacity fit: exactly
-    /// `node_admits` + `tasks_that_fit` (and therefore `ShadowNode::fit`)
-    /// evaluated over the SoA columns, so a rejected candidate touches a
-    /// few flat-array bytes instead of a full `SchedNode`.
-    #[inline]
-    fn col_fit(cols: &NodeCols<'_>, i: usize, spec: &JobSpec, policy: NodeSharing) -> u64 {
-        if !cols.up.get(i).copied().unwrap_or(false) {
-            return 0;
-        }
-        let jobs = cols.jobs.get(i).copied().unwrap_or(0);
-        if (matches!(policy, NodeSharing::Exclusive) || spec.request_exclusive) && jobs > 0 {
-            return 0;
-        }
-        if matches!(policy, NodeSharing::WholeNodeUser) {
-            if let Some(owner) = cols.owner.get(i).copied().flatten() {
-                if owner != spec.user {
-                    return 0;
-                }
-            }
-        }
-        let free_cores = cols.free_cores.get(i).copied().unwrap_or(0);
-        let by_cores = (free_cores / spec.cpus_per_task.max(1)) as u64;
-        if by_cores == 0 {
-            return 0; // common reject: no mem/gpu column touch needed
-        }
-        let by_mem = cols
-            .free_mem
-            .get(i)
-            .copied()
-            .unwrap_or(0)
-            .checked_div(spec.mem_per_task_mib)
-            .map_or(u32::MAX as u64, |n| n.min(u32::MAX as u64));
-        let by_gpus = cols
-            .free_gpus
-            .get(i)
-            .copied()
-            .unwrap_or(0)
-            .checked_div(spec.gpus_per_task)
-            .map_or(u32::MAX, |n| n) as u64;
-        by_cores.min(by_mem).min(by_gpus)
-    }
-
     /// Try to place `spec` using the maintained candidate index instead of
     /// scanning and sorting every node. Candidate order reproduces the old
     /// sort exactly: the user's solely-owned nodes first (packing
@@ -1612,7 +1572,10 @@ impl Scheduler {
     ) -> (Option<Vec<(NodeId, TaskAlloc)>>, u64) {
         let user = spec.user;
         let policy = self.config.policy;
-        let cols = self.nodes.cols();
+        let rows = &self.shadow_mirror;
+        // Phase 2's "phase 1 already visited" test.
+        let owned_by_user =
+            |nid: NodeId| rows.get(slot_of(nid)).and_then(|row| row.owner) == Some(user);
         let mut remaining = spec.tasks;
         let mut fit_sum = 0u64;
         let mut placement = Vec::new();
@@ -1621,7 +1584,9 @@ impl Scheduler {
             if eligible.is_some_and(|set| !set.contains(&nid)) {
                 return;
             }
-            let full = Self::col_fit(&cols, slot_of(nid), spec, policy);
+            let full = rows
+                .get(slot_of(nid))
+                .map_or(0, |row| row.fit(spec, policy));
             fit_sum += full;
             let fit = (full.min(u32::MAX as u64) as u32).min(*remaining);
             if fit == 0 {
@@ -1667,9 +1632,7 @@ impl Scheduler {
                         if !source.contains(&nid) {
                             continue;
                         }
-                        if shared_path
-                            && cols.owner.get(slot_of(nid)).copied().flatten() == Some(user)
-                        {
+                        if shared_path && owned_by_user(nid) {
                             continue; // phase 1 already visited
                         }
                         try_node(nid, &mut remaining, &mut placement);
@@ -1680,9 +1643,7 @@ impl Scheduler {
                         if remaining == 0 {
                             break;
                         }
-                        if shared_path
-                            && cols.owner.get(slot_of(nid)).copied().flatten() == Some(user)
-                        {
+                        if shared_path && owned_by_user(nid) {
                             continue; // phase 1 already visited
                         }
                         try_node(nid, &mut remaining, &mut placement);
@@ -3279,6 +3240,92 @@ mod tests {
         let held = s.held_reservations();
         let jobs: BTreeSet<JobId> = held.iter().map(|r| r.job).collect();
         assert_eq!(jobs.len(), held.len(), "one hold per job: {held:?}");
+    }
+
+    /// The slot is the truth; the capacity row is its one derived copy and
+    /// a built per-class mirror entry is a copy of the row. Returns how
+    /// many class-mirror entries were compared.
+    fn assert_copies_match_slots(s: &Scheduler) -> usize {
+        for n in s.nodes.values() {
+            let row = s.shadow_mirror[slot_of(n.id)];
+            assert_eq!(row, ShadowNode::from_node(n), "row of {}", n.id);
+        }
+        if s.part_mirror_version != s.partitions_version {
+            return 0; // partition table edited: mirrors rebuild on next use
+        }
+        let mut compared = 0;
+        for (idx, cs) in s.classes.iter().enumerate() {
+            let class = ClassId::from_index(idx).expect("dense class ids");
+            let Some(members) = s.partitions.class_nodes(class).filter(|_| cs.mirror_built) else {
+                continue;
+            };
+            assert_eq!(cs.mirror.len(), members.len(), "mirror of class {idx}");
+            for (pos, (entry, nid)) in cs.mirror.iter().zip(members).enumerate() {
+                assert_eq!(*entry, s.shadow_mirror[slot_of(*nid)], "class {idx}");
+                assert_eq!(s.mirror_pos(class, *nid), Some(pos as u32));
+                compared += 1;
+            }
+        }
+        compared
+    }
+
+    #[test]
+    fn capacity_rows_and_class_mirrors_equal_the_slots_after_every_event() {
+        let mut s = Scheduler::new(SchedConfig {
+            policy: NodeSharing::Shared,
+            fair_share: true,
+            preemption: true,
+            reservations: 2,
+            repair_time: SimDuration::from_secs(40),
+            ..SchedConfig::default()
+        });
+        for _ in 0..5 {
+            s.add_node(8, 64_000, 0);
+        }
+        s.partitions_mut()
+            .add("batch", [NodeId(1), NodeId(2)], true)
+            .unwrap();
+        s.partitions_mut()
+            .add("debug", [NodeId(3), NodeId(4)], false)
+            .unwrap();
+        let at = SimTime::from_secs;
+        // Batch: bulk work fills both nodes, a backlog builds the calendar
+        // (and with it the class mirror), an urgent arrival preempts.
+        for i in 0..6 {
+            s.submit_at(at(i), job(1, 8, 60).with_qos(QosClass::Bulk));
+        }
+        s.submit_at(at(10), job(2, 12, 30).with_qos(QosClass::Urgent));
+        // Debug: a backlog of its own, across a failure and its repair.
+        for i in 0..6 {
+            s.submit_at(at(i), job(3 + i as u32 % 2, 6, 25).with_partition("debug"));
+        }
+        s.schedule_node_failure(at(20), NodeId(1));
+        s.schedule_node_failure(at(30), NodeId(3));
+        let edit_at = at(45);
+        let mut edited = false;
+        let mut compared = 0;
+        while let Some(Reverse((t, _, ev))) = s.events.pop() {
+            if !edited && t > edit_at {
+                // Both mirrors are built by now; the edit must drop them.
+                s.partitions_mut().add("spare", [NodeId(5)], false).unwrap();
+                assert_eq!(assert_copies_match_slots(&s), 0);
+                for i in 0..3 {
+                    s.submit_at(t, job(5, 8, 20 + i).with_partition("spare"));
+                }
+                edited = true;
+            }
+            s.now = t;
+            s.fire(ev);
+            compared += assert_copies_match_slots(&s);
+        }
+        assert!(edited);
+        assert_eq!(s.preemptions.len(), 2, "the urgent job took both nodes");
+        assert_eq!(s.failures.len(), 2);
+        assert!(s.failures.iter().all(|f| !f.failed_jobs.is_empty()));
+        let built = |s: &Scheduler| s.classes.iter().filter(|cs| cs.mirror_built).count();
+        assert_eq!(built(&s), 3, "all three partitions were rebuilt");
+        assert!(compared > 100, "class mirrors were compared ({compared})");
+        assert_eq!(s.metrics.completed.get() + s.metrics.failed.get(), 16);
     }
 
     #[test]

@@ -92,4 +92,4 @@ pub use partition::{ClassId, Partition, PartitionError, PartitionTable};
 pub use policy::{tasks_that_fit, NodeSharing};
 pub use privatedata::{may_view, JobView, PrivateData};
 pub use reference::ReferenceScheduler;
-pub use table::{NodeCols, NodeSet, NodeTable};
+pub use table::{NodeSet, NodeTable};

@@ -3,11 +3,11 @@
 //! Free capacity and ownership are *cached* on the node and maintained on
 //! every claim/release, so the placement hot path asks O(1) questions
 //! instead of summing the running-allocation map per query (the scan this
-//! module did before the scheduler-scale overhaul). The same cached
-//! getters feed the struct-of-arrays columns in [`crate::table::NodeTable`]
-//! through its `sync` funnel — a claim or release here is invisible to
-//! column scans until the engine syncs the slot, which is why every
-//! mutation routes through the engine's mirror-update funnel.
+//! module did before the scheduler-scale overhaul). The engine derives
+//! each node's capacity row from the same cached getters in its
+//! mirror-update funnel — a claim or release here is invisible to
+//! placement and the shadow until that funnel runs, which is why every
+//! mutation routes through it.
 
 use crate::job::{JobId, TaskAlloc};
 use eus_simos::{NodeId, Uid};

@@ -1,61 +1,23 @@
-//! Cache-native node storage for the scheduler core.
+//! Dense node storage for the scheduler core.
 //!
 //! [`NodeTable`] keeps every [`SchedNode`] in a dense `Vec` (node ids are
-//! allocated sequentially from 1, so `slot = id.0 - 1`) and mirrors the
-//! placement-relevant fields into struct-of-arrays columns: a candidate
-//! scan that rejects a node on `free_cores` alone touches 4 bytes, not a
-//! 200-byte struct behind a `BTreeMap` pointer chase. The columns are
-//! refreshed through [`NodeTable::sync`], which the engine calls from the
-//! same funnel that maintains the shadow mirror (`mirror_update`), so the
-//! columns can never drift from the slots between scheduling decisions.
+//! allocated sequentially from 1, so `slot = id.0 - 1`). The slot is the
+//! one authoritative copy of a node's capacity; the engine derives its
+//! 40-byte capacity rows from it in the `mirror_update` funnel, and every
+//! placement and shadow decision reads those rows.
 //!
 //! [`NodeSet`] replaces the old `BTreeSet<NodeId>` idle/avail indexes with
 //! a bitmap whose iteration order is still ascending node id — the
 //! placement walk order (and therefore every trace) is unchanged from the
 //! map-based engine, which is what keeps the equivalence suites green.
 
-use crate::node::{NodeState, SchedNode};
-use eus_simos::{NodeId, Uid};
+use crate::node::SchedNode;
+use eus_simos::NodeId;
 
-/// Borrowed struct-of-arrays view over the node columns, for dense scans.
-///
-/// All slices share one length ([`NodeTable::len`]); slot `i` describes
-/// `NodeId(i as u32 + 1)`.
-#[derive(Debug, Clone, Copy)]
-pub struct NodeCols<'a> {
-    /// Unclaimed cores per slot.
-    pub free_cores: &'a [u32],
-    /// Unclaimed memory (MiB) per slot.
-    pub free_mem: &'a [u64],
-    /// Unclaimed GPUs per slot.
-    pub free_gpus: &'a [u32],
-    /// Running-allocation count per slot.
-    pub jobs: &'a [u32],
-    /// Sole owner per slot (`None` when idle or mixed-user).
-    pub owner: &'a [Option<Uid>],
-    /// `true` when the slot's node is `Up`.
-    pub up: &'a [bool],
-    /// Total cores per slot.
-    pub cap_cores: &'a [u32],
-    /// Total memory (MiB) per slot.
-    pub cap_mem: &'a [u64],
-    /// Total GPUs per slot.
-    pub cap_gpus: &'a [u32],
-}
-
-/// Dense node storage: `SchedNode` slots plus SoA columns kept in sync.
+/// Dense node storage: one `SchedNode` slot per node id.
 #[derive(Debug, Clone, Default)]
 pub struct NodeTable {
     slots: Vec<SchedNode>,
-    free_cores: Vec<u32>,
-    free_mem: Vec<u64>,
-    free_gpus: Vec<u32>,
-    jobs: Vec<u32>,
-    owner: Vec<Option<Uid>>,
-    up: Vec<bool>,
-    cap_cores: Vec<u32>,
-    cap_mem: Vec<u64>,
-    cap_gpus: Vec<u32>,
 }
 
 /// Dense slot index for a node id (`NodeId(1)` → slot 0).
@@ -82,68 +44,14 @@ impl NodeTable {
 
     /// Append a node. Ids must arrive dense and ascending (the engine
     /// allocates them sequentially from 1); anything else would break the
-    /// `slot = id - 1` addressing every column scan relies on.
+    /// `slot = id - 1` addressing every row and bitmap relies on.
     pub fn push(&mut self, node: SchedNode) {
         assert_eq!(
             slot_of(node.id),
             self.slots.len(),
             "node ids must be dense ascending"
         );
-        self.free_cores.push(node.free_cores());
-        self.free_mem.push(node.free_mem_mib());
-        self.free_gpus.push(node.free_gpus());
-        self.jobs.push(node.running.len() as u32);
-        self.owner.push(node.owner());
-        self.up.push(node.state == NodeState::Up);
-        self.cap_cores.push(node.cores);
-        self.cap_mem.push(node.mem_mib);
-        self.cap_gpus.push(node.gpus);
         self.slots.push(node);
-    }
-
-    /// Refresh slot `id`'s columns from its `SchedNode`. The engine calls
-    /// this from the mirror-update funnel after every claim / release /
-    /// fail / repair, so column reads between scheduling decisions always
-    /// see the slot's current state.
-    pub fn sync(&mut self, id: NodeId) {
-        let i = slot_of(id);
-        // analyze:hot-path-begin(sched-soa-sync)
-        if let Some(node) = self.slots.get(i) {
-            if let Some(c) = self.free_cores.get_mut(i) {
-                *c = node.free_cores();
-            }
-            if let Some(m) = self.free_mem.get_mut(i) {
-                *m = node.free_mem_mib();
-            }
-            if let Some(g) = self.free_gpus.get_mut(i) {
-                *g = node.free_gpus();
-            }
-            if let Some(j) = self.jobs.get_mut(i) {
-                *j = node.running.len() as u32;
-            }
-            if let Some(o) = self.owner.get_mut(i) {
-                *o = node.owner();
-            }
-            if let Some(u) = self.up.get_mut(i) {
-                *u = node.state == NodeState::Up;
-            }
-        }
-        // analyze:hot-path-end
-    }
-
-    /// The struct-of-arrays view for dense scans.
-    pub fn cols(&self) -> NodeCols<'_> {
-        NodeCols {
-            free_cores: &self.free_cores,
-            free_mem: &self.free_mem,
-            free_gpus: &self.free_gpus,
-            jobs: &self.jobs,
-            owner: &self.owner,
-            up: &self.up,
-            cap_cores: &self.cap_cores,
-            cap_mem: &self.cap_mem,
-            cap_gpus: &self.cap_gpus,
-        }
     }
 
     /// Borrow a node.
@@ -152,8 +60,8 @@ impl NodeTable {
     }
 
     /// Mutably borrow a node. Callers that change placement-relevant state
-    /// must route through the engine's mirror-update funnel (which calls
-    /// [`NodeTable::sync`]) before the next column scan.
+    /// must route through the engine's mirror-update funnel before the next
+    /// scheduling decision reads the node's capacity row.
     pub fn get_mut(&mut self, id: &NodeId) -> Option<&mut SchedNode> {
         self.slots.get_mut(slot_of(*id))
     }
@@ -282,53 +190,25 @@ impl Iterator for NodeSetIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{JobId, TaskAlloc};
 
     fn node(id: u32) -> SchedNode {
         SchedNode::new(NodeId(id), 16, 65_536, 2)
     }
 
     #[test]
-    fn columns_track_claims_through_sync() {
+    fn slots_are_addressed_by_id_and_walked_ascending() {
         let mut t = NodeTable::new();
         t.push(node(1));
         t.push(node(2));
         assert_eq!(t.len(), 2);
-        let alloc = TaskAlloc {
-            tasks: 1,
-            cores: 4,
-            mem_mib: 1_000,
-            gpus: 1,
-        };
-        t.get_mut(&NodeId(2))
-            .unwrap()
-            .claim(JobId(7), alloc, Uid(9));
-        // Columns are stale until the funnel syncs the slot.
-        assert_eq!(t.cols().free_cores[1], 16);
-        t.sync(NodeId(2));
-        let c = t.cols();
-        assert_eq!(c.free_cores[1], 12);
-        assert_eq!(c.free_mem[1], 64_536);
-        assert_eq!(c.free_gpus[1], 1);
-        assert_eq!(c.jobs[1], 1);
-        assert_eq!(c.owner[1], Some(Uid(9)));
-        assert!(c.up[1]);
-        assert_eq!(c.cap_cores[1], 16);
         assert_eq!(t[&NodeId(1)].id, NodeId(1));
+        assert_eq!(t.get(&NodeId(2)).map(|n| n.id), Some(NodeId(2)));
+        assert!(t.get(&NodeId(3)).is_none());
         assert_eq!(
             t.values().map(|n| n.id.0).collect::<Vec<_>>(),
             vec![1, 2],
             "values() walks ascending ids"
         );
-    }
-
-    #[test]
-    fn down_state_reaches_the_up_column() {
-        let mut t = NodeTable::new();
-        t.push(node(1));
-        t.get_mut(&NodeId(1)).unwrap().state = NodeState::Down;
-        t.sync(NodeId(1));
-        assert!(!t.cols().up[0]);
     }
 
     #[test]

@@ -159,6 +159,8 @@ pub enum ConnectError {
         /// The group asked for.
         group: Gid,
     },
+    /// The endpoint's user is not in the account database.
+    NoSuchUser(Uid),
 }
 
 impl fmt::Display for ConnectError {
@@ -179,6 +181,7 @@ impl fmt::Display for ConnectError {
             ConnectError::NewgrpRefused { user, group } => {
                 write!(f, "{user} may not newgrp to {group}")
             }
+            ConnectError::NoSuchUser(u) => write!(f, "no such user {u}"),
         }
     }
 }

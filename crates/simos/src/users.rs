@@ -229,13 +229,13 @@ impl UserDb {
         Ok(gid)
     }
 
+    /// A user private group holds exactly its owner, whoever asks — root
+    /// included, so the kind is looked at before the actor.
     fn steward_check(&self, actor: Uid, group: &Group) -> Result<(), UserDbError> {
-        if actor == ROOT_UID {
-            return Ok(());
-        }
         match &group.kind {
-            GroupKind::Project { stewards } if stewards.contains(&actor) => Ok(()),
             GroupKind::UserPrivate(_) => Err(UserDbError::PrivateGroupImmutable(group.gid)),
+            _ if actor == ROOT_UID => Ok(()),
+            GroupKind::Project { stewards } if stewards.contains(&actor) => Ok(()),
             _ => Err(UserDbError::NotSteward {
                 actor,
                 group: group.gid,
@@ -255,12 +255,7 @@ impl UserDb {
             .get(&gid)
             .ok_or(UserDbError::NoSuchGroup(gid))?
             .clone();
-        if matches!(group.kind, GroupKind::UserPrivate(_)) {
-            return Err(UserDbError::PrivateGroupImmutable(gid));
-        }
-        if !matches!(group.kind, GroupKind::System) || actor != ROOT_UID {
-            self.steward_check(actor, &group)?;
-        }
+        self.steward_check(actor, &group)?;
         self.groups
             .get_mut(&gid)
             .expect("checked above")
@@ -457,6 +452,21 @@ mod tests {
         db.remove_from_group(uids[0], g, uids[1]).unwrap();
         assert!(!db.is_member(uids[1], g));
         assert_ne!(db.membership_epoch(), epoch, "a leave moves the epoch");
+    }
+
+    #[test]
+    fn root_cannot_empty_a_private_group() {
+        let (mut db, uids) = db_with(&["alice"]);
+        let upg = db.user(uids[0]).unwrap().private_group;
+        let epoch = db.membership_epoch();
+        let err = db.remove_from_group(ROOT_UID, upg, uids[0]).unwrap_err();
+        assert_eq!(err, UserDbError::PrivateGroupImmutable(upg));
+        assert!(db.is_member(uids[0], upg), "the owner is still in it");
+        assert_eq!(
+            db.membership_epoch(),
+            epoch,
+            "a refused leave moves nothing"
+        );
     }
 
     #[test]

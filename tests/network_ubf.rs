@@ -158,6 +158,28 @@ fn refused_newgrp_names_the_user_and_group() {
     assert_eq!(c.portal.routes.len(), 0, "no route for a refused launch");
 }
 
+/// An endpoint for a uid the account database does not know is refused
+/// with a typed error on every network entry point — no panic, no socket.
+#[test]
+fn unknown_uid_is_refused_on_every_network_entry_point() {
+    let (mut c, alice, _, _, _) = hardened();
+    let (n1, n2) = (c.compute_ids[0], c.compute_ids[1]);
+    let ghost = eus_simos::Uid(u32::MAX);
+    let refused = Err(ConnectError::NoSuchUser(ghost));
+    c.listen(alice, n2, Proto::Tcp, 9570, None).unwrap();
+    let to = SocketAddr::new(n2, 9570);
+    assert_eq!(c.connect(ghost, n1, to, Proto::Tcp).map(|_| ()), refused);
+    assert_eq!(c.fabric.connection_count(), 0);
+    assert_eq!(c.listen(ghost, n1, Proto::Tcp, 9571, None), refused);
+    let job = hpc_user_separation::sched::JobId(1);
+    assert_eq!(
+        c.launch_webapp(ghost, job, "app", n1, 9572, "x", None)
+            .map(|_| ()),
+        refused
+    );
+    assert_eq!(c.portal.routes.len(), 0, "no route for a refused launch");
+}
+
 #[test]
 fn rdma_tcp_setup_governed_native_cm_not() {
     let (mut c, alice, _bob, eve, _proj) = hardened();
