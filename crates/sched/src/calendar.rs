@@ -41,7 +41,7 @@
 //! (a new arrival deserves its reservation), so stale promises are never
 //! consulted.
 
-use crate::engine::ShadowNode;
+use crate::engine::{Scheduler, ShadowNode};
 use crate::job::{JobId, JobSpec, TaskAlloc};
 use crate::policy::NodeSharing;
 use crate::table::NodeTable;
@@ -331,25 +331,10 @@ impl PlanScratch {
                     if fit == 0 {
                         continue;
                     }
-                    let alloc = if policy.charges_whole_node(spec) {
-                        let Some(node) = ctx.nodes.get(&sn.id) else {
-                            continue;
-                        };
-                        TaskAlloc {
-                            tasks: fit,
-                            cores: node.cores,
-                            mem_mib: node.mem_mib,
-                            gpus: node.gpus,
-                        }
-                    } else {
-                        TaskAlloc {
-                            tasks: fit,
-                            cores: fit * spec.cpus_per_task,
-                            mem_mib: fit as u64 * spec.mem_per_task_mib,
-                            gpus: fit * spec.gpus_per_task,
-                        }
+                    let Some(node) = ctx.nodes.get(&sn.id) else {
+                        continue;
                     };
-                    allocs.push((sn.id, alloc));
+                    allocs.push((sn.id, Scheduler::alloc_for(node, spec, policy, fit)));
                     alloc_pos.push(i as u32);
                     remaining -= fit;
                 }

@@ -626,7 +626,7 @@ impl Scheduler {
         let ledger = FairShareLedger::new(config.fair_share_half_life);
         Scheduler {
             config,
-            nodes: NodeTable::new(),
+            nodes: NodeTable::default(),
             jobs: BTreeMap::new(),
             queue: FifoRing::default(),
             queue_pos: Vec::new(),
@@ -1527,7 +1527,12 @@ impl Scheduler {
 
     // analyze:hot-path-begin(sched-placement)
     /// The greedy per-node allocation, identical to the reference's.
-    fn alloc_for(node: &SchedNode, spec: &JobSpec, policy: NodeSharing, fit: u32) -> TaskAlloc {
+    pub(crate) fn alloc_for(
+        node: &SchedNode,
+        spec: &JobSpec,
+        policy: NodeSharing,
+        fit: u32,
+    ) -> TaskAlloc {
         if policy.charges_whole_node(spec) {
             // Exclusive: the job takes the whole node.
             TaskAlloc {

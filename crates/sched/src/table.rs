@@ -27,21 +27,6 @@ pub fn slot_of(id: NodeId) -> usize {
 }
 
 impl NodeTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when no nodes have been added.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Append a node. Ids must arrive dense and ascending (the engine
     /// allocates them sequentially from 1); anything else would break the
     /// `slot = id - 1` addressing every row and bitmap relies on.
@@ -197,10 +182,9 @@ mod tests {
 
     #[test]
     fn slots_are_addressed_by_id_and_walked_ascending() {
-        let mut t = NodeTable::new();
+        let mut t = NodeTable::default();
         t.push(node(1));
         t.push(node(2));
-        assert_eq!(t.len(), 2);
         assert_eq!(t[&NodeId(1)].id, NodeId(1));
         assert_eq!(t.get(&NodeId(2)).map(|n| n.id), Some(NodeId(2)));
         assert!(t.get(&NodeId(3)).is_none());
@@ -214,7 +198,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "dense ascending")]
     fn sparse_ids_rejected() {
-        let mut t = NodeTable::new();
+        let mut t = NodeTable::default();
         t.push(node(2));
     }
 
