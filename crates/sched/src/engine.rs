@@ -325,9 +325,6 @@ impl ShadowNode {
             }
         }
         let by_cores = (self.free_cores / spec.cpus_per_task.max(1)) as u64;
-        if by_cores == 0 {
-            return 0; // common reject: skip the two wider divisions
-        }
         let by_mem = self
             .free_mem_mib
             .checked_div(spec.mem_per_task_mib)
