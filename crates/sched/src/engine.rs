@@ -3327,8 +3327,8 @@ mod tests {
         assert_eq!(s.preemptions.len(), 2, "the urgent job took both nodes");
         assert_eq!(s.failures.len(), 2);
         assert!(s.failures.iter().all(|f| !f.failed_jobs.is_empty()));
-        let built = |s: &Scheduler| s.classes.iter().filter(|cs| cs.mirror_built).count();
-        assert_eq!(built(&s), 3, "all three partitions were rebuilt");
+        let built = s.classes.iter().filter(|cs| cs.mirror_built).count();
+        assert_eq!(built, 3, "all three partitions were rebuilt");
         assert!(compared > 100, "class mirrors were compared ({compared})");
         assert_eq!(s.metrics.completed.get() + s.metrics.failed.get(), 16);
     }
