@@ -1419,9 +1419,6 @@ impl SecureCluster {
 
     /// The credentials an endpoint of `user`'s runs under: the login
     /// credentials, or those after `newgrp` to a group the user belongs to.
-    /// Inlined: `connect` calls it per connection, and `net_wireup` read
-    /// 2–3 % slower with it out of line.
-    #[inline]
     fn endpoint_cred(&self, user: Uid, newgrp: Option<Gid>) -> Result<Credentials, ConnectError> {
         let db = self.db.read();
         let cred = db
