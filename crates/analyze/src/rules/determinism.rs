@@ -3,15 +3,21 @@
 //! The simulation has exactly one legal wall-clock site — the obs span
 //! path (`Recorder::span_start` and the per-plane `obs.rs` shared-stats
 //! timers), whose readings feed metrics, never decisions. Everything else
-//! in `crates/*` must run on `SimTime`. Three pattern families are banned:
+//! in `crates/*` must run on `SimTime`. Four pattern families are banned:
 //!
 //! 1. wall-clock reads: `Instant::now`, any `SystemTime` use;
 //! 2. real sleeps: `thread::sleep` (a sim actor waits by advancing the
 //!    virtual clock, never the host's);
-//! 3. iteration over `HashMap`/`HashSet` bindings (and `SerialSet`, the
-//!    credential plane's keyed `HashSet` alias) — hash iteration order is
-//!    seed-dependent, so any decision derived from it diverges between
-//!    runs. Keyed point lookups (`get`/`insert`/`remove`) stay legal.
+//! 3. iteration over `HashMap`/`HashSet` bindings (and the keyed-hasher
+//!    aliases `KeyedMap`/`KeyedSet`/`SerialSet`) — hash iteration order
+//!    depends on the table's key, so any decision derived from it diverges
+//!    between keys. Keyed point lookups (`get`/`insert`/`remove`) stay
+//!    legal;
+//! 4. a `HashMap`/`HashSet` on the default hasher (`RandomState`: a type
+//!    with no hasher parameter, or a `new`/`with_capacity`/`from`
+//!    constructor) — its key is drawn at random per process, so layout
+//!    and timing never replay, and SipHash is the slow hash on tables the
+//!    hot paths probe per event. Tables use `eus_simcore`'s keyed hasher.
 
 use crate::diag::{Diag, R1_SIM_DETERMINISM as RULE};
 use crate::lexer::TokKind;
@@ -47,6 +53,7 @@ pub fn check(file: &SourceFile, out: &mut Vec<Diag>) {
         return;
     }
     let clock_ok = wall_clock_allowed(file);
+    default_hasher_tables(file, out);
     let hashed = hashed_bindings(file);
     let toks = &file.toks;
     for i in 0..toks.len() {
@@ -133,7 +140,10 @@ fn hashed_bindings(file: &SourceFile) -> BTreeSet<String> {
     let is_hash = |i: usize| {
         toks.get(i).is_some_and(|t| {
             t.kind == TokKind::Ident
-                && matches!(t.text.as_str(), "HashMap" | "HashSet" | "SerialSet")
+                && matches!(
+                    t.text.as_str(),
+                    "HashMap" | "HashSet" | "KeyedMap" | "KeyedSet" | "SerialSet"
+                )
         })
     };
     for i in 0..toks.len() {
@@ -187,6 +197,79 @@ fn hashed_bindings(file: &SourceFile) -> BTreeSet<String> {
         }
     }
     names
+}
+
+/// Pattern family 4: `HashMap<K, V>` / `HashSet<T>` written without a
+/// hasher parameter, and the constructors that exist only for the default
+/// hasher (`HashMap::new()`, `HashSet::with_capacity(n)`, `HashMap::from(..)`,
+/// turbofish included).
+fn default_hasher_tables(file: &SourceFile, out: &mut Vec<Diag>) {
+    let toks = &file.toks;
+    for i in 0..toks.len() {
+        let t = &toks[i];
+        if file.in_test[i] || t.kind != TokKind::Ident {
+            continue;
+        }
+        // Type arguments a hasher-carrying table has beyond its key (and value).
+        let params = match t.text.as_str() {
+            "HashMap" => 3,
+            "HashSet" => 2,
+            _ => continue,
+        };
+        let mut j = i + 1;
+        let turbofish = file.punct(j, ':') && file.punct(j + 1, ':') && file.punct(j + 2, '<');
+        if turbofish {
+            j += 2;
+        }
+        let default = if file.punct(j, '<') {
+            let (args, end) = type_args(file, j);
+            j = end;
+            args < params
+        } else {
+            true
+        };
+        // A bare name (a `use` list, a path segment) is no table; a
+        // generic type or a default-hasher constructor is.
+        let ctor = file.punct(j, ':')
+            && file.punct(j + 1, ':')
+            && toks.get(j + 2).is_some_and(|m| {
+                m.kind == TokKind::Ident
+                    && matches!(m.text.as_str(), "new" | "with_capacity" | "from")
+            });
+        if default && (ctor || (file.punct(i + 1, '<') && !turbofish)) {
+            out.push(diag(
+                file,
+                t.line,
+                format!("`{}` on the default hasher (RandomState)", t.text),
+                "key the table with eus_simcore's keyed hasher (KeyedMap / KeyedSet under a \
+                 HashKey from secret material), or use a BTreeMap/BTreeSet",
+            ));
+        }
+    }
+}
+
+/// Count the top-level arguments of the generic list opening at `open`
+/// (a `<`); returns the count and the index just past the closing `>`.
+fn type_args(file: &SourceFile, open: usize) -> (usize, usize) {
+    let toks = &file.toks;
+    let (mut depth, mut args, mut k) = (0i32, 1, open);
+    while let Some(t) = toks.get(k) {
+        if t.kind == TokKind::Punct {
+            match t.text.as_str() {
+                "<" | "(" | "[" => depth += 1,
+                // `->` inside a fn-pointer argument closes nothing.
+                ">" if !file.punct(k.wrapping_sub(1), '-') => depth -= 1,
+                ")" | "]" => depth -= 1,
+                "," if depth == 1 => args += 1,
+                _ => {}
+            }
+            if depth == 0 {
+                return (args, k + 1);
+            }
+        }
+        k += 1;
+    }
+    (args, k)
 }
 
 fn hash_iter_diag(file: &SourceFile, line: u32, name: &str) -> Diag {

@@ -20,11 +20,12 @@ fn assert_all(found: &[&'static str], rule: &str, at_least: usize) {
 
 #[test]
 fn r1_sim_determinism_fixture() {
-    assert_all(
-        &rule_ids(include_str!("fixtures/r1_bad.rs")),
-        diag::R1_SIM_DETERMINISM,
-        4,
-    );
+    let bad = include_str!("fixtures/r1_bad.rs");
+    assert_all(&rule_ids(bad), diag::R1_SIM_DETERMINISM, 8);
+    let msgs: Vec<String> = lint_source(REL, bad).into_iter().map(|d| d.msg).collect();
+    let count = |needle: &str| msgs.iter().filter(|m| m.contains(needle)).count();
+    assert_eq!(count("on the default hasher"), 3, "{msgs:?}");
+    assert_eq!(count("hash-ordered collection `flows`"), 1, "{msgs:?}");
     let good = rule_ids(include_str!("fixtures/r1_good.rs"));
     assert!(good.is_empty(), "{good:?}");
 }

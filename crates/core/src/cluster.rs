@@ -215,7 +215,7 @@ pub struct SecureCluster {
     prev_iwait_us: u64,
     prev_iwaits: u64,
     /// Cluster-plane observability (reconcile span, prolog/epilog
-    /// counters, federated-validate stats). Disabled by default; pure
+    /// counters, health gauges, SLOs). Disabled by default; pure
     /// measurement — never consulted by any enforcement decision.
     pub obs: CoreObs,
 }
@@ -886,31 +886,24 @@ impl SecureCluster {
     /// (`config.federated_auth` off) every token fails closed with
     /// `UnknownRealm(HOME_REALM)` — there is no directory to consult, not a
     /// registration bug.
+    ///
+    /// Route once, hold the fewest guards: a home token is judged on the
+    /// home plane under exactly one guard, its read guard (no shard's — a
+    /// verdict reads nothing `login_shared` mutates; the home realm always
+    /// passes its own trust gate); a sister token takes none: the trust
+    /// gate reads the home plane's published clock and hands that same
+    /// instant to the replica.
+    // analyze:hot-path-begin(federated-validate)
     pub fn validate_federated_token(
         &self,
         token: &SignedToken,
     ) -> Result<Uid, eus_fedauth::CredError> {
-        let t0 = self.obs.begin_fed_validate();
-        let r = self.validate_federated_token_inner(token);
-        self.obs.finish_fed_validate(t0, &r);
-        r
-    }
-
-    // analyze:hot-path-begin(federated-validate)
-    /// Route once, hold the fewest guards: a home token is judged by the
-    /// directory under exactly one guard, the home plane's read guard (no
-    /// shard's — a verdict reads nothing `login_shared` mutates); a
-    /// sister token takes none: the trust gate reads the home plane's
-    /// published clock and hands that same instant to the replica.
-    fn validate_federated_token_inner(
-        &self,
-        token: &SignedToken,
-    ) -> Result<Uid, eus_fedauth::CredError> {
-        let (Some(dir), Some(mesh)) = (&self.federation, &self.revsync) else {
+        let (Some(broker), Some(dir), Some(mesh)) = (&self.broker, &self.federation, &self.revsync)
+        else {
             return Err(eus_fedauth::CredError::UnknownRealm(HOME_REALM));
         };
         if token.realm == HOME_REALM {
-            return dir.validate_token_at(HOME_REALM, token);
+            return broker.read().validate_token(token);
         }
         // Trust policy first (untrusted / expired realms never reach the
         // replica), then the replica-backed hot path.
@@ -1347,7 +1340,8 @@ impl SecureCluster {
             }
             if !e.user_still_active_on_node {
                 // pam_slurm_adopt-style: the user has no jobs left on the
-                // node, so stray processes, sockets, and abstract sockets go.
+                // node, so stray processes, sockets (with the flows on
+                // them), and abstract sockets go.
                 let local_fs = if let Some(node) = self.nodes.get_mut(&e.node) {
                     node.procs.kill_all_of(e.user);
                     node.abstract_sockets.cleanup_user(e.user);
@@ -1355,9 +1349,7 @@ impl SecureCluster {
                 } else {
                     None
                 };
-                if let Some(host) = self.fabric.host_mut(e.node) {
-                    host.sockets.close_all_of(e.user);
-                }
+                self.fabric.close_all_of(e.node, e.user);
                 // Device permissions are revoked only when they were managed
                 // (Sec. IV-F); the epilog scrub is an independent step that
                 // clears every GPU the job touched, per config.
@@ -1888,19 +1880,6 @@ mod tests {
                 "{slo} must clear after heal"
             );
         }
-    }
-
-    #[test]
-    fn fed_validate_stats_count_accepts_and_rejects() {
-        let mut c = llsc_tiny();
-        c.enable_obs(ObsConfig::enabled());
-        let alice = c.add_user("alice").unwrap();
-        let token = c.login_at(c.broker.as_ref().unwrap(), alice).unwrap();
-        assert_eq!(c.validate_federated_token(&token).unwrap(), alice);
-        c.broker.as_ref().unwrap().write().revoke_user(alice);
-        assert!(c.validate_federated_token(&token).is_err());
-        assert_eq!(c.obs.fed_validate_calls(), 2);
-        assert_eq!(c.obs.fed_validate_rejects(), 1);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! counts its work items, and flight-records the separation-relevant
 //! moments (epilog scrubs, prolog materializations). The federated
 //! verification path ([`crate::SecureCluster::validate_federated_token`])
-//! is `&self`, so its outcome counts go through atomic
-//! [`SharedStats`] slots.
+//! is timed where the work happens: the broker's
+//! [`eus_fedauth::ValidateStats`] for home tokens, the mesh's
+//! [`eus_revsync::MeshObs`] for sister tokens.
 //!
 //! [`crate::SecureCluster::enable_obs`] turns on every plane at once:
 //! this recorder, the scheduler's [`eus_sched::SchedObs`], the broker's
@@ -30,10 +31,7 @@
 //!   (short and long windows must both breach). Alerts are edge-triggered
 //!   into the [`AlertLog`] and flight-recorded as `core.slo.alert` events.
 
-use eus_fedauth::CredError;
 use eus_simcore::SimDuration;
-use eus_simos::Uid;
-use std::time::Instant;
 
 // `pub use` so facade users reach the substrate types through
 // `eus_core::obs::…` like the other planes.
@@ -93,21 +91,12 @@ pub struct CoreObs {
     /// 0.0 otherwise. Max-aggregated over tight windows so a single
     /// degraded boundary fires the alert and a clean baseline never does.
     pub slo_dep_degraded: SloId,
-    stats: SharedStats,
-    s_fed_calls: SharedId,
-    s_fed_ok: SharedId,
-    s_fed_rejects: SharedId,
-    s_fed_ns: SharedId,
 }
 
 impl CoreObs {
     /// Register the full cluster handle set under `cfg`.
     pub fn new(cfg: &ObsConfig) -> Self {
         let mut rec = Recorder::new(cfg);
-        let mut stats = SharedStats::new();
-        if cfg.enabled {
-            stats.set_enabled(true);
-        }
         let g_flows = rec.gauge("core.fabric.flows");
         let ts_flows = rec.track_gauge(g_flows, SimDuration::from_secs(10), 360);
         let mut slo = SloPlane::new(SimDuration::from_secs(10), cfg.enabled);
@@ -167,11 +156,6 @@ impl CoreObs {
             slo_replica_lag,
             slo_interactive_wait,
             slo_dep_degraded,
-            s_fed_calls: stats.slot("core.fed_validate.calls"),
-            s_fed_ok: stats.slot("core.fed_validate.ok"),
-            s_fed_rejects: stats.slot("core.fed_validate.rejects"),
-            s_fed_ns: stats.slot("core.fed_validate.ns"),
-            stats,
             rec,
         }
     }
@@ -181,48 +165,9 @@ impl CoreObs {
         Self::new(&ObsConfig::default())
     }
 
-    /// Start timing one federated validation. `None` (free) when disabled.
-    pub fn begin_fed_validate(&self) -> Option<Instant> {
-        if self.stats.enabled() {
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Finish one federated validation started by
-    /// [`begin_fed_validate`](Self::begin_fed_validate).
-    pub fn finish_fed_validate(&self, started: Option<Instant>, r: &Result<Uid, CredError>) {
-        if let Some(t0) = started {
-            self.stats
-                .add(self.s_fed_ns, t0.elapsed().as_nanos() as u64);
-            self.stats.incr(self.s_fed_calls);
-            self.stats.incr(if r.is_ok() {
-                self.s_fed_ok
-            } else {
-                self.s_fed_rejects
-            });
-        }
-    }
-
-    /// Federated validations recorded at the cluster boundary.
-    pub fn fed_validate_calls(&self) -> u64 {
-        self.stats.value(self.s_fed_calls)
-    }
-
-    /// Federated validations that refused the credential.
-    pub fn fed_validate_rejects(&self) -> u64 {
-        self.stats.value(self.s_fed_rejects)
-    }
-
     /// Snapshot every metric (counters, gauges, span histograms).
     pub fn snapshot(&self) -> ObsSnapshot {
         self.rec.snapshot()
-    }
-
-    /// Validate-path slots as `(name, value)`.
-    pub fn validate_snapshot(&self) -> Vec<(&'static str, u64)> {
-        self.stats.snapshot()
     }
 }
 
@@ -238,24 +183,6 @@ mod tests {
 
     #[test]
     fn default_is_disabled() {
-        let obs = CoreObs::default();
-        assert!(!obs.rec.enabled());
-        assert!(obs.begin_fed_validate().is_none());
-        obs.finish_fed_validate(None, &Ok(Uid(1)));
-        assert_eq!(obs.fed_validate_calls(), 0);
-    }
-
-    #[test]
-    fn fed_validate_outcomes_count() {
-        let obs = CoreObs::new(&ObsConfig::enabled());
-        let t = obs.begin_fed_validate();
-        obs.finish_fed_validate(t, &Ok(Uid(1)));
-        let t = obs.begin_fed_validate();
-        obs.finish_fed_validate(t, &Err(CredError::NoCredential(Uid(2))));
-        assert_eq!(obs.fed_validate_calls(), 2);
-        assert_eq!(obs.fed_validate_rejects(), 1);
-        assert!(obs
-            .validate_snapshot()
-            .contains(&("core.fed_validate.ok", 1)));
+        assert!(!CoreObs::default().rec.enabled());
     }
 }

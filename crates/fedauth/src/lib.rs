@@ -75,12 +75,7 @@ pub use realm::{
 };
 pub use revocation::{RevocationList, SerialSet, SerialSetKey};
 
-/// splitmix64 finalizer: the identity plane's one bit-mixing primitive
-/// (uid→shard routing, TOTP window codes, the portal's keyed token fold).
-/// Kept in one place so the constants cannot drift between call sites.
-pub fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// The identity plane's one bit-mixing primitive (uid→shard routing, TOTP
+/// window codes, the portal's keyed token fold), shared with the keyed
+/// hasher so the constants cannot drift between call sites.
+pub use eus_simcore::splitmix64;

@@ -20,80 +20,27 @@
 //! [`compact_below`]: RevocationList::compact_below
 
 use crate::ca::CredSerial;
-use std::collections::HashSet;
-use std::fmt;
-use std::hash::{BuildHasher, Hasher};
+use eus_simcore::{HashKey, KeyedSet};
 
-/// The per-set secret a [`SerialSet`] hashes under.
+/// The per-set secret a [`SerialSet`] hashes under: the workspace's keyed
+/// one-round hasher ([`eus_simcore::hash`]).
 ///
 /// Membership is probed on every validation, so the set hashes a serial
-/// with one keyed splitmix round ([`crate::splitmix64`]) instead of
-/// SipHash. Probes are safe either way — a serial reaches `is_revoked`
-/// only after its credential's MAC verified — but *insertions* arrive in
-/// sister-realm CRL deltas, so the hash must not be aimable from the
-/// serials alone: each set is keyed from seeded secret material (the
-/// issuing realm's CA key, see
-/// [`CertificateAuthority::serial_set_key`](crate::CertificateAuthority::serial_set_key))
-/// and opaque — nothing outside this module can read the secret back.
-/// Deterministic per seed; iteration order
-/// depends on the key and must stay unobservable (the one iterating
-/// caller, [`RevocationList::snapshot`], sorts).
-#[derive(Clone, Copy)]
-pub struct SerialSetKey(u64);
-
-impl SerialSetKey {
-    /// Derive a set key from secret material (domain-separated, so the
-    /// hash key is never the MAC key itself).
-    pub fn from_secret(secret: u64) -> Self {
-        SerialSetKey(crate::splitmix64(secret ^ 0x5E71_A15E_7C0D_E5ED))
-    }
-}
-
-impl fmt::Debug for SerialSetKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("SerialSetKey(..)")
-    }
-}
-
-impl BuildHasher for SerialSetKey {
-    type Hasher = SerialHasher;
-
-    fn build_hasher(&self) -> SerialHasher {
-        SerialHasher(self.0)
-    }
-}
-
-/// [`SerialSetKey`]'s hasher: one splitmix round per 64-bit word, keyed by
-/// the running state.
-#[derive(Debug)]
-pub struct SerialHasher(u64);
-
-impl Hasher for SerialHasher {
-    #[inline]
-    fn write_u64(&mut self, word: u64) {
-        self.0 = crate::splitmix64(self.0 ^ word);
-    }
-
-    /// Not reached by [`CredSerial`] (its `Hash` writes one `u64`); kept
-    /// total so the hasher is a lawful [`Hasher`].
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
+/// (one `u64` word) with one keyed splitmix round instead of SipHash.
+/// Probes are safe either way — a serial reaches `is_revoked` only after
+/// its credential's MAC verified — but *insertions* arrive in sister-realm
+/// CRL deltas, so the hash must not be aimable from the serials alone: each
+/// set is keyed from seeded secret material (the issuing realm's CA key,
+/// see
+/// [`CertificateAuthority::serial_set_key`](crate::CertificateAuthority::serial_set_key)).
+/// Iteration order depends on the key and must stay unobservable (the one
+/// iterating caller, [`RevocationList::snapshot`], sorts).
+pub type SerialSetKey = HashKey;
 
 /// A set of credential serials under a keyed one-round hash — the
 /// membership structure behind both the issuer's [`RevocationList`] and a
 /// sister site's CRL replica.
-pub type SerialSet = HashSet<CredSerial, SerialSetKey>;
+pub type SerialSet = KeyedSet<CredSerial>;
 
 /// The set of revoked credential serials, plus the append-only delta log
 /// recording the order in which they were revoked.
@@ -209,6 +156,7 @@ impl RevocationList {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
+    use std::hash::BuildHasher;
 
     fn list() -> RevocationList {
         RevocationList::new(SerialSetKey::from_secret(0xC0FFEE))
@@ -288,21 +236,6 @@ mod tests {
             assert!(a.is_revoked(*s) && b.is_revoked(*s));
             assert!(!a.is_revoked(CredSerial(s.0 + 1)) && !b.is_revoked(CredSerial(s.0 + 1)));
         }
-    }
-
-    #[test]
-    fn the_byte_path_agrees_with_the_word_path() {
-        let key = SerialSetKey::from_secret(9);
-        let mut by_word = key.build_hasher();
-        by_word.write_u64(0x0123_4567_89AB_CDEF);
-        let mut by_bytes = key.build_hasher();
-        by_bytes.write(&0x0123_4567_89AB_CDEFu64.to_le_bytes());
-        assert_eq!(by_word.finish(), by_bytes.finish());
-        assert_eq!(
-            format!("{key:?}"),
-            "SerialSetKey(..)",
-            "the key never prints"
-        );
     }
 
     #[test]

@@ -894,7 +894,9 @@ impl RevSyncMesh {
             .subscribed_replica(site, token.realm)
             .and_then(|rep| rep.validate_token(token, now, self.cfg.max_lag));
         self.obs.finish_validate(t0, &r);
-        self.trace_deny(site, token.realm, token.serial, now, &r);
+        if r.is_err() {
+            self.trace_deny(site, token.realm, token.serial, now, &r);
+        }
         r
     }
 
@@ -910,7 +912,9 @@ impl RevSyncMesh {
             .subscribed_replica(site, cert.realm)
             .and_then(|rep| rep.validate_cert(cert, now, self.cfg.max_lag));
         self.obs.finish_validate(t0, &r);
-        self.trace_deny(site, cert.realm, cert.serial, now, &r);
+        if r.is_err() {
+            self.trace_deny(site, cert.realm, cert.serial, now, &r);
+        }
         r
     }
 

@@ -11,6 +11,8 @@
 //!   Zipf / bounded-Pareto samplers the workload generator needs.
 //! * [`metrics`] — counters, exact-quantile histograms, and time-weighted
 //!   integrals (utilization).
+//! * [`hash`] — the keyed one-round hasher behind every hot hash table
+//!   ([`KeyedMap`], [`KeyedSet`]).
 //! * [`series`] — labeled experiment output consumed by the bench harness.
 //!
 //! Nothing in this crate knows about users, files, or firewalls; it exists so
@@ -19,12 +21,14 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod hash;
 pub mod metrics;
 pub mod rng;
 pub mod series;
 pub mod time;
 
 pub use engine::Sim;
+pub use hash::{splitmix64, HashKey, KeyedMap, KeyedSet};
 pub use metrics::{Counter, Histogram, Summary, TimeWeighted};
 pub use rng::{SimRng, Zipf};
 pub use series::{Chart, Series};

@@ -2,6 +2,7 @@
 
 use eus_simos::NodeId;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Transport protocol. The UBF acts on both TCP and UDP (Appendix); other
 /// protocols are assumed disabled at the host firewall on LLSC systems.
@@ -55,7 +56,7 @@ impl fmt::Display for SocketAddr {
 }
 
 /// A flow identity: protocol plus both endpoints, as conntrack keys flows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FiveTuple {
     /// Transport protocol.
     pub proto: Proto,
@@ -73,6 +74,19 @@ impl FiveTuple {
             src: self.dst,
             dst: self.src,
         }
+    }
+}
+
+/// Two words, so the keyed conntrack hasher spends two rounds on a flow:
+/// both hosts, then both ports and the protocol. The packing is injective,
+/// so distinct flows collide no more often than the hash itself makes them.
+impl Hash for FiveTuple {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64((u64::from(self.src.host.0) << 32) | u64::from(self.dst.host.0));
+        state.write_u64(
+            (u64::from(self.src.port) << 32) | (u64::from(self.dst.port) << 16) | self.proto as u64,
+        );
     }
 }
 

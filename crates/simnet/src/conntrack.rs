@@ -7,18 +7,32 @@
 //! measured in experiment E9).
 
 use crate::addr::FiveTuple;
-use std::collections::HashSet;
+use eus_simcore::{HashKey, KeyedSet};
+
+/// The flow table's hash key: seeded, as all key material in the
+/// simulation is (a deployment would draw it at boot). Users choose the
+/// ports and hosts in a tuple, so the hash must be keyed; nothing reads the
+/// table's iteration order.
+const FLOW_KEY: HashKey = HashKey::from_secret(0xC077_7ACC_F10A_5EED);
 
 /// Per-host connection tracking table.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ConnTrack {
-    flows: HashSet<FiveTuple>,
+    flows: KeyedSet<FiveTuple>,
+}
+
+impl Default for ConnTrack {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ConnTrack {
     /// An empty table.
     pub fn new() -> Self {
-        Self::default()
+        ConnTrack {
+            flows: KeyedSet::with_hasher(FLOW_KEY),
+        }
     }
 
     /// Record a flow as established (both directions).

@@ -14,7 +14,7 @@ use crate::latency::{LatencyModel, SetupCosts};
 use crate::netfilter::{ConnState, Firewall, PacketMeta, Verdict};
 use crate::rdma::MemoryRegion;
 use crate::socket::{BindError, PeerInfo, SocketTable};
-use eus_simcore::{Counter, Histogram, SimDuration, SimRng};
+use eus_simcore::{Counter, SimDuration, SimRng};
 use eus_simos::{Gid, NodeId, Uid};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -86,6 +86,50 @@ impl HostNet {
     /// Attach a userspace handler to a queue number.
     pub fn set_queue_handler(&mut self, queue: u16, handler: Box<dyn QueueHandler>) {
         self.handlers.insert(queue, handler);
+    }
+
+    /// Run a new flow's packet through this host's `chain` (`"output"` or
+    /// `"input"`): accept, drop, or hand the flow to the handler on the
+    /// queue the chain names. `Ok(true)` when a handler judged (and
+    /// accepted) it.
+    fn pass_chain(
+        &mut self,
+        chain: &'static str,
+        pkt: &PacketMeta,
+        initiator: PeerInfo,
+        listener: PeerInfo,
+        costs: &mut SetupCosts,
+        queued_packets: &mut Counter,
+    ) -> Result<bool, ConnectError> {
+        let rules = if chain == "output" {
+            &self.firewall.output
+        } else {
+            &self.firewall.input
+        };
+        match rules.evaluate(pkt) {
+            Verdict::Accept => Ok(false),
+            Verdict::Drop => Err(ConnectError::Dropped { chain }),
+            Verdict::Queue(queue) => {
+                queued_packets.incr();
+                let handler = self
+                    .handlers
+                    .get_mut(&queue)
+                    .ok_or(ConnectError::NoHandler(queue))?;
+                let mut ctx = QueueCtx {
+                    tuple: pkt.tuple,
+                    initiator,
+                    listener,
+                    costs,
+                };
+                match handler.judge(&mut ctx) {
+                    Verdict::Accept => Ok(true),
+                    _ => Err(ConnectError::DeniedByDaemon {
+                        queue,
+                        handler: handler.name().to_string(),
+                    }),
+                }
+            }
+        }
     }
 
     /// Names of attached handlers (diagnostics).
@@ -214,8 +258,6 @@ pub struct FabricMetrics {
     pub connects_allowed: Counter,
     /// Connects refused/denied/dropped.
     pub connects_denied: Counter,
-    /// Setup latency in microseconds, one sample per successful connect.
-    pub setup_latency: Histogram,
     /// Packets sent on established flows.
     pub established_packets: Counter,
     /// New-connection packets punted to userspace.
@@ -229,7 +271,12 @@ pub struct FabricMetrics {
 
 /// The cluster network.
 pub struct Fabric {
-    hosts: BTreeMap<NodeId, HostNet>,
+    /// Host ids in ascending order; `hosts[i]` is `ids[i]`'s stack. A
+    /// connect or close finds each endpoint with one binary search over
+    /// this short array. It stays compact however sparse the ids are (the
+    /// revsync WAN's hosts are `NodeId(900_000 + realm)`).
+    ids: Vec<NodeId>,
+    hosts: Vec<HostNet>,
     /// Cost constants.
     pub latency: LatencyModel,
     connections: BTreeMap<ConnId, Connection>,
@@ -272,7 +319,8 @@ impl Fabric {
     /// An empty fabric with default latency constants.
     pub fn new() -> Self {
         Fabric {
-            hosts: BTreeMap::new(),
+            ids: Vec::new(),
+            hosts: Vec::new(),
             latency: LatencyModel::default(),
             connections: BTreeMap::new(),
             next_conn: 1,
@@ -353,19 +401,33 @@ impl Fabric {
             .unwrap_or(SimDuration::ZERO)
     }
 
-    /// Add (or reset) a host.
+    /// Add a host; an existing host is returned as it is.
     pub fn add_host(&mut self, id: NodeId) -> &mut HostNet {
-        self.hosts.entry(id).or_insert_with(|| HostNet::new(id))
+        let i = match self.ids.binary_search(&id) {
+            Ok(i) => i,
+            Err(i) => {
+                self.ids.insert(i, id);
+                self.hosts.insert(i, HostNet::new(id));
+                i
+            }
+        };
+        &mut self.hosts[i]
+    }
+
+    /// Where a host's stack sits in `hosts`.
+    #[inline]
+    fn slot(&self, id: NodeId) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
     }
 
     /// Borrow a host's stack.
     pub fn host(&self, id: NodeId) -> Option<&HostNet> {
-        self.hosts.get(&id)
+        self.slot(id).map(|i| &self.hosts[i])
     }
 
     /// Mutably borrow a host's stack.
     pub fn host_mut(&mut self, id: NodeId) -> Option<&mut HostNet> {
-        self.hosts.get_mut(&id)
+        self.slot(id).map(|i| &mut self.hosts[i])
     }
 
     /// Per-host conntrack flow-table occupancy (directional entries), in
@@ -374,7 +436,7 @@ impl Fabric {
     pub fn flow_table_occupancy(&self) -> Vec<(NodeId, usize)> {
         self.hosts
             .iter()
-            .map(|(&id, h)| (id, h.conntrack.len()))
+            .map(|h| (h.id, h.conntrack.len()))
             .collect()
     }
 
@@ -382,7 +444,7 @@ impl Fabric {
     /// established connection contributes two entries — one per direction —
     /// in both endpoints' tables).
     pub fn flows_tracked(&self) -> usize {
-        self.hosts.values().map(|h| h.conntrack.len()).sum()
+        self.hosts.iter().map(|h| h.conntrack.len()).sum()
     }
 
     /// Bind a listener on a host.
@@ -393,8 +455,7 @@ impl Fabric {
         port: Port,
         owner: PeerInfo,
     ) -> Result<(), ConnectError> {
-        self.hosts
-            .get_mut(&host)
+        self.host_mut(host)
             .ok_or(ConnectError::NoSuchHost(host))?
             .sockets
             .listen(proto, port, owner)
@@ -411,25 +472,29 @@ impl Fabric {
         self.connections.len()
     }
 
-    fn judge_on(
-        host: &mut HostNet,
-        queue: u16,
-        tuple: FiveTuple,
+    /// What a new flow must pass once its client port (on `hosts[s]`) is
+    /// bound: a listener at the destination (`hosts[d]`), whose identity
+    /// is resolved first because both chains' handlers may need it, then
+    /// the source's OUTPUT chain and the destination's INPUT chain.
+    /// Returns whether a handler judged the flow, and the listener.
+    fn admit(
+        &mut self,
+        s: usize,
+        d: usize,
+        pkt: &PacketMeta,
         initiator: PeerInfo,
-        listener: PeerInfo,
         costs: &mut SetupCosts,
-    ) -> Result<Verdict, ConnectError> {
-        let handler = host
-            .handlers
-            .get_mut(&queue)
-            .ok_or(ConnectError::NoHandler(queue))?;
-        let mut ctx = QueueCtx {
-            tuple,
-            initiator,
-            listener,
-            costs,
-        };
-        Ok(handler.judge(&mut ctx))
+    ) -> Result<(bool, PeerInfo), ConnectError> {
+        let dst = pkt.tuple.dst;
+        let listener = self.hosts[d]
+            .sockets
+            .listener(pkt.tuple.proto, dst.port)
+            .ok_or(ConnectError::ConnectionRefused(dst))?
+            .owner;
+        let queued = &mut self.metrics.queued_packets;
+        let out = self.hosts[s].pass_chain("output", pkt, initiator, listener, costs, queued)?;
+        let inp = self.hosts[d].pass_chain("input", pkt, initiator, listener, costs, queued)?;
+        Ok((out || inp, listener))
     }
 
     /// Attempt a new connection. On success returns the connection handle
@@ -444,10 +509,7 @@ impl Fabric {
         self.metrics.connects_attempted.incr();
         let result = self.connect_inner(src_host, initiator, dst, proto);
         match &result {
-            Ok((_, lat)) => {
-                self.metrics.connects_allowed.incr();
-                self.metrics.setup_latency.record(lat.as_micros() as f64);
-            }
+            Ok(_) => self.metrics.connects_allowed.incr(),
             Err(_) => self.metrics.connects_denied.incr(),
         }
         result
@@ -460,9 +522,9 @@ impl Fabric {
         dst: SocketAddr,
         proto: Proto,
     ) -> Result<(ConnId, SimDuration), ConnectError> {
-        if !self.hosts.contains_key(&dst.host) {
-            return Err(ConnectError::NoSuchHost(dst.host));
-        }
+        let d = self
+            .slot(dst.host)
+            .ok_or(ConnectError::NoSuchHost(dst.host))?;
         // Injected link faults fire before any host state is touched — a
         // severed or lossy cable never consumes an ephemeral port.
         if self.is_partitioned(src_host, dst.host) {
@@ -478,16 +540,14 @@ impl Fabric {
                 return Err(ConnectError::LinkLost);
             }
         }
+        let s = self
+            .slot(src_host)
+            .ok_or(ConnectError::NoSuchHost(src_host))?;
         // Bind the client socket so ident queries about the initiator answer.
-        let src_port = {
-            let src = self
-                .hosts
-                .get_mut(&src_host)
-                .ok_or(ConnectError::NoSuchHost(src_host))?;
-            src.sockets
-                .bind_ephemeral(proto, initiator)
-                .map_err(ConnectError::Bind)?
-        };
+        let src_port = self.hosts[s]
+            .sockets
+            .bind_ephemeral(proto, initiator)
+            .map_err(ConnectError::Bind)?;
         let tuple = FiveTuple {
             proto,
             src: SocketAddr::new(src_host, src_port),
@@ -498,105 +558,18 @@ impl Fabric {
             state: ConnState::New,
             payload_len: 0,
         };
-
         let mut costs = SetupCosts::default();
-        let mut queued = false;
-
-        // The listener's identity (the receiving daemon's local lookup);
-        // resolved early because both chains' handlers may need it.
-        let listener = match self
-            .hosts
-            .get(&dst.host)
-            .and_then(|h| h.sockets.listener(proto, dst.port))
-        {
-            Some(e) => e.owner,
-            None => {
-                self.release_client_port(src_host, proto, src_port);
-                return Err(ConnectError::ConnectionRefused(dst));
+        let (queued, listener) = match self.admit(s, d, &pkt, initiator, &mut costs) {
+            Ok(admitted) => admitted,
+            Err(e) => {
+                self.hosts[s].sockets.close(proto, src_port);
+                return Err(e);
             }
         };
 
-        // Source OUTPUT chain.
-        let out_verdict = self.hosts[&src_host].firewall.output.evaluate(&pkt);
-        match out_verdict {
-            Verdict::Accept => {}
-            Verdict::Drop => {
-                self.release_client_port(src_host, proto, src_port);
-                return Err(ConnectError::Dropped { chain: "output" });
-            }
-            Verdict::Queue(q) => {
-                queued = true;
-                self.metrics.queued_packets.incr();
-                let src = self.hosts.get_mut(&src_host).expect("checked");
-                let v = Self::judge_on(src, q, tuple, initiator, listener, &mut costs);
-                match v {
-                    Ok(Verdict::Accept) => {}
-                    Ok(_) => {
-                        let name = self.hosts[&src_host]
-                            .handlers
-                            .get(&q)
-                            .map(|h| h.name().to_string())
-                            .unwrap_or_default();
-                        self.release_client_port(src_host, proto, src_port);
-                        return Err(ConnectError::DeniedByDaemon {
-                            queue: q,
-                            handler: name,
-                        });
-                    }
-                    Err(e) => {
-                        self.release_client_port(src_host, proto, src_port);
-                        return Err(e);
-                    }
-                }
-            }
-        }
-
-        // Destination INPUT chain.
-        let in_verdict = self.hosts[&dst.host].firewall.input.evaluate(&pkt);
-        match in_verdict {
-            Verdict::Accept => {}
-            Verdict::Drop => {
-                self.release_client_port(src_host, proto, src_port);
-                return Err(ConnectError::Dropped { chain: "input" });
-            }
-            Verdict::Queue(q) => {
-                queued = true;
-                self.metrics.queued_packets.incr();
-                let dsth = self.hosts.get_mut(&dst.host).expect("checked");
-                let v = Self::judge_on(dsth, q, tuple, initiator, listener, &mut costs);
-                match v {
-                    Ok(Verdict::Accept) => {}
-                    Ok(_) => {
-                        let name = self.hosts[&dst.host]
-                            .handlers
-                            .get(&q)
-                            .map(|h| h.name().to_string())
-                            .unwrap_or_default();
-                        self.release_client_port(src_host, proto, src_port);
-                        return Err(ConnectError::DeniedByDaemon {
-                            queue: q,
-                            handler: name,
-                        });
-                    }
-                    Err(e) => {
-                        self.release_client_port(src_host, proto, src_port);
-                        return Err(e);
-                    }
-                }
-            }
-        }
-
         // Establish: conntrack on both hosts, register the connection.
-        self.hosts
-            .get_mut(&src_host)
-            .expect("checked")
-            .conntrack
-            .establish(tuple);
-        self.hosts
-            .get_mut(&dst.host)
-            .expect("checked")
-            .conntrack
-            .establish(tuple);
+        self.hosts[s].conntrack.establish(tuple);
+        self.hosts[d].conntrack.establish(tuple);
         let id = ConnId(self.next_conn);
         self.next_conn += 1;
         self.connections.insert(
@@ -613,12 +586,6 @@ impl Fabric {
         Ok((id, setup))
     }
 
-    fn release_client_port(&mut self, host: NodeId, proto: Proto, port: Port) {
-        if let Some(h) = self.hosts.get_mut(&host) {
-            h.sockets.close(proto, port);
-        }
-    }
-
     /// Send payload on an established connection. Conntrack recognizes the
     /// flow, so the packet takes the passthrough path: no queue, no daemon —
     /// the cost is pure transfer time.
@@ -628,10 +595,9 @@ impl Fabric {
             .get_mut(&id)
             .ok_or(SendError::NoSuchConnection(id))?;
         debug_assert!(
-            self.hosts
-                .get(&conn.tuple.dst.host)
-                .map(|h| h.conntrack.is_established(&conn.tuple))
-                .unwrap_or(false),
+            self.ids
+                .binary_search(&conn.tuple.dst.host)
+                .is_ok_and(|d| self.hosts[d].conntrack.is_established(&conn.tuple)),
             "established connection must be in conntrack"
         );
         conn.bytes_sent += payload.len() as u64;
@@ -646,14 +612,39 @@ impl Fabric {
             return false;
         };
         let t = conn.tuple;
-        if let Some(h) = self.hosts.get_mut(&t.src.host) {
+        if let Some(h) = self.host_mut(t.src.host) {
             h.conntrack.remove(&t);
             h.sockets.close(t.proto, t.src.port);
         }
-        if let Some(h) = self.hosts.get_mut(&t.dst.host) {
+        if let Some(h) = self.host_mut(t.dst.host) {
             h.conntrack.remove(&t);
         }
         true
+    }
+
+    /// Tear down everything `uid` has on `node`: every connection whose
+    /// endpoint on `node` is theirs (both ends' conntrack entries and the
+    /// client port go, as in [`close`](Self::close)), then every socket
+    /// they still hold there. A job epilog calls this, so a departed
+    /// tenant's flows stop carrying traffic. Returns the connections
+    /// closed.
+    pub fn close_all_of(&mut self, node: NodeId, uid: Uid) -> usize {
+        let doomed: Vec<ConnId> = self
+            .connections
+            .values()
+            .filter(|c| {
+                (c.tuple.src.host == node && c.initiator.uid == uid)
+                    || (c.tuple.dst.host == node && c.listener.uid == uid)
+            })
+            .map(|c| c.id)
+            .collect();
+        for &id in &doomed {
+            self.close(id);
+        }
+        if let Some(h) = self.host_mut(node) {
+            h.sockets.close_all_of(uid);
+        }
+        doomed.len()
     }
 }
 

@@ -10,12 +10,20 @@
 //! decision and calls [`DecisionCache::invalidate_all`] when it has moved.
 
 use crate::policy::Decision;
+use eus_simcore::{HashKey, KeyedMap};
 use eus_simnet::PeerInfo;
 use eus_simos::{Gid, Uid};
-use std::collections::HashMap;
+use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
+
+/// The cache's hash key: seeded, as all key material in the simulation is
+/// (a deployment would draw it at boot). Users pick the groups they
+/// `newgrp` to, so the hash must be keyed; nothing reads the map's
+/// iteration order.
+const CACHE_KEY: HashKey = HashKey::from_secret(0x0BF0_CAC4_E0DE_C1DE);
 
 /// Cache key: both identities, uid+egid each.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheKey {
     initiator_uid: Uid,
     initiator_egid: Gid,
@@ -35,11 +43,21 @@ impl CacheKey {
     }
 }
 
+/// One word per endpoint, so the keyed hasher spends two rounds on a key.
+impl Hash for CacheKey {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let word = |uid: Uid, gid: Gid| (u64::from(uid.0) << 32) | u64::from(gid.0);
+        state.write_u64(word(self.initiator_uid, self.initiator_egid));
+        state.write_u64(word(self.listener_uid, self.listener_egid));
+    }
+}
+
 /// Bounded FIFO-evicting decision cache.
 #[derive(Debug, Clone)]
 pub struct DecisionCache {
-    map: HashMap<CacheKey, Decision>,
-    order: std::collections::VecDeque<CacheKey>,
+    map: KeyedMap<CacheKey, Decision>,
+    order: VecDeque<CacheKey>,
     capacity: usize,
 }
 
@@ -47,8 +65,8 @@ impl DecisionCache {
     /// A cache holding at most `capacity` decisions (0 disables caching).
     pub fn new(capacity: usize) -> Self {
         DecisionCache {
-            map: HashMap::with_capacity(capacity),
-            order: std::collections::VecDeque::with_capacity(capacity),
+            map: KeyedMap::with_capacity_and_hasher(capacity, CACHE_KEY),
+            order: VecDeque::with_capacity(capacity),
             capacity,
         }
     }

@@ -14,11 +14,14 @@
 //!   façade as it stood before the validate read path was rebuilt to take
 //!   one plane guard. A rewrite of that path keeps every constant.
 //! * a property: random tapes of login / revoke / `advance_to` / feed
-//!   partition / trust rotation / clock skew, with every minted token and
+//!   partition / trust rotation / clock skew, at `broker_shards` 1, 3 and
+//!   4 (3 is a shard count that is not a power of two), with every minted
+//!   token and
 //!   certificate (and a forged and a re-stamped copy of each) judged after
 //!   every op by the façade *and* by the same decision spelled out from
 //!   public parts — `TrustPolicy::gate`, the issuer plane's own
 //!   `validate_*`, `CrlReplica::validate_*`. The two must agree exactly.
+//!   CI raises its case count through `FEDERATED_PROPTEST_CASES`.
 //!
 //! To re-record after an *intended* behaviour change, run the test and
 //! copy the array it prints on mismatch.
@@ -480,15 +483,24 @@ fn facade_token(c: &SecureCluster, t: &SignedToken) -> Verdict {
     replica_token(mesh, t, now)
 }
 
+/// The property's case count; the CI property job raises it via
+/// `FEDERATED_PROPTEST_CASES`.
+fn cases(default: u32) -> u32 {
+    std::env::var("FEDERATED_PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(24), ..ProptestConfig::default() })]
 
     #[test]
     fn facade_directory_and_mesh_agree_with_the_spelled_out_composition(
         tape in proptest::collection::vec((0u8..6, 0u8..8, 0u8..8), 1..40),
-        sharded in 0u8..2,
+        sharded in 0usize..3,
     ) {
-        let shards = if sharded == 1 { 4 } else { 1 };
+        let shards = [1, 3, 4][sharded];
         // A short box, so tapes cross its end.
         let mut f = Fixture::new(shards, secs(20_000));
         let users = f.users;

@@ -3,8 +3,9 @@
 //! paths.
 
 use bytes::Bytes;
-use hpc_user_separation::simcore::SimDuration;
-use hpc_user_separation::simnet::{ConnectError, Proto, SocketAddr};
+use hpc_user_separation::sched::JobSpec;
+use hpc_user_separation::simcore::{SimDuration, SimTime};
+use hpc_user_separation::simnet::{ConnectError, Proto, SendError, SocketAddr};
 use hpc_user_separation::{ClusterSpec, SecureCluster, SeparationConfig};
 
 fn hardened() -> (
@@ -178,6 +179,52 @@ fn unknown_uid_is_refused_on_every_network_entry_point() {
         refused
     );
     assert_eq!(c.portal.routes.len(), 0, "no route for a refused launch");
+}
+
+#[test]
+fn epilog_tears_down_the_departed_tenants_flows() {
+    let mut c = SecureCluster::new(SeparationConfig::llsc(), ClusterSpec::tiny());
+    let alice = c.add_user("alice").unwrap();
+    let bob = c.add_user("bob").unwrap();
+    let (node, other, login) = (c.compute_ids[0], c.compute_ids[1], c.login_node());
+    c.submit(JobSpec::new(alice, "ranks", SimDuration::from_secs(100)));
+    c.advance_to(SimTime::from_secs(1));
+    // One flow into the job's node, one out of it; neither is closed.
+    c.listen(alice, node, Proto::Tcp, 8888, None).unwrap();
+    c.listen(alice, login, Proto::Tcp, 9000, None).unwrap();
+    let (inbound, _) = c
+        .connect(alice, other, SocketAddr::new(node, 8888), Proto::Tcp)
+        .unwrap();
+    let (outbound, _) = c
+        .connect(alice, node, SocketAddr::new(login, 9000), Proto::Tcp)
+        .unwrap();
+    assert_eq!(c.fabric.flows_tracked(), 8);
+
+    c.run_to_completion();
+    let payload = Bytes::from_static(b"after the epilog");
+    for conn in [inbound, outbound] {
+        assert_eq!(
+            c.fabric.send(conn, &payload),
+            Err(SendError::NoSuchConnection(conn))
+        );
+    }
+    assert_eq!(c.fabric.flows_tracked(), 0);
+    assert_eq!(c.fabric.connection_count(), 0);
+    // Only the node the job left is swept: the login listener stays.
+    assert!(c
+        .fabric
+        .host(login)
+        .unwrap()
+        .sockets
+        .listener(Proto::Tcp, 9000)
+        .is_some());
+
+    // The next tenant takes the same port and wires up.
+    c.listen(bob, node, Proto::Tcp, 8888, None).unwrap();
+    assert!(c
+        .connect(bob, other, SocketAddr::new(node, 8888), Proto::Tcp)
+        .is_ok());
+    assert_eq!(c.fabric.flows_tracked(), 4);
 }
 
 #[test]
