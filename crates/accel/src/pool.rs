@@ -2,10 +2,9 @@
 //! `/dev` permission lifecycle ([`crate::devfile`]) and the scheduler epilog.
 
 use crate::devfile::{assign_device, create_device_node, revoke_device};
-use crate::gpu::{Gpu, ScrubReport};
-use eus_simos::node::FsHandle;
+use crate::gpu::Gpu;
 use eus_simos::vfs::FsResult;
-use eus_simos::{DeviceId, Gid, NodeId, Uid};
+use eus_simos::{DeviceId, Gid, NodeId, Uid, Vfs};
 use std::collections::BTreeMap;
 
 /// All GPUs in the cluster, keyed by (node, index).
@@ -27,7 +26,7 @@ impl GpuPool {
         node: NodeId,
         count: u16,
         mem_bytes: usize,
-        fs: &FsHandle,
+        fs: &mut Vfs,
     ) -> FsResult<()> {
         for i in 0..count {
             let gpu = Gpu::new(node, i, mem_bytes);
@@ -64,7 +63,7 @@ impl GpuPool {
         count: u16,
         user: Uid,
         upg: Gid,
-        fs: &FsHandle,
+        fs: &mut Vfs,
     ) -> FsResult<Vec<DeviceId>> {
         let free: Vec<u16> = self
             .gpus
@@ -83,32 +82,30 @@ impl GpuPool {
         Ok(out)
     }
 
-    /// Release a user's GPUs on a node (epilog): revoke `/dev` access and,
-    /// when `scrub` is set (the paper's configuration), clear device memory.
-    /// Returns one report per GPU (empty duration reports when not scrubbed).
+    /// Release a user's GPUs on a node (epilog): unassign them and revoke
+    /// `/dev` access. Device memory is left as it is; clearing it is the
+    /// epilog's separate scrub step ([`Gpu::scrub`]). Returns the device ids
+    /// released.
     pub fn release_user(
         &mut self,
         node: NodeId,
         user: Uid,
-        scrub: bool,
-        fs: &FsHandle,
-    ) -> FsResult<Vec<ScrubReport>> {
+        fs: &mut Vfs,
+    ) -> FsResult<Vec<DeviceId>> {
         let mine: Vec<u16> = self
             .gpus
             .range((node, 0)..=(node, u16::MAX))
             .filter(|(_, g)| g.assigned_to == Some(user))
             .map(|((_, i), _)| *i)
             .collect();
-        let mut reports = Vec::with_capacity(mine.len());
+        let mut out = Vec::with_capacity(mine.len());
         for i in mine {
             let gpu = self.gpus.get_mut(&(node, i)).expect("listed above");
             gpu.assigned_to = None;
             revoke_device(fs, gpu.device)?;
-            if scrub {
-                reports.push(gpu.scrub());
-            }
+            out.push(gpu.device);
         }
-        Ok(reports)
+        Ok(out)
     }
 
     /// Total GPUs in the pool.
@@ -125,13 +122,11 @@ impl GpuPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eus_simos::node::fs_handle;
-    use eus_simos::Vfs;
 
-    fn setup() -> (GpuPool, FsHandle) {
-        let fs = fs_handle(Vfs::standard_node_layout("gpu-node"));
+    fn setup() -> (GpuPool, Vfs) {
+        let mut fs = Vfs::standard_node_layout("gpu-node");
         let mut pool = GpuPool::new();
-        pool.install(NodeId(1), 2, 4096, &fs).unwrap();
+        pool.install(NodeId(1), 2, 4096, &mut fs).unwrap();
         (pool, fs)
     }
 
@@ -141,49 +136,61 @@ mod tests {
         assert_eq!(pool.len(), 2);
         assert_eq!(pool.on_node(NodeId(1)).len(), 2);
         let root = eus_simos::FsCtx::root();
-        assert!(fs.read().stat(&root, "/dev/gpu0").is_ok());
-        assert!(fs.read().stat(&root, "/dev/gpu1").is_ok());
+        assert!(fs.stat(&root, "/dev/gpu0").is_ok());
+        assert!(fs.stat(&root, "/dev/gpu1").is_ok());
     }
 
     #[test]
     fn assign_takes_free_gpus_only() {
-        let (mut pool, fs) = setup();
-        let a = pool.assign(NodeId(1), 1, Uid(100), Gid(100), &fs).unwrap();
+        let (mut pool, mut fs) = setup();
+        let a = pool
+            .assign(NodeId(1), 1, Uid(100), Gid(100), &mut fs)
+            .unwrap();
         assert_eq!(a.len(), 1);
-        let b = pool.assign(NodeId(1), 2, Uid(101), Gid(101), &fs).unwrap();
+        let b = pool
+            .assign(NodeId(1), 2, Uid(101), Gid(101), &mut fs)
+            .unwrap();
         assert_eq!(b.len(), 1, "only one GPU left");
         assert_ne!(a[0], b[0]);
-        let none = pool.assign(NodeId(1), 1, Uid(102), Gid(102), &fs).unwrap();
+        let none = pool
+            .assign(NodeId(1), 1, Uid(102), Gid(102), &mut fs)
+            .unwrap();
         assert!(none.is_empty());
     }
 
     #[test]
     fn remanence_attack_without_scrub_and_defense_with() {
-        let (mut pool, fs) = setup();
+        let (mut pool, mut fs) = setup();
         // Victim writes a secret, job ends WITHOUT scrub.
-        pool.assign(NodeId(1), 1, Uid(100), Gid(100), &fs).unwrap();
+        pool.assign(NodeId(1), 1, Uid(100), Gid(100), &mut fs)
+            .unwrap();
         pool.get_mut(NodeId(1), 0)
             .unwrap()
             .write(0, b"victim model weights")
             .unwrap();
-        pool.release_user(NodeId(1), Uid(100), false, &fs).unwrap();
+        pool.release_user(NodeId(1), Uid(100), &mut fs).unwrap();
 
         // Attacker allocates next and reads the residue.
-        pool.assign(NodeId(1), 1, Uid(200), Gid(200), &fs).unwrap();
+        pool.assign(NodeId(1), 1, Uid(200), Gid(200), &mut fs)
+            .unwrap();
         let stolen = pool.get(NodeId(1), 0).unwrap().read(0, 20).unwrap();
         assert_eq!(stolen, b"victim model weights", "remanence leaks");
-        pool.release_user(NodeId(1), Uid(200), false, &fs).unwrap();
+        pool.release_user(NodeId(1), Uid(200), &mut fs).unwrap();
 
-        // Same flow with epilog scrub: the attacker reads zeros.
-        pool.assign(NodeId(1), 1, Uid(100), Gid(100), &fs).unwrap();
+        // Same flow with the epilog's scrub of what was released: the
+        // attacker reads zeros.
+        pool.assign(NodeId(1), 1, Uid(100), Gid(100), &mut fs)
+            .unwrap();
         pool.get_mut(NodeId(1), 0)
             .unwrap()
             .write(0, b"secret2")
             .unwrap();
-        let reports = pool.release_user(NodeId(1), Uid(100), true, &fs).unwrap();
-        assert_eq!(reports.len(), 1);
-        assert!(reports[0].duration > eus_simcore::SimDuration::ZERO);
-        pool.assign(NodeId(1), 1, Uid(200), Gid(200), &fs).unwrap();
+        let released = pool.release_user(NodeId(1), Uid(100), &mut fs).unwrap();
+        assert_eq!(released, vec![DeviceId::gpu(0)]);
+        let report = pool.get_mut(NodeId(1), 0).unwrap().scrub();
+        assert!(report.duration > eus_simcore::SimDuration::ZERO);
+        pool.assign(NodeId(1), 1, Uid(200), Gid(200), &mut fs)
+            .unwrap();
         assert_eq!(
             pool.get(NodeId(1), 0).unwrap().read(0, 7).unwrap(),
             vec![0u8; 7]
@@ -192,10 +199,13 @@ mod tests {
 
     #[test]
     fn release_only_touches_that_users_gpus() {
-        let (mut pool, fs) = setup();
-        pool.assign(NodeId(1), 1, Uid(100), Gid(100), &fs).unwrap();
-        pool.assign(NodeId(1), 1, Uid(101), Gid(101), &fs).unwrap();
-        pool.release_user(NodeId(1), Uid(100), true, &fs).unwrap();
+        let (mut pool, mut fs) = setup();
+        pool.assign(NodeId(1), 1, Uid(100), Gid(100), &mut fs)
+            .unwrap();
+        pool.assign(NodeId(1), 1, Uid(101), Gid(101), &mut fs)
+            .unwrap();
+        let released = pool.release_user(NodeId(1), Uid(100), &mut fs).unwrap();
+        assert_eq!(released, vec![DeviceId::gpu(0)]);
         assert_eq!(pool.get(NodeId(1), 0).unwrap().assigned_to, None);
         assert_eq!(pool.get(NodeId(1), 1).unwrap().assigned_to, Some(Uid(101)));
     }

@@ -4,7 +4,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use eus_accel::{assign_device, create_device_node, revoke_device, Gpu};
-use eus_simos::node::fs_handle;
 use eus_simos::{DeviceId, Gid, NodeId, Vfs};
 use std::hint::black_box;
 
@@ -25,13 +24,13 @@ fn bench_scrub(c: &mut Criterion) {
 }
 
 fn bench_device_perm_flip(c: &mut Criterion) {
-    let fs = fs_handle(Vfs::standard_node_layout("bench"));
+    let mut fs = Vfs::standard_node_layout("bench");
     let dev = DeviceId::gpu(0);
-    create_device_node(&fs, dev).unwrap();
+    create_device_node(&mut fs, dev).unwrap();
     c.bench_function("gpu/assign_revoke_cycle", |b| {
         b.iter(|| {
-            assign_device(&fs, dev, Gid(1000)).unwrap();
-            revoke_device(&fs, dev).unwrap();
+            assign_device(&mut fs, dev, Gid(1000)).unwrap();
+            revoke_device(&mut fs, dev).unwrap();
         })
     });
 }

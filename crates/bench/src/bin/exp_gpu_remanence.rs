@@ -30,9 +30,8 @@ fn residue(config: SeparationConfig) -> (usize, bool) {
     // Can the attacker even open the device file on this config?
     let dev_open = c.user_fs_ctx(attacker).is_ok_and(|ctx| {
         c.node(node)
-            .with_fs("/dev/gpu0", |fs, p| {
-                fs.open_device(&ctx, p, eus_simos::Perm::RW)
-            })
+            .local_fs
+            .open_device(&ctx, "/dev/gpu0", eus_simos::Perm::RW)
             .is_ok()
     });
     let bytes = c.gpus.get(node, 0).unwrap().read(0, PATTERN.len()).unwrap();

@@ -337,7 +337,8 @@ fn probe_fs_tmp_names(c: &mut SecureCluster, attacker: Uid, victim: Uid) -> Outc
     };
     let names = c
         .node(login)
-        .fs_readdir(&ctx, "/tmp")
+        .local_fs
+        .readdir(&ctx, "/tmp")
         .expect("tmp readable");
     if names.iter().any(|n| n.contains("victim-grant-proposal")) {
         Outcome::Leaked("foreign filename visible in /tmp".into())
@@ -442,9 +443,11 @@ fn probe_gpu_dev(c: &mut SecureCluster, attacker: Uid, victim: Uid) -> Outcome {
     let Ok(ctx) = c.user_fs_ctx(attacker) else {
         return Outcome::Blocked("attacker has no account".into());
     };
-    match c.node(node).with_fs("/dev/gpu0", |fs, p| {
-        fs.open_device(&ctx, p, eus_simos::Perm::RW)
-    }) {
+    match c
+        .node(node)
+        .local_fs
+        .open_device(&ctx, "/dev/gpu0", eus_simos::Perm::RW)
+    {
         Ok(_) => Outcome::Leaked("opened a GPU in use by another user".into()),
         Err(_) => Outcome::Blocked("device group-owned by assignee's UPG".into()),
     }

@@ -16,7 +16,7 @@ use eus_fedauth::{
     shared_broker, BrokerPolicy, CredSerial, CredentialBroker, FederationDirectory, PamFedAuth,
     RealmId, SharedBroker, SignedToken, TrustPolicy,
 };
-use eus_fsperm::{apply_kernel_patches_handle, FilePermissionHandler, PamSmask, LLSC_SMASK};
+use eus_fsperm::{apply_kernel_patches, FilePermissionHandler, PamSmask, LLSC_SMASK};
 use eus_portal::{PortalGateway, RouteKey, WebAppRegistry};
 use eus_revsync::{RevSyncConfig, RevSyncMesh};
 use eus_sched::{
@@ -25,7 +25,7 @@ use eus_sched::{
 };
 use eus_simcore::{SimDuration, SimTime};
 use eus_simnet::{ConnId, ConnectError, Fabric, PeerInfo, Port, Proto, SocketAddr};
-use eus_simos::node::{fs_handle, FsHandle, LoginError};
+use eus_simos::node::LoginError;
 use eus_simos::procfs::ProcMountOpts;
 use eus_simos::{
     Credentials, FsCtx, FsError, FsResult, Gid, Mode, NodeId, NodeOs, Pid, SessionId, Uid, UserDb,
@@ -157,10 +157,10 @@ pub struct SecureCluster {
     pub compute_ids: Vec<NodeId>,
     /// Login node ids (multi-user).
     pub login_ids: Vec<NodeId>,
-    /// Cluster-wide `/home`.
-    pub shared_home: FsHandle,
-    /// Cluster-wide `/proj`.
-    pub shared_proj: FsHandle,
+    /// Cluster-wide `/home`: every node resolves `/home/...` here.
+    pub shared_home: Vfs,
+    /// Cluster-wide `/proj`: every node resolves `/proj/...` here.
+    pub shared_proj: Vfs,
     /// All accelerators.
     pub gpus: GpuPool,
     /// The web portal.
@@ -220,6 +220,28 @@ pub struct SecureCluster {
     pub obs: CoreObs,
 }
 
+/// The tree that owns `path` on a node, and `path` rebased into it
+/// (borrowed from the caller, never copied). `/home` and `/proj` — the
+/// mount point itself, or below it at a component boundary — are the
+/// cluster-wide trees; every other path (`/homework` included) is the
+/// node's own `local`. `local` is `None` for a node the cluster does not
+/// have, which has no `path` at all. `F` is `&Vfs` or `&mut Vfs`.
+fn mounted<F>(path: &str, home: F, proj: F, local: Option<F>) -> FsResult<(F, &str)> {
+    let local = local.ok_or_else(|| FsError::NotFound(path.to_string()))?;
+    let under = |mount: &str| match path.strip_prefix(mount) {
+        Some("") => Some("/"),
+        Some(rest) if rest.starts_with('/') => Some(rest),
+        _ => None,
+    };
+    Ok(if let Some(p) = under("/home") {
+        (home, p)
+    } else if let Some(p) = under("/proj") {
+        (proj, p)
+    } else {
+        (local, path)
+    })
+}
+
 impl SecureCluster {
     /// Assemble a cluster.
     pub fn new(config: SeparationConfig, spec: ClusterSpec) -> Self {
@@ -250,11 +272,11 @@ impl SecureCluster {
         let sched = shared_scheduler(scheduler);
 
         // Shared filesystems.
-        let shared_home = fs_handle(Vfs::new("shared-home"));
-        let shared_proj = fs_handle(Vfs::new("shared-proj"));
+        let mut shared_home = Vfs::new("shared-home");
+        let mut shared_proj = Vfs::new("shared-proj");
         if config.fsperm {
-            apply_kernel_patches_handle(&shared_home);
-            apply_kernel_patches_handle(&shared_proj);
+            apply_kernel_patches(&mut shared_home);
+            apply_kernel_patches(&mut shared_proj);
         }
 
         let fsperm_policy = FilePermissionHandler::new(seepid_gid);
@@ -318,13 +340,11 @@ impl SecureCluster {
                 // anywhere — login or compute node alike.
                 node.pam.push(Box::new(PamFedAuth::new(b.clone())));
             }
-            node.mount("/home", shared_home.clone());
-            node.mount("/proj", shared_proj.clone());
             if config.hidepid {
                 node.proc_opts = ProcMountOpts::llsc(seepid_gid);
             }
             if config.fsperm {
-                apply_kernel_patches_handle(&node.local_fs);
+                apply_kernel_patches(&mut node.local_fs);
                 node.pam
                     .push(Box::new(PamSmask::from_handler(&fsperm_policy)));
             }
@@ -341,11 +361,16 @@ impl SecureCluster {
                 ));
             }
             if is_compute && spec.gpus_per_node > 0 {
-                gpus.install(id, spec.gpus_per_node, spec.gpu_mem_bytes, &node.local_fs)
-                    .expect("fresh /dev");
+                gpus.install(
+                    id,
+                    spec.gpus_per_node,
+                    spec.gpu_mem_bytes,
+                    &mut node.local_fs,
+                )
+                .expect("fresh /dev");
                 if !config.gpu_dev_perms {
                     for g in gpus.on_node(id) {
-                        eus_accel::set_device_world_open(&node.local_fs, g.device)
+                        eus_accel::set_device_world_open(&mut node.local_fs, g.device)
                             .expect("device exists");
                     }
                 }
@@ -466,7 +491,7 @@ impl SecureCluster {
             .expect("just created")
             .private_group;
         let root = FsCtx::root().with_umask(Mode::new(0));
-        let mut home = self.shared_home.write();
+        let home = &mut self.shared_home;
         if self.config.fsperm {
             home.mkdir(&root, &format!("/{name}"), Mode::new(0o770))
                 .expect("fresh home dir");
@@ -481,7 +506,6 @@ impl SecureCluster {
             })
             .expect("just created");
         }
-        drop(home);
         if let Some(b) = &self.broker {
             // Account provisioning includes the first federated login, so a
             // fresh user holds a live token + SSH certificate (the real
@@ -501,7 +525,7 @@ impl SecureCluster {
     pub fn create_project(&mut self, name: &str, steward: Uid) -> Result<Gid, UserDbError> {
         let gid = self.db.write().create_project_group(name, steward)?;
         let root = FsCtx::root().with_umask(Mode::new(0));
-        let mut proj = self.shared_proj.write();
+        let proj = &mut self.shared_proj;
         proj.mkdir(&root, &format!("/{name}"), Mode::new(0o2770))
             .expect("fresh proj dir");
         proj.set_meta_as_root(&format!("/{name}"), |m| m.gid = gid)
@@ -523,7 +547,12 @@ impl SecureCluster {
     /// credentials from the database, smask 007 when the File Permission
     /// Handler is deployed. `Err` for a uid the database does not know.
     pub fn user_fs_ctx(&self, user: Uid) -> Result<FsCtx, UserDbError> {
-        let ctx = FsCtx::user(self.db.read().credentials(user)?);
+        self.fs_ctx(&self.db.read(), user)
+    }
+
+    /// [`Self::user_fs_ctx`] judged under a db guard the caller holds.
+    fn fs_ctx(&self, db: &UserDb, user: Uid) -> Result<FsCtx, UserDbError> {
+        let ctx = FsCtx::user(db.credentials(user)?);
         Ok(if self.config.fsperm {
             ctx.with_smask(LLSC_SMASK)
         } else {
@@ -531,26 +560,14 @@ impl SecureCluster {
         })
     }
 
-    /// Where an `fs_*` call runs and as whom, failing closed: an unknown
-    /// uid is refused `op` on `path`, an unknown node has no `path`.
-    fn fs_at(
-        &self,
-        user: Uid,
-        node: NodeId,
-        op: &'static str,
-        path: &str,
-    ) -> FsResult<(&NodeOs, FsCtx)> {
-        let ctx = self
-            .user_fs_ctx(user)
+    /// As whom an `fs_*` call runs, failing closed: an unknown uid is
+    /// refused `op` on `path`.
+    fn fs_at(&self, db: &UserDb, user: Uid, op: &'static str, path: &str) -> FsResult<FsCtx> {
+        self.fs_ctx(db, user)
             .map_err(|_| FsError::PermissionDenied {
                 op,
                 path: path.to_string(),
-            })?;
-        let node = self
-            .nodes
-            .get(&node)
-            .ok_or_else(|| FsError::NotFound(path.to_string()))?;
-        Ok((node, ctx))
+            })
     }
 
     /// Credentials straight from the account database.
@@ -558,42 +575,52 @@ impl SecureCluster {
         self.db.read().credentials(user).expect("known user")
     }
 
-    /// Write a file as `user` on `node` (through that node's mounts).
+    /// Write a file as `user` on `node`.
     pub fn fs_write(
-        &self,
+        &mut self,
         user: Uid,
         node: NodeId,
         path: &str,
         mode: Mode,
         data: &[u8],
     ) -> FsResult<()> {
-        let (node, ctx) = self.fs_at(user, node, "write", path)?;
-        node.fs_write(&ctx, path, mode, data)
+        let ctx = self.fs_at(&self.db.read(), user, "write", path)?;
+        let local = self.nodes.get_mut(&node).map(|n| &mut n.local_fs);
+        let (fs, p) = mounted(path, &mut self.shared_home, &mut self.shared_proj, local)?;
+        fs.write_file(&ctx, p, mode, data)
     }
 
     /// Read a file as `user` on `node`.
     pub fn fs_read(&self, user: Uid, node: NodeId, path: &str) -> FsResult<Vec<u8>> {
-        let (node, ctx) = self.fs_at(user, node, "read", path)?;
-        node.fs_read(&ctx, path)
+        let ctx = self.fs_at(&self.db.read(), user, "read", path)?;
+        let local = self.nodes.get(&node).map(|n| &n.local_fs);
+        let (fs, p) = mounted(path, &self.shared_home, &self.shared_proj, local)?;
+        fs.read(&ctx, p)
     }
 
     /// chmod as `user` on `node` (smask-filtered when deployed).
-    pub fn fs_chmod(&self, user: Uid, node: NodeId, path: &str, mode: Mode) -> FsResult<Mode> {
-        let (node, ctx) = self.fs_at(user, node, "chmod", path)?;
-        node.with_fs(path, |fs, p| fs.chmod(&ctx, p, mode))
+    pub fn fs_chmod(&mut self, user: Uid, node: NodeId, path: &str, mode: Mode) -> FsResult<Mode> {
+        let ctx = self.fs_at(&self.db.read(), user, "chmod", path)?;
+        let local = self.nodes.get_mut(&node).map(|n| &mut n.local_fs);
+        let (fs, p) = mounted(path, &mut self.shared_home, &mut self.shared_proj, local)?;
+        fs.chmod(&ctx, p, mode)
     }
 
     /// setfacl as `user` on `node` (restriction-patch-filtered when deployed).
+    /// The caller's credentials and the ACL's group check are judged under
+    /// one db guard.
     pub fn fs_setfacl(
-        &self,
+        &mut self,
         user: Uid,
         node: NodeId,
         path: &str,
         acl: eus_simos::PosixAcl,
     ) -> Result<(), FsError> {
-        let (node, ctx) = self.fs_at(user, node, "setfacl", path)?;
         let db = self.db.read();
-        node.with_fs(path, |fs, p| fs.setfacl(&ctx, p, acl, &db))
+        let ctx = self.fs_at(&db, user, "setfacl", path)?;
+        let local = self.nodes.get_mut(&node).map(|n| &mut n.local_fs);
+        let (fs, p) = mounted(path, &mut self.shared_home, &mut self.shared_proj, local)?;
+        fs.setfacl(&ctx, p, acl, &db)
     }
 
     // ------------------------------------------------------------------
@@ -1342,24 +1369,24 @@ impl SecureCluster {
                 // pam_slurm_adopt-style: the user has no jobs left on the
                 // node, so stray processes, sockets (with the flows on
                 // them), and abstract sockets go.
-                let local_fs = if let Some(node) = self.nodes.get_mut(&e.node) {
+                self.fabric.close_all_of(e.node, e.user);
+                if let Some(node) = self.nodes.get_mut(&e.node) {
                     node.procs.kill_all_of(e.user);
                     node.abstract_sockets.cleanup_user(e.user);
-                    Some(node.local_fs.clone())
-                } else {
-                    None
-                };
-                self.fabric.close_all_of(e.node, e.user);
-                // Device permissions are revoked only when they were managed
-                // (Sec. IV-F); the epilog scrub is an independent step that
-                // clears every GPU the job touched, per config.
-                if let Some(fs) = local_fs {
-                    if self.config.gpu_dev_perms {
+                    // Device permissions are revoked only when they were
+                    // managed (Sec. IV-F); the epilog scrub is an independent
+                    // step that clears every GPU on the node, per config,
+                    // when this job held GPUs or the user still held some
+                    // there (an earlier GPU job whose epilog found them
+                    // still active on the node).
+                    let released = if self.config.gpu_dev_perms {
                         self.gpus
-                            .release_user(e.node, e.user, false, &fs)
-                            .expect("device files exist");
-                    }
-                    if self.config.gpu_scrub && e.gpus > 0 {
+                            .release_user(e.node, e.user, &mut node.local_fs)
+                            .expect("device files exist")
+                    } else {
+                        Vec::new()
+                    };
+                    if self.config.gpu_scrub && (e.gpus > 0 || !released.is_empty()) {
                         for idx in 0..self.spec.gpus_per_node {
                             if let Some(gpu) = self.gpus.get_mut(e.node, idx) {
                                 gpu.scrub();
@@ -1397,7 +1424,7 @@ impl SecureCluster {
                 pids.push((*nid, pid));
                 if *gpu_count > 0 && self.config.gpu_dev_perms {
                     self.gpus
-                        .assign(*nid, *gpu_count as u16, s.user, upg, &node.local_fs)
+                        .assign(*nid, *gpu_count as u16, s.user, upg, &mut node.local_fs)
                         .expect("device files exist");
                     self.obs.rec.incr(self.obs.c_gpu_assigns);
                 }
@@ -1611,8 +1638,8 @@ mod tests {
 
     #[test]
     fn fs_write_refuses_unknown_uids_and_nodes() {
-        let (c, alice, login, ghost) = fs_unknowns();
-        let write = |u, n| c.fs_write(u, n, F, Mode::new(0o600), b"x");
+        let (mut c, alice, login, ghost) = fs_unknowns();
+        let mut write = |u, n| c.fs_write(u, n, F, Mode::new(0o600), b"x");
         assert_eq!(write(STRANGER, login), Err(denied("write")));
         assert_eq!(write(alice, ghost), Err(FsError::NotFound(F.into())));
         assert_eq!(write(alice, login), Ok(()));
@@ -1620,7 +1647,7 @@ mod tests {
 
     #[test]
     fn fs_read_refuses_unknown_uids_and_nodes() {
-        let (c, alice, login, ghost) = fs_unknowns();
+        let (mut c, alice, login, ghost) = fs_unknowns();
         c.fs_write(alice, login, F, Mode::new(0o600), b"x").unwrap();
         assert_eq!(c.fs_read(STRANGER, login, F), Err(denied("read")));
         assert_eq!(c.fs_read(alice, ghost, F), Err(FsError::NotFound(F.into())));
@@ -1629,9 +1656,9 @@ mod tests {
 
     #[test]
     fn fs_chmod_refuses_unknown_uids_and_nodes() {
-        let (c, alice, login, ghost) = fs_unknowns();
+        let (mut c, alice, login, ghost) = fs_unknowns();
         c.fs_write(alice, login, F, Mode::new(0o600), b"x").unwrap();
-        let chmod = |u, n| c.fs_chmod(u, n, F, Mode::new(0o640));
+        let mut chmod = |u, n| c.fs_chmod(u, n, F, Mode::new(0o640));
         assert_eq!(chmod(STRANGER, login), Err(denied("chmod")));
         assert_eq!(chmod(alice, ghost), Err(FsError::NotFound(F.into())));
         assert!(chmod(alice, login).is_ok());
@@ -1639,7 +1666,7 @@ mod tests {
 
     #[test]
     fn fs_setfacl_refuses_unknown_uids_and_nodes() {
-        let (c, alice, login, ghost) = fs_unknowns();
+        let (mut c, alice, login, ghost) = fs_unknowns();
         c.fs_write(alice, login, F, Mode::new(0o600), b"x").unwrap();
         let acl = || eus_simos::PosixAcl::new(eus_simos::Perm::NONE);
         assert_eq!(

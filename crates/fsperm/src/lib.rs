@@ -29,10 +29,7 @@ pub mod tools;
 
 pub use lustre::LustreClient;
 pub use pam_module::PamSmask;
-pub use smask::{
-    apply_kernel_patches, apply_kernel_patches_handle, FilePermissionHandler, LLSC_SMASK,
-    RELAXED_SMASK,
-};
+pub use smask::{apply_kernel_patches, FilePermissionHandler, LLSC_SMASK, RELAXED_SMASK};
 pub use tools::{seepid, smask_relax, smask_restore, ToolError};
 
 #[cfg(test)]

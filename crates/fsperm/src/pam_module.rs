@@ -41,7 +41,7 @@ impl PamModule for PamSmask {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::smask::{apply_kernel_patches_handle, LLSC_SMASK};
+    use crate::smask::{apply_kernel_patches, LLSC_SMASK};
     use eus_simos::{Gid, NodeId, NodeOs, Uid, UserDb};
 
     #[test]
@@ -63,21 +63,21 @@ mod tests {
         let mut db = UserDb::new();
         let alice = db.create_user("alice").unwrap();
         let mut node = NodeOs::new(NodeId(1), "login1");
-        apply_kernel_patches_handle(&node.local_fs);
+        apply_kernel_patches(&mut node.local_fs);
         node.pam.push(Box::new(PamSmask::new(LLSC_SMASK)));
         let sid = node.login(&db, alice, "sshd").unwrap();
         let ctx = node.session(sid).unwrap().fs_ctx();
 
-        node.fs_write(&ctx, "/tmp/drop", eus_simos::Mode::new(0o666), b"payload")
+        let fs = &mut node.local_fs;
+        fs.write_file(&ctx, "/tmp/drop", eus_simos::Mode::new(0o666), b"payload")
             .unwrap();
-        let st = node.fs_stat(&ctx, "/tmp/drop").unwrap();
+        let st = fs.stat(&ctx, "/tmp/drop").unwrap();
         assert!(!st.mode.any_world(), "world bits must be stripped");
 
         // And chmod inside the session cannot restore them.
-        node.with_fs("/tmp/drop", |fs, p| {
-            fs.chmod(&ctx, p, eus_simos::Mode::new(0o666)).unwrap();
-        });
-        assert!(!node.fs_stat(&ctx, "/tmp/drop").unwrap().mode.any_world());
+        fs.chmod(&ctx, "/tmp/drop", eus_simos::Mode::new(0o666))
+            .unwrap();
+        assert!(!fs.stat(&ctx, "/tmp/drop").unwrap().mode.any_world());
     }
 
     #[test]

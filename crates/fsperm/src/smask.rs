@@ -7,7 +7,6 @@
 //! them: the default smask value and the whitelists for the `smask_relax`
 //! and `seepid` support tools.
 
-use eus_simos::node::FsHandle;
 use eus_simos::{Gid, Mode, Uid, Vfs};
 use std::collections::BTreeSet;
 
@@ -25,11 +24,6 @@ pub const RELAXED_SMASK: Mode = Mode::new(0o002);
 pub fn apply_kernel_patches(fs: &mut Vfs) {
     fs.enforce_smask = true;
     fs.restrict_acl = true;
-}
-
-/// [`apply_kernel_patches`] through a shared mount handle.
-pub fn apply_kernel_patches_handle(fs: &FsHandle) {
-    apply_kernel_patches(&mut fs.write());
 }
 
 /// Site policy for the File Permission Handler deployment.

@@ -78,7 +78,7 @@ pub fn smask_restore(handler: &FilePermissionHandler, session: &mut Session) {
 mod tests {
     use super::*;
     use crate::pam_module::PamSmask;
-    use crate::smask::{apply_kernel_patches_handle, LLSC_SMASK};
+    use crate::smask::{apply_kernel_patches, LLSC_SMASK};
     use eus_simcore::SimTime;
     use eus_simos::procfs::{HidePid, ProcMountOpts};
     use eus_simos::{Gid, Mode, NodeId, NodeOs, UserDb};
@@ -93,7 +93,7 @@ mod tests {
             hidepid: HidePid::Invisible,
             exempt_gid: Some(seepid_gid),
         };
-        apply_kernel_patches_handle(&node.local_fs);
+        apply_kernel_patches(&mut node.local_fs);
         let handler = FilePermissionHandler::new(seepid_gid)
             .allow_relax(staff)
             .allow_seepid(staff);
@@ -135,21 +135,19 @@ mod tests {
 
         smask_relax(&handler, node.session_mut(sid).unwrap()).unwrap();
         let ctx = node.session(sid).unwrap().fs_ctx().with_umask(Mode::new(0));
-        node.fs_write(&ctx, "/tmp/dataset", Mode::new(0o777), b"model")
+        let fs = &mut node.local_fs;
+        fs.write_file(&ctx, "/tmp/dataset", Mode::new(0o777), b"model")
             .unwrap();
-        let mode = node.fs_stat(&ctx, "/tmp/dataset").unwrap().mode;
+        let mode = fs.stat(&ctx, "/tmp/dataset").unwrap().mode;
         assert_eq!(mode.bits(), 0o775, "world r-x allowed, world w stripped");
 
         // Leaving the relaxed shell restores enforcement.
         smask_restore(&handler, node.session_mut(sid).unwrap());
         let ctx2 = node.session(sid).unwrap().fs_ctx().with_umask(Mode::new(0));
-        node.fs_write(&ctx2, "/tmp/private", Mode::new(0o777), b"x")
+        let fs = &mut node.local_fs;
+        fs.write_file(&ctx2, "/tmp/private", Mode::new(0o777), b"x")
             .unwrap();
-        assert!(!node
-            .fs_stat(&ctx2, "/tmp/private")
-            .unwrap()
-            .mode
-            .any_world());
+        assert!(!fs.stat(&ctx2, "/tmp/private").unwrap().mode.any_world());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   enforcement and ACL restriction — flipped on by `eus-fsperm`),
 //! * [`pam`] — the module stack `pam_slurm` and the smask session module
 //!   plug into,
-//! * [`node`] — nodes with shared-filesystem mounts and login sessions,
+//! * [`node`] — nodes with their local filesystem and login sessions,
 //! * [`shm`] — abstract-namespace Unix sockets, one of the residual channels
 //!   of Sec. V,
 //! * [`devices`] — `/dev` identities for scheduler-assigned accelerators.
@@ -38,7 +38,7 @@ pub mod vfs;
 pub use cred::Credentials;
 pub use devices::DeviceId;
 pub use ids::{Gid, NodeId, Pid, SessionId, Uid, ROOT_GID, ROOT_UID};
-pub use node::{fs_handle, FsHandle, LoginError, MountTable, NodeOs};
+pub use node::{LoginError, NodeOs};
 pub use pam::{PamContext, PamDenied, PamModule, PamStack, PamVerdict, Session};
 pub use process::{ProcState, Process, ProcessTable};
 pub use procfs::{HidePid, ProcError, ProcFs, ProcMountOpts};

@@ -87,7 +87,11 @@ fn main() {
         .unwrap();
     let stat = {
         let ctx = cluster.user_fs_ctx(mallory).unwrap();
-        cluster.node(login).fs_stat(&ctx, "/tmp/pwned").unwrap()
+        cluster
+            .node(login)
+            .local_fs
+            .stat(&ctx, "/tmp/pwned")
+            .unwrap()
     };
     check(
         "world-writable drop",

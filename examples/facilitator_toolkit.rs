@@ -69,8 +69,9 @@ fn main() {
         .fs_ctx()
         .with_umask(Mode::new(0));
     cluster
-        .node(login)
-        .fs_write(&ctx, "/tmp/imagenet-index", Mode::new(0o644), b"...")
+        .node_mut(login)
+        .local_fs
+        .write_file(&ctx, "/tmp/imagenet-index", Mode::new(0o644), b"...")
         .unwrap();
     smask_restore(&policy, cluster.node_mut(login).session_mut(f_sid).unwrap());
     let readable = cluster.fs_read(light, login, "/tmp/imagenet-index").is_ok();

@@ -2,7 +2,7 @@
 //! changes effectively prevent users sharing data via the filesystem unless
 //! they are both members of the same supplemental group."
 
-use hpc_user_separation::simos::{Gid, Mode, Perm, PosixAcl, Uid};
+use hpc_user_separation::simos::{FsCtx, Gid, Mode, Perm, PosixAcl, Uid, ROOT_UID};
 use hpc_user_separation::{ClusterSpec, SecureCluster, SeparationConfig};
 
 struct World {
@@ -31,7 +31,7 @@ fn world(config: SeparationConfig) -> World {
 
 #[test]
 fn hardened_matrix_every_unintended_path_closed() {
-    let w = world(SeparationConfig::llsc());
+    let mut w = world(SeparationConfig::llsc());
     let login = w.c.login_node();
 
     // (a) world bits at create: stripped.
@@ -76,8 +76,9 @@ fn hardened_matrix_every_unintended_path_closed() {
     // (e) chgrp to a group alice is not in: plain DAC already refuses.
     let ctx = w.c.user_fs_ctx(w.alice).unwrap();
     let err =
-        w.c.node(login)
-            .with_fs("/tmp/c", |fs, p| fs.chown(&ctx, p, None, Some(eve_upg)));
+        w.c.node_mut(login)
+            .local_fs
+            .chown(&ctx, "/tmp/c", None, Some(eve_upg));
     assert!(err.is_err());
 
     // (f) home directory: unreachable.
@@ -132,7 +133,7 @@ fn hardened_matrix_every_unintended_path_closed() {
 
 #[test]
 fn baseline_matrix_leaks_everywhere() {
-    let w = world(SeparationConfig::baseline());
+    let mut w = world(SeparationConfig::baseline());
     let login = w.c.login_node();
     // World bits work at create and via chmod; ACLs to anyone work; homes
     // are world-traversable.
@@ -159,12 +160,12 @@ fn baseline_matrix_leaks_everywhere() {
 #[test]
 fn tmp_names_leak_but_sticky_protects_content_manipulation() {
     // The residual disclosure (names) does not extend to tampering.
-    let w = world(SeparationConfig::llsc());
+    let mut w = world(SeparationConfig::llsc());
     let login = w.c.login_node();
     w.c.fs_write(w.alice, login, "/tmp/alice-run-42", Mode::new(0o600), b"x")
         .unwrap();
     let eve_ctx = w.c.user_fs_ctx(w.eve).unwrap();
-    let names = w.c.node(login).fs_readdir(&eve_ctx, "/tmp").unwrap();
+    let names = w.c.node(login).local_fs.readdir(&eve_ctx, "/tmp").unwrap();
     assert!(
         names.contains(&"alice-run-42".to_string()),
         "name leaks (residual)"
@@ -172,15 +173,16 @@ fn tmp_names_leak_but_sticky_protects_content_manipulation() {
     // But eve cannot delete, rename, or read it.
     assert!(w
         .c
-        .node(login)
-        .with_fs("/tmp/alice-run-42", |fs, p| fs.unlink(&eve_ctx, p))
+        .node_mut(login)
+        .local_fs
+        .unlink(&eve_ctx, "/tmp/alice-run-42")
         .is_err());
     assert!(w.c.fs_read(w.eve, login, "/tmp/alice-run-42").is_err());
 }
 
 #[test]
 fn local_tmp_is_per_node_shared_home_is_global() {
-    let w = world(SeparationConfig::llsc());
+    let mut w = world(SeparationConfig::llsc());
     let n1 = w.c.compute_ids[0];
     let n2 = w.c.compute_ids[1];
     w.c.fs_write(w.alice, n1, "/tmp/scratch", Mode::new(0o600), b"local")
@@ -196,4 +198,64 @@ fn local_tmp_is_per_node_shared_home_is_global() {
         b"g",
         "/home is cluster-wide"
     );
+
+    // A mount point itself is the root of the cluster-wide tree. No node
+    // has a local `/home` or `/proj`, so a miss would be `NotFound`.
+    let root = FsCtx::root();
+    w.c.fs_chmod(ROOT_UID, n1, "/home", Mode::new(0o711))
+        .unwrap();
+    w.c.fs_chmod(ROOT_UID, n2, "/proj", Mode::new(0o711))
+        .unwrap();
+    assert_eq!(w.c.shared_home.stat(&root, "/").unwrap().mode.bits(), 0o711);
+    assert_eq!(w.c.shared_proj.stat(&root, "/").unwrap().mode.bits(), 0o711);
+
+    // A name that only starts with a mount point is node-local: not
+    // visible from a second node, and nowhere in the shared trees.
+    let shared = |c: &SecureCluster| (c.shared_home.inode_count(), c.shared_proj.inode_count());
+    let before = shared(&w.c);
+    let mkdir = root.with_umask(Mode::new(0));
+    for dir in ["/homework", "/projects"] {
+        for n in [n1, n2] {
+            w.c.node_mut(n)
+                .local_fs
+                .mkdir(&mkdir, dir, Mode::new(0o1777))
+                .unwrap();
+        }
+        let path = format!("{dir}/notes");
+        w.c.fs_write(w.alice, n1, &path, Mode::new(0o600), b"n1")
+            .unwrap();
+        assert_eq!(w.c.fs_read(w.alice, n1, &path).unwrap(), b"n1");
+        assert!(
+            w.c.fs_read(w.alice, n2, &path).is_err(),
+            "{dir} is node-local"
+        );
+    }
+    assert_eq!(shared(&w.c), before, "nothing landed under /home or /proj");
+}
+
+/// Each `fs_*` entry point takes exactly one lock: the account db's read
+/// guard (judging the caller, and for `fs_setfacl` the ACL's group check
+/// too). The filesystems themselves are owned by the cluster, not locked.
+#[cfg(lock_order_check)]
+#[test]
+fn each_fs_call_takes_one_guard() {
+    fn guards<R>(f: impl FnOnce() -> R) -> (u64, R) {
+        let before = parking_lot::acquisitions();
+        let r = f();
+        (parking_lot::acquisitions() - before, r)
+    }
+    let mut w = world(SeparationConfig::llsc());
+    let login = w.c.login_node();
+    let (alice, bob) = (w.alice, w.bob);
+    for path in ["/tmp/g", "/home/alice/g", "/proj/fusion/g"] {
+        let (n, r) = guards(|| w.c.fs_write(alice, login, path, Mode::new(0o660), b"x"));
+        assert_eq!((n, r), (1, Ok(())), "fs_write {path}");
+        let (n, r) = guards(|| w.c.fs_read(alice, login, path));
+        assert_eq!((n, r), (1, Ok(b"x".to_vec())), "fs_read {path}");
+        let (n, r) = guards(|| w.c.fs_chmod(alice, login, path, Mode::new(0o640)));
+        assert_eq!((n, r), (1, Ok(Mode::new(0o640))), "fs_chmod {path}");
+        let acl = PosixAcl::new(Perm::NONE).with_user(bob, Perm::R);
+        let (n, r) = guards(|| w.c.fs_setfacl(alice, login, path, acl));
+        assert_eq!((n, r), (1, Ok(())), "fs_setfacl {path}");
+    }
 }

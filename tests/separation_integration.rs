@@ -181,8 +181,9 @@ fn seepid_and_smask_relax_work_only_for_whitelisted_staff() {
         .unwrap()
         .fs_ctx()
         .with_umask(Mode::new(0));
-    c.node(login)
-        .fs_write(&ctx, "/tmp/public-dataset", Mode::new(0o644), b"weights")
+    c.node_mut(login)
+        .local_fs
+        .write_file(&ctx, "/tmp/public-dataset", Mode::new(0o644), b"weights")
         .unwrap();
     // The researcher can read it.
     assert!(c.fs_read(user, login, "/tmp/public-dataset").is_ok());
@@ -206,11 +207,8 @@ fn gpu_lifecycle_under_full_config() {
     let bob_ctx = c.user_fs_ctx(bob).unwrap();
     assert!(c
         .node(node)
-        .with_fs("/dev/gpu0", |fs, p| fs.open_device(
-            &bob_ctx,
-            p,
-            hpc_user_separation::simos::Perm::RW
-        ))
+        .local_fs
+        .open_device(&bob_ctx, "/dev/gpu0", hpc_user_separation::simos::Perm::RW)
         .is_err());
 
     // After her job: scrubbed and unassigned.
@@ -218,6 +216,40 @@ fn gpu_lifecycle_under_full_config() {
     let gpu = c.gpus.get(node, 0).unwrap();
     assert_eq!(gpu.assigned_to, None);
     assert!(!gpu.is_dirty(), "epilog scrub ran");
+}
+
+#[test]
+fn gpu_is_scrubbed_when_its_user_leaves_the_node_on_a_cpu_only_job() {
+    // Whole-node-user lets alice hold a GPU job and a CPU-only job on the
+    // one compute node. The GPU job ends first, while she is still active
+    // there, so its epilog leaves the node alone; the CPU-only job's
+    // epilog, when she leaves, must still scrub the GPU she held.
+    let spec = ClusterSpec {
+        compute_nodes: 1,
+        ..ClusterSpec::tiny()
+    };
+    let mut c = SecureCluster::new(SeparationConfig::llsc(), spec);
+    let alice = c.add_user("alice").unwrap();
+    let bob = c.add_user("bob").unwrap();
+    let node = c.compute_ids[0];
+
+    c.submit(JobSpec::new(alice, "train", SimDuration::from_secs(10)).with_gpus_per_task(1));
+    c.submit(JobSpec::new(alice, "post", SimDuration::from_secs(20)));
+    c.advance_to(SimTime::from_secs(1));
+    c.gpus
+        .get_mut(node, 0)
+        .unwrap()
+        .write(0, b"alice weights")
+        .unwrap();
+    c.advance_to(SimTime::from_secs(15));
+    assert_eq!(c.gpus.get(node, 0).unwrap().assigned_to, Some(alice));
+
+    // Bob's GPU job waits for the node, then lands on the same device.
+    c.submit(JobSpec::new(bob, "probe", SimDuration::from_secs(100)).with_gpus_per_task(1));
+    c.advance_to(SimTime::from_secs(30));
+    let gpu = c.gpus.get(node, 0).unwrap();
+    assert_eq!(gpu.assigned_to, Some(bob));
+    assert_eq!(gpu.read(0, 13).unwrap(), vec![0u8; 13], "bob reads zeros");
 }
 
 #[test]
@@ -259,12 +291,11 @@ fn containers_pass_through_every_host_control() {
     assert_eq!(c.node(login).procfs().foreign_visible_count(&cred), 0);
     // ...the smask still strips world bits from anything it drops...
     let ctx = session.fs_ctx();
-    c.node(login)
-        .fs_write(&ctx, "/tmp/from-container", FsMode::new(0o777), b"x")
+    let tmp = &mut c.node_mut(login).local_fs;
+    tmp.write_file(&ctx, "/tmp/from-container", FsMode::new(0o777), b"x")
         .unwrap();
-    assert!(!c
-        .node(login)
-        .fs_stat(&ctx, "/tmp/from-container")
+    assert!(!tmp
+        .stat(&ctx, "/tmp/from-container")
         .unwrap()
         .mode
         .any_world());
