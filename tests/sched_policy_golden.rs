@@ -8,7 +8,8 @@
 //! constants recorded from the engine as it stood before the policy
 //! plane's per-class bookkeeping was rebuilt (PR 14). A rewrite of that
 //! plane must keep every constant — same heads, same placements, same
-//! reservations, same ledger bits.
+//! reservations, same ledger bits. The every-knob-off rows pin the same
+//! digest for the knobs-off schedule over both partition layouts.
 //!
 //! A scenario's digest covers, in order:
 //!
@@ -58,6 +59,9 @@ impl Digest {
 
 #[derive(Clone, Copy, Debug)]
 enum Knobs {
+    /// Every knob off: the cycle `ReferenceScheduler` also checks, here
+    /// over partition layouts and the QoS-decorated trace.
+    Off,
     FairShare,
     FairSharePreempt,
     /// Top-K in fair-share order (the per-user K-way merge), not band order.
@@ -83,6 +87,7 @@ enum TraceKind {
 
 fn config(knobs: Knobs, policy: NodeSharing, half_life: SimDuration) -> SchedConfig {
     let (fair_share, preemption, reservations) = match knobs {
+        Knobs::Off => (false, false, 0),
         Knobs::FairShare => (true, false, 0),
         Knobs::FairSharePreempt => (true, true, 0),
         Knobs::FairShareReservations => (true, false, 4),
@@ -319,12 +324,24 @@ fn scenarios() -> Vec<(String, u64)> {
             ),
         ));
     }
+    for kind in [TraceKind::Storm, TraceKind::Qos] {
+        for layout in [Layout::Disjoint, Layout::Overlapping] {
+            for policy in [NodeSharing::Shared, NodeSharing::WholeNodeUser] {
+                seed += 1;
+                let name = format!("{kind:?}/Off/{layout:?}/{policy:?}/seed {seed:#x}");
+                out.push((
+                    name,
+                    run_scenario(kind, Knobs::Off, layout, policy, hour, seed),
+                ));
+            }
+        }
+    }
     out
 }
 
 /// Recorded from the engine at commit 6622992 (PR 13), before the policy
-/// plane was rebuilt on `ClassId` / `ClassState`.
-const GOLDEN: [u64; 42] = [
+/// plane was rebuilt on `ClassId` / `ClassState` — all but the last eight.
+const GOLDEN: [u64; 50] = [
     0x3e7f4e17a38a6448, // Storm/FairShare/Disjoint/Shared/seed 0xe052025
     0xf4d84aa11da813de, // Storm/FairShare/Disjoint/WholeNodeUser/seed 0xe052026
     0x45d2668b270df71a, // Storm/FairShare/Overlapping/Shared/seed 0xe052027
@@ -367,6 +384,16 @@ const GOLDEN: [u64; 42] = [
     0xba8e002c19c4ba34, // Qos/PreemptReservations/Overlapping/WholeNodeUser/seed 0xe05204c
     0x2dbc6c4d3e53a4e9, // rebase/FairShare/seed 0xe05204d
     0x527dde448c7175e6, // rebase/All/seed 0xe05204e
+    // Every knob off, recorded from the engine that still ran a separate
+    // knobs-off cycle beside the class cycle.
+    0xe424901af7916fbe, // Storm/Off/Disjoint/Shared/seed 0xe05204f
+    0x668a1ff3bdd90a63, // Storm/Off/Disjoint/WholeNodeUser/seed 0xe052050
+    0x639fb238a5c0f52c, // Storm/Off/Overlapping/Shared/seed 0xe052051
+    0x33393549b7f697e4, // Storm/Off/Overlapping/WholeNodeUser/seed 0xe052052
+    0x7ca382ae19fc9cb2, // Qos/Off/Disjoint/Shared/seed 0xe052053
+    0xaeb838f5a828d1aa, // Qos/Off/Disjoint/WholeNodeUser/seed 0xe052054
+    0xe88cfec9acf84659, // Qos/Off/Overlapping/Shared/seed 0xe052055
+    0x778f8eaaefc7471a, // Qos/Off/Overlapping/WholeNodeUser/seed 0xe052056
 ];
 
 #[test]

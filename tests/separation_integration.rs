@@ -2,10 +2,10 @@
 //! subsystem in one scenario, plus the defense-in-depth claims of Secs. IV-A
 //! and V.
 
-use hpc_user_separation::sched::{JobSpec, NodeSharing};
+use hpc_user_separation::sched::{JobSpec, JobState, NodeSharing, QosClass};
 use hpc_user_separation::simcore::{SimDuration, SimTime};
 use hpc_user_separation::simnet::{ConnectError, Proto, SocketAddr};
-use hpc_user_separation::simos::Mode;
+use hpc_user_separation::simos::{Mode, Pid};
 use hpc_user_separation::{audit, ClusterSpec, SecureCluster, SeparationConfig};
 
 fn llsc() -> SecureCluster {
@@ -250,6 +250,57 @@ fn gpu_is_scrubbed_when_its_user_leaves_the_node_on_a_cpu_only_job() {
     let gpu = c.gpus.get(node, 0).unwrap();
     assert_eq!(gpu.assigned_to, Some(bob));
     assert_eq!(gpu.read(0, 13).unwrap(), vec![0u8; 13], "bob reads zeros");
+}
+
+#[test]
+fn a_job_preempted_and_restarted_within_one_advance_runs_fresh_processes() {
+    // Bob's short urgent job preempts alice's bulk job on the one compute
+    // node, ends, and the bulk job restarts on the node — all inside one
+    // `advance_to`. The epilog of the killed run and the prolog of the
+    // restart meet in the same reconcile.
+    let spec = ClusterSpec {
+        compute_nodes: 1,
+        ..ClusterSpec::tiny()
+    };
+    let mut c = SecureCluster::new(SeparationConfig::llsc().with_preemption(), spec);
+    let alice = c.add_user("alice").unwrap();
+    let bob = c.add_user("bob").unwrap();
+    let node = c.compute_ids[0];
+    let alice_pids = |c: &SecureCluster| -> Vec<Pid> {
+        let procs = &c.node(node).procs;
+        procs
+            .iter()
+            .filter(|p| p.uid() == alice)
+            .map(|p| p.pid)
+            .collect()
+    };
+
+    let bulk = c.submit(
+        JobSpec::new(alice, "train", SimDuration::from_secs(3600)).with_qos(QosClass::Bulk),
+    );
+    c.advance_to(SimTime::from_secs(60));
+    let killed = alice_pids(&c);
+    assert!(!killed.is_empty());
+
+    c.submit(JobSpec::new(bob, "debug", SimDuration::from_secs(10)).with_qos(QosClass::Urgent));
+    c.advance_to(SimTime::from_secs(120));
+    {
+        let sched = c.sched.read();
+        assert_eq!(sched.preemptions.len(), 1);
+        assert_eq!(sched.preemptions[0].victim, bulk);
+        assert_eq!(sched.jobs[&bulk].state, JobState::Running);
+        assert_eq!(sched.jobs[&bulk].started, Some(SimTime::from_secs(70)));
+    }
+    let now = alice_pids(&c);
+    assert!(!now.is_empty(), "the restarted job has processes");
+    assert!(
+        now.iter().all(|pid| !killed.contains(pid)),
+        "a process of the killed run survived: {killed:?} vs {now:?}"
+    );
+    let procs = &c.node(node).procs;
+    assert!(now.iter().all(|&pid| procs
+        .get(pid)
+        .is_some_and(|p| p.started == SimTime::from_secs(70))));
 }
 
 #[test]
