@@ -34,7 +34,7 @@ use eus_simos::{
 use eus_ubf::{
     deploy_ubf_observed, shared_user_db, SharedUserDb, UbfConfig, UbfPacketStats, UbfStats,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Hardware shape of the cluster.
 #[derive(Debug, Clone)]
@@ -196,7 +196,8 @@ pub struct SecureCluster {
     /// under `config.revsync_max_lag` (bounded staleness, fail closed).
     pub revsync: Option<RevSyncMesh>,
     seepid_gid: Gid,
-    materialized: BTreeSet<JobId>,
+    /// The processes each started job's prolog spawned, by node. The
+    /// job's first epilog takes the entry out.
     job_procs: BTreeMap<JobId, Vec<(NodeId, Pid)>>,
     // Per-dependency degraded-mode state machines (see [`DepHealth`]),
     // re-judged at every cycle boundary.
@@ -410,7 +411,6 @@ impl SecureCluster {
             federation,
             revsync,
             seepid_gid,
-            materialized: BTreeSet::new(),
             job_procs: BTreeMap::new(),
             health_idp: DepHealth::Healthy,
             health_ca: DepHealth::Healthy,
@@ -1316,20 +1316,24 @@ impl SecureCluster {
             allocs: Vec<(NodeId, u32 /*gpus*/)>,
         }
         let now;
+        let mut departed = BTreeMap::new();
         let (started, epilogs): (Vec<Started>, Vec<EpilogEvent>) = {
             let mut sched = self.sched.write();
             now = sched.now();
             let epilogs = sched.drain_epilogs();
             // A job with an epilog left its nodes (ended — or was
-            // preempted and will run again): un-materialize it first so a
-            // preempted-and-restarted job re-materializes below.
+            // preempted and will run again): take its pids out first, so
+            // a preempted-and-restarted job re-materializes below and the
+            // epilog kills only the old run's processes.
             for e in &epilogs {
-                self.materialized.remove(&e.job);
+                if let Some(pids) = self.job_procs.remove(&e.job) {
+                    departed.insert(e.job, pids);
+                }
             }
             let started = sched
                 .jobs
                 .values()
-                .filter(|j| j.state == JobState::Running && !self.materialized.contains(&j.id))
+                .filter(|j| j.state == JobState::Running && !self.job_procs.contains_key(&j.id))
                 .map(|j| Started {
                     job: j.id,
                     user: j.spec.user,
@@ -1358,7 +1362,7 @@ impl SecureCluster {
             // Web-app routes die with their job.
             self.portal.routes.remove_job(e.job);
             // Kill the job's own processes.
-            if let Some(pids) = self.job_procs.remove(&e.job) {
+            if let Some(pids) = departed.remove(&e.job) {
                 for (nid, pid) in pids {
                     if let Some(node) = self.nodes.get_mut(&nid) {
                         node.procs.remove(pid);
@@ -1408,7 +1412,6 @@ impl SecureCluster {
                 s.allocs.len() as u64,
                 s.allocs.iter().map(|(_, g)| *g as u64).sum(),
             );
-            self.materialized.insert(s.job);
             let cred = self.credentials(s.user);
             let upg = self.db.read().user(s.user).expect("known").private_group;
             let mut pids = Vec::new();

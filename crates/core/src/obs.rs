@@ -56,7 +56,7 @@ pub struct CoreObs {
     pub c_reconciles: CounterId,
     /// Epilog events processed (cleanup for a departed/preempted tenant).
     pub c_epilogs: CounterId,
-    /// Prologs run (newly started jobs materialized: procs + GPUs).
+    /// Prologs run (newly started jobs given processes + GPUs).
     pub c_prologs: CounterId,
     /// GPU memory scrubs performed by epilogs.
     pub c_gpu_scrubs: CounterId,

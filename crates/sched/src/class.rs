@@ -1,9 +1,9 @@
-//! Per-class policy-plane state: one [`ClassState`] per scheduling class,
+//! Per-class scheduling state: one [`ClassState`] per scheduling class,
 //! held by the engine in a `Vec` indexed by [`crate::partition::ClassId`].
 //!
 //! A class is a partition under `fair_share`, or the whole queue otherwise.
-//! Everything the policy cycle asks of a class is answered from state that
-//! is maintained where it changes, never re-derived per event:
+//! Everything the scheduling cycle asks of a class is answered from state
+//! that is maintained where it changes, never re-derived per event:
 //!
 //! | asked per cycle          | answered from            | maintained on                         |
 //! |--------------------------|--------------------------|---------------------------------------|
@@ -68,7 +68,7 @@ fn score_key(score: f64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// Everything the policy plane keeps for one scheduling class.
+/// Everything the engine keeps for one scheduling class.
 #[derive(Debug, Default)]
 pub(crate) struct ClassState {
     /// Queued jobs in enqueue order: enqueue-seq → job.

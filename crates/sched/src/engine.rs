@@ -6,6 +6,18 @@
 //! compare utilization, wait, and throughput — the trade-off Sec. IV-B
 //! describes qualitatively.
 //!
+//! # One scheduling cycle
+//!
+//! Every event that can change a decision (arrival, job end, node failure
+//! or repair) runs one cycle, `try_schedule`. With `fair_share` off it
+//! schedules the one whole-cluster class ([`ClassId::GLOBAL`]); with it on,
+//! every partition's class in turn. A class's cycle places heads while
+//! they fit, may preempt for a blocked latency-sensitive head, then
+//! backfills behind the blocked head under its EASY shadow (and, with
+//! reservations on, the conservative calendar). With every knob off that
+//! is FCFS + EASY over one FIFO, the behaviour
+//! [`crate::reference::ReferenceScheduler`] checks.
+//!
 //! # Scheduler internals (the hot path)
 //!
 //! At 10k-node scale the naive cycle — collect-and-sort every node per
@@ -44,18 +56,12 @@
 //!   costs O(touched releases), not an O(nodes) mirror memcpy. The total
 //!   task-fit sum is maintained incrementally with early exit the moment
 //!   the head fits.
-//! * **Backfill scan memo** — the FCFS backfill window scan memoizes its
-//!   outcome per `(head, state_version, queue_shrink_epoch)`: an arrival
-//!   flood against an unchanged window skips the scan outright, and an
-//!   exhausted scan resumes from its cursor so only *new* arrivals are
-//!   examined. (Sound because shadow-bound rejects are monotone in `now`
-//!   and placement failures are version-memoized; the policy path keeps
-//!   full scans — conservative-backfill refusals are not monotone.)
-//! * **Order-indexed queue** — the pending queue is a
-//!   `BTreeMap<enqueue-seq, JobId>` (+ reverse map for `cancel`), so head
-//!   dispatch and mid-queue backfill removals are O(log q) instead of
-//!   `Vec::remove` shifts, while preserving FIFO order and the EASY scan
-//!   order bit-for-bit.
+//! * **Class FIFO** — each class queues its jobs in an
+//!   `enqueue-seq → Queued` map that carries the job's time limit, user
+//!   and QoS band beside its id, with a flat job → seq slab (`queue_pos`)
+//!   for dequeue: head dispatch and mid-queue backfill removals are
+//!   O(log q), and a backfill candidate the shadow bound rejects costs an
+//!   iterator step and a compare, no jobs-map probe.
 //! * **Shared specs** — `Job::spec` is `Arc<JobSpec>`, so scheduling cycles
 //!   and `squeue` views share the spec instead of deep-cloning cmdline/name
 //!   strings, and partition eligible-sets are borrowed rather than cloned
@@ -69,13 +75,33 @@
 //! mid-run (the index assumes placement decisions were made under the same
 //! policy — `SchedConfig` is documented immutable per run).
 //!
+//! # What a cycle memoizes, and what invalidates it
+//!
+//! `state_version` moves on every claim, release, failure, repair, node
+//! add and partition edit — anything that could change a placement or
+//! shadow answer. The memos key on it:
+//!
+//! * **blocked head** (`ClassState::head_memo`, `(head, version)`): a
+//!   blocked head stays blocked while the version and the class's
+//!   selected head are unchanged, so an arrival skips the placement
+//!   attempt; with backfill off the cycle returns before it reads the
+//!   head's spec (the arrival-flood fast path);
+//! * **shadow** (`ClassState::shadow_memo`, `(head, version, shadow)`):
+//!   the EASY shadow is a pure function of the head's spec, node state and
+//!   the running set, in absolute time, so a later `now` keeps it;
+//! * **failed backfill placements** (`backfill_fails`): a candidate that
+//!   found no placement at this version finds none until it moves;
+//! * **calendar** (`ClassState::calendar`): keyed
+//!   `(state_version, queue_seq, queue_shrink_epoch)` — any claim or
+//!   release, any arrival, any departure (`cancel` moves only the last).
+//!
+//! The head's `Σ fit` (`head_fit`) is not a memo: `mirror_update` keeps it
+//! exact on every capacity change, and a partition edit drops it.
+//!
 //! # The policy plane
 //!
-//! Three opt-in knobs layer scheduling *policy* over the hot path above.
-//! All default **off**; with every knob off the engine takes the exact
-//! pre-policy code path and stays observationally identical to
-//! [`crate::reference::ReferenceScheduler`] (still property-checked by
-//! `tests/sched_equivalence.rs`).
+//! Three opt-in knobs layer scheduling *policy* over the same cycle. All
+//! default **off**, which leaves one class in FIFO order.
 //!
 //! * **`fair_share`** — the queue splits into per-partition classes
 //!   (indexed by the dense [`ClassId`] that
@@ -102,20 +128,19 @@
 //!   candidate must not collide with any held reservation, not just the
 //!   head's shadow).
 //!
-//! The policy plane honors the PR-4 machinery: placement attempts walk the
-//! same incremental candidate index, shadows and calendars build from the
-//! same capacity mirrors (including the per-partition mirrors that give
-//! partitioned builds the flat-copy path), and per-class head/shadow memos
-//! skip recomputation on arrival floods. Like `policy`, the plane's knobs
-//! and the partition table are immutable once jobs are queued.
+//! Calendars build from the same capacity mirrors as the shadow (including
+//! the per-partition mirrors that give partitioned builds the flat-copy
+//! path). Like `policy`, the knobs and the partition table are immutable
+//! once jobs are queued: a queued job keeps the class its partition
+//! resolved to at enqueue.
 //!
-//! All of the plane's per-class bookkeeping is one `ClassState`
-//! (`class.rs`) per class in a `Vec` indexed by [`ClassId`]: a job's class is resolved once, when it is enqueued, and a
-//! cycle then pays for what changed — the head is the first entry of an
-//! ordered index kept current on enqueue/dequeue/charge, the backfill
-//! window is one forward walk of the class FIFO, and a calendar rebuild
-//! plans out of reusable scratch. No partition name is cloned, compared or
-//! allocated inside a cycle.
+//! Each class's bookkeeping is one `ClassState` (`class.rs`) in a `Vec`
+//! indexed by [`ClassId`]: a job's class is resolved once, when it is
+//! enqueued, and a cycle then pays for what changed — the head is the
+//! first entry of an ordered index kept current on enqueue/dequeue/charge,
+//! the backfill window is one forward walk of the class FIFO, and a
+//! calendar rebuild plans out of reusable scratch. No partition name is
+//! cloned, compared or allocated inside a cycle.
 
 use crate::accounting::FairShareLedger;
 use crate::calendar::{CapDelta, PlanCtx, PlanScratch, Reservation};
@@ -131,11 +156,14 @@ use eus_obs::TraceCtx;
 use eus_simcore::{Counter, Histogram, SimDuration, SimTime, TimeWeighted};
 use eus_simos::{Credentials, NodeId, Uid};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::ops::Bound;
 use std::sync::Arc;
 
-/// Scheduler configuration.
+/// Scheduler configuration. Immutable once jobs are queued. Every field
+/// tunes the one scheduling cycle; `fair_share`, `preemption` and
+/// `reservations` (the policy plane) default off, which is plain FCFS +
+/// EASY over one whole-cluster FIFO.
 #[derive(Debug, Clone)]
 pub struct SchedConfig {
     /// Node-sharing policy. Must not change once jobs have run — the
@@ -150,9 +178,9 @@ pub struct SchedConfig {
     pub private_data: PrivateData,
     /// How long a crashed node stays down before rejoining.
     pub repair_time: SimDuration,
-    /// Policy plane: multi-partition fair-share head selection over the
-    /// decayed usage ledger. Off = strict FIFO order (the reference
-    /// behavior).
+    /// Policy plane: one scheduling class per partition, each selecting
+    /// its head over the decayed usage ledger. Off = one whole-cluster
+    /// class in strict FIFO order (the reference behavior).
     pub fair_share: bool,
     /// Half-life of the fair-share usage decay (ignored unless
     /// `fair_share`).
@@ -181,14 +209,6 @@ impl Default for SchedConfig {
             preemption: false,
             reservations: 0,
         }
-    }
-}
-
-impl SchedConfig {
-    /// Is any policy-plane knob on? Off ⇒ the engine runs the exact
-    /// pre-policy code path (reference-identical).
-    pub fn policy_plane_active(&self) -> bool {
-        self.fair_share || self.preemption || self.reservations > 0
     }
 }
 
@@ -374,15 +394,13 @@ pub struct Scheduler {
     pub nodes: NodeTable,
     /// Every job ever submitted.
     pub jobs: BTreeMap<JobId, Job>,
-    /// Pending queue in FIFO order: enqueue-sequence → job, as a flat
-    /// tombstone ring ([`FifoRing`]) so the head query and enqueue/dequeue
-    /// are O(1) at storm scale.
-    queue: FifoRing,
-    /// Reverse queue index: job → queue key, `u64::MAX` = not queued.
-    /// Job ids are dense (assigned sequentially at submit), so this is a
-    /// flat slab indexed by `JobId.0` — O(1) instead of a 100k-entry tree
-    /// probe on every enqueue/dequeue at storm scale.
+    /// Job → its key in its class FIFO, `u64::MAX` = not queued. Job ids
+    /// are dense (assigned sequentially at submit), so this is a flat slab
+    /// indexed by `JobId.0` — O(1) instead of a 100k-entry tree probe on
+    /// every dequeue at storm scale.
     queue_pos: Vec<u64>,
+    /// The next enqueue key: keys rise in arrival order, so every class
+    /// FIFO iterates in enqueue order.
     queue_seq: u64,
     /// Running jobs keyed by scheduled end time (`started + duration`, the
     /// EASY assumption), carrying a compact snapshot of each job's
@@ -416,43 +434,29 @@ pub struct Scheduler {
     /// Monotonic replay counter for the overlay stamps.
     shadow_epoch: u64,
     /// Bumped on every claim/release/fail/repair/add — anything that could
-    /// change a placement or shadow answer.
+    /// change a placement or shadow answer. Every cycle memo keys on it.
     state_version: u64,
-    /// Memoized EASY shadow: `(head job, state_version, shadow)`. A
-    /// submission storm fires `try_schedule` per arrival while the head
-    /// stays blocked and node state is untouched — the shadow is a pure
-    /// function of (head spec, node state, running set), so those cycles
-    /// reuse it instead of replaying identically. Absolute times, so a
-    /// later `now` does not invalidate it.
-    shadow_cache: Option<(JobId, u64, SimTime)>,
-    /// Memoized failed head placement `(head job, state_version)`: while
-    /// nothing claims or releases, a blocked head stays blocked — skip the
-    /// re-attempt on pure arrival events.
-    head_fail_cache: Option<(JobId, u64)>,
     /// Backfill candidates whose placement failed at `.0 == state_version`
     /// — valid until any claim/release (the set is cleared when the
     /// version moves). Saves re-walking the candidate window per arrival.
     backfill_fails: (u64, BTreeSet<JobId>),
     /// Bumped whenever a job *leaves* the pending queue (start, backfill,
     /// cancel). `cancel` removes without touching `state_version`, so the
-    /// backfill scan memo keys on this too.
+    /// calendar key counts departures here.
     queue_shrink_epoch: u64,
-    /// Memoized FCFS backfill window scan (see `BfScan`). Invalid the
-    /// moment `(head, state_version, queue_shrink_epoch)` moves.
-    bf_scan: Option<BfScan>,
-    // ---- policy plane (all empty / unused while the knobs are off) ----
-    /// Decayed per-(class, user) usage: the fair-share input.
+    /// Decayed per-(class, user) usage: the fair-share input (empty while
+    /// `fair_share` is off).
     ledger: FairShareLedger,
     /// Per-class state, indexed by [`ClassId`] and grown when a class
-    /// first receives a job: queues and head index, calendar, head/shadow
-    /// memos, capacity mirror. Under `fair_share` a job queues
-    /// in its partition's class; otherwise every job queues in
-    /// [`ClassId::GLOBAL`] (a mirror of `queue`) and a partition's entry
-    /// carries only its capacity mirror.
+    /// first receives a job: FIFO and head indexes, calendar, head/shadow
+    /// memos, capacity mirror. Under `fair_share` a job queues in its
+    /// partition's class; otherwise every job queues in
+    /// [`ClassId::GLOBAL`] and a partition's entry carries only its
+    /// capacity mirror.
     classes: Vec<ClassState>,
     /// Job → the class its partition resolved to when it was enqueued
     /// ([`ClassId::GLOBAL`] = whole cluster), a flat slab like
-    /// `queue_pos`. Written only while the policy plane is on.
+    /// `queue_pos`.
     job_class: Vec<ClassId>,
     /// Run epoch per job; bumped on preemption so stale `JobEnd` events
     /// from the killed run are ignored. Absent = epoch 0 (never preempted).
@@ -461,7 +465,7 @@ pub struct Scheduler {
     pub preemptions: Vec<PreemptionRecord>,
     /// Calendar-planning scratch (top-K list, capacity/fit/window vectors).
     plan_scratch: PlanScratch,
-    /// The classes one policy cycle visits (reused across cycles).
+    /// The classes one fair-share cycle visits (reused across cycles).
     cycle_classes: Vec<ClassId>,
     // ---- per-partition capacity mirrors + incremental head fit ----
     /// Node slot → `(class, position)` in every built class mirror that
@@ -505,86 +509,6 @@ pub struct Scheduler {
     submit_traces: BTreeMap<JobId, TraceCtx>,
 }
 
-/// Tombstone marker for [`FifoRing`] slots — real job ids start at 1.
-const FIFO_TOMB: JobId = JobId(0);
-
-/// The global pending queue as a flat ring. Enqueue keys are handed out
-/// consecutively, so the live window `[base, base + slots.len())` maps a
-/// key to a `VecDeque` index by plain subtraction: tail insert is O(1),
-/// removal tombstones the slot in place, and the front is kept
-/// tombstone-free so the head query — asked on every scheduling cycle —
-/// is O(1) instead of a descent through a 100k-entry tree. Forward scans
-/// (backfill) skip tombstones, which amortizes against the dequeues that
-/// created them.
-#[derive(Debug, Default)]
-struct FifoRing {
-    /// Slot per handed-out key from `base` up; `FIFO_TOMB` = dequeued.
-    slots: VecDeque<JobId>,
-    /// Queue key of `slots[0]`.
-    base: u64,
-    /// Live (non-tombstone) entries.
-    live: usize,
-}
-
-impl FifoRing {
-    fn len(&self) -> usize {
-        self.live
-    }
-
-    /// The head: first live entry. O(1) — the front slot is never a
-    /// tombstone.
-    fn first(&self) -> Option<(u64, JobId)> {
-        self.slots.front().map(|&id| (self.base, id))
-    }
-
-    /// Insert at the tail. Keys must arrive consecutively (the engine's
-    /// `queue_seq` guarantees it).
-    fn insert(&mut self, key: u64, id: JobId) {
-        if self.slots.is_empty() {
-            self.base = key;
-        }
-        debug_assert_eq!(
-            key,
-            self.base + self.slots.len() as u64,
-            "queue keys are handed out consecutively"
-        );
-        self.slots.push_back(id);
-        self.live += 1;
-    }
-
-    /// Remove by key, returning the job if it was live.
-    fn remove(&mut self, key: u64) -> Option<JobId> {
-        let idx = usize::try_from(key.checked_sub(self.base)?).ok()?;
-        let slot = self.slots.get_mut(idx)?;
-        if *slot == FIFO_TOMB {
-            return None;
-        }
-        let id = std::mem::replace(slot, FIFO_TOMB);
-        self.live -= 1;
-        while self.slots.front() == Some(&FIFO_TOMB) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        Some(id)
-    }
-
-    /// First live entry with a key strictly after `cursor` (`None` = scan
-    /// from the front).
-    fn next_after(&self, cursor: Option<u64>) -> Option<(u64, JobId)> {
-        let mut idx = match cursor {
-            Some(c) if c >= self.base => (c - self.base) as usize + 1,
-            _ => 0,
-        };
-        while let Some(&id) = self.slots.get(idx) {
-            if id != FIFO_TOMB {
-                return Some((self.base + idx as u64, id));
-            }
-            idx += 1;
-        }
-        None
-    }
-}
-
 /// The head whose total task-fit is being maintained incrementally.
 #[derive(Debug)]
 struct HeadFit {
@@ -598,28 +522,6 @@ struct HeadFit {
     total: u64,
 }
 
-/// Memoized FCFS backfill window scan. Stored only by a scan during which
-/// nothing started (a mid-scan start frees a depth-budget slot, so the
-/// window a fresh scan would cover extends past `cursor` into entries this
-/// scan never examined). While the key triple is unchanged the recorded
-/// window's outcome cannot change (shadow-bound rejects are monotone in
-/// `now`, placement failures are version-memoized), so the cycle either
-/// skips the scan outright (`!exhausted`: the depth-limited window is
-/// identical) or resumes from `cursor` and examines only arrivals newer
-/// than the last scan.
-#[derive(Debug, Clone, Copy)]
-struct BfScan {
-    head: JobId,
-    version: u64,
-    shrink: u64,
-    /// Last queue key consumed (resume point, exclusive).
-    cursor: u64,
-    /// Candidates examined so far (counts against `backfill_depth`).
-    scanned: usize,
-    /// True when the scan ran out of queue before hitting the depth limit.
-    exhausted: bool,
-}
-
 impl Scheduler {
     /// An empty scheduler.
     pub fn new(config: SchedConfig) -> Self {
@@ -628,7 +530,6 @@ impl Scheduler {
             config,
             nodes: NodeTable::default(),
             jobs: BTreeMap::new(),
-            queue: FifoRing::default(),
             queue_pos: Vec::new(),
             queue_seq: 0,
             running_ends: BTreeMap::new(),
@@ -641,11 +542,8 @@ impl Scheduler {
             shadow_stamp: Vec::new(),
             shadow_epoch: 0,
             state_version: 0,
-            shadow_cache: None,
-            head_fail_cache: None,
             backfill_fails: (0, BTreeSet::new()),
             queue_shrink_epoch: 0,
-            bf_scan: None,
             ledger,
             classes: Vec::new(),
             job_class: Vec::new(),
@@ -844,8 +742,8 @@ impl Scheduler {
     /// which nodes are eligible, so the memoized placement/shadow answers,
     /// the per-partition capacity mirrors, and the maintained head fit are
     /// all invalidated here. Configure partitions *before* jobs queue —
-    /// the policy plane's per-partition queues key jobs by the partition
-    /// resolution in force at submit time.
+    /// a queued job keeps the partition class it resolved to at enqueue
+    /// (its class FIFO, placement scope and shadow scope follow it).
     pub fn partitions_mut(&mut self) -> &mut PartitionTable {
         self.state_version += 1;
         self.partitions_version += 1;
@@ -886,7 +784,7 @@ impl Scheduler {
 
     /// Number of jobs waiting in queue.
     pub fn pending_count(&self) -> usize {
-        self.queue.len()
+        self.classes.iter().map(|cs| cs.fifo.len()).sum()
     }
 
     /// Number of running jobs. O(1).
@@ -921,14 +819,15 @@ impl Scheduler {
     }
 
     /// The class a job's partition resolves to: remembered from enqueue
-    /// while the policy plane is on (its queues were keyed by it), looked
-    /// up otherwise. `None` = the job names a partition unknown today.
+    /// for a queued job (its class FIFO was keyed by it), looked up for
+    /// one still to arrive. `None` = the job names a partition unknown
+    /// today.
     fn job_scope(&self, job: JobId, spec: &JobSpec) -> Option<ClassId> {
         let queued = self
             .queue_pos
             .get(job.0 as usize)
             .is_some_and(|&k| k != u64::MAX);
-        if queued && self.config.policy_plane_active() {
+        if queued {
             return Some(self.queued_scope(job));
         }
         self.partitions
@@ -1046,9 +945,8 @@ impl Scheduler {
 
     /// Cancel a pending job (running jobs run to completion, as `scancel`
     /// would need the full kill path we don't model). The departure moves
-    /// `queue_shrink_epoch`, which the backfill scan memo and the calendar
-    /// memo both key on: a reservation held for the cancelled job is not
-    /// served again.
+    /// `queue_shrink_epoch`, which the calendar memo keys on: a
+    /// reservation held for the cancelled job is not served again.
     pub fn cancel(&mut self, id: JobId) -> bool {
         let Some(job) = self.jobs.get_mut(&id) else {
             return false;
@@ -1073,38 +971,31 @@ impl Scheduler {
         }
     }
 
-    /// Append a pending job to the queue tail and, with the policy plane
-    /// on, to its class (FIFO, plus the fair-share per-user queues + head
-    /// index and the QoS band index as the knobs ask).
-    fn enqueue(&mut self, id: JobId) {
+    /// Append a pending job to its class's tail: the FIFO, plus the
+    /// fair-share per-user queues + head index and the QoS band index as
+    /// the knobs ask.
+    fn enqueue(&mut self, id: JobId, spec: &JobSpec) {
         let key = self.queue_seq;
         self.queue_seq += 1;
-        self.queue.insert(key, id);
         let idx = id.0 as usize;
         if self.queue_pos.len() <= idx {
             self.queue_pos.resize(idx + 1, u64::MAX);
+            self.job_class.resize(idx + 1, ClassId::GLOBAL);
         }
         self.queue_pos[idx] = key;
-        if !self.config.policy_plane_active() {
-            return;
-        }
-        let spec = &self.jobs[&id].spec;
         // The one place a job's partition name is looked up: everything
         // downstream indexes by the class.
         let scope = self
             .partitions
             .resolve_class(spec.partition.as_deref())
             .expect("validated at submit");
+        self.job_class[idx] = scope;
         let q = Queued {
             job: id,
             time_limit: spec.time_limit,
             user: spec.user,
             band: self.band(spec),
         };
-        if self.job_class.len() <= idx {
-            self.job_class.resize(idx + 1, ClassId::GLOBAL);
-        }
-        self.job_class[idx] = scope;
         let class = self.sched_class(scope);
         let (fair_share, preemption) = (self.config.fair_share, self.config.preemption);
         // `class` is `scope` or the (lower) whole-cluster id, and ids are
@@ -1121,8 +1012,7 @@ impl Scheduler {
         }
     }
 
-    /// Remove a job from the queue (start, cancel) and from its class's
-    /// policy structures if present.
+    /// Remove a job from its class (start, cancel).
     fn dequeue(&mut self, id: JobId) {
         let Some(key) = self
             .queue_pos
@@ -1132,15 +1022,12 @@ impl Scheduler {
         else {
             return;
         };
-        // Any departure shrinks the backfill window; `cancel` reaches here
-        // without a `state_version` bump, so the scan memo keys on this.
+        // `cancel` reaches here without a `state_version` bump, so the
+        // calendar key counts departures here.
         self.queue_shrink_epoch += 1;
-        self.queue.remove(key);
-        if let Some(&scope) = self.job_class.get(id.0 as usize) {
-            let class = self.sched_class(scope);
-            if let Some(cs) = self.classes.get_mut(class.index()) {
-                cs.remove(key);
-            }
+        let class = self.sched_class(self.queued_scope(id));
+        if let Some(cs) = self.classes.get_mut(class.index()) {
+            cs.remove(key);
         }
     }
 
@@ -1224,7 +1111,8 @@ impl Scheduler {
                     self.obs
                         .rec
                         .event(self.now, "job.submit", j.0, job.spec.tasks as u64, 0);
-                    self.enqueue(j);
+                    let spec = Arc::clone(&job.spec);
+                    self.enqueue(j, &spec);
                     self.try_schedule();
                 }
             }
@@ -1679,17 +1567,9 @@ impl Scheduler {
     /// the incrementally-maintained [`HeadFit`] when this head was already
     /// being tracked, so a shadow recompute after a claim/release delta
     /// costs O(releases) rather than O(nodes).
-    fn shadow_time_for(&mut self, head: JobId, spec: &Arc<JobSpec>) -> SimTime {
-        let part = self
-            .partitions
-            .resolve_class(spec.partition.as_deref())
-            .expect("validated at submit");
-        self.shadow_time_scoped(head, spec, part, true)
-    }
-
-    /// [`shadow_time_for`](Self::shadow_time_for) with the head's partition
-    /// class already in hand. `track = false` leaves the incremental
-    /// head-fit tracker alone — for ad-hoc probes
+    ///
+    /// `part` is the head's partition class. `track = false` leaves the
+    /// incremental head-fit tracker alone — for ad-hoc probes
     /// ([`earliest_start`](Self::earliest_start)) that must not evict the
     /// real head's maintained sum between scheduling cycles.
     fn shadow_time_scoped(
@@ -1805,208 +1685,16 @@ impl Scheduler {
     }
     // analyze:hot-path-end
 
+    // ------------------------------------------------------------------
+    // The scheduling cycle: classes, preemption, backfill
+    // ------------------------------------------------------------------
+
+    /// The one scheduling cycle. Without fair-share the whole queue is one
+    /// class (global FIFO order; preemption and reservations still apply).
+    /// Under fair-share every partition is its own class with its own
+    /// head, shadow, and backfill budget — one backlogged partition cannot
+    /// head-of-line-block the others.
     fn try_schedule(&mut self) {
-        if self.config.policy_plane_active() {
-            self.try_schedule_policy();
-        } else {
-            self.try_schedule_fcfs();
-        }
-    }
-
-    /// The pre-policy cycle: global FCFS head + EASY backfill. This is the
-    /// path the equivalence suite pins against the reference scheduler.
-    fn try_schedule_fcfs(&mut self) {
-        loop {
-            let Some((head_key, head)) = self.queue.first() else {
-                return;
-            };
-            // While nothing claimed or released, a blocked head stays
-            // blocked (placement is a pure function of spec + node state):
-            // skip the re-attempt on pure arrival events.
-            let known_blocked = matches!(
-                self.head_fail_cache,
-                Some((j, v)) if j == head && v == self.state_version
-            );
-            if known_blocked && !self.config.backfill {
-                // Arrival-flood fast path: nothing below reads the spec, so
-                // don't pay the jobs-map lookup at 100k entries.
-                self.obs.rec.incr(self.obs.c_head_memo_hit);
-                return;
-            }
-            let head_spec = Arc::clone(&self.jobs[&head].spec);
-            let placement = if known_blocked {
-                self.obs.rec.incr(self.obs.c_head_memo_hit);
-                None
-            } else {
-                self.obs.rec.incr(self.obs.c_head_memo_miss);
-                let part = self
-                    .partitions
-                    .resolve_class(head_spec.partition.as_deref())
-                    .expect("validated at submit");
-                // O(1) certain-fail gate: the maintained Σ fit for this
-                // head is exact (see `placement_walk`), so a total below
-                // the task count proves the walk would fail.
-                let gated = matches!(
-                    &self.head_fit,
-                    Some(hf) if hf.job == head && hf.part == part
-                        && hf.total < head_spec.tasks as u64
-                );
-                if gated {
-                    self.obs.rec.incr(self.obs.c_fit_gate);
-                    None
-                } else {
-                    let tok = self.obs.rec.span_start();
-                    let (p, fit_sum) = {
-                        let eligible = self
-                            .partitions
-                            .eligible_nodes(head_spec.partition.as_deref())
-                            .expect("validated at submit");
-                        self.placement_walk(&head_spec, eligible)
-                    };
-                    self.obs.rec.span_end(self.obs.sp_dispatch, tok);
-                    if p.is_none() {
-                        // Prime the incremental tracker from the failed
-                        // walk's exact sum — later cycles gate in O(1).
-                        self.head_fit = Some(HeadFit {
-                            job: head,
-                            spec: Arc::clone(&head_spec),
-                            part,
-                            total: fit_sum,
-                        });
-                    }
-                    p
-                }
-            };
-            if let Some(p) = placement {
-                self.dequeue(head);
-                self.start_job(head, p);
-                continue;
-            }
-            self.head_fail_cache = Some((head, self.state_version));
-            if !self.config.backfill {
-                return;
-            }
-            // EASY backfill: start later jobs only if they cannot delay the
-            // head job's shadow start. The shadow is memoized per (head,
-            // state-version): arrival-flood cycles that changed nothing on
-            // the nodes reuse the previous answer.
-            let shadow = match self.shadow_cache {
-                Some((j, v, s)) if j == head && v == self.state_version => {
-                    self.obs.rec.incr(self.obs.c_shadow_memo_hit);
-                    s
-                }
-                _ => {
-                    self.obs.rec.incr(self.obs.c_shadow_memo_miss);
-                    let tok = self.obs.rec.span_start();
-                    let s = self.shadow_time_for(head, &head_spec);
-                    self.obs.rec.span_end(self.obs.sp_shadow, tok);
-                    self.shadow_cache = Some((head, self.state_version, s));
-                    s
-                }
-            };
-            // Scan memo: while `(head, version, shrink-epoch)` is unchanged
-            // the window's outcome cannot change (shadow-bound rejects are
-            // monotone in `now`, placement failures are version-memoized,
-            // started candidates left the queue) — a depth-limited scan is
-            // skipped outright, an exhausted one resumes at its cursor so
-            // only new arrivals are examined. FCFS-path only: the policy
-            // path's conservative-backfill refusals are not monotone.
-            let memo = self.bf_scan.filter(|m| {
-                m.head == head
-                    && m.version == self.state_version
-                    && m.shrink == self.queue_shrink_epoch
-            });
-            if let Some(m) = memo {
-                if !m.exhausted {
-                    self.obs.rec.incr(self.obs.c_bf_scan_skips);
-                    return;
-                }
-            }
-            let bf_tok = self.obs.rec.span_start();
-            let (mut scanned, mut cursor) = match memo {
-                Some(m) => {
-                    self.obs.rec.incr(self.obs.c_bf_scan_resumes);
-                    (m.scanned, m.cursor)
-                }
-                None => (0, head_key),
-            };
-            let scan_version = self.state_version;
-            let scan_shrink = self.queue_shrink_epoch;
-            let mut exhausted = false;
-            while scanned < self.config.backfill_depth {
-                let Some((key, cand)) = self.queue.next_after(Some(cursor)) else {
-                    exhausted = true;
-                    break;
-                };
-                scanned += 1;
-                cursor = key;
-                let spec = Arc::clone(&self.jobs[&cand].spec);
-                let fits_before_shadow =
-                    shadow == SimTime::MAX || self.now + spec.time_limit <= shadow;
-                if fits_before_shadow {
-                    // Failed attempts are memoized per state version: while
-                    // nothing claimed or released, the same candidate fails
-                    // the same way (starting a candidate bumps the version
-                    // and invalidates the set).
-                    if self.backfill_fails.0 != self.state_version {
-                        self.backfill_fails = (self.state_version, BTreeSet::new());
-                    }
-                    if self.backfill_fails.1.contains(&cand) {
-                        self.obs.rec.incr(self.obs.c_bf_memo_rejects);
-                        continue;
-                    }
-                    self.obs.rec.incr(self.obs.c_bf_attempts);
-                    let placement = {
-                        let eligible = self
-                            .partitions
-                            .eligible_nodes(spec.partition.as_deref())
-                            .expect("validated at submit");
-                        self.placement_for(&spec, eligible)
-                    };
-                    if let Some(p) = placement {
-                        self.obs.rec.incr(self.obs.c_bf_accepts);
-                        self.dequeue(cand);
-                        self.start_job(cand, p);
-                    } else {
-                        self.backfill_fails.1.insert(cand);
-                    }
-                } else {
-                    self.obs.rec.incr(self.obs.c_bf_shadow_rejects);
-                }
-            }
-            // The memo is only stored when no candidate started during the
-            // scan. A mid-scan start dequeues the candidate, freeing a
-            // depth-budget slot: the window a fresh scan would cover then
-            // extends *past* `cursor`, and entries beyond it were never
-            // examined — `(scanned, cursor)` no longer describe the window.
-            self.bf_scan =
-                if self.state_version == scan_version && self.queue_shrink_epoch == scan_shrink {
-                    Some(BfScan {
-                        head,
-                        version: scan_version,
-                        shrink: scan_shrink,
-                        cursor,
-                        scanned,
-                        exhausted,
-                    })
-                } else {
-                    None
-                };
-            self.obs.rec.span_end(self.obs.sp_backfill, bf_tok);
-            return;
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Policy plane: fair-share classes, preemption, reservations
-    // ------------------------------------------------------------------
-
-    /// The policy-plane cycle. Under fair-share every partition is its own
-    /// scheduling class with its own head, shadow, and backfill budget —
-    /// one backlogged partition cannot head-of-line-block the others.
-    /// Without fair-share the whole queue is one class (global FCFS order,
-    /// as before) but preemption and reservations still apply.
-    fn try_schedule_policy(&mut self) {
         if !self.config.fair_share {
             return self.schedule_class(ClassId::GLOBAL);
         }
@@ -2027,7 +1715,7 @@ impl Scheduler {
         self.cycle_classes = active;
     }
 
-    // analyze:hot-path-begin(sched-policy-cycle)
+    // analyze:hot-path-begin(sched-cycle)
     /// The head of a scheduling class: the first entry of the index the
     /// knobs select (see [`ClassState::head`]) — a read, not a scan.
     fn select_head(&self, class: ClassId) -> Option<JobId> {
@@ -2066,16 +1754,25 @@ impl Scheduler {
             let Some(head) = selected else {
                 return;
             };
+            let blocked = self.known_blocked(class, head);
+            if blocked && !self.config.backfill {
+                // Arrival-flood fast path: nothing below reads the spec, so
+                // don't pay the jobs-map probe at 100k entries.
+                self.obs.rec.incr(self.obs.c_head_memo_hit);
+                return;
+            }
             let Some(head_spec) = self.jobs.get(&head).map(|j| Arc::clone(&j.spec)) else {
                 return;
             };
             let part = self.queued_scope(head);
-            if self.known_blocked(class, head) {
+            if blocked {
                 self.obs.rec.incr(self.obs.c_head_memo_hit);
                 break (head, head_spec, part);
             }
             self.obs.rec.incr(self.obs.c_head_memo_miss);
-            // O(1) certain-fail gate (same proof as the FCFS path).
+            // O(1) certain-fail gate: the maintained Σ fit for this head is
+            // exact (see `placement_walk`), so a total below the task count
+            // proves the walk would fail.
             let gated = matches!(
                 &self.head_fit,
                 Some(hf) if hf.job == head && hf.part == part
@@ -2090,6 +1787,8 @@ impl Scheduler {
                 let (p, fit_sum) = self.placement_walk(&head_spec, eligible);
                 self.obs.rec.span_end(self.obs.sp_dispatch, tok);
                 if p.is_none() {
+                    // Prime the incremental tracker from the failed walk's
+                    // exact sum — later cycles gate in O(1).
                     self.head_fit = Some(HeadFit {
                         job: head,
                         spec: Arc::clone(&head_spec),
@@ -2384,12 +2083,13 @@ impl Scheduler {
             .used_cores
             .add(self.now, -(released_used as f64));
         self.charge_fair_share(id, user, released_cores, started);
-        {
+        let spec = {
             let job = self.jobs.get_mut(&id).expect("known job");
             job.state = JobState::Pending;
             job.started = None;
             job.allocations.clear();
-        }
+            Arc::clone(&job.spec)
+        };
         for (nid, alloc) in &allocations {
             let still_active = self.has_running_job_on(user, *nid);
             self.epilogs.push(EpilogEvent {
@@ -2401,7 +2101,7 @@ impl Scheduler {
                 user_still_active_on_node: still_active,
             });
         }
-        self.enqueue(id);
+        self.enqueue(id, &spec);
         self.obs.rec.incr(self.obs.c_preempt_kills);
         self.obs.rec.event(
             self.now,
@@ -2515,7 +2215,14 @@ impl Scheduler {
             let profile = &mut cal.profile;
             for (&(_, a), &pos) in r.allocs.iter().zip(&scratch.alloc_pos) {
                 let mut fold = |at: SimTime, sign: i64| {
-                    let i = profile.partition_point(|e| e.at <= at);
+                    // Within one instant every release precedes every
+                    // claim, so a sweep never applies a claim before a
+                    // release that makes room for it.
+                    let i = if sign > 0 {
+                        profile.partition_point(|e| e.at < at)
+                    } else {
+                        profile.partition_point(|e| e.at <= at)
+                    };
                     let (cores, mem, gpus) = (a.cores as i64, a.mem_mib as i64, a.gpus as i64);
                     profile.insert(
                         i,
@@ -2917,17 +2624,6 @@ mod tests {
     use crate::job::QosClass;
 
     #[test]
-    fn policy_plane_defaults_off() {
-        let c = SchedConfig::default();
-        assert!(!c.policy_plane_active());
-        assert!(SchedConfig {
-            reservations: 4,
-            ..SchedConfig::default()
-        }
-        .policy_plane_active());
-    }
-
-    #[test]
     fn urgent_head_preempts_bulk_and_victim_requeues() {
         let mut s = Scheduler::new(SchedConfig {
             policy: NodeSharing::Shared,
@@ -3189,6 +2885,42 @@ mod tests {
         s.run_to_completion();
         assert_eq!(s.jobs[&next].started, Some(SimTime::from_secs(100)));
         assert_eq!(s.jobs[&last].started, Some(SimTime::from_secs(150)));
+    }
+
+    #[test]
+    fn a_hold_ending_where_an_earlier_planned_hold_starts_frees_nothing() {
+        // Three 8-core nodes: node 1 busy to t=100, node 2 to t=300, node 3
+        // has 3 cores free until t=5000. The head holds node 1 from t=100.
+        // `x` (11 tasks) is planned first, at t=300 (node 2 + node 3's
+        // three cores); `y` is planned after it, on node 3's three cores
+        // *now* until exactly t=300. At t=300 node 3 has no core to spare
+        // for `z` until `x` ends at t=1300, whatever order the plan lists
+        // `x`'s claim and `y`'s release in.
+        let mut s = Scheduler::new(SchedConfig {
+            policy: NodeSharing::Shared,
+            reservations: 4,
+            ..SchedConfig::default()
+        });
+        for _ in 0..3 {
+            s.add_node(8, 64_000, 0);
+        }
+        s.submit_at(SimTime::ZERO, job(1, 8, 100));
+        s.submit_at(SimTime::ZERO, job(2, 8, 300));
+        s.submit_at(SimTime::ZERO, job(3, 5, 5000));
+        let at = SimTime::from_secs(1);
+        s.submit_at(at, job(4, 8, 10_000));
+        let x = s.submit_at(at, job(5, 11, 1000));
+        let y = s.submit_at(at, job(6, 3, 299));
+        let z = s.submit_at(at, job(7, 3, 100));
+        s.run_until(SimTime::from_secs(2));
+        assert_eq!(s.earliest_start(x), Some(SimTime::from_secs(300)));
+        assert_eq!(s.earliest_start(y), Some(at));
+        assert_eq!(
+            s.earliest_start(z),
+            Some(SimTime::from_secs(1300)),
+            "z planned onto the cores held for x: {:?}",
+            s.held_reservations()
+        );
     }
 
     #[test]

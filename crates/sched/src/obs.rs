@@ -11,7 +11,7 @@
 //!
 //! | span                   | covers                                        |
 //! |------------------------|-----------------------------------------------|
-//! | `sched.cycle.select`   | fair-share / band-major head selection        |
+//! | `sched.cycle.select`   | head selection: fair-share, band-major, FIFO  |
 //! | `sched.cycle.dispatch` | head placement attempts over the index        |
 //! | `sched.cycle.shadow`   | EASY shadow replay (memo misses only)         |
 //! | `sched.cycle.backfill` | the backfill candidate scan                   |
@@ -30,7 +30,7 @@ pub struct SchedObs {
     pub rec: Recorder,
     /// Head placement attempts.
     pub sp_dispatch: SpanId,
-    /// Head selection (fair-share reorder / QoS band scan).
+    /// Head selection (fair-share index, QoS band index or FIFO).
     pub sp_select: SpanId,
     /// EASY shadow replay.
     pub sp_shadow: SpanId,
@@ -62,11 +62,6 @@ pub struct SchedObs {
     pub c_bf_shadow_rejects: CounterId,
     /// Candidates skipped via the per-version failure memo.
     pub c_bf_memo_rejects: CounterId,
-    /// Whole backfill scans skipped by the window memo (unchanged
-    /// `(head, version, shrink-epoch)` with the depth budget unspent).
-    pub c_bf_scan_skips: CounterId,
-    /// Exhausted scans resumed at their cursor (new arrivals only).
-    pub c_bf_scan_resumes: CounterId,
     /// Head placement attempts skipped by the O(1) certain-fail fit gate.
     pub c_fit_gate: CounterId,
     /// Placeable candidates refused for colliding with a held reservation.
@@ -123,8 +118,6 @@ impl SchedObs {
             c_bf_accepts: rec.counter("sched.backfill.accepts"),
             c_bf_shadow_rejects: rec.counter("sched.backfill.shadow_rejects"),
             c_bf_memo_rejects: rec.counter("sched.backfill.memo_rejects"),
-            c_bf_scan_skips: rec.counter("sched.backfill.scan_skips"),
-            c_bf_scan_resumes: rec.counter("sched.backfill.scan_resumes"),
             c_fit_gate: rec.counter("sched.memo.fit_gate"),
             c_bf_rsv_refusals: rec.counter("sched.backfill.rsv_refusals"),
             c_preempt_searches: rec.counter("sched.preempt.searches"),

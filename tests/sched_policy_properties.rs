@@ -303,7 +303,7 @@ fn assert_off_matches_reference(seed: u64, policy: NodeSharing) -> Result<(), Te
         policy,
         ..SchedConfig::default()
     };
-    assert!(!config.policy_plane_active());
+    assert!(!config.fair_share && !config.preemption && config.reservations == 0);
     let mut opt = Scheduler::new(config.clone());
     let mut reference = ReferenceScheduler::new(config);
     opt.enable_obs(ObsConfig::enabled().with_flight_capacity(256));
