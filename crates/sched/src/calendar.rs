@@ -119,9 +119,9 @@ pub struct ReservationCalendar {
     /// releases + every reservation's claim/release, time-sorted, every
     /// release ahead of every claim within one instant — the sweep clamps
     /// free capacity at zero, so a claim applied first would eat the room
-    /// the release makes). Valid
-    /// exactly as long as `built_version` matches; `earliest_start` plans
-    /// one-off probes for beyond-top-K jobs against it.
+    /// the release makes). Valid exactly as long as `built_version`
+    /// matches; `earliest_start` plans one-off probes for beyond-top-K
+    /// jobs against it.
     pub(crate) profile: Vec<CapDelta>,
 }
 
