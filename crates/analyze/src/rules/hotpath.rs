@@ -3,8 +3,8 @@
 //! Regions are bracketed with `// analyze:hot-path-begin(label)` …
 //! `// analyze:hot-path-end` around the kernels a scheduling cycle or a
 //! credential validation actually executes: the sched placement/shadow
-//! kernels, broker/shard validate, replica lookup, and the ubf match path.
-//! Inside a region the rule bans every lexical form that can panic:
+//! kernels, broker / session-table validate, replica lookup, and the ubf
+//! match path. Inside a region the rule bans every lexical form that can panic:
 //!
 //! - `.unwrap()` / `.expect(…)`;
 //! - `panic!` / `todo!` / `unimplemented!` / `unreachable!` and the

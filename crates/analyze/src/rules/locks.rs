@@ -1,8 +1,8 @@
 //! R5 `lock-discipline`: no nested lock scopes.
 //!
 //! The workspace's locks (vendored `parking_lot` `Mutex`/`RwLock`) guard
-//! single subsystems: broker shards, the shared user db, per-site revsync
-//! planes. Holding one while acquiring another creates an ordering edge,
+//! single subsystems: the scheduler, the shared user db, each realm's
+//! credential broker. Holding one while acquiring another creates an ordering edge,
 //! and two code paths with opposite edges deadlock under load. The static
 //! rule is a lexical approximation — it flags any `.lock()`/`.read()`/
 //! `.write()` (zero-argument, the guard-returning forms) while another

@@ -202,7 +202,6 @@ fn sweep_point(seed: u64, faults: usize, horizon_s: u64, probe_s: u64) -> SweepP
         let shape = PlanShape {
             realms: sister_realms(&c),
             nodes: c.compute_ids.clone(),
-            shards: c.config.broker_shards as usize,
             faults,
             horizon: SimDuration::from_secs(horizon_s),
             max_heal: SimDuration::from_secs(horizon_s / 4),
@@ -224,7 +223,7 @@ fn sweep_point(seed: u64, faults: usize, horizon_s: u64, probe_s: u64) -> SweepP
         if c.degraded() {
             degraded += 1;
         }
-        // Probe 1: a new home login (IdP/CA outages and shard seizures).
+        // Probe 1: a new home login (IdP/CA outages).
         probes += 1;
         if c.login_at(&broker, alice).is_ok() {
             ok += 1;

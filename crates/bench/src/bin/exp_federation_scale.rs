@@ -1,23 +1,19 @@
-//! E14 — federation at scale (multi-realm trust + sharded broker).
+//! E14 — federation at scale (multi-realm trust).
 //!
-//! Three claims, measured:
+//! Two claims, measured:
 //!
 //! 1. **Cross-realm matrix**: with an explicit trust allow-list, an
 //!    allow-listed sister realm's token validates at the home site; realms
 //!    off the list — registered or not — fail closed, and re-stamping a
 //!    trusted realm's token as the home realm breaks its signature.
 //! 2. **Ablation row**: the `CrossRealmSpoof` audit channel stays blocked
-//!    under llsc (trust list or no trust list, sharded or single broker)
-//!    and re-opens only when the whole credential plane is ablated.
-//! 3. **Shard scale**: a [`CredentialBroker`] over N uid-hashed shards
-//!    sustains one-shard validate throughput per op and partitions a
-//!    million-ish session table into bounded shards.
+//!    under llsc (trust list or no trust list) and re-opens only when the
+//!    whole credential plane is ablated.
 
 use eus_bench::table::TextTable;
 use eus_core::{audit, Channel, ClusterSpec, SecureCluster, SeparationConfig, HOME_REALM};
 use eus_fedauth::{shared_broker, BrokerPolicy, CredError, CredentialBroker, RealmId};
-use eus_simos::{Uid, UserDb};
-use std::time::Instant;
+use eus_simos::Uid;
 
 fn verdict(r: &Result<Uid, CredError>) -> String {
     match r {
@@ -117,13 +113,12 @@ fn cross_realm_matrix() {
 fn ablation_rows() {
     println!("-- CrossRealmSpoof across configurations (audit) --\n");
     let spec = ClusterSpec::tiny();
-    let configs: [(&str, SeparationConfig); 4] = [
+    let configs: [(&str, SeparationConfig); 3] = [
         ("llsc", SeparationConfig::llsc()),
         (
             "llsc+trust[2]",
             SeparationConfig::llsc().with_trusted_realms([2u32]),
         ),
-        ("llsc/1-shard", SeparationConfig::llsc().single_shard()),
         ("-fedauth", {
             let mut c = SeparationConfig::llsc();
             c.federated_auth = false;
@@ -152,73 +147,17 @@ fn ablation_rows() {
             assert!(!open, "{name}: CrossRealmSpoof must stay blocked");
             assert!(
                 report.only_expected_residuals(),
-                "{name}: trust lists and sharding must not open anything"
+                "{name}: trust lists must not open anything"
             );
         }
     }
-    println!("\nclaim check: trust allow-lists and broker sharding change no channel");
-    println!("outcome; only ablating the credential plane re-opens the spoof.\n");
-}
-
-fn shard_scale() {
-    println!("-- sharded-broker scale --\n");
-    const USERS: usize = 512;
-    const SESSIONS_PER_USER: usize = 32;
-    let mut db = UserDb::new();
-    let users: Vec<Uid> = (0..USERS)
-        .map(|i| db.create_user(&format!("u{i}")).unwrap())
-        .collect();
-
-    let mut table = TextTable::new(&[
-        "shards",
-        "sessions",
-        "largest shard",
-        "login µs/op",
-        "validate ns/op",
-    ]);
-    for shards in [1usize, 2, 4, 8, 16] {
-        let mut plane = CredentialBroker::sharded(HOME_REALM, 7, shards, BrokerPolicy::default());
-        let t0 = Instant::now();
-        let mut tokens = Vec::with_capacity(USERS * SESSIONS_PER_USER);
-        for _ in 0..SESSIONS_PER_USER {
-            for &u in &users {
-                tokens.push(plane.login(&db, u, None).unwrap());
-            }
-        }
-        let login_us = t0.elapsed().as_micros() as f64 / tokens.len() as f64;
-
-        let iters = 200_000usize;
-        let t0 = Instant::now();
-        for i in 0..iters {
-            std::hint::black_box(
-                plane
-                    .validate_token(std::hint::black_box(&tokens[i % tokens.len()]))
-                    .unwrap(),
-            );
-        }
-        let validate_ns = t0.elapsed().as_nanos() as f64 / iters as f64;
-
-        // Table-bound check: sessions partition, no shard hoards.
-        let per_shard_max = plane.largest_shard_sessions();
-        assert_eq!(plane.live_sessions(), tokens.len());
-
-        table.row(&[
-            shards.to_string(),
-            tokens.len().to_string(),
-            per_shard_max.to_string(),
-            format!("{login_us:.2}"),
-            format!("{validate_ns:.0}"),
-        ]);
-    }
-    print!("{}", table.render());
-    println!("\nper-op validate stays flat as shard count grows (O(1) routing).\n");
+    println!("\nclaim check: trust allow-lists change no channel outcome; only");
+    println!("ablating the credential plane re-opens the spoof.\n");
 }
 
 fn main() {
-    println!("E14: federation at scale (multi-realm trust + sharded broker)\n");
+    println!("E14: federation at scale (multi-realm trust)\n");
     cross_realm_matrix();
     ablation_rows();
-    shard_scale();
-    println!("result: trusted federation without widened attack surface, and a");
-    println!("credential plane that partitions to million-session scale.");
+    println!("result: trusted federation without widened attack surface.");
 }

@@ -111,10 +111,10 @@ pub fn standard_trace(users: usize, horizon_hours: u64, seed: u64) -> Trace {
 }
 
 /// Re-decorate a shared trace's jobs round-robin across partition names —
-/// the shard-plane benchmarks use this to keep every scheduling class
-/// populated (per-partition sharding only engages with more than one
-/// schedulable class). Deterministic: decoration depends only on entry
-/// order, so the same trace always yields the same classes.
+/// `exp_sched_scale`'s fair-share rows use this to keep every scheduling
+/// class populated (multi-class head selection only engages with more
+/// than one schedulable class). Deterministic: decoration depends only on
+/// entry order, so the same trace always yields the same classes.
 pub fn partition_round_robin(mut trace: SharedTrace, parts: &[&str]) -> SharedTrace {
     assert!(!parts.is_empty(), "need at least one partition name");
     trace.entries = trace

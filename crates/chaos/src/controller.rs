@@ -149,9 +149,6 @@ impl ChaosController {
             }
             Fault::IdpOutage { .. } => c.set_idp_available(false),
             Fault::CaOutage { .. } => c.set_ca_available(false),
-            Fault::ShardSeize { shard, .. } => {
-                c.seize_shard(*shard, true);
-            }
             Fault::FeedStall { realm, .. } => c.stall_sister_feed(*realm, true),
             Fault::ClockSkew { realm, ahead } => c.set_realm_clock_skew(*realm, *ahead),
         }
@@ -183,9 +180,6 @@ impl ChaosController {
             }
             Fault::IdpOutage { .. } => c.set_idp_available(true),
             Fault::CaOutage { .. } => c.set_ca_available(true),
-            Fault::ShardSeize { shard, .. } => {
-                c.seize_shard(*shard, false);
-            }
             Fault::FeedStall { realm, .. } => c.stall_sister_feed(*realm, false),
             Fault::NodeCrash { .. } | Fault::NodeFlapStorm { .. } | Fault::ClockSkew { .. } => {
                 unreachable!("never scheduled: heal_after() is None")

@@ -81,16 +81,6 @@ pub enum Fault {
         /// Controller restores the CA this long after injection.
         heal_after: SimDuration,
     },
-    /// Seize one shard of the home broker: users hashed there fail
-    /// `Unavailable`, everyone else is untouched, and the realm's IdP / CA
-    /// stay up. Misses (no credential plane, out-of-range index) are
-    /// recorded and harmless.
-    ShardSeize {
-        /// Which shard.
-        shard: usize,
-        /// Controller releases the shard this long after injection.
-        heal_after: SimDuration,
-    },
     /// Silently stall the revocation push feed from a sister realm to the
     /// home site: pushes are swallowed with no error, so no retry fires —
     /// only the subscriber's silence detector and anti-entropy notice.
@@ -123,7 +113,6 @@ impl Fault {
             Fault::LatencySpike { .. } => "link.latency_spike",
             Fault::IdpOutage { .. } => "idp.outage",
             Fault::CaOutage { .. } => "ca.outage",
-            Fault::ShardSeize { .. } => "shard.seize",
             Fault::FeedStall { .. } => "feed.stall",
             Fault::ClockSkew { .. } => "clock.skew",
         }
@@ -139,7 +128,6 @@ impl Fault {
             | Fault::LatencySpike { heal_after, .. }
             | Fault::IdpOutage { heal_after }
             | Fault::CaOutage { heal_after }
-            | Fault::ShardSeize { heal_after, .. }
             | Fault::FeedStall { heal_after, .. } => Some(*heal_after),
             Fault::NodeCrash { .. } | Fault::NodeFlapStorm { .. } | Fault::ClockSkew { .. } => None,
         }

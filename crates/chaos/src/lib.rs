@@ -7,8 +7,8 @@
 //!
 //! * a **taxonomy** ([`Fault`]) covering the scheduler (node crashes and
 //!   flap storms), the revsync WAN (partitions, loss, latency spikes), the
-//!   credential plane (IdP/CA outages, shard seizures), the feed layer
-//!   (silent stalls), and per-realm clock skew;
+//!   credential plane (IdP/CA outages), the feed layer (silent stalls),
+//!   and per-realm clock skew;
 //! * seeded, time-ordered **plans** ([`FaultPlan`]) — hand-built for
 //!   targeted scenarios or drawn from a [`PlanShape`] for property tests,
 //!   byte-for-byte reproducible from `(seed, shape)`;
@@ -200,7 +200,6 @@ mod tests {
             let shape = PlanShape {
                 realms: sister_realms(&c),
                 nodes: c.compute_ids.clone(),
-                shards: c.config.broker_shards as usize,
                 faults: 8,
                 horizon: SimDuration::from_secs(1800),
                 ..PlanShape::default()

@@ -13,8 +13,8 @@ use eus_simcore::{SimDuration, SimRng, SimTime};
 use eus_simos::NodeId;
 
 /// What a random plan may draw from: the cluster surface the generator is
-/// allowed to hurt. Empty `realms`/`nodes` (or `shards < 2`) simply remove
-/// the fault families that need them from the menu.
+/// allowed to hurt. Empty `realms`/`nodes` simply remove the fault families
+/// that need them from the menu.
 #[derive(Debug, Clone)]
 pub struct PlanShape {
     /// Faults land in `[0, horizon)` on the simulation clock.
@@ -25,8 +25,6 @@ pub struct PlanShape {
     pub realms: Vec<RealmId>,
     /// Compute nodes in play (crashes, flap storms).
     pub nodes: Vec<NodeId>,
-    /// Home-broker shard count (`< 2`: no shard-seize faults).
-    pub shards: usize,
     /// Controller-owned heals are drawn from `[horizon/60, max_heal]`.
     pub max_heal: SimDuration,
 }
@@ -38,7 +36,6 @@ impl Default for PlanShape {
             faults: 6,
             realms: Vec::new(),
             nodes: Vec::new(),
-            shards: 1,
             max_heal: SimDuration::from_secs(1200),
         }
     }
@@ -102,11 +99,8 @@ impl FaultPlan {
             menu.extend([2, 3, 4]); // partition, loss, latency spike
         }
         menu.extend([5, 6]); // idp, ca
-        if shape.shards >= 2 {
-            menu.push(7); // shard seize
-        }
         if !shape.realms.is_empty() {
-            menu.extend([8, 9]); // feed stall, clock skew
+            menu.extend([7, 8]); // feed stall, clock skew
         }
 
         let horizon_us = shape.horizon.as_micros().max(1);
@@ -158,11 +152,7 @@ impl FaultPlan {
                 }
                 5 => Fault::IdpOutage { heal_after: heal },
                 6 => Fault::CaOutage { heal_after: heal },
-                7 => Fault::ShardSeize {
-                    shard: rng.index(shape.shards),
-                    heal_after: heal,
-                },
-                8 => Fault::FeedStall {
+                7 => Fault::FeedStall {
                     realm: *rng.pick(&shape.realms),
                     heal_after: heal,
                 },
@@ -185,7 +175,6 @@ mod tests {
         PlanShape {
             realms: vec![RealmId(2), RealmId(3)],
             nodes: vec![NodeId(1), NodeId(2)],
-            shards: 4,
             faults: 12,
             ..PlanShape::default()
         }
@@ -227,7 +216,7 @@ mod tests {
 
     #[test]
     fn shape_gates_the_menu() {
-        // No realms, no nodes, single shard: only IdP/CA outages possible.
+        // No realms, no nodes: only IdP/CA outages possible.
         let s = PlanShape {
             faults: 20,
             ..PlanShape::default()

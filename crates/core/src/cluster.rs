@@ -182,8 +182,6 @@ pub struct SecureCluster {
     pub ubf_pkt: UbfPacketStats,
     /// The federated credential plane (`Some` when `config.federated_auth`):
     /// sshd PAM, job submission, and the portal all consult it.
-    /// `config.broker_shards` uid-hashed shards — callers can't tell the
-    /// shard count.
     pub broker: Option<SharedBroker>,
     /// The federation directory (`Some` when `config.federated_auth`): the
     /// home realm's plane plus any registered sister realms, with the home
@@ -283,13 +281,11 @@ impl SecureCluster {
         let fsperm_policy = FilePermissionHandler::new(seepid_gid);
 
         // Federated identity plane (companion-paper layer): one realm per
-        // site; deterministic key/token material. Sharded when configured —
-        // same decisions, partitioned tables.
+        // site; deterministic key/token material.
         let broker: Option<SharedBroker> = config.federated_auth.then(|| {
-            shared_broker(CredentialBroker::sharded(
+            shared_broker(CredentialBroker::new(
                 HOME_REALM,
                 0x5EED_FEDA,
-                config.broker_shards.max(1) as usize,
                 BrokerPolicy::default(),
             ))
         });
@@ -915,9 +911,8 @@ impl SecureCluster {
     /// registration bug.
     ///
     /// Route once, hold the fewest guards: a home token is judged on the
-    /// home plane under exactly one guard, its read guard (no shard's — a
-    /// verdict reads nothing `login_shared` mutates; the home realm always
-    /// passes its own trust gate); a sister token takes none: the trust
+    /// home plane under exactly one guard, its read guard (the home realm
+    /// always passes its own trust gate); a sister token takes none: the trust
     /// gate reads the home plane's published clock and hands that same
     /// instant to the replica.
     // analyze:hot-path-begin(federated-validate)
@@ -994,18 +989,6 @@ impl SecureCluster {
     /// Is the home realm's certificate authority reachable?
     pub fn ca_available(&self) -> bool {
         self.broker.as_ref().is_none_or(|b| b.read().ca_available())
-    }
-
-    /// Seize (or release) one shard of the home broker: users hashed to
-    /// that shard fail `Unavailable`, everyone else is untouched, and the
-    /// realm's IdP / CA availability (and their health ladders) does not
-    /// move. Returns whether the plane has such a shard (`false` without
-    /// the credential plane or for an out-of-range index — the fault
-    /// simply misses).
-    pub fn seize_shard(&mut self, shard: usize, seized: bool) -> bool {
-        self.broker
-            .as_ref()
-            .is_some_and(|b| b.write().seize_shard(shard, seized))
     }
 
     /// Stall (or unstall) the revocation push feed from a sister realm
@@ -1413,7 +1396,6 @@ impl SecureCluster {
                 s.allocs.iter().map(|(_, g)| *g as u64).sum(),
             );
             let cred = self.credentials(s.user);
-            let upg = self.db.read().user(s.user).expect("known").private_group;
             let mut pids = Vec::new();
             for (nid, gpu_count) in &s.allocs {
                 let node = self.nodes.get_mut(nid).expect("allocated node exists");
@@ -1427,7 +1409,13 @@ impl SecureCluster {
                 pids.push((*nid, pid));
                 if *gpu_count > 0 && self.config.gpu_dev_perms {
                     self.gpus
-                        .assign(*nid, *gpu_count as u16, s.user, upg, &mut node.local_fs)
+                        .assign(
+                            *nid,
+                            *gpu_count as u16,
+                            s.user,
+                            cred.gid,
+                            &mut node.local_fs,
+                        )
                         .expect("device files exist");
                     self.obs.rec.incr(self.obs.c_gpu_assigns);
                 }
@@ -2282,35 +2270,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_and_single_broker_clusters_agree() {
-        // The same trace against broker_shards = 1 and = 4: identical
-        // accept/reject decisions at every enforcement point.
-        let mut outcomes = Vec::new();
-        for shards in [1u32, 4] {
-            let cfg = SeparationConfig::llsc().with_broker_shards(shards);
-            let mut c = SecureCluster::new(cfg, ClusterSpec::tiny());
-            let alice = c.add_user("alice").unwrap();
-            let login = c.login_node();
-            let mut trace = Vec::new();
-            trace.push(c.ssh(alice, login).is_ok());
-            trace.push(
-                c.try_submit(JobSpec::new(alice, "j", SimDuration::from_secs(5)))
-                    .is_ok(),
-            );
-            c.advance_to(SimTime::from_secs(24 * 3600));
-            trace.push(
-                c.try_submit(JobSpec::new(alice, "stale", SimDuration::from_secs(5)))
-                    .is_ok(),
-            );
-            c.broker.as_ref().unwrap().write().revoke_user(alice);
-            trace.push(c.ssh_raw(alice, login).is_ok());
-            outcomes.push(trace);
-        }
-        assert_eq!(outcomes[0], outcomes[1]);
-        assert_eq!(outcomes[0], vec![true, true, false, false]);
-    }
-
-    #[test]
     fn baseline_cluster_is_permissive() {
         let mut c = SecureCluster::new(SeparationConfig::baseline(), ClusterSpec::tiny());
         let alice = c.add_user("alice").unwrap();
@@ -2445,43 +2404,6 @@ mod tests {
         c.set_realm_clock_skew(RealmId(2), SimDuration::ZERO);
         c.advance_to(SimTime::from_secs(20));
         assert_eq!(sister.read().now(), SimTime::from_secs(10) + hour);
-    }
-
-    #[test]
-    fn shard_seizure_refuses_issuance_and_is_no_realm_outage() {
-        let cfg = SeparationConfig::llsc().with_broker_shards(4);
-        let mut c = SecureCluster::new(cfg, ClusterSpec::tiny());
-        assert!(c.seize_shard(1, true), "sharded plane has shard 1");
-        assert!(!c.seize_shard(99, true), "out-of-range shard misses");
-        assert!(c.seize_shard(1, false));
-
-        // A one-shard plane has a shard 0: seizing it refuses issuance,
-        // minted credentials keep serving, and the IdP / CA ladders stay
-        // healthy — the realm's issuers are up.
-        let mut single = SecureCluster::new(
-            SeparationConfig::llsc().with_broker_shards(1),
-            ClusterSpec::tiny(),
-        );
-        let alice = single.add_user("alice").unwrap();
-        let broker = single.broker.clone().unwrap();
-        let token = broker.read().current_token(alice).unwrap();
-        assert!(single.seize_shard(0, true));
-        assert_eq!(
-            single.login_at(&broker, alice),
-            Err(eus_fedauth::CredError::Unavailable)
-        );
-        assert_eq!(single.validate_federated_token(&token), Ok(alice));
-        assert!(single
-            .try_submit(JobSpec::new(alice, "j", SimDuration::from_secs(5)))
-            .is_ok());
-        single.advance_to(SimTime::from_secs(10));
-        assert_eq!(
-            single.dependency_health(Dependency::Idp),
-            DepHealth::Healthy
-        );
-        assert_eq!(single.dependency_health(Dependency::Ca), DepHealth::Healthy);
-        assert!(single.seize_shard(0, false));
-        assert!(single.login_at(&broker, alice).is_ok());
     }
 
     #[test]

@@ -41,11 +41,6 @@ pub struct SeparationConfig {
     /// Prout et al. 2019); off = sequential portal tokens, `authorized_keys`
     /// forever, no revocation plane.
     pub federated_auth: bool,
-    /// Credential-broker shard count: the broker's sessions are split over
-    /// this many uid-hashed shards (millions-of-sessions scale, same
-    /// accept/reject behavior at any count). Ignored when `federated_auth`
-    /// is off.
-    pub broker_shards: u32,
     /// Sister realms whose credentials the home site's trust policy
     /// allow-lists (realm ids; empty = PR-1's home-realm-only behavior).
     /// Non-listed realms fail closed. Ignored when `federated_auth` is off.
@@ -105,7 +100,6 @@ impl SeparationConfig {
             gpu_dev_perms: false,
             gpu_scrub: false,
             federated_auth: false,
-            broker_shards: 1,
             trusted_realms: Vec::new(),
             revsync_feed_interval: REVSYNC_FEED_INTERVAL,
             revsync_anti_entropy: REVSYNC_ANTI_ENTROPY,
@@ -129,10 +123,6 @@ impl SeparationConfig {
             gpu_dev_perms: true,
             gpu_scrub: true,
             federated_auth: true,
-            // Four uid-hashed shards: behaviorally identical to one broker
-            // (property-tested), structurally ready for the million-session
-            // scale the north star asks for.
-            broker_shards: 4,
             trusted_realms: Vec::new(),
             revsync_feed_interval: REVSYNC_FEED_INTERVAL,
             revsync_anti_entropy: REVSYNC_ANTI_ENTROPY,
@@ -165,12 +155,6 @@ impl SeparationConfig {
     /// Builder: allow-list sister realms at the home site.
     pub fn with_trusted_realms(mut self, realms: impl Into<Vec<u32>>) -> Self {
         self.trusted_realms = realms.into();
-        self
-    }
-
-    /// Builder: set the credential-broker shard count.
-    pub fn with_broker_shards(mut self, shards: u32) -> Self {
-        self.broker_shards = shards.max(1);
         self
     }
 
@@ -241,9 +225,6 @@ impl SeparationConfig {
         }
         if self.federated_auth {
             on.push("fedauth".into());
-            if self.broker_shards > 1 {
-                on.push(format!("shards{}", self.broker_shards));
-            }
             if !self.trusted_realms.is_empty() {
                 let realms: Vec<String> = self.trusted_realms.iter().map(u32::to_string).collect();
                 on.push(format!("trust[{}]", realms.join(",")));
@@ -350,17 +331,6 @@ impl SeparationConfig {
         ));
         out
     }
-
-    /// The sharding "ablation": not a security mechanism (it never appears
-    /// in [`ablations`](Self::ablations)) but a scale knob — collapsing the
-    /// sharded broker to one table must change *no* channel outcome. The
-    /// federation-scale experiment audits this equivalence explicitly.
-    pub fn single_shard(&self) -> SeparationConfig {
-        SeparationConfig {
-            broker_shards: 1,
-            ..self.clone()
-        }
-    }
 }
 
 impl Default for SeparationConfig {
@@ -410,20 +380,12 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 10);
-        // The scale knob is not an ablation, but it must differ from llsc.
-        assert_ne!(
-            SeparationConfig::llsc().single_shard(),
-            SeparationConfig::llsc()
-        );
     }
 
     #[test]
     fn federation_knobs_render_in_custom_labels() {
-        let c = SeparationConfig::llsc()
-            .with_broker_shards(8)
-            .with_trusted_realms([2u32, 3]);
+        let c = SeparationConfig::llsc().with_trusted_realms([2u32, 3]);
         let label = c.label();
-        assert!(label.contains("shards8"), "{label}");
         assert!(label.contains("trust[2,3]"), "{label}");
         // Presets keep their short names.
         assert_eq!(SeparationConfig::llsc().label(), "llsc");

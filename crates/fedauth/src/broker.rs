@@ -8,37 +8,28 @@
 //! issuance, expiry, and revocation in one place (the companion paper's
 //! central identity plane).
 //!
-//! **Shards.** A broker partitions sessions and SSH certificates across N
-//! uid-hashed shards (the private `shard` module), each behind its own `RwLock`:
-//! [`CredentialBroker::new`] builds one, [`CredentialBroker::sharded`] N.
-//! Callers holding the plane-wide lock only for reading can still log users
-//! in through [`CredentialBroker::login_shared`] — concurrent logins that
-//! hash to different shards proceed in parallel instead of serializing on
-//! one plane-wide write lock. The `&mut` methods use lock-free exclusive
-//! access (`get_mut`), so the single-threaded paths pay nothing for the
-//! locks.
+//! **One session table, no lock of its own.** A broker owns one session
+//! table (the private `session` module) — the realm's IdP, CA, sessions
+//! and certificates — as a plain field. The `&self` gates (`authorize_ssh`, `authorize_submit_at`,
+//! `validate_serial`, …) read it under the caller's one plane guard; the
+//! `&mut self` paths write it directly.
 //!
-//! **What the shard locks guard — and what they do not.** A shard lock
-//! guards what a shared-path login mutates: the shard's sessions,
-//! certificates, IdP state and its CA's mint counters. A *verdict on a
-//! presented credential* reads none of that. It reads the CA keys (fixed at
-//! construction, kept as one plane-level [`RealmVerifier`]), the revoked
-//! set (one plane-level [`RevocationList`], written only through
-//! `&mut self`) and the clock (the plane's published [`PlaneClock`]) — so
-//! `validate_token` / `validate_cert` take **no** shard lock: the caller's
-//! plane read guard is the only guard on the route.
+//! **What a verdict reads.** A *verdict on a presented credential* reads
+//! the CA keys, the revoked set (one plane-level [`RevocationList`],
+//! written only through `&mut self`) and the clock (the plane's published
+//! [`PlaneClock`]) — so `validate_token` / `validate_cert` take nothing
+//! but the caller's plane read guard.
 
 use crate::ca::{CredError, CredSerial, RealmVerifier, SignedToken, SshCertificate};
 use crate::obs::{ValidateStats, CRED_TRACE_CODE};
 use crate::plane::PlaneClock;
 use crate::realm::{MfaCode, MfaEnrollment, RealmId, RecoveryCode};
 use crate::revocation::RevocationList;
-use crate::shard::{Reach, SessionShard};
+use crate::session::{Reach, SessionTable};
 use crate::splitmix64 as mix;
 use eus_obs::TraceBuffer;
 use eus_simcore::{SimDuration, SimTime};
 use eus_simos::{Uid, UserDb};
-use parking_lot::RwLock;
 
 /// Credential lifetimes for a deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,23 +55,20 @@ impl Default for BrokerPolicy {
 }
 
 /// The credential plane for one realm: issuance, verification, revocation,
-/// and lifecycle of short-lived federated credentials, over N uid-hashed
-/// shards each behind its own lock.
+/// and lifecycle of short-lived federated credentials, over one session
+/// table.
 #[derive(Debug)]
 pub struct CredentialBroker {
-    /// The plane clock, published: every shard reads this same cell, and
-    /// [`advance_to`](Self::advance_to) is one store to it.
+    /// The plane clock, published: the session table reads this same cell,
+    /// and [`advance_to`](Self::advance_to) is one store to it.
     clock: PlaneClock,
-    /// Every shard's CA verification state, in shard order — immutable
-    /// after construction (minting moves a CA's counters, never its key).
-    verifier: RealmVerifier,
     /// The realm's one revocation list. Only `&mut self` paths write it, so
     /// verdicts probe it under nothing but the caller's plane guard; its
     /// delta log is in plane-API order (the feed `eus-revsync` ships).
     revocations: RevocationList,
-    shards: Vec<RwLock<SessionShard>>,
-    /// Realm-wide IdP / CA reachability, kept once here; a shard seizure
-    /// is the shard's own flag.
+    /// The realm's IdP, CA, live sessions and certificates.
+    table: SessionTable,
+    /// Realm-wide IdP / CA reachability.
     reach: Reach,
     /// Verify-path statistics (atomic; off by default). Pure measurement —
     /// never consulted by an accept/reject decision.
@@ -92,30 +80,14 @@ pub struct CredentialBroker {
 }
 
 impl CredentialBroker {
-    /// A one-shard broker for `realm`; `seed` determines all key/token
-    /// material.
+    /// A broker for `realm`; `seed` determines all key/token material.
     pub fn new(realm: RealmId, seed: u64, policy: BrokerPolicy) -> Self {
-        Self::sharded(realm, seed, 1, policy)
-    }
-
-    /// A broker for `realm` with `shards` uid-hashed partitions; `seed`
-    /// determines all key/token material (each shard forks its own stream).
-    pub fn sharded(realm: RealmId, seed: u64, shards: usize, policy: BrokerPolicy) -> Self {
-        assert!(shards >= 1, "at least one shard");
         let clock = PlaneClock::default();
-        let shards: Vec<SessionShard> = (0..shards)
-            .map(|i| {
-                let mut s = SessionShard::new(realm, mix(seed ^ i as u64), policy, clock.clone());
-                s.ca.set_serial_partition(i as u64, shards as u64);
-                s
-            })
-            .collect();
-        let verifier = RealmVerifier::new(realm, shards.iter().map(|s| s.ca.clone()).collect());
+        let table = SessionTable::new(realm, mix(seed), policy, clock.clone());
         CredentialBroker {
             clock,
-            revocations: RevocationList::new(verifier.serial_set_key()),
-            verifier,
-            shards: shards.into_iter().map(RwLock::new).collect(),
+            revocations: RevocationList::new(table.ca.serial_set_key()),
+            table,
             reach: Reach {
                 idp: true,
                 ca: true,
@@ -125,39 +97,9 @@ impl CredentialBroker {
         }
     }
 
-    /// Live sessions in the most loaded shard (the table-bound a single
-    /// lock actually protects; capacity planning reads this).
-    pub fn largest_shard_sessions(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().live_sessions())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The shard holding `user`'s sessions.
-    fn shard_of(&self, user: Uid) -> usize {
-        (mix(user.0 as u64) % self.shards.len() as u64) as usize
-    }
-
-    /// The lock guarding `user`'s shard — the one indexing site the
-    /// session-reading gates share. The index is structurally in bounds:
-    /// [`shard_of`](Self::shard_of) reduces modulo `shards.len()` and the
-    /// constructor asserts at least one shard.
-    fn shard(&self, user: Uid) -> &RwLock<SessionShard> {
-        &self.shards[self.shard_of(user)]
-    }
-
-    /// Exclusive lock-free access to the shard for a user (`&mut self`
-    /// paths never contend, so they skip the lock entirely).
-    fn shard_mut(&mut self, user: Uid) -> &mut SessionShard {
-        let i = self.shard_of(user);
-        self.shards[i].get_mut()
-    }
-
     /// The plane's realm.
     pub fn realm(&self) -> RealmId {
-        self.verifier.realm()
+        self.table.ca.realm
     }
 
     /// The plane's current clock.
@@ -184,21 +126,7 @@ impl CredentialBroker {
         user: Uid,
         mfa: Option<MfaCode>,
     ) -> Result<SignedToken, CredError> {
-        let reach = self.reach;
-        self.shard_mut(user).login(reach, db, user, mfa)
-    }
-
-    /// [`login`](Self::login) through a shared (`&self`) borrow, under the
-    /// owning shard's own write lock: the plane-wide handle stays a *read*
-    /// borrow, so logins landing on other shards run concurrently (the
-    /// per-shard-locking scale win). Same decisions as `login`.
-    pub fn login_shared(
-        &self,
-        db: &UserDb,
-        user: Uid,
-        mfa: Option<MfaCode>,
-    ) -> Result<SignedToken, CredError> {
-        self.shard(user).write().login(self.reach, db, user, mfa)
+        self.table.login(self.reach, db, user, mfa)
     }
 
     /// Federated login with a single-use recovery code in place of the
@@ -210,36 +138,31 @@ impl CredentialBroker {
         user: Uid,
         code: RecoveryCode,
     ) -> Result<SignedToken, CredError> {
-        let reach = self.reach;
-        self.shard_mut(user).login_recovery(reach, db, user, code)
+        self.table.login_recovery(self.reach, db, user, code)
     }
 
     /// Mint a fresh SSH certificate against a live bearer token.
     pub fn mint_ssh_cert(&mut self, token: &SignedToken) -> Result<SshCertificate, CredError> {
-        let i = self.shard_of(token.user);
-        self.shards[i]
-            .get_mut()
+        self.table
             .mint_ssh_cert(self.reach, self.revocations.serials(), token)
     }
 
     /// Ensure the user holds a live session (login on first touch or after
     /// expiry/revocation; enrolled users present their current window code).
     pub fn ensure_session(&mut self, db: &UserDb, user: Uid) -> Result<SignedToken, CredError> {
-        let i = self.shard_of(user);
-        self.shards[i]
-            .get_mut()
+        self.table
             .ensure_session(self.reach, self.revocations.serials(), db, user)
     }
 
     // analyze:hot-path-begin(broker-validate)
     /// Validate a presented bearer token: signature, realm, window,
-    /// revocation. Returns the authenticated uid. Takes no shard lock: the
-    /// verdict routine a sister site's CRL replica runs, on this plane's
-    /// clock and revoked set; a serial routes to its minting CA by residue.
+    /// revocation. Returns the authenticated uid: the verdict routine a
+    /// sister site's CRL replica runs, on this plane's clock and revoked set.
     pub fn validate_token(&self, token: &SignedToken) -> Result<Uid, CredError> {
         let t0 = self.stats.begin();
         let r = self
-            .verifier
+            .table
+            .ca
             .validate_token(token, self.clock.now(), self.revocations.serials());
         self.stats.finish(t0, r.is_ok());
         r
@@ -249,7 +172,8 @@ impl CredentialBroker {
     pub fn validate_cert(&self, cert: &SshCertificate) -> Result<Uid, CredError> {
         let t0 = self.stats.begin();
         let r = self
-            .verifier
+            .table
+            .ca
             .validate_cert(cert, self.clock.now(), self.revocations.serials());
         self.stats.finish(t0, r.is_ok());
         r
@@ -258,16 +182,13 @@ impl CredentialBroker {
     /// Validate a serial known to the plane (portal sessions keep only the
     /// serial after login).
     pub fn validate_serial(&self, user: Uid, serial: CredSerial) -> Result<(), CredError> {
-        self.shard(user)
-            .read()
+        self.table
             .validate_serial(self.revocations.serials(), user, serial)
     }
 
     /// sshd account phase: live, unrevoked SSH certificate right now?
     pub fn authorize_ssh(&self, user: Uid) -> Result<(), CredError> {
-        self.shard(user)
-            .read()
-            .authorize_ssh(self.revocations.serials(), user)
+        self.table.authorize_ssh(self.revocations.serials(), user)
     }
 
     /// Scheduler submission gate: live, unrevoked bearer token right now?
@@ -277,8 +198,7 @@ impl CredentialBroker {
 
     /// Submission gate for a job arriving at `at` (>= now).
     pub fn authorize_submit_at(&self, user: Uid, at: SimTime) -> Result<(), CredError> {
-        self.shard(user)
-            .read()
+        self.table
             .authorize_submit_at(self.revocations.serials(), user, at)
     }
     // analyze:hot-path-end
@@ -292,12 +212,12 @@ impl CredentialBroker {
 
     /// The user's live certificate, if any.
     pub fn current_cert(&self, user: Uid) -> Option<SshCertificate> {
-        self.shard(user).read().current_cert(user)
+        self.table.current_cert(user)
     }
 
     /// The user's most recent token, if any.
     pub fn current_token(&self, user: Uid) -> Option<SignedToken> {
-        self.shard(user).read().current_token(user)
+        self.table.current_token(user)
     }
 
     /// Revoke one serial (immediate; irreversible).
@@ -307,25 +227,18 @@ impl CredentialBroker {
 
     /// Revoke every live credential of a user (incident response / logout).
     pub fn revoke_user(&mut self, user: Uid) {
-        let i = self.shard_of(user);
-        self.shards[i]
-            .get_mut()
-            .revoke_user(&mut self.revocations, user);
+        self.table.revoke_user(&mut self.revocations, user);
     }
 
     /// Drop expired *and revoked* sessions/certificates; returns how many
     /// entries were removed.
     pub fn sweep_expired(&mut self) -> usize {
-        let revoked = self.revocations.serials();
-        self.shards
-            .iter_mut()
-            .map(|s| s.get_mut().sweep_expired(revoked))
-            .sum()
+        self.table.sweep_expired(self.revocations.serials())
     }
 
     /// Number of live (unswept) session tokens across all users.
     pub fn live_sessions(&self) -> usize {
-        self.shards.iter().map(|s| s.read().live_sessions()).sum()
+        self.table.live_sessions()
     }
 
     /// Enroll a binding second factor for a user (the portal `enroll_mfa`
@@ -338,27 +251,25 @@ impl CredentialBroker {
         user: Uid,
         mfa: Option<MfaCode>,
     ) -> Result<MfaEnrollment, CredError> {
-        let reach = self.reach;
-        self.shard_mut(user).enroll_mfa(reach, user, mfa)
+        self.table.enroll_mfa(self.reach, user, mfa)
     }
 
     /// Remove a user's second factor; step-up-gated like rebinding (the
     /// current one-time code must be presented). Voids remaining recovery
     /// codes.
     pub fn unenroll_mfa(&mut self, user: Uid, mfa: Option<MfaCode>) -> Result<(), CredError> {
-        let reach = self.reach;
-        self.shard_mut(user).unenroll_mfa(reach, user, mfa)
+        self.table.unenroll_mfa(self.reach, user, mfa)
     }
 
     /// Whether the user will be MFA-challenged at the next login.
     pub fn mfa_challenged(&self, user: Uid) -> bool {
-        self.shard(user).read().idp.is_challenged(user)
+        self.table.idp.is_challenged(user)
     }
 
     /// The current window code for an enrolled user (the simulation's
     /// stand-in for reading the authenticator out of band).
     pub fn current_mfa_code(&self, user: Uid) -> Option<MfaCode> {
-        self.shard(user).read().current_mfa_code(user)
+        self.table.current_mfa_code(user)
     }
 
     // ------------------------------------------------------------------
@@ -407,7 +318,7 @@ impl CredentialBroker {
     /// sister site can verify signatures locally — the trust-bootstrap key
     /// exchange `eus-revsync` replicas build on.
     pub fn verifier(&self) -> RealmVerifier {
-        self.verifier.clone()
+        RealmVerifier::new(self.table.ca.clone())
     }
 
     // ------------------------------------------------------------------
@@ -422,8 +333,7 @@ impl CredentialBroker {
         self.reach.idp = up;
     }
 
-    /// Whether the identity provider is serving assertions realm-wide (a
-    /// seized shard does not count).
+    /// Whether the identity provider is serving assertions.
     pub fn idp_available(&self) -> bool {
         self.reach.idp
     }
@@ -436,26 +346,9 @@ impl CredentialBroker {
         self.reach.ca = up;
     }
 
-    /// Whether the certificate authority is minting realm-wide (a seized
-    /// shard does not count).
+    /// Whether the certificate authority is minting.
     pub fn ca_available(&self) -> bool {
         self.reach.ca
-    }
-
-    /// Seize (or release) one shard — fault injection: issuance for users
-    /// hashing to that shard fails with [`CredError::Unavailable`] while
-    /// every other shard — and all validation — keeps serving. Independent
-    /// of the realm-wide outages: releasing a shard heals no outage, and
-    /// healing an outage releases no shard. Returns false when the plane
-    /// has no such shard.
-    pub fn seize_shard(&mut self, shard: usize, seized: bool) -> bool {
-        match self.shards.get_mut(shard) {
-            Some(s) => {
-                s.get_mut().seized = seized;
-                true
-            }
-            None => false,
-        }
     }
 }
 
@@ -560,7 +453,7 @@ mod tests {
                 ..BrokerPolicy::default()
             },
         );
-        b.shard_mut(alice).idp.enroll_mfa(alice);
+        b.table.idp.enroll_mfa(alice);
         // Explicit login without a code is refused...
         assert_eq!(b.login(&db, alice, None), Err(CredError::MfaRequired));
         // ...but the transparent paths present the current window code.
@@ -603,21 +496,16 @@ mod tests {
         // A sister site with its own IdP/CA mints a token for the same uid.
         let mut foreign = CredentialBroker::new(RealmId(2), 99, BrokerPolicy::default());
         let foreign_token = foreign.login(&db, alice, None).unwrap();
-        // One shard judges through the only CA, four through the serial's
-        // residue: both refuse on realm before any signature check.
-        for mut home in [
-            CredentialBroker::new(RealmId(1), 11, BrokerPolicy::default()),
-            CredentialBroker::sharded(RealmId(1), 11, 4, BrokerPolicy::default()),
-        ] {
-            home.login(&db, alice, None).unwrap();
-            assert_eq!(
-                home.validate_token(&foreign_token),
-                Err(CredError::RealmMismatch {
-                    ours: RealmId(1),
-                    theirs: RealmId(2),
-                })
-            );
-        }
+        // Refused on realm before any signature check.
+        let mut home = CredentialBroker::new(RealmId(1), 11, BrokerPolicy::default());
+        home.login(&db, alice, None).unwrap();
+        assert_eq!(
+            home.validate_token(&foreign_token),
+            Err(CredError::RealmMismatch {
+                ours: RealmId(1),
+                theirs: RealmId(2),
+            })
+        );
     }
 
     #[test]
@@ -678,7 +566,7 @@ mod tests {
     }
 
     #[test]
-    fn outage_and_seizure_refuse_mfa_management() {
+    fn outage_refuses_mfa_management() {
         // Regression: enroll / unenroll asserted against a dark IdP.
         let (_db, mut b, alice) = setup();
         b.set_idp_available(false);
@@ -696,9 +584,6 @@ mod tests {
         b.set_idp_available(false);
         assert_eq!(b.unenroll_mfa(alice, code), Err(CredError::Unavailable));
         b.set_idp_available(true);
-        assert!(b.seize_shard(0, true));
-        assert_eq!(b.unenroll_mfa(alice, code), Err(CredError::Unavailable));
-        assert!(b.seize_shard(0, false));
         assert_eq!(b.unenroll_mfa(alice, code), Ok(()));
         assert!(!b.mfa_challenged(alice));
     }
@@ -716,98 +601,62 @@ mod tests {
         );
     }
 
-    fn sharded(shards: usize) -> (UserDb, CredentialBroker, Vec<Uid>) {
+    fn population() -> (UserDb, CredentialBroker, Vec<Uid>) {
         let mut db = UserDb::new();
         let users: Vec<Uid> = (0..16)
             .map(|i| db.create_user(&format!("u{i}")).unwrap())
             .collect();
-        let plane = CredentialBroker::sharded(RealmId(1), 77, shards, BrokerPolicy::default());
+        let plane = CredentialBroker::new(RealmId(1), 77, BrokerPolicy::default());
         (db, plane, users)
     }
 
     #[test]
-    fn per_user_lifecycle_spans_shards() {
-        let (db, mut p, users) = sharded(4);
-        let tokens: Vec<SignedToken> = users
-            .iter()
-            .map(|&u| p.login(&db, u, None).unwrap())
-            .collect();
-        assert_eq!(p.live_sessions(), users.len());
-        for (u, t) in users.iter().zip(&tokens) {
-            assert_eq!(p.validate_token(t).unwrap(), *u);
-            assert!(p.authorize_ssh(*u).is_ok());
-            assert!(p.authorize_submit(*u).is_ok());
-        }
-        // Users actually spread over more than one shard.
-        let occupied = (0..4)
-            .filter(|&i| p.shards[i].read().live_sessions() > 0)
-            .count();
-        assert!(occupied > 1, "uid hash must spread users");
-    }
-
-    #[test]
-    fn plane_clock_is_every_shards_clock_through_any_advance_interleaving() {
+    fn plane_clock_is_the_published_clock_through_any_advance_interleaving() {
         // Forwards, repeated, backwards, zero: the published clock (read
         // with no lock at all) must be exactly what the plane says and what
-        // a shared-path login on any shard stamps.
+        // a login stamps.
         let tape = [5u64, 5, 3, 0, 90, 60, 90, 3600, 10, 3601];
-        let run = |shards: usize| {
-            let (db, mut p, users) = sharded(shards);
-            let published = p.clock();
-            let mut seen = Vec::new();
-            for (i, secs) in tape.into_iter().enumerate() {
-                p.advance_to(SimTime::from_secs(secs));
-                assert_eq!(published.now(), p.now(), "after advance_to({secs}s)");
-                let user = users[i % users.len()];
-                let t = p.login_shared(&db, user, None).unwrap();
-                assert_eq!(t.issued, p.now(), "logins stamp the plane clock");
-                seen.push(p.now());
-            }
-            // A token living through the tape dies at the same instant
-            // whatever the shard count.
-            let t = p.login(&db, users[0], None).unwrap();
-            p.advance_to(t.expires - eus_simcore::SimDuration::from_micros(1));
-            assert_eq!(p.validate_token(&t), Ok(users[0]));
-            p.advance_to(t.expires);
-            assert_eq!(
-                p.validate_token(&t),
-                Err(CredError::Expired { until: t.expires })
-            );
-            seen
-        };
-        let clocks = run(4);
-        assert_eq!(clocks, run(1), "the clock never shows the shard count");
-        assert!(clocks.windows(2).all(|w| w[0] <= w[1]), "monotone");
-        assert_eq!(*clocks.last().unwrap(), SimTime::from_secs(3601));
-    }
-
-    #[test]
-    fn serials_are_globally_unique_and_route_back() {
-        let (db, mut p, users) = sharded(8);
-        let mut seen = std::collections::BTreeSet::new();
-        for &u in &users {
-            for _ in 0..10 {
-                let t = p.login(&db, u, None).unwrap();
-                assert!(seen.insert(t.serial), "serial collision across shards");
-                assert_eq!((t.serial.0 % 8) as usize, p.shard_of(u));
-            }
+        let (db, mut p, users) = population();
+        let published = p.clock();
+        let mut seen = Vec::new();
+        for (i, secs) in tape.into_iter().enumerate() {
+            p.advance_to(SimTime::from_secs(secs));
+            assert_eq!(published.now(), p.now(), "after advance_to({secs}s)");
+            let t = p.login(&db, users[i % users.len()], None).unwrap();
+            assert_eq!(t.issued, p.now(), "logins stamp the plane clock");
+            seen.push(p.now());
         }
+        assert!(seen.windows(2).all(|w| w[0] <= w[1]), "monotone");
+        assert_eq!(*seen.last().unwrap(), SimTime::from_secs(3601));
+        // A token dies at exactly its window's end.
+        let t = p.login(&db, users[0], None).unwrap();
+        p.advance_to(t.expires - SimDuration::from_micros(1));
+        assert_eq!(p.validate_token(&t), Ok(users[0]));
+        p.advance_to(t.expires);
+        assert_eq!(
+            p.validate_token(&t),
+            Err(CredError::Expired { until: t.expires })
+        );
     }
 
     #[test]
-    fn serial_revocation_is_judged_without_the_minting_shard() {
-        let (db, mut p, users) = sharded(4);
-        let t = p.login(&db, users[3], None).unwrap();
-        p.revoke_serial(t.serial);
-        // Every shard write-locked (a login in flight on each): the verdict
-        // still arrives, because it needs none of them.
-        let _held: Vec<_> = p.shards.iter().map(|s| s.write()).collect();
-        assert_eq!(p.validate_token(&t), Err(CredError::Revoked(t.serial)));
+    fn one_table_mints_the_plain_serial_stream() {
+        // Each login mints a token then a certificate: serials 1, 2, 3, …
+        // whoever logs in.
+        let (db, mut p, users) = population();
+        for (i, &u) in users.iter().enumerate() {
+            let t = p.login(&db, u, None).unwrap();
+            assert_eq!(t.serial, CredSerial(2 * i as u64 + 1));
+            assert_eq!(
+                p.current_cert(u).unwrap().serial,
+                CredSerial(2 * i as u64 + 2)
+            );
+        }
     }
 
     #[test]
     fn plane_level_delta_log_tracks_revocations_in_api_order() {
-        let (db, mut p, users) = sharded(4);
+        let (db, mut p, users) = population();
         let t0 = p.login(&db, users[0], None).unwrap();
         let t1 = p.login(&db, users[1], None).unwrap();
         assert_eq!(p.revocation_head(), 0);
@@ -816,25 +665,14 @@ mod tests {
         p.revoke_user(users[0]); // token + cert
         let log = p.revocations_since(0);
         assert_eq!(p.revocation_head(), 3);
-        assert_eq!(log[0], t1.serial, "API order, not shard order");
+        assert_eq!(log[0], t1.serial, "API order, not serial order");
         assert_eq!(log[1], t0.serial);
         assert_eq!(p.revocations_since(2).len(), 1);
     }
 
     #[test]
-    fn shared_path_login_matches_exclusive_login_decisions() {
-        let (db, mut p, users) = sharded(4);
-        // Shared-path login under a &self borrow mints a live session...
-        let t = p.login_shared(&db, users[2], None).unwrap();
-        assert_eq!(p.validate_token(&t).unwrap(), users[2]);
-        // ...and refuses exactly like the exclusive path.
-        let bad = p.login_shared(&db, Uid(4242), None);
-        assert_eq!(bad, p.login(&db, Uid(4242), None));
-    }
-
-    #[test]
-    fn verifier_routes_serials_to_the_minting_shards_ca() {
-        let (db, mut p, users) = sharded(4);
+    fn exported_verifier_judges_without_revocation_state() {
+        let (db, mut p, users) = population();
         let tokens: Vec<SignedToken> = users
             .iter()
             .map(|&u| p.login(&db, u, None).unwrap())
@@ -859,94 +697,8 @@ mod tests {
     }
 
     #[test]
-    fn seized_shard_fails_issuance_while_others_serve() {
-        let (db, mut p, users) = sharded(4);
-        let tokens: Vec<SignedToken> = users
-            .iter()
-            .map(|&u| p.login(&db, u, None).unwrap())
-            .collect();
-        let victim = users[0];
-        let shard = p.shard_of(victim);
-        assert!(p.seize_shard(shard, true));
-        assert_eq!(p.login(&db, victim, None), Err(CredError::Unavailable));
-        assert_eq!(
-            p.validate_token(&tokens[0]).unwrap(),
-            victim,
-            "validation on the seized shard keeps serving"
-        );
-        let other = users
-            .iter()
-            .copied()
-            .find(|&u| p.shard_of(u) != shard)
-            .unwrap();
-        assert!(p.login(&db, other, None).is_ok(), "other shards unaffected");
-        // Global outage fans to every shard; heal restores.
-        p.set_idp_available(false);
-        assert!(!p.idp_available());
-        for &u in &users {
-            assert_eq!(p.login(&db, u, None), Err(CredError::Unavailable));
-        }
-        p.set_idp_available(true);
-        assert!(p.seize_shard(shard, false));
-        assert!(p.idp_available() && p.ca_available());
-        assert!(p.login(&db, victim, None).is_ok());
-        assert!(!p.seize_shard(99, true), "no such shard");
-    }
-
-    #[test]
-    fn releasing_a_seized_shard_heals_no_realm_outage() {
-        // Regression (seize heals first): a release used to set the shard's
-        // IdP and CA flags up whatever the realm said, so its users logged
-        // in / minted through a realm-wide outage.
-        let (db, mut p, users) = sharded(4);
-        let victim = users[0];
-        let t = p.login(&db, victim, None).unwrap();
-        let shard = p.shard_of(victim);
-        assert!(p.seize_shard(shard, true));
-        p.set_idp_available(false);
-        assert!(p.seize_shard(shard, false));
-        assert_eq!(p.login(&db, victim, None), Err(CredError::Unavailable));
-        p.set_idp_available(true);
-        assert!(p.seize_shard(shard, true));
-        p.set_ca_available(false);
-        assert!(p.seize_shard(shard, false));
-        assert_eq!(p.mint_ssh_cert(&t), Err(CredError::Unavailable));
-        p.set_ca_available(true);
-        assert!(p.mint_ssh_cert(&t).is_ok());
-        assert!(p.login(&db, victim, None).is_ok());
-    }
-
-    #[test]
-    fn healing_a_realm_outage_releases_no_seized_shard() {
-        // Regression (outage heals first): one seized shard made the realm's
-        // availability read down, walking its health ladders to FailClosed.
-        let (db, mut p, users) = sharded(4);
-        let victim = users[0];
-        let shard = p.shard_of(victim);
-        let other = users
-            .iter()
-            .copied()
-            .find(|&u| p.shard_of(u) != shard)
-            .unwrap();
-        assert!(p.seize_shard(shard, true));
-        assert!(
-            p.idp_available() && p.ca_available(),
-            "a seizure is no outage"
-        );
-        p.set_idp_available(false);
-        p.set_ca_available(false);
-        assert_eq!(p.login(&db, other, None), Err(CredError::Unavailable));
-        p.set_idp_available(true);
-        p.set_ca_available(true);
-        assert_eq!(p.login(&db, victim, None), Err(CredError::Unavailable));
-        assert!(p.login(&db, other, None).is_ok());
-        assert!(p.seize_shard(shard, false));
-        assert!(p.login(&db, victim, None).is_ok());
-    }
-
-    #[test]
     fn plane_log_compaction_preserves_sequence_and_snapshot() {
-        let (db, mut p, users) = sharded(4);
+        let (db, mut p, users) = population();
         let tokens: Vec<SignedToken> = users
             .iter()
             .take(4)

@@ -205,7 +205,6 @@ pub struct CertificateAuthority {
     key: u64,
     rng: SimRng,
     next_serial: u64,
-    serial_step: u64,
 }
 
 impl CertificateAuthority {
@@ -221,7 +220,6 @@ impl CertificateAuthority {
             key,
             rng,
             next_serial: 0,
-            serial_step: 1,
         }
     }
 
@@ -237,25 +235,9 @@ impl CertificateAuthority {
         self
     }
 
-    /// Partition the serial space: this CA mints serials congruent to
-    /// `index` modulo `stride` (`index + stride`, `index + 2·stride`, …).
-    /// A [`crate::CredentialBroker`] gives each shard a disjoint residue class
-    /// so serials stay globally unique across shards and the owning shard of
-    /// any serial is recoverable as `serial % stride`.
-    pub fn set_serial_partition(&mut self, index: u64, stride: u64) {
-        assert!(stride > 0, "stride must be positive");
-        assert!(index < stride, "index must be a residue modulo stride");
-        assert_eq!(
-            self.next_serial, 0,
-            "serial partition must be set before any credential is minted \
-             (repartitioning would re-issue already-used serials)"
-        );
-        self.next_serial = index;
-        self.serial_step = stride;
-    }
-
+    /// The next serial of the plain stream 1, 2, 3, ….
     fn next_serial(&mut self) -> CredSerial {
-        self.next_serial += self.serial_step;
+        self.next_serial += 1;
         CredSerial(self.next_serial)
     }
 
@@ -329,11 +311,11 @@ impl CertificateAuthority {
     }
 
     // analyze:hot-path-begin(ca-validate)
-    /// The one verdict routine — the issuing plane, its shards' own liveness
-    /// checks and a sister site's CRL replica all judge through it: realm,
-    /// signature and window ([`verify_token`](Self::verify_token)), then one
-    /// probe of `revoked`. Takes no lock and owns no state: the caller says
-    /// which instant and which revoked set.
+    /// The one verdict routine — the issuing plane, its session table's own
+    /// liveness checks and a sister site's CRL replica all judge through
+    /// it: realm, signature and window ([`verify_token`](Self::verify_token)),
+    /// then one probe of `revoked`. Takes no lock and owns no state: the
+    /// caller says which instant and which revoked set.
     pub fn validate_token(
         &self,
         t: &SignedToken,
@@ -374,56 +356,32 @@ impl CertificateAuthority {
 /// capability is distributed once, while *revocation* state keeps changing —
 /// which is exactly what `eus-revsync` replicates asynchronously.
 ///
-/// For a sharded plane the verifier carries one CA per shard; a credential
-/// routes to its minting shard arithmetically (shard serials fill disjoint
-/// residue classes, `serial % shards == shard index`), so lookup stays O(1).
+/// The verifier wraps the issuing plane's one CA but exposes only its
+/// verdicts: a holder can verify this realm's credentials, never mint them.
 #[derive(Debug, Clone)]
 pub struct RealmVerifier {
-    realm: RealmId,
-    cas: Vec<CertificateAuthority>,
+    ca: CertificateAuthority,
 }
 
 impl RealmVerifier {
-    /// A verifier from the issuing plane's CAs, in shard order (a one-shard
-    /// plane passes exactly one).
-    pub fn new(realm: RealmId, cas: Vec<CertificateAuthority>) -> Self {
-        assert!(!cas.is_empty(), "a realm has at least one CA");
-        assert!(
-            cas.iter().all(|ca| ca.realm == realm),
-            "every CA must belong to the verifier's realm"
-        );
-        RealmVerifier { realm, cas }
+    /// A verifier from the issuing plane's CA.
+    pub fn new(ca: CertificateAuthority) -> Self {
+        RealmVerifier { ca }
     }
 
     /// The realm this verifier judges.
     pub fn realm(&self) -> RealmId {
-        self.realm
+        self.ca.realm
     }
 
-    /// The key a replica of this realm's CRL hashes serials under (the
-    /// issuing realm's first CA's — see
+    /// The key a replica of this realm's CRL hashes serials under (see
     /// [`CertificateAuthority::serial_set_key`]).
     pub fn serial_set_key(&self) -> SerialSetKey {
-        self.cas[0].serial_set_key()
+        self.ca.serial_set_key()
     }
 
     // analyze:hot-path-begin(realm-verify)
-    /// The CA that minted `serial`: the only one for a one-shard plane (no
-    /// division), the residue's for a sharded plane. The constructor
-    /// guarantees at least one CA, so the miss is unreachable; it fails
-    /// closed rather than panicking.
-    fn ca_for_serial(&self, serial: CredSerial) -> Result<&CertificateAuthority, CredError> {
-        let ca = match self.cas.as_slice() {
-            [only] => Some(only),
-            cas => serial
-                .0
-                .checked_rem(cas.len() as u64)
-                .and_then(|i| cas.get(i as usize)),
-        };
-        ca.ok_or(CredError::BadSignature)
-    }
-
-    /// Judge a token entirely locally, through the minting CA's
+    /// Judge a token entirely locally, through the CA's
     /// [`validate_token`](CertificateAuthority::validate_token). The
     /// verifier holds no revocation state — the caller brings the set it
     /// keeps current (the issuer's own list, or a replica of it).
@@ -433,8 +391,7 @@ impl RealmVerifier {
         now: SimTime,
         revoked: &SerialSet,
     ) -> Result<Uid, CredError> {
-        self.ca_for_serial(t.serial)?
-            .validate_token(t, now, revoked)
+        self.ca.validate_token(t, now, revoked)
     }
 
     /// Judge an SSH certificate the same way.
@@ -444,7 +401,7 @@ impl RealmVerifier {
         now: SimTime,
         revoked: &SerialSet,
     ) -> Result<Uid, CredError> {
-        self.ca_for_serial(c.serial)?.validate_cert(c, now, revoked)
+        self.ca.validate_cert(c, now, revoked)
     }
     // analyze:hot-path-end
 }

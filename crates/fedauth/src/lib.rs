@@ -22,8 +22,8 @@
 //! * [`revocation`] — the O(1) revocation list, plus the sequence-numbered
 //!   append-only delta log that `eus-revsync` replicates between realms.
 //! * [`broker`] — the [`CredentialBroker`] every enforcement point consults
-//!   (sshd PAM, scheduler submission, portal fetch): one or N uid-hashed
-//!   shards, for millions-of-sessions scale.
+//!   (sshd PAM, scheduler submission, portal fetch), over one session
+//!   table.
 //! * [`plane`] — the [`SharedBroker`] handle those enforcement points hold
 //!   and the [`PlaneClock`] the broker publishes.
 //! * [`federation`] — [`TrustPolicy`] realm allow-lists and the
@@ -37,16 +37,11 @@
 //!
 //! let mut db = UserDb::new();
 //! let alice = db.create_user("alice").unwrap();
-//! // One shard or four: one type, the same decisions.
-//! for mut broker in [
-//!     CredentialBroker::new(RealmId(1), 42, BrokerPolicy::default()),
-//!     CredentialBroker::sharded(RealmId(1), 42, 4, BrokerPolicy::default()),
-//! ] {
-//!     let token = broker.login(&db, alice, None).unwrap();
-//!     assert_eq!(broker.validate_token(&token).unwrap(), alice);
-//!     broker.revoke_serial(token.serial);
-//!     assert!(broker.validate_token(&token).is_err());
-//! }
+//! let mut broker = CredentialBroker::new(RealmId(1), 42, BrokerPolicy::default());
+//! let token = broker.login(&db, alice, None).unwrap();
+//! assert_eq!(broker.validate_token(&token).unwrap(), alice);
+//! broker.revoke_serial(token.serial);
+//! assert!(broker.validate_token(&token).is_err());
 //! ```
 
 #![warn(missing_docs)]
@@ -59,7 +54,7 @@ pub mod pam;
 pub mod plane;
 pub mod realm;
 pub mod revocation;
-mod shard;
+mod session;
 
 pub use broker::{BrokerPolicy, CredentialBroker};
 pub use ca::{
@@ -75,7 +70,7 @@ pub use realm::{
 };
 pub use revocation::{RevocationList, SerialSet, SerialSetKey};
 
-/// The identity plane's one bit-mixing primitive (uid→shard routing, TOTP
-/// window codes, the portal's keyed token fold), shared with the keyed
+/// The identity plane's one bit-mixing primitive (the broker's seed
+/// derivation, TOTP window codes, the portal's keyed token fold), shared with the keyed
 /// hasher so the constants cannot drift between call sites.
 pub use eus_simcore::splitmix64;

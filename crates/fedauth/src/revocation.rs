@@ -162,8 +162,8 @@ mod tests {
         RevocationList::new(SerialSetKey::from_secret(0xC0FFEE))
     }
 
-    /// The two serial patterns the workspace produces: a shard's CA mints
-    /// `index + k·stride`, and the benchmark pre-seeds dense runs at
+    /// Arithmetic progressions `index + k·stride` (a CA mints the stride-1
+    /// stream) and the dense runs the benchmark pre-seeds at
     /// `10_000_000·(realm) + i`.
     fn serial_patterns() -> Vec<(String, Vec<CredSerial>)> {
         let mut out = Vec::new();

@@ -1,28 +1,21 @@
-//! `SessionShard`: what one shard lock of a [`crate::CredentialBroker`]
-//! guards — a uid partition's IdP, CA, live sessions and certificates.
+//! `SessionTable`: the one session table a [`crate::CredentialBroker`]
+//! owns — the realm's IdP, CA, live sessions and certificates.
 //!
-//! Every per-user operation touches exactly one shard, so a plane of N
-//! shards behind N locks lets logins that hash to different shards proceed
-//! in parallel ([`crate::CredentialBroker::login_shared`]), while a
-//! *verdict on a presented credential* needs no shard at all: it reads the
-//! CA keys, the revoked set and the clock, which the plane keeps once, at
-//! plane level.
+//! The table is a plain field of the broker, behind no lock of its own:
+//! the `&self` gates read it under the caller's one plane guard, and the
+//! `&mut self` paths write it directly. A *verdict on a presented
+//! credential* reads none of it beyond the CA's keys: the revoked set and
+//! the clock are the plane's, kept once at plane level.
 //!
 //! Correctness-by-construction details:
 //!
-//! * each shard's CA mints serials in a disjoint residue class
-//!   (`serial % shards == shard index`), so serials stay globally unique and
-//!   a serial's owning shard is recoverable without knowing the uid; one
-//!   shard is partition (0, 1), the plain serial stream;
-//! * every shard shares the realm id, so realm binding (the
-//!   `CrossRealmSpoof` defense) is unchanged;
+//! * the CA mints the plain serial stream 1, 2, 3, …, so serials are unique
+//!   in the realm and a token and its certificate never share one;
+//! * every credential carries the realm id, so realm binding (the
+//!   `CrossRealmSpoof` defense) is judged before any signature;
 //! * revocation state is one plane-level list, its delta log appended in
-//!   the order revocations pass through the plane API — so the feed a
-//!   sister realm replicates (`eus-revsync`) does not show the shard count;
-//! * the shard count is observationally invisible — the same accept/reject
-//!   decision for every login/validate/revoke/sweep sequence at 1 and N
-//!   shards (property-tested in `tests/federation_properties.rs`). Token
-//!   *material* differs (different seeded streams), decisions never do.
+//!   the order revocations pass through the plane API — the feed a sister
+//!   realm replicates (`eus-revsync`).
 
 use crate::broker::BrokerPolicy;
 use crate::ca::{CertificateAuthority, CredError, CredSerial, SignedToken, SshCertificate};
@@ -46,13 +39,13 @@ pub(crate) struct Reach {
     pub(crate) ca: bool,
 }
 
-/// One uid partition's IdP, CA, live sessions and certificates. Revocation
-/// state is **not** here — the plane keeps one [`RevocationList`] and lends
-/// it to the methods below, and the clock is the plane's published
-/// [`PlaneClock`] — so a verdict on a *presented* credential
-/// ([`CertificateAuthority::validate_token`]) needs no shard at all.
+/// The realm's IdP, CA, live sessions and certificates. Revocation state is
+/// **not** here — the plane keeps one [`RevocationList`] and lends it to the
+/// methods below, and the clock is the plane's published [`PlaneClock`] —
+/// so a verdict on a *presented* credential
+/// ([`CertificateAuthority::validate_token`]) reads only the CA's keys.
 #[derive(Debug)]
-pub(crate) struct SessionShard {
+pub(crate) struct SessionTable {
     pub(crate) idp: IdentityProvider,
     pub(crate) ca: CertificateAuthority,
     clock: PlaneClock,
@@ -64,21 +57,17 @@ pub(crate) struct SessionShard {
     /// tabs, a portal session plus an sbatch token, ...).
     sessions: BTreeMap<Uid, BTreeMap<CredSerial, SignedToken>>,
     certs: BTreeMap<Uid, SshCertificate>,
-    /// Shard seizure (fault injection; defaults off): issuance for the
-    /// users hashed here refuses whatever the realm-wide [`Reach`] says,
-    /// and healing it never heals a realm-wide outage.
-    pub(crate) seized: bool,
 }
 
-impl SessionShard {
-    /// A shard for `realm` on the plane's `clock`; `seed` determines all
+impl SessionTable {
+    /// A table for `realm` on the plane's `clock`; `seed` determines all
     /// key/token material.
     pub(crate) fn new(realm: RealmId, seed: u64, policy: BrokerPolicy, clock: PlaneClock) -> Self {
         let mut idp = IdentityProvider::new(realm, seed);
         if policy.require_mfa {
             idp = idp.with_mfa_required();
         }
-        SessionShard {
+        SessionTable {
             idp,
             ca: CertificateAuthority::new(realm, seed)
                 .with_token_ttl(policy.token_ttl)
@@ -86,17 +75,6 @@ impl SessionShard {
             clock,
             sessions: BTreeMap::new(),
             certs: BTreeMap::new(),
-            seized: false,
-        }
-    }
-
-    /// `Ok` when the realm-wide issuer a call needs is `up` and this shard
-    /// is not seized; [`CredError::Unavailable`] otherwise.
-    fn serving(&self, up: bool) -> Result<(), CredError> {
-        if up && !self.seized {
-            Ok(())
-        } else {
-            Err(CredError::Unavailable)
         }
     }
 
@@ -113,7 +91,7 @@ impl SessionShard {
         user: Uid,
         mfa: Option<MfaCode>,
     ) -> Result<SignedToken, CredError> {
-        self.serving(reach.idp && reach.ca)?;
+        serving(reach.idp && reach.ca)?;
         let assertion = self.idp.assert_identity(db, user, mfa, self.clock.now())?;
         Ok(self.mint_session(&assertion))
     }
@@ -127,7 +105,7 @@ impl SessionShard {
         user: Uid,
         code: RecoveryCode,
     ) -> Result<SignedToken, CredError> {
-        self.serving(reach.idp && reach.ca)?;
+        serving(reach.idp && reach.ca)?;
         let assertion = self
             .idp
             .assert_identity_recovery(db, user, code, self.clock.now())?;
@@ -155,7 +133,7 @@ impl SessionShard {
         revoked: &SerialSet,
         token: &SignedToken,
     ) -> Result<SshCertificate, CredError> {
-        self.serving(reach.ca)?;
+        serving(reach.ca)?;
         let now = self.clock.now();
         let user = self.ca.validate_token(token, now, revoked)?;
         let assertion = IdentityAssertion {
@@ -202,8 +180,8 @@ impl SessionShard {
         Ok(token)
     }
 
-    // analyze:hot-path-begin(shard-validate)
-    /// Validate a serial known to the shard (portal sessions keep only the
+    // analyze:hot-path-begin(session-validate)
+    /// Validate a serial known to the table (portal sessions keep only the
     /// serial after login). O(log) via the serial-keyed session index —
     /// constant-time in the user's concurrent-session count, however many
     /// tabs and tokens they hold.
@@ -302,20 +280,20 @@ impl SessionShard {
         before - (self.live_sessions() + self.certs.len())
     }
 
-    /// Number of live (unswept) session tokens across the shard's users.
+    /// Number of live (unswept) session tokens across all users.
     pub(crate) fn live_sessions(&self) -> usize {
         self.sessions.values().map(BTreeMap::len).sum()
     }
 
-    // MFA management asserts against the IdP, so it needs the IdP up and
-    // the shard unseized like a login does.
+    // MFA management asserts against the IdP, so it needs the IdP up like
+    // a login does.
     pub(crate) fn enroll_mfa(
         &mut self,
         reach: Reach,
         user: Uid,
         mfa: Option<MfaCode>,
     ) -> Result<MfaEnrollment, CredError> {
-        self.serving(reach.idp)?;
+        serving(reach.idp)?;
         self.idp.enroll_mfa_stepup(user, mfa, self.clock.now())
     }
 
@@ -325,11 +303,21 @@ impl SessionShard {
         user: Uid,
         mfa: Option<MfaCode>,
     ) -> Result<(), CredError> {
-        self.serving(reach.idp)?;
+        serving(reach.idp)?;
         self.idp.unenroll_mfa(user, mfa, self.clock.now())
     }
 
     pub(crate) fn current_mfa_code(&self, user: Uid) -> Option<MfaCode> {
         self.idp.current_code(user, self.clock.now())
+    }
+}
+
+/// `Ok` when the realm-wide issuer a call needs is `up`;
+/// [`CredError::Unavailable`] otherwise.
+fn serving(up: bool) -> Result<(), CredError> {
+    if up {
+        Ok(())
+    } else {
+        Err(CredError::Unavailable)
     }
 }

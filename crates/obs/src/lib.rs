@@ -27,8 +27,8 @@
 //!   ([`FlightRecorder::render_tail`]) when a property test or experiment
 //!   assertion fails — replayable forensics instead of an opaque mismatch.
 //!
-//! `&self` hot paths that cannot take `&mut` (sharded credential
-//! validation behind read locks) use [`SharedStats`] — the same
+//! `&self` hot paths that cannot take `&mut` (credential validation
+//! behind read locks) use [`SharedStats`] — the same
 //! pre-registered-handle discipline over relaxed atomics.
 //!
 //! The second generation (obs v2) adds three more pillars on the same

@@ -1,6 +1,6 @@
 //! Lock-free stats for `&self` hot paths.
 //!
-//! The sharded credential broker and the CRL replicas validate tokens
+//! The credential broker and the CRL replicas validate tokens
 //! through `&self` behind read locks — a `&mut Recorder` cannot reach
 //! them. [`SharedStats`] applies the same pre-registered-handle
 //! discipline over relaxed atomics: register slots up front, bump them

@@ -40,8 +40,7 @@
 //!
 //! let mut db = UserDb::new();
 //! let alice = db.create_user("alice").unwrap();
-//! // A four-shard home plane (the llsc shape) and a one-shard sister.
-//! let home = shared_broker(CredentialBroker::sharded(RealmId(1), 1, 4, BrokerPolicy::default()));
+//! let home = shared_broker(CredentialBroker::new(RealmId(1), 1, BrokerPolicy::default()));
 //! let sister = shared_broker(CredentialBroker::new(RealmId(2), 2, BrokerPolicy::default()));
 //!
 //! let cfg = RevSyncConfig::default();

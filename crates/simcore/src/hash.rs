@@ -19,8 +19,8 @@ use std::fmt;
 use std::hash::{BuildHasher, Hasher};
 
 /// splitmix64 finalizer: the workspace's one bit-mixing primitive (hash
-/// rounds here; uid→shard routing, TOTP window codes and the portal's keyed
-/// token fold elsewhere). Kept in one place so the constants cannot drift
+/// rounds here; the credential broker's seed derivation, TOTP window codes
+/// and the portal's keyed token fold elsewhere). Kept in one place so the constants cannot drift
 /// between call sites.
 #[inline]
 pub const fn splitmix64(x: u64) -> u64 {

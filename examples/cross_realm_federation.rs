@@ -1,8 +1,7 @@
 //! Cross-realm federation walkthrough: a collaborator from a trusted sister
 //! site uses their *home* credential at this cluster, an untrusted site's
 //! credential fails closed, and a local user self-enrolls MFA through the
-//! portal — all against the full paper configuration with the sharded
-//! credential plane.
+//! portal — all against the full paper configuration.
 //!
 //! ```text
 //! cargo run --release --example cross_realm_federation
@@ -17,8 +16,7 @@ use hpc_user_separation::{ClusterSpec, SecureCluster, SeparationConfig, HOME_REA
 fn main() {
     println!("== Multi-realm trust & portal MFA enrollment ==\n");
 
-    // The home site allow-lists sister realm 2 (a collaborating lab); the
-    // broker runs 4 uid-hashed shards (the llsc default).
+    // The home site allow-lists sister realm 2 (a collaborating lab).
     let cfg = SeparationConfig::llsc().with_trusted_realms([2u32]);
     let mut cluster = SecureCluster::new(cfg, ClusterSpec::tiny());
     let alice = cluster.add_user("alice").unwrap();

@@ -63,41 +63,33 @@ fn expected_open(cfg: &SeparationConfig) -> Vec<Channel> {
 
 fn arb_config() -> impl Strategy<Value = SeparationConfig> {
     (
-        (
-            any::<bool>(),
-            any::<bool>(),
-            prop_oneof![
-                Just(NodeSharing::Shared),
-                Just(NodeSharing::Exclusive),
-                Just(NodeSharing::WholeNodeUser),
-            ],
-            any::<bool>(),
-            any::<bool>(),
-            any::<bool>(),
-            any::<bool>(),
-            any::<bool>(),
-            any::<bool>(),
-            any::<bool>(),
-        ),
-        // Broker shard count rides along: the audit outcome must be
-        // invariant under sharding (observational equivalence).
-        1u32..5,
+        any::<bool>(),
+        any::<bool>(),
+        prop_oneof![
+            Just(NodeSharing::Shared),
+            Just(NodeSharing::Exclusive),
+            Just(NodeSharing::WholeNodeUser),
+        ],
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
     )
         .prop_map(
             |(
-                (
-                    hidepid,
-                    private_data,
-                    node_policy,
-                    pam_slurm,
-                    fsperm,
-                    ubf,
-                    portal,
-                    gperm,
-                    gscrub,
-                    fedauth,
-                ),
-                broker_shards,
+                hidepid,
+                private_data,
+                node_policy,
+                pam_slurm,
+                fsperm,
+                ubf,
+                portal,
+                gperm,
+                gscrub,
+                fedauth,
             )| {
                 SeparationConfig {
                     hidepid,
@@ -110,7 +102,6 @@ fn arb_config() -> impl Strategy<Value = SeparationConfig> {
                     gpu_dev_perms: gperm,
                     gpu_scrub: gscrub,
                     federated_auth: fedauth,
-                    broker_shards,
                     trusted_realms: Vec::new(),
                     ..SeparationConfig::baseline()
                 }

@@ -122,7 +122,6 @@ impl ChaosRun {
             let shape = PlanShape {
                 realms: sister_realms(&c),
                 nodes: c.compute_ids.clone(),
-                shards: c.config.broker_shards as usize,
                 faults,
                 horizon: horizon(),
                 max_heal: max_heal(),

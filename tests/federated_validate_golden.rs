@@ -10,13 +10,11 @@
 //! codes against. This suite pins it twice:
 //!
 //! * [`GOLDEN`]: the exact `Result` (its `Debug` text) of every scenario
-//!   in [`scenarios`], at `broker_shards` 1 and 4, recorded from the
-//!   façade as it stood before the validate read path was rebuilt to take
-//!   one plane guard. A rewrite of that path keeps every constant.
+//!   in [`scenarios`], recorded from the façade as it stood before the
+//!   validate read path was rebuilt to take one plane guard. A rewrite of
+//!   that path keeps every constant.
 //! * a property: random tapes of login / revoke / `advance_to` / feed
-//!   partition / trust rotation / clock skew, at `broker_shards` 1, 3 and
-//!   4 (3 is a shard count that is not a power of two), with every minted
-//!   token and
+//!   partition / trust rotation / clock skew, with every minted token and
 //!   certificate (and a forged and a re-stamped copy of each) judged after
 //!   every op by the façade *and* by the same decision spelled out from
 //!   public parts — `TrustPolicy::gate`, the issuer plane's own
@@ -63,7 +61,6 @@ fn secs(s: u64) -> SimDuration {
 /// A home site with every kind of neighbour.
 struct Fixture {
     c: SecureCluster,
-    shards: u32,
     users: [Uid; 3],
     home: SharedBroker,
     permanent: SharedBroker,
@@ -73,10 +70,8 @@ struct Fixture {
 }
 
 impl Fixture {
-    fn new(shards: u32, box_len: SimDuration) -> Self {
-        let cfg = SeparationConfig::llsc()
-            .with_broker_shards(shards)
-            .with_trusted_realms([PERMANENT.0, ORPHAN.0]);
+    fn new(box_len: SimDuration) -> Self {
+        let cfg = SeparationConfig::llsc().with_trusted_realms([PERMANENT.0, ORPHAN.0]);
         let mut c = SecureCluster::new(cfg, ClusterSpec::tiny());
         let users = ["alice", "bob", "carol"].map(|n| c.add_user(n).unwrap());
         c.advance_to(T0);
@@ -86,11 +81,9 @@ impl Fixture {
             0x2222,
             BrokerPolicy::default(),
         ));
-        // Two shards: the exported verifier routes by serial residue.
-        let timeboxed = shared_broker(CredentialBroker::sharded(
+        let timeboxed = shared_broker(CredentialBroker::new(
             TIMEBOXED,
             0x3333,
-            2,
             BrokerPolicy::default(),
         ));
         let untrusted = shared_broker(CredentialBroker::new(
@@ -104,7 +97,6 @@ impl Fixture {
         c.register_sister_realm(UNTRUSTED, untrusted.clone());
         Fixture {
             c,
-            shards,
             users,
             home,
             permanent,
@@ -115,8 +107,8 @@ impl Fixture {
     }
 
     /// The golden scenarios' fixture: the time box outlasts a token.
-    fn golden(shards: u32) -> Self {
-        Fixture::new(shards, secs(24 * 3600))
+    fn golden() -> Self {
+        Fixture::new(secs(24 * 3600))
     }
 
     fn now(&self) -> SimTime {
@@ -149,10 +141,9 @@ impl Fixture {
     /// A twin of the home plane (same seed, so same CA keys) whose clock
     /// runs `ahead` of the federation's.
     fn home_twin(&self, ahead: SimDuration) -> SharedBroker {
-        let twin = shared_broker(CredentialBroker::sharded(
+        let twin = shared_broker(CredentialBroker::new(
             HOME_REALM,
             HOME_PLANE_SEED,
-            self.shards as usize,
             BrokerPolicy::default(),
         ));
         twin.write().advance_to(self.now() + ahead);
@@ -175,7 +166,7 @@ type Verdict = Result<Uid, CredError>;
 
 /// The six single-condition verdicts for tokens minted at `plane`, a
 /// trusted issuer (`None`: the home plane itself).
-fn six_of(shards: u32, sister: Option<RealmId>) -> Vec<(String, Verdict)> {
+fn six_of(sister: Option<RealmId>) -> Vec<(String, Verdict)> {
     let who = sister.map_or("home".to_string(), |r| format!("realm{}", r.0));
     let issuer = |f: &Fixture| match sister {
         None => f.home.clone(),
@@ -184,7 +175,7 @@ fn six_of(shards: u32, sister: Option<RealmId>) -> Vec<(String, Verdict)> {
     };
     let mut out = Vec::new();
 
-    let f = Fixture::golden(shards);
+    let f = Fixture::golden();
     let t = f.login(&issuer(&f));
     out.push((format!("{who}/live"), f.validate(&t)));
     out.push((format!("{who}/forged-signature"), f.validate(&forged(&t))));
@@ -200,7 +191,7 @@ fn six_of(shards: u32, sister: Option<RealmId>) -> Vec<(String, Verdict)> {
         f.validate(&restamped(&t, other)),
     ));
 
-    let mut f = Fixture::golden(shards);
+    let mut f = Fixture::golden();
     let t = f.login(&issuer(&f));
     issuer(&f).write().revoke_serial(t.serial);
     if sister.is_some() {
@@ -212,14 +203,14 @@ fn six_of(shards: u32, sister: Option<RealmId>) -> Vec<(String, Verdict)> {
     f.c.advance_to(t.expires);
     out.push((format!("{who}/revoked-and-expired"), f.validate(&t)));
 
-    let mut f = Fixture::golden(shards);
+    let mut f = Fixture::golden();
     let t = f.login(&issuer(&f));
     f.c.advance_to(t.expires - SimDuration::from_micros(1));
     out.push((format!("{who}/last-valid-instant"), f.validate(&t)));
     f.c.advance_to(t.expires);
     out.push((format!("{who}/expired"), f.validate(&t)));
 
-    let mut f = Fixture::golden(shards);
+    let mut f = Fixture::golden();
     let t = match sister {
         // The issuer's clock runs an hour ahead of ours.
         Some(realm) => {
@@ -233,21 +224,20 @@ fn six_of(shards: u32, sister: Option<RealmId>) -> Vec<(String, Verdict)> {
     out
 }
 
-/// Every scenario's `(name, verdict)` at one shard count, in [`GOLDEN`]
-/// order.
-fn scenarios(shards: u32) -> Vec<(String, Verdict)> {
-    let mut out = six_of(shards, None);
-    out.extend(six_of(shards, Some(PERMANENT)));
-    out.extend(six_of(shards, Some(TIMEBOXED)));
+/// Every scenario's `(name, verdict)`, in [`GOLDEN`] order.
+fn scenarios() -> Vec<(String, Verdict)> {
+    let mut out = six_of(None);
+    out.extend(six_of(Some(PERMANENT)));
+    out.extend(six_of(Some(TIMEBOXED)));
     let mut case = |name: &str, v: Verdict| out.push((name.to_string(), v));
 
     // No credential plane at all.
     let off = SeparationConfig {
         federated_auth: false,
-        ..SeparationConfig::llsc().with_broker_shards(shards)
+        ..SeparationConfig::llsc()
     };
     let c = SecureCluster::new(off, ClusterSpec::tiny());
-    let f = Fixture::golden(shards);
+    let f = Fixture::golden();
     case("plane-off", c.validate_federated_token(&f.login(&f.home)));
 
     // The trust gate answers before any signature is looked at.
@@ -264,7 +254,7 @@ fn scenarios(shards: u32) -> Vec<(String, Verdict)> {
     );
 
     // The time box closes at `box_end`, exclusive.
-    let mut f = Fixture::golden(shards);
+    let mut f = Fixture::golden();
     f.c.advance_to(f.box_end - SimDuration::from_micros(1));
     let t = f.login(&f.timeboxed);
     case("trust-box/one-us-before-end", f.validate(&t));
@@ -273,7 +263,7 @@ fn scenarios(shards: u32) -> Vec<(String, Verdict)> {
     case("trust-box/at-end-forged", f.validate(&forged(&t)));
 
     // A replica over the staleness budget refuses to judge at all.
-    let mut f = Fixture::golden(shards);
+    let mut f = Fixture::golden();
     f.c.partition_sister_feed(PERMANENT, true);
     f.c.partition_sister_feed(TIMEBOXED, true);
     let t = f.login(&f.permanent);
@@ -292,7 +282,7 @@ fn scenarios(shards: u32) -> Vec<(String, Verdict)> {
     // minute ahead and a token with 30 s left is expired, at either route,
     // and a replica's lag is a minute longer.
     for (who, realm) in [("home", HOME_REALM), ("realm2", PERMANENT)] {
-        let mut f = Fixture::golden(shards);
+        let mut f = Fixture::golden();
         let t = f.login(if realm == HOME_REALM {
             &f.home
         } else {
@@ -304,7 +294,7 @@ fn scenarios(shards: u32) -> Vec<(String, Verdict)> {
         f.c.advance_to(t.expires - secs(30));
         case(&format!("home-skew/{who}-30s-left"), f.validate(&t));
     }
-    let mut f = Fixture::golden(shards);
+    let mut f = Fixture::golden();
     f.c.partition_sister_feed(PERMANENT, true);
     let t = f.login(&f.permanent);
     f.c.set_realm_clock_skew(HOME_REALM, secs(60));
@@ -313,13 +303,12 @@ fn scenarios(shards: u32) -> Vec<(String, Verdict)> {
     out
 }
 
-/// `Debug` text of every scenario's verdict, in [`scenarios`] order —
-/// identical at `broker_shards` 1 and 4 except for [`HOME_SERIAL`].
+/// `Debug` text of every scenario's verdict, in [`scenarios`] order.
 const GOLDEN: [&str; 44] = [
     "Ok(Uid(1000))",                                                // home/live
     "Err(BadSignature)",                                            // home/forged-signature
     "Err(BadSignature)",                                            // home/wrong-realm-stamp
-    "Err(Revoked(CredSerial({home-serial})))",                      // home/revoked
+    "Err(Revoked(CredSerial(7)))",                                  // home/revoked
     "Err(Expired { until: SimTime(43300000000) })",                 // home/revoked-and-expired
     "Ok(Uid(1000))",                                                // home/last-valid-instant
     "Err(Expired { until: SimTime(43300000000) })",                 // home/expired
@@ -337,7 +326,7 @@ const GOLDEN: [&str; 44] = [
     "Err(BadSignature)",                                            // realm3/forged-signature
     "Err(BadSignature)",                                            // realm3/wrong-realm-stamp
     "Ok(Uid(1000))",                                                // realm3/revoked-in-flight
-    "Err(Revoked(CredSerial(2)))",                                  // realm3/revoked
+    "Err(Revoked(CredSerial(1)))",                                  // realm3/revoked
     "Err(Expired { until: SimTime(43300000000) })",                 // realm3/revoked-and-expired
     "Ok(Uid(1000))",                                                // realm3/last-valid-instant
     "Err(Expired { until: SimTime(43300000000) })",                 // realm3/expired
@@ -362,42 +351,34 @@ const GOLDEN: [&str; 44] = [
     "Err(StaleReplica { realm: RealmId(2), lag: SimDuration(930000000) })", // home-skew/stale-inside-the-skew
 ];
 
-/// The one payload that depends on the shard count: shards mint serials in
-/// residue classes, so the home token the `home/revoked` scenario revokes
-/// carries a different serial at `broker_shards` 1 and 4.
-const HOME_SERIAL: [(u32, &str); 2] = [(1, "7"), (4, "20")];
-
 #[test]
 fn every_scenario_reproduces_its_recorded_verdict() {
-    for (shards, home_serial) in HOME_SERIAL {
-        let got: Vec<(String, String)> = scenarios(shards)
-            .into_iter()
-            .map(|(name, v)| (name, format!("{v:?}")))
-            .collect();
-        let want: Vec<String> = GOLDEN
-            .iter()
-            .map(|g| g.replace("{home-serial}", home_serial))
-            .collect();
-        if got.iter().map(|(_, text)| text).ne(want.iter()) {
-            let mut table = String::new();
-            for (i, (name, text)) in got.iter().enumerate() {
-                let mark = if want.get(i) == Some(text) { " " } else { "!" };
-                table.push_str(&format!("  {mark} {text:?}, // {name}\n"));
-            }
-            panic!(
-                "golden verdicts changed at broker_shards = {shards} \
-                 ({} scenarios, {} recorded); the façade now answers:\n{table}",
-                got.len(),
-                want.len()
-            );
+    let got: Vec<(String, String)> = scenarios()
+        .into_iter()
+        .map(|(name, v)| (name, format!("{v:?}")))
+        .collect();
+    if got.iter().map(|(_, text)| text).ne(GOLDEN.iter()) {
+        let mut table = String::new();
+        for (i, (name, text)) in got.iter().enumerate() {
+            let mark = if GOLDEN.get(i) == Some(&text.as_str()) {
+                " "
+            } else {
+                "!"
+            };
+            table.push_str(&format!("  {mark} {text:?}, // {name}\n"));
         }
+        panic!(
+            "golden verdicts changed ({} scenarios, {} recorded); the façade now answers:\n{table}",
+            got.len(),
+            GOLDEN.len()
+        );
     }
 }
 
 #[test]
 fn the_scenarios_cover_every_refusal_the_facade_can_give() {
     // The table is only worth pinning if it reaches every branch.
-    let seen: Vec<String> = scenarios(4)
+    let seen: Vec<String> = scenarios()
         .into_iter()
         .map(|(_, v)| format!("{v:?}"))
         .collect();
@@ -498,11 +479,9 @@ proptest! {
     #[test]
     fn facade_directory_and_mesh_agree_with_the_spelled_out_composition(
         tape in proptest::collection::vec((0u8..6, 0u8..8, 0u8..8), 1..40),
-        sharded in 0usize..3,
     ) {
-        let shards = [1, 3, 4][sharded];
         // A short box, so tapes cross its end.
-        let mut f = Fixture::new(shards, secs(20_000));
+        let mut f = Fixture::new(secs(20_000));
         let users = f.users;
         let stranger = f.stranger(UNREGISTERED);
         let planes = [

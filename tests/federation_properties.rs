@@ -1,22 +1,18 @@
 //! Federation-layer properties:
 //!
-//! 1. a [`CredentialBroker`] over N shards is **observationally
-//!    equivalent** to one over a single shard — the same accept/reject
-//!    decision for every login/validate/revoke/sweep sequence (token
-//!    *material* differs, the decisions never do); this is the reference
-//!    check for serial-residue routing;
-//! 2. a [`TrustPolicy`]-governed federation never accepts a credential from
+//! 1. a [`TrustPolicy`]-governed federation never accepts a credential from
 //!    a realm off the allow-list, whatever the op interleaving;
-//! 3. the home plane's clock is one clock, and it is the published one:
-//!    through any interleaving of shared-path logins (taken under the
-//!    plane's *read* guard), `revoke_user` / `revoke_serial` /
+//! 2. the home plane's clock is one clock, and it is the published one:
+//!    through any interleaving of logins, `revoke_user` / `revoke_serial` /
 //!    `sweep_expired`, clock-skew apply / heal and every way a plane can be
 //!    advanced, the cell the federation directory reads without a guard is
 //!    `plane.now()`, and every live, revoked, forged and re-stamped token
-//!    is judged exactly as a lone one-shard [`CredentialBroker`] fed the
-//!    same ops judges it — at 1 and 4 shards;
-//! 4. (`--cfg lock_order_check` builds) a home-token validation acquires
-//!    exactly one lock, a sister-token validation and `replica_lag` none.
+//!    is judged exactly as a lone [`CredentialBroker`] fed the same ops
+//!    judges it;
+//! 3. (`--cfg lock_order_check` builds) a home-token validation and each
+//!    session gate (`authorize_ssh`, `authorize_submit_at`,
+//!    `validate_serial`) acquire exactly one lock, a sister-token
+//!    validation and `replica_lag` none.
 
 use eus_fedauth::{
     shared_broker, BrokerPolicy, CredError, CredentialBroker, FederationDirectory, RealmId,
@@ -27,135 +23,8 @@ use eus_simos::{Uid, UserDb};
 use hpc_user_separation::{ClusterSpec, SecureCluster, SeparationConfig};
 use proptest::prelude::*;
 
-/// Collapse a decision to its observable shape: accept, or which kind of
-/// refusal. Serial numbers and timestamps inside errors are
-/// implementation-specific (shards partition the serial space), so compare
-/// variants, not payloads.
-fn shape<T>(r: &Result<T, CredError>) -> &'static str {
-    match r {
-        Ok(_) => "ok",
-        Err(CredError::UnknownUser(_)) => "unknown-user",
-        Err(CredError::MfaRequired) => "mfa-required",
-        Err(CredError::MfaInvalid) => "mfa-invalid",
-        Err(CredError::NotYetValid { .. }) => "not-yet-valid",
-        Err(CredError::Expired { .. }) => "expired",
-        Err(CredError::RealmMismatch { .. }) => "realm-mismatch",
-        Err(CredError::UntrustedRealm { .. }) => "untrusted-realm",
-        Err(CredError::UnknownRealm(_)) => "unknown-realm",
-        Err(CredError::TrustExpired { .. }) => "trust-expired",
-        Err(CredError::StaleReplica { .. }) => "stale-replica",
-        Err(CredError::BadSignature) => "bad-signature",
-        Err(CredError::Revoked(_)) => "revoked",
-        Err(CredError::NoCredential(_)) => "no-credential",
-        Err(CredError::Unavailable) => "unavailable",
-    }
-}
-
-/// One credential plane under test, with the tokens it has minted so far
-/// (the i-th minted token corresponds across planes).
-struct Driver {
-    plane: CredentialBroker,
-    minted: Vec<SignedToken>,
-    clock: SimTime,
-}
-
-impl Driver {
-    fn new(plane: CredentialBroker) -> Self {
-        Driver {
-            plane,
-            minted: Vec::new(),
-            clock: SimTime::ZERO,
-        }
-    }
-
-    /// Apply one op; return its observable outcome.
-    fn step(&mut self, db: &UserDb, users: &[Uid], op: (u8, u8)) -> String {
-        let (action, subject) = op;
-        let user = users[subject as usize % users.len()];
-        match action % 7 {
-            0 => {
-                let r = self.plane.login(db, user, None);
-                let s = shape(&r);
-                if let Ok(t) = r {
-                    self.minted.push(t);
-                }
-                format!("login:{s}")
-            }
-            1 => match self.minted.get(subject as usize) {
-                Some(t) => {
-                    let t = *t;
-                    format!("validate:{}", shape(&self.plane.validate_token(&t)))
-                }
-                None => "validate:none".to_string(),
-            },
-            2 => {
-                let r = self.plane.authorize_submit(user);
-                format!("submit:{}", shape(&r))
-            }
-            3 => {
-                self.plane.revoke_user(user);
-                "revoke-user".to_string()
-            }
-            4 => match self.minted.get(subject as usize) {
-                Some(t) => {
-                    let serial = t.serial;
-                    self.plane.revoke_serial(serial);
-                    "revoke-serial".to_string()
-                }
-                None => "revoke-serial:none".to_string(),
-            },
-            5 => {
-                self.clock += SimDuration::from_secs(3600 * subject as u64);
-                self.plane.advance_to(self.clock);
-                "advance".to_string()
-            }
-            _ => format!("sweep:{}", self.plane.sweep_expired()),
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
-
-    /// Same op sequence, same decisions — one shard against 2..9.
-    #[test]
-    fn sharded_broker_is_observationally_equivalent_to_single(
-        ops in proptest::collection::vec((0u8..7, 0u8..8), 1..80),
-        shards in 2u8..9,
-    ) {
-        let mut db = UserDb::new();
-        let users: Vec<Uid> = (0..5)
-            .map(|i| db.create_user(&format!("u{i}")).unwrap())
-            .collect();
-        let policy = BrokerPolicy::default();
-        let mut single = Driver::new(CredentialBroker::new(RealmId(1), 42, policy));
-        let mut sharded = Driver::new(CredentialBroker::sharded(
-            RealmId(1),
-            42,
-            shards as usize,
-            policy,
-        ));
-
-        for op in ops {
-            let a = single.step(&db, &users, op);
-            let b = sharded.step(&db, &users, op);
-            prop_assert_eq!(&a, &b, "decision diverged on op {:?}", op);
-            // Observable aggregate state tracks too.
-            prop_assert_eq!(
-                single.plane.live_sessions(),
-                sharded.plane.live_sessions(),
-                "session counts diverged after {:?}",
-                op
-            );
-        }
-        // Final cross-check: every minted token judges identically.
-        for (ts, tsh) in single.minted.iter().zip(&sharded.minted) {
-            prop_assert_eq!(
-                shape(&single.plane.validate_token(ts)),
-                shape(&sharded.plane.validate_token(tsh))
-            );
-        }
-    }
 
     /// Trust-policy soundness: whatever realms exist and whatever the
     /// allow-list, a token from a non-allow-listed realm NEVER validates at
@@ -225,12 +94,11 @@ proptest! {
 
     /// Plane-level clock coherence and verdict equivalence: the clock the
     /// directory reads with no guard is `plane.now()` however the plane was
-    /// advanced, it is the clock shared-path logins stamp on every shard,
-    /// it never runs backwards and never shows the shard count — and every
-    /// verdict, at the plane and through the façade, is the lone-broker
-    /// model's.
+    /// advanced, it is the clock logins stamp, it never runs backwards —
+    /// and every verdict, at the plane and through the façade, is the
+    /// lone-broker model's.
     #[test]
-    fn plane_clock_is_coherent_and_shard_count_invariant_under_skew(
+    fn plane_clock_is_coherent_under_skew(
         tape in proptest::collection::vec((0u8..9, 0u8..8), 1..48),
     ) {
         use hpc_user_separation::HOME_REALM;
@@ -240,9 +108,8 @@ proptest! {
             minted: Vec<SignedToken>,
         }
         impl Site {
-            fn new(shards: u32) -> Self {
-                let cfg = SeparationConfig::llsc().with_broker_shards(shards);
-                let mut c = SecureCluster::new(cfg, ClusterSpec::tiny());
+            fn new() -> Self {
+                let mut c = SecureCluster::new(SeparationConfig::llsc(), ClusterSpec::tiny());
                 let users: Vec<Uid> =
                     (0..8).map(|i| c.add_user(&format!("u{i}")).unwrap()).collect();
                 // Provisioning logged each account in once.
@@ -253,20 +120,15 @@ proptest! {
             fn plane_now(&self) -> SimTime {
                 self.c.broker.as_ref().unwrap().read().now()
             }
-            /// Shared-path login — the plane's *read* guard held across it.
             fn login(&mut self, k: usize) -> SignedToken {
                 let plane = self.c.broker.clone().unwrap();
-                let user = self.users[k % self.users.len()];
-                let db = self.c.db.read();
-                let t = plane.read().login_shared(&db, user, None).unwrap();
-                drop(db);
+                let t = self.c.login_at(&plane, self.users[k % self.users.len()]).unwrap();
                 self.minted.push(t);
                 t
             }
         }
-        /// A verdict with the one payload that differs between planes (a
-        /// token's own serial: shards mint in residue classes) named, not
-        /// numbered.
+        /// A verdict with the one payload the plane and the model need not
+        /// share (a token's own serial) named, not numbered.
         fn verdict(t: &SignedToken, r: Result<Uid, CredError>) -> String {
             match r {
                 Err(CredError::Revoked(s)) if s == t.serial => "Err(Revoked(own serial))".into(),
@@ -276,8 +138,7 @@ proptest! {
         let forged = |t: &SignedToken| SignedToken { user: Uid(t.user.0 + 1000), ..*t };
         let restamped = |t: &SignedToken| SignedToken { realm: RealmId(2), ..*t };
 
-        let mut single = Site::new(1);
-        let mut sharded = Site::new(4);
+        let mut site = Site::new();
         // The model: one broker, no cluster, no lock — the same accounts
         // logged in at the same instants.
         let mut db = UserDb::new();
@@ -292,116 +153,106 @@ proptest! {
         let mut last = SimTime::ZERO;
 
         for (action, arg) in tape {
-            let mut swept = Vec::new();
-            for site in [&mut single, &mut sharded] {
-                let plane = site.c.broker.clone().unwrap();
-                match action {
-                    // Forward (or repeated: dt = 0) federation ticks.
-                    0 => {
-                        let dt = [0, 1, 59, 600, 3_000, 20_000, 43_000, 90_000][arg as usize];
-                        site.c.advance_to(fed + SimDuration::from_secs(dt));
-                    }
-                    // Straight at the plane: a backwards instant, or one
-                    // ahead of the federation's.
-                    1 => {
-                        let to = if arg % 2 == 0 {
-                            fed.as_micros().saturating_sub(arg as u64 * 7_000_000)
-                        } else {
-                            fed.as_micros() + arg as u64 * 7_000_000
-                        };
-                        plane.write().advance_to(SimTime::from_micros(to));
-                    }
-                    // Skew apply / heal on the home plane, then a tick so
-                    // it takes effect.
-                    2 => {
-                        let ahead = [0, 0, 30, 30, 3_600, 3_600, 40_000, 7][arg as usize];
-                        site.c.set_realm_clock_skew(HOME_REALM, SimDuration::from_secs(ahead));
-                        site.c.advance_to(fed);
-                    }
-                    // Up to the last half hour of the oldest token's life:
-                    // inside a one-hour skew it is already dead.
-                    3 => {
-                        let near = site.minted[0].expires - SimDuration::from_secs(1_800);
-                        if near > fed {
-                            site.c.advance_to(near);
-                        }
-                    }
-                    4 => {
-                        let t = site.login(arg as usize);
-                        prop_assert_eq!(t.issued, site.plane_now(), "login stamps the plane clock");
-                    }
-                    5 => plane.write().revoke_user(site.users[arg as usize]),
-                    6 => {
-                        let serial = site.minted[arg as usize * 5 % site.minted.len()].serial;
-                        plane.write().revoke_serial(serial);
-                    }
-                    7 => swept.push(plane.write().sweep_expired()),
-                    // Through the directory, past the scheduler's clock.
-                    _ => {
-                        let t = fed + SimDuration::from_secs(arg as u64 * 500);
-                        site.c.federation.as_mut().unwrap().advance_to(t);
+            let plane = site.c.broker.clone().unwrap();
+            let mut swept = None;
+            match action {
+                // Forward (or repeated: dt = 0) federation ticks.
+                0 => {
+                    let dt = [0, 1, 59, 600, 3_000, 20_000, 43_000, 90_000][arg as usize];
+                    site.c.advance_to(fed + SimDuration::from_secs(dt));
+                }
+                // Straight at the plane: a backwards instant, or one
+                // ahead of the federation's.
+                1 => {
+                    let to = if arg % 2 == 0 {
+                        fed.as_micros().saturating_sub(arg as u64 * 7_000_000)
+                    } else {
+                        fed.as_micros() + arg as u64 * 7_000_000
+                    };
+                    plane.write().advance_to(SimTime::from_micros(to));
+                }
+                // Skew apply / heal on the home plane, then a tick so
+                // it takes effect.
+                2 => {
+                    let ahead = [0, 0, 30, 30, 3_600, 3_600, 40_000, 7][arg as usize];
+                    site.c.set_realm_clock_skew(HOME_REALM, SimDuration::from_secs(ahead));
+                    site.c.advance_to(fed);
+                }
+                // Up to the last half hour of the oldest token's life:
+                // inside a one-hour skew it is already dead.
+                3 => {
+                    let near = site.minted[0].expires - SimDuration::from_secs(1_800);
+                    if near > fed {
+                        site.c.advance_to(near);
                     }
                 }
-                let now = site.plane_now();
-                prop_assert_eq!(plane.read().clock().now(), now);
-                prop_assert_eq!(
-                    site.c.federation.as_ref().unwrap().now_at(HOME_REALM),
-                    Some(now),
-                    "the directory reads another clock after action {}", action
-                );
+                4 => {
+                    let t = site.login(arg as usize);
+                    prop_assert_eq!(t.issued, site.plane_now(), "login stamps the plane clock");
+                }
+                5 => plane.write().revoke_user(site.users[arg as usize]),
+                6 => {
+                    let serial = site.minted[arg as usize * 5 % site.minted.len()].serial;
+                    plane.write().revoke_serial(serial);
+                }
+                7 => swept = Some(plane.write().sweep_expired()),
+                // Through the directory, past the scheduler's clock.
+                _ => {
+                    let t = fed + SimDuration::from_secs(arg as u64 * 500);
+                    site.c.federation.as_mut().unwrap().advance_to(t);
+                }
             }
-            fed = sharded.c.sched.read().now();
-            prop_assert_eq!(single.c.sched.read().now(), fed);
-            let now = sharded.plane_now();
-            prop_assert_eq!(single.plane_now(), now, "shard count showed in the clock");
+            let now = site.plane_now();
+            prop_assert_eq!(plane.read().clock().now(), now);
+            prop_assert_eq!(
+                site.c.federation.as_ref().unwrap().now_at(HOME_REALM),
+                Some(now),
+                "the directory reads another clock after action {}", action
+            );
+            fed = site.c.sched.read().now();
             prop_assert!(now >= last && now >= fed, "plane clock ran backwards");
             last = now;
 
             // The same op at the model, which takes the instant as given.
             match action {
                 4 => {
-                    let u = Uid(sharded.minted.last().unwrap().user.0);
+                    let u = Uid(site.minted.last().unwrap().user.0);
                     model_minted.push(model.login(&db, u, None).unwrap());
                 }
-                5 => model.revoke_user(sharded.users[arg as usize]),
+                5 => model.revoke_user(site.users[arg as usize]),
                 6 => {
                     let serial = model_minted[arg as usize * 5 % model_minted.len()].serial;
                     model.revoke_serial(serial);
                 }
-                7 => prop_assert_eq!(swept, vec![model.sweep_expired(); 2], "sweep counts"),
+                7 => prop_assert_eq!(swept, Some(model.sweep_expired()), "sweep counts"),
                 _ => {}
             }
             model.advance_to(now);
 
-            prop_assert_eq!(single.minted.len(), model_minted.len());
-            prop_assert_eq!(sharded.minted.len(), model_minted.len());
-            for (i, m) in model_minted.iter().enumerate() {
-                for site in [&single, &sharded] {
-                    let t = &site.minted[i];
-                    prop_assert_eq!((t.user, t.issued, t.expires), (m.user, m.issued, m.expires));
-                    let plane = site.c.broker.as_ref().unwrap();
-                    for (probe, at_model) in [
-                        (*t, *m),
-                        (forged(t), forged(m)),
-                        (restamped(t), restamped(m)),
-                    ] {
-                        let want = verdict(m, model.validate_token(&at_model));
+            prop_assert_eq!(site.minted.len(), model_minted.len());
+            for (i, (t, m)) in site.minted.iter().zip(&model_minted).enumerate() {
+                prop_assert_eq!((t.user, t.issued, t.expires), (m.user, m.issued, m.expires));
+                for (probe, at_model) in [
+                    (*t, *m),
+                    (forged(t), forged(m)),
+                    (restamped(t), restamped(m)),
+                ] {
+                    let want = verdict(m, model.validate_token(&at_model));
+                    prop_assert_eq!(
+                        &verdict(t, plane.read().validate_token(&probe)), &want,
+                        "plane verdict on token {} after action {}", i, action
+                    );
+                    let facade = verdict(t, site.c.validate_federated_token(&probe));
+                    if probe.realm == HOME_REALM {
+                        prop_assert_eq!(facade, want, "façade verdict on token {}", i);
+                    } else {
                         prop_assert_eq!(
-                            &verdict(t, plane.read().validate_token(&probe)), &want,
-                            "plane verdict on token {} after action {}", i, action
+                            facade,
+                            format!("{:?}", Err::<Uid, _>(CredError::UntrustedRealm {
+                                ours: HOME_REALM,
+                                theirs: probe.realm,
+                            }))
                         );
-                        let facade = verdict(t, site.c.validate_federated_token(&probe));
-                        if probe.realm == HOME_REALM {
-                            prop_assert_eq!(facade, want, "façade verdict on token {}", i);
-                        } else {
-                            prop_assert_eq!(
-                                facade,
-                                format!("{:?}", Err::<Uid, _>(CredError::UntrustedRealm {
-                                    ours: HOME_REALM,
-                                    theirs: probe.realm,
-                                }))
-                            );
-                        }
                     }
                 }
             }
@@ -409,10 +260,12 @@ proptest! {
     }
 }
 
-/// Guard counts on the validate routes, from the lock-order build's
-/// per-thread acquisition counter: a home token is judged under exactly one
-/// guard (the home plane's read guard — no shard's), a sister token and
-/// `replica_lag` under none, whatever the verdict and the shard count.
+/// Guard counts on the validate routes and the session gates, from the
+/// lock-order build's per-thread acquisition counter: a home token is
+/// judged under exactly one guard (the home plane's read guard), and
+/// `authorize_ssh`, `authorize_submit_at` and `validate_serial` read the
+/// session table under that same one guard; a sister token and
+/// `replica_lag` take none — whatever the verdict.
 #[cfg(lock_order_check)]
 #[test]
 fn a_home_validation_takes_one_guard_and_a_sister_validation_none() {
@@ -422,80 +275,67 @@ fn a_home_validation_takes_one_guard_and_a_sister_validation_none() {
         (parking_lot::acquisitions() - before, r)
     }
     let sister_realm = RealmId(2);
-    for shards in [1, 4] {
-        let cfg = SeparationConfig::llsc()
-            .with_broker_shards(shards)
-            .with_trusted_realms(vec![sister_realm.0]);
-        let mut c = SecureCluster::new(cfg, ClusterSpec::tiny());
-        let users: Vec<Uid> = (0..6)
-            .map(|i| c.add_user(&format!("u{i}")).unwrap())
-            .collect();
-        let home = c.broker.clone().unwrap();
-        let sister = shared_broker(CredentialBroker::new(
-            sister_realm,
-            9,
-            BrokerPolicy::default(),
-        ));
-        let sister_tokens: Vec<SignedToken> = users
-            .iter()
-            .map(|&u| c.login_at(&sister, u).unwrap())
-            .collect();
-        c.register_sister_realm(sister_realm, sister.clone());
-        // One revoked credential on each route, delivered by the feed.
-        home.write().revoke_user(users[0]);
-        sister.write().revoke_user(users[0]);
-        c.advance_to(SimTime::from_secs(60));
-
-        for (i, &u) in users.iter().enumerate() {
-            let live = home.read().current_token(u);
-            // users[0] was revoked: its sessions are gone, judge a forgery
-            // of a neighbour's token instead.
-            let (token, want_ok) = match live {
-                Some(t) => (t, true),
-                None => {
-                    let t = home.read().current_token(users[1]).unwrap();
-                    (SignedToken { user: u, ..t }, false)
-                }
-            };
-            let (n, r) = guards(|| c.validate_federated_token(&token));
-            assert_eq!(r.is_ok(), want_ok, "home token of user {i}: {r:?}");
-            assert_eq!(n, 1, "home validation at {shards} shard(s)");
-
-            let (n, r) = guards(|| c.validate_federated_token(&sister_tokens[i]));
-            assert_eq!(r.is_ok(), i != 0, "sister token of user {i}: {r:?}");
-            assert_eq!(n, 0, "sister validation at {shards} shard(s)");
-        }
-        let (n, lag) = guards(|| c.replica_lag(sister_realm));
-        assert!(lag.is_some());
-        assert_eq!(n, 0, "replica_lag at {shards} shard(s)");
-    }
-}
-
-#[test]
-fn sharded_cluster_keeps_the_llsc_audit_clean() {
-    // End-to-end: the full llsc deployment with a sharded plane (the
-    // default) audits identically to the single-broker collapse.
-    use hpc_user_separation::audit::run_audit;
-    let llsc = run_audit(&SeparationConfig::llsc(), &ClusterSpec::tiny());
-    let single = run_audit(
-        &SeparationConfig::llsc().single_shard(),
-        &ClusterSpec::tiny(),
-    );
-    let mut a = llsc.open_channels();
-    let mut b = single.open_channels();
-    a.sort();
-    b.sort();
-    assert_eq!(a, b, "sharding must not change any channel outcome");
-    assert!(llsc.only_expected_residuals());
-}
-
-#[test]
-fn federated_portal_sessions_scale_and_sweep_under_sharding() {
-    // A portal fronting a sharded plane at modest scale: thousands of
-    // logins, all distinct, all resolvable, revocations immediate, sweeps
-    // bounded.
-    let cfg = SeparationConfig::llsc().with_broker_shards(8);
+    let cfg = SeparationConfig::llsc().with_trusted_realms(vec![sister_realm.0]);
     let mut c = SecureCluster::new(cfg, ClusterSpec::tiny());
+    let users: Vec<Uid> = (0..6)
+        .map(|i| c.add_user(&format!("u{i}")).unwrap())
+        .collect();
+    let home = c.broker.clone().unwrap();
+    let sister = shared_broker(CredentialBroker::new(
+        sister_realm,
+        9,
+        BrokerPolicy::default(),
+    ));
+    let sister_tokens: Vec<SignedToken> = users
+        .iter()
+        .map(|&u| c.login_at(&sister, u).unwrap())
+        .collect();
+    c.register_sister_realm(sister_realm, sister.clone());
+    // One revoked credential on each route, delivered by the feed.
+    home.write().revoke_user(users[0]);
+    sister.write().revoke_user(users[0]);
+    c.advance_to(SimTime::from_secs(60));
+    let now = c.sched.read().now();
+
+    for (i, &u) in users.iter().enumerate() {
+        let live = home.read().current_token(u);
+        // users[0] was revoked: its sessions are gone, judge a forgery
+        // of a neighbour's token instead.
+        let (token, want_ok) = match live {
+            Some(t) => (t, true),
+            None => {
+                let t = home.read().current_token(users[1]).unwrap();
+                (SignedToken { user: u, ..t }, false)
+            }
+        };
+        let (n, r) = guards(|| c.validate_federated_token(&token));
+        assert_eq!(r.is_ok(), want_ok, "home token of user {i}: {r:?}");
+        assert_eq!(n, 1, "home validation");
+
+        let (n, r) = guards(|| home.read().authorize_ssh(u));
+        assert_eq!(r.is_ok(), want_ok, "authorize_ssh of user {i}: {r:?}");
+        assert_eq!(n, 1, "authorize_ssh");
+        let (n, r) = guards(|| home.read().authorize_submit_at(u, now));
+        assert_eq!(r.is_ok(), want_ok, "authorize_submit_at of user {i}: {r:?}");
+        assert_eq!(n, 1, "authorize_submit_at");
+        let (n, r) = guards(|| home.read().validate_serial(u, token.serial));
+        assert_eq!(r.is_ok(), want_ok, "validate_serial of user {i}: {r:?}");
+        assert_eq!(n, 1, "validate_serial");
+
+        let (n, r) = guards(|| c.validate_federated_token(&sister_tokens[i]));
+        assert_eq!(r.is_ok(), i != 0, "sister token of user {i}: {r:?}");
+        assert_eq!(n, 0, "sister validation");
+    }
+    let (n, lag) = guards(|| c.replica_lag(sister_realm));
+    assert!(lag.is_some());
+    assert_eq!(n, 0, "replica_lag");
+}
+
+#[test]
+fn federated_portal_sessions_scale_and_sweep() {
+    // A portal fronting the plane at modest scale: many logins, all
+    // distinct, all resolvable, revocations immediate, sweeps bounded.
+    let mut c = SecureCluster::new(SeparationConfig::llsc(), ClusterSpec::tiny());
     let users: Vec<Uid> = (0..32)
         .map(|i| c.add_user(&format!("u{i}")).unwrap())
         .collect();
