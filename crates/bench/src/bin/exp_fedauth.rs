@@ -7,7 +7,7 @@
 //! leaving the paper's original three residuals untouched.
 
 use eus_bench::table::TextTable;
-use eus_core::{audit, Channel, ClusterSpec, SeparationConfig};
+use eus_core::{audit, Channel, ClusterSpec, Mechanism, SeparationConfig};
 use eus_fedauth::{BrokerPolicy, CredentialBroker, RealmId};
 use eus_simos::UserDb;
 use std::time::Instant;
@@ -25,9 +25,7 @@ fn main() {
     let spec = ClusterSpec::default();
 
     let llsc = audit::run_audit(&SeparationConfig::llsc(), &spec);
-    let mut ablated_cfg = SeparationConfig::llsc();
-    ablated_cfg.federated_auth = false;
-    let ablated = audit::run_audit(&ablated_cfg, &spec);
+    let ablated = audit::run_audit(&SeparationConfig::llsc().without(Mechanism::FedAuth), &spec);
     let baseline = audit::run_audit(&SeparationConfig::baseline(), &spec);
 
     let mut table = TextTable::new(&["channel", "llsc", "-fedauth", "baseline"]);

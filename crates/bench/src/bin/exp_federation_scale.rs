@@ -11,7 +11,9 @@
 //!    whole credential plane is ablated.
 
 use eus_bench::table::TextTable;
-use eus_core::{audit, Channel, ClusterSpec, SecureCluster, SeparationConfig, HOME_REALM};
+use eus_core::{
+    audit, Channel, ClusterSpec, Mechanism, SecureCluster, SeparationConfig, HOME_REALM,
+};
 use eus_fedauth::{shared_broker, BrokerPolicy, CredError, CredentialBroker, RealmId};
 use eus_simos::Uid;
 
@@ -119,11 +121,10 @@ fn ablation_rows() {
             "llsc+trust[2]",
             SeparationConfig::llsc().with_trusted_realms([2u32]),
         ),
-        ("-fedauth", {
-            let mut c = SeparationConfig::llsc();
-            c.federated_auth = false;
-            c
-        }),
+        (
+            Mechanism::FedAuth.label(),
+            SeparationConfig::llsc().without(Mechanism::FedAuth),
+        ),
     ];
     let mut table = TextTable::new(&["config", "CrossRealmSpoof", "unexpected leaks"]);
     let mut reports = Vec::new();

@@ -7,7 +7,7 @@
 //! carries weight (defense in depth).
 
 use eus_bench::table::TextTable;
-use eus_core::{audit, ClusterSpec, SeparationConfig};
+use eus_core::{audit, ClusterSpec, Mechanism, SeparationConfig};
 
 fn main() {
     println!("E12: separation audit (Sec. V)\n");
@@ -28,15 +28,15 @@ fn main() {
         llsc.unexpected_leaks().len().to_string(),
         "-".into(),
     ]);
-    for (name, cfg) in SeparationConfig::ablations() {
-        let report = audit::run_audit(&cfg, &spec);
+    for &m in Mechanism::all() {
+        let report = audit::run_audit(&SeparationConfig::llsc().without(m), &spec);
         let reopened: Vec<String> = report
             .unexpected_leaks()
             .iter()
             .map(|c| c.to_string())
             .collect();
         table.row(&[
-            name.to_string(),
+            m.label().to_string(),
             report.open_count().to_string(),
             report.unexpected_leaks().len().to_string(),
             if reopened.is_empty() {

@@ -6,6 +6,7 @@
 //! `attacker` and a `victim` account and reports whether the channel leaked.
 
 use crate::cluster::SecureCluster;
+use crate::config::Mechanism;
 use eus_sched::{JobId, JobSpec};
 use eus_simcore::{SimDuration, SimTime};
 use eus_simnet::{Proto, SocketAddr};
@@ -104,6 +105,26 @@ impl Channel {
             AbstractSocket | RdmaNativeCm => "V",
             AuthTokenReplay | SshExpiredCert | CrossRealmSpoof => "FedAuth",
         }
+    }
+
+    /// The one mechanism that closes this channel — turning it off re-opens
+    /// the channel and nothing else does — or `None` for a Sec. V residual
+    /// that no mechanism closes.
+    pub fn closed_by(&self) -> Option<Mechanism> {
+        use Channel::*;
+        Some(match self {
+            ProcList | ProcCmdline => Mechanism::HidePid,
+            SchedQueue | SchedAccounting => Mechanism::PrivateData,
+            SshForeignNode => Mechanism::PamSlurm,
+            NodeCohabitation => Mechanism::WholeNode,
+            FsWorldBit | FsAclGrant | FsHomeAccess => Mechanism::Fsperm,
+            NetTcp | NetUdp | RdmaTcpSetup => Mechanism::Ubf,
+            GpuDevAccess => Mechanism::GpuDevPerms,
+            GpuRemanence => Mechanism::GpuScrub,
+            PortalCrossUser => Mechanism::PortalAuthz,
+            AuthTokenReplay | SshExpiredCert | CrossRealmSpoof => Mechanism::FedAuth,
+            FsTmpFilename | AbstractSocket | RdmaNativeCm => return None,
+        })
     }
 }
 

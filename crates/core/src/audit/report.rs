@@ -10,9 +10,6 @@ pub struct ChannelRow {
     pub channel: Channel,
     /// What the probe found.
     pub outcome: Outcome,
-    /// Whether the paper expects this channel to remain open even under the
-    /// full configuration (Sec. V's residual list).
-    pub expected_residual: bool,
 }
 
 /// A full audit of one configuration.
@@ -44,12 +41,12 @@ impl AuditReport {
         self.rows.len() - self.open_count()
     }
 
-    /// Leaks that are *not* on the expected-residual list — for the full
-    /// configuration this must be empty (the Sec. V claim).
+    /// Leaks on channels some mechanism closes (not Sec. V residuals) — for
+    /// the full configuration this must be empty (the Sec. V claim).
     pub fn unexpected_leaks(&self) -> Vec<Channel> {
         self.rows
             .iter()
-            .filter(|r| r.outcome.is_leak() && !r.expected_residual)
+            .filter(|r| r.outcome.is_leak() && r.channel.closed_by().is_some())
             .map(|r| r.channel)
             .collect()
     }
@@ -65,7 +62,7 @@ impl AuditReport {
         let mut out = String::from("channel,section,status,detail\n");
         for r in &self.rows {
             let status = if r.outcome.is_leak() {
-                if r.expected_residual {
+                if r.channel.closed_by().is_none() {
                     "residual"
                 } else {
                     "open"
@@ -104,7 +101,7 @@ impl fmt::Display for AuditReport {
         )?;
         for r in &self.rows {
             let status = if r.outcome.is_leak() {
-                if r.expected_residual {
+                if r.channel.closed_by().is_none() {
                     "RESID"
                 } else {
                     "OPEN"
@@ -139,17 +136,14 @@ mod tests {
                 ChannelRow {
                     channel: Channel::ProcList,
                     outcome: Outcome::Blocked("hidden".into()),
-                    expected_residual: false,
                 },
                 ChannelRow {
                     channel: Channel::FsTmpFilename,
                     outcome: Outcome::Leaked("names".into()),
-                    expected_residual: true,
                 },
                 ChannelRow {
                     channel: Channel::NetTcp,
                     outcome: Outcome::Leaked("connected".into()),
-                    expected_residual: false,
                 },
             ],
         }

@@ -34,7 +34,7 @@ use eus_simos::{
 use eus_ubf::{
     deploy_ubf_observed, shared_user_db, SharedUserDb, UbfConfig, UbfPacketStats, UbfStats,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Hardware shape of the cluster.
 #[derive(Debug, Clone)]
@@ -197,6 +197,9 @@ pub struct SecureCluster {
     /// The processes each started job's prolog spawned, by node. The
     /// job's first epilog takes the entry out.
     job_procs: BTreeMap<JobId, Vec<(NodeId, Pid)>>,
+    /// Who has held GPUs on which node since last leaving it: a prolog of a
+    /// GPU job records the tenancy, the user's last epilog there scrubs.
+    gpu_tenants: BTreeSet<(NodeId, Uid)>,
     // Per-dependency degraded-mode state machines (see [`DepHealth`]),
     // re-judged at every cycle boundary.
     health_idp: DepHealth,
@@ -408,6 +411,7 @@ impl SecureCluster {
             revsync,
             seepid_gid,
             job_procs: BTreeMap::new(),
+            gpu_tenants: BTreeSet::new(),
             health_idp: DepHealth::Healthy,
             health_ca: DepHealth::Healthy,
             health_feed: DepHealth::Healthy,
@@ -1363,17 +1367,16 @@ impl SecureCluster {
                     // Device permissions are revoked only when they were
                     // managed (Sec. IV-F); the epilog scrub is an independent
                     // step that clears every GPU on the node, per config,
-                    // when this job held GPUs or the user still held some
-                    // there (an earlier GPU job whose epilog found them
-                    // still active on the node).
-                    let released = if self.config.gpu_dev_perms {
+                    // when this job held GPUs or the user held some there
+                    // (an earlier GPU job whose epilog found them still
+                    // active on the node) — with or without managed perms.
+                    if self.config.gpu_dev_perms {
                         self.gpus
                             .release_user(e.node, e.user, &mut node.local_fs)
-                            .expect("device files exist")
-                    } else {
-                        Vec::new()
-                    };
-                    if self.config.gpu_scrub && (e.gpus > 0 || !released.is_empty()) {
+                            .expect("device files exist");
+                    }
+                    let held = self.gpu_tenants.remove(&(e.node, e.user));
+                    if self.config.gpu_scrub && (e.gpus > 0 || held) {
                         for idx in 0..self.spec.gpus_per_node {
                             if let Some(gpu) = self.gpus.get_mut(e.node, idx) {
                                 gpu.scrub();
@@ -1407,6 +1410,9 @@ impl SecureCluster {
                     s.started,
                 );
                 pids.push((*nid, pid));
+                if *gpu_count > 0 {
+                    self.gpu_tenants.insert((*nid, s.user));
+                }
                 if *gpu_count > 0 && self.config.gpu_dev_perms {
                     self.gpus
                         .assign(

@@ -2,14 +2,77 @@
 //!
 //! [`SeparationConfig::baseline`] is a stock Linux + Slurm cluster (every
 //! control off, shared nodes); [`SeparationConfig::llsc`] is the paper's full
-//! deployment. Individual toggles support the ablation sweep in experiment
-//! E12, which shows which cross-user channels each control closes — the
-//! paper's defense-in-depth argument (e.g. whole-node scheduling does *not*
-//! make `hidepid` redundant, Sec. IV-B).
+//! deployment. Each [`Mechanism`] is one toggle, and `llsc().without(m)` is
+//! its single-mechanism ablation: the sweep in experiment E12 shows which
+//! cross-user channels each control closes — the paper's defense-in-depth
+//! argument (e.g. whole-node scheduling does *not* make `hidepid` redundant,
+//! Sec. IV-B).
 
 use eus_sched::{NodeSharing, PrivateData};
 use eus_simcore::SimDuration;
 use std::fmt;
+
+/// One separation mechanism the paper (or a companion paper) deploys: the
+/// unit of the ablation sweep. Each audit channel names the one mechanism
+/// that closes it (`Channel::closed_by`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Mechanism {
+    /// `hidepid=2` on `/proc` (Sec. IV-A).
+    HidePid,
+    /// Slurm `PrivateData` (Sec. IV-B).
+    PrivateData,
+    /// Whole-node scheduling: no two users on one compute node (Sec. IV-B).
+    WholeNode,
+    /// `pam_slurm` (Sec. IV-B).
+    PamSlurm,
+    /// The File Permission Handler (Sec. IV-C).
+    Fsperm,
+    /// The User-Based Firewall (Sec. IV-D).
+    Ubf,
+    /// Portal authorization and identity forwarding (Sec. IV-E).
+    PortalAuthz,
+    /// Scheduler-managed GPU `/dev` permissions (Sec. IV-F).
+    GpuDevPerms,
+    /// The epilog GPU-memory scrub (Sec. IV-F).
+    GpuScrub,
+    /// The federated credential plane (companion paper).
+    FedAuth,
+}
+
+impl Mechanism {
+    /// Every mechanism, in label order.
+    pub fn all() -> &'static [Mechanism] {
+        use Mechanism::*;
+        &[
+            HidePid,
+            PrivateData,
+            WholeNode,
+            PamSlurm,
+            Fsperm,
+            Ubf,
+            PortalAuthz,
+            GpuDevPerms,
+            GpuScrub,
+            FedAuth,
+        ]
+    }
+
+    /// The ablation's row label in experiment tables (`-hidepid`, …).
+    pub fn label(self) -> &'static str {
+        match self {
+            Mechanism::HidePid => "-hidepid",
+            Mechanism::PrivateData => "-privdata",
+            Mechanism::WholeNode => "-wholenode",
+            Mechanism::PamSlurm => "-pam_slurm",
+            Mechanism::Fsperm => "-fsperm",
+            Mechanism::Ubf => "-ubf",
+            Mechanism::PortalAuthz => "-portal",
+            Mechanism::GpuDevPerms => "-gpuperm",
+            Mechanism::GpuScrub => "-gpuscrub",
+            Mechanism::FedAuth => "-fedauth",
+        }
+    }
+}
 
 /// Which mechanisms are deployed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,6 +248,40 @@ impl SeparationConfig {
         }
     }
 
+    /// Is `m` deployed? Whole-node counts any node policy but `Shared`.
+    pub fn has(&self, m: Mechanism) -> bool {
+        match m {
+            Mechanism::HidePid => self.hidepid,
+            Mechanism::PrivateData => self.private_data,
+            Mechanism::WholeNode => self.node_policy != NodeSharing::Shared,
+            Mechanism::PamSlurm => self.pam_slurm,
+            Mechanism::Fsperm => self.fsperm,
+            Mechanism::Ubf => self.ubf,
+            Mechanism::PortalAuthz => self.portal_authz,
+            Mechanism::GpuDevPerms => self.gpu_dev_perms,
+            Mechanism::GpuScrub => self.gpu_scrub,
+            Mechanism::FedAuth => self.federated_auth,
+        }
+    }
+
+    /// This configuration with `m` turned off — the single-mechanism
+    /// ablation `llsc().without(m)`. Whole-node off means shared nodes.
+    pub fn without(mut self, m: Mechanism) -> Self {
+        match m {
+            Mechanism::HidePid => self.hidepid = false,
+            Mechanism::PrivateData => self.private_data = false,
+            Mechanism::WholeNode => self.node_policy = NodeSharing::Shared,
+            Mechanism::PamSlurm => self.pam_slurm = false,
+            Mechanism::Fsperm => self.fsperm = false,
+            Mechanism::Ubf => self.ubf = false,
+            Mechanism::PortalAuthz => self.portal_authz = false,
+            Mechanism::GpuDevPerms => self.gpu_dev_perms = false,
+            Mechanism::GpuScrub => self.gpu_scrub = false,
+            Mechanism::FedAuth => self.federated_auth = false,
+        }
+        self
+    }
+
     /// A short label for experiment tables.
     pub fn label(&self) -> String {
         if *self == Self::llsc() {
@@ -194,37 +291,14 @@ impl SeparationConfig {
             return "baseline".to_string();
         }
         let mut on: Vec<String> = Vec::new();
-        if self.hidepid {
-            on.push("hidepid".into());
-        }
-        if self.private_data {
-            on.push("privdata".into());
-        }
-        match self.node_policy {
-            NodeSharing::Shared => {}
-            NodeSharing::Exclusive => on.push("exclusive".into()),
-            NodeSharing::WholeNodeUser => on.push("whole-node".into()),
-        }
-        if self.pam_slurm {
-            on.push("pam_slurm".into());
-        }
-        if self.fsperm {
-            on.push("fsperm".into());
-        }
-        if self.ubf {
-            on.push("ubf".into());
-        }
-        if self.portal_authz {
-            on.push("portal".into());
-        }
-        if self.gpu_dev_perms {
-            on.push("gpuperm".into());
-        }
-        if self.gpu_scrub {
-            on.push("gpuscrub".into());
+        for &m in Mechanism::all().iter().filter(|&&m| self.has(m)) {
+            on.push(match (m, self.node_policy) {
+                (Mechanism::WholeNode, NodeSharing::Exclusive) => "exclusive".into(),
+                (Mechanism::WholeNode, _) => "whole-node".into(),
+                _ => m.label().trim_start_matches('-').into(),
+            });
         }
         if self.federated_auth {
-            on.push("fedauth".into());
             if !self.trusted_realms.is_empty() {
                 let realms: Vec<String> = self.trusted_realms.iter().map(u32::to_string).collect();
                 on.push(format!("trust[{}]", realms.join(",")));
@@ -253,83 +327,6 @@ impl SeparationConfig {
         } else {
             format!("custom[{}]", on.join("+"))
         }
-    }
-
-    /// Every single-mechanism ablation: start from `llsc()` and turn one
-    /// control off at a time. Returns (description, config) pairs.
-    pub fn ablations() -> Vec<(&'static str, SeparationConfig)> {
-        let full = Self::llsc();
-        let mut out: Vec<(&'static str, SeparationConfig)> = vec![(
-            "-hidepid",
-            SeparationConfig {
-                hidepid: false,
-                ..full.clone()
-            },
-        )];
-        out.push((
-            "-privdata",
-            SeparationConfig {
-                private_data: false,
-                ..full.clone()
-            },
-        ));
-        out.push((
-            "-wholenode",
-            SeparationConfig {
-                node_policy: NodeSharing::Shared,
-                ..full.clone()
-            },
-        ));
-        out.push((
-            "-pam_slurm",
-            SeparationConfig {
-                pam_slurm: false,
-                ..full.clone()
-            },
-        ));
-        out.push((
-            "-fsperm",
-            SeparationConfig {
-                fsperm: false,
-                ..full.clone()
-            },
-        ));
-        out.push((
-            "-ubf",
-            SeparationConfig {
-                ubf: false,
-                ..full.clone()
-            },
-        ));
-        out.push((
-            "-portal",
-            SeparationConfig {
-                portal_authz: false,
-                ..full.clone()
-            },
-        ));
-        out.push((
-            "-gpuperm",
-            SeparationConfig {
-                gpu_dev_perms: false,
-                ..full.clone()
-            },
-        ));
-        out.push((
-            "-gpuscrub",
-            SeparationConfig {
-                gpu_scrub: false,
-                ..full.clone()
-            },
-        ));
-        out.push((
-            "-fedauth",
-            SeparationConfig {
-                federated_auth: false,
-                ..full.clone()
-            },
-        ));
-        out
     }
 }
 
@@ -365,21 +362,42 @@ mod tests {
     }
 
     #[test]
-    fn ablations_each_differ_from_full_in_one_knob() {
-        let abl = SeparationConfig::ablations();
-        assert_eq!(abl.len(), 10);
-        for (name, cfg) in &abl {
-            assert_ne!(
-                *cfg,
-                SeparationConfig::llsc(),
-                "{name} must change something"
-            );
+    fn each_ablation_drops_exactly_its_mechanism() {
+        for &m in Mechanism::all() {
+            let ablated = SeparationConfig::llsc().without(m);
+            for &other in Mechanism::all() {
+                assert_eq!(ablated.has(other), other != m, "{} vs {other:?}", m.label());
+            }
         }
-        // Names are unique.
-        let mut names: Vec<&str> = abl.iter().map(|(n, _)| *n).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 10);
+        let baseline = SeparationConfig::baseline();
+        assert!(Mechanism::all().iter().all(|&m| !baseline.has(m)));
+    }
+
+    #[test]
+    fn mechanism_and_config_labels_are_pinned() {
+        let labels: Vec<&str> = Mechanism::all().iter().map(|m| m.label()).collect();
+        assert_eq!(
+            labels,
+            [
+                "-hidepid",
+                "-privdata",
+                "-wholenode",
+                "-pam_slurm",
+                "-fsperm",
+                "-ubf",
+                "-portal",
+                "-gpuperm",
+                "-gpuscrub",
+                "-fedauth"
+            ]
+        );
+        assert_eq!(
+            SeparationConfig::llsc().without(Mechanism::HidePid).label(),
+            "custom[privdata+whole-node+pam_slurm+fsperm+ubf+portal+gpuperm+gpuscrub+fedauth]"
+        );
+        let mut exclusive = SeparationConfig::baseline();
+        exclusive.node_policy = NodeSharing::Exclusive;
+        assert_eq!(exclusive.label(), "custom[exclusive]");
     }
 
     #[test]
@@ -392,7 +410,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_plane_knobs_render_and_stay_out_of_ablations() {
+    fn policy_plane_knobs_render_and_are_not_mechanisms() {
         let c = SeparationConfig::llsc()
             .with_fair_share()
             .with_preemption()
@@ -405,7 +423,13 @@ mod tests {
         // off and the ablation sweep never toggles it.
         assert!(!SeparationConfig::llsc().sched_fair_share);
         assert!(!SeparationConfig::baseline().sched_preemption);
-        assert_eq!(SeparationConfig::ablations().len(), 10);
+        let kept = |m| {
+            c.clone()
+                .without(m)
+                .label()
+                .ends_with("+fairshare+preempt+resv8]")
+        };
+        assert!(Mechanism::all().iter().all(|&m| kept(m)));
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!
 //! * [`config::SeparationConfig`] — one toggle per mechanism; presets
 //!   [`config::SeparationConfig::baseline`] (stock Linux+Slurm) and
-//!   [`config::SeparationConfig::llsc`] (the paper's deployment), plus the
-//!   single-mechanism ablations.
+//!   [`config::SeparationConfig::llsc`] (the paper's deployment); each
+//!   [`config::Mechanism`] `m` gives the single-mechanism ablation
+//!   `llsc().without(m)`.
 //! * [`cluster::SecureCluster`] — the assembled system: nodes, shared
 //!   filesystems, scheduler, firewall daemons, GPUs, portal.
 //! * [`audit`] — the channel sweep that *measures* separation: which of the
@@ -41,7 +42,7 @@ pub mod support;
 
 pub use audit::{expected_residuals, run_audit, AuditReport, Channel, Outcome};
 pub use cluster::{ClusterSpec, DepHealth, Dependency, SecureCluster, HOME_REALM};
-pub use config::SeparationConfig;
+pub use config::{Mechanism, SeparationConfig};
 pub use obs::CoreObs;
 pub use support::{attribute_load, LoadReport};
 

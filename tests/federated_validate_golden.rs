@@ -31,7 +31,7 @@ use hpc_user_separation::fedauth::{
 };
 use hpc_user_separation::simcore::{SimDuration, SimTime};
 use hpc_user_separation::simos::Uid;
-use hpc_user_separation::{ClusterSpec, SecureCluster, SeparationConfig, HOME_REALM};
+use hpc_user_separation::{ClusterSpec, Mechanism, SecureCluster, SeparationConfig, HOME_REALM};
 use proptest::prelude::*;
 
 /// On the config allow-list and registered: permanently trusted.
@@ -232,10 +232,7 @@ fn scenarios() -> Vec<(String, Verdict)> {
     let mut case = |name: &str, v: Verdict| out.push((name.to_string(), v));
 
     // No credential plane at all.
-    let off = SeparationConfig {
-        federated_auth: false,
-        ..SeparationConfig::llsc()
-    };
+    let off = SeparationConfig::llsc().without(Mechanism::FedAuth);
     let c = SecureCluster::new(off, ClusterSpec::tiny());
     let f = Fixture::golden();
     case("plane-off", c.validate_federated_token(&f.login(&f.home)));

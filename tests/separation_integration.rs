@@ -6,7 +6,9 @@ use hpc_user_separation::sched::{JobSpec, JobState, NodeSharing, QosClass};
 use hpc_user_separation::simcore::{SimDuration, SimTime};
 use hpc_user_separation::simnet::{ConnectError, Proto, SocketAddr};
 use hpc_user_separation::simos::{Mode, Pid};
-use hpc_user_separation::{audit, ClusterSpec, SecureCluster, SeparationConfig};
+use hpc_user_separation::{
+    audit, Channel, ClusterSpec, Mechanism, SecureCluster, SeparationConfig,
+};
 
 fn llsc() -> SecureCluster {
     SecureCluster::new(SeparationConfig::llsc(), ClusterSpec::default())
@@ -86,9 +88,8 @@ fn defense_in_depth_hidepid_still_matters_under_whole_node() {
     // Sec. IV-B: "one might remark that process hiding would be unnecessary
     // [under whole-node scheduling]. However ... there are still some nodes
     // like login nodes on which multiple simultaneous users are working."
-    let mut cfg = SeparationConfig::llsc();
+    let cfg = SeparationConfig::llsc().without(Mechanism::HidePid); // drop the "redundant" control
     assert_eq!(cfg.node_policy, NodeSharing::WholeNodeUser);
-    cfg.hidepid = false; // drop the "redundant" control
     let report = audit::run_audit(&cfg, &ClusterSpec::tiny());
     let unexpected = report.unexpected_leaks();
     assert!(
@@ -99,16 +100,67 @@ fn defense_in_depth_hidepid_still_matters_under_whole_node() {
 
 #[test]
 fn every_single_ablation_reopens_something() {
-    // Each mechanism earns its place: removing any one control re-opens at
-    // least one channel the full config had closed (except the scrub, whose
-    // channel partner GpuDevAccess also guards reads — verify scrub too).
-    for (name, cfg) in SeparationConfig::ablations() {
-        let report = audit::run_audit(&cfg, &ClusterSpec::tiny());
-        assert!(
-            !report.unexpected_leaks().is_empty(),
-            "ablation {name} closed nothing?\n{report}"
+    // The paper's defense-in-depth matrix, asserted exactly: the full config
+    // leaves only the Sec. V residuals open, removing one mechanism re-opens
+    // exactly the channels it closes and nothing else, and the baseline
+    // leaks on every channel.
+    let open = |cfg: SeparationConfig| audit::run_audit(&cfg, &ClusterSpec::tiny()).open_channels();
+    let residuals_plus = |m: Option<Mechanism>| -> Vec<Channel> {
+        let closers = [None, m];
+        Channel::all()
+            .iter()
+            .copied()
+            .filter(|ch| closers.contains(&ch.closed_by()))
+            .collect()
+    };
+    assert_eq!(open(SeparationConfig::llsc()), residuals_plus(None));
+    for &m in Mechanism::all() {
+        assert_eq!(
+            open(SeparationConfig::llsc().without(m)),
+            residuals_plus(Some(m)),
+            "ablation {}",
+            m.label()
         );
     }
+    assert_eq!(open(SeparationConfig::baseline()), Channel::all());
+}
+
+#[test]
+fn architecture_audit_table_names_each_channels_closer() {
+    // ARCHITECTURE.md "The separation audit" renders `Channel::closed_by`:
+    // every row ends in its closer's ablation label, residual rows in `—`.
+    let doc = include_str!("../ARCHITECTURE.md");
+    let section = doc
+        .split("## The separation audit")
+        .nth(1)
+        .expect("section exists");
+    let rows: Vec<Vec<&str>> = section
+        .lines()
+        .take_while(|l| !l.starts_with("## "))
+        .filter(|l| l.starts_with('|'))
+        .map(|l| l.trim_matches('|').split('|').map(str::trim).collect())
+        .collect();
+    for &ch in Channel::all() {
+        let name = ch.to_string();
+        let row = rows
+            .iter()
+            .find(|r| r[0] == name)
+            .unwrap_or_else(|| panic!("no audit-table row for {name}"));
+        let closer = row.last().expect("row has cells");
+        match ch.closed_by() {
+            Some(m) => assert!(
+                closer.ends_with(&format!("({})", m.label())),
+                "{name}: {closer:?} should end in ({})",
+                m.label()
+            ),
+            None => assert!(closer.starts_with('—'), "{name}: {closer:?} is a residual"),
+        }
+    }
+    assert_eq!(
+        rows.len(),
+        Channel::all().len() + 2,
+        "header, rule, one row per channel"
+    );
 }
 
 #[test]
@@ -223,33 +275,49 @@ fn gpu_is_scrubbed_when_its_user_leaves_the_node_on_a_cpu_only_job() {
     // Whole-node-user lets alice hold a GPU job and a CPU-only job on the
     // one compute node. The GPU job ends first, while she is still active
     // there, so its epilog leaves the node alone; the CPU-only job's
-    // epilog, when she leaves, must still scrub the GPU she held.
+    // epilog, when she leaves, must still scrub the GPU she held — whether
+    // or not the scheduler manages the device permissions.
     let spec = ClusterSpec {
         compute_nodes: 1,
         ..ClusterSpec::tiny()
     };
-    let mut c = SecureCluster::new(SeparationConfig::llsc(), spec);
-    let alice = c.add_user("alice").unwrap();
-    let bob = c.add_user("bob").unwrap();
-    let node = c.compute_ids[0];
+    for config in [
+        SeparationConfig::llsc(),
+        SeparationConfig::llsc().without(Mechanism::GpuDevPerms),
+    ] {
+        let label = config.label();
+        let perms = config.gpu_dev_perms;
+        let mut c = SecureCluster::new(config, spec.clone());
+        let alice = c.add_user("alice").unwrap();
+        let bob = c.add_user("bob").unwrap();
+        let node = c.compute_ids[0];
 
-    c.submit(JobSpec::new(alice, "train", SimDuration::from_secs(10)).with_gpus_per_task(1));
-    c.submit(JobSpec::new(alice, "post", SimDuration::from_secs(20)));
-    c.advance_to(SimTime::from_secs(1));
-    c.gpus
-        .get_mut(node, 0)
-        .unwrap()
-        .write(0, b"alice weights")
-        .unwrap();
-    c.advance_to(SimTime::from_secs(15));
-    assert_eq!(c.gpus.get(node, 0).unwrap().assigned_to, Some(alice));
+        c.submit(JobSpec::new(alice, "train", SimDuration::from_secs(10)).with_gpus_per_task(1));
+        c.submit(JobSpec::new(alice, "post", SimDuration::from_secs(20)));
+        c.advance_to(SimTime::from_secs(1));
+        c.gpus
+            .get_mut(node, 0)
+            .unwrap()
+            .write(0, b"alice weights")
+            .unwrap();
+        c.advance_to(SimTime::from_secs(15));
+        if perms {
+            assert_eq!(c.gpus.get(node, 0).unwrap().assigned_to, Some(alice));
+        }
 
-    // Bob's GPU job waits for the node, then lands on the same device.
-    c.submit(JobSpec::new(bob, "probe", SimDuration::from_secs(100)).with_gpus_per_task(1));
-    c.advance_to(SimTime::from_secs(30));
-    let gpu = c.gpus.get(node, 0).unwrap();
-    assert_eq!(gpu.assigned_to, Some(bob));
-    assert_eq!(gpu.read(0, 13).unwrap(), vec![0u8; 13], "bob reads zeros");
+        // Bob's GPU job waits for the node, then lands on the same device.
+        c.submit(JobSpec::new(bob, "probe", SimDuration::from_secs(100)).with_gpus_per_task(1));
+        c.advance_to(SimTime::from_secs(30));
+        let gpu = c.gpus.get(node, 0).unwrap();
+        if perms {
+            assert_eq!(gpu.assigned_to, Some(bob));
+        }
+        assert_eq!(
+            gpu.read(0, 13).unwrap(),
+            vec![0u8; 13],
+            "{label}: bob reads zeros"
+        );
+    }
 }
 
 #[test]
