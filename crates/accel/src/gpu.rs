@@ -78,11 +78,6 @@ impl Gpu {
         }
     }
 
-    /// Device memory size.
-    pub fn mem_len(&self) -> usize {
-        self.mem.len()
-    }
-
     /// Write into device memory. NOTE: deliberately no credential check —
     /// the hardware has "no concept of data ownership"; gating is done by
     /// whether the caller could open the device file at all.

@@ -8,7 +8,7 @@
 //! and the web portal. The audit engine and every experiment run against
 //! this type.
 
-use crate::config::SeparationConfig;
+use crate::config::{Mechanism, SeparationConfig};
 use crate::obs::{CoreObs, ObsConfig};
 use eus_accel::GpuPool;
 use eus_containers::{ContainerRegistry, HpcRuntime};
@@ -20,16 +20,15 @@ use eus_fsperm::{apply_kernel_patches, FilePermissionHandler, PamSmask, LLSC_SMA
 use eus_portal::{PortalGateway, RouteKey, WebAppRegistry};
 use eus_revsync::{RevSyncConfig, RevSyncMesh};
 use eus_sched::{
-    shared_scheduler, EpilogEvent, JobId, JobSpec, JobState, PamSlurm, SchedConfig, Scheduler,
-    SharedScheduler,
+    shared_scheduler, JobId, JobSpec, JobState, PamSlurm, SchedConfig, Scheduler, SharedScheduler,
 };
 use eus_simcore::{SimDuration, SimTime};
 use eus_simnet::{ConnId, ConnectError, Fabric, PeerInfo, Port, Proto, SocketAddr};
 use eus_simos::node::LoginError;
 use eus_simos::procfs::ProcMountOpts;
 use eus_simos::{
-    Credentials, FsCtx, FsError, FsResult, Gid, Mode, NodeId, NodeOs, Pid, SessionId, Uid, UserDb,
-    UserDbError, Vfs,
+    Credentials, DeviceId, FsCtx, FsError, FsResult, Gid, Mode, NodeId, NodeOs, Pid, SessionId,
+    Uid, UserDb, UserDbError, Vfs,
 };
 use eus_ubf::{
     deploy_ubf_observed, shared_user_db, SharedUserDb, UbfConfig, UbfPacketStats, UbfStats,
@@ -140,6 +139,73 @@ impl DepHealth {
     }
 }
 
+/// A class of state a tenant can leave on a compute node. The eviction
+/// drains each through one exhaustive `match`; [`SecureCluster::residue_of`]
+/// reads each from the node's actual state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Residue {
+    /// Processes running as the tenant.
+    Procs,
+    /// Connections whose endpoint on the node is the tenant's.
+    Flows,
+    /// Listening sockets the tenant holds on the node.
+    Sockets,
+    /// Abstract-namespace sockets the tenant bound.
+    AbstractSockets,
+    /// GPUs still assigned to the tenant.
+    DeviceGrants,
+    /// Dirty GPU memory that no remaining tenant may own.
+    GpuMemory,
+    /// Web apps the tenant serves from the node.
+    WebApps,
+}
+
+impl Residue {
+    /// Every class, in eviction order.
+    fn all() -> [Residue; 7] {
+        use Residue::*;
+        [
+            Procs,
+            Flows,
+            Sockets,
+            AbstractSockets,
+            DeviceGrants,
+            GpuMemory,
+            WebApps,
+        ]
+    }
+
+    /// The mechanism whose deployment evicts this class (`None`: always).
+    pub fn closed_by(self) -> Option<Mechanism> {
+        match self {
+            Residue::GpuMemory => Some(Mechanism::GpuScrub),
+            Residue::DeviceGrants => Some(Mechanism::GpuDevPerms),
+            _ => None,
+        }
+    }
+}
+
+/// The node hand-off's one ledger.
+#[derive(Debug, Default)]
+struct Tenancy {
+    /// Per `(node, tenant)`: what the node's own state cannot attribute.
+    tenants: BTreeMap<(NodeId, Uid), Tenant>,
+    /// The job runs whose prolog ran (the started-job scan's one lookup);
+    /// a run's first epilog takes it out.
+    admitted: BTreeSet<JobId>,
+}
+
+/// One tenant on one node.
+#[derive(Debug, Default)]
+struct Tenant {
+    /// The process each admitted job runs on the node.
+    jobs: BTreeMap<JobId, Pid>,
+    /// The web apps each job launched there.
+    apps: Vec<(JobId, SocketAddr)>,
+    /// Held GPUs there since arriving.
+    gpus: bool,
+}
+
 /// The assembled system.
 pub struct SecureCluster {
     /// Deployed mechanisms.
@@ -165,8 +231,7 @@ pub struct SecureCluster {
     pub gpus: GpuPool,
     /// The web portal.
     pub portal: PortalGateway,
-    /// Running web apps.
-    pub apps: WebAppRegistry,
+    apps: WebAppRegistry,
     /// File Permission Handler site policy (whitelists, smask default).
     pub fsperm_policy: FilePermissionHandler,
     /// Container runtime.
@@ -194,12 +259,8 @@ pub struct SecureCluster {
     /// under `config.revsync_max_lag` (bounded staleness, fail closed).
     pub revsync: Option<RevSyncMesh>,
     seepid_gid: Gid,
-    /// The processes each started job's prolog spawned, by node. The
-    /// job's first epilog takes the entry out.
-    job_procs: BTreeMap<JobId, Vec<(NodeId, Pid)>>,
-    /// Who has held GPUs on which node since last leaving it: a prolog of a
-    /// GPU job records the tenancy, the user's last epilog there scrubs.
-    gpu_tenants: BTreeSet<(NodeId, Uid)>,
+    /// The node hand-off's one ledger.
+    tenancy: Tenancy,
     // Per-dependency degraded-mode state machines (see [`DepHealth`]),
     // re-judged at every cycle boundary.
     health_idp: DepHealth,
@@ -410,8 +471,7 @@ impl SecureCluster {
             federation,
             revsync,
             seepid_gid,
-            job_procs: BTreeMap::new(),
-            gpu_tenants: BTreeSet::new(),
+            tenancy: Tenancy::default(),
             health_idp: DepHealth::Healthy,
             health_ca: DepHealth::Healthy,
             health_feed: DepHealth::Healthy,
@@ -1293,6 +1353,26 @@ impl SecureCluster {
 
     fn reconcile(&mut self) {
         let sweep_tok = self.obs.rec.span_start();
+        // Epilog work FIRST: a leaving (or preempted) tenant's cleanup must
+        // land before any new tenant's prolog touches the same node — the
+        // ordering the preemption path's separation guarantee rests on. A
+        // job preempted and restarted since the last reconcile leaves the
+        // ledger before the scan below, so it runs fresh processes.
+        let (now, epilogs) = {
+            let mut sched = self.sched.write();
+            (sched.now(), sched.drain_epilogs())
+        };
+        for e in epilogs {
+            self.obs.rec.incr(self.obs.c_epilogs);
+            self.obs
+                .rec
+                .event(now, "core.epilog", e.job.0, e.node.0 as u64, e.gpus as u64);
+            self.depart(e.node, e.user, e.job);
+            if !e.user_still_active_on_node {
+                self.evict(e.node, e.user, e.gpus > 0);
+            }
+        }
+
         // Snapshot what we need from the scheduler, then drop the guard.
         struct Started {
             job: JobId,
@@ -1302,25 +1382,12 @@ impl SecureCluster {
             started: SimTime,
             allocs: Vec<(NodeId, u32 /*gpus*/)>,
         }
-        let now;
-        let mut departed = BTreeMap::new();
-        let (started, epilogs): (Vec<Started>, Vec<EpilogEvent>) = {
-            let mut sched = self.sched.write();
-            now = sched.now();
-            let epilogs = sched.drain_epilogs();
-            // A job with an epilog left its nodes (ended — or was
-            // preempted and will run again): take its pids out first, so
-            // a preempted-and-restarted job re-materializes below and the
-            // epilog kills only the old run's processes.
-            for e in &epilogs {
-                if let Some(pids) = self.job_procs.remove(&e.job) {
-                    departed.insert(e.job, pids);
-                }
-            }
-            let started = sched
+        let started: Vec<Started> = {
+            let sched = self.sched.read();
+            sched
                 .jobs
                 .values()
-                .filter(|j| j.state == JobState::Running && !self.job_procs.contains_key(&j.id))
+                .filter(|j| j.state == JobState::Running && !self.tenancy.admitted.contains(&j.id))
                 .map(|j| Started {
                     job: j.id,
                     user: j.spec.user,
@@ -1333,60 +1400,8 @@ impl SecureCluster {
                     started: j.started.expect("running"),
                     allocs: j.allocations.iter().map(|(n, a)| (*n, a.gpus)).collect(),
                 })
-                .collect();
-            (started, epilogs)
+                .collect()
         };
-
-        // Epilog work FIRST: a departed (or preempted) tenant's cleanup —
-        // kill strays, revoke device perms, scrub GPU memory — must land
-        // before any new tenant's prolog touches the same node. This is
-        // the ordering the preemption path's separation guarantee rests on.
-        for e in epilogs {
-            self.obs.rec.incr(self.obs.c_epilogs);
-            self.obs
-                .rec
-                .event(now, "core.epilog", e.job.0, e.node.0 as u64, e.gpus as u64);
-            // Web-app routes die with their job.
-            self.portal.routes.remove_job(e.job);
-            // Kill the job's own processes.
-            if let Some(pids) = departed.remove(&e.job) {
-                for (nid, pid) in pids {
-                    if let Some(node) = self.nodes.get_mut(&nid) {
-                        node.procs.remove(pid);
-                    }
-                }
-            }
-            if !e.user_still_active_on_node {
-                // pam_slurm_adopt-style: the user has no jobs left on the
-                // node, so stray processes, sockets (with the flows on
-                // them), and abstract sockets go.
-                self.fabric.close_all_of(e.node, e.user);
-                if let Some(node) = self.nodes.get_mut(&e.node) {
-                    node.procs.kill_all_of(e.user);
-                    node.abstract_sockets.cleanup_user(e.user);
-                    // Device permissions are revoked only when they were
-                    // managed (Sec. IV-F); the epilog scrub is an independent
-                    // step that clears every GPU on the node, per config,
-                    // when this job held GPUs or the user held some there
-                    // (an earlier GPU job whose epilog found them still
-                    // active on the node) — with or without managed perms.
-                    if self.config.gpu_dev_perms {
-                        self.gpus
-                            .release_user(e.node, e.user, &mut node.local_fs)
-                            .expect("device files exist");
-                    }
-                    let held = self.gpu_tenants.remove(&(e.node, e.user));
-                    if self.config.gpu_scrub && (e.gpus > 0 || held) {
-                        for idx in 0..self.spec.gpus_per_node {
-                            if let Some(gpu) = self.gpus.get_mut(e.node, idx) {
-                                gpu.scrub();
-                                self.obs.rec.incr(self.obs.c_gpu_scrubs);
-                            }
-                        }
-                    }
-                }
-            }
-        }
 
         // Prolog work: processes + GPU assignment.
         for s in started {
@@ -1399,7 +1414,7 @@ impl SecureCluster {
                 s.allocs.iter().map(|(_, g)| *g as u64).sum(),
             );
             let cred = self.credentials(s.user);
-            let mut pids = Vec::new();
+            self.tenancy.admitted.insert(s.job);
             for (nid, gpu_count) in &s.allocs {
                 let node = self.nodes.get_mut(nid).expect("allocated node exists");
                 let pid = node.procs.spawn_with_env(
@@ -1409,10 +1424,9 @@ impl SecureCluster {
                     None,
                     s.started,
                 );
-                pids.push((*nid, pid));
-                if *gpu_count > 0 {
-                    self.gpu_tenants.insert((*nid, s.user));
-                }
+                let tenant = self.tenancy.tenants.entry((*nid, s.user)).or_default();
+                tenant.jobs.insert(s.job, pid);
+                tenant.gpus |= *gpu_count > 0;
                 if *gpu_count > 0 && self.config.gpu_dev_perms {
                     self.gpus
                         .assign(
@@ -1426,10 +1440,119 @@ impl SecureCluster {
                     self.obs.rec.incr(self.obs.c_gpu_assigns);
                 }
             }
-            self.job_procs.insert(s.job, pids);
         }
         self.obs.rec.incr(self.obs.c_reconciles);
         self.obs.rec.span_end(self.obs.sp_reconcile, sweep_tok);
+    }
+
+    /// One epilog: `job` leaves `node`. Its process there dies, its portal
+    /// routes go, and so do the web apps it launched there.
+    fn depart(&mut self, node: NodeId, uid: Uid, job: JobId) {
+        self.portal.routes.remove_job(job);
+        self.tenancy.admitted.remove(&job);
+        let Some(t) = self.tenancy.tenants.get_mut(&(node, uid)) else {
+            return;
+        };
+        if let (Some(pid), Some(os)) = (t.jobs.remove(&job), self.nodes.get_mut(&node)) {
+            os.procs.remove(pid);
+        }
+        for (_, endpoint) in t.apps.extract_if(.., |(j, _)| *j == job) {
+            self.apps.stop(&mut self.fabric, endpoint);
+        }
+    }
+
+    /// The tenant's last epilog on `node` (`pam_slurm_adopt`-style): drain
+    /// every [`Residue`] class, even if the ledger never admitted the tenant
+    /// (a job can start and end inside one `advance_to`).
+    fn evict(&mut self, node: NodeId, uid: Uid, job_gpus: bool) {
+        let held = self
+            .tenancy
+            .tenants
+            .remove(&(node, uid))
+            .is_some_and(|t| t.gpus);
+        let os = self.nodes.get_mut(&node).expect("known node");
+        let mut released = Vec::new();
+        for class in Residue::all() {
+            match class {
+                Residue::Procs => _ = os.procs.kill_all_of(uid),
+                Residue::Flows => _ = self.fabric.close_flows_of(node, uid),
+                Residue::Sockets => {
+                    if let Some(host) = self.fabric.host_mut(node) {
+                        host.sockets.close_all_of(uid);
+                    }
+                }
+                Residue::AbstractSockets => _ = os.abstract_sockets.cleanup_user(uid),
+                Residue::DeviceGrants if self.config.gpu_dev_perms => {
+                    released = self
+                        .gpus
+                        .release_user(node, uid, &mut os.local_fs)
+                        .expect("device files exist");
+                }
+                Residue::GpuMemory if self.config.gpu_scrub && (job_gpus || held) => {
+                    // Managed device permissions name the tenant's devices,
+                    // so a co-tenant's stay untouched. Without them nothing
+                    // records which device a tenant touched: scrub them all.
+                    let perms = self.config.gpu_dev_perms;
+                    let mine = |i: &u16| !perms || released.contains(&DeviceId::gpu(*i));
+                    for idx in (0..self.spec.gpus_per_node).filter(mine) {
+                        if let Some(gpu) = self.gpus.get_mut(node, idx) {
+                            gpu.scrub();
+                            self.obs.rec.incr(self.obs.c_gpu_scrubs);
+                        }
+                    }
+                }
+                Residue::DeviceGrants | Residue::GpuMemory => {}
+                Residue::WebApps => {
+                    for endpoint in self.apps.endpoints_of(node, uid) {
+                        self.apps.stop(&mut self.fabric, endpoint);
+                    }
+                }
+            }
+        }
+        debug_assert!(
+            self.residue_of(node, uid)
+                .iter()
+                .all(|r| r.closed_by().is_some_and(|m| !self.config.has(m))),
+            "{uid} left {:?} on {node}",
+            self.residue_of(node, uid)
+        );
+    }
+
+    /// What `uid` leaves on `node`, read from the node's actual state — the
+    /// proc table, connections and sockets, abstract sockets, device
+    /// assignments, GPU memory and the web-app registry — never from the
+    /// ledger. Empty after the tenant's last epilog, except for a class
+    /// whose [`Residue::closed_by`] mechanism is off.
+    pub fn residue_of(&self, node: NodeId, uid: Uid) -> Vec<Residue> {
+        let os = self.nodes.get(&node);
+        let gpus = self.gpus.on_node(node);
+        // A dirty device counts unless a remaining tenant may own it: its
+        // assignee, or — without managed device permissions, where no
+        // device names a tenant — anyone else still running on the node.
+        let cotenant = !self.config.gpu_dev_perms
+            && os.is_some_and(|n| n.procs.iter().any(|p| p.uid() != uid));
+        Residue::all()
+            .into_iter()
+            .filter(|class| match class {
+                Residue::Procs => os.is_some_and(|n| n.procs.count_for(uid) > 0),
+                Residue::Flows => self.fabric.flows_of(node, uid).next().is_some(),
+                Residue::Sockets => self
+                    .fabric
+                    .host(node)
+                    .is_some_and(|h| h.sockets.listeners().any(|(_, _, s)| s.owner.uid == uid)),
+                Residue::AbstractSockets => {
+                    os.is_some_and(|n| n.abstract_sockets.list().iter().any(|s| s.owner == uid))
+                }
+                Residue::DeviceGrants => gpus.iter().any(|g| g.assigned_to == Some(uid)),
+                Residue::GpuMemory => {
+                    !cotenant
+                        && gpus
+                            .iter()
+                            .any(|g| g.is_dirty() && g.assigned_to.is_none_or(|u| u == uid))
+                }
+                Residue::WebApps => !self.apps.endpoints_of(node, uid).is_empty(),
+            })
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -1499,6 +1622,8 @@ impl SecureCluster {
         let endpoint = self
             .apps
             .launch(&mut self.fabric, node, &cred, port, content)?;
+        let tenant = self.tenancy.tenants.entry((node, user)).or_default();
+        tenant.apps.push((job, endpoint));
         let key = RouteKey {
             user,
             job,

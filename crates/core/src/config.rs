@@ -227,12 +227,6 @@ impl SeparationConfig {
         self
     }
 
-    /// Builder: set the revocation anti-entropy cadence.
-    pub fn with_revsync_anti_entropy(mut self, period: SimDuration) -> Self {
-        self.revsync_anti_entropy = period;
-        self
-    }
-
     /// Builder: set the cross-realm staleness budget.
     pub fn with_revsync_max_lag(mut self, budget: SimDuration) -> Self {
         self.revsync_max_lag = budget;

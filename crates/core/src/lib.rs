@@ -41,7 +41,7 @@ pub mod obs;
 pub mod support;
 
 pub use audit::{expected_residuals, run_audit, AuditReport, Channel, Outcome};
-pub use cluster::{ClusterSpec, DepHealth, Dependency, SecureCluster, HOME_REALM};
+pub use cluster::{ClusterSpec, DepHealth, Dependency, Residue, SecureCluster, HOME_REALM};
 pub use config::{Mechanism, SeparationConfig};
 pub use obs::CoreObs;
 pub use support::{attribute_load, LoadReport};

@@ -3,7 +3,7 @@
 //!
 //! The cluster's own hot loop is [`reconcile`](crate::SecureCluster) — the
 //! epilog/prolog sweep that runs after every scheduler advance and carries
-//! the separation guarantee (departed tenant scrubbed before the next
+//! the separation guarantee (a leaving tenant scrubbed before the next
 //! tenant's prolog). [`CoreObs`] times it (`core.cluster.reconcile` span),
 //! counts its work items, and flight-records the separation-relevant
 //! moments (epilog scrubs, prolog materializations). The federated
@@ -54,7 +54,7 @@ pub struct CoreObs {
     pub sp_reconcile: SpanId,
     /// Reconcile sweeps run.
     pub c_reconciles: CounterId,
-    /// Epilog events processed (cleanup for a departed/preempted tenant).
+    /// Epilog events processed (cleanup for an ended or preempted job).
     pub c_epilogs: CounterId,
     /// Prologs run (newly started jobs given processes + GPUs).
     pub c_prologs: CounterId,

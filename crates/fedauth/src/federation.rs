@@ -49,12 +49,6 @@ impl TrustPolicy {
         self
     }
 
-    /// Builder: also trust a sister realm until `expires_at`.
-    pub fn with_trusted_until(mut self, realm: RealmId, expires_at: SimTime) -> Self {
-        self.trust_until(realm, expires_at);
-        self
-    }
-
     /// Add a sister realm to the allow-list, permanently (replaces any
     /// time-boxed entry — rotation extends, it never shortens by accident).
     pub fn trust(&mut self, realm: RealmId) {
@@ -75,12 +69,6 @@ impl TrustPolicy {
     /// The policy's home realm.
     pub fn home(&self) -> RealmId {
         self.home
-    }
-
-    /// Is `realm` acceptable at this site at instant `now`? Expired entries
-    /// answer no, exactly like realms never listed.
-    pub fn trusts_at(&self, realm: RealmId, now: SimTime) -> bool {
-        self.gate(realm, now).is_ok()
     }
 
     /// The full trust decision for a credential from `realm` presented at

@@ -6,7 +6,7 @@
 //! through the portal or directly from another node.
 
 use eus_simnet::{ConnectError, Fabric, PeerInfo, Port, Proto, SocketAddr};
-use eus_simos::{Credentials, NodeId};
+use eus_simos::{Credentials, NodeId, Uid};
 use std::collections::BTreeMap;
 
 /// One running web app.
@@ -74,21 +74,20 @@ impl WebAppRegistry {
         }
     }
 
-    /// Number of running apps.
-    pub fn len(&self) -> usize {
-        self.apps.len()
-    }
-
-    /// True when no apps run.
-    pub fn is_empty(&self) -> bool {
-        self.apps.is_empty()
+    /// The endpoints of the apps `uid` serves on `node`.
+    pub fn endpoints_of(&self, node: NodeId, uid: Uid) -> Vec<SocketAddr> {
+        let on_node = SocketAddr::new(node, 0)..=SocketAddr::new(node, Port::MAX);
+        let apps = self.apps.range(on_node).map(|(_, a)| a);
+        apps.filter(|a| a.server.uid == uid)
+            .map(|a| a.endpoint)
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eus_simos::{Gid, Uid};
+    use eus_simos::Gid;
 
     #[test]
     fn launch_registers_listener_and_content() {
@@ -109,7 +108,7 @@ mod tests {
             .is_some());
 
         assert!(apps.stop(&mut f, ep));
-        assert!(apps.is_empty());
+        assert!(apps.get(ep).is_none());
         assert!(f
             .host(NodeId(7))
             .unwrap()

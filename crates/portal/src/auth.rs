@@ -121,11 +121,6 @@ impl PortalAuth {
         self
     }
 
-    /// Change the session TTL policy in place.
-    pub fn set_ttl(&mut self, ttl: Option<SimDuration>) {
-        self.ttl = ttl;
-    }
-
     /// Route logins through a federated credential broker: tokens become
     /// broker-issued (short-TTL, centrally revocable) and every `whoami`
     /// consults the broker's revocation list.

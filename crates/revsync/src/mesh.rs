@@ -254,11 +254,6 @@ impl RevSyncMesh {
         self.sites.keys().copied()
     }
 
-    /// Whether a realm is on the mesh.
-    pub fn has_realm(&self, realm: RealmId) -> bool {
-        self.sites.contains_key(&realm)
-    }
-
     /// The plane a realm joined the mesh with, if registered.
     pub fn plane(&self, realm: RealmId) -> Option<&SharedBroker> {
         self.sites.get(&realm).map(|s| &s.plane)

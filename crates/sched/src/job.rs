@@ -189,12 +189,6 @@ impl JobSpec {
         self
     }
 
-    /// Builder: one environment variable.
-    pub fn with_env(mut self, k: impl Into<String>, v: impl Into<String>) -> Self {
-        self.environ.insert(k.into(), v.into());
-        self
-    }
-
     /// Builder: request `--exclusive`.
     pub fn exclusive(mut self) -> Self {
         self.request_exclusive = true;

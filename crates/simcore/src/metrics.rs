@@ -6,7 +6,7 @@
 //! * [`TimeWeighted`] — a value integrated over simulated time (allocated
 //!   cores → utilization).
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -115,11 +115,6 @@ impl Histogram {
         }
     }
 
-    /// Reservoir capacity, `None` in exact mode.
-    pub fn reservoir_capacity(&self) -> Option<usize> {
-        self.cap
-    }
-
     /// Record one observation. Non-finite values are rejected loudly: they
     /// always indicate a harness bug.
     pub fn record(&mut self, v: f64) {
@@ -166,11 +161,6 @@ impl Histogram {
         x ^= x << 17;
         self.rng = x;
         x
-    }
-
-    /// Record a simulated duration, in microseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_micros() as f64);
     }
 
     /// Number of observations (exact, even when retention is sampled).

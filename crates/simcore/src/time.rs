@@ -118,12 +118,6 @@ impl SimDuration {
         self.0 as f64 / 1e6
     }
 
-    /// Duration expressed in (fractional) milliseconds.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Saturating subtraction.
     #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {

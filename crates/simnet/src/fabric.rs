@@ -131,14 +131,6 @@ impl HostNet {
             }
         }
     }
-
-    /// Names of attached handlers (diagnostics).
-    pub fn handler_names(&self) -> Vec<(u16, String)> {
-        self.handlers
-            .iter()
-            .map(|(q, h)| (*q, h.name().to_string()))
-            .collect()
-    }
 }
 
 /// Handle to an established connection.
@@ -622,27 +614,26 @@ impl Fabric {
         true
     }
 
-    /// Tear down everything `uid` has on `node`: every connection whose
-    /// endpoint on `node` is theirs (both ends' conntrack entries and the
-    /// client port go, as in [`close`](Self::close)), then every socket
-    /// they still hold there. A job epilog calls this, so a departed
-    /// tenant's flows stop carrying traffic. Returns the connections
-    /// closed.
-    pub fn close_all_of(&mut self, node: NodeId, uid: Uid) -> usize {
-        let doomed: Vec<ConnId> = self
-            .connections
+    /// The connections whose endpoint on `node` is `uid`'s.
+    pub fn flows_of(&self, node: NodeId, uid: Uid) -> impl Iterator<Item = ConnId> + '_ {
+        self.connections
             .values()
-            .filter(|c| {
+            .filter(move |c| {
                 (c.tuple.src.host == node && c.initiator.uid == uid)
                     || (c.tuple.dst.host == node && c.listener.uid == uid)
             })
             .map(|c| c.id)
-            .collect();
+    }
+
+    /// Close every connection whose endpoint on `node` is `uid`'s: both
+    /// ends' conntrack entries and the client port go, as in
+    /// [`close`](Self::close). A job epilog calls this, so a departed
+    /// tenant's flows stop carrying traffic. Returns the connections
+    /// closed.
+    pub fn close_flows_of(&mut self, node: NodeId, uid: Uid) -> usize {
+        let doomed: Vec<ConnId> = self.flows_of(node, uid).collect();
         for &id in &doomed {
             self.close(id);
-        }
-        if let Some(h) = self.host_mut(node) {
-            h.sockets.close_all_of(uid);
         }
         doomed.len()
     }

@@ -1,7 +1,7 @@
 //! Fabric table invariants under random tapes of `add_host`, `listen`,
-//! `connect`, `close` and per-user teardown (`close_all_of`), on small
-//! cluster ids and on the sparse ids the revsync WAN uses
-//! (`NodeId(900_000 + realm)`). After every step: the conntrack tables hold
+//! `connect`, `close` and per-user teardown (`close_flows_of`, then the
+//! user's sockets), on small cluster ids and on the sparse ids the revsync
+//! WAN uses (`NodeId(900_000 + realm)`). After every step: the conntrack tables hold
 //! exactly the live connections' entries, the occupancy gauge lists every
 //! host once in `NodeId` order, every live connection sends, and every
 //! closed one is gone.
@@ -117,7 +117,10 @@ proptest! {
                         })
                         .map(|(&id, _)| id)
                         .collect();
-                    prop_assert_eq!(f.close_all_of(node, uid), doomed.len());
+                    prop_assert_eq!(f.close_flows_of(node, uid), doomed.len());
+                    if let Some(h) = f.host_mut(node) {
+                        h.sockets.close_all_of(uid);
+                    }
                     for id in doomed {
                         live.remove(&id);
                         closed.push(id);

@@ -484,22 +484,6 @@ impl Vfs {
         })
     }
 
-    /// Create every missing directory along `path` with the given mode
-    /// (permission-checked at each step; handy for setup as root).
-    pub fn mkdir_p(&mut self, ctx: &FsCtx, path: &str, mode: Mode) -> FsResult<()> {
-        let comps = Self::normalize(path)?;
-        let mut cur = String::new();
-        for c in &comps {
-            cur.push('/');
-            cur.push_str(c);
-            match self.mkdir(ctx, &cur, mode) {
-                Ok(_) | Err(FsError::AlreadyExists(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
     /// Create an empty regular file.
     pub fn create(&mut self, ctx: &FsCtx, path: &str, mode: Mode) -> FsResult<Ino> {
         self.insert_child(ctx, path, false, mode, || InodeKind::File {

@@ -133,11 +133,6 @@ impl UbfDaemon {
     pub fn set_packet_stats(&mut self, pkt: UbfPacketStats) {
         self.pkt = pkt;
     }
-
-    /// Clone the packet-path slot handle.
-    pub fn packet_stats(&self) -> UbfPacketStats {
-        self.pkt.clone()
-    }
 }
 
 impl QueueHandler for UbfDaemon {

@@ -320,20 +320,6 @@ impl WorkloadMix {
         }
     }
 
-    /// A traditional batch-MPI-dominated center.
-    pub fn batch_heavy() -> Self {
-        WorkloadMix {
-            sweep_weight: 0.15,
-            monte_carlo_weight: 0.10,
-            mpi_weight: 0.70,
-            interactive_weight: 0.05,
-            batches_per_hour: 10.0,
-            mpi_ranks: (32, 256),
-            mpi_secs: (3600.0, 36_000.0),
-            ..Self::llsc_like()
-        }
-    }
-
     /// Generate a trace over `[0, horizon]`.
     pub fn generate(&self, pop: &UserPopulation, horizon: SimTime, rng: &mut SimRng) -> Trace {
         let rate_per_sec = self.batches_per_hour / 3600.0;

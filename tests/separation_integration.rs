@@ -7,7 +7,7 @@ use hpc_user_separation::simcore::{SimDuration, SimTime};
 use hpc_user_separation::simnet::{ConnectError, Proto, SocketAddr};
 use hpc_user_separation::simos::{Mode, Pid};
 use hpc_user_separation::{
-    audit, Channel, ClusterSpec, Mechanism, SecureCluster, SeparationConfig,
+    audit, Channel, ClusterSpec, Mechanism, Residue, SecureCluster, SeparationConfig,
 };
 
 fn llsc() -> SecureCluster {
@@ -318,6 +318,78 @@ fn gpu_is_scrubbed_when_its_user_leaves_the_node_on_a_cpu_only_job() {
             "{label}: bob reads zeros"
         );
     }
+}
+
+#[test]
+fn a_departing_tenant_leaves_a_cotenants_gpu_alone() {
+    // Shared placement puts alice's short GPU job and bob's long one on the
+    // one compute node, one GPU each. Alice's last epilog there scrubs the
+    // device she held, not bob's, which he is still using.
+    let spec = ClusterSpec {
+        compute_nodes: 1,
+        gpus_per_node: 2,
+        ..ClusterSpec::tiny()
+    };
+    let mut c = SecureCluster::new(SeparationConfig::llsc().without(Mechanism::WholeNode), spec);
+    let alice = c.add_user("alice").unwrap();
+    let bob = c.add_user("bob").unwrap();
+    let node = c.compute_ids[0];
+    c.submit(JobSpec::new(alice, "train", SimDuration::from_secs(10)).with_gpus_per_task(1));
+    c.submit(JobSpec::new(bob, "train", SimDuration::from_secs(1000)).with_gpus_per_task(1));
+    c.advance_to(SimTime::from_secs(1));
+    let device_of = |c: &SecureCluster, user| {
+        let gpus = c.gpus.on_node(node);
+        gpus.iter()
+            .find(|g| g.assigned_to == Some(user))
+            .unwrap()
+            .device
+            .minor
+    };
+    let (a, b) = (device_of(&c, alice), device_of(&c, bob));
+    assert_ne!(a, b);
+    let gpus = &mut c.gpus;
+    gpus.get_mut(node, a)
+        .unwrap()
+        .write(0, b"alice weights")
+        .unwrap();
+    gpus.get_mut(node, b)
+        .unwrap()
+        .write(0, b"bob weights")
+        .unwrap();
+
+    c.advance_to(SimTime::from_secs(20));
+    assert!(c.residue_of(node, alice).is_empty());
+    let read = |idx, len| c.gpus.get(node, idx).unwrap().read(0, len).unwrap();
+    assert_eq!(read(a, 13), vec![0u8; 13], "alice's device is scrubbed");
+    assert_eq!(read(b, 11), b"bob weights", "bob's device is not");
+}
+
+#[test]
+fn a_web_app_stops_with_its_job() {
+    // Alice's notebook belongs to job A; her job B keeps her on the node
+    // after A ends, so only A's epilog can stop the app.
+    let spec = ClusterSpec {
+        compute_nodes: 1,
+        ..ClusterSpec::tiny()
+    };
+    let mut c = SecureCluster::new(SeparationConfig::llsc(), spec);
+    let alice = c.add_user("alice").unwrap();
+    let (node, login) = (c.compute_ids[0], c.login_node());
+    let a = c.submit(JobSpec::new(alice, "notebook", SimDuration::from_secs(10)));
+    c.submit(JobSpec::new(alice, "train", SimDuration::from_secs(1000)));
+    c.advance_to(SimTime::from_secs(1));
+    c.launch_webapp(alice, a, "jupyter", node, 8888, "alice notebook", None)
+        .unwrap();
+    assert!(c.residue_of(node, alice).contains(&Residue::WebApps));
+
+    c.advance_to(SimTime::from_secs(20));
+    assert!(c.sched.read().has_running_job_on(alice, node));
+    assert_eq!(c.residue_of(node, alice), vec![Residue::Procs]);
+    let app = SocketAddr::new(node, 8888);
+    assert_eq!(
+        c.connect(alice, login, app, Proto::Tcp),
+        Err(ConnectError::ConnectionRefused(app))
+    );
 }
 
 #[test]
