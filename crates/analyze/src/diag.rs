@@ -15,6 +15,8 @@ pub const R4_DOCS_SYNC: &str = "docs-sync";
 /// R5 — no nested lock scopes (static approximation; the dynamic
 /// `lock_order_check` cfg covers ordering across threads).
 pub const R5_LOCK_DISCIPLINE: &str = "lock-discipline";
+/// R6 — every `pub` item in engine source has a caller outside test code.
+pub const R6_DEAD_PUB: &str = "dead-pub";
 /// Hygiene for the tool's own control comments: malformed `analyze:`
 /// directives and unclosed hot-path regions.
 pub const RD_DIRECTIVE: &str = "directive";
@@ -26,6 +28,7 @@ pub const ALL_RULES: &[&str] = &[
     R3_OBS_NAMING,
     R4_DOCS_SYNC,
     R5_LOCK_DISCIPLINE,
+    R6_DEAD_PUB,
     RD_DIRECTIVE,
 ];
 

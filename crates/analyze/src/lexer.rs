@@ -13,7 +13,8 @@
 //!
 //! - `// analyze:allow(rule-a, rule-b): justification` — suppress the named
 //!   rules on this line (or, when the comment stands on its own line, on
-//!   the next line of code).
+//!   the next line of code). An allow without a justification is
+//!   malformed and suppresses nothing.
 //! - `// analyze:hot-path-begin(label)` … `// analyze:hot-path-end` —
 //!   bracket a region checked by the `hot-path-panic` rule.
 
@@ -339,7 +340,11 @@ fn parse_directive(comment: &str, line: u32, own_line: bool, out: &mut Vec<Direc
                 .map(|s| s.trim().to_string())
                 .filter(|s| !s.is_empty())
                 .collect();
-            if !rules.is_empty() {
+            let justified = r[end + 1..]
+                .trim_start()
+                .strip_prefix(':')
+                .is_some_and(|why| !why.trim().is_empty());
+            if !rules.is_empty() && justified {
                 out.push(Directive::Allow {
                     line,
                     own_line,
@@ -447,6 +452,20 @@ mod tests {
     fn malformed_directive_is_reported() {
         let l = lex("// analyze:alow(typo)\n");
         assert!(matches!(l.directives[0], Directive::Malformed { .. }));
+    }
+
+    #[test]
+    fn allow_without_justification_is_malformed() {
+        for src in [
+            "// analyze:allow(dead-pub)\n",
+            "// analyze:allow(dead-pub):  \n",
+        ] {
+            let l = lex(src);
+            assert!(
+                matches!(l.directives[0], Directive::Malformed { .. }),
+                "{src}"
+            );
+        }
     }
 
     #[test]

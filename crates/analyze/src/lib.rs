@@ -2,12 +2,12 @@
 //!
 //! The repo's value rests on invariants no compiler checks: sim-clock
 //! determinism, panic-free hot kernels, the `plane.subsystem.name` obs
-//! convention, ARCHITECTURE.md tables that match the code, and deadlock-
-//! free lock nesting. This crate machine-checks all five with a
-//! self-contained scanner — a hand-rolled lexer ([`lexer`]), a per-file
-//! model with test/hot/suppression overlays ([`source`]), and five rule
-//! passes ([`rules`]) — no dependencies, same offline discipline as
-//! `vendor/`.
+//! convention, ARCHITECTURE.md tables that match the code, deadlock-free
+//! lock nesting, and a public surface that something outside the tests
+//! calls. This crate machine-checks all six with a self-contained scanner
+//! — a hand-rolled lexer ([`lexer`]), a per-file model with
+//! test/hot/suppression overlays ([`source`]), and six rule passes
+//! ([`rules`]) — no dependencies, same offline discipline as `vendor/`.
 //!
 //! | rule id | invariant |
 //! |---|---|
@@ -16,9 +16,11 @@
 //! | `obs-naming` | dotted obs names, registered exactly once |
 //! | `docs-sync` | ARCHITECTURE.md audit/span/SLO/fault tables match the code |
 //! | `lock-discipline` | no nested lock scopes (static half of the check) |
+//! | `dead-pub` | every `pub` item has a caller outside test code |
 //!
 //! Suppress a finding on one line with
-//! `// analyze:allow(rule-id): justification`; bracket hot regions with
+//! `// analyze:allow(rule-id): justification` (the justification is
+//! required); bracket hot regions with
 //! `// analyze:hot-path-begin(label)` … `// analyze:hot-path-end`.
 //! CI runs `cargo run -p eus-analyze -- --deny`, which exits non-zero on
 //! any finding. The dynamic half of the lock rule lives in the vendored
@@ -31,6 +33,7 @@ pub mod source;
 
 pub use diag::{render_json, Diag};
 
+use rules::obsnames::Registration;
 use source::SourceFile;
 use std::path::Path;
 
@@ -45,22 +48,12 @@ pub struct Report {
 /// Scan the workspace rooted at `root` (the directory holding
 /// `ARCHITECTURE.md` and `crates/`) with every rule.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
-    let files = source::collect_sources(root)?;
-    let mut parsed = Vec::with_capacity(files.len());
-    for (rel, path) in &files {
+    let mut parsed = Vec::new();
+    for (rel, path) in source::collect_sources(root)? {
         let text = std::fs::read_to_string(path)?;
-        parsed.push(SourceFile::parse(rel, &text));
+        parsed.push(SourceFile::parse(&rel, &text));
     }
-    let mut diags = Vec::new();
-    let mut regs = Vec::new();
-    for f in &parsed {
-        diags.extend(f.pre_diags.iter().cloned());
-        rules::determinism::check(f, &mut diags);
-        rules::hotpath::check(f, &mut diags);
-        rules::locks::check(f, &mut diags);
-        regs.extend(rules::obsnames::collect(f, &mut diags));
-    }
-    rules::obsnames::check_unique(&regs, &mut diags);
+    let (mut diags, regs) = lint_files(&parsed);
 
     let arch_path = root.join("ARCHITECTURE.md");
     let channels_path = root.join("crates/core/src/audit/channels.rs");
@@ -90,6 +83,7 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
 /// the per-file rules only (R1, R2, R5, plus R3 name-format and in-file
 /// uniqueness). Used by the fixture tests and handy for editor
 /// integration.
+// analyze:allow(dead-pub): the library entry point for fixture suites and editor integration
 pub fn lint_source(rel: &str, text: &str) -> Vec<Diag> {
     let f = SourceFile::parse(rel, text);
     let mut diags = f.pre_diags.clone();
@@ -99,6 +93,38 @@ pub fn lint_source(rel: &str, text: &str) -> Vec<Diag> {
     let regs = rules::obsnames::collect(&f, &mut diags);
     rules::obsnames::check_unique(&regs, &mut diags);
     finish(diags, std::slice::from_ref(&f))
+}
+
+/// Lint `(rel, text)` files as one workspace: every rule but R4 (which
+/// reads ARCHITECTURE.md). Paths place each file as
+/// [`source::collect_sources`] would, so a fixture at `tests/…` is test
+/// code and one at `benchmark/src/…` a caller R6 reads but never lints.
+// analyze:allow(dead-pub): the library entry point for fixture suites and editor integration
+pub fn lint_tree(files: &[(&str, &str)]) -> Vec<Diag> {
+    let parsed: Vec<SourceFile> = files
+        .iter()
+        .map(|(rel, text)| SourceFile::parse(rel, text))
+        .collect();
+    let (diags, _) = lint_files(&parsed);
+    finish(diags, &parsed)
+}
+
+/// Every rule but R4 over `files`: the per-file rules on the linted ones,
+/// R6 across all. Returns the findings and R3's registrations (R4 reads
+/// them).
+fn lint_files(files: &[SourceFile]) -> (Vec<Diag>, Vec<Registration>) {
+    let mut diags = Vec::new();
+    let mut regs = Vec::new();
+    for f in files.iter().filter(|f| f.linted()) {
+        diags.extend(f.pre_diags.iter().cloned());
+        rules::determinism::check(f, &mut diags);
+        rules::hotpath::check(f, &mut diags);
+        rules::locks::check(f, &mut diags);
+        regs.extend(rules::obsnames::collect(f, &mut diags));
+    }
+    rules::obsnames::check_unique(&regs, &mut diags);
+    rules::deadpub::check(files, &mut diags);
+    (diags, regs)
 }
 
 /// Apply per-line suppressions and sort deterministically.

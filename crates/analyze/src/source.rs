@@ -90,7 +90,7 @@ impl SourceFile {
                     line: *line,
                     rule: RD_DIRECTIVE,
                     msg: format!("unrecognized analyze: directive: {text}"),
-                    hint: "known forms: analyze:allow(rule,…), analyze:hot-path-begin(label), analyze:hot-path-end".into(),
+                    hint: "known forms: analyze:allow(rule,…): justification, analyze:hot-path-begin(label), analyze:hot-path-end".into(),
                 }),
             }
         }
@@ -116,6 +116,14 @@ impl SourceFile {
             allow,
             pre_diags,
         }
+    }
+
+    /// Is this file engine source (`crates/*/src/**`), the set every rule
+    /// lints? Other files are read only as R6's callers.
+    pub fn linted(&self) -> bool {
+        self.crate_name
+            .as_ref()
+            .is_some_and(|c| self.rel.starts_with(&format!("crates/{c}/src/")))
     }
 
     /// Is `rule` suppressed on `line`?
@@ -224,25 +232,26 @@ fn test_flags(toks: &[Tok]) -> Vec<bool> {
     flags
 }
 
-/// Walk `root/crates/**` collecting `src/**/*.rs` files, sorted for
-/// deterministic reports. Integration tests, benches, examples, and
-/// `vendor/` are out of scope by construction: the rules guard *engine*
-/// source, and the vendored shims deliberately mirror external crates'
-/// APIs rather than workspace conventions.
+/// Walk the workspace collecting the `.rs` files the rules read, sorted
+/// for deterministic reports: engine source (`crates/*/src`, the files
+/// every rule lints — see [`SourceFile::linted`]) and the callers R6 reads
+/// but no rule lints (`crates/*/benches`, `src/`, `examples/`,
+/// `benchmark/src`). Test suites and `vendor/` are out of scope by
+/// construction: the rules guard *engine* source, and the vendored shims
+/// deliberately mirror external crates' APIs rather than workspace
+/// conventions.
 pub fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
-    let mut out = Vec::new();
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
+    let mut dirs: Vec<PathBuf> = ["src", "examples", "benchmark/src"]
+        .iter()
+        .map(|d| root.join(d))
         .collect();
-    crate_dirs.sort();
-    for c in crate_dirs {
-        let src = c.join("src");
-        if src.is_dir() {
-            walk_rs(&src, root, &mut out)?;
-        }
+    for entry in std::fs::read_dir(root.join("crates"))? {
+        let c = entry?.path();
+        dirs.extend([c.join("src"), c.join("benches")]);
+    }
+    let mut out = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        walk_rs(dir, root, &mut out)?;
     }
     out.sort();
     Ok(out)

@@ -2,7 +2,7 @@
 //! id, and stays quiet on the good twin.
 
 use eus_analyze::rules::{docsync, obsnames::Registration};
-use eus_analyze::{diag, lint_source};
+use eus_analyze::{diag, lint_source, lint_tree};
 
 /// Fixtures lint as if they lived in an engine crate.
 const REL: &str = "crates/sched/src/fixture.rs";
@@ -61,6 +61,63 @@ fn r5_lock_discipline_fixture() {
     );
     let good = rule_ids(include_str!("fixtures/r5_good.rs"));
     assert!(good.is_empty(), "{good:?}");
+}
+
+/// The R6 fixture tree: one linted crate file plus a caller in each place
+/// that reads differently (test suite, benchmark, example).
+fn r6_tree(lib: &str) -> Vec<diag::Diag> {
+    lint_tree(&[
+        ("crates/demo/src/lib.rs", lib),
+        ("tests/demo.rs", include_str!("fixtures/r6_tests.rs")),
+        (
+            "benchmark/src/main.rs",
+            include_str!("fixtures/r6_benchmark.rs"),
+        ),
+        ("examples/demo.rs", include_str!("fixtures/r6_example.rs")),
+    ])
+}
+
+#[test]
+fn r6_dead_pub_fixture() {
+    let diags = r6_tree(include_str!("fixtures/r6_lib.rs"));
+    assert!(
+        diags
+            .iter()
+            .all(|d| d.rule == diag::R6_DEAD_PUB && d.file == "crates/demo/src/lib.rs"),
+        "{diags:?}"
+    );
+    let mut dead: Vec<&str> = diags
+        .iter()
+        .filter_map(|d| d.msg.split('`').nth(1))
+        .collect();
+    dead.sort_unstable();
+    assert_eq!(
+        dead,
+        [
+            "only_integration_tested",
+            "only_unit_tested",
+            "reexported_only"
+        ]
+    );
+}
+
+#[test]
+fn r6_allow_needs_a_justification() {
+    let lib = include_str!("fixtures/r6_lib.rs").replace(
+        "// analyze:allow(dead-pub): a user-facing capability with no caller yet",
+        "// analyze:allow(dead-pub)",
+    );
+    let diags = r6_tree(&lib);
+    assert!(
+        diags.iter().any(|d| d.rule == diag::RD_DIRECTIVE),
+        "{diags:?}"
+    );
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.rule == diag::R6_DEAD_PUB && d.msg.contains("`allowed_capability`")),
+        "{diags:?}"
+    );
 }
 
 fn span_reg(name: &str) -> Registration {

@@ -53,24 +53,6 @@ pub struct PolicyStats {
     pub makespan: f64,
 }
 
-/// Run the LLSC-like workload under a policy. Same seed ⇒ identical trace,
-/// so policies are compared on identical offered load.
-pub fn run_policy_sim(
-    policy: NodeSharing,
-    nodes: u32,
-    cores: u32,
-    horizon_hours: u64,
-    users: usize,
-    seed: u64,
-) -> PolicyStats {
-    let mut rng = SimRng::seed_from_u64(seed);
-    let mut db = UserDb::new();
-    let pop = UserPopulation::build(&mut db, users, users / 5 + 1, 1.1, &mut rng);
-    let trace =
-        WorkloadMix::llsc_like().generate(&pop, SimTime::from_secs(horizon_hours * 3600), &mut rng);
-    run_policy_on_trace(policy, nodes, cores, &trace)
-}
-
 /// Run a pre-generated trace under a policy.
 pub fn run_policy_on_trace(
     policy: NodeSharing,
@@ -135,7 +117,7 @@ mod tests {
 
     #[test]
     fn policy_sim_smoke() {
-        let s = run_policy_sim(NodeSharing::Shared, 8, 16, 1, 10, 1);
+        let s = run_policy_on_trace(NodeSharing::Shared, 8, 16, &standard_trace(10, 1, 1));
         assert!(s.completed > 0);
         assert!(s.effective_util > 0.0 && s.effective_util <= 1.0);
         assert!((s.claimed_util - s.effective_util).abs() < 1e-9);
@@ -149,12 +131,10 @@ mod tests {
     }
 }
 
-/// Replication support: run a seeded measurement across seeds in parallel
-/// and summarize with a 95% confidence interval, so experiment tables can
+/// Replication support: run a seeded measurement across seeds and
+/// summarize with a 95% confidence interval, so experiment tables can
 /// report `mean ± ci` instead of single-run numbers.
 pub mod replicate {
-    use rayon::prelude::*;
-
     /// Mean, spread, and bounds over replications.
     #[derive(Debug, Clone, Copy, PartialEq)]
     pub struct Replication {
@@ -176,17 +156,9 @@ pub mod replicate {
         }
     }
 
-    /// Run `f(seed)` for every seed in parallel and summarize.
-    pub fn replicate(
-        seeds: impl IntoIterator<Item = u64>,
-        f: impl Fn(u64) -> f64 + Sync + Send,
-    ) -> Replication {
-        let xs: Vec<f64> = seeds
-            .into_iter()
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .map(f)
-            .collect();
+    /// Run `f(seed)` for every seed and summarize.
+    pub fn replicate(seeds: impl IntoIterator<Item = u64>, f: impl Fn(u64) -> f64) -> Replication {
+        let xs: Vec<f64> = seeds.into_iter().map(f).collect();
         assert!(!xs.is_empty(), "replication needs at least one seed");
         let n = xs.len();
         let mean = xs.iter().sum::<f64>() / n as f64;

@@ -92,28 +92,6 @@ impl Image {
             .map(|p| p.vulns_at(self.built, now))
             .sum()
     }
-
-    /// Image age at `now`, in days.
-    pub fn age_days(&self, now: SimTime) -> f64 {
-        now.since(self.built).as_secs_f64() / 86_400.0
-    }
-
-    /// Rebuild the image now: same packages, zeroed vuln baseline (fresh
-    /// versions), new build time.
-    pub fn rebuilt_at(&self, now: SimTime) -> Image {
-        Image {
-            name: self.name.clone(),
-            built: now,
-            packages: self
-                .packages
-                .iter()
-                .map(|p| Package {
-                    vulns_at_build: 0,
-                    ..p.clone()
-                })
-                .collect(),
-        }
-    }
 }
 
 impl fmt::Display for Image {
@@ -134,18 +112,6 @@ mod tests {
         let one_year = SimTime::from_secs(365 * 86_400);
         let old = img.total_vulns_at(one_year);
         assert!(old >= 25, "a year of accrual across 5 packages: {old}");
-        assert!((img.age_days(one_year) - 365.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn rebuild_resets_the_clock() {
-        let img = Image::typical_research_stack("stack.sif", SimTime::ZERO);
-        let now = SimTime::from_secs(200 * 86_400);
-        let stale = img.total_vulns_at(now);
-        let fresh = img.rebuilt_at(now);
-        assert_eq!(fresh.total_vulns_at(now), 0);
-        assert!(stale > 0);
-        assert_eq!(fresh.name, img.name);
     }
 
     #[test]

@@ -12,7 +12,6 @@ pub use report::{AuditReport, ChannelRow};
 
 use crate::cluster::{ClusterSpec, SecureCluster};
 use crate::config::SeparationConfig;
-use rayon::prelude::*;
 
 /// The channels the paper expects to remain open even under the full
 /// configuration (Sec. V): those no mechanism closes — filenames in
@@ -27,10 +26,10 @@ pub fn expected_residuals() -> Vec<Channel> {
 }
 
 /// Audit one configuration. Each channel probes a fresh two-user cluster so
-/// probes cannot contaminate each other; channels run in parallel.
+/// probes cannot contaminate each other.
 pub fn run_audit(config: &SeparationConfig, spec: &ClusterSpec) -> AuditReport {
     let rows: Vec<ChannelRow> = Channel::all()
-        .par_iter()
+        .iter()
         .map(|&ch| {
             let mut cluster = SecureCluster::new(config.clone(), spec.clone());
             let attacker = cluster.add_user("attacker").expect("fresh db");

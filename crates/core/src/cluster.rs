@@ -879,6 +879,7 @@ impl SecureCluster {
     /// expiry is the rotation path). If the operator's config already
     /// trusts the realm *permanently* (`config.trusted_realms`), the
     /// time-box is ignored — a later grant never shortens standing trust.
+    // analyze:allow(dead-pub): time-boxed trust for a visiting realm
     pub fn register_sister_realm_until(
         &mut self,
         realm: RealmId,
@@ -1084,6 +1085,7 @@ impl SecureCluster {
     /// slowest subscriber still needs (see
     /// [`RevSyncMesh::compact_logs`](eus_revsync::RevSyncMesh::compact_logs)).
     /// Returns total entries dropped; 0 without the credential plane.
+    // analyze:allow(dead-pub): the operator hook that bounds revocation logs
     pub fn compact_revocation_logs(&mut self) -> u64 {
         self.revsync.as_mut().map_or(0, |m| m.compact_logs())
     }
@@ -1672,6 +1674,7 @@ impl SecureCluster {
     /// [`portal_login_mfa`](Self::portal_login_mfa) with a single-use
     /// recovery code in place of the window code — the lost-authenticator
     /// path; the code is burned on success.
+    // analyze:allow(dead-pub): lost-authenticator MFA recovery, a user-facing login path
     pub fn portal_login_recovery(
         &mut self,
         user: Uid,
@@ -1684,6 +1687,7 @@ impl SecureCluster {
     /// The portal's `unenroll_mfa` route: remove the session user's second
     /// factor. Step-up-gated like rebinding — the current code must be
     /// presented — and remaining recovery codes are voided.
+    // analyze:allow(dead-pub): step-up-gated MFA removal, a user-facing account action
     pub fn portal_unenroll_mfa(
         &mut self,
         token: eus_portal::Token,
@@ -1709,6 +1713,15 @@ mod tests {
 
     fn llsc_tiny() -> SecureCluster {
         SecureCluster::new(SeparationConfig::llsc(), ClusterSpec::tiny())
+    }
+
+    /// A gauge's value as an operator reads it: from a snapshot.
+    fn gauge(c: &SecureCluster, name: &str) -> i64 {
+        let snap = c.obs.rec.snapshot();
+        snap.gauges
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |(_, v)| *v)
     }
 
     #[test]
@@ -2440,7 +2453,7 @@ mod tests {
             DepHealth::Degraded { .. }
         ));
         assert!(c.degraded());
-        assert_eq!(c.obs.rec.gauge_value(c.obs.g_health_idp), 1);
+        assert_eq!(gauge(&c, "core.health.idp"), 1);
         // The degraded SLO fires on the very boundary (1-bucket windows).
         assert!(
             !c.obs
@@ -2463,7 +2476,7 @@ mod tests {
         // state: fail-closed.
         c.advance_to(SimTime::ZERO + c.config.revsync_max_lag + SimDuration::from_secs(20));
         assert_eq!(c.dependency_health(Dependency::Idp), DepHealth::FailClosed);
-        assert_eq!(c.obs.rec.gauge_value(c.obs.g_health_idp), 2);
+        assert_eq!(gauge(&c, "core.health.idp"), 2);
 
         // Heal snaps straight back to Healthy and logins work again.
         c.set_idp_available(true);
@@ -2502,7 +2515,7 @@ mod tests {
         ));
         c.advance_to(t0 + budget + SimDuration::from_secs(60));
         assert_eq!(c.dependency_health(Dependency::Feed), DepHealth::FailClosed);
-        assert_eq!(c.obs.rec.gauge_value(c.obs.g_health_feed), 2);
+        assert_eq!(gauge(&c, "core.health.feed"), 2);
 
         // Heal: the resubscribed feed catches the replica up within one
         // interval and the ladder snaps back.

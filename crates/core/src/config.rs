@@ -221,18 +221,6 @@ impl SeparationConfig {
         self
     }
 
-    /// Builder: set the revocation push-feed cadence.
-    pub fn with_revsync_feed_interval(mut self, interval: SimDuration) -> Self {
-        self.revsync_feed_interval = interval;
-        self
-    }
-
-    /// Builder: set the cross-realm staleness budget.
-    pub fn with_revsync_max_lag(mut self, budget: SimDuration) -> Self {
-        self.revsync_max_lag = budget;
-        self
-    }
-
     /// The Slurm `PrivateData` flags implied by this config.
     pub fn private_data_flags(&self) -> PrivateData {
         if self.private_data {
@@ -434,9 +422,11 @@ mod tests {
     #[test]
     fn revsync_knobs_render_only_when_changed() {
         assert_eq!(SeparationConfig::llsc().label(), "llsc");
-        let c = SeparationConfig::llsc()
-            .with_revsync_feed_interval(SimDuration::from_secs(60))
-            .with_revsync_max_lag(SimDuration::from_secs(120));
+        let c = SeparationConfig {
+            revsync_feed_interval: SimDuration::from_secs(60),
+            revsync_max_lag: SimDuration::from_secs(120),
+            ..SeparationConfig::llsc()
+        };
         let label = c.label();
         assert!(label.contains("revsync["), "{label}");
     }

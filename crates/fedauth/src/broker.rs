@@ -262,6 +262,7 @@ impl CredentialBroker {
     }
 
     /// Whether the user will be MFA-challenged at the next login.
+    // analyze:allow(dead-pub): whether the next login is MFA-challenged, the account's visible second-factor state
     pub fn mfa_challenged(&self, user: Uid) -> bool {
         self.table.idp.is_challenged(user)
     }

@@ -263,6 +263,7 @@ impl FederationDirectory {
 
     /// Validate an SSH certificate presented at `site`; same trust rules as
     /// [`validate_token_at`](Self::validate_token_at).
+    // analyze:allow(dead-pub): cross-realm SSH-certificate validation, the federated login route for certs
     pub fn validate_cert_at(&self, site: RealmId, cert: &SshCertificate) -> Result<Uid, CredError> {
         self.validate_at(site, cert.realm, |plane| plane.validate_cert(cert))
     }

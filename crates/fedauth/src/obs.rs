@@ -92,21 +92,6 @@ impl ValidateStats {
         self.stats.value(self.s_ns)
     }
 
-    /// Slowest single verification, nanoseconds.
-    pub fn max_ns(&self) -> u64 {
-        self.stats.value(self.s_ns_max)
-    }
-
-    /// Mean verification wall time, nanoseconds (0 when nothing recorded).
-    pub fn mean_ns(&self) -> f64 {
-        let n = self.calls();
-        if n == 0 {
-            0.0
-        } else {
-            self.total_ns() as f64 / n as f64
-        }
-    }
-
     /// Every slot as `(name, value)`.
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
         self.stats.snapshot()
@@ -144,8 +129,6 @@ mod tests {
         assert_eq!(s.calls(), 5);
         assert_eq!(s.ok(), 3);
         assert_eq!(s.rejects(), 2);
-        assert!(s.total_ns() >= s.max_ns());
-        assert!(s.mean_ns() >= 0.0);
         assert!(s.snapshot().iter().any(|(n, _)| *n == "cred.validate.ok"));
     }
 }

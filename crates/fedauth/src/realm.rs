@@ -189,7 +189,8 @@ impl IdentityProvider {
     }
 
     /// Unburned recovery codes remaining for a user.
-    pub fn recovery_codes_left(&self, user: Uid) -> usize {
+    #[cfg(test)]
+    fn recovery_codes_left(&self, user: Uid) -> usize {
         self.recovery.get(&user).map_or(0, BTreeSet::len)
     }
 

@@ -23,22 +23,6 @@ impl LustreClient {
         LustreClient { patched: true }
     }
 
-    /// A pre-2.7.0 client exhibiting the bug.
-    pub fn unpatched() -> Self {
-        LustreClient { patched: false }
-    }
-
-    /// The effective creation mask this client applies. The unpatched client
-    /// reads only the raw `umask`; the patched one uses the accessor, which
-    /// the smask kernel patch extends to `umask | smask`.
-    pub fn effective_mask(&self, ctx: &FsCtx) -> Mode {
-        if self.patched {
-            ctx.umask.union(ctx.smask)
-        } else {
-            ctx.umask
-        }
-    }
-
     /// Create a file on a Lustre-backed filesystem through this client.
     pub fn create(&self, fs: &mut Vfs, ctx: &FsCtx, path: &str, mode: Mode) -> FsResult<Ino> {
         if self.patched {
@@ -72,7 +56,7 @@ mod tests {
     #[test]
     fn unpatched_client_leaks_world_bits() {
         let (mut fs, ctx) = lustre_fs();
-        LustreClient::unpatched()
+        LustreClient { patched: false }
             .create(&mut fs, &ctx, "/tmp/leaky", Mode::new(0o666))
             .unwrap();
         let mode = fs.stat(&ctx, "/tmp/leaky").unwrap().mode;
@@ -91,19 +75,10 @@ mod tests {
     }
 
     #[test]
-    fn effective_masks_differ_only_by_smask() {
-        let ctx = FsCtx::user(Credentials::new(Uid(1), Gid(1)))
-            .with_umask(Mode::new(0o022))
-            .with_smask(LLSC_SMASK);
-        assert_eq!(LustreClient::unpatched().effective_mask(&ctx).bits(), 0o022);
-        assert_eq!(LustreClient::patched().effective_mask(&ctx).bits(), 0o027);
-    }
-
-    #[test]
     fn chmod_still_enforced_even_with_unpatched_client() {
         // The bug is create-time only; the kernel chmod path still masks.
         let (mut fs, ctx) = lustre_fs();
-        LustreClient::unpatched()
+        LustreClient { patched: false }
             .create(&mut fs, &ctx, "/tmp/f", Mode::new(0o666))
             .unwrap();
         fs.chmod(&ctx, "/tmp/f", Mode::new(0o666)).unwrap();

@@ -17,9 +17,7 @@
 //! * **Phase spans** — [`Recorder::span_start`] returns a [`SpanToken`]
 //!   (a wall-clock instant, or nothing when disabled);
 //!   [`Recorder::span_end`] folds the elapsed nanoseconds into that span's
-//!   count/total/histogram. Sim-time-valued observations (staleness lags,
-//!   queue waits) go through [`Recorder::observe`] into the same reservoir
-//!   histograms.
+//!   count/total/histogram.
 //! * [`FlightRecorder`] — a fixed-capacity ring buffer of sim-time-stamped
 //!   structured events ([`FlightEvent`]): job state transitions, audit
 //!   hits, replica staleness edges, preemption decisions. Dumpable as JSON
@@ -108,11 +106,5 @@ impl ObsConfig {
             enabled: true,
             ..Self::default()
         }
-    }
-
-    /// Builder: set the flight-recorder capacity.
-    pub fn with_flight_capacity(mut self, cap: usize) -> Self {
-        self.flight_capacity = cap;
-        self
     }
 }

@@ -67,9 +67,6 @@ pub struct SpanStats {
     pub total_ns: u64,
     /// Reservoir histogram of per-entry wall nanoseconds.
     pub wall_ns: Histogram,
-    /// Reservoir histogram of values recorded via [`Recorder::observe`]
-    /// (sim-time durations, sizes — whatever the span's unit is).
-    pub values: Histogram,
 }
 
 /// The registry + storage for one plane's metrics and flight recorder.
@@ -158,7 +155,6 @@ impl Recorder {
             count: 0,
             total_ns: 0,
             wall_ns: Histogram::with_reservoir(self.reservoir),
-            values: Histogram::with_reservoir(self.reservoir),
         });
         SpanId((self.span_names.len() - 1) as u16)
     }
@@ -213,8 +209,9 @@ impl Recorder {
         }
     }
 
-    /// The ring behind a tracked handle (windowed reads for SLOs/reports).
-    pub fn ts(&self, id: TsId) -> Option<&TsRing> {
+    /// The ring behind a tracked handle (windowed reads in tests).
+    #[cfg(test)]
+    fn ts(&self, id: TsId) -> Option<&TsRing> {
         self.tracked.get(id.0 as usize).map(|t| &t.ring)
     }
 
@@ -235,14 +232,6 @@ impl Recorder {
     pub fn add(&mut self, id: CounterId, n: u64) {
         if self.enabled {
             self.counters[id.0 as usize] += n;
-        }
-    }
-
-    /// Adjust a gauge by `delta`.
-    #[inline]
-    pub fn gauge_add(&mut self, id: GaugeId, delta: i64) {
-        if self.enabled {
-            self.gauges[id.0 as usize] += delta;
         }
     }
 
@@ -278,16 +267,6 @@ impl Recorder {
         }
     }
 
-    /// Record a value observation (sim-time seconds, bytes, lag — the
-    /// span's own unit) into `id`'s value histogram.
-    #[inline]
-    pub fn observe(&mut self, id: SpanId, v: f64) {
-        if self.enabled {
-            let s = &mut self.spans[id.0 as usize];
-            s.values.record(v);
-        }
-    }
-
     /// Append a structured event to the flight recorder.
     #[inline]
     pub fn event(&mut self, at: SimTime, kind: &'static str, a: u64, b: u64, c: u64) {
@@ -303,11 +282,6 @@ impl Recorder {
     /// Current value of a counter.
     pub fn counter_value(&self, id: CounterId) -> u64 {
         self.counters[id.0 as usize]
-    }
-
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> i64 {
-        self.gauges[id.0 as usize]
     }
 
     /// Statistics for a span.
@@ -334,12 +308,7 @@ impl Recorder {
     pub fn ops_estimate(&self) -> u64 {
         let c: u64 = self.counters.iter().sum();
         let s: u64 = self.spans.iter().map(|s| s.count).sum();
-        let v: u64 = self
-            .spans
-            .iter()
-            .map(|s| s.values.len() as u64)
-            .sum::<u64>();
-        c + 2 * s + v + self.flight.pushed()
+        c + 2 * s + self.flight.pushed()
     }
 
     /// Point-in-time snapshot of every registered metric.
@@ -366,7 +335,6 @@ impl Recorder {
                     count: s.count,
                     total_ns: s.total_ns,
                     wall_ns: s.wall_ns.summary(),
-                    values: s.values.summary(),
                 })
                 .collect(),
         }
@@ -384,8 +352,6 @@ pub struct SpanRow {
     pub total_ns: u64,
     /// Wall-time distribution (reservoir), if any entries were recorded.
     pub wall_ns: Option<Summary>,
-    /// Value distribution, if any observations were recorded.
-    pub values: Option<Summary>,
 }
 
 /// A point-in-time, JSON-renderable snapshot of a [`Recorder`].
@@ -453,13 +419,6 @@ impl ObsSnapshot {
                     w.mean, w.p50, w.p99, w.max
                 );
             }
-            if let Some(v) = &s.values {
-                let _ = write!(
-                    out,
-                    ", \"values\": {{ \"count\": {}, \"mean\": {:.3}, \"p99\": {:.3}, \"max\": {:.3} }}",
-                    v.count, v.mean, v.p99, v.max
-                );
-            }
             out.push_str(" }");
         }
         out.push_str("\n  }\n}");
@@ -480,7 +439,6 @@ mod tests {
         r.add(c, 10);
         let t = r.span_start();
         r.span_end(sp, t);
-        r.observe(sp, 1.0);
         r.event(SimTime::ZERO, "ev", 1, 2, 3);
         assert_eq!(r.counter_value(c), 0);
         assert_eq!(r.span_stats(sp).count, 0);
@@ -497,11 +455,9 @@ mod tests {
         r.add(c, 4);
         let t = r.span_start();
         r.span_end(sp, t);
-        r.observe(sp, 2.5);
         assert_eq!(r.counter_value(c), 5);
         let s = r.span_stats(sp);
         assert_eq!(s.count, 1);
-        assert_eq!(s.values.len(), 1);
         let snap = r.snapshot();
         assert_eq!(snap.counter("x.y.count"), 5);
         assert_eq!(snap.span("x.y.phase").unwrap().count, 1);

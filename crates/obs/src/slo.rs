@@ -200,29 +200,6 @@ impl SloPlane {
         }
     }
 
-    /// Re-aim a registered objective's burn-rate windows at runtime, the
-    /// same way [`set_target`](Self::set_target) re-aims its budget
-    /// (deployment-specific alerting cadence: a chaos soak wants a slower
-    /// long window than an interactive run). The backing ring grows when
-    /// the new windows need more capacity — growth restarts the ring's
-    /// history, so evaluation holds state until fresh samples land (the
-    /// same no-data rule as any gap). Shrinking keeps the ring and its
-    /// history.
-    pub fn set_windows(&mut self, id: SloId, short_buckets: usize, long_buckets: usize) {
-        let i = id.0 as usize;
-        let Some(s) = self.specs.get_mut(i) else {
-            return;
-        };
-        s.short_buckets = short_buckets;
-        s.long_buckets = long_buckets;
-        let need = long_buckets.max(short_buckets).max(1) * 2;
-        if let Some(r) = self.rings.get_mut(i) {
-            if r.capacity() < need {
-                *r = TsRing::new(self.bucket, need);
-            }
-        }
-    }
-
     /// The current spec of an objective.
     pub fn spec(&self, id: SloId) -> Option<&SloSpec> {
         self.specs.get(id.0 as usize)
@@ -448,39 +425,6 @@ mod tests {
         assert_eq!(id, again);
         p.set_target(id, 250.0);
         assert_eq!(p.spec(id).map(|s| s.target), Some(250.0));
-    }
-
-    #[test]
-    fn rewindowing_changes_burn_behavior_and_grows_the_ring() {
-        let (mut p, id) = plane();
-        // Shrink both windows to one bucket: a single hot sample now fires
-        // immediately (no long-window suppression left).
-        p.set_windows(id, 1, 1);
-        assert_eq!(
-            p.spec(id).map(|s| (s.short_buckets, s.long_buckets)),
-            Some((1, 1))
-        );
-        p.record(id, t(0), 500.0);
-        let alerts = p.evaluate(t(0));
-        assert_eq!(alerts.len(), 1);
-        assert_eq!(alerts[0].kind, AlertKind::Fire);
-
-        // Widen past the original capacity: the ring grows, history
-        // restarts, and state holds until fresh samples land.
-        p.set_windows(id, 3, 60);
-        assert!(p.ring(id).unwrap().capacity() >= 120);
-        assert!(p.evaluate(t(10)).is_empty(), "no data: hold state");
-        // A sustained recovery across the new windows clears.
-        for k in 1..70 {
-            p.record(id, t(k * 10), 5.0);
-            p.evaluate(t(k * 10));
-        }
-        assert_eq!(
-            p.alerts().entries().last().map(|a| a.kind),
-            Some(AlertKind::Clear)
-        );
-        // Unknown ids are ignored, like set_target.
-        p.set_windows(SloId(99), 1, 1);
     }
 
     #[test]

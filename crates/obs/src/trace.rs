@@ -100,12 +100,6 @@ impl TraceToken {
         start: SimTime::ZERO,
     };
 
-    /// True when this token will record on finish.
-    #[inline]
-    pub fn is_live(&self) -> bool {
-        self.trace != 0
-    }
-
     /// The context children of this span should carry.
     #[inline]
     pub fn ctx(&self) -> TraceCtx {
@@ -534,7 +528,7 @@ mod tests {
     fn disabled_buffer_records_nothing() {
         let tb = TraceBuffer::disabled("test", 1);
         let tok = tb.root("a.b.c", t(1));
-        assert!(!tok.is_live());
+        assert!(tok.ctx().is_none());
         tb.finish(tok, t(2));
         assert_eq!(tb.hit(tok.ctx(), "a.b.d", t(2), 0), TraceCtx::NONE);
         assert_eq!(tb.pushed(), 0);
@@ -546,7 +540,7 @@ mod tests {
         let a = TraceBuffer::new("alpha", 1, 64, true);
         let b = TraceBuffer::new("beta", 2, 64, true);
         let root = a.root("alpha.op.begin", t(1));
-        assert!(root.is_live());
+        assert!(!root.ctx().is_none());
         let c1 = b.hit(root.ctx(), "beta.op.step", t(2), 7);
         assert!(!c1.is_none());
         let c2 = b.hit(c1, "beta.op.deep", t(3), 0);

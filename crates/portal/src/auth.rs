@@ -116,6 +116,7 @@ impl PortalAuth {
     }
 
     /// Set a session TTL (applies to subsequent logins).
+    // analyze:allow(dead-pub): operator-set portal session lifetime
     pub fn with_ttl(mut self, ttl: SimDuration) -> Self {
         self.ttl = Some(ttl);
         self

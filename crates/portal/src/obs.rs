@@ -72,7 +72,8 @@ impl PortalObs {
     }
 
     /// Total fetch attempts (every outcome).
-    pub fn fetches_total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn fetches_total(&self) -> u64 {
         self.rec.counter_value(self.c_fetch_ok)
             + self.rec.counter_value(self.c_fetch_auth)
             + self.rec.counter_value(self.c_fetch_no_route)

@@ -67,6 +67,7 @@ impl RouteTable {
     }
 
     /// Routes owned by a user (their portal home page listing).
+    // analyze:allow(dead-pub): a user's portal home page: the apps they run
     pub fn for_user(&self, user: Uid) -> Vec<&Route> {
         self.routes
             .values()

@@ -361,11 +361,6 @@ impl RevSyncMesh {
         }
     }
 
-    /// Whether the (issuer → subscriber) push feed is currently stalled.
-    pub fn feed_stalled(&self, issuer: RealmId, subscriber: RealmId) -> bool {
-        self.stalled.contains(&(issuer, subscriber))
-    }
-
     /// Compact every issuer's delta log below the minimum frontier its
     /// subscribers have *applied*: entries no subscriber can ever ask for
     /// again are truncated at the plane
@@ -896,6 +891,7 @@ impl RevSyncMesh {
     }
 
     /// [`validate_token_at`](Self::validate_token_at) for SSH certificates.
+    // analyze:allow(dead-pub): cross-realm SSH-certificate validation against the replicated revocation list
     pub fn validate_cert_at(
         &self,
         site: RealmId,
@@ -1211,7 +1207,6 @@ mod tests {
         let token = sister.write().login(&db, alice, None).unwrap();
         sister.write().revoke_user(alice);
         mesh.set_feed_stalled(RealmId(2), RealmId(1), true);
-        assert!(mesh.feed_stalled(RealmId(2), RealmId(1)));
 
         // Past the silence budget: pushes were swallowed (no detected
         // failures, so no retries) and the silence edge fired exactly once.

@@ -144,12 +144,14 @@ impl MeshObs {
     }
 
     /// Replica validations recorded (hot-path calls).
-    pub fn validate_calls(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn validate_calls(&self) -> u64 {
         self.stats.value(self.s_calls)
     }
 
     /// Validations refused for staleness (the fail-closed budget at work).
-    pub fn validate_stale(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn validate_stale(&self) -> u64 {
         self.stats.value(self.s_stale)
     }
 }

@@ -154,6 +154,7 @@ impl CrlReplica {
     }
 
     /// Number of revoked serials known locally.
+    // analyze:allow(dead-pub): resident size of the replicated revoked set, the operator's capacity read
     pub fn revoked_count(&self) -> usize {
         self.revoked.len()
     }

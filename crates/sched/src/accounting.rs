@@ -2,10 +2,9 @@
 //!
 //! Two consumers share this module:
 //!
-//! * **Humans/operators** — [`Scheduler::sacct`] per-job records and
-//!   [`Scheduler::usage_report`] per-user rollups, filtered by
-//!   `PrivateData=usage` exactly as the queue view is filtered by
-//!   `PrivateData=jobs` (paper Sec. IV-B).
+//! * **Humans/operators** — [`Scheduler::sacct`] per-job records,
+//!   filtered by `PrivateData=usage` exactly as the queue view is filtered
+//!   by `PrivateData=jobs` (paper Sec. IV-B).
 //! * **The scheduler's policy plane** — [`FairShareLedger`], the decayed
 //!   per-user/per-partition usage record that drives multi-partition
 //!   fair-share head selection (`SchedConfig::fair_share`). Every finished
@@ -136,7 +135,8 @@ impl FairShareLedger {
     /// Charge `core_seconds` of consumption to `(partition, user)` at `at`,
     /// numbering a name this (standalone) ledger has not seen with the
     /// next free class. A name past the last `ClassId` is not recorded.
-    pub fn charge(&mut self, partition: &str, user: Uid, core_seconds: f64, at: SimTime) {
+    #[cfg(test)]
+    pub(crate) fn charge(&mut self, partition: &str, user: Uid, core_seconds: f64, at: SimTime) {
         let class = match self.names.get(partition) {
             Some(&c) => c,
             None => {
@@ -170,12 +170,14 @@ impl FairShareLedger {
 
     /// Decayed core-seconds attributable to `(partition, user)` as of
     /// `now` — the human-readable form (`sshare`-style reports).
-    pub fn decayed_usage(&self, partition: &str, user: Uid, now: SimTime) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn decayed_usage(&self, partition: &str, user: Uid, now: SimTime) -> f64 {
         self.score(partition, user) / self.weight(now)
     }
 
     /// Users with recorded usage in `partition`, with decayed usage at
     /// `now`, ascending by usage (the dispatch order among equal queues).
+    // analyze:allow(dead-pub): the sshare-style fair-share standings a user reads
     pub fn partition_standings(&self, partition: &str, now: SimTime) -> Vec<(Uid, f64)> {
         let w = self.weight(now);
         let mut rows: Vec<(Uid, f64)> = self
@@ -210,19 +212,6 @@ pub struct AcctRecord {
     pub core_seconds: f64,
 }
 
-/// Per-user usage rollup.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct UserUsage {
-    /// Jobs submitted.
-    pub jobs: u64,
-    /// Jobs completed.
-    pub completed: u64,
-    /// Jobs failed.
-    pub failed: u64,
-    /// Total core-seconds.
-    pub core_seconds: f64,
-}
-
 impl Scheduler {
     /// `sacct` as seen by `viewer` under the PrivateData configuration.
     pub fn sacct(&self, viewer: &Credentials) -> Vec<AcctRecord> {
@@ -241,22 +230,6 @@ impl Scheduler {
                 core_seconds: j.core_seconds(),
             })
             .collect()
-    }
-
-    /// Usage rollup across every user the viewer may see.
-    pub fn usage_report(&self, viewer: &Credentials) -> BTreeMap<Uid, UserUsage> {
-        let mut out: BTreeMap<Uid, UserUsage> = BTreeMap::new();
-        for rec in self.sacct(viewer) {
-            let u = out.entry(rec.user).or_default();
-            u.jobs += 1;
-            match rec.state {
-                JobState::Completed => u.completed += 1,
-                JobState::Failed => u.failed += 1,
-                _ => {}
-            }
-            u.core_seconds += rec.core_seconds;
-        }
-        out
     }
 }
 
@@ -294,10 +267,10 @@ mod tests {
         let viewer = Credentials::new(Uid(1), Gid(1));
         let rows = s.sacct(&viewer);
         assert_eq!(rows.len(), 2);
-        let usage = s.usage_report(&viewer);
-        assert_eq!(usage[&Uid(1)].completed, 1);
-        assert!((usage[&Uid(1)].core_seconds - 20.0).abs() < 1e-9);
-        assert!((usage[&Uid(2)].core_seconds - 40.0).abs() < 1e-9);
+        let row = |u: Uid| rows.iter().find(|r| r.user == u).expect("row per user");
+        assert_eq!(row(Uid(1)).state, JobState::Completed);
+        assert!((row(Uid(1)).core_seconds - 20.0).abs() < 1e-9);
+        assert!((row(Uid(2)).core_seconds - 40.0).abs() < 1e-9);
     }
 
     #[test]
@@ -366,9 +339,7 @@ mod tests {
         let viewer = Credentials::new(Uid(1), Gid(1));
         let rows = s.sacct(&viewer);
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].user, Uid(1));
-        let usage = s.usage_report(&viewer);
-        assert!(!usage.contains_key(&Uid(2)), "other users' usage hidden");
+        assert_eq!(rows[0].user, Uid(1), "other users' usage hidden");
         // Root still sees all.
         assert_eq!(s.sacct(&Credentials::root()).len(), 2);
     }

@@ -148,7 +148,8 @@ impl ReservationCalendar {
 
     /// Would a job (`cand`) occupying `placement` until `cand_end` collide
     /// with any reservation held for a *different* job? See [`blocks_any`].
-    pub fn blocks(
+    #[cfg(test)]
+    pub(crate) fn blocks(
         &self,
         cand: JobId,
         placement: &[(NodeId, TaskAlloc)],

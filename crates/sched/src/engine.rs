@@ -794,6 +794,7 @@ impl Scheduler {
 
     /// The fair-share usage ledger (read-only; populated only while
     /// `config.fair_share` is on).
+    // analyze:allow(dead-pub): the sshare-style read of fair-share usage
     pub fn fair_share_ledger(&self) -> &FairShareLedger {
         &self.ledger
     }
@@ -801,6 +802,7 @@ impl Scheduler {
     /// Every reservation currently held by the calendar(s), valid for the
     /// present engine state. Empty unless `config.reservations > 0` and a
     /// scheduling cycle has planned since the last state change.
+    // analyze:allow(dead-pub): the reservation calendar an operator inspects (scontrol show reservation)
     pub fn held_reservations(&self) -> Vec<Reservation> {
         let key = self.calendar_key();
         self.partitions
@@ -947,6 +949,7 @@ impl Scheduler {
     /// would need the full kill path we don't model). The departure moves
     /// `queue_shrink_epoch`, which the calendar memo keys on: a
     /// reservation held for the cancelled job is not served again.
+    // analyze:allow(dead-pub): scancel: a user withdraws a pending job
     pub fn cancel(&mut self, id: JobId) -> bool {
         let Some(job) = self.jobs.get_mut(&id) else {
             return false;
@@ -2556,7 +2559,10 @@ mod tests {
         // Actual runtime 100s, requested limit 30s: killed at 30.
         let j = s.submit_at(
             SimTime::ZERO,
-            job(1, 2, 100).with_time_limit(SimDuration::from_secs(30)),
+            JobSpec {
+                time_limit: SimDuration::from_secs(30),
+                ..job(1, 2, 100)
+            },
         );
         // A well-behaved job for contrast.
         let ok = s.submit_at(SimTime::ZERO, job(2, 2, 20));

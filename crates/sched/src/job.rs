@@ -171,12 +171,6 @@ impl JobSpec {
         self
     }
 
-    /// Builder: wall-time limit (defaults to the duration).
-    pub fn with_time_limit(mut self, limit: SimDuration) -> Self {
-        self.time_limit = limit;
-        self
-    }
-
     /// Builder: job kind.
     pub fn with_kind(mut self, kind: JobKind) -> Self {
         self.kind = kind;
@@ -190,6 +184,7 @@ impl JobSpec {
     }
 
     /// Builder: request `--exclusive`.
+    // analyze:allow(dead-pub): the user's --exclusive submit flag
     pub fn exclusive(mut self) -> Self {
         self.request_exclusive = true;
         self
@@ -204,16 +199,6 @@ impl JobSpec {
     /// Total cores requested.
     pub fn total_cores(&self) -> u64 {
         self.tasks as u64 * self.cpus_per_task as u64
-    }
-
-    /// Total memory requested (MiB).
-    pub fn total_mem_mib(&self) -> u64 {
-        self.tasks as u64 * self.mem_per_task_mib
-    }
-
-    /// Total GPUs requested.
-    pub fn total_gpus(&self) -> u64 {
-        self.tasks as u64 * self.gpus_per_task as u64
     }
 }
 
@@ -313,8 +298,6 @@ mod tests {
             .with_mem_per_task(2048)
             .with_gpus_per_task(1);
         assert_eq!(s.total_cores(), 16);
-        assert_eq!(s.total_mem_mib(), 16384);
-        assert_eq!(s.total_gpus(), 8);
         assert_eq!(s.time_limit, s.duration, "limit defaults to duration");
         assert_eq!(s.kind, JobKind::Batch);
     }

@@ -79,7 +79,7 @@ pub mod privatedata;
 pub mod reference;
 pub mod table;
 
-pub use accounting::{AcctRecord, FairShareLedger, UserUsage, FAIR_SHARE_HALF_LIFE};
+pub use accounting::{AcctRecord, FairShareLedger, FAIR_SHARE_HALF_LIFE};
 pub use calendar::{Reservation, ReservationCalendar};
 pub use engine::{
     EpilogEvent, FailureRecord, PreemptionRecord, SchedConfig, SchedMetrics, Scheduler,

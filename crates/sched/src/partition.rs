@@ -211,7 +211,8 @@ impl PartitionTable {
 
     /// [`resolve_class`](Self::resolve_class) by name: `None` = the whole,
     /// unpartitioned cluster.
-    pub fn resolve(&self, partition: Option<&str>) -> Result<Option<&str>, PartitionError> {
+    #[cfg(test)]
+    pub(crate) fn resolve(&self, partition: Option<&str>) -> Result<Option<&str>, PartitionError> {
         Ok(self
             .class(self.resolve_class(partition)?)
             .map(|p| p.name.as_str()))

@@ -101,6 +101,7 @@ impl ReferenceScheduler {
     /// Attach a flight recorder (capacity-bounded ring) recording the same
     /// event kinds as the engine: `job.submit`, `job.start`, `job.end`,
     /// `node.fail`, `node.repair`.
+    // analyze:allow(dead-pub): the reference's event log, compared with the engine's by the equivalence suites
     pub fn enable_flight(&mut self, capacity: usize) {
         self.flight = Some(FlightRecorder::new(capacity));
     }
@@ -190,20 +191,6 @@ impl ReferenceScheduler {
     /// Submit arriving now.
     pub fn submit(&mut self, spec: JobSpec) -> JobId {
         self.submit_at(self.now, spec)
-    }
-
-    /// Cancel a pending job.
-    pub fn cancel(&mut self, id: JobId) -> bool {
-        let Some(job) = self.jobs.get_mut(&id) else {
-            return false;
-        };
-        if job.state != JobState::Pending {
-            return false;
-        }
-        job.state = JobState::Cancelled;
-        job.ended = Some(self.now);
-        self.queue.retain(|j| *j != id);
-        true
     }
 
     /// Inject a node crash at `at`.

@@ -3,8 +3,6 @@
 //! The paper's evaluation platform is a production HPC cluster; this crate is
 //! the stand-in clock and measurement bench everything else runs on:
 //!
-//! * [`engine::Sim`] — a deterministic discrete-event engine (FIFO tiebreak at
-//!   equal timestamps) generic over a caller-owned world.
 //! * [`time::SimTime`] / [`time::SimDuration`] — microsecond-resolution
 //!   simulated time.
 //! * [`rng::SimRng`] — seeded randomness with the exponential / Poisson /
@@ -20,14 +18,12 @@
 
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod hash;
 pub mod metrics;
 pub mod rng;
 pub mod series;
 pub mod time;
 
-pub use engine::Sim;
 pub use hash::{splitmix64, HashKey, KeyedMap, KeyedSet};
 pub use metrics::{Counter, Histogram, Summary, TimeWeighted};
 pub use rng::{SimRng, Zipf};

@@ -217,28 +217,6 @@ impl Histogram {
             max: self.max,
         })
     }
-
-    /// Merge another histogram into this one. Aggregates merge exactly;
-    /// the other side's retained samples are offered to this side's
-    /// retention (so a reservoir stays bounded).
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.sumsq += other.sumsq;
-        for &v in &other.samples {
-            self.retain(v);
-        }
-    }
 }
 
 impl fmt::Display for Summary {
@@ -259,7 +237,6 @@ impl fmt::Display for Summary {
 /// core utilization are computed in the scheduler experiments.
 #[derive(Debug, Clone)]
 pub struct TimeWeighted {
-    started: SimTime,
     last_change: SimTime,
     current: f64,
     integral: f64,
@@ -270,7 +247,6 @@ impl TimeWeighted {
     /// Start tracking at `start` with initial value `initial`.
     pub fn new(start: SimTime, initial: f64) -> Self {
         TimeWeighted {
-            started: start,
             last_change: start,
             current: initial,
             integral: 0.0,
@@ -312,15 +288,6 @@ impl TimeWeighted {
     /// Integral of the value from the start through `now`, in value·seconds.
     pub fn integral(&self, now: SimTime) -> f64 {
         self.integral + self.current * now.since(self.last_change).as_secs_f64()
-    }
-
-    /// Time-weighted mean over `[start, now]`; 0 for an empty window.
-    pub fn average(&self, now: SimTime) -> f64 {
-        let window = now.since(self.started).as_secs_f64();
-        if window <= 0.0 {
-            return 0.0;
-        }
-        self.integral(now) / window
     }
 }
 
@@ -365,22 +332,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(1.0);
-        b.record(3.0);
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert!((a.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn time_weighted_average() {
         // 4 cores busy for 10s, then 0 for 10s => average 2 over 20s.
         let mut tw = TimeWeighted::new(SimTime::ZERO, 4.0);
         tw.set(SimTime::from_secs(10), 0.0);
-        assert!((tw.average(SimTime::from_secs(20)) - 2.0).abs() < 1e-9);
+        assert!((tw.integral(SimTime::from_secs(20)) - 40.0).abs() < 1e-9);
         assert_eq!(tw.peak(), 4.0);
     }
 
@@ -392,12 +348,6 @@ mod tests {
                                               // integral at t=20: 0*5 + 2*5 + 1*10 = 20
         assert!((tw.integral(SimTime::from_secs(20)) - 20.0).abs() < 1e-9);
         assert_eq!(tw.current(), 1.0);
-    }
-
-    #[test]
-    fn time_weighted_empty_window() {
-        let tw = TimeWeighted::new(SimTime::from_secs(5), 3.0);
-        assert_eq!(tw.average(SimTime::from_secs(5)), 0.0);
     }
 
     #[test]
@@ -444,32 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_summary_cache_invalidated_on_merge() {
-        let mut a = Histogram::new();
-        a.record(1.0);
-        assert_eq!(a.summary().unwrap().max, 1.0);
-        let mut b = Histogram::new();
-        b.record(9.0);
-        a.merge(&b);
-        assert_eq!(a.summary().unwrap().max, 9.0);
-        assert_eq!(a.summary().unwrap().count, 2);
-    }
-
-    #[test]
-    fn histogram_merge_into_reservoir_stays_bounded() {
-        let mut a = Histogram::with_reservoir(8);
-        let mut b = Histogram::new();
-        for v in 1..=100 {
-            b.record(v as f64);
-        }
-        a.merge(&b);
-        assert_eq!(a.samples().len(), 8);
-        assert_eq!(a.len(), 100);
-        assert_eq!(a.summary().unwrap().min, 1.0);
-        assert_eq!(a.summary().unwrap().max, 100.0);
-    }
-
-    #[test]
     fn time_weighted_zero_duration_interval() {
         // Two value changes at the same instant: the intermediate value
         // contributes nothing; only the final one integrates forward.
@@ -496,7 +420,6 @@ mod tests {
         let mut tw = TimeWeighted::new(SimTime::ZERO, 4.0);
         tw.set(SimTime::from_secs(10), 0.0); // integral now 40
         assert!((tw.integral(SimTime::from_secs(5)) - 40.0).abs() < 1e-9);
-        assert!((tw.average(SimTime::from_secs(5)) - 8.0).abs() < 1e-9);
     }
 
     #[test]
@@ -510,6 +433,5 @@ mod tests {
         assert!((tw.integral(SimTime::from_secs(10)) - 30.0).abs() < 1e-9);
         // One second later the new value has taken over.
         assert!((tw.integral(SimTime::from_secs(11)) - 37.0).abs() < 1e-9);
-        assert!((tw.average(SimTime::from_secs(11)) - 37.0 / 11.0).abs() < 1e-9);
     }
 }

@@ -79,33 +79,6 @@ impl SimRng {
         -u.ln() / rate
     }
 
-    /// Poisson draw with mean `lambda`.
-    ///
-    /// Uses Knuth's product-of-uniforms method for small means and a normal
-    /// approximation (rounded, clamped at zero) for large ones, where the
-    /// relative error is far below what any experiment here can resolve.
-    pub fn poisson(&mut self, lambda: f64) -> u64 {
-        assert!(lambda >= 0.0, "poisson mean must be non-negative");
-        if lambda == 0.0 {
-            return 0;
-        }
-        if lambda < 30.0 {
-            let l = (-lambda).exp();
-            let mut k = 0u64;
-            let mut p = 1.0;
-            loop {
-                p *= self.f64();
-                if p <= l {
-                    return k;
-                }
-                k += 1;
-            }
-        } else {
-            let n = self.normal(lambda, lambda.sqrt());
-            n.round().max(0.0) as u64
-        }
-    }
-
     /// Normal draw via Box–Muller.
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         assert!(std_dev >= 0.0, "std_dev must be non-negative");
@@ -215,20 +188,6 @@ mod tests {
         let n = 20_000;
         let mean: f64 = (0..n).map(|_| rng.exponential(2.0)).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.02, "mean was {mean}");
-    }
-
-    #[test]
-    fn poisson_small_and_large_means() {
-        let mut rng = SimRng::seed_from_u64(2);
-        let n = 20_000;
-        for lambda in [0.5, 4.0, 80.0] {
-            let mean: f64 = (0..n).map(|_| rng.poisson(lambda) as f64).sum::<f64>() / n as f64;
-            assert!(
-                (mean - lambda).abs() / lambda.max(1.0) < 0.05,
-                "lambda {lambda} mean {mean}"
-            );
-        }
-        assert_eq!(rng.poisson(0.0), 0);
     }
 
     #[test]

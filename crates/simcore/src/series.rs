@@ -29,21 +29,6 @@ impl Series {
     pub fn push(&mut self, x: f64, y: f64) {
         self.points.push((x, y));
     }
-
-    /// The y value at the given x, if a point with exactly that x exists.
-    pub fn y_at(&self, x: f64) -> Option<f64> {
-        self.points.iter().find(|(px, _)| *px == x).map(|(_, y)| *y)
-    }
-
-    /// Largest y value, `None` when empty.
-    pub fn y_max(&self) -> Option<f64> {
-        self.points.iter().map(|&(_, y)| y).fold(None, |acc, y| {
-            Some(match acc {
-                Some(m) if m >= y => m,
-                _ => y,
-            })
-        })
-    }
 }
 
 /// A set of series sharing an x axis — one experiment figure.
@@ -126,17 +111,6 @@ impl fmt::Display for Chart {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn series_lookup() {
-        let mut s = Series::new("a");
-        s.push(1.0, 10.0);
-        s.push(2.0, 30.0);
-        assert_eq!(s.y_at(2.0), Some(30.0));
-        assert_eq!(s.y_at(3.0), None);
-        assert_eq!(s.y_max(), Some(30.0));
-        assert_eq!(Series::new("empty").y_max(), None);
-    }
 
     #[test]
     fn chart_csv_layout() {

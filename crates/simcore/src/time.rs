@@ -78,13 +78,6 @@ impl SimDuration {
         SimDuration(us)
     }
 
-    /// Construct from nanoseconds, rounding *up* so that a nonzero cost never
-    /// silently disappears.
-    #[inline]
-    pub const fn from_nanos_ceil(ns: u64) -> Self {
-        SimDuration(ns.div_ceil(1_000))
-    }
-
     /// Construct from milliseconds.
     #[inline]
     pub const fn from_millis(ms: u64) -> Self {
@@ -239,9 +232,6 @@ mod tests {
         assert_eq!(SimTime::from_secs(3).as_micros(), 3_000_000);
         assert_eq!(SimTime::from_millis(5).as_micros(), 5_000);
         assert_eq!(SimDuration::from_secs(2).as_secs_f64(), 2.0);
-        assert_eq!(SimDuration::from_nanos_ceil(1).as_micros(), 1);
-        assert_eq!(SimDuration::from_nanos_ceil(1_000).as_micros(), 1);
-        assert_eq!(SimDuration::from_nanos_ceil(1_001).as_micros(), 2);
     }
 
     #[test]

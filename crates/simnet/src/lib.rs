@@ -8,8 +8,6 @@
 //!   verdicts; `Queue` punts to a registered userspace handler,
 //! * [`conntrack`] — flow tracking that exempts established traffic from
 //!   inspection,
-//! * [`ident`] — the RFC-1413-style identity oracle the receiving daemon
-//!   queries about the initiating host,
 //! * [`fabric`] — hosts wired together: full connection setup (both chains,
 //!   queue dispatch, conntrack) and established-flow transfer, with a
 //!   [`latency`] cost model,
@@ -23,7 +21,6 @@
 pub mod addr;
 pub mod conntrack;
 pub mod fabric;
-pub mod ident;
 pub mod latency;
 pub mod netfilter;
 pub mod rdma;
@@ -35,7 +32,6 @@ pub use fabric::{
     ConnId, ConnectError, Connection, Fabric, FabricMetrics, HostNet, QueueCtx, QueueHandler,
     SendError,
 };
-pub use ident::{ident_query, IdentError};
 pub use latency::{LatencyModel, SetupCosts};
 pub use netfilter::{Chain, ConnState, Firewall, PacketMeta, Rule, RuleMatch, Verdict};
 pub use rdma::{MemoryRegion, QpSetupPath, QueuePair, RdmaError};

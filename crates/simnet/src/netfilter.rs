@@ -105,11 +105,6 @@ impl Default for Chain {
 }
 
 impl Chain {
-    /// An empty accept-all chain.
-    pub fn accept_all() -> Self {
-        Self::default()
-    }
-
     /// Append a rule.
     pub fn push(&mut self, matcher: RuleMatch, verdict: Verdict, comment: &'static str) {
         self.rules.push(Rule {
@@ -175,7 +170,7 @@ mod tests {
 
     #[test]
     fn first_match_wins() {
-        let mut c = Chain::accept_all();
+        let mut c = Chain::default();
         c.push(
             RuleMatch {
                 state: Some(ConnState::Established),
@@ -241,7 +236,7 @@ mod tests {
 
     #[test]
     fn display_renders_rules() {
-        let mut c = Chain::accept_all();
+        let mut c = Chain::default();
         c.push(RuleMatch::any(), Verdict::Drop, "deny everything");
         let s = c.to_string();
         assert!(s.contains("deny everything"));

@@ -7,9 +7,9 @@
 //! This does not prevent applications from using the connection manager (CM)
 //! directly" — the residual path experiment E9/E12 demonstrates.
 //!
-//! Once a QP exists, [`Fabric::rdma_read`]/[`Fabric::rdma_write`] access
-//! registered memory regions with **no credential checks at all**, modeling
-//! the hardware's indifference to Unix ownership (cf. ReDMArk).
+//! Once a QP exists, [`Fabric::rdma_read`] reads registered memory regions
+//! with **no credential checks at all**, modeling the hardware's
+//! indifference to Unix ownership (cf. ReDMArk).
 
 use crate::addr::{Proto, SocketAddr};
 use crate::fabric::{ConnectError, Fabric};
@@ -59,13 +59,6 @@ pub enum RdmaError {
     NoSuchRegion(u64),
     /// Unknown host.
     NoSuchHost(NodeId),
-    /// Write exceeds the region bounds.
-    OutOfBounds {
-        /// Region size.
-        len: usize,
-        /// Attempted end offset.
-        end: usize,
-    },
 }
 
 impl fmt::Display for RdmaError {
@@ -73,9 +66,6 @@ impl fmt::Display for RdmaError {
         match self {
             RdmaError::NoSuchRegion(k) => write!(f, "no RDMA region with rkey {k}"),
             RdmaError::NoSuchHost(n) => write!(f, "no such host {n}"),
-            RdmaError::OutOfBounds { len, end } => {
-                write!(f, "RDMA access out of bounds: end {end} > len {len}")
-            }
         }
     }
 }
@@ -154,30 +144,6 @@ impl Fabric {
             .map(|r| r.data.clone())
             .ok_or(RdmaError::NoSuchRegion(rkey))
     }
-
-    /// One-sided RDMA write into a remote region at an offset.
-    pub fn rdma_write(
-        &mut self,
-        qp: &QueuePair,
-        rkey: u64,
-        offset: usize,
-        bytes: &[u8],
-    ) -> Result<(), RdmaError> {
-        let h = self.host_mut(qp.dst).ok_or(RdmaError::NoSuchHost(qp.dst))?;
-        let region = h
-            .rdma_regions
-            .get_mut(&rkey)
-            .ok_or(RdmaError::NoSuchRegion(rkey))?;
-        let end = offset + bytes.len();
-        if end > region.data.len() {
-            return Err(RdmaError::OutOfBounds {
-                len: region.data.len(),
-                end,
-            });
-        }
-        region.data[offset..end].copy_from_slice(bytes);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -236,19 +202,6 @@ mod tests {
             .unwrap();
         // uid 999 reads uid 100's region: the modeled hardware gap.
         assert_eq!(f.rdma_read(&qp, rkey).unwrap(), b"victim data");
-    }
-
-    #[test]
-    fn rdma_write_bounds_checked() {
-        let mut f = fabric();
-        let rkey = f.rdma_register(NodeId(2), Uid(1), vec![0u8; 8]).unwrap();
-        let qp = f.setup_qp_native_cm(NodeId(1), peer(1), NodeId(2)).unwrap();
-        f.rdma_write(&qp, rkey, 4, b"abcd").unwrap();
-        assert_eq!(f.rdma_read(&qp, rkey).unwrap(), b"\0\0\0\0abcd");
-        assert_eq!(
-            f.rdma_write(&qp, rkey, 6, b"abcd").unwrap_err(),
-            RdmaError::OutOfBounds { len: 8, end: 10 }
-        );
         assert_eq!(
             f.rdma_read(&qp, 404).unwrap_err(),
             RdmaError::NoSuchRegion(404)

@@ -30,15 +30,6 @@ impl PeerInfo {
         }
     }
 
-    /// Identity from credentials plus owning pid.
-    pub fn with_pid(cred: &Credentials, pid: Pid) -> Self {
-        PeerInfo {
-            uid: cred.uid,
-            egid: cred.gid,
-            pid: Some(pid),
-        }
-    }
-
     /// True for uid 0.
     pub fn is_root(&self) -> bool {
         self.uid == eus_simos::ROOT_UID

@@ -135,11 +135,6 @@ impl PamStack {
         self.modules.push(module);
     }
 
-    /// Names of installed modules, in order.
-    pub fn module_names(&self) -> Vec<&str> {
-        self.modules.iter().map(|m| m.name()).collect()
-    }
-
     /// Run the full login flow: account phase (all modules must pass), then
     /// open a session and run the session phase.
     pub fn login(&self, ctx: &PamContext, id: SessionId) -> Result<Session, PamDenied> {
@@ -235,13 +230,5 @@ mod tests {
         let s = stack.login(&ctx("sshd"), SessionId(1)).unwrap();
         assert_eq!(s.smask, Mode::new(0o007));
         assert_eq!(s.fs_ctx().smask, Mode::new(0o007));
-    }
-
-    #[test]
-    fn module_names_listed_in_order() {
-        let mut stack = PamStack::new();
-        stack.push(Box::new(DenyService("x".into())));
-        stack.push(Box::new(SetSmask(Mode::new(0o007))));
-        assert_eq!(stack.module_names(), vec!["deny-service", "set-smask"]);
     }
 }

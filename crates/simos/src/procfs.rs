@@ -151,7 +151,8 @@ impl<'a> ProcFs<'a> {
     /// Read `/proc/<pid>/environ`. Owner-or-root only at *every* hidepid
     /// level, as on stock Linux (mode 0400); at `hidepid=2` foreign pids are
     /// additionally indistinguishable from absent ones.
-    pub fn read_environ(
+    #[cfg(test)]
+    pub(crate) fn read_environ(
         &self,
         viewer: &Credentials,
         pid: Pid,
@@ -172,7 +173,8 @@ impl<'a> ProcFs<'a> {
 
     /// Does the viewer learn that `pid` exists at all? (The existence side
     /// channel `hidepid=2` closes.)
-    pub fn pid_exists_for(&self, viewer: &Credentials, pid: Pid) -> bool {
+    #[cfg(test)]
+    pub(crate) fn pid_exists_for(&self, viewer: &Credentials, pid: Pid) -> bool {
         match self.table.get(pid) {
             None => false,
             Some(p) => match self.opts.hidepid {

@@ -79,11 +79,6 @@ impl AbstractSocketSpace {
             .ok_or_else(|| ShmError::NotListening(name.to_string()))
     }
 
-    /// Unbind (listener exit).
-    pub fn unbind(&mut self, name: &str) -> Option<AbstractSocket> {
-        self.sockets.remove(name)
-    }
-
     /// Enumerate bound names — abstract names are also *listable* by any
     /// user (`/proc/net/unix`), a secondary disclosure the audit counts.
     pub fn list(&self) -> Vec<&AbstractSocket> {
@@ -147,7 +142,5 @@ mod tests {
         ns.bind(&cred(2), "c").unwrap();
         assert_eq!(ns.cleanup_user(Uid(1)), 2);
         assert_eq!(ns.list().len(), 1);
-        assert!(ns.unbind("c").is_some());
-        assert!(ns.unbind("c").is_none());
     }
 }

@@ -266,6 +266,7 @@ impl UserDb {
     }
 
     /// Remove `user` from a project group (steward- or root-gated).
+    // analyze:allow(dead-pub): a data steward manages project-group membership (paper Sec. IV-C)
     pub fn remove_from_group(
         &mut self,
         actor: Uid,
@@ -296,6 +297,7 @@ impl UserDb {
     }
 
     /// Promote a member to data steward (existing steward or root only).
+    // analyze:allow(dead-pub): a data steward manages project-group membership (paper Sec. IV-C)
     pub fn add_steward(&mut self, actor: Uid, gid: Gid, user: Uid) -> Result<(), UserDbError> {
         let group = self
             .groups
@@ -375,13 +377,6 @@ impl UserDb {
         self.groups.get(&gid)
     }
 
-    /// Look up a group by name.
-    pub fn group_by_name(&self, name: &str) -> Option<&Group> {
-        self.groups_by_name
-            .get(name)
-            .and_then(|g| self.groups.get(g))
-    }
-
     /// Iterate all users (including root).
     pub fn users(&self) -> impl Iterator<Item = &User> {
         self.users.values()
@@ -390,15 +385,6 @@ impl UserDb {
     /// Iterate all groups.
     pub fn groups(&self) -> impl Iterator<Item = &Group> {
         self.groups.values()
-    }
-
-    /// Non-root uids, ascending — the audit sweep's subject list.
-    pub fn regular_uids(&self) -> Vec<Uid> {
-        self.users
-            .keys()
-            .copied()
-            .filter(|u| *u != ROOT_UID)
-            .collect()
     }
 }
 
@@ -533,13 +519,6 @@ mod tests {
     fn lookups_by_name() {
         let (db, uids) = db_with(&["alice"]);
         assert_eq!(db.user_by_name("alice").unwrap().uid, uids[0]);
-        assert_eq!(db.group_by_name("alice").unwrap().members.len(), 1);
         assert!(db.user_by_name("nobody").is_none());
-    }
-
-    #[test]
-    fn regular_uids_excludes_root() {
-        let (db, uids) = db_with(&["a", "b"]);
-        assert_eq!(db.regular_uids(), uids);
     }
 }

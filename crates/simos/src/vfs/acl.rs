@@ -50,11 +50,6 @@ impl PosixAcl {
         self.users.get(&uid).copied()
     }
 
-    /// Permissions of a named group entry, if present.
-    pub fn group_perm(&self, gid: Gid) -> Option<Perm> {
-        self.groups.get(&gid).copied()
-    }
-
     /// Iterate named group entries.
     pub fn group_entries(&self) -> impl Iterator<Item = (Gid, Perm)> + '_ {
         self.groups.iter().map(|(g, p)| (*g, *p))
@@ -63,17 +58,6 @@ impl PosixAcl {
     /// Iterate named user entries.
     pub fn user_entries(&self) -> impl Iterator<Item = (Uid, Perm)> + '_ {
         self.users.iter().map(|(u, p)| (*u, *p))
-    }
-
-    /// Number of named entries.
-    pub fn named_len(&self) -> usize {
-        self.users.len() + self.groups.len()
-    }
-
-    /// True when no named entries exist (the ACL is then equivalent to the
-    /// plain mode bits with `group_obj` as the group class).
-    pub fn is_trivial(&self) -> bool {
-        self.users.is_empty() && self.groups.is_empty()
     }
 
     /// True if any entry (including group_obj) carries an execute bit; used
@@ -122,10 +106,7 @@ mod tests {
             .with_group(Gid(9), Perm::R);
         assert_eq!(acl.user_perm(Uid(5)), Some(Perm::RW));
         assert_eq!(acl.user_perm(Uid(6)), None);
-        assert_eq!(acl.group_perm(Gid(9)), Some(Perm::R));
-        assert_eq!(acl.named_len(), 2);
-        assert!(!acl.is_trivial());
-        assert!(PosixAcl::new(Perm::R).is_trivial());
+        assert_eq!(acl.group_entries().collect::<Vec<_>>(), [(Gid(9), Perm::R)]);
     }
 
     #[test]
@@ -156,6 +137,6 @@ mod tests {
             .with_user(Uid(5), Perm::R)
             .with_user(Uid(5), Perm::RWX);
         assert_eq!(acl.user_perm(Uid(5)), Some(Perm::RWX));
-        assert_eq!(acl.named_len(), 1);
+        assert_eq!(acl.user_entries().count(), 1);
     }
 }

@@ -503,7 +503,8 @@ impl Vfs {
     }
 
     /// Create a symlink (mode is conventionally 0777 and ignored by checks).
-    pub fn symlink(&mut self, ctx: &FsCtx, target: &str, linkpath: &str) -> FsResult<Ino> {
+    #[cfg(test)]
+    pub(crate) fn symlink(&mut self, ctx: &FsCtx, target: &str, linkpath: &str) -> FsResult<Ino> {
         let target = target.to_string();
         self.insert_child(ctx, linkpath, false, Mode::new(0o777), move || {
             InodeKind::Symlink { target }
@@ -578,14 +579,9 @@ impl Vfs {
     }
 
     /// Does the path resolve for this caller?
-    pub fn exists(&self, ctx: &FsCtx, path: &str) -> bool {
+    #[cfg(test)]
+    pub(crate) fn exists(&self, ctx: &FsCtx, path: &str) -> bool {
         self.walk(ctx, path, true).is_ok()
-    }
-
-    /// Would `want` access be granted on `path`? (`access(2)`.)
-    pub fn access(&self, ctx: &FsCtx, path: &str, want: Perm) -> FsResult<bool> {
-        let ino = self.walk(ctx, path, true)?;
-        Ok(check_access(&ctx.cred, &self.inode(ino).perm_meta(), want))
     }
 
     /// Sticky-bit deletion rule: in a sticky directory only the file owner,
@@ -599,6 +595,7 @@ impl Vfs {
     }
 
     /// Remove a file, device, or symlink.
+    // analyze:allow(dead-pub): unlink(2): the sticky-bit deletion rule of world-writable directories
     pub fn unlink(&mut self, ctx: &FsCtx, path: &str) -> FsResult<()> {
         let (parent, name) = self.walk_parent(ctx, path)?;
         self.check(ctx, parent, Perm::WX, "unlink", path)?;
@@ -625,7 +622,8 @@ impl Vfs {
     }
 
     /// Remove an empty directory.
-    pub fn rmdir(&mut self, ctx: &FsCtx, path: &str) -> FsResult<()> {
+    #[cfg(test)]
+    pub(crate) fn rmdir(&mut self, ctx: &FsCtx, path: &str) -> FsResult<()> {
         let (parent, name) = self.walk_parent(ctx, path)?;
         self.check(ctx, parent, Perm::WX, "rmdir", path)?;
         let child = match &self.inode(parent).kind {
@@ -655,6 +653,7 @@ impl Vfs {
     }
 
     /// Rename within this filesystem.
+    // analyze:allow(dead-pub): rename(2): the sticky-bit rule also guards renames out of shared directories
     pub fn rename(&mut self, ctx: &FsCtx, from: &str, to: &str) -> FsResult<()> {
         let (src_parent, src_name) = self.walk_parent(ctx, from)?;
         self.check(ctx, src_parent, Perm::WX, "rename-from", from)?;
@@ -720,6 +719,7 @@ impl Vfs {
     /// Change ownership. Changing the uid requires root; changing the gid is
     /// allowed for the owner if (and only if) they are a member of the target
     /// group, per Linux chown(2).
+    // analyze:allow(dead-pub): chown(2): an owner may hand a file only to a group they belong to
     pub fn chown(
         &mut self,
         ctx: &FsCtx,
@@ -804,12 +804,6 @@ impl Vfs {
         Ok(())
     }
 
-    /// Read the extended ACL (requires path search only, like getfacl).
-    pub fn getfacl(&self, ctx: &FsCtx, path: &str) -> FsResult<Option<PosixAcl>> {
-        let ino = self.walk(ctx, path, true)?;
-        Ok(self.inode(ino).meta.acl.clone())
-    }
-
     /// Open a device node with the requested access, returning its id.
     pub fn open_device(&self, ctx: &FsCtx, path: &str, want: Perm) -> FsResult<DeviceId> {
         let ino = self.walk(ctx, path, true)?;
@@ -830,6 +824,7 @@ impl Vfs {
     }
 
     /// Number of inodes (for tests/diagnostics).
+    // analyze:allow(dead-pub): inode usage (df -i) of a filesystem
     pub fn inode_count(&self) -> usize {
         self.inodes.len()
     }

@@ -32,6 +32,7 @@ impl Perm {
     /// Write + execute.
     pub const WX: Perm = Perm(3);
     /// All three.
+    // analyze:allow(dead-pub): part of the permission-bit set
     pub const RWX: Perm = Perm(7);
 
     /// From the low three bits of an octal digit.
@@ -83,6 +84,7 @@ pub struct Mode(u16);
 
 impl Mode {
     /// setuid bit.
+    // analyze:allow(dead-pub): part of the mode-bit set
     pub const SETUID: u16 = 0o4000;
     /// setgid bit (on directories: new files inherit the directory's group).
     pub const SETGID: u16 = 0o2000;

@@ -75,7 +75,8 @@ impl UbfPacketStats {
     }
 
     /// Cache hit ratio over all judged packets.
-    pub fn cache_hit_ratio(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn cache_hit_ratio(&self) -> f64 {
         let h = self.stats.value(self.s_cache_hits) as f64;
         let m = self.stats.value(self.s_cache_misses) as f64;
         if h + m == 0.0 {

@@ -157,7 +157,10 @@ mod tests {
     #[test]
     fn system_services_allowed() {
         let (db, alice, ..) = setup();
-        let root = PeerInfo::with_pid(&Credentials::root(), Pid(1));
+        let root = PeerInfo {
+            pid: Some(Pid(1)),
+            ..PeerInfo::from_cred(&Credentials::root())
+        };
         let a = peer(&db, alice);
         assert!(decide(&UbfPolicy::default(), &db, &root, &a).allowed());
         assert!(decide(&UbfPolicy::default(), &db, &a, &root).allowed());

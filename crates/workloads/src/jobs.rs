@@ -1,7 +1,6 @@
 //! Job generators for the workload classes the paper's environment serves
 //! (Secs. I–II): bulk-synchronous parameter sweeps and Monte Carlo batches
-//! (many short single-task jobs), MPI gang jobs, and interactive/web
-//! sessions.
+//! (many short single-task jobs), MPI gang jobs, and interactive sessions.
 
 use eus_sched::{JobKind, JobSpec};
 use eus_simcore::{SimDuration, SimRng};
@@ -54,16 +53,6 @@ pub fn mpi_job(user: Uid, ranks: u32, secs: f64) -> JobSpec {
     .with_cmdline(["mpirun", "./solver"])
 }
 
-/// A GPU training job.
-pub fn gpu_training(user: Uid, gpus: u32, secs: f64) -> JobSpec {
-    JobSpec::new(user, "train", SimDuration::from_secs_f64(secs))
-        .with_tasks(gpus.max(1))
-        .with_cpus_per_task(4)
-        .with_mem_per_task(16_384)
-        .with_gpus_per_task(1)
-        .with_cmdline(["python", "train.py"])
-}
-
 /// An interactive session (shell or notebook kernel).
 pub fn interactive_session(user: Uid, hours: f64) -> JobSpec {
     JobSpec::new(
@@ -75,15 +64,6 @@ pub fn interactive_session(user: Uid, hours: f64) -> JobSpec {
     .with_mem_per_task(8192)
     .with_kind(JobKind::Interactive)
     .with_cmdline(["bash", "-l"])
-}
-
-/// A web-app job (Jupyter-style), portal-routable.
-pub fn jupyter(user: Uid, hours: f64) -> JobSpec {
-    JobSpec::new(user, "jupyter", SimDuration::from_secs_f64(hours * 3600.0))
-        .with_cpus_per_task(2)
-        .with_mem_per_task(8192)
-        .with_kind(JobKind::WebApp)
-        .with_cmdline(["jupyter", "lab", "--no-browser"])
 }
 
 #[cfg(test)]
@@ -121,15 +101,8 @@ mod tests {
         assert_eq!(mpi.tasks, 64);
         assert_eq!(mpi.total_cores(), 128);
 
-        let gpu = gpu_training(Uid(1), 4, 100.0);
-        assert_eq!(gpu.total_gpus(), 4);
-
         let sess = interactive_session(Uid(1), 2.0);
         assert_eq!(sess.kind, JobKind::Interactive);
         assert_eq!(sess.duration, SimDuration::from_secs(7200));
-
-        let jup = jupyter(Uid(1), 1.0);
-        assert_eq!(jup.kind, JobKind::WebApp);
-        assert_eq!(jup.cmdline[0], "jupyter");
     }
 }

@@ -9,7 +9,7 @@
 //! * [`population`] — users + steward-managed project groups with Zipf
 //!   activity.
 //! * [`jobs`] — generators: parameter sweeps, Monte Carlo batches, MPI gang
-//!   jobs, GPU training, interactive and Jupyter sessions.
+//!   jobs, interactive sessions.
 //! * [`mix`] — categorical batch mixes with Poisson arrivals →
 //!   deterministic, seeded [`mix::Trace`]s.
 
@@ -18,12 +18,10 @@
 pub mod jobs;
 pub mod mix;
 pub mod population;
-pub mod swf;
 
-pub use jobs::{gpu_training, interactive_session, jupyter, monte_carlo, mpi_job, parameter_sweep};
+pub use jobs::{interactive_session, monte_carlo, mpi_job, parameter_sweep};
 pub use mix::{
-    hours, interactive_vs_bulk, multi_partition_storm, poisson_arrivals, submission_storm,
-    SharedTrace, Trace, TraceEntry, WorkloadMix,
+    hours, interactive_vs_bulk, multi_partition_storm, submission_storm, SharedTrace, Trace,
+    TraceEntry, WorkloadMix,
 };
 pub use population::UserPopulation;
-pub use swf::{from_swf, to_swf, SwfError};

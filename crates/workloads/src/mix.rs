@@ -47,7 +47,8 @@ impl Trace {
     }
 
     /// Total requested core-seconds (a load sanity check).
-    pub fn total_core_seconds(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total_core_seconds(&self) -> f64 {
         self.entries
             .iter()
             .map(|e| e.spec.total_cores() as f64 * e.spec.duration.as_secs_f64())
@@ -365,21 +366,6 @@ impl WorkloadMix {
     }
 }
 
-/// Poisson arrival times over `[0, horizon]` at `rate_per_sec` — exposed for
-/// experiments that schedule their own batches.
-pub fn poisson_arrivals(rate_per_sec: f64, horizon: SimTime, rng: &mut SimRng) -> Vec<SimTime> {
-    let mut out = Vec::new();
-    let mut t = 0.0;
-    let horizon_s = horizon.as_secs_f64();
-    loop {
-        t += rng.exponential(rate_per_sec);
-        if t >= horizon_s {
-            return out;
-        }
-        out.push(SimTime::from_micros((t * 1e6) as u64));
-    }
-}
-
 /// A convenience duration for trace horizons.
 pub const fn hours(h: u64) -> SimDuration {
     SimDuration::from_secs(h * 3600)
@@ -522,15 +508,6 @@ mod tests {
             .filter(|e| e.at > SimTime::from_secs(10))
             .count();
         assert_eq!(backlog_late, 0);
-    }
-
-    #[test]
-    fn poisson_rate_roughly_right() {
-        let mut rng = SimRng::seed_from_u64(4);
-        let arr = poisson_arrivals(0.1, SimTime::from_secs(100_000), &mut rng);
-        let n = arr.len() as f64;
-        assert!((n - 10_000.0).abs() < 400.0, "n={n}");
-        assert!(arr.windows(2).all(|w| w[0] < w[1]), "sorted");
     }
 
     #[test]

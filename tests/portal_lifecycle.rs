@@ -95,11 +95,12 @@ fn load_attribution_workflow_end_to_end() {
         c.node_mut(login).spawn(u_sid, ["hog"], SimTime::ZERO);
     }
     let s_sid = c.ssh(staff, login).unwrap();
-    assert!(!attribute_load(&c, login, s_sid).complete());
+    let before = attribute_load(&c, login, s_sid);
+    assert!(before.total_visible < before.total_actual);
     let policy = c.fsperm_policy.clone();
     seepid(&policy, c.node_mut(login).session_mut(s_sid).unwrap()).unwrap();
     let report = attribute_load(&c, login, s_sid);
-    assert!(report.complete());
+    assert_eq!(report.total_visible, report.total_actual);
     assert_eq!(report.hotspot(), Some((user, 3)));
 }
 

@@ -157,8 +157,10 @@ fn assert_equivalent(
         with_partitions,
         private_data,
     );
-    pair.opt
-        .enable_obs(ObsConfig::enabled().with_flight_capacity(256));
+    pair.opt.enable_obs(ObsConfig {
+        flight_capacity: 256,
+        ..ObsConfig::enabled()
+    });
     pair.reference.enable_flight(256);
     let result = drive_pair(&mut pair, seed, nodes, failures, with_partitions);
     if result.is_err() {

@@ -112,7 +112,10 @@ fn assert_plane_invariants(
     with_partitions: bool,
 ) -> Result<(), TestCaseError> {
     let mut s = plane_scheduler(policy, 8, with_partitions);
-    s.enable_obs(ObsConfig::enabled().with_flight_capacity(256));
+    s.enable_obs(ObsConfig {
+        flight_capacity: 256,
+        ..ObsConfig::enabled()
+    });
     let result = run_plane_invariants(&mut s, seed, with_partitions);
     if result.is_err() {
         eprintln!("{}", s.obs.rec.flight.render_tail("policy plane", 48));
@@ -224,7 +227,10 @@ fn assert_no_double_booking(seed: u64) -> Result<(), TestCaseError> {
         reservations: 6,
         ..SchedConfig::default()
     });
-    s.enable_obs(ObsConfig::enabled().with_flight_capacity(256));
+    s.enable_obs(ObsConfig {
+        flight_capacity: 256,
+        ..ObsConfig::enabled()
+    });
     for _ in 0..6 {
         s.add_node(8, 16_384, 0);
     }
@@ -306,7 +312,10 @@ fn assert_off_matches_reference(seed: u64, policy: NodeSharing) -> Result<(), Te
     assert!(!config.fair_share && !config.preemption && config.reservations == 0);
     let mut opt = Scheduler::new(config.clone());
     let mut reference = ReferenceScheduler::new(config);
-    opt.enable_obs(ObsConfig::enabled().with_flight_capacity(256));
+    opt.enable_obs(ObsConfig {
+        flight_capacity: 256,
+        ..ObsConfig::enabled()
+    });
     reference.enable_flight(256);
     for _ in 0..8 {
         opt.add_node(8, 16_384, 2);
@@ -386,7 +395,10 @@ fn assert_replay_deterministic(
     const NODES: u32 = 8;
     let replay = || {
         let mut s = plane_scheduler(policy, NODES, true);
-        s.enable_obs(ObsConfig::enabled().with_flight_capacity(512));
+        s.enable_obs(ObsConfig {
+            flight_capacity: 512,
+            ..ObsConfig::enabled()
+        });
         for (at, spec) in decorated_trace(seed) {
             s.submit_at_shared(at, spec);
         }
