@@ -20,11 +20,21 @@
 //! and completion counts, or instrumentation changed a scheduling
 //! decision. Emits `BENCH_obs_overhead.json` (smoke mode writes a sibling
 //! path so CI cannot clobber the committed trajectory point).
+//!
+//! A second replay drives the causal-tracing hooks: a mixed-shape storm
+//! submitted through `SecureCluster::try_submit`, so every job mints a
+//! trace root (plus the broker's submit-gate hit and the scheduler's
+//! dispatch hit). The same call-count × isolated per-call discipline
+//! bounds the disabled path (record + trace calls) at **< 1%** of the
+//! quiet cluster replay and the enabled trace hooks at **< 5%**, and the
+//! loud replay must reproduce the quiet outcomes. Those numbers go to
+//! stdout only; the JSON artifact keeps its fields.
 
 use eus_bench::assert_or_dump;
-use eus_obs::{ObsConfig, Recorder};
-use eus_sched::{SchedConfig, Scheduler};
-use eus_simcore::{SimRng, SimTime};
+use eus_core::{ClusterSpec, SecureCluster, SeparationConfig};
+use eus_obs::{ObsConfig, Recorder, TraceBuffer};
+use eus_sched::{JobSpec, SchedConfig, Scheduler};
+use eus_simcore::{SimDuration, SimRng, SimTime};
 use eus_simos::UserDb;
 use eus_workloads::{submission_storm, SharedTrace, UserPopulation};
 use std::fmt::Write as _;
@@ -90,6 +100,143 @@ fn disabled_per_call_ns(iters: u64) -> f64 {
         "disabled recorder must record nothing"
     );
     per_iter / 3.0
+}
+
+/// The traced replay: `jobs` mixed-shape submissions through the traced
+/// `try_submit` entry point on a 48-node cluster, big enough that
+/// placement, not instrumentation, dominates the wall.
+fn cluster_replay(jobs: usize, loud: bool) -> (Replay, Option<SecureCluster>) {
+    let spec = ClusterSpec {
+        compute_nodes: 48,
+        cores_per_node: 16,
+        mem_per_node_mib: 65_536,
+        gpus_per_node: 0,
+        gpu_mem_bytes: 1024,
+        login_nodes: 1,
+    };
+    let mut c = SecureCluster::new(SeparationConfig::llsc(), spec);
+    if loud {
+        c.enable_obs(ObsConfig::enabled());
+    }
+    let users: Vec<_> = (0..8)
+        .map(|i| c.add_user(&format!("u{i}")).expect("fresh db"))
+        .collect();
+    let mut rng = SimRng::seed_from_u64(0x0b5_0e4);
+    let t0 = Instant::now();
+    for i in 0..jobs {
+        let user = *rng.pick(&users);
+        let dur = SimDuration::from_secs(30 + rng.range_u64(0, 600));
+        let spec = JobSpec::new(user, format!("j{i}"), dur)
+            .with_tasks(1 + rng.range_u64(0, 8) as u32)
+            .with_cpus_per_task(1 + rng.range_u64(0, 4) as u32)
+            .with_mem_per_task(512);
+        c.try_submit(spec).expect("home submits authorize");
+        if i % 256 == 0 {
+            c.advance_to(SimTime::from_secs((i as u64 / 256) * 60));
+        }
+    }
+    let makespan = c.run_to_completion();
+    let wall_s = t0.elapsed().as_secs_f64();
+    let completed = c.sched.read().metrics.completed.get();
+    let r = Replay {
+        wall_s,
+        makespan,
+        completed,
+    };
+    (r, loud.then_some(c))
+}
+
+/// Per-call cost of a *disabled* trace mint (root + finish), isolated.
+fn disabled_trace_per_call_ns(iters: u64) -> f64 {
+    let tb = TraceBuffer::disabled("bench", 7);
+    let t0 = Instant::now();
+    for i in 0..iters {
+        let b = black_box(&tb);
+        let tok = b.root("bench.disabled.root", SimTime::from_secs(i));
+        b.finish(tok, SimTime::from_secs(i));
+    }
+    let per_iter = t0.elapsed().as_secs_f64() * 1e9 / iters as f64;
+    assert_eq!(tb.pushed(), 0, "disabled ring must push nothing");
+    per_iter / 2.0
+}
+
+/// Per-call cost of an *enabled* trace record (root + child hit + two
+/// finishes → 4 ring touches per iteration), isolated on a live ring.
+fn enabled_trace_per_call_ns(iters: u64) -> f64 {
+    let tb = TraceBuffer::new("bench", 7, 4096, true);
+    let t0 = Instant::now();
+    for i in 0..iters {
+        let b = black_box(&tb);
+        let tok = b.root("bench.enabled.root", SimTime::from_secs(i));
+        let ctx = b.hit(tok.ctx(), "bench.enabled.hit", SimTime::from_secs(i), i);
+        black_box(ctx);
+        b.finish(tok, SimTime::from_secs(i + 1));
+    }
+    let per_iter = t0.elapsed().as_secs_f64() * 1e9 / iters as f64;
+    assert!(tb.pushed() >= iters, "enabled ring must record");
+    per_iter / 2.0
+}
+
+/// The tracing gates on the traced replay: loud outcomes equal quiet, the
+/// disabled path (record + trace calls) stays below 1% and the enabled
+/// trace hooks below 5% of the quiet wall, both as call count × isolated
+/// per-call cost (the replay walls are ~0.1 s, where wall-vs-wall deltas
+/// are machine noise).
+fn trace_hook_gates(smoke: bool) {
+    let (jobs, reps, micro_iters) = if smoke {
+        (1_500usize, 5usize, 2_000_000u64)
+    } else {
+        (12_000, 9, 10_000_000)
+    };
+    // Quiet and loud interleave within each rep so slow machine-load drift
+    // hits both alike; min-of-reps then compares like with like.
+    let mut quiet_wall = f64::INFINITY;
+    let mut quiet: Option<Replay> = None;
+    let mut loud: Option<(Replay, SecureCluster)> = None;
+    for _ in 0..reps {
+        let (r, _) = cluster_replay(jobs, false);
+        quiet_wall = quiet_wall.min(r.wall_s);
+        quiet = Some(r);
+        let (r, c) = cluster_replay(jobs, true);
+        loud = Some((r, c.expect("loud replay keeps its cluster")));
+    }
+    let quiet = quiet.expect("at least one rep");
+    let (loud, c) = loud.expect("at least one rep");
+    let forensics = || c.obs.rec.flight.render_tail("obs-trace", 64);
+    assert_or_dump!(
+        loud.makespan == quiet.makespan && loud.completed == quiet.completed,
+        forensics(),
+        "tracing must not change outcomes: loud ({:?}, {}) vs quiet ({:?}, {})",
+        loud.makespan,
+        loud.completed,
+        quiet.makespan,
+        quiet.completed
+    );
+    let rec_ops = c.obs.rec.ops_estimate() + c.sched.read().obs.rec.ops_estimate();
+    let trace_ops =
+        c.obs.trace.pushed() + c.portal.obs.trace.pushed() + c.sched.read().obs.trace.pushed();
+    let disabled_ns = disabled_trace_per_call_ns(micro_iters);
+    let disabled_pct = 100.0 * (rec_ops + trace_ops) as f64 * disabled_ns / 1e9 / quiet_wall;
+    let enabled_ns = enabled_trace_per_call_ns(micro_iters / 10);
+    let trace_pct = 100.0 * trace_ops as f64 * enabled_ns / 1e9 / quiet_wall;
+    println!(
+        "traced replay:  {jobs} try_submit jobs, {quiet_wall:.3} s quiet wall (best of {reps}), \
+         outcomes identical"
+    );
+    println!(
+        "trace hooks:    {rec_ops} record + {trace_ops} trace calls, disabled bound \
+         {disabled_pct:.4}%, enabled bound {trace_pct:.4}% ({enabled_ns:.0} ns/call)"
+    );
+    assert_or_dump!(
+        disabled_pct < 1.0,
+        forensics(),
+        "traced disabled-path overhead must stay below 1%, measured {disabled_pct:.4}%"
+    );
+    assert_or_dump!(
+        trace_pct < 5.0,
+        forensics(),
+        "trace hooks must cost below 5% of the quiet replay, bound {trace_pct:.4}%"
+    );
 }
 
 fn main() {
@@ -158,6 +305,8 @@ fn main() {
         s.obs.rec.flight.render_tail("obs-overhead", 64),
         "disabled-path overhead must stay below 1%, measured {disabled_pct:.4}%"
     );
+
+    trace_hook_gates(smoke);
 
     // Phase breakdown from the loud run, for the artifact.
     let snap = s.obs.snapshot();

@@ -26,6 +26,7 @@ use eus_simcore::{SimRng, SimTime};
 use eus_simos::UserDb;
 use eus_workloads::{submission_storm, SharedTrace, UserPopulation};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Striped partitions for the fair-share rows: node `i` lands in
@@ -127,12 +128,17 @@ fn replay(
     }
 }
 
-/// Decorate a storm with round-robin partition requests so the fair-share
-/// replay exercises multi-class head selection.
+/// Decorate a storm's jobs round-robin across the striped partitions so
+/// the fair-share replay exercises multi-class head selection (it only
+/// engages with more than one schedulable class). Decoration depends only
+/// on entry order, so the same storm always yields the same classes.
 fn partitioned(trace: &SharedTrace) -> SharedTrace {
-    let names: Vec<String> = (0..FAIR_SHARE_PARTS).map(|i| format!("p{i}")).collect();
-    let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    eus_bench::partition_round_robin(trace.clone(), &refs)
+    let mut out = trace.clone();
+    for (i, (_, spec)) in out.entries.iter_mut().enumerate() {
+        let part = format!("p{}", i % FAIR_SHARE_PARTS);
+        *spec = Arc::new((**spec).clone().with_partition(&part));
+    }
+    out
 }
 
 /// Render the obs-enabled pass's breakdown as the row's `"phases"` (span

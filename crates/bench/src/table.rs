@@ -1,8 +1,6 @@
-//! Minimal aligned-text table rendering for experiment output.
-//!
-//! Experiments print human-readable tables to stdout and can emit the same
-//! rows as CSV (for EXPERIMENTS.md regeneration) — no serialization
-//! dependency needed.
+//! Minimal aligned-text table rendering for experiment output: the
+//! experiments print human-readable tables to stdout (their JSON artifacts
+//! are written by hand) — no serialization dependency needed.
 
 /// A simple table: header plus rows of strings.
 #[derive(Debug, Clone, Default)]
@@ -31,16 +29,6 @@ impl TextTable {
         );
         self.rows.push(cells.to_vec());
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Render with aligned columns.
@@ -73,23 +61,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Render as CSV.
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| s.replace(',', ";");
-        let mut out = self
-            .header
-            .iter()
-            .map(|h| esc(h))
-            .collect::<Vec<_>>()
-            .join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Format a float with fixed decimals (table-cell helper).
@@ -97,28 +68,9 @@ pub fn f(v: f64, decimals: usize) -> String {
     format!("{v:.decimals$}")
 }
 
-/// Format a percentage.
-pub fn pct(v: f64) -> String {
-    format!("{:.1}%", 100.0 * v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn render_and_csv() {
-        let mut t = TextTable::new(&["policy", "util"]);
-        t.row(&["shared".into(), "35.6".into()]);
-        t.row(&["whole-node".into(), "34.2".into()]);
-        let r = t.render();
-        assert!(r.contains("policy"));
-        assert!(r.lines().count() == 4);
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().next().unwrap(), "policy,util");
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
-    }
 
     #[test]
     #[should_panic(expected = "row width")]
@@ -129,6 +81,11 @@ mod tests {
     #[test]
     fn helpers() {
         assert_eq!(f(1.23456, 2), "1.23");
-        assert_eq!(pct(0.356), "35.6%");
+        let mut t = TextTable::new(&["policy", "util"]);
+        t.row(&["shared".into(), "35.6".into()]);
+        t.row(&["whole-node".into(), "34.2".into()]);
+        let r = t.render();
+        assert!(r.starts_with("policy      util\n"));
+        assert_eq!(r.lines().count(), 4);
     }
 }

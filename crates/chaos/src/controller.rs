@@ -45,6 +45,7 @@ impl ChaosController {
     /// Seed the cluster's chance-driven fault machinery (the revsync WAN
     /// fabric's loss draws) from the plan seed, so two runs of the same
     /// plan take identical loss decisions. Call once before driving.
+    // analyze:allow(dead-pub): arming a plan on a cluster, the fault-injection plane's entry point (tests/chaos_properties.rs drives it)
     pub fn arm(&self, c: &mut SecureCluster) {
         if let Some(mesh) = &mut c.revsync {
             mesh.fabric_mut()
@@ -202,6 +203,7 @@ use eus_core::HOME_REALM;
 
 /// Convenience: the sister realms a cluster actually has on its mesh
 /// (for building a [`crate::PlanShape`] from a live cluster).
+// analyze:allow(dead-pub): the realms a random plan may partition, read off a live cluster
 pub fn sister_realms(c: &SecureCluster) -> Vec<RealmId> {
     match &c.revsync {
         Some(mesh) => mesh.realms().filter(|r| *r != HOME_REALM).collect(),

@@ -95,6 +95,7 @@ mod tests {
         ctrl.advance_to(&mut c, SimTime::from_secs(400));
         assert!(c.idp_available(), "heal must land at +200s");
         assert_eq!(c.dependency_health(Dependency::Idp), DepHealth::Healthy);
+        assert!(c.login_at(&home, alice).is_ok(), "logins serve again");
         assert!(ctrl.done());
         assert_eq!(ctrl.applied.len(), 1);
         assert_eq!(ctrl.healed, vec![(SimTime::from_secs(300), "idp.outage")]);

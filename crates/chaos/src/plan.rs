@@ -85,6 +85,7 @@ impl FaultPlan {
     /// Draw a random plan: `shape.faults` faults uniform over the fault
     /// families the shape admits, at instants uniform in `[0, horizon)`.
     /// Deterministic in `(seed, shape)`.
+    // analyze:allow(dead-pub): a seeded random fault plan, the chaos soak's input
     pub fn random(seed: u64, shape: &PlanShape) -> Self {
         let mut rng = SimRng::seed_from_u64(seed).fork(0xC4A0_50DE);
         // The admissible fault families, as small generator codes — the

@@ -66,7 +66,8 @@ impl ContainerRegistry {
     }
 
     /// Mark an image as used now.
-    pub fn touch(&mut self, path: &str, now: SimTime) -> bool {
+    #[cfg(test)]
+    pub(crate) fn touch(&mut self, path: &str, now: SimTime) -> bool {
         for s in &mut self.stored {
             if s.path == path {
                 s.last_used = now;

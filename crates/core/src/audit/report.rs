@@ -23,6 +23,7 @@ pub struct AuditReport {
 
 impl AuditReport {
     /// Channels that leaked.
+    // analyze:allow(dead-pub): the audit verdict as data: the channels a configuration leaves open
     pub fn open_channels(&self) -> Vec<Channel> {
         self.rows
             .iter()
@@ -54,34 +55,6 @@ impl AuditReport {
     /// True when every leak is an expected residual.
     pub fn only_expected_residuals(&self) -> bool {
         self.unexpected_leaks().is_empty()
-    }
-
-    /// CSV rendering: `channel,section,status,detail` — the machine-readable
-    /// face of the audit for EXPERIMENTS.md regeneration.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("channel,section,status,detail\n");
-        for r in &self.rows {
-            let status = if r.outcome.is_leak() {
-                if r.channel.closed_by().is_none() {
-                    "residual"
-                } else {
-                    "open"
-                }
-            } else {
-                "closed"
-            };
-            let detail = match &r.outcome {
-                Outcome::Leaked(s) | Outcome::Blocked(s) => s.replace(',', ";"),
-            };
-            out.push_str(&format!(
-                "{},{},{},{}\n",
-                r.channel,
-                r.channel.section(),
-                status,
-                detail
-            ));
-        }
-        out
     }
 }
 
@@ -160,17 +133,6 @@ mod tests {
             r.open_channels(),
             vec![Channel::FsTmpFilename, Channel::NetTcp]
         );
-    }
-
-    #[test]
-    fn csv_rendering() {
-        let csv = report().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "channel,section,status,detail");
-        assert_eq!(lines.len(), 4);
-        assert!(lines[1].starts_with("ProcList,IV-A,closed,"));
-        assert!(lines[2].contains(",residual,"));
-        assert!(lines[3].contains(",open,"));
     }
 
     #[test]

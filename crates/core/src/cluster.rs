@@ -1203,6 +1203,7 @@ impl SecureCluster {
     /// entry, push delta, replica apply, and any later fail-closed deny all
     /// chain onto this context. Returns whether the serial was freshly
     /// revoked (false: already revoked or no such realm).
+    // analyze:allow(dead-pub): the portal's revoke action, root of the cross-plane revoke trace
     pub fn portal_revoke_serial(&mut self, realm: RealmId, serial: CredSerial) -> bool {
         // The portal ticks on the federation clock (`advance_to` syncs it).
         let now = self.sched.read().now();

@@ -248,6 +248,7 @@ impl SeparationConfig {
 
     /// This configuration with `m` turned off — the single-mechanism
     /// ablation `llsc().without(m)`. Whole-node off means shared nodes.
+    // analyze:allow(dead-pub): a site's configuration minus one mechanism, the paper's ablation (Sec. V)
     pub fn without(mut self, m: Mechanism) -> Self {
         match m {
             Mechanism::HidePid => self.hidepid = false,

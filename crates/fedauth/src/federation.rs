@@ -44,7 +44,8 @@ impl TrustPolicy {
     }
 
     /// Builder: also trust a sister realm, permanently.
-    pub fn with_trusted(mut self, realm: RealmId) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_trusted(mut self, realm: RealmId) -> Self {
         self.trust(realm);
         self
     }

@@ -77,9 +77,9 @@ impl RevocationList {
         fresh
     }
 
-    /// O(1) hot-path check.
-    #[inline]
-    pub fn is_revoked(&self, serial: CredSerial) -> bool {
+    /// Is `serial` in the set? (Verdicts probe [`Self::serials`].)
+    #[cfg(test)]
+    pub(crate) fn is_revoked(&self, serial: CredSerial) -> bool {
         self.revoked.contains(&serial)
     }
 

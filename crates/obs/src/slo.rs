@@ -89,11 +89,13 @@ impl AlertLog {
     }
 
     /// Entries for one SLO.
+    // analyze:allow(dead-pub): one objective's alert history, the operator's "what fired" read
     pub fn for_slo(&self, name: &str) -> Vec<&Alert> {
         self.entries.iter().filter(|a| a.slo == name).collect()
     }
 
     /// Number of `Fire` entries.
+    // analyze:allow(dead-pub): how many alerts fired, the operator's "is anything degraded" read
     pub fn fired(&self) -> usize {
         self.entries
             .iter()

@@ -381,6 +381,7 @@ pub fn assemble_trace(trace: u64, plane_spans: &[Vec<TraceSpan>]) -> Vec<TraceSp
 /// Structural check of one assembled trace: exactly one root, every
 /// non-root parent resolves to a recorded span, and no child starts before
 /// its parent. Returns a human-readable defect description on failure.
+// analyze:allow(dead-pub): the structural check a consumer runs before trusting an assembled trace
 pub fn check_well_formed(spans: &[TraceSpan]) -> Result<(), String> {
     if spans.is_empty() {
         return Err("trace has no spans".into());

@@ -207,7 +207,7 @@ mod tests {
     use eus_sched::JobId;
     use eus_simnet::SocketAddr;
     use eus_simos::Uid;
-    use eus_ubf::{deploy_ubf, shared_user_db, UbfConfig};
+    use eus_ubf::{deploy_ubf_observed, shared_user_db, UbfConfig, UbfPacketStats};
 
     struct World {
         fabric: Fabric,
@@ -226,10 +226,11 @@ mod tests {
         let mut fabric = Fabric::new();
         fabric.add_host(NodeId(1)); // portal node
         fabric.add_host(NodeId(7)); // compute node
-        deploy_ubf(
+        deploy_ubf_observed(
             fabric.host_mut(NodeId(7)).unwrap(),
             db.clone(),
             UbfConfig::default(),
+            UbfPacketStats::disabled(),
         );
         let gateway = PortalGateway::new(NodeId(1), db.clone());
         World {

@@ -28,9 +28,11 @@
 //!   ([`eus_fedauth::CredError::StaleReplica`]), so an unreachable sister
 //!   site degrades to fail-closed, never to fail-open.
 //!
-//! The propagation-lag-vs-cadence tradeoff is measured by `exp_revsync`;
-//! `benches/revsync_replica.rs` pins the replica hot path; the convergence
-//! and monotonicity properties live in `tests/revsync_properties.rs`.
+//! The propagation bound (one feed interval plus wire time when lossless,
+//! one anti-entropy round under loss), the convergence and the
+//! monotonicity properties live in `tests/revsync_properties.rs`; the
+//! benchmark's `cred_churn` workload measures the replica hot path
+//! (`revsync.validate.ns_per_call`).
 //!
 //! ```
 //! use eus_fedauth::{shared_broker, BrokerPolicy, CredentialBroker, RealmId};

@@ -19,8 +19,9 @@
 //! Deltas spend real simulated time on the wire (connection setup plus
 //! size-proportional transfer, per the fabric's [`eus_simnet::LatencyModel`]), so a
 //! revocation minted at the issuer becomes visible at a sister site only
-//! after feed cadence + WAN latency — the propagation lag `exp_revsync`
-//! charts. Validation against a replica never touches the mesh: the mesh
+//! after feed cadence + WAN latency — the propagation lag
+//! `tests/revsync_properties.rs` bounds at one feed interval plus wire time.
+//! Validation against a replica never touches the mesh: the mesh
 //! only moves state *between* validations, which is the whole point.
 //!
 //! The pump is tick-driven ([`RevSyncMesh::pump`], called from

@@ -6,7 +6,7 @@
 //!   plain [`Recorder`] — a `revsync.mesh.pump` span, per-exchange
 //!   counters, and flight events for staleness **edges** (a replica
 //!   crossing the [`crate::RevSyncConfig::max_lag`] budget in either
-//!   direction, the moments `exp_revsync`'s fail-closed story turns on);
+//!   direction, the moments the fail-closed story turns on);
 //! * the **validate hot path** is `&self` (often behind a `RwLock` read
 //!   guard), so outcome counts go through atomic
 //!   [`SharedStats`] slots instead.

@@ -161,6 +161,7 @@ impl CrlReplica {
 
     /// O(1) local membership check.
     #[inline]
+    // analyze:allow(dead-pub): whether the replica has learned a serial, the convergence read
     pub fn is_revoked(&self, serial: CredSerial) -> bool {
         self.revoked.contains(&serial)
     }

@@ -272,6 +272,7 @@ pub struct FailureRecord {
 
 impl FailureRecord {
     /// Distinct users whose jobs died — the paper's "blast radius".
+    // analyze:allow(dead-pub): the distinct users a node failure took down, the paper's blast radius (Sec. IV-B)
     pub fn affected_users(&self) -> BTreeSet<Uid> {
         self.failed_jobs.iter().map(|(_, u)| *u).collect()
     }
@@ -724,6 +725,7 @@ impl Scheduler {
     }
 
     /// Register an operator/coordinator exempt from PrivateData filtering.
+    // analyze:allow(dead-pub): registers an operator whom PrivateData and pam_slurm exempt (paper Sec. IV-B)
     pub fn add_admin(&mut self, uid: Uid) {
         self.admins.insert(uid);
     }
@@ -860,6 +862,7 @@ impl Scheduler {
     ///   a generalized shadow replay of this spec alone (ignores queued
     ///   work ahead);
     /// * cancelled jobs → `None`.
+    // analyze:allow(dead-pub): squeue --start: when a queued job will run
     pub fn earliest_start(&mut self, job: JobId) -> Option<SimTime> {
         let j = self.jobs.get(&job)?;
         if j.state != JobState::Pending {

@@ -59,9 +59,11 @@
 //!   *conservative* backfill that refuses to collide with any held
 //!   reservation.
 //!
-//! `exp_sched_policy` measures the plane (interactive-vs-bulk preemption
-//! storm, multi-partition fairness storm); `tests/sched_policy_properties.rs`
-//! property-checks its separation invariants.
+//! `tests/sched_policy_properties.rs` checks the plane on the workloads it
+//! exists for (preemption cuts the interactive-vs-bulk storm's urgent wait
+//! tenfold; fair-share starves no partition of the multi-partition storm)
+//! and property-checks its separation invariants; the benchmark's
+//! `sched_policy` workload measures it.
 
 #![warn(missing_docs)]
 

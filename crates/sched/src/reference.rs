@@ -62,7 +62,6 @@ pub struct ReferenceScheduler {
     pub failures: Vec<FailureRecord>,
     /// Partition table.
     pub partitions: PartitionTable,
-    admins: BTreeSet<Uid>,
     /// Optional flight recorder, mirroring the engine's event kinds so the
     /// equivalence suite can print both engines' tails on a failure.
     /// `None` (the default) costs one never-taken branch per event site.
@@ -93,7 +92,6 @@ impl ReferenceScheduler {
             epilogs: Vec::new(),
             failures: Vec::new(),
             partitions: PartitionTable::new(),
-            admins: BTreeSet::new(),
             flight: None,
         }
     }
@@ -119,11 +117,6 @@ impl ReferenceScheduler {
         self.nodes
             .insert(id, SchedNode::new(id, cores, mem_mib, gpus));
         id
-    }
-
-    /// Register an operator exempt from PrivateData filtering.
-    pub fn add_admin(&mut self, uid: Uid) {
-        self.admins.insert(uid);
     }
 
     /// Current simulated time.
@@ -211,13 +204,14 @@ impl ReferenceScheduler {
         })
     }
 
-    /// `squeue` as seen by `viewer` (same view type as the engine's).
+    /// `squeue` as seen by `viewer` (same view type as the engine's). The
+    /// reference registers no operators, so only root sees through
+    /// PrivateData here.
     pub fn squeue(&self, viewer: &Credentials) -> Vec<JobView> {
-        let admin = self.admins.contains(&viewer.uid);
         self.jobs
             .values()
             .filter(|j| !j.state.is_terminal())
-            .filter(|j| may_view(viewer, j.spec.user, self.config.private_data.jobs, admin))
+            .filter(|j| may_view(viewer, j.spec.user, self.config.private_data.jobs, false))
             .map(|j| JobView {
                 id: j.id,
                 user: j.spec.user,

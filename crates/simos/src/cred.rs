@@ -31,6 +31,7 @@ impl Credentials {
     }
 
     /// Credentials with supplementary groups.
+    // analyze:allow(dead-pub): credentials carrying supplementary groups, as a process holds them
     pub fn with_groups(uid: Uid, gid: Gid, groups: impl IntoIterator<Item = Gid>) -> Self {
         Credentials {
             uid,

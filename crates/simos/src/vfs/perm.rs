@@ -28,6 +28,7 @@ impl Perm {
     /// Read + write.
     pub const RW: Perm = Perm(6);
     /// Read + execute.
+    // analyze:allow(dead-pub): part of the permission-bit set
     pub const RX: Perm = Perm(5);
     /// Write + execute.
     pub const WX: Perm = Perm(3);

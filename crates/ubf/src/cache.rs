@@ -3,7 +3,7 @@
 //! The ident round-trip dominates connection-setup cost, and HPC workloads
 //! open many flows between the same (user, user) pairs in bursts (MPI rank
 //! wire-up). A small positive/negative cache with bounded capacity removes
-//! repeat ident queries; the `ubf_overhead` bench ablates it. Entries are
+//! repeat ident queries (`ubf.cache_hit_ratio` in the benchmark). Entries are
 //! keyed by both endpoints' (uid, egid), so a `newgrp` restart naturally
 //! misses. A change of group *membership* does not change the key: the
 //! daemon compares [`eus_simos::UserDb::membership_epoch`] on every

@@ -12,8 +12,8 @@
 //! * [`daemon`] — the NFQUEUE handler with ident querying, decision cache,
 //!   and exported statistics.
 //! * [`ruleset`] — the nftables-shaped rules ([`ruleset::install_ubf_rules`])
-//!   and one-call host deployment ([`ruleset::deploy_ubf`]).
-//! * [`cache`] — bounded decision cache (the `ubf_overhead` bench ablates it).
+//!   and one-call host deployment ([`ruleset::deploy_ubf_observed`]).
+//! * [`cache`] — bounded decision cache.
 //! * [`httpd_plugin`] — the portal-side authorization hook.
 //! * [`obs`] — `Arc`-shared slot counters for the judge path, switchable
 //!   after daemons have moved into the fabric.
@@ -36,6 +36,4 @@ pub use daemon::{shared_user_db, SharedUserDb, UbfConfig, UbfDaemon, UbfStats, U
 pub use httpd_plugin::HttpdUbfPlugin;
 pub use obs::UbfPacketStats;
 pub use policy::{decide, Decision, UbfPolicy};
-pub use ruleset::{
-    deploy_ubf, deploy_ubf_observed, install_ubf_rules, UBF_INSPECT_FROM, UBF_QUEUE,
-};
+pub use ruleset::{deploy_ubf_observed, install_ubf_rules, UBF_INSPECT_FROM, UBF_QUEUE};

@@ -7,7 +7,8 @@
 //! clone of. Enabling is a relaxed atomic flip through `&self`, so the
 //! cluster's `enable_obs` fan-out can switch daemons on after they have
 //! been moved into the fabric. Disabled cost on the judge path is one
-//! relaxed load + branch per slot touch, bounded by `exp_obs_overhead`.
+//! relaxed load + branch per slot touch; the benchmark's untraced
+//! `net_wireup` runs measure the judge path with it.
 
 use eus_obs::{SharedId, SharedStats};
 use std::sync::Arc;

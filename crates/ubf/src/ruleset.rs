@@ -47,15 +47,12 @@ pub fn install_ubf_rules(fw: &mut Firewall) {
 }
 
 /// Deploy the full UBF onto one host: rules plus a daemon instance bound to
-/// the shared user database. Returns the daemon's statistics handle.
-pub fn deploy_ubf(host: &mut HostNet, db: SharedUserDb, config: UbfConfig) -> UbfStats {
-    deploy_ubf_observed(host, db, config, UbfPacketStats::disabled())
-}
-
-/// Like [`deploy_ubf`], but wire the daemon to a caller-held
-/// [`UbfPacketStats`] handle so the judge path's slot counters (packets,
-/// cache hits/misses, denies, ident round trips, cache occupancy peak) stay
-/// readable — and switchable — after the daemon has moved into the fabric.
+/// the shared user database, wired to a caller-held [`UbfPacketStats`]
+/// handle so the judge path's slot counters (packets, cache hits/misses,
+/// denies, ident round trips, cache occupancy peak) stay readable — and
+/// switchable — after the daemon has moved into the fabric
+/// ([`UbfPacketStats::disabled`] when nobody reads them). Returns the
+/// daemon's statistics handle.
 pub fn deploy_ubf_observed(
     host: &mut HostNet,
     db: SharedUserDb,
@@ -87,7 +84,12 @@ mod tests {
         f.add_host(NodeId(2));
         for n in [NodeId(1), NodeId(2)] {
             let host = f.host_mut(n).unwrap();
-            deploy_ubf(host, shared.clone(), UbfConfig::default());
+            deploy_ubf_observed(
+                host,
+                shared.clone(),
+                UbfConfig::default(),
+                UbfPacketStats::disabled(),
+            );
         }
         (f, shared, a, b)
     }
@@ -207,10 +209,11 @@ mod tests {
         let mut f = Fabric::new();
         f.add_host(NodeId(1));
         f.add_host(NodeId(2));
-        let stats = deploy_ubf(
+        let stats = deploy_ubf_observed(
             f.host_mut(NodeId(2)).unwrap(),
             shared.clone(),
             UbfConfig::default(),
+            UbfPacketStats::disabled(),
         );
         let pa = peer(&shared, a);
         f.listen(NodeId(2), Proto::Tcp, 9999, pa).unwrap();

@@ -4,7 +4,7 @@
 //! an interactive session) from a categorical distribution, attaches them to
 //! Zipf-active users, and schedules batch arrivals as a Poisson process —
 //! the synthetic stand-in for LLSC's production traces (which are not
-//! public; see DESIGN.md fidelity notes).
+//! public).
 
 use crate::jobs;
 use crate::population::UserPopulation;
@@ -153,6 +153,7 @@ pub fn submission_storm(
 /// start in seconds. Entries are in arrival order; tell the two
 /// populations apart by `spec.qos` (bulk = `Bulk`, interactive =
 /// `Urgent`).
+// analyze:allow(dead-pub): the workload the preemption knob exists for
 pub fn interactive_vs_bulk(
     pop: &UserPopulation,
     bulk_jobs: usize,

@@ -31,9 +31,8 @@
 //!
 //! The scheduler's *policy plane* layers onto any of these policies: see
 //! `examples/preemption_qos.rs` (QoS preemption with the separation
-//! epilog) and `exp_sched_policy` (multi-partition fair-share +
-//! conservative-backfill reservations, with the measured acceptance
-//! numbers in `BENCH_sched_policy.json`).
+//! epilog) and `tests/sched_policy_properties.rs` (multi-partition
+//! fair-share and preemption on the storms they exist for).
 
 use hpc_user_separation::sched::{NodeSharing, SchedConfig, Scheduler};
 use hpc_user_separation::simcore::{SimRng, SimTime};

@@ -339,7 +339,9 @@ proptest! {
     }
 
     /// Property 4: a fault-free run never fires the dependency-degraded
-    /// SLO, however busy the tape — alerts mean injected faults, only.
+    /// SLO, however busy the tape — alerts mean injected faults, only. It
+    /// is also fully available: every login and every submit succeeds, the
+    /// cluster never reports itself degraded, and no objective fires.
     #[test]
     fn clean_runs_never_fire_the_degraded_slo(
         ops in proptest::collection::vec((0u8..6, 0u8..8), 1..40),
@@ -348,6 +350,7 @@ proptest! {
         let alice = run.c.add_user("alice").unwrap();
         for &op in &ops {
             run.step(alice, op);
+            prop_assert!(!run.c.degraded(), "a fault-free run never degrades");
         }
         run.settle();
         prop_assert!(!run.c.degraded(), "clean run must end healthy");
@@ -356,6 +359,13 @@ proptest! {
             alerts.is_empty(),
             "degraded SLO fired on a fault-free run: {alerts:?}"
         );
+        prop_assert_eq!(run.c.obs.slo.alerts().fired(), 0, "no objective fires");
+        let refused: Vec<&String> = run
+            .outcomes
+            .iter()
+            .filter(|o| (o.starts_with("login:") || o.starts_with("submit:")) && !o.ends_with(":ok"))
+            .collect();
+        prop_assert!(refused.is_empty(), "a fault-free run refused {refused:?}");
     }
 
     /// Property 5: a severed WAN feed fails closed within the staleness

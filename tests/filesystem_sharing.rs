@@ -3,7 +3,7 @@
 //! they are both members of the same supplemental group."
 
 use hpc_user_separation::simos::{FsCtx, Gid, Mode, Perm, PosixAcl, Uid, ROOT_UID};
-use hpc_user_separation::{ClusterSpec, SecureCluster, SeparationConfig};
+use hpc_user_separation::{ClusterSpec, Mechanism, SecureCluster, SeparationConfig};
 
 struct World {
     c: SecureCluster,
@@ -129,6 +129,85 @@ fn hardened_matrix_every_unintended_path_closed() {
     )
     .unwrap();
     assert_eq!(w.c.fs_read(w.bob, login, "/tmp/for-proj").unwrap(), b"ok");
+}
+
+/// Every sharing attempt of the paper's Appendix matrix, as (attempt,
+/// did the target read the file). The target is the stranger eve unless
+/// the attempt names the group member bob.
+fn sharing_matrix(config: SeparationConfig) -> Vec<(&'static str, bool)> {
+    let mut w = world(config);
+    let (alice, bob, eve) = (w.alice, w.bob, w.eve);
+    let login = w.c.login_node();
+    let c = &mut w.c;
+    let mut out = Vec::new();
+    c.fs_write(alice, login, "/tmp/w", Mode::new(0o666), b"x")
+        .unwrap();
+    out.push((
+        "create 0666 in /tmp",
+        c.fs_read(eve, login, "/tmp/w").is_ok(),
+    ));
+    c.fs_write(alice, login, "/tmp/wc", Mode::new(0o600), b"x")
+        .unwrap();
+    let _ = c.fs_chmod(alice, login, "/tmp/wc", Mode::new(0o666));
+    out.push(("chmod 0666", c.fs_read(eve, login, "/tmp/wc").is_ok()));
+    c.fs_write(alice, login, "/tmp/acl-e", Mode::new(0o600), b"x")
+        .unwrap();
+    let to_eve = PosixAcl::new(Perm::NONE).with_user(eve, Perm::R);
+    let granted = c.fs_setfacl(alice, login, "/tmp/acl-e", to_eve).is_ok();
+    out.push((
+        "setfacl u:eve:r",
+        granted && c.fs_read(eve, login, "/tmp/acl-e").is_ok(),
+    ));
+    let eve_upg = c.db.read().user(eve).unwrap().private_group;
+    let to_upg = PosixAcl::new(Perm::NONE).with_group(eve_upg, Perm::R);
+    let granted = c.fs_setfacl(alice, login, "/tmp/acl-e", to_upg).is_ok();
+    out.push((
+        "setfacl g:<eve's upg>:r",
+        granted && c.fs_read(eve, login, "/tmp/acl-e").is_ok(),
+    ));
+    c.fs_write(alice, login, "/home/alice/p", Mode::new(0o644), b"x")
+        .unwrap();
+    out.push((
+        "0644 in own home",
+        c.fs_read(eve, login, "/home/alice/p").is_ok(),
+    ));
+    c.fs_write(alice, login, "/tmp/acl-b", Mode::new(0o600), b"x")
+        .unwrap();
+    let to_bob = PosixAcl::new(Perm::NONE).with_user(bob, Perm::R);
+    let granted = c.fs_setfacl(alice, login, "/tmp/acl-b", to_bob).is_ok();
+    out.push((
+        "setfacl u:bob:r, bob",
+        granted && c.fs_read(bob, login, "/tmp/acl-b").is_ok(),
+    ));
+    c.fs_write(alice, login, "/proj/fusion/d", Mode::new(0o660), b"x")
+        .unwrap();
+    out.push((
+        "setgid /proj, bob",
+        c.fs_read(bob, login, "/proj/fusion/d").is_ok(),
+    ));
+    out.push((
+        "setgid /proj",
+        c.fs_read(eve, login, "/proj/fusion/d").is_ok(),
+    ));
+    out
+}
+
+#[test]
+fn only_the_permission_handler_confines_sharing_to_the_group() {
+    // The same llsc cluster on a vanilla kernel and on the patched one:
+    // vanilla shares along every accidental path, patched only along the
+    // two group-scoped ones. The project directory never reaches eve.
+    let vanilla = [true, true, true, true, true, true, true, false];
+    let patched = [false, false, false, false, false, true, true, false];
+    for (config, expected) in [
+        (SeparationConfig::llsc().without(Mechanism::Fsperm), vanilla),
+        (SeparationConfig::llsc(), patched),
+    ] {
+        let label = config.label();
+        let got = sharing_matrix(config);
+        let shared: Vec<bool> = got.iter().map(|(_, ok)| *ok).collect();
+        assert_eq!(shared, expected, "{label}: {got:?}");
+    }
 }
 
 #[test]

@@ -4,7 +4,9 @@
 //! end-to-end fabric outcome.
 
 use bytes::Bytes;
-use eus_ubf::{decide, deploy_ubf, shared_user_db, Decision, UbfConfig, UbfPolicy};
+use eus_ubf::{
+    decide, deploy_ubf_observed, shared_user_db, Decision, UbfConfig, UbfPacketStats, UbfPolicy,
+};
 use hpc_user_separation::simnet::{ConnId, Fabric, PeerInfo, Proto, SocketAddr};
 use hpc_user_separation::simos::{Gid, NodeId, Uid, UserDb};
 use proptest::prelude::*;
@@ -60,7 +62,8 @@ proptest! {
         let hosts = [NodeId(1), NodeId(2), NodeId(3)];
         for h in hosts {
             f.add_host(h);
-            deploy_ubf(f.host_mut(h).unwrap(), shared.clone(), UbfConfig::default());
+            let host = f.host_mut(h).unwrap();
+            deploy_ubf_observed(host, shared.clone(), UbfConfig::default(), UbfPacketStats::disabled());
         }
         let ports = [8000u16, 8001, 8002, 8003];
         let peer = |u: u8| PeerInfo::from_cred(&shared.read().credentials(users[u as usize]).unwrap());

@@ -66,11 +66,14 @@ fn overhead_lands_on_setup_only() {
     let n2 = c.compute_ids[1];
     c.listen(alice, n2, Proto::Tcp, 9400, None).unwrap();
 
+    let queued_at_setup = c.fabric.metrics.queued_packets.get();
     let (conn, setup) = c
         .connect(alice, n1, SocketAddr::new(n2, 9400), Proto::Tcp)
         .unwrap();
-    // Setup pays for nfqueue + daemon + (maybe) ident.
+    // Setup pays for nfqueue + daemon + (maybe) ident, and the daemon
+    // inspects exactly one packet: an MPI wire-up pays once per rank pair.
     assert!(setup > c.fabric.latency.base_rtt);
+    assert_eq!(c.fabric.metrics.queued_packets.get(), queued_at_setup + 1);
 
     // Established sends never touch the queue: transfer cost only.
     let queued_before = c.fabric.metrics.queued_packets.get();

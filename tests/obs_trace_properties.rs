@@ -15,8 +15,8 @@
 
 use eus_fedauth::{shared_broker, BrokerPolicy, CredError, CredentialBroker, RealmId, SignedToken};
 use eus_simcore::{SimDuration, SimTime};
-use hpc_user_separation::obs::{check_well_formed, ObsConfig, TraceSpan};
-use hpc_user_separation::sched::JobSpec;
+use hpc_user_separation::obs::{check_well_formed, AlertKind, ObsConfig, TraceSpan};
+use hpc_user_separation::sched::{JobSpec, QosClass};
 use hpc_user_separation::{ClusterSpec, SecureCluster, SeparationConfig};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -209,4 +209,36 @@ proptest! {
         prop_assert_eq!(parent.name, "cred.revoke.serial");
         prop_assert!(parent.start <= push.start, "sim-time monotone down the chain");
     }
+}
+
+/// Alert precision for the scheduler's objective: interactive sessions
+/// far past the tiny cluster's capacity push queue waits through the 60 s
+/// objective, and exactly `sched.interactive.wait` fires. (The severed-feed
+/// case, exactly the lag and dependency-degraded objectives, is
+/// `forced_replica_lag_fires_exactly_the_lag_slo` in `eus-core`.)
+#[test]
+fn an_interactive_wait_storm_fires_exactly_its_slo() {
+    let mut c = SecureCluster::new(SeparationConfig::llsc(), ClusterSpec::tiny());
+    c.enable_obs(ObsConfig::enabled());
+    let alice = c.add_user("alice").unwrap();
+    for i in 0..24 {
+        let spec = JobSpec::new(alice, format!("shell{i}"), SimDuration::from_secs(120))
+            .with_tasks(1)
+            .with_cpus_per_task(8)
+            .with_qos(QosClass::Interactive);
+        c.try_submit(spec).unwrap();
+    }
+    for s in 1..=40 {
+        c.advance_to(SimTime::from_secs(10 * s));
+    }
+    let fired: Vec<&str> = c
+        .obs
+        .slo
+        .alerts()
+        .entries()
+        .iter()
+        .filter(|a| a.kind == AlertKind::Fire)
+        .map(|a| a.slo)
+        .collect();
+    assert_eq!(fired, ["sched.interactive.wait"]);
 }

@@ -285,3 +285,56 @@ fn mesh_runs_are_deterministic() {
     };
     assert_eq!(run(), run());
 }
+
+/// Propagation tracks feed cadence: across 2–8-realm meshes, a serial
+/// revoked at its issuer is rejected at every sister within one feed
+/// interval plus a second of wire time when pushes are lossless, and within
+/// one anti-entropy round of that when half the pushes are lost — inside
+/// the staleness budget either way. Revocations land at staggered phases
+/// of the feed.
+#[test]
+fn revocations_reach_every_sister_within_one_feed_interval() {
+    for (realms, feed_s, anti_entropy_s, push_loss) in [
+        (2, 2, 300, 0.0),
+        (2, 10, 300, 0.0),
+        (4, 10, 300, 0.0),
+        (8, 10, 300, 0.0),
+        (4, 30, 300, 0.0),
+        (4, 60, 300, 0.0),
+        (4, 10, 60, 0.5),
+    ] {
+        let cfg = RevSyncConfig {
+            feed_interval: SimDuration::from_secs(feed_s),
+            anti_entropy: SimDuration::from_secs(anti_entropy_s),
+            push_loss,
+            ..RevSyncConfig::default()
+        };
+        let wire = SimDuration::from_secs(1);
+        let bound = if push_loss == 0.0 {
+            cfg.feed_interval + wire
+        } else {
+            cfg.anti_entropy + cfg.feed_interval + wire
+        };
+        assert!(bound <= cfg.max_lag);
+        let (db, users, mut mesh, planes) = mesh_of(realms, cfg);
+        let (issuer, plane) = planes.last().unwrap();
+        for k in 0..5u64 {
+            let t0 = SimTime::from_secs(100 * (k + 1)) + SimDuration::from_millis(1700 * k);
+            let token = plane.write().login(&db, users[0], None).unwrap();
+            mesh.pump(t0);
+            plane.write().revoke_user(users[0]);
+            let mut t = t0;
+            while !planes[..planes.len() - 1].iter().all(|(site, _)| {
+                mesh.validate_token_at(*site, &token, t) == Err(CredError::Revoked(token.serial))
+            }) {
+                assert!(
+                    t.since(t0) < bound,
+                    "{realms} realms, feed {feed_s} s, loss {push_loss}: revocation {k} \
+                     from {issuer} not everywhere within {bound}"
+                );
+                t += SimDuration::from_millis(100);
+                mesh.pump(t);
+            }
+        }
+    }
+}

@@ -27,7 +27,9 @@ use hpc_user_separation::sched::{
 };
 use hpc_user_separation::simcore::{SimDuration, SimRng, SimTime};
 use hpc_user_separation::simos::{NodeId, UserDb};
-use hpc_user_separation::workloads::{UserPopulation, WorkloadMix};
+use hpc_user_separation::workloads::{
+    interactive_vs_bulk, multi_partition_storm, UserPopulation, WorkloadMix,
+};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::BTreeMap;
@@ -534,4 +536,104 @@ fn preempted_node_scrub_precedes_reassignment() {
     // The victim reruns to completion afterwards.
     s.run_to_completion();
     assert_eq!(s.jobs[&victim].state, JobState::Completed);
+}
+
+/// The workload preemption exists for: a whole-node bulk front owns all
+/// 16 nodes for the whole window while short urgent sessions arrive. With
+/// the knob on, their mean queue wait drops at least tenfold.
+#[test]
+fn preemption_cuts_interactive_wait_tenfold_on_the_storm() {
+    let mean_urgent_wait = |preemption: bool| {
+        let mut rng = SimRng::seed_from_u64(0x9e05);
+        let mut db = UserDb::new();
+        let pop = UserPopulation::build(&mut db, 60, 10, 1.1, &mut rng);
+        let trace = interactive_vs_bulk(&pop, 20, 30, SimTime::from_secs(900), &mut rng);
+        let mut s = Scheduler::new(SchedConfig {
+            policy: NodeSharing::WholeNodeUser,
+            preemption,
+            ..SchedConfig::default()
+        });
+        for _ in 0..16 {
+            s.add_node(16, 65_536, 0);
+        }
+        trace.submit_all(&mut s);
+        s.run_to_completion();
+        let waits: Vec<f64> = s
+            .jobs
+            .values()
+            .filter(|j| j.spec.qos == QosClass::Urgent)
+            .map(|j| {
+                j.started
+                    .expect("storm drains")
+                    .since(j.submitted)
+                    .as_secs_f64()
+            })
+            .collect();
+        assert_eq!(waits.len(), 30);
+        (
+            waits.iter().sum::<f64>() / waits.len() as f64,
+            s.preemptions.len(),
+        )
+    };
+    let (off_wait, off_preemptions) = mean_urgent_wait(false);
+    let (on_wait, on_preemptions) = mean_urgent_wait(true);
+    assert_eq!(off_preemptions, 0, "no preemptions with the knob off");
+    assert!(on_preemptions > 0, "preemption must actually fire");
+    assert!(
+        off_wait / on_wait.max(1.0) >= 10.0,
+        "urgent mean wait {off_wait:.1} s -> {on_wait:.1} s is under tenfold"
+    );
+}
+
+/// The workload fair-share exists for: 80 % of a 200-job storm is a deep
+/// backlog on `batch`; `short` and `debug` get light work. Replayed in four
+/// windows, fair-share starts at least one job in every window for every
+/// partition that had pending work when the window opened.
+#[test]
+fn fair_share_starves_no_partition_on_the_multi_partition_storm() {
+    let parts: [(&str, u32); 3] = [("batch", 24), ("short", 4), ("debug", 4)];
+    let names: Vec<&str> = parts.iter().map(|(n, _)| *n).collect();
+    let window = SimTime::from_secs(900);
+    let windows = 4u64;
+    let mut rng = SimRng::seed_from_u64(0xfa15);
+    let mut db = UserDb::new();
+    let pop = UserPopulation::build(&mut db, 80, 12, 1.1, &mut rng);
+    let trace = multi_partition_storm(&pop, &names, 200, 0.8, window, &mut rng);
+    let mut s = Scheduler::new(SchedConfig {
+        policy: NodeSharing::Shared,
+        fair_share: true,
+        ..SchedConfig::default()
+    });
+    let mut next = 1u32;
+    for (i, (name, count)) in parts.iter().enumerate() {
+        let ids: Vec<NodeId> = (next..next + count).map(NodeId).collect();
+        next += count;
+        for _ in 0..*count {
+            s.add_node(16, 65_536, 0);
+        }
+        s.partitions_mut().add(name, ids, i == 0).unwrap();
+    }
+    trace.submit_all(&mut s);
+    let in_part = |s: &Scheduler, name: &str, state: fn(&JobState) -> bool| {
+        s.jobs
+            .values()
+            .filter(|j| j.spec.partition.as_deref() == Some(name) && state(&j.state))
+            .count()
+    };
+    let not_pending = |st: &JobState| *st != JobState::Pending;
+    let win = SimDuration::from_secs_f64(window.as_secs_f64() / windows as f64);
+    for w in 1..=windows {
+        let pending: Vec<bool> = names
+            .iter()
+            .map(|n| in_part(&s, n, |st| *st == JobState::Pending) > 0)
+            .collect();
+        let before: Vec<usize> = names.iter().map(|n| in_part(&s, n, not_pending)).collect();
+        s.run_until(SimTime::ZERO + win * w);
+        for (i, name) in names.iter().enumerate() {
+            assert!(
+                !pending[i] || in_part(&s, name, not_pending) > before[i],
+                "partition {name} had pending work yet started nothing in window {w}"
+            );
+        }
+    }
 }

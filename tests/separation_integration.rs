@@ -3,7 +3,7 @@
 //! and V.
 
 use hpc_user_separation::sched::{JobSpec, JobState, NodeSharing, QosClass};
-use hpc_user_separation::simcore::{SimDuration, SimTime};
+use hpc_user_separation::simcore::{splitmix64, SimDuration, SimTime};
 use hpc_user_separation::simnet::{ConnectError, Proto, SocketAddr};
 use hpc_user_separation::simos::{Mode, Pid};
 use hpc_user_separation::{
@@ -98,13 +98,51 @@ fn defense_in_depth_hidepid_still_matters_under_whole_node() {
     );
 }
 
+/// splitmix digest of each rendered audit line, one per line position,
+/// folded over the reports in [`every_single_ablation_reopens_something`]'s
+/// order (llsc, baseline, each `llsc().without(m)`, llsc with a trusted
+/// sister realm). It pins every row's status and evidence string, so a
+/// change to what any probe observes shows even when the open set holds.
+const AUDIT_LINE_DIGESTS: [u64; 23] = [
+    0xf36f48a85a94e455,
+    0x4a3cdccebcd89ac7,
+    0x544c1dd02caac362,
+    0x22624d4965dde3b4,
+    0xc0a433ae6ceef2a3,
+    0x943a7e9e56784335,
+    0xec6d4fdea52809c6,
+    0x95954165459b5f08,
+    0x43227cd0cbd36c36,
+    0x52c2a39cef6d1d51,
+    0xb31f7790d78c8720,
+    0xb809500bd9551782,
+    0x3a98dcc76cab7b4e,
+    0xaf310c9552cd4075,
+    0xdcdae89ff1b0b4aa,
+    0x742a4bf8ee2365f0,
+    0x85b494170cd58348,
+    0xfbc9c9cc03a9f8f8,
+    0x7498a9b49c487413,
+    0x999c92cf8d1e460f,
+    0x309b36abc32e66ed,
+    0xd4e4952f2464f9eb,
+    0x5118af24dbb4f9a8,
+];
+
+fn fold_line(h: u64, line: &str) -> u64 {
+    line.bytes()
+        .fold(splitmix64(h ^ line.len() as u64), |h, b| {
+            splitmix64(h ^ b as u64)
+        })
+}
+
 #[test]
 fn every_single_ablation_reopens_something() {
     // The paper's defense-in-depth matrix, asserted exactly: the full config
     // leaves only the Sec. V residuals open, removing one mechanism re-opens
-    // exactly the channels it closes and nothing else, and the baseline
-    // leaks on every channel.
-    let open = |cfg: SeparationConfig| audit::run_audit(&cfg, &ClusterSpec::tiny()).open_channels();
+    // exactly the channels it closes and nothing else, trusting a sister
+    // realm opens nothing, and the baseline leaks on every channel.
+    let audit = |cfg: &SeparationConfig| audit::run_audit(cfg, &ClusterSpec::tiny());
     let residuals_plus = |m: Option<Mechanism>| -> Vec<Channel> {
         let closers = [None, m];
         Channel::all()
@@ -113,16 +151,47 @@ fn every_single_ablation_reopens_something() {
             .filter(|ch| closers.contains(&ch.closed_by()))
             .collect()
     };
-    assert_eq!(open(SeparationConfig::llsc()), residuals_plus(None));
+    let mut reports = vec![
+        (audit(&SeparationConfig::llsc()), residuals_plus(None)),
+        (
+            audit(&SeparationConfig::baseline()),
+            Channel::all().to_vec(),
+        ),
+    ];
     for &m in Mechanism::all() {
-        assert_eq!(
-            open(SeparationConfig::llsc().without(m)),
-            residuals_plus(Some(m)),
-            "ablation {}",
-            m.label()
+        let cfg = SeparationConfig::llsc().without(m);
+        reports.push((audit(&cfg), residuals_plus(Some(m))));
+    }
+    let trusted = SeparationConfig::llsc().with_trusted_realms([2u32]);
+    reports.push((audit(&trusted), residuals_plus(None)));
+    for (report, expected) in &reports {
+        assert_eq!(&report.open_channels(), expected, "{}", report.label);
+    }
+
+    // The rendered reports, evidence included, line by line.
+    let rendered: Vec<String> = reports.iter().map(|(r, _)| r.to_string()).collect();
+    let lines: Vec<Vec<&str>> = rendered.iter().map(|r| r.lines().collect()).collect();
+    let digests: Vec<u64> = (0..AUDIT_LINE_DIGESTS.len())
+        .map(|i| {
+            lines
+                .iter()
+                .fold(0, |h, l| fold_line(h, l.get(i).copied().unwrap_or("")))
+        })
+        .collect();
+    if let Some(i) = (0..digests.len()).find(|&i| digests[i] != AUDIT_LINE_DIGESTS[i]) {
+        let shown: Vec<String> = lines
+            .iter()
+            .map(|l| format!("  {}", l.get(i).copied().unwrap_or("<missing>")))
+            .collect();
+        let all: Vec<String> = digests.iter().map(|d| format!("    {d:#018x},")).collect();
+        panic!(
+            "rendered audit line {i} changed; that line in every report:\n{}\n\
+             actual digests:\n{}",
+            shown.join("\n"),
+            all.join("\n")
         );
     }
-    assert_eq!(open(SeparationConfig::baseline()), Channel::all());
+    assert!(lines.iter().all(|l| l.len() == AUDIT_LINE_DIGESTS.len()));
 }
 
 #[test]
@@ -268,6 +337,41 @@ fn gpu_lifecycle_under_full_config() {
     let gpu = c.gpus.get(node, 0).unwrap();
     assert_eq!(gpu.assigned_to, None);
     assert!(!gpu.is_dirty(), "epilog scrub ran");
+
+    // The other rows of the remanence matrix: the next tenant's job opens
+    // its own device under every configuration, and reads the previous
+    // job's bytes unless the epilog scrub ran; device permissions alone
+    // leave them.
+    const PATTERN: &[u8] = b"victim model weights v3";
+    for (label, gpu_scrub, gpu_dev_perms, survives) in [
+        ("baseline", false, false, true),
+        ("scrub only", true, false, false),
+        ("dev perms only", false, true, true),
+    ] {
+        let mut cfg = SeparationConfig::baseline();
+        cfg.gpu_scrub = gpu_scrub;
+        cfg.gpu_dev_perms = gpu_dev_perms;
+        let mut c = SecureCluster::new(cfg, ClusterSpec::default());
+        let victim = c.add_user("victim").unwrap();
+        let attacker = c.add_user("attacker").unwrap();
+        c.submit(JobSpec::new(victim, "train", SimDuration::from_secs(10)).with_gpus_per_task(1));
+        c.advance_to(SimTime::from_secs(1));
+        let node = c.compute_ids[0];
+        c.gpus.get_mut(node, 0).unwrap().write(0, PATTERN).unwrap();
+        c.run_to_completion();
+        c.submit(JobSpec::new(attacker, "probe", SimDuration::from_secs(10)).with_gpus_per_task(1));
+        let t = c.sched.read().now() + SimDuration::from_secs(1);
+        c.advance_to(t);
+        let ctx = c.user_fs_ctx(attacker).unwrap();
+        let own_device = c.node(node).local_fs.open_device(
+            &ctx,
+            "/dev/gpu0",
+            hpc_user_separation::simos::Perm::RW,
+        );
+        assert!(own_device.is_ok(), "{label}: the tenant opens its own GPU");
+        let bytes = c.gpus.get(node, 0).unwrap().read(0, PATTERN.len()).unwrap();
+        assert_eq!(bytes == PATTERN, survives, "{label}: remanence");
+    }
 }
 
 #[test]
