@@ -1290,7 +1290,6 @@ impl SecureCluster {
         if self.obs.rec.enabled() {
             let flows = self.fabric.flows_tracked() as i64;
             self.obs.rec.gauge_set(self.obs.g_flows, flows);
-            self.obs.rec.ts_tick(t);
         }
         if self.obs.slo.enabled() {
             // cred.validate.latency: mean broker validate ns this boundary.

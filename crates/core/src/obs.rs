@@ -39,7 +39,7 @@ pub use eus_obs::{
     assemble_trace, check_well_formed, panicdump, render_trace, Alert, AlertKind, AlertLog,
     CounterId, FlightEvent, FlightRecorder, GaugeId, ObsConfig, ObsSnapshot, Recorder, SharedId,
     SharedStats, SloAgg, SloId, SloPlane, SloSpec, SpanId, TraceBuffer, TraceCtx, TraceSpan,
-    TraceToken, TsId, TsRing, WindowAgg,
+    TraceToken, TsRing, WindowAgg,
 };
 
 /// Plane code baked into cluster-level trace ids (see [`TraceBuffer::new`]).
@@ -64,8 +64,6 @@ pub struct CoreObs {
     pub c_gpu_assigns: CounterId,
     /// Cluster-wide conntrack occupancy, sampled at cycle boundaries.
     pub g_flows: GaugeId,
-    /// Time-series ring behind [`g_flows`](Self::g_flows).
-    pub ts_flows: TsId,
     /// IdP dependency health, sampled at cycle boundaries
     /// (0 = healthy, 1 = degraded, 2 = fail-closed; see
     /// [`crate::DepHealth`]).
@@ -98,7 +96,6 @@ impl CoreObs {
     pub fn new(cfg: &ObsConfig) -> Self {
         let mut rec = Recorder::new(cfg);
         let g_flows = rec.gauge("core.fabric.flows");
-        let ts_flows = rec.track_gauge(g_flows, SimDuration::from_secs(10), 360);
         let mut slo = SloPlane::new(SimDuration::from_secs(10), cfg.enabled);
         let slo_validate = slo.slo(
             "cred.validate.latency",
@@ -146,7 +143,6 @@ impl CoreObs {
             c_gpu_scrubs: rec.counter("core.gpu.scrubs"),
             c_gpu_assigns: rec.counter("core.gpu.assigns"),
             g_flows,
-            ts_flows,
             g_health_idp: rec.gauge("core.health.idp"),
             g_health_ca: rec.gauge("core.health.ca"),
             g_health_feed: rec.gauge("core.health.feed"),

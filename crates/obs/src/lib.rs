@@ -40,10 +40,9 @@
 //!   spans land in per-plane [`TraceBuffer`] rings; [`render_trace`] draws
 //!   the tree.
 //! * [`timeseries`] — fixed-capacity sim-time-bucketed rings
-//!   ([`TsRing`]) sampled from counter/gauge handles at pump/cycle
-//!   boundaries ([`Recorder::ts_tick`]): windowed rates and levels with
-//!   zero additional work on the record path.
-//! * [`slo`] — declarative objectives ([`SloSpec`]) over those rings with
+//!   ([`TsRing`]) fed at pump/cycle boundaries: windowed rates and levels
+//!   with zero additional work on the record path.
+//! * [`slo`] — declarative objectives ([`SloSpec`]) over such rings with
 //!   multi-window burn-rate alerting ([`SloPlane::evaluate`]); alerts are
 //!   flight-recorder events plus a queryable [`AlertLog`].
 //!
@@ -68,7 +67,7 @@ pub mod timeseries;
 pub mod trace;
 
 pub use flight::{FlightEvent, FlightRecorder};
-pub use registry::{CounterId, GaugeId, ObsSnapshot, Recorder, SpanId, SpanStats, SpanToken, TsId};
+pub use registry::{CounterId, GaugeId, ObsSnapshot, Recorder, SpanId, SpanStats, SpanToken};
 pub use shared::{SharedId, SharedStats};
 pub use slo::{Alert, AlertKind, AlertLog, SloAgg, SloId, SloPlane, SloSpec};
 pub use timeseries::{TsRing, WindowAgg};

@@ -7,9 +7,8 @@
 //! one `enabled` branch; a disabled recorder is a never-taken jump.
 
 use crate::flight::FlightRecorder;
-use crate::timeseries::TsRing;
 use crate::ObsConfig;
-use eus_simcore::{Histogram, SimDuration, SimTime, Summary};
+use eus_simcore::{Histogram, SimTime, Summary};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -24,27 +23,6 @@ pub struct GaugeId(u16);
 /// Handle to a registered span (a named phase with wall-time statistics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanId(u16);
-
-/// Handle to a time-series ring tracking a counter or gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TsId(u16);
-
-/// What a tracked ring samples at each tick.
-#[derive(Debug, Clone, Copy)]
-enum TrackSource {
-    /// The counter's delta since the previous tick (windowed rate).
-    Counter(u16),
-    /// The gauge's current level.
-    Gauge(u16),
-}
-
-/// One tracked time-series: a ring fed by boundary samples of a handle.
-#[derive(Debug, Clone)]
-struct Tracked {
-    source: TrackSource,
-    ring: TsRing,
-    last: u64,
-}
 
 /// An in-flight span: the wall-clock instant it opened, or `None` when the
 /// recorder was disabled at open time (the matching
@@ -80,7 +58,6 @@ pub struct Recorder {
     gauges: Vec<i64>,
     span_names: Vec<&'static str>,
     spans: Vec<SpanStats>,
-    tracked: Vec<Tracked>,
     /// The structured event ring. Public: dump/tail access is part of the
     /// plane's API surface.
     pub flight: FlightRecorder,
@@ -99,7 +76,6 @@ impl Recorder {
             gauges: Vec::new(),
             span_names: Vec::new(),
             spans: Vec::new(),
-            tracked: Vec::new(),
             flight: FlightRecorder::new(cfg.flight_capacity),
         }
     }
@@ -157,62 +133,6 @@ impl Recorder {
             wall_ns: Histogram::with_reservoir(self.reservoir),
         });
         SpanId((self.span_names.len() - 1) as u16)
-    }
-
-    /// Attach a time-series ring to a counter: each [`ts_tick`](Self::ts_tick)
-    /// samples the counter's *delta* since the previous tick into a
-    /// `bucket`-wide ring of `capacity` buckets, giving windowed rates
-    /// without touching the counter's hot record path. Construction time
-    /// only.
-    pub fn track_counter(&mut self, id: CounterId, bucket: SimDuration, capacity: usize) -> TsId {
-        self.tracked.push(Tracked {
-            source: TrackSource::Counter(id.0),
-            ring: TsRing::new(bucket, capacity),
-            last: 0,
-        });
-        TsId((self.tracked.len() - 1) as u16)
-    }
-
-    /// Attach a time-series ring to a gauge: each tick samples the gauge's
-    /// current *level* (clamped at 0). Construction time only.
-    pub fn track_gauge(&mut self, id: GaugeId, bucket: SimDuration, capacity: usize) -> TsId {
-        self.tracked.push(Tracked {
-            source: TrackSource::Gauge(id.0),
-            ring: TsRing::new(bucket, capacity),
-            last: 0,
-        });
-        TsId((self.tracked.len() - 1) as u16)
-    }
-
-    /// Sample every tracked handle into its ring at sim time `at`. Called
-    /// at pump/cycle boundaries — never from a record site — so tracking
-    /// adds zero work to the hot path.
-    pub fn ts_tick(&mut self, at: SimTime) {
-        if !self.enabled {
-            return;
-        }
-        for t in &mut self.tracked {
-            match t.source {
-                TrackSource::Counter(i) => {
-                    let now = self.counters.get(i as usize).copied().unwrap_or(0);
-                    let delta = now.saturating_sub(t.last);
-                    t.last = now;
-                    if delta > 0 {
-                        t.ring.record(at, delta as f64);
-                    }
-                }
-                TrackSource::Gauge(i) => {
-                    let level = self.gauges.get(i as usize).copied().unwrap_or(0).max(0);
-                    t.ring.record(at, level as f64);
-                }
-            }
-        }
-    }
-
-    /// The ring behind a tracked handle (windowed reads in tests).
-    #[cfg(test)]
-    fn ts(&self, id: TsId) -> Option<&TsRing> {
-        self.tracked.get(id.0 as usize).map(|t| &t.ring)
     }
 
     // ------------------------------------------------------------------
@@ -473,48 +393,6 @@ mod tests {
         let s1 = r.span("same.span");
         let s2 = r.span("same.span");
         assert_eq!(s1, s2);
-    }
-
-    #[test]
-    fn tracked_counter_samples_deltas_at_ticks() {
-        let mut r = Recorder::new(&ObsConfig::enabled());
-        let c = r.counter("m.evt.count");
-        let ts = r.track_counter(c, SimDuration::from_secs(10), 8);
-        r.add(c, 3);
-        r.ts_tick(SimTime::from_secs(10));
-        r.add(c, 5);
-        r.ts_tick(SimTime::from_secs(20));
-        let ring = r.ts(ts).unwrap();
-        let w = ring.window(SimTime::from_secs(20), 2);
-        assert_eq!(w.count, 2);
-        assert_eq!(w.sum, 8.0);
-        assert_eq!(w.max, 5.0);
-        // A tick with no movement records nothing.
-        r.ts_tick(SimTime::from_secs(30));
-        assert_eq!(r.ts(ts).unwrap().window(SimTime::from_secs(30), 1).count, 0);
-    }
-
-    #[test]
-    fn tracked_gauge_samples_levels() {
-        let mut r = Recorder::new(&ObsConfig::enabled());
-        let g = r.gauge("m.occ.level");
-        let ts = r.track_gauge(g, SimDuration::from_secs(10), 8);
-        r.gauge_set(g, 7);
-        r.ts_tick(SimTime::from_secs(10));
-        r.gauge_set(g, 4);
-        r.ts_tick(SimTime::from_secs(20));
-        let w = r.ts(ts).unwrap().window(SimTime::from_secs(20), 2);
-        assert_eq!(w.count, 2);
-        assert_eq!(w.max, 7.0);
-    }
-
-    #[test]
-    fn disabled_tick_is_free() {
-        let mut r = Recorder::disabled();
-        let c = r.counter("m.evt.count");
-        let ts = r.track_counter(c, SimDuration::from_secs(10), 8);
-        r.ts_tick(SimTime::from_secs(10));
-        assert_eq!(r.ts(ts).unwrap().window(SimTime::from_secs(10), 8).count, 0);
     }
 
     #[test]

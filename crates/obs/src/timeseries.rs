@@ -6,15 +6,9 @@
 //! and never looks at the wall clock — windows are pure sim time, so a
 //! windowed rate is replay-deterministic.
 //!
-//! Two ways to feed one:
-//!
-//! * directly ([`TsRing::record`]) with a value per event, or
-//! * behind an existing counter/gauge handle via
-//!   [`crate::Recorder::track_counter`] / `track_gauge` +
-//!   [`crate::Recorder::ts_tick`], which samples the handle's *delta*
-//!   (counter) or *level* (gauge) into the ring at pump/cycle boundaries —
-//!   the hot record path stays exactly one branch, the ring sees only
-//!   boundary work.
+//! A ring is fed with [`TsRing::record`], one value per observation; the
+//! SLO plane ([`crate::slo`]) owns one per objective and records into it
+//! at pump/cycle boundaries, so the hot record path never sees a ring.
 
 use eus_simcore::{SimDuration, SimTime};
 use std::fmt::Write as _;

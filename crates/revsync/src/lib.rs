@@ -98,20 +98,6 @@ pub struct RevSyncConfig {
     /// Fraction of push feeds lost in transit (fire-and-forget transport;
     /// anti-entropy is the repair path).
     pub push_loss: f64,
-    /// First retry backoff after a *detected* push failure (connect refused
-    /// on a partitioned or faulted link — unlike in-transit loss, the
-    /// sender sees these). Doubles per consecutive failure.
-    pub retry_base: SimDuration,
-    /// Ceiling on the push retry backoff (capped exponential).
-    pub retry_cap: SimDuration,
-    /// Missed feed intervals before a subscriber declares the feed silent
-    /// (the `feed.silent` flight event and counter; heartbeats normally
-    /// arrive every [`feed_interval`](Self::feed_interval)).
-    pub silent_after: u32,
-    /// Seed for the mesh's loss and retry-jitter draws.
-    pub seed: u64,
-    /// WAN latency constants.
-    pub wan: LatencyModel,
 }
 
 impl Default for RevSyncConfig {
@@ -121,11 +107,6 @@ impl Default for RevSyncConfig {
             anti_entropy: SimDuration::from_secs(300),
             max_lag: SimDuration::from_secs(900),
             push_loss: 0.0,
-            retry_base: SimDuration::from_millis(2_500),
-            retry_cap: SimDuration::from_secs(40),
-            silent_after: 3,
-            seed: 0x9EC5_FEED,
-            wan: wan_latency(),
         }
     }
 }

@@ -43,6 +43,22 @@ use std::collections::{BTreeMap, BTreeSet};
 /// The well-known port each realm's CRL feed daemon listens on.
 pub const CRL_FEED_PORT: Port = 9253;
 
+/// First retry backoff after a *detected* push failure (connect refused on
+/// a partitioned or faulted link — unlike in-transit loss, the sender sees
+/// these). Doubles per consecutive failure.
+const RETRY_BASE: SimDuration = SimDuration::from_millis(2_500);
+
+/// Ceiling on the push retry backoff (capped exponential).
+const RETRY_CAP: SimDuration = SimDuration::from_secs(40);
+
+/// Missed feed intervals before a subscriber declares the feed silent (the
+/// `feed.silent` flight event and counter; heartbeats normally arrive every
+/// [`RevSyncConfig::feed_interval`]).
+const SILENT_AFTER: u32 = 3;
+
+/// Seed for the mesh's loss and retry-jitter draws.
+const SEED: u64 = 0x9EC5_FEED;
+
 /// Counters the mesh keeps while it runs (all monotonic).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RevSyncMetrics {
@@ -160,14 +176,10 @@ impl RevSyncMesh {
             (0.0..=1.0).contains(&cfg.push_loss),
             "push loss is a probability"
         );
-        assert!(
-            !cfg.retry_base.is_zero(),
-            "push retry backoff base must be positive"
-        );
         let mut fabric = Fabric::new();
-        fabric.latency = cfg.wan;
+        fabric.latency = crate::wan_latency();
         RevSyncMesh {
-            rng: SimRng::seed_from_u64(cfg.seed ^ 0x9EC5_11AD),
+            rng: SimRng::seed_from_u64(SEED ^ 0x9EC5_11AD),
             cfg,
             fabric,
             sites: BTreeMap::new(),
@@ -351,9 +363,9 @@ impl RevSyncMesh {
     /// injection). A stalled daemon swallows pushes — data *and*
     /// heartbeats — without any error the issuer could retry on; pull
     /// anti-entropy is a different process and keeps working. The
-    /// subscriber's only tell is silence: after
-    /// [`RevSyncConfig::silent_after`] missed intervals the mesh fires a
-    /// `feed.silent` flight event (when observability is on).
+    /// subscriber's only tell is silence: after three missed feed
+    /// intervals the mesh fires a `feed.silent` flight event (when
+    /// observability is on).
     pub fn set_feed_stalled(&mut self, issuer: RealmId, subscriber: RealmId, on: bool) {
         if on {
             self.stalled.insert((issuer, subscriber));
@@ -495,9 +507,6 @@ impl RevSyncMesh {
         self.obs.rec.span_end(self.obs.sp_pump, pump_tok);
         self.record_staleness_edges();
         self.record_feed_silence_edges();
-        // Boundary sampling: fold counter deltas into the windowed rings
-        // (no-op when obs is off).
-        self.obs.rec.ts_tick(self.now);
     }
 
     /// Flight-record every replica that crossed the staleness budget in
@@ -546,7 +555,7 @@ impl RevSyncMesh {
 
     /// Flight-record every feed link whose subscriber has stopped hearing
     /// anything — data or heartbeat — for
-    /// [`RevSyncConfig::silent_after`] feed intervals, and the first
+    /// [`SILENT_AFTER`] feed intervals, and the first
     /// delivery after (no-op when obs is off). Like staleness, edges are
     /// what matter: a stalled daemon is invisible to the issuer, so the
     /// subscriber's silence detector is the only early warning before the
@@ -555,7 +564,7 @@ impl RevSyncMesh {
         if !self.obs.rec.enabled() {
             return;
         }
-        let budget = self.cfg.feed_interval * self.cfg.silent_after as u64;
+        let budget = self.cfg.feed_interval * SILENT_AFTER as u64;
         let mut edges: Vec<(RealmId, RealmId, bool, u64)> = Vec::new();
         for l in &self.links {
             let quiet = self.now.since(l.last_heard);
@@ -682,16 +691,16 @@ impl RevSyncMesh {
     }
 
     /// Re-arm link `idx` after a detected push failure: capped exponential
-    /// backoff (doubling from [`RevSyncConfig::retry_base`] up to
-    /// [`RevSyncConfig::retry_cap`]) plus up to 25% jitter, so a transient
+    /// backoff (doubling from [`RETRY_BASE`] up to [`RETRY_CAP`]) plus up
+    /// to 25% jitter, so a transient
     /// fault heals in seconds instead of a full feed interval while a
     /// persistent outage backs the sender off — and parallel links don't
     /// retry in lockstep.
     fn schedule_push_retry(&mut self, idx: usize, when: SimTime) {
         let attempts = self.links[idx].retry_attempts.saturating_add(1);
         let shift = (attempts - 1).min(16);
-        let backoff = (self.cfg.retry_base * (1u64 << shift))
-            .min(self.cfg.retry_cap)
+        let backoff = (RETRY_BASE * (1u64 << shift))
+            .min(RETRY_CAP)
             .max(SimDuration::from_micros(1));
         let jitter =
             SimDuration::from_micros(self.rng.range_u64(0, (backoff.as_micros() / 4).max(1)));
@@ -737,7 +746,13 @@ impl RevSyncMesh {
                 as_of: when,
                 trace: TraceCtx::NONE,
             };
-            if self.ship(issuer, subscriber, delta, self.cfg.wan.base_rtt, true) {
+            if self.ship(
+                issuer,
+                subscriber,
+                delta,
+                self.fabric.latency.base_rtt,
+                true,
+            ) {
                 self.links[idx].pushed_seq = self.links[idx].pushed_seq.max(head);
                 self.metrics.pulls += 1;
                 self.metrics.snapshots_sent += 1;
@@ -762,7 +777,13 @@ impl RevSyncMesh {
             ),
         };
         // Request leg (one WAN round trip) precedes the response transfer.
-        if self.ship(issuer, subscriber, delta, self.cfg.wan.base_rtt, false) {
+        if self.ship(
+            issuer,
+            subscriber,
+            delta,
+            self.fabric.latency.base_rtt,
+            false,
+        ) {
             // The issuer now knows the subscriber's true frontier: realign
             // the push cursor so post-repair pushes are contiguous again.
             self.links[idx].pushed_seq = self.links[idx].pushed_seq.max(head);
@@ -1211,10 +1232,10 @@ mod tests {
 
         // Past the silence budget: pushes were swallowed (no detected
         // failures, so no retries) and the silence edge fired exactly once.
-        let quiet = SimTime::ZERO + cfg.feed_interval * (cfg.silent_after as u64 + 2);
+        let quiet = SimTime::ZERO + cfg.feed_interval * (SILENT_AFTER as u64 + 2);
         mesh.pump(quiet);
         assert_eq!(mesh.metrics.pushes_sent, 0);
-        assert!(mesh.metrics.pushes_stalled >= cfg.silent_after as u64);
+        assert!(mesh.metrics.pushes_stalled >= SILENT_AFTER as u64);
         assert_eq!(mesh.metrics.push_retries, 0);
         assert_eq!(mesh.obs.rec.counter_value(mesh.obs.c_silent_enters), 1);
         assert!(mesh.validate_token_at(RealmId(1), &token, quiet).is_ok());

@@ -16,8 +16,7 @@
 
 use eus_fedauth::CredError;
 use eus_fedauth::RealmId;
-use eus_obs::{CounterId, ObsConfig, Recorder, SharedId, SharedStats, SpanId, TraceBuffer, TsId};
-use eus_simcore::SimDuration;
+use eus_obs::{CounterId, ObsConfig, Recorder, SharedId, SharedStats, SpanId, TraceBuffer};
 use eus_simos::Uid;
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -45,7 +44,7 @@ pub struct MeshObs {
     /// Replicas recovering back *under* the budget.
     pub c_stale_exits: CounterId,
     /// Feed links whose subscriber stopped hearing anything (data or
-    /// heartbeat) for [`crate::RevSyncConfig::silent_after`] intervals.
+    /// heartbeat) for `SILENT_AFTER` (3) feed intervals.
     pub c_silent_enters: CounterId,
     /// Silent feed links heard from again.
     pub c_silent_exits: CounterId,
@@ -56,11 +55,6 @@ pub struct MeshObs {
     /// Causal trace ring: push/pull/apply/deny spans stitched to the
     /// upstream revocation context carried inside `CrlDelta`s.
     pub trace: TraceBuffer,
-    /// Windowed push rate (sampled from [`c_pushes`](Self::c_pushes) at
-    /// pump boundaries).
-    pub ts_pushes: TsId,
-    /// Windowed delivery rate.
-    pub ts_deliveries: TsId,
     stats: SharedStats,
     s_calls: SharedId,
     s_ok: SharedId,
@@ -79,21 +73,16 @@ impl MeshObs {
         if cfg.enabled {
             stats.set_enabled(true);
         }
-        let c_pushes = rec.counter("revsync.pump.pushes");
-        let c_deliveries = rec.counter("revsync.pump.deliveries");
-        let ts_bucket = SimDuration::from_secs(10);
         MeshObs {
             sp_pump: rec.span("revsync.mesh.pump"),
-            c_pushes,
+            c_pushes: rec.counter("revsync.pump.pushes"),
             c_pulls: rec.counter("revsync.pump.pulls"),
-            c_deliveries,
+            c_deliveries: rec.counter("revsync.pump.deliveries"),
             c_gaps: rec.counter("revsync.pump.gap_refusals"),
             c_stale_enters: rec.counter("revsync.staleness.enters"),
             c_stale_exits: rec.counter("revsync.staleness.exits"),
             c_silent_enters: rec.counter("revsync.silence.enters"),
             c_silent_exits: rec.counter("revsync.silence.exits"),
-            ts_pushes: rec.track_counter(c_pushes, ts_bucket, 360),
-            ts_deliveries: rec.track_counter(c_deliveries, ts_bucket, 360),
             trace: TraceBuffer::new("revsync", REVSYNC_TRACE_CODE, 4096, cfg.enabled),
             stale: BTreeSet::new(),
             silent: BTreeSet::new(),

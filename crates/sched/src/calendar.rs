@@ -41,10 +41,10 @@
 //! (a new arrival deserves its reservation), so stale promises are never
 //! consulted.
 
-use crate::engine::{Scheduler, ShadowNode};
+use crate::engine::{class_rows, Scheduler, ShadowNode};
 use crate::job::{JobId, JobSpec, TaskAlloc};
 use crate::policy::NodeSharing;
-use crate::table::NodeTable;
+use crate::table::{slot_of, NodeTable};
 use eus_simcore::SimTime;
 use eus_simos::{NodeId, Uid};
 use std::cmp::Reverse;
@@ -52,17 +52,20 @@ use std::collections::{BTreeSet, BinaryHeap};
 
 /// One signed capacity transition in a planning profile: a running job's
 /// release (+) or a reservation's claim (−) / release (+) on one node of
-/// the class's capacity mirror. The engine refills the calendar's
-/// time-sorted `Vec<CapDelta>` per rebuild and keeps it there so
-/// `earliest_start` can probe-plan beyond-top-K jobs against the very
-/// same profile. Transitions on nodes outside the mirror are left out:
-/// they change no fit a plan can see, so the instants they would add as
-/// anchors can never be the first feasible one.
+/// the class. The engine refills the calendar's time-sorted
+/// `Vec<CapDelta>` per rebuild and keeps it there so `earliest_start` can
+/// probe-plan beyond-top-K jobs against the very same profile.
+/// Transitions on nodes outside the class are left out: they change no
+/// fit a plan can see, so the instants they would add as anchors can
+/// never be the first feasible one.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CapDelta {
     /// When the transition happens.
     pub(crate) at: SimTime,
-    /// The node's position in the class's capacity mirror.
+    /// The node's position in the class's gathered rows
+    /// ([`PlanScratch::gather`]). Every state change that could move it
+    /// (a node added, a partition added) also moves the state version, so
+    /// a profile is never read against another gather.
     pub(crate) pos: u32,
     /// Core delta (claims negative).
     pub(crate) cores: i64,
@@ -160,7 +163,7 @@ impl ReservationCalendar {
 }
 
 /// Reusable buffers for calendar planning, all indexed by position in the
-/// class's capacity mirror. One lives in the scheduler; a steady-state
+/// class's gathered rows. One lives in the scheduler; a steady-state
 /// rebuild allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct PlanScratch {
@@ -169,9 +172,16 @@ pub(crate) struct PlanScratch {
     pub(crate) order: Vec<JobId>,
     /// Fair-share top-K merge heap: `(score key, enqueue-seq, user)`.
     pub(crate) heap: BinaryHeap<Reverse<(i64, u64, Uid)>>,
-    /// Mirror positions of the last plan's allocations, parallel to the
+    /// Row positions of the last plan's allocations, parallel to the
     /// `allocs` it filled.
     pub(crate) alloc_pos: Vec<u32>,
+    /// The class's rows as of `now`, as [`gather`](Self::gather) left
+    /// them: what every plan starts from.
+    base: Vec<ShadowNode>,
+    /// Node slot → position in `base`. Never cleared: an entry left by
+    /// another class's gather fails the id check in
+    /// [`position`](Self::position).
+    pos: Vec<u32>,
     /// Capacity at the current anchor (every delta up to it applied).
     snodes: Vec<ShadowNode>,
     /// Per-node task fit at the current anchor, window claims subtracted.
@@ -189,18 +199,37 @@ pub(crate) struct PlanCtx<'a> {
     pub(crate) policy: NodeSharing,
     /// Node totals, for whole-node charging.
     pub(crate) nodes: &'a NodeTable,
-    /// The class's capacity mirror as of `now`.
-    pub(crate) base: &'a [ShadowNode],
-    /// The job's eligible nodes when they are a strict subset of `base`
-    /// (a partitioned job planned in the global class); `None` when the
-    /// base *is* the job's own partition mirror.
+    /// The job's eligible nodes when they are a strict subset of the
+    /// class (a partitioned job planned in the global class); `None` when
+    /// the class *is* the job's own partition.
     pub(crate) eligible: Option<&'a BTreeSet<NodeId>>,
 }
 
 impl PlanScratch {
+    /// Gather a class's rows (see [`class_rows`]) as the base every plan
+    /// until the next gather starts from: the order [`CapDelta::pos`]
+    /// indexes.
+    pub(crate) fn gather(&mut self, rows: &[ShadowNode], members: Option<&BTreeSet<NodeId>>) {
+        self.base.clear();
+        self.pos.resize(rows.len(), u32::MAX);
+        for sn in class_rows(rows, members) {
+            self.pos[slot_of(sn.id)] = self.base.len() as u32;
+            self.base.push(*sn);
+        }
+    }
+
+    /// `nid`'s position in the gathered rows; `None` = not in the class.
+    pub(crate) fn position(&self, nid: NodeId) -> Option<u32> {
+        let p = *self.pos.get(slot_of(nid))?;
+        self.base
+            .get(p as usize)
+            .is_some_and(|sn| sn.id == nid)
+            .then_some(p)
+    }
+
     // analyze:hot-path-begin(sched-calendar-plan)
-    /// Plan the earliest conservative reservation for one job against a
-    /// base capacity snapshot plus a time-sorted delta profile: fill
+    /// Plan the earliest conservative reservation for one job against the
+    /// gathered rows plus a time-sorted delta profile: fill
     /// `allocs` (and `alloc_pos`) with the concrete per-node holds and
     /// return the start. `None` = the job fits at no anchor (it would
     /// never start even after every release). Pure with respect to
@@ -224,6 +253,7 @@ impl PlanScratch {
     ) -> Option<SimTime> {
         let PlanScratch {
             alloc_pos,
+            base,
             snodes,
             fits,
             win,
@@ -232,7 +262,7 @@ impl PlanScratch {
         let policy = ctx.policy;
         let needed = spec.tasks as u64;
         snodes.clear();
-        snodes.extend_from_slice(ctx.base);
+        snodes.extend_from_slice(base);
         win.clear();
         win.resize(snodes.len(), (0, 0, 0));
         fits.clear();

@@ -10,8 +10,10 @@
 //! | the head                 | first entry of `heads`   | enqueue, dequeue, ledger charge       |
 //! | the band-major order     | `qos`                    | enqueue, dequeue                      |
 //! | the backfill window      | `fifo`, walked forward   | enqueue, dequeue                      |
-//! | blocked-head / shadow    | `head_memo`/`shadow_memo`| the cycle that computed them          |
-//! | capacity for planning    | `mirror`                 | every claim/release (`mirror_update`) |
+//! | blocked head + shadow    | `head_memo`              | the cycle that computed them          |
+//!
+//! Capacity is not class state: a class plans over the engine's one row
+//! per node, gathered through the partition's member set when it plans.
 //!
 //! # The head index
 //!
@@ -28,7 +30,6 @@
 //! stored values are all stale).
 
 use crate::calendar::ReservationCalendar;
-use crate::engine::ShadowNode;
 use crate::job::JobId;
 use eus_simcore::{SimDuration, SimTime};
 use eus_simos::Uid;
@@ -82,20 +83,11 @@ pub(crate) struct ClassState {
     qos: BTreeMap<(u8, u64), JobId>,
     /// The class's reservation calendar (`reservations > 0`).
     pub(crate) calendar: ReservationCalendar,
-    /// Failed-head memo `(head, state_version)`: while nothing claimed or
-    /// released *and the selected head is unchanged*, a blocked class head
-    /// stays blocked.
-    pub(crate) head_memo: Option<(JobId, u64)>,
-    /// Shadow memo `(head, state_version, shadow)`.
-    pub(crate) shadow_memo: Option<(JobId, u64, SimTime)>,
-    /// Flat capacity mirror of the class's partition (id-ascending),
-    /// built on first use and then maintained on every claim/release —
-    /// victim scans and calendar builds are flat copies
-    /// instead of node-map walks. Unused for the whole-cluster class,
-    /// whose mirror is the engine's own.
-    pub(crate) mirror: Vec<ShadowNode>,
-    /// Has `mirror` been built against the current partition table?
-    pub(crate) mirror_built: bool,
+    /// Blocked-head memo `(head, state_version, shadow)`: while nothing
+    /// claimed or released *and the selected head is unchanged*, a blocked
+    /// class head stays blocked and its EASY shadow stays put (`MAX` while
+    /// backfill, the shadow's one reader, is off).
+    pub(crate) head_memo: Option<(JobId, u64, SimTime)>,
 }
 
 impl ClassState {

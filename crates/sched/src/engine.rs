@@ -78,25 +78,31 @@
 //! # What a cycle memoizes, and what invalidates it
 //!
 //! `state_version` moves on every claim, release, failure, repair, node
-//! add and partition edit — anything that could change a placement or
+//! add and partition add — anything that could change a placement or
 //! shadow answer. The memos key on it:
 //!
-//! * **blocked head** (`ClassState::head_memo`, `(head, version)`): a
-//!   blocked head stays blocked while the version and the class's
-//!   selected head are unchanged, so an arrival skips the placement
-//!   attempt; with backfill off the cycle returns before it reads the
-//!   head's spec (the arrival-flood fast path);
-//! * **shadow** (`ClassState::shadow_memo`, `(head, version, shadow)`):
-//!   the EASY shadow is a pure function of the head's spec, node state and
-//!   the running set, in absolute time, so a later `now` keeps it;
+//! * **blocked head** (`ClassState::head_memo`, `(head, version,
+//!   shadow)`): a blocked head stays blocked while the version and the
+//!   class's selected head are unchanged, so an arrival skips the
+//!   placement attempt; with backfill off the cycle returns before it
+//!   reads the head's spec (the arrival-flood fast path). The EASY shadow
+//!   rides in the same entry: it is a pure function of the head's spec,
+//!   node state and the running set, in absolute time, so a later `now`
+//!   keeps it;
 //! * **failed backfill placements** (`backfill_fails`): a candidate that
 //!   found no placement at this version finds none until it moves;
-//! * **calendar** (`ClassState::calendar`): keyed
+//! * **calendar** (`ClassState::calendar`): a plan is valid for
 //!   `(state_version, queue_seq, queue_shrink_epoch)` — any claim or
 //!   release, any arrival, any departure (`cancel` moves only the last).
+//!   A refresh at the same `state_version` whose top-K is unchanged
+//!   re-tags the standing plan instead of re-planning.
 //!
-//! The head's `Σ fit` (`head_fit`) is not a memo: `mirror_update` keeps it
-//! exact on every capacity change, and a partition edit drops it.
+//! The head's `Σ fit` (`head_fit`) is not a memo: `mirror_update` and
+//! `add_node` keep it exact on every capacity change, and a partition add
+//! drops it. Partitions are append-only ([`PartitionTable::add`] is the
+//! table's one mutator), so no capacity copy needs a version or a lazy
+//! rebuild: a class plans over the one row array, gathered through its
+//! member set at plan time.
 //!
 //! # The policy plane
 //!
@@ -128,11 +134,10 @@
 //!   candidate must not collide with any held reservation, not just the
 //!   head's shadow).
 //!
-//! Calendars build from the same capacity mirrors as the shadow (including
-//! the per-partition mirrors that give partitioned builds the flat-copy
-//! path). Like `policy`, the knobs and the partition table are immutable
-//! once jobs are queued: a queued job keeps the class its partition
-//! resolved to at enqueue.
+//! Calendars build from the same capacity rows as the shadow, gathered
+//! through the class's partition. Like `policy`, the knobs and the
+//! partition table are immutable once jobs are queued: a queued job keeps
+//! the class its partition resolved to at enqueue.
 //!
 //! Each class's bookkeeping is one `ClassState` (`class.rs`) in a `Vec`
 //! indexed by [`ClassId`]: a job's class is resolved once, when it is
@@ -382,6 +387,19 @@ impl ShadowNode {
     // analyze:hot-path-end
 }
 
+/// A class's view of the one row array: every row for the whole cluster
+/// (`members = None`), else the members' rows in ascending id order,
+/// skipping ids not yet added. The head's fit sum, the calendar's gather
+/// and the preemption proof all read a class through it.
+pub(crate) fn class_rows<'a>(
+    rows: &'a [ShadowNode],
+    members: Option<&'a BTreeSet<NodeId>>,
+) -> impl Iterator<Item = &'a ShadowNode> {
+    let all = if members.is_none() { rows } else { &[] };
+    let named = members.into_iter().flatten();
+    named.filter_map(|nid| rows.get(slot_of(*nid))).chain(all)
+}
+
 /// A running job's allocations, frozen at start (immutable while it runs).
 type RunAllocs = Box<[(NodeId, TaskAlloc)]>;
 
@@ -449,11 +467,9 @@ pub struct Scheduler {
     /// `fair_share` is off).
     ledger: FairShareLedger,
     /// Per-class state, indexed by [`ClassId`] and grown when a class
-    /// first receives a job: FIFO and head indexes, calendar, head/shadow
-    /// memos, capacity mirror. Under `fair_share` a job queues in its
-    /// partition's class; otherwise every job queues in
-    /// [`ClassId::GLOBAL`] and a partition's entry carries only its
-    /// capacity mirror.
+    /// first receives a job: FIFO and head indexes, calendar, blocked-head
+    /// memo. Under `fair_share` a job queues in its partition's class;
+    /// otherwise every job queues in [`ClassId::GLOBAL`].
     classes: Vec<ClassState>,
     /// Job → the class its partition resolved to when it was enqueued
     /// ([`ClassId::GLOBAL`] = whole cluster), a flat slab like
@@ -468,15 +484,6 @@ pub struct Scheduler {
     plan_scratch: PlanScratch,
     /// The classes one fair-share cycle visits (reused across cycles).
     cycle_classes: Vec<ClassId>,
-    // ---- per-partition capacity mirrors + incremental head fit ----
-    /// Node slot → `(class, position)` in every built class mirror that
-    /// contains the node, so mirror maintenance is a direct store.
-    node_classes: Vec<Vec<(ClassId, u32)>>,
-    /// Bumped on every partition-table mutation; mirrors rebuilt lazily
-    /// when they trail this.
-    partitions_version: u64,
-    /// `partitions_version` the current mirrors were built against.
-    part_mirror_version: u64,
     /// Incrementally-maintained total task-fit for the current head
     /// (`Σ fit` over its eligible nodes), updated on every claim/release/
     /// fail/repair delta — drops the remaining O(nodes) initial sum from
@@ -523,6 +530,15 @@ struct HeadFit {
     total: u64,
 }
 
+impl HeadFit {
+    /// Is `nid` in the head's scope (its partition, or every node)?
+    fn covers(&self, partitions: &PartitionTable, nid: NodeId) -> bool {
+        partitions
+            .class_nodes(self.part)
+            .is_none_or(|nodes| nodes.contains(&nid))
+    }
+}
+
 impl Scheduler {
     /// An empty scheduler.
     pub fn new(config: SchedConfig) -> Self {
@@ -552,9 +568,6 @@ impl Scheduler {
             preemptions: Vec::new(),
             plan_scratch: PlanScratch::default(),
             cycle_classes: Vec::new(),
-            node_classes: Vec::new(),
-            partitions_version: 0,
-            part_mirror_version: 0,
             head_fit: None,
             events: BinaryHeap::new(),
             next_job: 1,
@@ -611,11 +624,10 @@ impl Scheduler {
         // the placeholder entry is never read).
         self.shadow_overlay.push(sn);
         self.shadow_stamp.push(0);
-        self.node_classes.push(Vec::new());
+        // A partition may name the id before the node joins, so the new
+        // row widens a partitioned head's scope too.
         if let Some(hf) = &mut self.head_fit {
-            // A new node is in no partition yet, so it only widens a
-            // whole-cluster head scope.
-            if hf.part == ClassId::GLOBAL {
+            if hf.covers(&self.partitions, id) {
                 hf.total += sn.fit(&hf.spec, self.config.policy);
             }
         }
@@ -623,33 +635,18 @@ impl Scheduler {
         id
     }
 
-    /// Refresh one node's entry in the persistent shadow mirror, the
-    /// per-partition mirrors that contain it, and the maintained head
-    /// total-fit. Every capacity transition (claim/release/fail/repair)
-    /// funnels through here, which is what lets shadow builds start from a
-    /// flat copy and a ready-made sum instead of an O(nodes) walk.
+    /// Refresh one node's capacity row and the maintained head total-fit.
+    /// Every capacity transition (claim/release/fail/repair) funnels
+    /// through here, which is what lets shadow builds start from the row
+    /// and a ready-made sum instead of an O(nodes) walk.
     fn mirror_update(&mut self, nid: NodeId) {
         let sn = ShadowNode::from_node(&self.nodes[&nid]);
         let idx = slot_of(nid);
-        let old = self.shadow_mirror[idx];
-        self.shadow_mirror[idx] = sn;
+        let old = std::mem::replace(&mut self.shadow_mirror[idx], sn);
         if let Some(hf) = &mut self.head_fit {
-            let in_scope = self
-                .partitions
-                .class_nodes(hf.part)
-                .is_none_or(|nodes| nodes.contains(&nid));
-            if in_scope {
+            if hf.covers(&self.partitions, nid) {
                 let policy = self.config.policy;
                 hf.total = hf.total + sn.fit(&hf.spec, policy) - old.fit(&hf.spec, policy);
-            }
-        }
-        for &(class, pos) in self.node_classes.get(idx).into_iter().flatten() {
-            let entry = self
-                .classes
-                .get_mut(class.index())
-                .and_then(|cs| cs.mirror.get_mut(pos as usize));
-            if let Some(entry) = entry {
-                *entry = sn;
             }
         }
     }
@@ -664,64 +661,6 @@ impl Scheduler {
             self.classes.push(ClassState::default());
         }
         &mut self.classes[class.index()]
-    }
-
-    /// Make sure the per-partition mirrors match the current partition
-    /// table generation, then build (once) the mirror for partition
-    /// `class`: its member nodes' capacity entries, id-ascending. The
-    /// whole-cluster class needs none — [`base_mirror`](Self::base_mirror)
-    /// answers it from `shadow_mirror`.
-    fn ensure_mirror(&mut self, class: ClassId) {
-        if self.part_mirror_version != self.partitions_version {
-            for cs in &mut self.classes {
-                cs.mirror.clear();
-                cs.mirror_built = false;
-            }
-            self.node_classes.iter_mut().for_each(Vec::clear);
-            self.part_mirror_version = self.partitions_version;
-        }
-        if class == ClassId::GLOBAL {
-            return;
-        }
-        let cs = self.class_mut(class);
-        if std::mem::replace(&mut cs.mirror_built, true) {
-            return;
-        }
-        let mut mirror = std::mem::take(&mut cs.mirror);
-        for nid in self.partitions.class_nodes(class).into_iter().flatten() {
-            let slot = slot_of(*nid);
-            if let (Some(sn), Some(at)) = (
-                self.shadow_mirror.get(slot),
-                self.node_classes.get_mut(slot),
-            ) {
-                at.push((class, mirror.len() as u32));
-                mirror.push(*sn);
-            }
-        }
-        self.class_mut(class).mirror = mirror;
-    }
-
-    /// The capacity mirror plans for `class` start from: the whole
-    /// cluster's, or the partition's once
-    /// [`ensure_mirror`](Self::ensure_mirror) built it.
-    fn base_mirror(&self, class: ClassId) -> &[ShadowNode] {
-        if class == ClassId::GLOBAL {
-            &self.shadow_mirror
-        } else {
-            self.classes
-                .get(class.index())
-                .map_or(&[], |cs| cs.mirror.as_slice())
-        }
-    }
-
-    /// `nid`'s position in [`base_mirror`](Self::base_mirror)`(class)`.
-    fn mirror_pos(&self, class: ClassId, nid: NodeId) -> Option<u32> {
-        let slot = slot_of(nid);
-        if class == ClassId::GLOBAL {
-            return (slot < self.shadow_mirror.len()).then_some(slot as u32);
-        }
-        let at = self.node_classes.get(slot)?;
-        at.iter().find(|(c, _)| *c == class).map(|&(_, pos)| pos)
     }
 
     /// Register an operator/coordinator exempt from PrivateData filtering.
@@ -741,14 +680,13 @@ impl Scheduler {
     }
 
     /// Mutable access to the partition table. Changing partitions changes
-    /// which nodes are eligible, so the memoized placement/shadow answers,
-    /// the per-partition capacity mirrors, and the maintained head fit are
-    /// all invalidated here. Configure partitions *before* jobs queue —
-    /// a queued job keeps the partition class it resolved to at enqueue
-    /// (its class FIFO, placement scope and shadow scope follow it).
+    /// which nodes are eligible, so the memoized placement/shadow answers
+    /// and the maintained head fit are invalidated here. Configure
+    /// partitions *before* jobs queue — a queued job keeps the partition
+    /// class it resolved to at enqueue (its class FIFO, placement scope and
+    /// shadow scope follow it).
     pub fn partitions_mut(&mut self) -> &mut PartitionTable {
         self.state_version += 1;
-        self.partitions_version += 1;
         self.head_fit = None;
         &mut self.partitions
     }
@@ -1004,10 +942,7 @@ impl Scheduler {
         };
         let class = self.sched_class(scope);
         let (fair_share, preemption) = (self.config.fair_share, self.config.preemption);
-        // `class` is `scope` or the (lower) whole-cluster id, and ids are
-        // dense: creating the scope's entry — it carries the partition's
-        // capacity mirror even when jobs queue globally — creates both.
-        self.class_mut(scope);
+        self.class_mut(class);
         let Scheduler {
             classes, ledger, ..
         } = self;
@@ -1567,9 +1502,9 @@ impl Scheduler {
     /// the head exists **iff** the summed per-node fit reaches its task
     /// count (per-node fits are independent), so the first release that
     /// pushes the sum over the line is the shadow time. No node-map clone,
-    /// no repeated full placements, reusable scratch. The capacity vector
-    /// is a flat copy of the maintained mirror — the whole-cluster one or
-    /// the per-partition one — and the initial total-fit sum comes from
+    /// no repeated full placements, reusable scratch. Released nodes are
+    /// first-touch copied from the capacity rows into the replay overlay,
+    /// and the initial total-fit sum comes from
     /// the incrementally-maintained [`HeadFit`] when this head was already
     /// being tracked, so a shadow recompute after a claim/release delta
     /// costs O(releases) rather than O(nodes).
@@ -1590,22 +1525,11 @@ impl Scheduler {
     }
 
     /// `Σ fit(spec)` over `part`'s members (the whole cluster for
-    /// [`ClassId::GLOBAL`]), read straight off the dense whole-cluster
-    /// mirror (a part mirror need not be built).
+    /// [`ClassId::GLOBAL`]), read straight off the capacity rows.
     fn scope_fit_sum(&self, part: ClassId, spec: &JobSpec) -> u64 {
-        let policy = self.config.policy;
-        match self.partitions.class_nodes(part) {
-            Some(nodes) => nodes
-                .iter()
-                .filter_map(|nid| self.shadow_mirror.get(slot_of(*nid)))
-                .map(|sn| sn.fit(spec, policy))
-                .sum(),
-            None => self
-                .shadow_mirror
-                .iter()
-                .map(|sn| sn.fit(spec, policy))
-                .sum(),
-        }
+        class_rows(&self.shadow_mirror, self.partitions.class_nodes(part))
+            .map(|sn| sn.fit(spec, self.config.policy))
+            .sum()
     }
 
     // analyze:hot-path-begin(sched-shadow-replay)
@@ -1730,14 +1654,16 @@ impl Scheduler {
             .head(self.config.fair_share, self.config.preemption)
     }
 
-    /// Is `head` memoized as blocked for `class` at this state version?
-    /// While nothing claimed or released *and the selected head is
-    /// unchanged*, a blocked class head stays blocked.
-    fn known_blocked(&self, class: ClassId, head: JobId) -> bool {
+    /// The memoized shadow of `head` if it is memoized as blocked for
+    /// `class` at this state version. While nothing claimed or released
+    /// *and the selected head is unchanged*, a blocked class head stays
+    /// blocked and its shadow stays put.
+    fn known_blocked(&self, class: ClassId, head: JobId) -> Option<SimTime> {
         self.classes
             .get(class.index())
             .and_then(|cs| cs.head_memo)
-            .is_some_and(|(j, v)| j == head && v == self.state_version)
+            .filter(|&(j, v, _)| j == head && v == self.state_version)
+            .map(|(_, _, shadow)| shadow)
     }
 
     /// The partition class a job resolved to when it was (last) enqueued.
@@ -1753,15 +1679,15 @@ impl Scheduler {
     /// blocked head under the shadow bound (and, with reservations on, the
     /// full conservative calendar).
     fn schedule_class(&mut self, class: ClassId) {
-        let (head, head_spec, part) = loop {
+        let (head, head_spec, part, memo) = loop {
             let sel_tok = self.obs.rec.span_start();
             let selected = self.select_head(class);
             self.obs.rec.span_end(self.obs.sp_select, sel_tok);
             let Some(head) = selected else {
                 return;
             };
-            let blocked = self.known_blocked(class, head);
-            if blocked && !self.config.backfill {
+            let memo = self.known_blocked(class, head);
+            if memo.is_some() && !self.config.backfill {
                 // Arrival-flood fast path: nothing below reads the spec, so
                 // don't pay the jobs-map probe at 100k entries.
                 self.obs.rec.incr(self.obs.c_head_memo_hit);
@@ -1771,9 +1697,9 @@ impl Scheduler {
                 return;
             };
             let part = self.queued_scope(head);
-            if blocked {
+            if memo.is_some() {
                 self.obs.rec.incr(self.obs.c_head_memo_hit);
-                break (head, head_spec, part);
+                break (head, head_spec, part, memo);
             }
             self.obs.rec.incr(self.obs.c_head_memo_miss);
             // O(1) certain-fail gate: the maintained Σ fit for this head is
@@ -1822,35 +1748,29 @@ impl Scheduler {
                     continue;
                 }
             }
-            if let Some(cs) = self.classes.get_mut(class.index()) {
-                cs.head_memo = Some((head, self.state_version));
-            }
-            break (head, head_spec, part);
+            break (head, head_spec, part, None);
         };
-        if !self.config.backfill {
-            return;
-        }
-        let memo = self
-            .classes
-            .get(class.index())
-            .and_then(|cs| cs.shadow_memo)
-            .filter(|&(j, v, _)| j == head && v == self.state_version);
         let shadow = match memo {
-            Some((_, _, s)) => {
+            Some(s) => {
                 self.obs.rec.incr(self.obs.c_shadow_memo_hit);
                 s
             }
+            // Backfill off reads no shadow: the memo records the block only.
+            None if !self.config.backfill => SimTime::MAX,
             None => {
                 self.obs.rec.incr(self.obs.c_shadow_memo_miss);
                 let tok = self.obs.rec.span_start();
                 let s = self.shadow_time_scoped(head, &head_spec, part, true);
                 self.obs.rec.span_end(self.obs.sp_shadow, tok);
-                if let Some(cs) = self.classes.get_mut(class.index()) {
-                    cs.shadow_memo = Some((head, self.state_version, s));
-                }
                 s
             }
         };
+        if let Some(cs) = self.classes.get_mut(class.index()) {
+            cs.head_memo = Some((head, self.state_version, shadow));
+        }
+        if !self.config.backfill {
+            return;
+        }
         if self.config.reservations > 0 {
             self.rebuild_calendar(class, head);
         }
@@ -1988,7 +1908,6 @@ impl Scheduler {
         if !qos.may_preempt(crate::job::QosClass::Bulk) {
             return None; // not a preemptor class at all
         }
-        self.ensure_mirror(part);
         let eligible = self.partitions.class_nodes(part);
         // Candidate victims: running, strictly lower class, holding at
         // least one eligible node. Cost-sorted ascending.
@@ -2016,7 +1935,7 @@ impl Scheduler {
         // steady state — the buffer persists across calls).
         let mut snodes = std::mem::take(&mut self.scan_scratch);
         snodes.clear();
-        snodes.extend_from_slice(self.base_mirror(part));
+        snodes.extend(class_rows(&self.shadow_mirror, eligible));
         let needed = spec.tasks as u64;
         let mut total: u64 = snodes.iter().map(|sn| sn.fit(spec, policy)).sum();
         let mut chosen: Vec<JobId> = Vec::new();
@@ -2051,7 +1970,7 @@ impl Scheduler {
     }
 
     /// Kill-and-requeue one victim: release its holdings (placement index,
-    /// mirrors, and head fit stay current), emit the full separation
+    /// capacity rows and head fit stay current), emit the full separation
     /// epilog per node — the scrub/cleanup the cluster layer runs *before*
     /// any new tenant's prolog — charge its consumed work to the
     /// fair-share ledger, bump its run epoch (stale end events die), and
@@ -2134,8 +2053,8 @@ impl Scheduler {
     /// the candidate window (future claims subtracted, releases ignored) —
     /// the conservative rule that makes double-booking impossible.
     ///
-    /// The whole call sits inside the `sched.calendar.plan` span: the memo
-    /// check, the top-K selection and the retag test are calendar work too.
+    /// The whole call sits inside the `sched.calendar.plan` span: the
+    /// top-K selection and the retag test are calendar work too.
     fn rebuild_calendar(&mut self, class: ClassId, head: JobId) {
         let tok = self.obs.rec.span_start();
         self.refresh_calendar(class, head);
@@ -2147,10 +2066,6 @@ impl Scheduler {
         let Some(cs) = self.classes.get_mut(class.index()) else {
             return;
         };
-        if cs.calendar.built_version == Some(key) {
-            self.obs.rec.incr(self.obs.c_cal_memo_hits);
-            return;
-        }
         let mut scratch = std::mem::take(&mut self.plan_scratch);
         cs.top_k(
             head,
@@ -2160,9 +2075,10 @@ impl Scheduler {
             &mut scratch.order,
             &mut scratch.heap,
         );
-        // Arrival floods: if nothing claimed or released and the top-K is
-        // the same job list the standing plan was built from, the plan is
-        // still exact — re-tag it instead of re-deriving the profile.
+        // Arrival floods (and repeat asks with nothing changed): if nothing
+        // claimed or released and the top-K is the same job list the
+        // standing plan was built from, the plan is still exact — re-tag
+        // it instead of re-deriving the profile.
         let cal = &mut cs.calendar;
         if cal.built_version.is_some_and(|v| v.0 == key.0) && cal.planned_for == scratch.order {
             cal.built_version = Some(key);
@@ -2170,7 +2086,6 @@ impl Scheduler {
             self.plan_scratch = scratch;
             return;
         }
-        self.ensure_mirror(class);
         let mut cal = self
             .classes
             .get_mut(class.index())
@@ -2180,10 +2095,12 @@ impl Scheduler {
         // claims (−) and releases (+), time-sorted. `running_ends` iterates
         // in end-time order, so the releases arrive sorted; reservation
         // claims/releases are inserted at their binary-searched position.
+        // A delta's `pos` is its node's place in the class's gathered rows.
         cal.profile.clear();
+        scratch.gather(&self.shadow_mirror, self.partitions.class_nodes(class));
         for (&(end_t, _jid), allocs) in &self.running_ends {
             for &(nid, alloc) in allocs.iter() {
-                if let Some(pos) = self.mirror_pos(class, nid) {
+                if let Some(pos) = scratch.position(nid) {
                     cal.profile.push(CapDelta {
                         at: end_t,
                         pos,
@@ -2260,13 +2177,12 @@ impl Scheduler {
     /// What a plan for a job of partition class `scope`, planned in
     /// `class`, reads of the scheduler. The per-node eligibility filter is
     /// only needed when the job's partition is narrower than the class's
-    /// mirror (a partitioned job in the global class).
+    /// rows (a partitioned job in the global class).
     fn plan_ctx(&self, class: ClassId, scope: ClassId) -> PlanCtx<'_> {
         PlanCtx {
             now: self.now,
             policy: self.config.policy,
             nodes: &self.nodes,
-            base: self.base_mirror(class),
             eligible: if scope == class {
                 None
             } else {
@@ -2278,8 +2194,8 @@ impl Scheduler {
     /// Plan a one-off reservation for a job beyond `class`'s top-K on top
     /// of the calendar's finished profile. Holds nothing.
     fn plan_probe(&mut self, class: ClassId, scope: ClassId, spec: &JobSpec) -> Option<SimTime> {
-        self.ensure_mirror(class);
         let mut scratch = std::mem::take(&mut self.plan_scratch);
+        scratch.gather(&self.shadow_mirror, self.partitions.class_nodes(class));
         let mut allocs = Vec::new();
         let profile = &self.classes.get(class.index())?.calendar.profile;
         let start = scratch.plan(&self.plan_ctx(class, scope), spec, profile, &mut allocs);
@@ -2988,35 +2904,21 @@ mod tests {
         assert_eq!(jobs.len(), held.len(), "one hold per job: {held:?}");
     }
 
-    /// The slot is the truth; the capacity row is its one derived copy and
-    /// a built per-class mirror entry is a copy of the row. Returns how
-    /// many class-mirror entries were compared.
-    fn assert_copies_match_slots(s: &Scheduler) -> usize {
+    /// The slot is the truth and the capacity row its one derived copy;
+    /// a maintained head fit is the sum over the rows in its scope.
+    fn assert_rows_match_slots(s: &Scheduler) {
         for n in s.nodes.values() {
             let row = s.shadow_mirror[slot_of(n.id)];
             assert_eq!(row, ShadowNode::from_node(n), "row of {}", n.id);
         }
-        if s.part_mirror_version != s.partitions_version {
-            return 0; // partition table edited: mirrors rebuild on next use
+        if let Some(hf) = &s.head_fit {
+            let sum = s.scope_fit_sum(hf.part, &hf.spec);
+            assert_eq!(hf.total, sum, "head fit of {}", hf.job);
         }
-        let mut compared = 0;
-        for (idx, cs) in s.classes.iter().enumerate() {
-            let class = ClassId::from_index(idx).expect("dense class ids");
-            let Some(members) = s.partitions.class_nodes(class).filter(|_| cs.mirror_built) else {
-                continue;
-            };
-            assert_eq!(cs.mirror.len(), members.len(), "mirror of class {idx}");
-            for (pos, (entry, nid)) in cs.mirror.iter().zip(members).enumerate() {
-                assert_eq!(*entry, s.shadow_mirror[slot_of(*nid)], "class {idx}");
-                assert_eq!(s.mirror_pos(class, *nid), Some(pos as u32));
-                compared += 1;
-            }
-        }
-        compared
     }
 
     #[test]
-    fn capacity_rows_and_class_mirrors_equal_the_slots_after_every_event() {
+    fn capacity_rows_and_head_fit_equal_the_slots_after_every_event() {
         let mut s = Scheduler::new(SchedConfig {
             policy: NodeSharing::Shared,
             fair_share: true,
@@ -3035,8 +2937,8 @@ mod tests {
             .add("debug", [NodeId(3), NodeId(4)], false)
             .unwrap();
         let at = SimTime::from_secs;
-        // Batch: bulk work fills both nodes, a backlog builds the calendar
-        // (and with it the class mirror), an urgent arrival preempts.
+        // Batch: bulk work fills both nodes, a backlog builds the calendar,
+        // an urgent arrival preempts.
         for i in 0..6 {
             s.submit_at(at(i), job(1, 8, 60).with_qos(QosClass::Bulk));
         }
@@ -3049,29 +2951,80 @@ mod tests {
         s.schedule_node_failure(at(30), NodeId(3));
         let edit_at = at(45);
         let mut edited = false;
-        let mut compared = 0;
+        let mut events = 0;
         while let Some(Reverse((t, _, ev))) = s.events.pop() {
             if !edited && t > edit_at {
-                // Both mirrors are built by now; the edit must drop them.
-                s.partitions_mut().add("spare", [NodeId(5)], false).unwrap();
-                assert_eq!(assert_copies_match_slots(&s), 0);
+                // A partition naming a node that joins only after it.
+                s.partitions_mut()
+                    .add("spare", [NodeId(5), NodeId(6)], false)
+                    .unwrap();
                 for i in 0..3 {
                     s.submit_at(t, job(5, 8, 20 + i).with_partition("spare"));
                 }
+                assert_eq!(s.add_node(8, 64_000, 0), NodeId(6));
+                assert_rows_match_slots(&s);
                 edited = true;
             }
             s.now = t;
             s.fire(ev);
-            compared += assert_copies_match_slots(&s);
+            assert_rows_match_slots(&s);
+            events += 1;
         }
         assert!(edited);
+        assert!(events > 30, "rows were compared after {events} events");
         assert_eq!(s.preemptions.len(), 2, "the urgent job took both nodes");
         assert_eq!(s.failures.len(), 2);
         assert!(s.failures.iter().all(|f| !f.failed_jobs.is_empty()));
-        let built = s.classes.iter().filter(|cs| cs.mirror_built).count();
-        assert_eq!(built, 3, "all three partitions were rebuilt");
-        assert!(compared > 100, "class mirrors were compared ({compared})");
         assert_eq!(s.metrics.completed.get() + s.metrics.failed.get(), 16);
+        let spare: Vec<&Job> = s.jobs.values().filter(|j| j.spec.user == Uid(5)).collect();
+        assert!(spare.iter().all(|j| j.state == JobState::Completed));
+        assert!(
+            spare.iter().any(|j| j.allocations.contains_key(&NodeId(6))),
+            "the late node ran spare work"
+        );
+    }
+
+    /// Partition `p = {1, 2}` with only node 1 added: A fills node 1 and B
+    /// is the blocked head (its first plan, with reservations on, is
+    /// made); then node 2 joins.
+    fn late_node_in_a_partition(fair_share: bool, reservations: usize) -> (Scheduler, JobId) {
+        let mut s = Scheduler::new(SchedConfig {
+            policy: NodeSharing::Shared,
+            fair_share,
+            reservations,
+            ..SchedConfig::default()
+        });
+        s.add_node(8, 64_000, 0);
+        s.partitions_mut()
+            .add("p", [NodeId(1), NodeId(2)], true)
+            .unwrap();
+        s.submit_at(SimTime::ZERO, job(1, 8, 100));
+        let b = s.submit_at(SimTime::from_secs(1), job(2, 8, 100));
+        s.run_until(SimTime::from_secs(1));
+        assert_eq!(s.jobs[&b].state, JobState::Pending, "B is blocked");
+        s.add_node(8, 64_000, 0);
+        (s, b)
+    }
+
+    #[test]
+    fn a_node_joining_a_partition_widens_its_blocked_heads_fit() {
+        let (mut s, b) = late_node_in_a_partition(false, 0);
+        s.submit_at(SimTime::from_secs(2), job(3, 1, 10));
+        s.run_until(SimTime::from_secs(2));
+        assert_eq!(s.jobs[&b].started, Some(SimTime::from_secs(2)));
+    }
+
+    #[test]
+    fn a_node_joining_a_partition_is_in_its_calendar() {
+        let (mut s, b) = late_node_in_a_partition(true, 2);
+        let planned = s.earliest_start(b).expect("B is queued");
+        assert!(
+            planned <= SimTime::from_secs(2),
+            "B was planned for {planned:?}, behind A, without node 2"
+        );
+        s.submit_at(SimTime::from_secs(2), job(3, 1, 10));
+        s.run_until(SimTime::from_secs(2));
+        assert_eq!(s.jobs[&b].started, Some(SimTime::from_secs(2)));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! | `sched.cycle.shadow`   | EASY shadow replay (memo misses only)         |
 //! | `sched.cycle.backfill` | the backfill candidate scan                   |
 //! | `sched.cycle.preempt`  | preemption victim search + feasibility proof  |
-//! | `sched.calendar.plan`  | every calendar refresh, memo hit to full plan |
+//! | `sched.calendar.plan`  | every calendar refresh, re-tag to full plan   |
 
 use eus_obs::{CounterId, ObsConfig, ObsSnapshot, Recorder, SpanId, TraceBuffer};
 
@@ -36,9 +36,8 @@ pub struct SchedObs {
     pub sp_shadow: SpanId,
     /// Backfill candidate scan.
     pub sp_backfill: SpanId,
-    /// Reservation calendar refresh: memo check, top-K selection, retag
-    /// test and (when they miss) the plan itself; plus `earliest_start`
-    /// probes.
+    /// Reservation calendar refresh: top-K selection, retag test and
+    /// (when it misses) the plan itself; plus `earliest_start` probes.
     pub sp_calendar: SpanId,
     /// Preemption victim search.
     pub sp_preempt: SpanId,
@@ -72,8 +71,6 @@ pub struct SchedObs {
     pub c_preempt_kills: CounterId,
     /// Full calendar plans derived.
     pub c_cal_plans: CounterId,
-    /// Calendar rebuilds satisfied by the (version, queue) memo.
-    pub c_cal_memo_hits: CounterId,
     /// Standing plans re-tagged on arrival floods (top-K unchanged).
     pub c_cal_retags: CounterId,
     /// One-off `earliest_start` probe plans for beyond-top-K jobs.
@@ -123,7 +120,6 @@ impl SchedObs {
             c_preempt_searches: rec.counter("sched.preempt.searches"),
             c_preempt_kills: rec.counter("sched.preempt.kills"),
             c_cal_plans: rec.counter("sched.calendar.plans"),
-            c_cal_memo_hits: rec.counter("sched.calendar.memo_hits"),
             c_cal_retags: rec.counter("sched.calendar.retags"),
             c_cal_probes: rec.counter("sched.calendar.probes"),
             c_starts: rec.counter("sched.jobs.starts"),

@@ -80,7 +80,6 @@ proptest! {
             anti_entropy: SimDuration::from_secs(60),
             max_lag: SimDuration::from_secs(900),
             push_loss: loss_pct as f64 / 100.0,
-            ..RevSyncConfig::default()
         };
         let (db, users, mut mesh, planes) = mesh_of(n, cfg);
         let mut minted: Vec<eus_fedauth::SignedToken> = Vec::new();

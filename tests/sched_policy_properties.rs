@@ -82,7 +82,10 @@ fn qos_trace(seed: u64, with_partitions: bool) -> Vec<(SimTime, Arc<JobSpec>)> {
         .collect()
 }
 
-fn plane_scheduler(policy: NodeSharing, nodes: u32, with_partitions: bool) -> Scheduler {
+/// The full plane over `nodes` nodes, the last `late` of which are left
+/// for [`run_plane_invariants`] to add mid-run: the partitions name them
+/// before they join.
+fn plane_scheduler(policy: NodeSharing, nodes: u32, with_partitions: bool, late: u32) -> Scheduler {
     let mut s = Scheduler::new(SchedConfig {
         policy,
         fair_share: true,
@@ -90,13 +93,16 @@ fn plane_scheduler(policy: NodeSharing, nodes: u32, with_partitions: bool) -> Sc
         reservations: 4,
         ..SchedConfig::default()
     });
-    for _ in 0..nodes {
+    for _ in 0..nodes - late {
         s.add_node(8, 16_384, 2);
     }
     if with_partitions {
+        // `batch` (the default, and the first class a cycle visits) holds
+        // the upper ids, so a late node joins the partition whose blocked
+        // head the next cycle reads first.
         let half = nodes / 2;
-        let batch: Vec<_> = (1..=half).map(NodeId).collect();
-        let debug: Vec<_> = (half + 1..=nodes).map(NodeId).collect();
+        let debug: Vec<_> = (1..=half).map(NodeId).collect();
+        let batch: Vec<_> = (half + 1..=nodes).map(NodeId).collect();
         s.partitions_mut().add("batch", batch, true).unwrap();
         s.partitions_mut().add("debug", debug, false).unwrap();
     }
@@ -112,23 +118,27 @@ fn assert_plane_invariants(
     seed: u64,
     policy: NodeSharing,
     with_partitions: bool,
+    late: u32,
 ) -> Result<(), TestCaseError> {
-    let mut s = plane_scheduler(policy, 8, with_partitions);
+    let mut s = plane_scheduler(policy, 8, with_partitions, late);
     s.enable_obs(ObsConfig {
         flight_capacity: 256,
         ..ObsConfig::enabled()
     });
-    let result = run_plane_invariants(&mut s, seed, with_partitions);
+    let result = run_plane_invariants(&mut s, seed, with_partitions, late);
     if result.is_err() {
         eprintln!("{}", s.obs.rec.flight.render_tail("policy plane", 48));
     }
     result
 }
 
+/// Runs the trace, adding the `late` nodes one per step from t = 300 s,
+/// while heads are blocked and calendars planned.
 fn run_plane_invariants(
     s: &mut Scheduler,
     seed: u64,
     with_partitions: bool,
+    mut late: u32,
 ) -> Result<(), TestCaseError> {
     for (at, spec) in qos_trace(seed, with_partitions) {
         s.submit_at_shared(at, spec);
@@ -142,6 +152,10 @@ fn run_plane_invariants(
     let mut t = 0u64;
     while t < 50_000 {
         t += 97;
+        if late > 0 && t >= 300 {
+            s.add_node(8, 16_384, 2);
+            late -= 1;
+        }
         s.run_until(SimTime::from_secs(t));
         epilogs.extend(s.drain_epilogs());
         for j in s.jobs.values() {
@@ -396,7 +410,7 @@ fn assert_replay_deterministic(
 ) -> Result<(), TestCaseError> {
     const NODES: u32 = 8;
     let replay = || {
-        let mut s = plane_scheduler(policy, NODES, true);
+        let mut s = plane_scheduler(policy, NODES, true, 0);
         s.enable_obs(ObsConfig {
             flight_capacity: 512,
             ..ObsConfig::enabled()
@@ -447,14 +461,16 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: cases(10), ..ProptestConfig::default() })]
 
     /// Separation + accounting invariants with the full plane on, across
-    /// node-sharing policies, with and without partitions.
+    /// node-sharing policies, with and without partitions, with up to two
+    /// nodes joining mid-run.
     #[test]
     fn plane_preserves_separation_invariants(
         seed in 0u64..10_000,
         policy_idx in 0u8..3,
         with_partitions in any::<bool>(),
+        late_nodes in 0u32..3,
     ) {
-        assert_plane_invariants(seed, policy_from(policy_idx), with_partitions)?;
+        assert_plane_invariants(seed, policy_from(policy_idx), with_partitions, late_nodes)?;
     }
 
     /// The reservation calendar never double-books cores.
@@ -481,6 +497,19 @@ proptest! {
         failures in 1u32..4,
     ) {
         assert_replay_deterministic(seed, policy_from(policy_idx), failures)?;
+    }
+}
+
+/// Deterministic companion of the late-node property input: the
+/// partitions name two nodes that join mid-run, under every policy. A
+/// node joining a partition must widen the maintained head fit (the
+/// engine's debug build asserts it against the rows) and the partition's
+/// calendar.
+#[test]
+fn nodes_joining_a_named_partition_keep_the_plane_invariants() {
+    for seed in 0..6 {
+        let policy = policy_from((seed % 3) as u8);
+        assert_plane_invariants(seed, policy, true, 2).unwrap();
     }
 }
 
