@@ -45,6 +45,11 @@ mod tests {
     };
     use eus_simcore::{SimDuration, SimTime};
 
+    /// The mesh's cadences and staleness budget.
+    fn revsync_cfg(c: &SecureCluster) -> eus_revsync::RevSyncConfig {
+        *c.revsync.as_ref().unwrap().config()
+    }
+
     fn federated_cluster() -> (SecureCluster, SharedBroker) {
         let cfg = SeparationConfig::llsc().with_trusted_realms([2u32]);
         let mut c = SecureCluster::new(cfg, ClusterSpec::tiny());
@@ -105,7 +110,7 @@ mod tests {
     fn wan_partition_walks_the_feed_to_fail_closed_and_anti_entropy_recovers() {
         let (mut c, sister) = federated_cluster();
         let alice = c.add_user("alice").unwrap();
-        let budget = c.config.revsync_max_lag;
+        let budget = revsync_cfg(&c).max_lag;
         let plan = FaultPlan::new(2).inject(
             SimTime::from_secs(10),
             Fault::LinkPartition {
@@ -138,7 +143,7 @@ mod tests {
         // The heal lands at 10s + budget + 120s; the mesh's own retry (or
         // at worst the next anti-entropy round) re-syncs the replica.
         let heal_at = SimTime::from_secs(10) + budget + SimDuration::from_secs(120);
-        let recover_by = heal_at + c.config.revsync_anti_entropy + SimDuration::from_secs(60);
+        let recover_by = heal_at + revsync_cfg(&c).anti_entropy + SimDuration::from_secs(60);
         while t < recover_by {
             t += SimDuration::from_secs(30);
             ctrl.advance_to(&mut c, t);
@@ -189,7 +194,7 @@ mod tests {
         assert_eq!(home.read().now(), SimTime::from_secs(400));
         assert_eq!(sister.read().now(), SimTime::from_secs(400));
         assert!(
-            c.replica_lag(RealmId(2)).unwrap() <= c.config.revsync_feed_interval,
+            c.replica_lag(RealmId(2)).unwrap() <= revsync_cfg(&c).feed_interval,
             "the feed kept its cadence through the skew"
         );
     }

@@ -13,8 +13,8 @@ use crate::obs::{CoreObs, ObsConfig};
 use eus_accel::GpuPool;
 use eus_containers::{ContainerRegistry, HpcRuntime};
 use eus_fedauth::{
-    shared_broker, BrokerPolicy, CredSerial, CredentialBroker, FederationDirectory, PamFedAuth,
-    RealmId, SharedBroker, SignedToken, TrustPolicy,
+    shared_broker, BrokerPolicy, CredSerial, CredentialBroker, PamFedAuth, RealmId, SharedBroker,
+    SignedToken, TrustPolicy,
 };
 use eus_fsperm::{apply_kernel_patches, FilePermissionHandler, PamSmask, LLSC_SMASK};
 use eus_portal::{PortalGateway, RouteKey, WebAppRegistry};
@@ -105,7 +105,7 @@ pub enum Dependency {
 /// after heal. *Degraded* means the cluster is serving on borrowed state:
 /// new logins fail `Unavailable` but already-minted tokens keep validating
 /// against local state (broker tables, CRL replicas). *FailClosed* means
-/// the borrowed state has aged past `config.revsync_max_lag`, the bound
+/// the borrowed state has aged past the mesh's `max_lag`, the bound
 /// the paper's bounded-staleness argument rests on, and the affected path
 /// now refuses rather than trusts stale data. The judgment is pure
 /// observation — enforcement lives in the broker gates and the replica
@@ -248,15 +248,19 @@ pub struct SecureCluster {
     /// The federated credential plane (`Some` when `config.federated_auth`):
     /// sshd PAM, job submission, and the portal all consult it.
     pub broker: Option<SharedBroker>,
-    /// The federation directory (`Some` when `config.federated_auth`): the
-    /// home realm's plane plus any registered sister realms, with the home
-    /// site's trust policy from `config.trusted_realms`.
-    pub federation: Option<FederationDirectory>,
+    /// The home site's realm allow-list: `config.trusted_realms`
+    /// permanently, plus any time-boxed grant from
+    /// [`register_sister_realm_until`](Self::register_sister_realm_until).
+    /// Judged before any sister credential reaches a replica.
+    pub trust: TrustPolicy,
     /// The revocation-propagation mesh (`Some` when
-    /// `config.federated_auth`): local CRL replicas for trusted sister
-    /// realms, fed by push deltas + pull anti-entropy over a simulated WAN.
-    /// Cross-realm validation consults these replicas — never the issuer —
-    /// under `config.revsync_max_lag` (bounded staleness, fail closed).
+    /// `config.federated_auth`), and the one registry from realm to
+    /// credential plane: the home plane and every registered sister realm
+    /// are on it, each with the clock its plane publishes. The home site
+    /// holds local CRL replicas for trusted sister realms only, fed by push
+    /// deltas + pull anti-entropy over a simulated WAN. Cross-realm
+    /// validation consults these replicas — never the issuer — under the
+    /// mesh's `max_lag` (bounded staleness, fail closed).
     pub revsync: Option<RevSyncMesh>,
     seepid_gid: Gid,
     /// The node hand-off's one ledger.
@@ -353,22 +357,12 @@ impl SecureCluster {
                 BrokerPolicy::default(),
             ))
         });
-        let federation = broker.as_ref().map(|b| {
-            let mut trust = TrustPolicy::home_only(HOME_REALM);
-            for r in &config.trusted_realms {
-                trust.trust(RealmId(*r));
-            }
-            let mut dir = FederationDirectory::new();
-            dir.register(HOME_REALM, b.clone(), trust);
-            dir
-        });
+        let mut trust = TrustPolicy::home_only(HOME_REALM);
+        for r in &config.trusted_realms {
+            trust.trust(RealmId(*r));
+        }
         let revsync = broker.as_ref().map(|b| {
-            let mut mesh = RevSyncMesh::new(RevSyncConfig {
-                feed_interval: config.revsync_feed_interval,
-                anti_entropy: config.revsync_anti_entropy,
-                max_lag: config.revsync_max_lag,
-                ..RevSyncConfig::default()
-            });
+            let mut mesh = RevSyncMesh::new(RevSyncConfig::default());
             mesh.add_realm(HOME_REALM, b.clone());
             mesh
         });
@@ -468,7 +462,7 @@ impl SecureCluster {
             ubf_stats,
             ubf_pkt,
             broker,
-            federation,
+            trust,
             revsync,
             seepid_gid,
             tenancy: Tenancy::default(),
@@ -497,7 +491,7 @@ impl SecureCluster {
         self.obs = CoreObs::new(&cfg);
         self.obs.slo.set_target(
             self.obs.slo_replica_lag,
-            self.config.revsync_max_lag.as_micros() as f64 / 2.0,
+            self.max_lag().as_micros() as f64 / 2.0,
         );
         self.sched.write().enable_obs(cfg);
         self.portal.obs = eus_portal::PortalObs::new(&cfg);
@@ -823,32 +817,26 @@ impl SecureCluster {
     }
 
     /// The credential plane runs on the same simulated clock as the
-    /// scheduler: expiry is a property of *when*, not of polling. Sister
-    /// realms in the federation directory tick on the same clock (the home
-    /// broker is registered there too; `advance_to` is idempotent), and the
-    /// revocation mesh pumps every feed/anti-entropy exchange due up to the
-    /// new instant — this is the tick-driven feed pump.
+    /// scheduler: expiry is a property of *when*, not of polling. Every
+    /// plane on the revocation mesh — the home broker and each registered
+    /// sister realm — ticks on that clock, and the mesh then pumps every
+    /// feed/anti-entropy exchange due up to the new instant — this is the
+    /// tick-driven feed pump.
     fn sync_credential_clocks(&mut self, t: SimTime) {
-        if let Some(dir) = &mut self.federation {
-            dir.advance_to(t);
-        } else if let Some(b) = &self.broker {
-            b.write().advance_to(t);
-        }
-        // Injected clock skew (chaos): a skewed realm's plane runs *ahead*
-        // of the federation clock by the configured offset, so its sessions
-        // expire and sweep early relative to everyone else. Applied after
-        // the uniform advance; plane clocks are monotone, so this only ever
-        // moves forward.
-        if !self.clock_skew.is_empty() {
-            if let Some(dir) = &self.federation {
-                for (&realm, &skew) in &self.clock_skew {
-                    if let Some(plane) = dir.plane(realm) {
-                        plane.write().advance_to(t + skew);
-                    }
+        if let Some(mesh) = &mut self.revsync {
+            for plane in mesh.realms().filter_map(|realm| mesh.plane(realm)) {
+                plane.write().advance_to(t);
+            }
+            // Injected clock skew (chaos): a skewed realm's plane runs
+            // *ahead* of the federation clock by the configured offset, so
+            // its sessions expire and sweep early relative to everyone else.
+            // Applied after the uniform advance; plane clocks are monotone,
+            // so this only ever moves forward.
+            for (&realm, &skew) in &self.clock_skew {
+                if let Some(plane) = mesh.plane(realm) {
+                    plane.write().advance_to(t + skew);
                 }
             }
-        }
-        if let Some(mesh) = &mut self.revsync {
             mesh.pump(t);
         }
         self.portal.auth.advance_to(t);
@@ -858,11 +846,12 @@ impl SecureCluster {
     // Federation (multi-realm trust)
     // ------------------------------------------------------------------
 
-    /// Register a sister realm's credential plane in the federation
-    /// directory. Whether the home site *accepts* that realm's credentials
-    /// is governed solely by `config.trusted_realms` — registration alone
-    /// grants nothing (fail closed). The sister's clock is advanced to the
-    /// cluster's current simulated time (the federation clock, whatever
+    /// Register a sister realm's credential plane: it joins the revocation
+    /// mesh and ticks on the cluster's clock from then on. Whether the home
+    /// site *accepts* that realm's credentials is governed solely by
+    /// [`trust`](Self::trust) (`config.trusted_realms`) — registration
+    /// alone grants nothing (fail closed). The sister's clock is advanced to
+    /// the cluster's current simulated time (the federation clock, whatever
     /// skew is injected on the home plane), so the whole federation ticks
     /// together from the moment it joins; if the realm is trusted, the home
     /// site also bootstraps a local CRL replica and subscribes to the
@@ -876,9 +865,9 @@ impl SecureCluster {
     /// *grants* trust — the home site accepts the realm's credentials until
     /// `expires_at` on the simulation clock, after which validation fails
     /// closed with `CredError::TrustExpired` (re-registering with a later
-    /// expiry is the rotation path). If the operator's config already
-    /// trusts the realm *permanently* (`config.trusted_realms`), the
-    /// time-box is ignored — a later grant never shortens standing trust.
+    /// expiry is the rotation path). If [`trust`](Self::trust) already
+    /// holds the realm *permanently*, the time-box is ignored — a later
+    /// grant never shortens standing trust.
     // analyze:allow(dead-pub): time-boxed trust for a visiting realm
     pub fn register_sister_realm_until(
         &mut self,
@@ -899,27 +888,25 @@ impl SecureCluster {
             realm, HOME_REALM,
             "the home realm's plane is installed at construction and cannot be replaced"
         );
+        let mesh = self
+            .revsync
+            .as_mut()
+            .expect("federation requires config.federated_auth");
         // The federation clock — what `advance_to` syncs every plane to —
         // not the home plane's own: under an injected home skew that one
         // runs ahead, and a newcomer pushed to it could never come back
         // (plane clocks are monotone).
         let now = self.sched.read().now();
         plane.write().advance_to(now);
-        let dir = self
-            .federation
-            .as_mut()
-            .expect("federation requires config.federated_auth");
-        dir.register(realm, plane.clone(), TrustPolicy::home_only(realm));
         if let Some(expires_at) = trust_until {
             // A time-boxed grant never downgrades trust the operator's
             // config made permanent — rotation extends, it never shortens
             // by accident (the same invariant TrustPolicy::trust keeps in
             // the other direction).
-            let already_permanent = dir.trust_policy(HOME_REALM).is_some_and(|p| {
-                p.trusted_realms().any(|r| r == realm) && p.trust_expires_at(realm).is_none()
-            });
+            let already_permanent = self.trust.trusted_realms().any(|r| r == realm)
+                && self.trust.trust_expires_at(realm).is_none();
             if !already_permanent {
-                dir.trust_realm_until(HOME_REALM, realm, Some(expires_at));
+                self.trust.trust_until(realm, expires_at);
             }
         }
         // Trusted sisters (config allow-list or the time-boxed grant) get a
@@ -928,24 +915,22 @@ impl SecureCluster {
         // Re-registration (the trust-rotation path: same realm, later
         // expiry) keeps the existing replica — its log frontier is still
         // valid, since it replicates the same plane.
-        let trusted = dir
-            .trust_policy(HOME_REALM)
-            .is_some_and(|p| p.trusted_realms().any(|r| r == realm));
+        let trusted = self.trust.trusted_realms().any(|r| r == realm);
         if trusted {
-            let mesh = self.revsync.as_mut().expect("fedauth implies revsync");
             mesh.pump(now);
-            match mesh.plane(realm) {
-                Some(existing) => assert!(
-                    std::sync::Arc::ptr_eq(existing, &plane),
-                    "swapping {realm}'s plane for a different one is not supported: the \
-                     home site's CRL replica tracks the original plane's delta log \
-                     (rotate trust with the same plane, or use a fresh realm id)"
-                ),
-                None => mesh.add_realm(realm, plane),
-            }
-            if mesh.replica(HOME_REALM, realm).is_none() {
-                mesh.subscribe(HOME_REALM, realm);
-            }
+        }
+        match mesh.plane(realm) {
+            Some(existing) => assert!(
+                std::sync::Arc::ptr_eq(existing, &plane),
+                "swapping {realm}'s plane for a different one is not supported: the \
+                 mesh registers a realm once, and a CRL replica tracks the original \
+                 plane's delta log (rotate trust with the same plane, or use a fresh \
+                 realm id)"
+            ),
+            None => mesh.add_realm(realm, plane),
+        }
+        if trusted && mesh.replica(HOME_REALM, realm).is_none() {
+            mesh.subscribe(HOME_REALM, realm);
         }
     }
 
@@ -968,12 +953,11 @@ impl SecureCluster {
     /// allow-listed sister realms against the home site's **local CRL
     /// replica** (signature via the issuer's exported verifier, revocation
     /// via the replicated list — no synchronous issuer query), everything
-    /// else refused. Bounded staleness: a replica lagging past
-    /// `config.revsync_max_lag` fails closed with
-    /// `CredError::StaleReplica`. Without the credential plane
-    /// (`config.federated_auth` off) every token fails closed with
-    /// `UnknownRealm(HOME_REALM)` — there is no directory to consult, not a
-    /// registration bug.
+    /// else refused. Bounded staleness: a replica lagging past the mesh's
+    /// `max_lag` fails closed with `CredError::StaleReplica`. Without the
+    /// credential plane (`config.federated_auth` off) every token fails
+    /// closed with `UnknownRealm(HOME_REALM)` — there is no plane to
+    /// consult, not a registration bug.
     ///
     /// Route once, hold the fewest guards: a home token is judged on the
     /// home plane under exactly one guard, its read guard (the home realm
@@ -985,34 +969,35 @@ impl SecureCluster {
         &self,
         token: &SignedToken,
     ) -> Result<Uid, eus_fedauth::CredError> {
-        let (Some(broker), Some(dir), Some(mesh)) = (&self.broker, &self.federation, &self.revsync)
-        else {
-            return Err(eus_fedauth::CredError::UnknownRealm(HOME_REALM));
+        let unknown = eus_fedauth::CredError::UnknownRealm(HOME_REALM);
+        let (Some(broker), Some(mesh)) = (&self.broker, &self.revsync) else {
+            return Err(unknown);
         };
         if token.realm == HOME_REALM {
             return broker.read().validate_token(token);
         }
         // Trust policy first (untrusted / expired realms never reach the
         // replica), then the replica-backed hot path.
-        let now = dir.trust_gate(HOME_REALM, token.realm)?;
+        let now = mesh.now_at(HOME_REALM).ok_or(unknown)?;
+        self.trust.gate(token.realm, now)?;
         mesh.validate_token_at(HOME_REALM, token, now)
     }
     // analyze:hot-path-end
 
     /// How stale the home site's CRL replica of `realm` currently is
     /// (`None` when no replica exists: untrusted, unregistered, or the
-    /// credential plane is off). Capacity planners and the experiment
-    /// binaries read this; validation itself enforces
-    /// `config.revsync_max_lag` against the same number.
+    /// credential plane is off), judged at the home plane's clock.
+    /// Capacity planners, the dependency-health ladder and the benchmark
+    /// read this; validation itself enforces the mesh's `max_lag` against
+    /// the same number.
     pub fn replica_lag(&self, realm: RealmId) -> Option<SimDuration> {
         let mesh = self.revsync.as_ref()?;
-        let now = self.federation.as_ref()?.now_at(HOME_REALM)?;
-        mesh.replica_lag(HOME_REALM, realm, now)
+        mesh.replica_lag(HOME_REALM, realm, mesh.now_at(HOME_REALM)?)
     }
 
     /// Sever or restore the revocation feed from a sister realm (site
     /// outage / WAN partition). While severed the replica's lag grows;
-    /// past `config.revsync_max_lag` cross-realm validation fails closed.
+    /// past the mesh's `max_lag` cross-realm validation fails closed.
     pub fn partition_sister_feed(&mut self, realm: RealmId, down: bool) {
         if let Some(mesh) = &mut self.revsync {
             mesh.set_partitioned(realm, HOME_REALM, down);
@@ -1114,7 +1099,7 @@ impl SecureCluster {
     /// on quiet clusters too — but gauge updates and transition events
     /// only land while the recorder is on.
     fn update_dependency_health(&mut self, t: SimTime) {
-        let budget = self.config.revsync_max_lag;
+        let budget = self.max_lag();
         let (idp_up, ca_up) = match &self.broker {
             Some(b) => {
                 let g = b.read();
@@ -1128,7 +1113,7 @@ impl SecureCluster {
         // staleness budget (the same line the `revsync.replica.lag` SLO
         // aims at) the feed is degraded; past the full budget, validation
         // is already refusing, so the ladder says fail-closed.
-        let next_feed = match self.worst_sister_lag(t) {
+        let next_feed = match self.worst_sister_lag() {
             None => DepHealth::Healthy,
             Some(lag) if lag > budget => DepHealth::FailClosed,
             Some(lag) if lag > budget / 2 => match self.health_feed {
@@ -1142,14 +1127,26 @@ impl SecureCluster {
         self.note_health(Dependency::Feed, next_feed, t);
     }
 
-    /// The staleness at `t` of the home site's most stale sister-realm
-    /// replica (`None` with no mesh, or no sister subscribed to).
-    fn worst_sister_lag(&self, t: SimTime) -> Option<SimDuration> {
+    /// The staleness of the home site's most stale sister-realm replica
+    /// (`None` with no mesh, or no sister subscribed to), judged at the
+    /// home plane's clock — the instant validation judges it at, so under
+    /// a home clock skew the ladder and the SLO see the lag that is
+    /// refusing tokens.
+    fn worst_sister_lag(&self) -> Option<SimDuration> {
         let mesh = self.revsync.as_ref()?;
+        let now = mesh.now_at(HOME_REALM)?;
         mesh.realms()
-            .filter(|&realm| realm != HOME_REALM)
-            .filter_map(|realm| mesh.replica_lag(HOME_REALM, realm, t))
+            .filter_map(|realm| mesh.replica_lag(HOME_REALM, realm, now))
             .max()
+    }
+
+    /// The cross-realm staleness budget: the mesh's `max_lag`, or the
+    /// default one where there is no mesh (it still aims the
+    /// `revsync.replica.lag` SLO and bounds the IdP/CA outage ladders).
+    fn max_lag(&self) -> SimDuration {
+        self.revsync
+            .as_ref()
+            .map_or(RevSyncConfig::default().max_lag, |m| m.config().max_lag)
     }
 
     /// One step of the outage ladder for a binary up/down dependency:
@@ -1202,7 +1199,8 @@ impl SecureCluster {
     /// trace root that follows the revocation across the WAN — issuer log
     /// entry, push delta, replica apply, and any later fail-closed deny all
     /// chain onto this context. Returns whether the serial was freshly
-    /// revoked (false: already revoked or no such realm).
+    /// revoked (false: already revoked, or a realm that is neither home
+    /// nor one the home site subscribes to).
     // analyze:allow(dead-pub): the portal's revoke action, root of the cross-plane revoke trace
     pub fn portal_revoke_serial(&mut self, realm: RealmId, serial: CredSerial) -> bool {
         // The portal ticks on the federation clock (`advance_to` syncs it).
@@ -1210,8 +1208,10 @@ impl SecureCluster {
         self.portal.obs.rec.incr(self.portal.obs.c_revokes);
         let tok = self.portal.obs.trace.root("portal.route.revoke", now);
         let fresh = match &mut self.revsync {
-            Some(mesh) => mesh.revoke_serial_traced(realm, serial, tok.ctx(), now),
-            None => false,
+            Some(mesh) if realm == HOME_REALM || mesh.replica(HOME_REALM, realm).is_some() => {
+                mesh.revoke_serial_traced(realm, serial, tok.ctx(), now)
+            }
+            _ => false,
         };
         self.portal.obs.trace.finish_with(tok, now, serial.0);
         fresh
@@ -1230,21 +1230,14 @@ impl SecureCluster {
         }
         if let Some(mesh) = &self.revsync {
             rings.push(mesh.obs.trace.spans_for(trace));
-            // Sister site planes carry their own cred rings (the issuer-side
-            // `cred.revoke.serial` hit and the subscriber-side apply live
-            // there). Skip the home broker — already gathered above.
-            for realm in mesh.realms().collect::<Vec<_>>() {
-                let Some(plane) = mesh.plane(realm) else {
-                    continue;
-                };
-                if self
-                    .broker
-                    .as_ref()
-                    .is_some_and(|b| std::sync::Arc::ptr_eq(b, plane))
+            // The planes of the sisters the home site subscribes to carry
+            // their own cred rings (the issuer-side `cred.revoke.serial`
+            // hit lives there). The home broker was gathered above.
+            for realm in mesh.realms() {
+                if let (Some(plane), Some(_)) = (mesh.plane(realm), mesh.replica(HOME_REALM, realm))
                 {
-                    continue;
+                    rings.push(plane.read().trace.spans_for(trace));
                 }
-                rings.push(plane.read().trace.spans_for(trace));
             }
         }
         crate::obs::assemble_trace(trace, &rings)
@@ -1309,7 +1302,7 @@ impl SecureCluster {
                 }
             }
             // revsync.replica.lag: the worst replica's staleness, in µs.
-            if let Some(lag) = self.worst_sister_lag(t) {
+            if let Some(lag) = self.worst_sister_lag() {
                 self.obs
                     .slo
                     .record(self.obs.slo_replica_lag, t, lag.as_micros() as f64);
@@ -1716,6 +1709,11 @@ mod tests {
     }
 
     /// A gauge's value as an operator reads it: from a snapshot.
+    /// The mesh's cadences and staleness budget.
+    fn revsync_cfg(c: &SecureCluster) -> RevSyncConfig {
+        *c.revsync.as_ref().unwrap().config()
+    }
+
     fn gauge(c: &SecureCluster, name: &str) -> i64 {
         let snap = c.obs.rec.snapshot();
         snap.gauges
@@ -1937,7 +1935,7 @@ mod tests {
 
         // Operator clicks revoke at the portal.
         assert!(c.portal_revoke_serial(RealmId(2), token.serial));
-        let t = c.config.revsync_feed_interval + SimDuration::from_secs(1);
+        let t = revsync_cfg(&c).feed_interval + SimDuration::from_secs(1);
         c.advance_to(SimTime::ZERO + t);
         assert_eq!(
             c.validate_federated_token(&token),
@@ -1993,7 +1991,7 @@ mod tests {
 
         // Sever the feed; lag grows past the re-aimed max_lag/2 target.
         c.partition_sister_feed(RealmId(2), true);
-        let budget = c.config.revsync_max_lag;
+        let budget = revsync_cfg(&c).max_lag;
         let mut t = SimTime::from_secs(60);
         while t < SimTime::ZERO + budget {
             t += SimDuration::from_secs(10);
@@ -2210,7 +2208,7 @@ mod tests {
         assert_eq!(token.issued, SimTime::from_secs(100));
         sister.write().revoke_serial(token.serial);
         c.advance_to(
-            SimTime::from_secs(100) + c.config.revsync_feed_interval + SimDuration::from_secs(1),
+            SimTime::from_secs(100) + revsync_cfg(&c).feed_interval + SimDuration::from_secs(1),
         );
         assert_eq!(
             c.validate_federated_token(&token),
@@ -2249,7 +2247,7 @@ mod tests {
         );
         // One feed interval (plus wire time) later the replica has the
         // delta and the token dies everywhere at this site.
-        let t = c.config.revsync_feed_interval + SimDuration::from_secs(1);
+        let t = revsync_cfg(&c).feed_interval + SimDuration::from_secs(1);
         c.advance_to(SimTime::ZERO + t);
         assert_eq!(
             c.validate_federated_token(&token),
@@ -2257,7 +2255,7 @@ mod tests {
         );
         // Propagation happened well inside the staleness budget.
         let lag = c.replica_lag(RealmId(2)).unwrap();
-        assert!(lag <= c.config.revsync_max_lag, "{lag} over budget");
+        assert!(lag <= revsync_cfg(&c).max_lag, "{lag} over budget");
     }
 
     #[test]
@@ -2275,7 +2273,7 @@ mod tests {
 
         // Fresh sister token, minted after the partition (their site is
         // fine; only the feed to us is down).
-        let budget = c.config.revsync_max_lag;
+        let budget = revsync_cfg(&c).max_lag;
         c.advance_to(SimTime::ZERO + budget + SimDuration::from_secs(1));
         let token = c.login_at(&sister, alice).unwrap();
         assert!(
@@ -2292,7 +2290,7 @@ mod tests {
 
         // Healing the feed restores acceptance at the next exchange.
         c.partition_sister_feed(RealmId(2), false);
-        let t = c.sched.read().now() + c.config.revsync_feed_interval + SimDuration::from_secs(1);
+        let t = c.sched.read().now() + revsync_cfg(&c).feed_interval + SimDuration::from_secs(1);
         c.advance_to(t);
         assert_eq!(c.validate_federated_token(&token).unwrap(), alice);
     }
@@ -2333,7 +2331,7 @@ mod tests {
         assert_eq!(c.validate_federated_token(&fresh).unwrap(), alice);
         // Revocations still propagate on the surviving replica.
         sister.write().revoke_serial(fresh.serial);
-        let t = c.sched.read().now() + c.config.revsync_feed_interval + SimDuration::from_secs(1);
+        let t = c.sched.read().now() + revsync_cfg(&c).feed_interval + SimDuration::from_secs(1);
         c.advance_to(t);
         assert_eq!(
             c.validate_federated_token(&fresh),
@@ -2356,12 +2354,7 @@ mod tests {
         let horizon = SimTime::from_secs(60);
         c.register_sister_realm_until(RealmId(2), sister.clone(), horizon);
         assert_eq!(
-            c.federation
-                .as_ref()
-                .unwrap()
-                .trust_policy(HOME_REALM)
-                .unwrap()
-                .trust_expires_at(RealmId(2)),
+            c.trust.trust_expires_at(RealmId(2)),
             None,
             "permanent config trust survives a time-boxed registration"
         );
@@ -2474,7 +2467,7 @@ mod tests {
 
         // Outage outlasting the staleness budget exhausts the borrowed
         // state: fail-closed.
-        c.advance_to(SimTime::ZERO + c.config.revsync_max_lag + SimDuration::from_secs(20));
+        c.advance_to(SimTime::ZERO + revsync_cfg(&c).max_lag + SimDuration::from_secs(20));
         assert_eq!(c.dependency_health(Dependency::Idp), DepHealth::FailClosed);
         assert_eq!(gauge(&c, "core.health.idp"), 2);
 
@@ -2498,7 +2491,7 @@ mod tests {
             BrokerPolicy::default(),
         ));
         c.register_sister_realm(RealmId(2), sister);
-        let budget = c.config.revsync_max_lag;
+        let budget = revsync_cfg(&c).max_lag;
 
         // Feeds flowing: healthy.
         c.advance_to(SimTime::from_secs(30));
@@ -2520,10 +2513,45 @@ mod tests {
         // Heal: the resubscribed feed catches the replica up within one
         // interval and the ladder snaps back.
         c.partition_sister_feed(RealmId(2), false);
-        let t = c.sched.read().now() + c.config.revsync_feed_interval + SimDuration::from_secs(1);
+        let t = c.sched.read().now() + revsync_cfg(&c).feed_interval + SimDuration::from_secs(1);
         c.advance_to(t);
         assert_eq!(c.dependency_health(Dependency::Feed), DepHealth::Healthy);
         assert!(!c.degraded());
+    }
+
+    #[test]
+    fn home_clock_skew_shows_on_the_feed_ladder_it_refuses_on() {
+        // Validation judges a replica's lag at the home plane's clock; the
+        // feed ladder must judge it there too, or a skewed home refuses
+        // every sister token while the ladder reads Healthy.
+        let cfg = SeparationConfig::llsc().with_trusted_realms([2u32]);
+        let mut c = SecureCluster::new(cfg, ClusterSpec::tiny());
+        c.enable_obs(ObsConfig::enabled());
+        let alice = c.add_user("alice").unwrap();
+        let sister = shared_broker(CredentialBroker::new(
+            RealmId(2),
+            0xFEE9,
+            BrokerPolicy::default(),
+        ));
+        c.register_sister_realm(RealmId(2), sister.clone());
+        c.advance_to(SimTime::from_secs(100));
+        let token = c.login_at(&sister, alice).unwrap();
+        c.set_realm_clock_skew(HOME_REALM, SimDuration::from_secs(2000));
+        c.advance_to(SimTime::from_secs(200));
+
+        // Fed at 190 s, judged at the home plane's 2200 s.
+        let lag = SimDuration::from_secs(2010);
+        assert_eq!(c.replica_lag(RealmId(2)), Some(lag));
+        assert_eq!(
+            c.validate_federated_token(&token),
+            Err(eus_fedauth::CredError::StaleReplica {
+                realm: RealmId(2),
+                lag,
+            })
+        );
+        assert_eq!(c.dependency_health(Dependency::Feed), DepHealth::FailClosed);
+        assert_eq!(gauge(&c, "core.health.feed"), 2);
+        assert!(c.degraded());
     }
 
     #[test]

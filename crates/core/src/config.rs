@@ -9,7 +9,6 @@
 //! Sec. IV-B).
 
 use eus_sched::{NodeSharing, PrivateData};
-use eus_simcore::SimDuration;
 use std::fmt;
 
 /// One separation mechanism the paper (or a companion paper) deploys: the
@@ -108,20 +107,6 @@ pub struct SeparationConfig {
     /// allow-lists (realm ids; empty = PR-1's home-realm-only behavior).
     /// Non-listed realms fail closed. Ignored when `federated_auth` is off.
     pub trusted_realms: Vec<u32>,
-    /// Push-feed cadence for cross-realm revocation propagation
-    /// (`eus-revsync`): how often each trusted sister realm ships CRL
-    /// deltas (and freshness heartbeats) to this site. Ignored when
-    /// `federated_auth` is off.
-    pub revsync_feed_interval: SimDuration,
-    /// Pull anti-entropy cadence: how often this site asks each trusted
-    /// issuer for everything past its applied frontier (repairs lost
-    /// pushes). Ignored when `federated_auth` is off.
-    pub revsync_anti_entropy: SimDuration,
-    /// The staleness budget: cross-realm validation against a CRL replica
-    /// older than this fails closed (`CredError::StaleReplica`) instead of
-    /// trusting possibly-revoked credentials. Ignored when
-    /// `federated_auth` is off.
-    pub revsync_max_lag: SimDuration,
     /// Scheduler policy plane: multi-partition fair-share head selection
     /// over the decayed usage ledger. Off in both presets (a scheduling
     /// *policy* choice, not a separation mechanism — it never appears in
@@ -140,15 +125,6 @@ pub struct SeparationConfig {
     pub sched_reservations: u32,
 }
 
-/// Default `eus-revsync` cadences: feeds every 10 s, anti-entropy every
-/// 5 min, and a 15 min staleness budget — revocations normally propagate in
-/// seconds, and a partitioned sister realm fails closed within minutes.
-pub const REVSYNC_FEED_INTERVAL: SimDuration = SimDuration::from_secs(10);
-/// See [`REVSYNC_FEED_INTERVAL`].
-pub const REVSYNC_ANTI_ENTROPY: SimDuration = SimDuration::from_secs(300);
-/// See [`REVSYNC_FEED_INTERVAL`].
-pub const REVSYNC_MAX_LAG: SimDuration = SimDuration::from_secs(900);
-
 impl SeparationConfig {
     /// Stock Linux + Slurm: everything off, shared nodes.
     pub fn baseline() -> Self {
@@ -164,9 +140,6 @@ impl SeparationConfig {
             gpu_scrub: false,
             federated_auth: false,
             trusted_realms: Vec::new(),
-            revsync_feed_interval: REVSYNC_FEED_INTERVAL,
-            revsync_anti_entropy: REVSYNC_ANTI_ENTROPY,
-            revsync_max_lag: REVSYNC_MAX_LAG,
             sched_fair_share: false,
             sched_preemption: false,
             sched_reservations: 0,
@@ -187,9 +160,6 @@ impl SeparationConfig {
             gpu_scrub: true,
             federated_auth: true,
             trusted_realms: Vec::new(),
-            revsync_feed_interval: REVSYNC_FEED_INTERVAL,
-            revsync_anti_entropy: REVSYNC_ANTI_ENTROPY,
-            revsync_max_lag: REVSYNC_MAX_LAG,
             sched_fair_share: false,
             sched_preemption: false,
             sched_reservations: 0,
@@ -281,20 +251,9 @@ impl SeparationConfig {
                 _ => m.label().trim_start_matches('-').into(),
             });
         }
-        if self.federated_auth {
-            if !self.trusted_realms.is_empty() {
-                let realms: Vec<String> = self.trusted_realms.iter().map(u32::to_string).collect();
-                on.push(format!("trust[{}]", realms.join(",")));
-            }
-            if self.revsync_feed_interval != REVSYNC_FEED_INTERVAL
-                || self.revsync_anti_entropy != REVSYNC_ANTI_ENTROPY
-                || self.revsync_max_lag != REVSYNC_MAX_LAG
-            {
-                on.push(format!(
-                    "revsync[{}/{}/{}]",
-                    self.revsync_feed_interval, self.revsync_anti_entropy, self.revsync_max_lag
-                ));
-            }
+        if self.federated_auth && !self.trusted_realms.is_empty() {
+            let realms: Vec<String> = self.trusted_realms.iter().map(u32::to_string).collect();
+            on.push(format!("trust[{}]", realms.join(",")));
         }
         if self.sched_fair_share {
             on.push("fairshare".into());
@@ -418,17 +377,5 @@ mod tests {
     #[test]
     fn default_is_llsc() {
         assert_eq!(SeparationConfig::default(), SeparationConfig::llsc());
-    }
-
-    #[test]
-    fn revsync_knobs_render_only_when_changed() {
-        assert_eq!(SeparationConfig::llsc().label(), "llsc");
-        let c = SeparationConfig {
-            revsync_feed_interval: SimDuration::from_secs(60),
-            revsync_max_lag: SimDuration::from_secs(120),
-            ..SeparationConfig::llsc()
-        };
-        let label = c.label();
-        assert!(label.contains("revsync["), "{label}");
     }
 }

@@ -80,7 +80,7 @@ pub struct CoreObs {
     /// `cred.validate.latency`: mean validate latency per boundary (ns).
     pub slo_validate: SloId,
     /// `revsync.replica.lag`: worst replica staleness (µs); re-aimed to
-    /// `revsync_max_lag / 2` by `enable_obs`.
+    /// half the revocation mesh's `max_lag` by `enable_obs`.
     pub slo_replica_lag: SloId,
     /// `sched.interactive.wait`: mean queue wait of interactive starts (µs).
     pub slo_interactive_wait: SloId,
@@ -109,7 +109,7 @@ impl CoreObs {
         let slo_replica_lag = slo.slo(
             "revsync.replica.lag",
             SloSpec {
-                target: f64::MAX, // re-aimed to revsync_max_lag/2 at enable_obs
+                target: f64::MAX, // re-aimed to max_lag/2 at enable_obs
                 agg: SloAgg::Max,
                 short_buckets: 3,
                 long_buckets: 18,

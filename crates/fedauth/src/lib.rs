@@ -26,9 +26,10 @@
 //!   table.
 //! * [`plane`] — the [`SharedBroker`] handle those enforcement points hold
 //!   and the [`PlaneClock`] the broker publishes.
-//! * [`federation`] — [`TrustPolicy`] realm allow-lists and the
-//!   [`FederationDirectory`] that lets a trusted sister realm's credential
-//!   validate at the home site while untrusted realms fail closed.
+//! * [`federation`] — [`TrustPolicy`], the home site's realm allow-list: a
+//!   trusted sister realm's credential validates at the home site (against
+//!   the local revocation replica `eus-revsync` keeps) while untrusted
+//!   realms fail closed.
 //! * [`pam`] — [`PamFedAuth`], the sshd account-phase module.
 //!
 //! ```
@@ -60,7 +61,7 @@ pub use broker::{BrokerPolicy, CredentialBroker};
 pub use ca::{
     CertificateAuthority, CredError, CredSerial, RealmVerifier, SignedToken, SshCertificate,
 };
-pub use federation::{FederationDirectory, TrustPolicy};
+pub use federation::TrustPolicy;
 pub use obs::ValidateStats;
 pub use pam::PamFedAuth;
 pub use plane::{shared_broker, PlaneClock, SharedBroker};

@@ -12,9 +12,9 @@ use std::sync::Arc;
 /// A plane's published clock: the one cell its
 /// [`advance_to`](CredentialBroker::advance_to) stores to and every reader
 /// of "now" loads from — the plane itself, its session table, and (through
-/// [`CredentialBroker::clock`]) the [`crate::FederationDirectory`], which
-/// judges time-boxed trust and replica staleness on it without taking the
-/// plane's guard. There is no second copy of the instant to keep in step.
+/// [`CredentialBroker::clock`]) the revocation mesh that registers the
+/// plane, which judges time-boxed trust and replica staleness on it
+/// without taking the plane's guard. There is no second copy of the instant to keep in step.
 #[derive(Debug, Clone, Default)]
 pub struct PlaneClock(Arc<AtomicU64>);
 

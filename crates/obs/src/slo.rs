@@ -195,7 +195,7 @@ impl SloPlane {
     }
 
     /// Re-aim a registered objective (deployment-specific budgets, e.g.
-    /// `revsync.replica.lag < revsync_max_lag / 2`).
+    /// `revsync.replica.lag < max_lag / 2`).
     pub fn set_target(&mut self, id: SloId, target: f64) {
         if let Some(s) = self.specs.get_mut(id.0 as usize) {
             s.target = target;

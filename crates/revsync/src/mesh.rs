@@ -33,7 +33,7 @@ use crate::obs::MeshObs;
 use crate::replica::{ApplyOutcome, CrlDelta, CrlReplica};
 use crate::RevSyncConfig;
 use eus_fedauth::RealmId;
-use eus_fedauth::{CredError, CredSerial, SharedBroker, SignedToken, SshCertificate};
+use eus_fedauth::{CredError, CredSerial, PlaneClock, SharedBroker, SignedToken, SshCertificate};
 use eus_obs::TraceCtx;
 use eus_simcore::{SimDuration, SimRng, SimTime};
 use eus_simnet::{Fabric, PeerInfo, Port, Proto, SocketAddr};
@@ -94,11 +94,13 @@ pub struct RevSyncMetrics {
     pub bytes_sent: u64,
 }
 
-/// One realm's presence on the WAN: its credential plane (the feed source)
-/// and the CRL replicas the *site* holds for realms it subscribes to.
+/// One realm's presence on the WAN: its credential plane (the feed source),
+/// the clock that plane publishes (taken from it once, on joining) and the
+/// CRL replicas the *site* holds for realms it subscribes to.
 struct Site {
     host: NodeId,
     plane: SharedBroker,
+    clock: PlaneClock,
     replicas: BTreeMap<RealmId, CrlReplica>,
 }
 
@@ -231,17 +233,22 @@ impl RevSyncMesh {
     }
 
     /// Put a realm on the WAN: a host with the realm's CRL feed daemon
-    /// listening. Panics on double registration.
+    /// listening. Panics on double registration, or if the plane was built
+    /// for a different realm.
     pub fn add_realm(&mut self, realm: RealmId, plane: SharedBroker) {
         assert!(
             !self.sites.contains_key(&realm),
             "{realm} is already on the mesh"
         );
-        assert_eq!(
-            plane.read().realm(),
-            realm,
-            "plane must be built for the realm it joins as"
-        );
+        let clock = {
+            let plane = plane.read();
+            assert_eq!(
+                plane.realm(),
+                realm,
+                "plane must be built for the realm it joins as"
+            );
+            plane.clock()
+        };
         let host = Self::wan_host(realm);
         self.fabric.add_host(host);
         let daemon = PeerInfo {
@@ -257,6 +264,7 @@ impl RevSyncMesh {
             Site {
                 host,
                 plane,
+                clock,
                 replicas: BTreeMap::new(),
             },
         );
@@ -271,6 +279,15 @@ impl RevSyncMesh {
     pub fn plane(&self, realm: RealmId) -> Option<&SharedBroker> {
         self.sites.get(&realm).map(|s| &s.plane)
     }
+
+    // analyze:hot-path-begin(mesh-clock)
+    /// A realm's plane clock, read from the cell the plane publishes — no
+    /// guard. `None` for a realm not on the mesh.
+    #[inline]
+    pub fn now_at(&self, realm: RealmId) -> Option<SimTime> {
+        self.sites.get(&realm).map(|s| s.clock.now())
+    }
+    // analyze:hot-path-end
 
     /// Subscribe `subscriber` to `issuer`'s revocation feed: bootstrap a
     /// full-CRL replica (the registration-time state transfer, charged to

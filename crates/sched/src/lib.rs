@@ -35,8 +35,8 @@
 //!   clones.
 //!
 //! The pre-overhaul engine is retained in [`mod@reference`] as the oracle for
-//! `tests/sched_equivalence.rs` and the baseline for
-//! `benches/sched_throughput.rs` / `exp_sched_scale`.
+//! `tests/sched_equivalence.rs` and `tests/sched_policy_properties.rs`, and
+//! as the baseline for the `benches/sched_throughput.rs` criterion bench.
 //!
 //! # The policy plane
 //!

@@ -61,7 +61,7 @@ fn main() {
     //    examples/revocation_propagation.rs for the full timeline.
     lab.write().revoke_user(alice);
     let next_feed = cluster.sched.read().now()
-        + cluster.config.revsync_feed_interval
+        + cluster.revsync.as_ref().unwrap().config().feed_interval
         + hpc_user_separation::simcore::SimDuration::from_secs(1);
     cluster.advance_to(next_feed);
     println!(

@@ -7,6 +7,7 @@
 //! ```
 
 use hpc_user_separation::fedauth::{shared_broker, BrokerPolicy, CredentialBroker, RealmId};
+use hpc_user_separation::revsync::RevSyncConfig;
 use hpc_user_separation::simcore::{SimDuration, SimTime};
 use hpc_user_separation::{ClusterSpec, SecureCluster, SeparationConfig, HOME_REALM};
 
@@ -15,11 +16,14 @@ fn main() {
 
     // The home site trusts sister realm 2; registering the sister
     // bootstraps a local replica of its CRL and subscribes to its delta
-    // feed (push every revsync_feed_interval, anti-entropy pulls behind).
+    // feed (push every feed interval, anti-entropy pulls behind).
     let cfg = SeparationConfig::llsc().with_trusted_realms([2u32]);
-    let feed = cfg.revsync_feed_interval;
-    let budget = cfg.revsync_max_lag;
     let mut cluster = SecureCluster::new(cfg, ClusterSpec::tiny());
+    let RevSyncConfig {
+        feed_interval: feed,
+        max_lag: budget,
+        ..
+    } = *cluster.revsync.as_ref().unwrap().config();
     let alice = cluster.add_user("alice").unwrap();
 
     let lab = shared_broker(CredentialBroker::new(

@@ -24,10 +24,13 @@
 //!
 //! `CHAOS_PROPTEST_CASES` scales the case count for CI soaks.
 
+mod common;
+
 use eus_chaos::{sister_realms, ChaosController, Fault, FaultPlan, PlanShape};
 use eus_fedauth::{
     shared_broker, BrokerPolicy, CredError, CredentialBroker, RealmId, SharedBroker, SignedToken,
 };
+use eus_revsync::RevSyncConfig;
 use eus_simcore::{SimDuration, SimTime};
 use hpc_user_separation::audit::run_audit;
 use hpc_user_separation::obs::{AlertKind, ObsConfig};
@@ -35,13 +38,6 @@ use hpc_user_separation::sched::{JobSpec, JobState};
 use hpc_user_separation::{ClusterSpec, DepHealth, Dependency, SecureCluster, SeparationConfig};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-
-fn cases(default: u32) -> u32 {
-    std::env::var("CHAOS_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Fault plans land in this window; ops and settling ride beyond it.
 fn horizon() -> SimDuration {
@@ -196,12 +192,17 @@ impl ChaosRun {
         let end = SimTime::ZERO
             + horizon()
             + max_heal()
-            + self.c.config.revsync_anti_entropy
+            + self.revsync().anti_entropy
             + SimDuration::from_secs(300);
         while self.clock < end {
             self.clock += SimDuration::from_secs(30);
             self.ctrl.advance_to(&mut self.c, self.clock);
         }
+    }
+
+    /// The mesh's cadences and staleness budget.
+    fn revsync(&self) -> RevSyncConfig {
+        *self.c.revsync.as_ref().unwrap().config()
     }
 
     fn ladder(&self, dep: Dependency) -> DepHealth {
@@ -271,7 +272,7 @@ fn never_breaches_and_heals(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: cases(24), ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: common::cases("CHAOS_PROPTEST_CASES", 24), ..ProptestConfig::default() })]
 
     /// Property 1: no fault schedule opens a separation channel, strands
     /// a dependency ladder, or loses a job.
@@ -378,7 +379,7 @@ proptest! {
     ) {
         let mut run = ChaosRun::new(7, 0, false);
         let alice = run.c.add_user("alice").unwrap();
-        let budget = run.c.config.revsync_max_lag;
+        let budget = run.revsync().max_lag;
         let sever_at = SimTime::from_secs(offset_s);
         let heal_after = budget + SimDuration::from_secs(120);
         let plan = FaultPlan::new(7).inject(
@@ -418,7 +419,7 @@ proptest! {
 
         // One anti-entropy round past the heal: healthy and serving.
         let recover_by =
-            sever_at + heal_after + run.c.config.revsync_anti_entropy + SimDuration::from_secs(60);
+            sever_at + heal_after + run.revsync().anti_entropy + SimDuration::from_secs(60);
         while t < recover_by {
             t += SimDuration::from_secs(20);
             ctrl.advance_to(&mut run.c, t);
@@ -496,7 +497,7 @@ proptest! {
 
         // Heal and ride one anti-entropy round.
         run.c.partition_sister_feed(RealmId(2), false);
-        let end = run.clock + run.c.config.revsync_anti_entropy + SimDuration::from_secs(120);
+        let end = run.clock + run.revsync().anti_entropy + SimDuration::from_secs(120);
         while run.clock < end {
             run.clock += SimDuration::from_secs(30);
             run.ctrl.advance_to(&mut run.c, run.clock);

@@ -17,17 +17,20 @@
 //!   partition / trust rotation / clock skew, with every minted token and
 //!   certificate (and a forged and a re-stamped copy of each) judged after
 //!   every op by the façade *and* by the same decision spelled out from
-//!   public parts — `TrustPolicy::gate`, the issuer plane's own
-//!   `validate_*`, `CrlReplica::validate_*`. The two must agree exactly.
+//!   public parts — `TrustPolicy::gate` on the home plane's clock, the
+//!   home plane's own `validate_token`, `CrlReplica::validate_*`. The two
+//!   must agree exactly, and so must the mesh's replica route.
 //!   CI raises its case count through `FEDERATED_PROPTEST_CASES`.
 //!
 //! To re-record after an *intended* behaviour change, run the test and
 //! copy the array it prints on mismatch.
 
-use eus_revsync::RevSyncMesh;
+mod common;
+
+use eus_revsync::{RevSyncConfig, RevSyncMesh};
 use hpc_user_separation::fedauth::{
-    shared_broker, BrokerPolicy, CredError, CredentialBroker, FederationDirectory, RealmId,
-    SharedBroker, SignedToken, SshCertificate,
+    shared_broker, BrokerPolicy, CredError, CredentialBroker, RealmId, SharedBroker, SignedToken,
+    SshCertificate,
 };
 use hpc_user_separation::simcore::{SimDuration, SimTime};
 use hpc_user_separation::simos::Uid;
@@ -115,6 +118,11 @@ impl Fixture {
         self.c.sched.read().now()
     }
 
+    /// The mesh's cadences and staleness budget.
+    fn revsync(&self) -> RevSyncConfig {
+        *self.c.revsync.as_ref().unwrap().config()
+    }
+
     fn login(&self, plane: &SharedBroker) -> SignedToken {
         self.c.login_at(plane, self.users[0]).unwrap()
     }
@@ -125,7 +133,7 @@ impl Fixture {
 
     /// One feed interval plus wire time: a revocation has travelled.
     fn let_the_feed_deliver(&mut self) {
-        let t = self.now() + self.c.config.revsync_feed_interval + secs(1);
+        let t = self.now() + self.revsync().feed_interval + secs(1);
         self.c.advance_to(t);
     }
 
@@ -266,7 +274,7 @@ fn scenarios() -> Vec<(String, Verdict)> {
     let t = f.login(&f.permanent);
     let tb = f.login(&f.timeboxed);
     f.permanent.write().revoke_serial(t.serial);
-    let over = T0 + f.c.config.revsync_max_lag + secs(1);
+    let over = T0 + f.revsync().max_lag + secs(1);
     f.c.advance_to(over - secs(1));
     case("stale/at-budget", f.validate(&t));
     f.c.advance_to(over);
@@ -295,7 +303,7 @@ fn scenarios() -> Vec<(String, Verdict)> {
     f.c.partition_sister_feed(PERMANENT, true);
     let t = f.login(&f.permanent);
     f.c.set_realm_clock_skew(HOME_REALM, secs(60));
-    f.c.advance_to(T0 + f.c.config.revsync_max_lag - secs(30));
+    f.c.advance_to(T0 + f.revsync().max_lag - secs(30));
     case("home-skew/stale-inside-the-skew", f.validate(&t));
     out
 }
@@ -403,35 +411,15 @@ fn the_scenarios_cover_every_refusal_the_facade_can_give() {
 // ----------------------------------------------------------------------
 
 /// The home site's trust gate at the home plane's clock, or the refusal.
-fn gate(dir: &FederationDirectory, issuer: RealmId) -> Result<SimTime, CredError> {
-    let policy = dir
-        .trust_policy(HOME_REALM)
-        .ok_or(CredError::UnknownRealm(HOME_REALM))?;
-    let now = dir
-        .plane(HOME_REALM)
+fn gate(c: &SecureCluster, issuer: RealmId) -> Result<SimTime, CredError> {
+    let now = c
+        .broker
+        .as_ref()
         .ok_or(CredError::UnknownRealm(HOME_REALM))?
         .read()
         .now();
-    policy.gate(issuer, now)?;
+    c.trust.gate(issuer, now)?;
     Ok(now)
-}
-
-/// `FederationDirectory::validate_token_at(HOME, ..)`: gate, then the
-/// issuer's own plane.
-fn directory_token(dir: &FederationDirectory, t: &SignedToken) -> Verdict {
-    gate(dir, t.realm)?;
-    dir.plane(t.realm)
-        .ok_or(CredError::UnknownRealm(t.realm))?
-        .read()
-        .validate_token(t)
-}
-
-fn directory_cert(dir: &FederationDirectory, cert: &SshCertificate) -> Verdict {
-    gate(dir, cert.realm)?;
-    dir.plane(cert.realm)
-        .ok_or(CredError::UnknownRealm(cert.realm))?
-        .read()
-        .validate_cert(cert)
 }
 
 /// `RevSyncMesh::validate_*_at(HOME, ..)`: the subscribed replica under the
@@ -451,27 +439,18 @@ fn replica_cert(mesh: &RevSyncMesh, cert: &SshCertificate, now: SimTime) -> Verd
 /// `SecureCluster::validate_federated_token`: gate, then home tokens at
 /// the home plane and everything else at the replica.
 fn facade_token(c: &SecureCluster, t: &SignedToken) -> Verdict {
-    let (Some(dir), Some(mesh)) = (&c.federation, &c.revsync) else {
+    let (Some(home), Some(mesh)) = (&c.broker, &c.revsync) else {
         return Err(CredError::UnknownRealm(HOME_REALM));
     };
-    let now = gate(dir, t.realm)?;
+    let now = gate(c, t.realm)?;
     if t.realm == HOME_REALM {
-        return directory_token(dir, t);
+        return home.read().validate_token(t);
     }
     replica_token(mesh, t, now)
 }
 
-/// The property's case count; the CI property job raises it via
-/// `FEDERATED_PROPTEST_CASES`.
-fn cases(default: u32) -> u32 {
-    std::env::var("FEDERATED_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig { cases: cases(24), ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: common::cases("FEDERATED_PROPTEST_CASES", 24), ..ProptestConfig::default() })]
 
     #[test]
     fn facade_directory_and_mesh_agree_with_the_spelled_out_composition(
@@ -526,10 +505,10 @@ proptest! {
                         0 => None,
                         k => Some(f.now() + secs(600 * k as u64)),
                     };
-                    f.c.federation
-                        .as_mut()
-                        .unwrap()
-                        .trust_realm_until(HOME_REALM, realm, until);
+                    match until {
+                        Some(t) => f.c.trust.trust_until(realm, t),
+                        None => f.c.trust.trust(realm),
+                    }
                 }
                 _ => {
                     let realm = realms[subject as usize % 3];
@@ -538,7 +517,6 @@ proptest! {
                 }
             }
 
-            let dir = f.c.federation.as_ref().unwrap();
             let mesh = f.c.revsync.as_ref().unwrap();
             let now = f.home.read().now();
             for (_, t) in &tokens {
@@ -550,11 +528,6 @@ proptest! {
                         "façade diverged at step {} on {:?}", step, probe
                     );
                     prop_assert_eq!(
-                        dir.validate_token_at(HOME_REALM, &probe),
-                        directory_token(dir, &probe),
-                        "directory diverged at step {} on {:?}", step, probe
-                    );
-                    prop_assert_eq!(
                         mesh.validate_token_at(HOME_REALM, &probe, now),
                         replica_token(mesh, &probe, now),
                         "mesh diverged at step {} on {:?}", step, probe
@@ -564,11 +537,6 @@ proptest! {
             for cert in &certs {
                 let bent = SshCertificate { sig: cert.sig ^ 1, ..*cert };
                 for probe in [*cert, bent] {
-                    prop_assert_eq!(
-                        dir.validate_cert_at(HOME_REALM, &probe),
-                        directory_cert(dir, &probe),
-                        "directory diverged at step {} on {:?}", step, probe
-                    );
                     prop_assert_eq!(
                         mesh.validate_cert_at(HOME_REALM, &probe, now),
                         replica_cert(mesh, &probe, now),

@@ -1,11 +1,12 @@
 //! Federation-layer properties:
 //!
-//! 1. a [`TrustPolicy`]-governed federation never accepts a credential from
-//!    a realm off the allow-list, whatever the op interleaving;
+//! 1. the home site's trust policy never accepts a credential from a
+//!    registered realm off its allow-list, nor from a realm nobody
+//!    registered;
 //! 2. the home plane's clock is one clock, and it is the published one:
 //!    through any interleaving of logins, `revoke_user` / `revoke_serial` /
 //!    `sweep_expired`, clock-skew apply / heal and every way a plane can be
-//!    advanced, the cell the federation directory reads without a guard is
+//!    advanced, the cell the revocation mesh reads without a guard is
 //!    `plane.now()`, and every live, revoked, forged and re-stamped token
 //!    is judged exactly as a lone [`CredentialBroker`] fed the same ops
 //!    judges it;
@@ -14,10 +15,7 @@
 //!    `validate_serial`) acquire exactly one lock, a sister-token
 //!    validation and `replica_lag` none.
 
-use eus_fedauth::{
-    shared_broker, BrokerPolicy, CredError, CredentialBroker, FederationDirectory, RealmId,
-    SignedToken, TrustPolicy,
-};
+use eus_fedauth::{shared_broker, BrokerPolicy, CredError, CredentialBroker, RealmId, SignedToken};
 use eus_simcore::{SimDuration, SimTime};
 use eus_simos::{Uid, UserDb};
 use hpc_user_separation::{ClusterSpec, SecureCluster, SeparationConfig};
@@ -35,49 +33,42 @@ proptest! {
         trusted_mask in 0u8..64,
         probe in 0u8..6,
     ) {
-        let home = RealmId(1);
-        let mut db = UserDb::new();
-        let alice = db.create_user("alice").unwrap();
+        use hpc_user_separation::HOME_REALM;
+        let mut realms: Vec<RealmId> = Vec::new();
+        for rid in realm_ids {
+            if !realms.contains(&RealmId(rid)) {
+                realms.push(RealmId(rid)); // skip duplicate ids in the generated vec
+            }
+        }
+        let trusted = |i: usize| trusted_mask & (1 << i) != 0;
+        let allow_list: Vec<u32> = (0..realms.len()).filter(|&i| trusted(i)).map(|i| realms[i].0).collect();
 
-        // Build the federation: home + N sister realms, a subset trusted.
-        let mut trust = TrustPolicy::home_only(home);
-        let mut dir = FederationDirectory::new();
-        dir.register(
-            home,
-            shared_broker(CredentialBroker::new(home, 1, BrokerPolicy::default())),
-            TrustPolicy::home_only(home), // placeholder, replaced below
-        );
+        // The federation: home + N registered sister realms, a subset of
+        // them on the home site's allow-list.
+        let cfg = SeparationConfig::llsc().with_trusted_realms(allow_list);
+        let mut c = SecureCluster::new(cfg, ClusterSpec::tiny());
+        let alice = c.add_user("alice").unwrap();
         let mut sisters = Vec::new();
-        for (i, rid) in realm_ids.iter().enumerate() {
-            let realm = RealmId(*rid);
-            if dir.plane(realm).is_some() {
-                continue; // duplicate id in the generated vec
-            }
-            let trusted = trusted_mask & (1 << i) != 0;
-            if trusted {
-                trust.trust(realm);
-            }
+        for (i, &realm) in realms.iter().enumerate() {
             let plane = shared_broker(CredentialBroker::new(
                 realm,
                 100 + i as u64,
                 BrokerPolicy::default(),
             ));
-            dir.register(realm, plane.clone(), TrustPolicy::home_only(realm));
-            sisters.push((realm, plane, trusted));
+            c.register_sister_realm(realm, plane.clone());
+            sisters.push((realm, plane, trusted(i)));
         }
-        let home_plane = dir.plane(home).unwrap().clone();
-        dir.register(home, home_plane, trust.clone());
 
         // Every sister logs alice in; the home site judges each token.
         for (realm, plane, trusted) in &sisters {
-            let token = plane.write().login(&db, alice, None).unwrap();
-            let verdict = dir.validate_token_at(home, &token);
+            let token = c.login_at(plane, alice).unwrap();
+            let verdict = c.validate_federated_token(&token);
             if *trusted {
                 prop_assert_eq!(verdict.unwrap(), alice, "allow-listed {} must pass", realm);
             } else {
                 prop_assert_eq!(
                     verdict,
-                    Err(CredError::UntrustedRealm { ours: home, theirs: *realm }),
+                    Err(CredError::UntrustedRealm { ours: HOME_REALM, theirs: *realm }),
                     "non-allow-listed {} must fail closed",
                     realm
                 );
@@ -87,13 +78,13 @@ proptest! {
         // And a realm that exists nowhere (not even registered) is refused
         // regardless of the mask.
         let ghost = RealmId(1000 + probe as u32);
-        let mut rogue = CredentialBroker::new(ghost, 7, BrokerPolicy::default());
-        let forged = rogue.login(&db, alice, None).unwrap();
-        prop_assert!(dir.validate_token_at(home, &forged).is_err());
+        let rogue = shared_broker(CredentialBroker::new(ghost, 7, BrokerPolicy::default()));
+        let forged = c.login_at(&rogue, alice).unwrap();
+        prop_assert!(c.validate_federated_token(&forged).is_err());
     }
 
     /// Plane-level clock coherence and verdict equivalence: the clock the
-    /// directory reads with no guard is `plane.now()` however the plane was
+    /// mesh reads with no guard is `plane.now()` however the plane was
     /// advanced, it is the clock logins stamp, it never runs backwards —
     /// and every verdict, at the plane and through the façade, is the
     /// lone-broker model's.
@@ -196,18 +187,19 @@ proptest! {
                     plane.write().revoke_serial(serial);
                 }
                 7 => swept = Some(plane.write().sweep_expired()),
-                // Through the directory, past the scheduler's clock.
+                // Through the mesh's handle, past the scheduler's clock.
                 _ => {
                     let t = fed + SimDuration::from_secs(arg as u64 * 500);
-                    site.c.federation.as_mut().unwrap().advance_to(t);
+                    let mesh = site.c.revsync.as_ref().unwrap();
+                    mesh.plane(HOME_REALM).unwrap().write().advance_to(t);
                 }
             }
             let now = site.plane_now();
             prop_assert_eq!(plane.read().clock().now(), now);
             prop_assert_eq!(
-                site.c.federation.as_ref().unwrap().now_at(HOME_REALM),
+                site.c.revsync.as_ref().unwrap().now_at(HOME_REALM),
                 Some(now),
-                "the directory reads another clock after action {}", action
+                "the mesh reads another clock after action {}", action
             );
             fed = site.c.sched.read().now();
             prop_assert!(now >= last && now >= fed, "plane clock ran backwards");

@@ -15,6 +15,8 @@
 //! Release builds compile the eviction's own `debug_assert` out, so this
 //! test checks the property itself.
 
+mod common;
+
 use hpc_user_separation::sched::{JobId, JobSpec, JobState, NodeSharing, QosClass};
 use hpc_user_separation::simcore::{SimDuration, SimRng, SimTime};
 use hpc_user_separation::simnet::{Proto, SocketAddr};
@@ -23,14 +25,6 @@ use hpc_user_separation::{ClusterSpec, Mechanism, Residue, SecureCluster, Separa
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::BTreeSet;
-
-/// Per-property case count; CI can raise it via `HANDOFF_PROPTEST_CASES`.
-fn cases(default: u32) -> u32 {
-    std::env::var("HANDOFF_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// `llsc()`, `baseline()` and every single ablation, each with preemption
 /// on and under both placements.
@@ -192,7 +186,7 @@ fn run_tape(seed: u64, config: SeparationConfig) -> Result<(), TestCaseError> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: cases(4), ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: common::cases("HANDOFF_PROPTEST_CASES", 4), ..ProptestConfig::default() })]
 
     /// After every boundary, a tenant whose last job left a node left
     /// nothing there but what a disabled mechanism allows.

@@ -176,7 +176,7 @@ proptest! {
         prop_assert!(run.c.portal_revoke_serial(RealmId(2), token.serial));
         // One feed interval later the delta has landed at the home replica.
         run.c
-            .advance_to(now + run.c.config.revsync_feed_interval + SimDuration::from_secs(1));
+            .advance_to(now + run.c.revsync.as_ref().unwrap().config().feed_interval + SimDuration::from_secs(1));
         prop_assert_eq!(
             run.c.validate_federated_token(&token),
             Err(CredError::Revoked(token.serial))

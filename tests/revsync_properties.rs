@@ -15,6 +15,8 @@
 //! The CI `revsync-properties` job reruns this file with a larger case
 //! count via `REVSYNC_PROPTEST_CASES`.
 
+mod common;
+
 use eus_fedauth::{
     shared_broker, BrokerPolicy, CredError, CredSerial, CredentialBroker, RealmId, SharedBroker,
 };
@@ -23,15 +25,6 @@ use eus_simcore::{SimDuration, SimTime};
 use eus_simos::{Uid, UserDb};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-
-/// Per-property case count; the CI property job raises it via
-/// `REVSYNC_PROPTEST_CASES`.
-fn cases(default: u32) -> u32 {
-    std::env::var("REVSYNC_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn mesh_of(
     n: u32,
@@ -64,7 +57,7 @@ fn mesh_of(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: cases(24), ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: common::cases("REVSYNC_PROPTEST_CASES", 24), ..ProptestConfig::default() })]
 
     /// (1) + (2): random revocation traffic under random push loss — after
     /// time passes, every replica converges to its issuer's exact log, and

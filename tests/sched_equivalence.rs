@@ -9,6 +9,8 @@
 //! The two engines share job/node/policy types, so any divergence is in the
 //! scheduling data structures themselves — exactly what this suite guards.
 
+mod common;
+
 use hpc_user_separation::obs::ObsConfig;
 use hpc_user_separation::sched::{
     JobSpec, JobState, NodeSharing, PrivateData, QosClass, ReferenceScheduler, SchedConfig,
@@ -20,14 +22,6 @@ use hpc_user_separation::workloads::{UserPopulation, WorkloadMix};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::sync::Arc;
-
-/// Per-property case count; CI can raise it via `SCHED_PROPTEST_CASES`.
-fn cases(default: u32) -> u32 {
-    std::env::var("SCHED_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn policy_from(i: u8) -> NodeSharing {
     match i % 3 {
@@ -272,7 +266,7 @@ fn drive_pair(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: cases(12), ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: common::cases("SCHED_PROPTEST_CASES", 12), ..ProptestConfig::default() })]
 
     /// Random traces × policy × backfill on/off on a healthy cluster.
     #[test]

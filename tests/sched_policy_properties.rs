@@ -21,6 +21,8 @@
 //!   schedule replayed twice yields identical placements, epilogs,
 //!   preemption records and flight-recorder event stream.
 
+mod common;
+
 use hpc_user_separation::obs::ObsConfig;
 use hpc_user_separation::sched::{
     JobSpec, JobState, NodeSharing, QosClass, ReferenceScheduler, SchedConfig, Scheduler,
@@ -34,14 +36,6 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Per-property case count; CI can raise it via `SCHED_PROPTEST_CASES`.
-fn cases(default: u32) -> u32 {
-    std::env::var("SCHED_PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn qos_from(i: usize) -> QosClass {
     match i % 10 {
@@ -458,7 +452,7 @@ fn policy_from(i: u8) -> NodeSharing {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: cases(10), ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: common::cases("SCHED_PROPTEST_CASES", 10), ..ProptestConfig::default() })]
 
     /// Separation + accounting invariants with the full plane on, across
     /// node-sharing policies, with and without partitions, with up to two
