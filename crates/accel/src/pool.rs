@@ -107,16 +107,6 @@ impl GpuPool {
         }
         Ok(out)
     }
-
-    /// Total GPUs in the pool.
-    pub fn len(&self) -> usize {
-        self.gpus.len()
-    }
-
-    /// True when no GPUs are installed.
-    pub fn is_empty(&self) -> bool {
-        self.gpus.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +123,7 @@ mod tests {
     #[test]
     fn install_creates_device_files() {
         let (pool, fs) = setup();
-        assert_eq!(pool.len(), 2);
+        assert_eq!(pool.gpus.len(), 2);
         assert_eq!(pool.on_node(NodeId(1)).len(), 2);
         let root = eus_simos::FsCtx::root();
         assert!(fs.stat(&root, "/dev/gpu0").is_ok());

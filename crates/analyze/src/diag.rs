@@ -15,7 +15,8 @@ pub const R4_DOCS_SYNC: &str = "docs-sync";
 /// R5 — no nested lock scopes (static approximation; the dynamic
 /// `lock_order_check` cfg covers ordering across threads).
 pub const R5_LOCK_DISCIPLINE: &str = "lock-discipline";
-/// R6 — every `pub` item in engine source has a caller outside test code.
+/// R6 — every `pub fn` in engine source is reached by non-test code, as
+/// the compiler judges it.
 pub const R6_DEAD_PUB: &str = "dead-pub";
 /// Hygiene for the tool's own control comments: malformed `analyze:`
 /// directives and unclosed hot-path regions.

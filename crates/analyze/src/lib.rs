@@ -4,10 +4,12 @@
 //! determinism, panic-free hot kernels, the `plane.subsystem.name` obs
 //! convention, ARCHITECTURE.md tables that match the code, deadlock-free
 //! lock nesting, and a public surface that something outside the tests
-//! calls. This crate machine-checks all six with a self-contained scanner
-//! — a hand-rolled lexer ([`lexer`]), a per-file model with
-//! test/hot/suppression overlays ([`source`]), and six rule passes
-//! ([`rules`]) — no dependencies, same offline discipline as `vendor/`.
+//! calls. This crate machine-checks all six: five with a self-contained
+//! scanner — a hand-rolled lexer ([`lexer`]), a per-file model with
+//! test/hot/suppression overlays ([`source`]) and the rule passes in
+//! [`rules`] — and the sixth by asking the compiler, on a copy of the
+//! workspace with every `pub fn` demoted ([`rules::deadpub`]). No
+//! dependencies, same offline discipline as `vendor/`.
 //!
 //! | rule id | invariant |
 //! |---|---|
@@ -16,7 +18,7 @@
 //! | `obs-naming` | dotted obs names, registered exactly once |
 //! | `docs-sync` | ARCHITECTURE.md audit/span/SLO/fault tables match the code |
 //! | `lock-discipline` | no nested lock scopes (static half of the check) |
-//! | `dead-pub` | every `pub` item has a caller outside test code |
+//! | `dead-pub` | every `pub` item is reached by non-test code, by rustc's `dead_code` verdict on a demoted copy |
 //!
 //! Suppress a finding on one line with
 //! `// analyze:allow(rule-id): justification` (the justification is
@@ -27,6 +29,7 @@
 //! `parking_lot` shim behind `--cfg lock_order_check`.
 
 pub mod diag;
+mod json;
 pub mod lexer;
 pub mod rules;
 pub mod source;
@@ -46,7 +49,9 @@ pub struct Report {
 }
 
 /// Scan the workspace rooted at `root` (the directory holding
-/// `ARCHITECTURE.md` and `crates/`) with every rule.
+/// `ARCHITECTURE.md` and `crates/`) with every rule. `dead-pub` runs
+/// `cargo check` on a temp copy (about a minute); an `Err` also reports a
+/// copy that does not build.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
     let mut parsed = Vec::new();
     for (rel, path) in source::collect_sources(root)? {
@@ -71,6 +76,7 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
         &regs,
         &mut diags,
     );
+    diags.extend(rules::deadpub::check(root)?);
 
     let diags = finish(diags, &parsed);
     Ok(Report {
@@ -95,27 +101,12 @@ pub fn lint_source(rel: &str, text: &str) -> Vec<Diag> {
     finish(diags, std::slice::from_ref(&f))
 }
 
-/// Lint `(rel, text)` files as one workspace: every rule but R4 (which
-/// reads ARCHITECTURE.md). Paths place each file as
-/// [`source::collect_sources`] would, so a fixture at `tests/…` is test
-/// code and one at `benchmark/src/…` a caller R6 reads but never lints.
-// analyze:allow(dead-pub): the library entry point for fixture suites and editor integration
-pub fn lint_tree(files: &[(&str, &str)]) -> Vec<Diag> {
-    let parsed: Vec<SourceFile> = files
-        .iter()
-        .map(|(rel, text)| SourceFile::parse(rel, text))
-        .collect();
-    let (diags, _) = lint_files(&parsed);
-    finish(diags, &parsed)
-}
-
-/// Every rule but R4 over `files`: the per-file rules on the linted ones,
-/// R6 across all. Returns the findings and R3's registrations (R4 reads
-/// them).
+/// The per-file rules and R3's uniqueness check over `files`. Returns the
+/// findings and R3's registrations (R4 reads them).
 fn lint_files(files: &[SourceFile]) -> (Vec<Diag>, Vec<Registration>) {
     let mut diags = Vec::new();
     let mut regs = Vec::new();
-    for f in files.iter().filter(|f| f.linted()) {
+    for f in files {
         diags.extend(f.pre_diags.iter().cloned());
         rules::determinism::check(f, &mut diags);
         rules::hotpath::check(f, &mut diags);
@@ -123,7 +114,6 @@ fn lint_files(files: &[SourceFile]) -> (Vec<Diag>, Vec<Registration>) {
         regs.extend(rules::obsnames::collect(f, &mut diags));
     }
     rules::obsnames::check_unique(&regs, &mut diags);
-    rules::deadpub::check(files, &mut diags);
     (diags, regs)
 }
 

@@ -1,7 +1,7 @@
 //! The rule passes. R1/R2/R5 are per-file token scans; R3 collects obs
 //! registrations per file and checks uniqueness across the workspace; R4
-//! cross-checks ARCHITECTURE.md tables against the code; R6 matches every
-//! `pub` item against the identifiers the workspace's callers use.
+//! cross-checks ARCHITECTURE.md tables against the code; R6 asks the
+//! compiler which `pub fn`s only tests reach.
 
 pub mod deadpub;
 pub mod determinism;

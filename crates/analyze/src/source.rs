@@ -118,14 +118,6 @@ impl SourceFile {
         }
     }
 
-    /// Is this file engine source (`crates/*/src/**`), the set every rule
-    /// lints? Other files are read only as R6's callers.
-    pub fn linted(&self) -> bool {
-        self.crate_name
-            .as_ref()
-            .is_some_and(|c| self.rel.starts_with(&format!("crates/{c}/src/")))
-    }
-
     /// Is `rule` suppressed on `line`?
     pub fn allowed(&self, line: u32, rule: &str) -> bool {
         self.allow
@@ -232,26 +224,18 @@ fn test_flags(toks: &[Tok]) -> Vec<bool> {
     flags
 }
 
-/// Walk the workspace collecting the `.rs` files the rules read, sorted
-/// for deterministic reports: engine source (`crates/*/src`, the files
-/// every rule lints — see [`SourceFile::linted`]) and the callers R6 reads
-/// but no rule lints (`crates/*/benches`, `src/`, `examples/`,
-/// `benchmark/src`). Test suites and `vendor/` are out of scope by
-/// construction: the rules guard *engine* source, and the vendored shims
-/// deliberately mirror external crates' APIs rather than workspace
-/// conventions.
+/// Walk the workspace collecting the engine source every rule lints
+/// (`crates/*/src`), sorted for deterministic reports. Test suites and
+/// `vendor/` are out of scope by construction: the rules guard *engine*
+/// source, and the vendored shims deliberately mirror external crates'
+/// APIs rather than workspace conventions.
 pub fn collect_sources(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
-    let mut dirs: Vec<PathBuf> = ["src", "examples", "benchmark/src"]
-        .iter()
-        .map(|d| root.join(d))
-        .collect();
-    for entry in std::fs::read_dir(root.join("crates"))? {
-        let c = entry?.path();
-        dirs.extend([c.join("src"), c.join("benches")]);
-    }
     let mut out = Vec::new();
-    for dir in dirs.iter().filter(|d| d.is_dir()) {
-        walk_rs(dir, root, &mut out)?;
+    for entry in std::fs::read_dir(root.join("crates"))? {
+        let src = entry?.path().join("src");
+        if src.is_dir() {
+            walk_rs(&src, root, &mut out)?;
+        }
     }
     out.sort();
     Ok(out)

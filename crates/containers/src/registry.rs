@@ -100,6 +100,7 @@ impl ContainerRegistry {
     }
 
     /// True when empty.
+    // analyze:allow(dead-pub): the emptiness check that goes with the live `len` (clippy::len_without_is_empty)
     pub fn is_empty(&self) -> bool {
         self.stored.is_empty()
     }

@@ -176,7 +176,7 @@ pub fn probe(channel: Channel, c: &mut SecureCluster, attacker: Uid, victim: Uid
         Channel::NetUdp => probe_net(c, attacker, victim, Proto::Udp, 9101),
         Channel::AbstractSocket => probe_abstract_socket(c, attacker, victim),
         Channel::RdmaTcpSetup => probe_rdma_tcp(c, attacker, victim),
-        Channel::RdmaNativeCm => probe_rdma_native(c, attacker, victim),
+        Channel::RdmaNativeCm => probe_rdma_native(c, attacker),
         Channel::GpuDevAccess => probe_gpu_dev(c, attacker, victim),
         Channel::GpuRemanence => probe_gpu_remanence(c, attacker, victim),
         Channel::PortalCrossUser => probe_portal(c, attacker, victim),
@@ -422,7 +422,7 @@ fn probe_rdma_tcp(c: &mut SecureCluster, attacker: Uid, victim: Uid) -> Outcome 
     let n2 = c.compute_ids[1];
     let rkey = c
         .fabric
-        .rdma_register(n2, victim, b"victim tensor".to_vec())
+        .rdma_register(n2, b"victim tensor".to_vec())
         .expect("host exists");
     c.listen(victim, n2, Proto::Tcp, 18515, None)
         .expect("port free");
@@ -439,12 +439,12 @@ fn probe_rdma_tcp(c: &mut SecureCluster, attacker: Uid, victim: Uid) -> Outcome 
     }
 }
 
-fn probe_rdma_native(c: &mut SecureCluster, attacker: Uid, victim: Uid) -> Outcome {
+fn probe_rdma_native(c: &mut SecureCluster, attacker: Uid) -> Outcome {
     let n1 = c.compute_ids[0];
     let n2 = c.compute_ids[1];
     let rkey = c
         .fabric
-        .rdma_register(n2, victim, b"victim tensor".to_vec())
+        .rdma_register(n2, b"victim tensor".to_vec())
         .expect("host exists");
     let a_peer = eus_simnet::PeerInfo::from_cred(&c.credentials(attacker));
     match c.fabric.setup_qp_native_cm(n1, a_peer, n2) {

@@ -249,10 +249,10 @@ pub struct SecureCluster {
     /// sshd PAM, job submission, and the portal all consult it.
     pub broker: Option<SharedBroker>,
     /// The home site's realm allow-list: `config.trusted_realms`
-    /// permanently, plus any time-boxed grant from
-    /// [`register_sister_realm_until`](Self::register_sister_realm_until).
-    /// Judged before any sister credential reaches a replica.
-    pub trust: TrustPolicy,
+    /// permanently, plus every [`grant_trust`](Self::grant_trust).
+    /// Judged before any sister credential reaches a replica. Private, so
+    /// no grant skips the replica subscription it needs.
+    trust: TrustPolicy,
     /// The revocation-propagation mesh (`Some` when
     /// `config.federated_auth`), and the one registry from realm to
     /// credential plane: the home plane and every registered sister realm
@@ -262,7 +262,6 @@ pub struct SecureCluster {
     /// validation consults these replicas — never the issuer — under the
     /// mesh's `max_lag` (bounded staleness, fail closed).
     pub revsync: Option<RevSyncMesh>,
-    seepid_gid: Gid,
     /// The node hand-off's one ledger.
     tenancy: Tenancy,
     // Per-dependency degraded-mode state machines (see [`DepHealth`]),
@@ -464,7 +463,6 @@ impl SecureCluster {
             broker,
             trust,
             revsync,
-            seepid_gid,
             tenancy: Tenancy::default(),
             health_idp: DepHealth::Healthy,
             health_ca: DepHealth::Healthy,
@@ -504,11 +502,6 @@ impl SecureCluster {
         if let Some(mesh) = &mut self.revsync {
             mesh.enable_obs(cfg);
         }
-    }
-
-    /// The hidepid exemption group.
-    pub fn seepid_gid(&self) -> Gid {
-        self.seepid_gid
     }
 
     /// The first login node (where the portal runs).
@@ -849,41 +842,15 @@ impl SecureCluster {
     /// Register a sister realm's credential plane: it joins the revocation
     /// mesh and ticks on the cluster's clock from then on. Whether the home
     /// site *accepts* that realm's credentials is governed solely by
-    /// [`trust`](Self::trust) (`config.trusted_realms`) — registration
-    /// alone grants nothing (fail closed). The sister's clock is advanced to
+    /// [`trust`](Self::trust) (`config.trusted_realms` and
+    /// [`grant_trust`](Self::grant_trust)) — registration alone grants
+    /// nothing (fail closed). The sister's clock is advanced to
     /// the cluster's current simulated time (the federation clock, whatever
     /// skew is injected on the home plane), so the whole federation ticks
     /// together from the moment it joins; if the realm is trusted, the home
     /// site also bootstraps a local CRL replica and subscribes to the
     /// realm's revocation feed (`eus-revsync`).
     pub fn register_sister_realm(&mut self, realm: RealmId, plane: SharedBroker) {
-        self.register_sister_plane(realm, plane, None);
-    }
-
-    /// [`register_sister_realm`](Self::register_sister_realm) for a
-    /// **time-boxed collaboration**: unlike the plain variant, this also
-    /// *grants* trust — the home site accepts the realm's credentials until
-    /// `expires_at` on the simulation clock, after which validation fails
-    /// closed with `CredError::TrustExpired` (re-registering with a later
-    /// expiry is the rotation path). If [`trust`](Self::trust) already
-    /// holds the realm *permanently*, the time-box is ignored — a later
-    /// grant never shortens standing trust.
-    // analyze:allow(dead-pub): time-boxed trust for a visiting realm
-    pub fn register_sister_realm_until(
-        &mut self,
-        realm: RealmId,
-        plane: SharedBroker,
-        expires_at: SimTime,
-    ) {
-        self.register_sister_plane(realm, plane, Some(expires_at));
-    }
-
-    fn register_sister_plane(
-        &mut self,
-        realm: RealmId,
-        plane: SharedBroker,
-        trust_until: Option<SimTime>,
-    ) {
         assert_ne!(
             realm, HOME_REALM,
             "the home realm's plane is installed at construction and cannot be replaced"
@@ -898,27 +865,6 @@ impl SecureCluster {
         // (plane clocks are monotone).
         let now = self.sched.read().now();
         plane.write().advance_to(now);
-        if let Some(expires_at) = trust_until {
-            // A time-boxed grant never downgrades trust the operator's
-            // config made permanent — rotation extends, it never shortens
-            // by accident (the same invariant TrustPolicy::trust keeps in
-            // the other direction).
-            let already_permanent = self.trust.trusted_realms().any(|r| r == realm)
-                && self.trust.trust_expires_at(realm).is_none();
-            if !already_permanent {
-                self.trust.trust_until(realm, expires_at);
-            }
-        }
-        // Trusted sisters (config allow-list or the time-boxed grant) get a
-        // local CRL replica; untrusted registrations are refused at the
-        // trust gate before any replica would be consulted, so none exists.
-        // Re-registration (the trust-rotation path: same realm, later
-        // expiry) keeps the existing replica — its log frontier is still
-        // valid, since it replicates the same plane.
-        let trusted = self.trust.trusted_realms().any(|r| r == realm);
-        if trusted {
-            mesh.pump(now);
-        }
         match mesh.plane(realm) {
             Some(existing) => assert!(
                 std::sync::Arc::ptr_eq(existing, &plane),
@@ -929,9 +875,59 @@ impl SecureCluster {
             ),
             None => mesh.add_realm(realm, plane),
         }
-        if trusted && mesh.replica(HOME_REALM, realm).is_none() {
+        self.subscribe_if_trusted(realm, now);
+    }
+
+    /// Trust `realm`'s credentials at the home site: permanently (`until`
+    /// is `None`) or strictly before `until`, after which validation fails
+    /// closed with `CredError::TrustExpired` (a later `until` is the
+    /// rotation path). A time-box never shortens permanent trust. When the
+    /// realm is already registered and the home site holds no replica of
+    /// it yet, the site subscribes to its revocation feed, so its tokens
+    /// validate from now on instead of failing closed `UnknownRealm`.
+    // analyze:allow(dead-pub): the operator's trust grant for a sister realm, permanent or time-boxed
+    pub fn grant_trust(&mut self, realm: RealmId, until: Option<SimTime>) {
+        match until {
+            Some(expires_at) => {
+                // Rotation extends, it never shortens by accident (the same
+                // invariant `TrustPolicy::trust` keeps in the other
+                // direction).
+                let already_permanent = self.trust.trusted_realms().any(|r| r == realm)
+                    && self.trust.trust_expires_at(realm).is_none();
+                if !already_permanent {
+                    self.trust.trust_until(realm, expires_at);
+                }
+            }
+            None => self.trust.trust(realm),
+        }
+        let now = self.sched.read().now();
+        self.subscribe_if_trusted(realm, now);
+    }
+
+    /// Trusted sisters (config allow-list or a grant) get a local CRL
+    /// replica once registered; untrusted registrations are refused at the
+    /// trust gate before any replica would be consulted, so none exists. A
+    /// realm that already has one keeps it: its log frontier is still
+    /// valid, since it replicates the same plane.
+    fn subscribe_if_trusted(&mut self, realm: RealmId, now: SimTime) {
+        let trusted = self.trust.trusted_realms().any(|r| r == realm);
+        let Some(mesh) = self.revsync.as_mut() else {
+            return;
+        };
+        if trusted
+            && realm != HOME_REALM
+            && mesh.plane(realm).is_some()
+            && mesh.replica(HOME_REALM, realm).is_none()
+        {
+            mesh.pump(now);
             mesh.subscribe(HOME_REALM, realm);
         }
+    }
+
+    /// The home site's realm allow-list, read-only.
+    // analyze:allow(dead-pub): the operator's view of which realms the home site trusts, and until when
+    pub fn trust(&self) -> &TrustPolicy {
+        &self.trust
     }
 
     /// Log `user` in at `plane` (the home broker or a sister realm's)
@@ -1013,6 +1009,7 @@ impl SecureCluster {
     /// [`CredError`](eus_fedauth::CredError)`::Unavailable`; already-minted
     /// tokens keep validating against local state. No-op without the
     /// credential plane.
+    // analyze:allow(dead-pub): operator fault drill: IdP outage (the chaos plane's `IdpOutage`)
     pub fn set_idp_available(&mut self, up: bool) {
         if let Some(b) = &self.broker {
             b.write().set_idp_available(up);
@@ -1021,6 +1018,7 @@ impl SecureCluster {
 
     /// Is the home realm's identity provider reachable? (`true` without
     /// the credential plane: there is nothing to be down.)
+    // analyze:allow(dead-pub): the operator's read of the IdP outage switch
     pub fn idp_available(&self) -> bool {
         self.broker
             .as_ref()
@@ -1030,15 +1028,11 @@ impl SecureCluster {
     /// Take the home realm's certificate authority down (or back up).
     /// While down, credential *minting* (SSH certs, token issuance) fails
     /// `Unavailable`; verification is local and keeps working.
+    // analyze:allow(dead-pub): operator fault drill: CA outage (the chaos plane's `CaOutage`)
     pub fn set_ca_available(&mut self, up: bool) {
         if let Some(b) = &self.broker {
             b.write().set_ca_available(up);
         }
-    }
-
-    /// Is the home realm's certificate authority reachable?
-    pub fn ca_available(&self) -> bool {
-        self.broker.as_ref().is_none_or(|b| b.read().ca_available())
     }
 
     /// Stall (or unstall) the revocation push feed from a sister realm
@@ -1047,6 +1041,7 @@ impl SecureCluster {
     /// (`feed.silent`) and anti-entropy notice. The nastier cousin of
     /// [`partition_sister_feed`](Self::partition_sister_feed), whose
     /// failures are detected and retried.
+    // analyze:allow(dead-pub): operator fault drill: a silently stalled revocation feed (the chaos plane's `FeedStall`)
     pub fn stall_sister_feed(&mut self, realm: RealmId, stalled: bool) {
         if let Some(mesh) = &mut self.revsync {
             mesh.set_feed_stalled(realm, HOME_REALM, stalled);
@@ -1058,6 +1053,7 @@ impl SecureCluster {
     /// sync; `SimDuration::ZERO` clears the skew. Forward-only: plane
     /// clocks are monotone, so reducing the skew never rewinds — the
     /// skewed plane just waits for the cluster clock to catch up.
+    // analyze:allow(dead-pub): operator fault drill: a realm whose clock drifted (the chaos plane's `ClockSkew`)
     pub fn set_realm_clock_skew(&mut self, realm: RealmId, ahead: SimDuration) {
         if ahead.is_zero() {
             self.clock_skew.remove(&realm);
@@ -1219,6 +1215,7 @@ impl SecureCluster {
 
     /// Gather every completed span of one trace across all plane rings
     /// (core, portal, scheduler, broker, revsync), ordered parents-first.
+    // analyze:allow(dead-pub): the operator's cross-plane trace of one request (ROADMAP item 4's "why denied" report reads it)
     pub fn collect_trace(&self, trace: u64) -> Vec<crate::obs::TraceSpan> {
         let mut rings: Vec<Vec<crate::obs::TraceSpan>> = vec![
             self.obs.trace.spans_for(trace),
@@ -1245,6 +1242,7 @@ impl SecureCluster {
 
     /// The tree view of one cross-plane trace (see
     /// [`collect_trace`](Self::collect_trace)).
+    // analyze:allow(dead-pub): the operator's tree view of one cross-plane trace (ROADMAP item 4)
     pub fn render_trace(&self, trace: u64) -> String {
         crate::obs::render_trace(trace, &self.collect_trace(trace))
     }
@@ -1727,7 +1725,7 @@ mod tests {
         let c = llsc_tiny();
         assert_eq!(c.compute_ids.len(), 2);
         assert_eq!(c.login_ids.len(), 1);
-        assert_eq!(c.gpus.len(), 2);
+        assert_eq!(c.gpus.on_node(c.compute_ids[0]).len(), 1);
         assert!(!c.ubf_stats.is_empty());
         assert_eq!(c.login_node(), NodeId(3));
     }
@@ -1913,7 +1911,10 @@ mod tests {
         assert!(sched.obs.rec.counter_value(sched.obs.c_starts) >= 1);
         // And the broker's atomic validate stats are recording.
         let broker = loud.broker.as_ref().expect("llsc has fedauth").read();
-        assert!(broker.stats.enabled());
+        assert!(
+            broker.stats.begin().is_some(),
+            "a validation would be timed"
+        );
     }
 
     #[test]
@@ -2200,7 +2201,10 @@ mod tests {
         ));
         c.register_sister_realm(RealmId(2), sister.clone());
         assert_eq!(sister.read().now(), SimTime::from_secs(100));
-        assert_eq!(c.revsync.as_ref().unwrap().now(), SimTime::from_secs(100));
+        assert_eq!(
+            c.revsync.as_ref().unwrap().now_at(RealmId(2)),
+            Some(SimTime::from_secs(100))
+        );
 
         // The feed keeps its cadence from the join instant: a revocation
         // made right away is home within one interval of *federation* time.
@@ -2298,7 +2302,7 @@ mod tests {
     #[test]
     fn time_boxed_sister_realm_expires_closed() {
         // No config allow-list at all: trust comes only from the
-        // time-boxed registration.
+        // time-boxed grant.
         let mut c = llsc_tiny();
         let alice = c.add_user("alice").unwrap();
         let sister = shared_broker(CredentialBroker::new(
@@ -2307,7 +2311,8 @@ mod tests {
             BrokerPolicy::default(),
         ));
         let horizon = SimTime::from_secs(3600);
-        c.register_sister_realm_until(RealmId(7), sister.clone(), horizon);
+        c.register_sister_realm(RealmId(7), sister.clone());
+        c.grant_trust(RealmId(7), Some(horizon));
         let token = c.login_at(&sister, alice).unwrap();
         assert_eq!(c.validate_federated_token(&token).unwrap(), alice);
 
@@ -2323,11 +2328,11 @@ mod tests {
             })
         );
 
-        // Rotation: re-registering the same realm (same plane) with a later
-        // expiry extends the collaboration in place — the existing replica
-        // and its log frontier survive, no panic, no re-bootstrap.
+        // Rotation: granting the same realm a later expiry extends the
+        // collaboration in place — the existing replica and its log
+        // frontier survive, no panic, no re-bootstrap.
         let horizon2 = horizon + SimDuration::from_secs(3600);
-        c.register_sister_realm_until(RealmId(7), sister.clone(), horizon2);
+        c.grant_trust(RealmId(7), Some(horizon2));
         assert_eq!(c.validate_federated_token(&fresh).unwrap(), alice);
         // Revocations still propagate on the surviving replica.
         sister.write().revoke_serial(fresh.serial);
@@ -2341,8 +2346,8 @@ mod tests {
 
     #[test]
     fn time_box_never_downgrades_permanent_config_trust() {
-        // Realm 2 is permanently allow-listed in the config; registering it
-        // through the time-boxed API must not attach an expiry.
+        // Realm 2 is permanently allow-listed in the config; a time-boxed
+        // grant must not attach an expiry.
         let cfg = SeparationConfig::llsc().with_trusted_realms([2u32]);
         let mut c = SecureCluster::new(cfg, ClusterSpec::tiny());
         let alice = c.add_user("alice").unwrap();
@@ -2352,11 +2357,12 @@ mod tests {
             BrokerPolicy::default(),
         ));
         let horizon = SimTime::from_secs(60);
-        c.register_sister_realm_until(RealmId(2), sister.clone(), horizon);
+        c.register_sister_realm(RealmId(2), sister.clone());
+        c.grant_trust(RealmId(2), Some(horizon));
         assert_eq!(
             c.trust.trust_expires_at(RealmId(2)),
             None,
-            "permanent config trust survives a time-boxed registration"
+            "permanent config trust survives a time-boxed grant"
         );
         // Well past the (ignored) horizon the realm still validates.
         c.advance_to(horizon + SimDuration::from_secs(3600));
@@ -2429,7 +2435,7 @@ mod tests {
         let alice = c.add_user("alice").unwrap();
         let broker = c.broker.clone().unwrap();
         let token = c.login_at(&broker, alice).unwrap();
-        assert!(c.idp_available() && c.ca_available());
+        assert!(c.idp_available());
 
         c.set_idp_available(false);
         // Graceful degradation: new logins refused Unavailable, the

@@ -160,11 +160,6 @@ impl CoreObs {
     pub fn disabled() -> Self {
         Self::new(&ObsConfig::default())
     }
-
-    /// Snapshot every metric (counters, gauges, span histograms).
-    pub fn snapshot(&self) -> ObsSnapshot {
-        self.rec.snapshot()
-    }
 }
 
 impl Default for CoreObs {

@@ -369,11 +369,6 @@ impl RealmVerifier {
         RealmVerifier { ca }
     }
 
-    /// The realm this verifier judges.
-    pub fn realm(&self) -> RealmId {
-        self.ca.realm
-    }
-
     /// The key a replica of this realm's CRL hashes serials under (see
     /// [`CertificateAuthority::serial_set_key`]).
     pub fn serial_set_key(&self) -> SerialSetKey {
@@ -392,16 +387,6 @@ impl RealmVerifier {
         revoked: &SerialSet,
     ) -> Result<Uid, CredError> {
         self.ca.validate_token(t, now, revoked)
-    }
-
-    /// Judge an SSH certificate the same way.
-    pub fn validate_cert(
-        &self,
-        c: &SshCertificate,
-        now: SimTime,
-        revoked: &SerialSet,
-    ) -> Result<Uid, CredError> {
-        self.ca.validate_cert(c, now, revoked)
     }
     // analyze:hot-path-end
 }

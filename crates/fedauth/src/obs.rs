@@ -41,11 +41,6 @@ impl ValidateStats {
         }
     }
 
-    /// Is recording on?
-    pub fn enabled(&self) -> bool {
-        self.stats.enabled()
-    }
-
     /// Turn recording on or off (atomically; `&self` on purpose — the
     /// plane usually sits behind a lock by the time anyone wants this).
     pub fn set_enabled(&self, on: bool) {
@@ -77,11 +72,6 @@ impl ValidateStats {
         self.stats.value(self.s_calls)
     }
 
-    /// Validations that accepted the credential.
-    pub fn ok(&self) -> u64 {
-        self.stats.value(self.s_ok)
-    }
-
     /// Validations that refused the credential.
     pub fn rejects(&self) -> u64 {
         self.stats.value(self.s_rejects)
@@ -90,11 +80,6 @@ impl ValidateStats {
     /// Total verification wall time, nanoseconds.
     pub fn total_ns(&self) -> u64 {
         self.stats.value(self.s_ns)
-    }
-
-    /// Every slot as `(name, value)`.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        self.stats.snapshot()
     }
 }
 
@@ -111,7 +96,7 @@ mod tests {
     #[test]
     fn disabled_records_nothing() {
         let s = ValidateStats::new();
-        assert!(!s.enabled());
+        assert!(!s.stats.enabled());
         let t = s.begin();
         assert!(t.is_none());
         s.finish(t, true);
@@ -127,8 +112,12 @@ mod tests {
             s.finish(t, i % 2 == 0);
         }
         assert_eq!(s.calls(), 5);
-        assert_eq!(s.ok(), 3);
+        assert_eq!(s.stats.value(s.s_ok), 3);
         assert_eq!(s.rejects(), 2);
-        assert!(s.snapshot().iter().any(|(n, _)| *n == "cred.validate.ok"));
+        assert!(s
+            .stats
+            .snapshot()
+            .iter()
+            .any(|(n, _)| *n == "cred.validate.ok"));
     }
 }

@@ -90,16 +90,6 @@ impl RevocationList {
         &self.revoked
     }
 
-    /// Number of revoked serials.
-    pub fn len(&self) -> usize {
-        self.revoked.len()
-    }
-
-    /// True when nothing has been revoked.
-    pub fn is_empty(&self) -> bool {
-        self.revoked.is_empty()
-    }
-
     /// The log head: the sequence number of the newest entry (0 when
     /// nothing was ever revoked). Sequence numbers are 1-based and dense,
     /// and survive compaction unchanged.
@@ -245,8 +235,7 @@ mod tests {
         assert!(rl.revoke(CredSerial(1)));
         assert!(rl.is_revoked(CredSerial(1)));
         assert!(!rl.revoke(CredSerial(1)), "second revoke is a no-op");
-        assert_eq!(rl.len(), 1);
-        assert!(!rl.is_empty());
+        assert_eq!(rl.revoked.len(), 1);
     }
 
     #[test]

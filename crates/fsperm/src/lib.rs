@@ -13,8 +13,10 @@
 //!   installs the smask at login.
 //! * [`tools`] — `seepid` and `smask_relax`/`smask_restore`, the whitelisted
 //!   support-staff escape hatches.
-//! * [`lustre`] — the LU-4746 model: pre-2.7.0 Lustre clients bypassed the
-//!   smask accessor at create time.
+//! * `lustre` (test-only) — the LU-4746 model: pre-2.7.0 Lustre clients
+//!   bypassed the smask accessor at create time. No cluster path creates
+//!   through a Lustre client, so the model and its demonstration live in
+//!   the crate's tests.
 //!
 //! Property tests at the bottom of this crate state the headline invariant:
 //! under the patch + PAM module, **no operation available to an unprivileged
@@ -22,12 +24,12 @@
 
 #![warn(missing_docs)]
 
-pub mod lustre;
+#[cfg(test)]
+mod lustre;
 pub mod pam_module;
 pub mod smask;
 pub mod tools;
 
-pub use lustre::LustreClient;
 pub use pam_module::PamSmask;
 pub use smask::{apply_kernel_patches, FilePermissionHandler, LLSC_SMASK, RELAXED_SMASK};
 pub use tools::{seepid, smask_relax, smask_restore, ToolError};

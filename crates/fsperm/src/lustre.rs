@@ -11,20 +11,26 @@ use eus_simos::vfs::{FsCtx, FsResult, Ino, Mode, Vfs};
 
 /// A Lustre client create path, patched or not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LustreClient {
+pub(crate) struct LustreClient {
     /// True for Lustre ≥ 2.7.0 (LU-4746 merged): the create mask goes
     /// through the kernel accessor, so smask applies.
-    pub patched: bool,
+    pub(crate) patched: bool,
 }
 
 impl LustreClient {
     /// A fixed client.
-    pub fn patched() -> Self {
+    pub(crate) fn patched() -> Self {
         LustreClient { patched: true }
     }
 
     /// Create a file on a Lustre-backed filesystem through this client.
-    pub fn create(&self, fs: &mut Vfs, ctx: &FsCtx, path: &str, mode: Mode) -> FsResult<Ino> {
+    pub(crate) fn create(
+        &self,
+        fs: &mut Vfs,
+        ctx: &FsCtx,
+        path: &str,
+        mode: Mode,
+    ) -> FsResult<Ino> {
         if self.patched {
             // Normal kernel path: Vfs applies umask + (if enforced) smask.
             fs.create(ctx, path, mode)

@@ -14,11 +14,6 @@ pub struct PamSmask {
 }
 
 impl PamSmask {
-    /// A module that installs the given smask.
-    pub fn new(smask: Mode) -> Self {
-        PamSmask { smask }
-    }
-
     /// A module configured from site policy.
     pub fn from_handler(h: &FilePermissionHandler) -> Self {
         PamSmask {
@@ -64,7 +59,7 @@ mod tests {
         let alice = db.create_user("alice").unwrap();
         let mut node = NodeOs::new(NodeId(1), "login1");
         apply_kernel_patches(&mut node.local_fs);
-        node.pam.push(Box::new(PamSmask::new(LLSC_SMASK)));
+        node.pam.push(Box::new(PamSmask { smask: LLSC_SMASK }));
         let sid = node.login(&db, alice, "sshd").unwrap();
         let ctx = node.session(sid).unwrap().fs_ctx();
 

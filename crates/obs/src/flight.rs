@@ -54,24 +54,9 @@ impl FlightRecorder {
         }
     }
 
-    /// Retained event count (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Total events ever pushed, including overwritten ones.
     pub fn pushed(&self) -> u64 {
         self.pushed
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Append an event, overwriting the oldest once full.
@@ -92,12 +77,6 @@ impl FlightRecorder {
             self.buf[self.head] = ev;
             self.head = (self.head + 1) % self.capacity;
         }
-    }
-
-    /// Drop every retained event (sequence numbering continues).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
     }
 
     /// Retained events, oldest first.
@@ -144,27 +123,6 @@ impl FlightRecorder {
         }
         out
     }
-
-    /// Dump every retained event as a JSON array (hand-rolled; kinds are
-    /// static identifiers so no string escaping is needed).
-    pub fn dump_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, ev) in self.events().iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n  {{ \"seq\": {}, \"t\": {:.6}, \"kind\": \"{}\", \"a\": {}, \"b\": {}, \"c\": {} }}",
-                if i == 0 { "" } else { "," },
-                ev.seq,
-                ev.at.as_secs_f64(),
-                ev.kind,
-                ev.a,
-                ev.b,
-                ev.c
-            );
-        }
-        out.push_str("\n]");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +155,7 @@ mod tests {
             fr.push(t(i), "ev", i, 0, 0);
         }
         assert_eq!(fr.pushed(), 11);
-        assert_eq!(fr.len(), 4);
+        assert_eq!(fr.buf.len(), 4);
         let evs = fr.events();
         // Oldest retained is seq 7; newest is seq 10; strictly ordered.
         assert_eq!(
@@ -221,7 +179,7 @@ mod tests {
     }
 
     #[test]
-    fn render_and_dump_cover_wrapped_state() {
+    fn render_covers_wrapped_state() {
         let mut fr = FlightRecorder::new(2);
         fr.push(t(1), "job.start", 7, 3, 0);
         fr.push(t(2), "job.end", 7, 0, 0);
@@ -231,20 +189,5 @@ mod tests {
         assert!(text.contains("preempt.kill"));
         assert!(!text.contains("job.start")); // overwritten
         assert!(text.contains("last 2 of 3 events"));
-        let json = fr.dump_json();
-        assert!(json.contains("\"kind\": \"preempt.kill\""));
-        assert!(json.starts_with('[') && json.ends_with(']'));
-    }
-
-    #[test]
-    fn clear_keeps_sequence_monotone() {
-        let mut fr = FlightRecorder::new(4);
-        fr.push(t(1), "a", 0, 0, 0);
-        fr.push(t(2), "b", 0, 0, 0);
-        fr.clear();
-        assert!(fr.is_empty());
-        fr.push(t(3), "c", 0, 0, 0);
-        assert_eq!(fr.events()[0].seq, 2);
-        assert_eq!(fr.pushed(), 3);
     }
 }

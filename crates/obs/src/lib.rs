@@ -20,9 +20,8 @@
 //!   count/total/histogram.
 //! * [`FlightRecorder`] — a fixed-capacity ring buffer of sim-time-stamped
 //!   structured events ([`FlightEvent`]): job state transitions, audit
-//!   hits, replica staleness edges, preemption decisions. Dumpable as JSON
-//!   on demand ([`FlightRecorder::dump_json`]) and printable as a tail
-//!   ([`FlightRecorder::render_tail`]) when a property test or experiment
+//!   hits, replica staleness edges, preemption decisions. Printable as a
+//!   tail ([`FlightRecorder::render_tail`]) when a property test or experiment
 //!   assertion fails — replayable forensics instead of an opaque mismatch.
 //!
 //! `&self` hot paths that cannot take `&mut` (credential validation

@@ -9,7 +9,6 @@
 use crate::flight::FlightRecorder;
 use crate::ObsConfig;
 use eus_simcore::{Histogram, SimTime, Summary};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Handle to a registered counter.
@@ -30,11 +29,6 @@ pub struct SpanId(u16);
 #[derive(Debug, Clone, Copy)]
 #[must_use = "a span token does nothing unless passed to span_end"]
 pub struct SpanToken(Option<Instant>);
-
-impl SpanToken {
-    /// A token that records nothing (the disabled path).
-    pub const NOOP: SpanToken = SpanToken(None);
-}
 
 /// Accumulated statistics for one span.
 #[derive(Debug, Clone)]
@@ -89,12 +83,6 @@ impl Recorder {
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Flip recording. Turning it on mid-run starts from the standing
-    /// (usually zero) state; turning it off freezes it.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
     }
 
     // ------------------------------------------------------------------
@@ -274,7 +262,7 @@ pub struct SpanRow {
     pub wall_ns: Option<Summary>,
 }
 
-/// A point-in-time, JSON-renderable snapshot of a [`Recorder`].
+/// A point-in-time snapshot of a [`Recorder`].
 #[derive(Debug, Clone)]
 pub struct ObsSnapshot {
     /// Counter name → value.
@@ -283,67 +271,6 @@ pub struct ObsSnapshot {
     pub gauges: Vec<(&'static str, i64)>,
     /// Span rows.
     pub spans: Vec<SpanRow>,
-}
-
-impl ObsSnapshot {
-    /// Value of a counter by name (0 when unregistered).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    /// Span row by name.
-    pub fn span(&self, name: &str) -> Option<&SpanRow> {
-        self.spans.iter().find(|s| s.name == name)
-    }
-
-    /// Render as a JSON object (hand-rolled — the workspace has no serde;
-    /// the shape is `{ "counters": {..}, "gauges": {..}, "spans": {..} }`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, (n, v)) in self.counters.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    \"{}\": {}",
-                if i == 0 { "" } else { "," },
-                n,
-                v
-            );
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, (n, v)) in self.gauges.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    \"{}\": {}",
-                if i == 0 { "" } else { "," },
-                n,
-                v
-            );
-        }
-        out.push_str("\n  },\n  \"spans\": {");
-        for (i, s) in self.spans.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}\n    \"{}\": {{ \"count\": {}, \"total_ns\": {}",
-                if i == 0 { "" } else { "," },
-                s.name,
-                s.count,
-                s.total_ns
-            );
-            if let Some(w) = &s.wall_ns {
-                let _ = write!(
-                    out,
-                    ", \"wall_ns\": {{ \"mean\": {:.1}, \"p50\": {:.1}, \"p99\": {:.1}, \"max\": {:.1} }}",
-                    w.mean, w.p50, w.p99, w.max
-                );
-            }
-            out.push_str(" }");
-        }
-        out.push_str("\n  }\n}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -362,7 +289,7 @@ mod tests {
         r.event(SimTime::ZERO, "ev", 1, 2, 3);
         assert_eq!(r.counter_value(c), 0);
         assert_eq!(r.span_stats(sp).count, 0);
-        assert_eq!(r.flight.len(), 0);
+        assert!(r.flight.events().is_empty());
         assert_eq!(r.ops_estimate(), 0);
     }
 
@@ -379,9 +306,9 @@ mod tests {
         let s = r.span_stats(sp);
         assert_eq!(s.count, 1);
         let snap = r.snapshot();
-        assert_eq!(snap.counter("x.y.count"), 5);
-        assert_eq!(snap.span("x.y.phase").unwrap().count, 1);
-        assert!(snap.to_json().contains("\"x.y.count\": 5"));
+        assert_eq!(snap.counters, [("x.y.count", 5)]);
+        assert_eq!(snap.spans[0].name, "x.y.phase");
+        assert_eq!(snap.spans[0].count, 1);
     }
 
     #[test]

@@ -87,11 +87,6 @@ impl SharedStats {
             .map(|(&n, v)| (n, v.load(Ordering::Relaxed)))
             .collect()
     }
-
-    /// Sum of all slot values (a cheap ops estimate for overhead bounds).
-    pub fn total(&self) -> u64 {
-        self.slots.iter().map(|v| v.load(Ordering::Relaxed)).sum()
-    }
 }
 
 impl Clone for SharedStats {
@@ -122,7 +117,6 @@ mod tests {
         s.incr(id);
         s.add(id, 2);
         assert_eq!(s.value(id), 3);
-        assert_eq!(s.total(), 3);
         s.set_enabled(false);
         s.incr(id);
         assert_eq!(s.value(id), 3);

@@ -84,6 +84,7 @@ pub struct AlertLog {
 
 impl AlertLog {
     /// All entries, oldest first.
+    // analyze:allow(dead-pub): the whole alert history, the operator's incident timeline
     pub fn entries(&self) -> &[Alert] {
         &self.entries
     }
@@ -101,16 +102,6 @@ impl AlertLog {
             .iter()
             .filter(|a| a.kind == AlertKind::Fire)
             .count()
-    }
-
-    /// Total entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing ever fired or cleared.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Render as a JSON array.
@@ -165,19 +156,9 @@ impl SloPlane {
         }
     }
 
-    /// A disabled plane (the construction default).
-    pub fn disabled() -> Self {
-        Self::new(SimDuration::from_secs(10), false)
-    }
-
     /// Is evaluation on?
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Flip evaluation on/off (standing rings and log are kept).
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
     }
 
     /// Register (or look up) an objective by its `plane.subsystem.name`.
@@ -200,11 +181,6 @@ impl SloPlane {
         if let Some(s) = self.specs.get_mut(id.0 as usize) {
             s.target = target;
         }
-    }
-
-    /// The current spec of an objective.
-    pub fn spec(&self, id: SloId) -> Option<&SloSpec> {
-        self.specs.get(id.0 as usize)
     }
 
     /// Record one boundary sample for an objective.
@@ -272,16 +248,6 @@ impl SloPlane {
     /// The alert history.
     pub fn alerts(&self) -> &AlertLog {
         &self.log
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> &[&'static str] {
-        &self.names
-    }
-
-    /// The ring behind one objective (windowed reads for reports).
-    pub fn ring(&self, id: SloId) -> Option<&TsRing> {
-        self.rings.get(id.0 as usize)
     }
 }
 
@@ -378,7 +344,7 @@ mod tests {
         for k in 30..40 {
             p.evaluate(t(k * 10)); // windows empty: no Clear, no re-Fire
         }
-        assert_eq!(p.alerts().len(), 1, "{:?}", p.alerts().entries());
+        assert_eq!(p.alerts().entries().len(), 1, "{:?}", p.alerts().entries());
         // A breaching sample after the gap does not re-fire either.
         p.record(id, t(400), 500.0);
         p.record(id, t(410), 500.0);
@@ -397,7 +363,7 @@ mod tests {
 
     #[test]
     fn disabled_plane_is_inert() {
-        let mut p = SloPlane::disabled();
+        let mut p = SloPlane::new(SimDuration::from_secs(10), false);
         let id = p.slo(
             "test.metric.x",
             SloSpec {
@@ -409,7 +375,7 @@ mod tests {
         );
         p.record(id, t(0), 99.0);
         assert!(p.evaluate(t(0)).is_empty());
-        assert!(p.alerts().is_empty());
+        assert!(p.alerts().entries().is_empty());
     }
 
     #[test]
@@ -426,7 +392,7 @@ mod tests {
         );
         assert_eq!(id, again);
         p.set_target(id, 250.0);
-        assert_eq!(p.spec(id).map(|s| s.target), Some(250.0));
+        assert_eq!(p.specs[id.0 as usize].target, 250.0);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! at pump/cycle boundaries, so the hot record path never sees a ring.
 
 use eus_simcore::{SimDuration, SimTime};
-use std::fmt::Write as _;
 
 /// One bucket's exact aggregates.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -80,16 +79,6 @@ impl TsRing {
         }
     }
 
-    /// Bucket width.
-    pub fn bucket(&self) -> SimDuration {
-        SimDuration::from_micros(self.bucket_us)
-    }
-
-    /// Ring capacity in buckets.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Record one observation at sim time `at`. O(1) amortized, allocation
     /// free. Observations older than the retained window are dropped;
     /// observations in a retained past bucket fold into it.
@@ -153,36 +142,6 @@ impl TsRing {
         }
         agg
     }
-
-    /// Render the retained non-empty buckets as a JSON array, oldest first.
-    pub fn dump_json(&self) -> String {
-        let mut out = String::from("[");
-        if self.head != u64::MAX {
-            let oldest = self.head.saturating_sub(self.cap as u64 - 1);
-            let mut first = true;
-            for idx in oldest..=self.head {
-                let slot = (idx % self.cap as u64) as usize;
-                let Some(b) = self.buckets.get(slot) else {
-                    continue;
-                };
-                if b.count == 0 {
-                    continue;
-                }
-                let _ = write!(
-                    out,
-                    "{}\n  {{ \"t_us\": {}, \"count\": {}, \"sum\": {:.3}, \"max\": {:.3} }}",
-                    if first { "" } else { "," },
-                    idx * self.bucket_us,
-                    b.count,
-                    b.sum,
-                    b.max
-                );
-                first = false;
-            }
-        }
-        out.push_str("\n]");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -241,16 +200,5 @@ mod tests {
         assert_eq!(w.count, 0);
         assert_eq!(w.mean(), 0.0);
         assert_eq!(w.rate_per_sec(), 0.0);
-        assert_eq!(r.dump_json(), "[\n]");
-    }
-
-    #[test]
-    fn dump_json_lists_nonempty_buckets() {
-        let mut r = TsRing::new(SimDuration::from_secs(1), 4);
-        r.record(t(1), 3.0);
-        r.record(t(3), 4.0);
-        let json = r.dump_json();
-        assert!(json.contains("\"t_us\": 1000000"), "{json}");
-        assert!(json.contains("\"t_us\": 3000000"), "{json}");
     }
 }

@@ -77,7 +77,7 @@ pub struct TraceSpan {
     pub detail: u64,
 }
 
-/// An open span: returned by [`TraceBuffer::root`]/[`TraceBuffer::start`],
+/// An open span: returned by [`TraceBuffer::root`],
 /// closed by [`TraceBuffer::finish`]. `Copy` so it can be threaded through
 /// early returns without ceremony; a NOOP token makes every follow-up free.
 #[derive(Debug, Clone, Copy)]
@@ -167,11 +167,6 @@ impl TraceBuffer {
         self.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// The plane name ids minted here are tagged with.
-    pub fn plane(&self) -> &'static str {
-        self.plane
-    }
-
     /// Mint a fresh id: plane code in the high byte, counter below.
     #[inline]
     fn mint(&self) -> u64 {
@@ -195,22 +190,6 @@ impl TraceBuffer {
             trace: self.mint(),
             span: self.mint(),
             parent: 0,
-            name,
-            start: at,
-        }
-    }
-
-    /// Open a child span under `parent`. NOOP when disabled or when the
-    /// parent context carries no trace (quiet upstream plane).
-    #[inline]
-    pub fn start(&self, parent: TraceCtx, name: &'static str, at: SimTime) -> TraceToken {
-        if !self.enabled() || parent.is_none() {
-            return TraceToken::NOOP;
-        }
-        TraceToken {
-            trace: parent.trace,
-            span: self.mint(),
-            parent: parent.parent,
             name,
             start: at,
         }
@@ -302,13 +281,6 @@ impl TraceBuffer {
             .into_iter()
             .filter(|s| s.trace == trace)
             .collect()
-    }
-
-    /// Drop retained spans (the mint and pushed total keep counting).
-    pub fn clear(&self) {
-        let mut r = self.ring.lock();
-        r.spans.clear();
-        r.head = 0;
     }
 
     /// Render the retained spans as a JSON array (hand-rolled — the

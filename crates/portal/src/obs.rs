@@ -12,7 +12,7 @@
 //! from the operator's click all the way to a sister realm's fail-closed
 //! deny.
 
-use eus_obs::{CounterId, ObsConfig, ObsSnapshot, Recorder, SpanId, TraceBuffer};
+use eus_obs::{CounterId, ObsConfig, Recorder, SpanId, TraceBuffer};
 
 /// Plane code baked into portal trace ids (see [`TraceBuffer::new`]).
 pub const PORTAL_TRACE_CODE: u8 = 5;
@@ -64,11 +64,6 @@ impl PortalObs {
     /// A disabled handle set (the default inside every gateway).
     pub fn disabled() -> Self {
         Self::new(&ObsConfig::default())
-    }
-
-    /// Snapshot every metric.
-    pub fn snapshot(&self) -> ObsSnapshot {
-        self.rec.snapshot()
     }
 
     /// Total fetch attempts (every outcome).

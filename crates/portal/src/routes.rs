@@ -54,11 +54,6 @@ impl RouteTable {
         self.routes.get(key)
     }
 
-    /// Remove a route (app/job ended).
-    pub fn remove(&mut self, key: &RouteKey) -> Option<Route> {
-        self.routes.remove(key)
-    }
-
     /// Remove all routes of a job (epilog).
     pub fn remove_job(&mut self, job: JobId) -> usize {
         let before = self.routes.len();
@@ -73,16 +68,6 @@ impl RouteTable {
             .values()
             .filter(|r| r.key.user == user)
             .collect()
-    }
-
-    /// Number of routes.
-    pub fn len(&self) -> usize {
-        self.routes.len()
-    }
-
-    /// True when no routes exist.
-    pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
     }
 }
 
@@ -117,7 +102,7 @@ mod tests {
             name: "jupyter".into(),
         };
         assert_eq!(t.get(&key).unwrap().target.port, 8888);
-        assert!(t.remove(&key).is_some());
+        assert_eq!(t.remove_job(JobId(10)), 1);
         assert!(t.get(&key).is_none());
     }
 
@@ -128,7 +113,7 @@ mod tests {
         t.register(route(1, 10, "tensorboard", 6006));
         t.register(route(1, 11, "jupyter", 8889));
         assert_eq!(t.remove_job(JobId(10)), 2);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.routes.len(), 1);
     }
 
     #[test]

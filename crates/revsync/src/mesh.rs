@@ -33,7 +33,7 @@ use crate::obs::MeshObs;
 use crate::replica::{ApplyOutcome, CrlDelta, CrlReplica};
 use crate::RevSyncConfig;
 use eus_fedauth::RealmId;
-use eus_fedauth::{CredError, CredSerial, PlaneClock, SharedBroker, SignedToken, SshCertificate};
+use eus_fedauth::{CredError, CredSerial, PlaneClock, SharedBroker, SignedToken};
 use eus_obs::TraceCtx;
 use eus_simcore::{SimDuration, SimRng, SimTime};
 use eus_simnet::{Fabric, PeerInfo, Port, Proto, SocketAddr};
@@ -206,21 +206,12 @@ impl RevSyncMesh {
         &self.cfg
     }
 
-    /// The mesh's clock (the latest pump instant).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// The WAN itself (latency constants, connect/transfer metrics).
-    pub fn fabric(&self) -> &Fabric {
-        &self.fabric
-    }
-
     /// The WAN itself, mutably — fault injection (partitions, loss,
     /// latency spikes) goes through the fabric's link-fault API. A
     /// fabric-level fault is *detected* at connect time, so pushes take
     /// the retry/backoff path, unlike a mesh-level
     /// [`set_feed_stalled`](Self::set_feed_stalled).
+    // analyze:allow(dead-pub): operator fault drill on the WAN (the chaos plane's link faults)
     pub fn fabric_mut(&mut self) -> &mut Fabric {
         &mut self.fabric
     }
@@ -925,25 +916,6 @@ impl RevSyncMesh {
         self.obs.finish_validate(t0, &r);
         if r.is_err() {
             self.trace_deny(site, token.realm, token.serial, now, &r);
-        }
-        r
-    }
-
-    /// [`validate_token_at`](Self::validate_token_at) for SSH certificates.
-    // analyze:allow(dead-pub): cross-realm SSH-certificate validation against the replicated revocation list
-    pub fn validate_cert_at(
-        &self,
-        site: RealmId,
-        cert: &SshCertificate,
-        now: SimTime,
-    ) -> Result<Uid, CredError> {
-        let t0 = self.obs.begin_validate();
-        let r = self
-            .subscribed_replica(site, cert.realm)
-            .and_then(|rep| rep.validate_cert(cert, now, self.cfg.max_lag));
-        self.obs.finish_validate(t0, &r);
-        if r.is_err() {
-            self.trace_deny(site, cert.realm, cert.serial, now, &r);
         }
         r
     }

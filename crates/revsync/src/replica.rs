@@ -4,8 +4,8 @@
 //! revocation state: the set of revoked serials plus two freshness facts —
 //! how far through the issuer's delta log the replica has applied
 //! ([`applied_seq`](CrlReplica::applied_seq)) and the issuer-side instant
-//! the replica last provably reflected
-//! ([`last_sync`](CrlReplica::last_sync)). Validation consults the replica
+//! the replica last provably reflected (the start of its
+//! [`lag`](CrlReplica::lag)). Validation consults the replica
 //! *instead of* the issuer, so the hot path never leaves the site; the
 //! price is staleness, and the staleness is bounded: past the budget the
 //! replica refuses to judge at all
@@ -18,9 +18,7 @@
 //! deltas arrive in (the regression property `tests/revsync_properties.rs`
 //! pins).
 
-use eus_fedauth::{
-    CredError, CredSerial, RealmId, RealmVerifier, SerialSet, SignedToken, SshCertificate,
-};
+use eus_fedauth::{CredError, CredSerial, RealmId, RealmVerifier, SerialSet, SignedToken};
 use eus_obs::TraceCtx;
 use eus_simcore::{SimDuration, SimTime};
 use eus_simos::Uid;
@@ -133,19 +131,9 @@ impl CrlReplica {
         self.last_trace = ctx;
     }
 
-    /// The replicated realm.
-    pub fn realm(&self) -> RealmId {
-        self.realm
-    }
-
     /// How far through the issuer's delta log this replica has applied.
     pub fn applied_seq(&self) -> u64 {
         self.applied_seq
-    }
-
-    /// The issuer-side instant this replica last provably reflected.
-    pub fn last_sync(&self) -> SimTime {
-        self.last_sync
     }
 
     /// How stale the replica is at `now`.
@@ -236,17 +224,6 @@ impl CrlReplica {
         self.verifier.validate_token(token, now, &self.revoked)
     }
 
-    /// [`validate_token`](Self::validate_token) for SSH certificates.
-    pub fn validate_cert(
-        &self,
-        cert: &SshCertificate,
-        now: SimTime,
-        max_lag: SimDuration,
-    ) -> Result<Uid, CredError> {
-        self.check_fresh(now, max_lag)?;
-        self.verifier.validate_cert(cert, now, &self.revoked)
-    }
-
     fn check_fresh(&self, now: SimTime, max_lag: SimDuration) -> Result<(), CredError> {
         let lag = self.lag(now);
         if lag > max_lag {
@@ -321,7 +298,7 @@ mod tests {
         // Gap: entry 3 before entries 1-2 → refused, freshness untouched.
         let out = r.apply(&delta(RealmId(2), 3, &[30], SimTime::from_secs(5)));
         assert_eq!(out, ApplyOutcome::Gap { expected: 1 });
-        assert_eq!(r.last_sync(), SimTime::ZERO);
+        assert_eq!(r.last_sync, SimTime::ZERO);
         assert_eq!(r.applied_seq(), 0);
         // Contiguous catch-up applies.
         assert_eq!(
@@ -329,7 +306,7 @@ mod tests {
             ApplyOutcome::Applied(3)
         );
         assert_eq!(r.applied_seq(), 3);
-        assert_eq!(r.last_sync(), SimTime::from_secs(6));
+        assert_eq!(r.last_sync, SimTime::from_secs(6));
         // Overlap: entries 2-4 re-apply only entry 4.
         assert_eq!(
             r.apply(&delta(RealmId(2), 2, &[20, 30, 40], SimTime::from_secs(7))),
@@ -346,14 +323,14 @@ mod tests {
             trace: TraceCtx::NONE,
         };
         assert_eq!(r.apply(&hb), ApplyOutcome::Applied(0));
-        assert_eq!(r.last_sync(), SimTime::from_secs(60));
+        assert_eq!(r.last_sync, SimTime::from_secs(60));
         // A stale (out-of-order) heartbeat never rewinds freshness.
         let old_hb = CrlDelta {
             as_of: SimTime::from_secs(30),
             ..hb
         };
         r.apply(&old_hb);
-        assert_eq!(r.last_sync(), SimTime::from_secs(60));
+        assert_eq!(r.last_sync, SimTime::from_secs(60));
     }
 
     #[test]
@@ -373,7 +350,7 @@ mod tests {
         let fresh = r.absorb_snapshot(&snapshot, 5, SimTime::from_secs(9));
         assert_eq!(fresh, 3, "10 and 20 were already known");
         assert_eq!(r.applied_seq(), 5);
-        assert_eq!(r.last_sync(), SimTime::from_secs(9));
+        assert_eq!(r.last_sync, SimTime::from_secs(9));
         assert_eq!(r.revoked_count(), 5);
         for s in snapshot {
             assert!(r.is_revoked(s));
@@ -383,7 +360,7 @@ mod tests {
         let fresh = r.absorb_snapshot(&[CredSerial(5)], 1, SimTime::from_secs(2));
         assert_eq!(fresh, 0);
         assert_eq!(r.applied_seq(), 5);
-        assert_eq!(r.last_sync(), SimTime::from_secs(9));
+        assert_eq!(r.last_sync, SimTime::from_secs(9));
     }
 
     #[test]

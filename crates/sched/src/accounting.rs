@@ -162,6 +162,7 @@ impl FairShareLedger {
     /// The *scaled* usage for head-selection ordering: monotone in the
     /// decayed usage at any single instant, zero for users never charged.
     /// Compare with `f64::total_cmp`; lower scores schedule first.
+    // analyze:allow(dead-pub): the raw scaled score, which `sched_policy_golden` bounds to prove the ledger rebases
     pub fn score(&self, partition: &str, user: Uid) -> f64 {
         self.names
             .get(partition)

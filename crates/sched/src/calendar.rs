@@ -96,11 +96,6 @@ impl Reservation {
     pub fn holds_node(&self, node: NodeId) -> bool {
         self.allocs.iter().any(|(n, _)| *n == node)
     }
-
-    /// Total cores held across nodes.
-    pub fn total_cores(&self) -> u64 {
-        self.allocs.iter().map(|(_, a)| a.cores as u64).sum()
-    }
 }
 
 /// The held reservations for one scheduling class (a partition under
@@ -129,21 +124,6 @@ pub struct ReservationCalendar {
 }
 
 impl ReservationCalendar {
-    /// An empty calendar.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of held reservations.
-    pub fn len(&self) -> usize {
-        self.reservations.len()
-    }
-
-    /// True when nothing is held.
-    pub fn is_empty(&self) -> bool {
-        self.reservations.is_empty()
-    }
-
     /// The reservation held for `job`, if any.
     pub fn get(&self, job: JobId) -> Option<&Reservation> {
         self.reservations.iter().find(|r| r.job == job)
@@ -443,19 +423,17 @@ mod tests {
     }
 
     #[test]
-    fn lookup_and_totals() {
+    fn lookup() {
         let cal = ReservationCalendar {
             reservations: vec![res(1, 1, 100, 200), res(2, 2, 50, 80)],
             built_version: Some((3, 0, 0)),
             planned_for: vec![JobId(1), JobId(2)],
             profile: Vec::new(),
         };
-        assert_eq!(cal.len(), 2);
-        assert!(!cal.is_empty());
+        assert_eq!(cal.reservations.len(), 2);
         assert_eq!(cal.get(JobId(2)).unwrap().start, SimTime::from_secs(50));
         assert!(cal.get(JobId(7)).is_none());
         assert!(cal.get(JobId(1)).unwrap().holds_node(NodeId(1)));
         assert!(!cal.get(JobId(1)).unwrap().holds_node(NodeId(2)));
-        assert_eq!(cal.get(JobId(1)).unwrap().total_cores(), 4);
     }
 }

@@ -195,11 +195,6 @@ impl JobSpec {
         self.qos = qos;
         self
     }
-
-    /// Total cores requested.
-    pub fn total_cores(&self) -> u64 {
-        self.tasks as u64 * self.cpus_per_task as u64
-    }
 }
 
 /// Job lifecycle state.
@@ -297,7 +292,7 @@ mod tests {
             .with_cpus_per_task(2)
             .with_mem_per_task(2048)
             .with_gpus_per_task(1);
-        assert_eq!(s.total_cores(), 16);
+        assert_eq!(s.tasks * s.cpus_per_task, 16);
         assert_eq!(s.time_limit, s.duration, "limit defaults to duration");
         assert_eq!(s.kind, JobKind::Batch);
     }

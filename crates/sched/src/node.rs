@@ -20,8 +20,6 @@ pub enum NodeState {
     Up,
     /// Crashed (fault injection); jobs on it have failed.
     Down,
-    /// Administratively removed from scheduling.
-    Drained,
 }
 
 /// One compute node's schedulable resources and current holdings.
@@ -88,12 +86,6 @@ impl SchedNode {
     #[inline]
     pub fn is_idle(&self) -> bool {
         self.running.is_empty()
-    }
-
-    /// Cores currently claimed.
-    #[inline]
-    pub fn busy_cores(&self) -> u32 {
-        self.cores - self.free_cores
     }
 
     /// The node's *sole* user, when exactly one distinct user is present —
@@ -176,7 +168,7 @@ mod tests {
         assert_eq!(n.free_mem_mib(), 56_000);
         assert_eq!(n.free_gpus(), 1);
         assert_eq!(n.owner(), Some(Uid(100)));
-        assert_eq!(n.busy_cores(), 4);
+        assert_eq!(n.cores - n.free_cores(), 4);
         assert!(n.has_user(Uid(100)));
         assert!(!n.has_user(Uid(101)));
 

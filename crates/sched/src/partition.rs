@@ -118,16 +118,6 @@ impl PartitionTable {
         Self::default()
     }
 
-    /// True when no partitions are configured.
-    pub fn is_empty(&self) -> bool {
-        self.parts.is_empty()
-    }
-
-    /// Number of partitions.
-    pub fn len(&self) -> usize {
-        self.parts.len()
-    }
-
     /// Define a partition.
     pub fn add(
         &mut self,
@@ -149,11 +139,6 @@ impl PartitionTable {
             is_default,
         });
         Ok(())
-    }
-
-    /// Look up a partition.
-    pub fn get(&self, name: &str) -> Option<&Partition> {
-        self.class(*self.by_name.get(name)?)
     }
 
     /// The partition behind a class (`None` for [`ClassId::GLOBAL`]).
@@ -217,11 +202,6 @@ impl PartitionTable {
             .class(self.resolve_class(partition)?)
             .map(|p| p.name.as_str()))
     }
-
-    /// Iterate partitions, in name order.
-    pub fn iter(&self) -> impl Iterator<Item = &Partition> {
-        self.classes().filter_map(|c| self.class(c))
-    }
 }
 
 #[cfg(test)]
@@ -252,7 +232,7 @@ mod tests {
             t.eligible_nodes(Some("debug")),
             Err(PartitionError::Unknown(_))
         ));
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.parts.len(), 2);
     }
 
     #[test]
@@ -286,7 +266,11 @@ mod tests {
             t.classes().collect::<Vec<_>>(),
             vec![ClassId::GLOBAL, alpha, zeta]
         );
-        let names: Vec<&str> = t.iter().map(|p| p.name.as_str()).collect();
+        let names: Vec<&str> = t
+            .classes()
+            .filter_map(|c| t.class(c))
+            .map(|p| p.name.as_str())
+            .collect();
         assert_eq!(names, ["alpha", "zeta"]);
         assert_eq!(t.class_name(ClassId::GLOBAL), "");
         assert_eq!(t.class_name(zeta), "zeta");

@@ -58,17 +58,7 @@ pub struct JobView {
     pub nodes: Vec<NodeId>,
 }
 
-impl JobView {
-    /// Job name, borrowed from the shared spec.
-    pub fn name(&self) -> &str {
-        &self.spec.name
-    }
-
-    /// Command line as submitted, borrowed from the shared spec.
-    pub fn cmdline(&self) -> &[String] {
-        &self.spec.cmdline
-    }
-}
+impl JobView {}
 
 /// May `viewer` see `owner`'s records of a class gated by `private_flag`?
 pub fn may_view(viewer: &Credentials, owner: Uid, private_flag: bool, is_admin: bool) -> bool {

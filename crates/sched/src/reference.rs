@@ -120,16 +120,19 @@ impl ReferenceScheduler {
     }
 
     /// Current simulated time.
+    // analyze:allow(dead-pub): the executable spec's side of tests/sched_equivalence (ROADMAP item 11 moves the spec into the tests)
     pub fn now(&self) -> SimTime {
         self.now
     }
 
     /// Number of jobs waiting in queue.
+    // analyze:allow(dead-pub): the executable spec's side of tests/sched_equivalence (ROADMAP item 11 moves the spec into the tests)
     pub fn pending_count(&self) -> usize {
         self.queue.len()
     }
 
     /// Number of running jobs (old full-scan form).
+    // analyze:allow(dead-pub): the executable spec's side of tests/sched_equivalence (ROADMAP item 11 moves the spec into the tests)
     pub fn running_count(&self) -> usize {
         self.jobs
             .values()
@@ -145,6 +148,7 @@ impl ReferenceScheduler {
     }
 
     /// Submit a job to arrive at `at` (clamped to now).
+    // analyze:allow(dead-pub): the executable spec's side of tests/sched_equivalence (ROADMAP item 11 moves the spec into the tests)
     pub fn submit_at(&mut self, at: SimTime, spec: JobSpec) -> JobId {
         self.submit_at_shared(at, Arc::new(spec))
     }
@@ -182,16 +186,19 @@ impl ReferenceScheduler {
     }
 
     /// Submit arriving now.
+    // analyze:allow(dead-pub): the executable spec's side of tests/sched_equivalence (ROADMAP item 11 moves the spec into the tests)
     pub fn submit(&mut self, spec: JobSpec) -> JobId {
         self.submit_at(self.now, spec)
     }
 
     /// Inject a node crash at `at`.
+    // analyze:allow(dead-pub): the executable spec's side of tests/sched_equivalence (ROADMAP item 11 moves the spec into the tests)
     pub fn schedule_node_failure(&mut self, at: SimTime, node: NodeId) {
         self.push_event(at, Ev::NodeFail(node));
     }
 
     /// Drain accumulated epilog work.
+    // analyze:allow(dead-pub): the executable spec's side of tests/sched_equivalence (ROADMAP item 11 moves the spec into the tests)
     pub fn drain_epilogs(&mut self) -> Vec<EpilogEvent> {
         std::mem::take(&mut self.epilogs)
     }
@@ -207,6 +214,7 @@ impl ReferenceScheduler {
     /// `squeue` as seen by `viewer` (same view type as the engine's). The
     /// reference registers no operators, so only root sees through
     /// PrivateData here.
+    // analyze:allow(dead-pub): the executable spec's side of tests/sched_equivalence (ROADMAP item 11 moves the spec into the tests)
     pub fn squeue(&self, viewer: &Credentials) -> Vec<JobView> {
         self.jobs
             .values()
@@ -227,6 +235,7 @@ impl ReferenceScheduler {
     // ------------------------------------------------------------------
 
     /// Fire events up to and including `horizon`.
+    // analyze:allow(dead-pub): the executable spec's side of tests/sched_equivalence (ROADMAP item 11 moves the spec into the tests)
     pub fn run_until(&mut self, horizon: SimTime) {
         while let Some(Reverse((t, _, _))) = self.events.peek() {
             if *t > horizon {

@@ -28,12 +28,6 @@ impl Counter {
         self.count += 1;
     }
 
-    /// Add `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.count += n;
-    }
-
     /// Current count.
     #[inline]
     pub fn get(&self) -> u64 {
@@ -163,21 +157,6 @@ impl Histogram {
         x
     }
 
-    /// Number of observations (exact, even when retention is sampled).
-    pub fn len(&self) -> usize {
-        self.count as usize
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Retained samples, in retention order (all of them in exact mode).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-
     /// Mean of the observations (0 when empty); exact in both modes.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -240,7 +219,6 @@ pub struct TimeWeighted {
     last_change: SimTime,
     current: f64,
     integral: f64,
-    peak: f64,
 }
 
 impl TimeWeighted {
@@ -250,7 +228,6 @@ impl TimeWeighted {
             last_change: start,
             current: initial,
             integral: 0.0,
-            peak: initial,
         }
     }
 
@@ -264,25 +241,12 @@ impl TimeWeighted {
         self.integral += self.current * now.since(self.last_change).as_secs_f64();
         self.last_change = now;
         self.current = value;
-        if value > self.peak {
-            self.peak = value;
-        }
     }
 
     /// Adjust the tracked value by a delta as of time `now`.
     pub fn add(&mut self, now: SimTime, delta: f64) {
         let next = self.current + delta;
         self.set(now, next);
-    }
-
-    /// The value currently in effect.
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
-    /// Highest value observed.
-    pub fn peak(&self) -> f64 {
-        self.peak
     }
 
     /// Integral of the value from the start through `now`, in value·seconds.
@@ -298,8 +262,9 @@ mod tests {
     #[test]
     fn counter_accumulates() {
         let mut c = Counter::new();
-        c.incr();
-        c.add(4);
+        for _ in 0..5 {
+            c.incr();
+        }
         assert_eq!(c.get(), 5);
     }
 
@@ -337,7 +302,6 @@ mod tests {
         let mut tw = TimeWeighted::new(SimTime::ZERO, 4.0);
         tw.set(SimTime::from_secs(10), 0.0);
         assert!((tw.integral(SimTime::from_secs(20)) - 40.0).abs() < 1e-9);
-        assert_eq!(tw.peak(), 4.0);
     }
 
     #[test]
@@ -347,7 +311,7 @@ mod tests {
         tw.add(SimTime::from_secs(10), -1.0); // 2 for 5s
                                               // integral at t=20: 0*5 + 2*5 + 1*10 = 20
         assert!((tw.integral(SimTime::from_secs(20)) - 20.0).abs() < 1e-9);
-        assert_eq!(tw.current(), 1.0);
+        assert_eq!(tw.current, 1.0);
     }
 
     #[test]
@@ -356,8 +320,8 @@ mod tests {
         for v in 1..=100_000u64 {
             h.record(v as f64);
         }
-        assert_eq!(h.samples().len(), 64); // retention bounded
-        assert_eq!(h.len(), 100_000); // count exact
+        assert_eq!(h.samples.len(), 64); // retention bounded
+        assert_eq!(h.count, 100_000); // count exact
         let s = h.summary().unwrap();
         assert_eq!(s.count, 100_000);
         assert!((s.mean - 50_000.5).abs() < 1e-6);
@@ -401,8 +365,6 @@ mod tests {
         tw.set(SimTime::from_secs(5), 100.0);
         tw.set(SimTime::from_secs(5), 2.0); // zero-duration spike
         assert!((tw.integral(SimTime::from_secs(10)) - (1.0 * 5.0 + 2.0 * 5.0)).abs() < 1e-9);
-        // …but the spike still registers as the peak.
-        assert_eq!(tw.peak(), 100.0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `rand` core API to keep the dependency set to the approved list.
 
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 /// A seeded pseudo-random source with the distribution samplers used across
 /// the reproduction.
@@ -26,6 +26,7 @@ impl SimRng {
 
     /// Derive an independent child stream; used to give each subsystem its
     /// own RNG so adding draws in one place does not perturb another.
+    // analyze:allow(dead-pub): a subsystem's own reproducible stream; the chaos plane's fault plans draw from one
     pub fn fork(&mut self, label: u64) -> SimRng {
         let s = self.inner.gen::<u64>() ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         SimRng::seed_from_u64(s)
@@ -102,11 +103,6 @@ impl SimRng {
         let ha = hi.powf(alpha);
         (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
     }
-
-    /// Access the underlying `rand` RNG for interop (e.g., proptest seeds).
-    pub fn raw(&mut self) -> &mut impl RngCore {
-        &mut self.inner
-    }
 }
 
 /// Zipf-distributed index sampler over `n` ranks with exponent `s`.
@@ -146,16 +142,6 @@ impl Zipf {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),
         }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Always false: constructor rejects `n == 0`.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 }
 

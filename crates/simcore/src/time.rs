@@ -30,12 +30,6 @@ impl SimTime {
         SimTime(us)
     }
 
-    /// Construct from milliseconds.
-    #[inline]
-    pub const fn from_millis(ms: u64) -> Self {
-        SimTime(ms * 1_000)
-    }
-
     /// Construct from whole seconds.
     #[inline]
     pub const fn from_secs(s: u64) -> Self {
@@ -59,12 +53,6 @@ impl SimTime {
     #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Saturating addition of a duration.
-    #[inline]
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
     }
 }
 
@@ -109,12 +97,6 @@ impl SimDuration {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 
     /// True when the duration is zero.
@@ -230,7 +212,6 @@ mod tests {
     #[test]
     fn conversions_roundtrip() {
         assert_eq!(SimTime::from_secs(3).as_micros(), 3_000_000);
-        assert_eq!(SimTime::from_millis(5).as_micros(), 5_000);
         assert_eq!(SimDuration::from_secs(2).as_secs_f64(), 2.0);
     }
 

@@ -342,6 +342,7 @@ impl Fabric {
     /// connection between them fails with [`ConnectError::Partitioned`].
     /// Established flows are left to their owners — like a real cable cut,
     /// in-memory connection state survives until the application notices.
+    // analyze:allow(dead-pub): operator fault drill: cut a link (the chaos plane's `LinkPartition`)
     pub fn set_partitioned(&mut self, a: NodeId, b: NodeId, down: bool) {
         let key = Self::link(a, b);
         if down {
@@ -358,6 +359,7 @@ impl Fabric {
 
     /// Set the setup-packet loss probability on a link (`0.0` clears it).
     /// Loss draws come from the seeded fault RNG, so runs reproduce.
+    // analyze:allow(dead-pub): operator fault drill: lossy link (the chaos plane's `LinkLoss`)
     pub fn set_link_loss(&mut self, a: NodeId, b: NodeId, rate: f64) {
         let key = Self::link(a, b);
         if rate > 0.0 {
@@ -370,6 +372,7 @@ impl Fabric {
     /// Add (or, with `SimDuration::ZERO`, clear) a latency spike on a
     /// link: the extra is paid on every setup and every transfer crossing
     /// it.
+    // analyze:allow(dead-pub): operator fault drill: slow link (the chaos plane's `LatencySpike`)
     pub fn set_latency_spike(&mut self, a: NodeId, b: NodeId, extra: SimDuration) {
         let key = Self::link(a, b);
         if extra > SimDuration::ZERO {
@@ -381,6 +384,7 @@ impl Fabric {
 
     /// Reseed the fault RNG (chaos runs derive it from the plan seed so
     /// loss decisions replay bit-for-bit).
+    // analyze:allow(dead-pub): reproducible fault drills: the chaos plane seeds link loss from its plan
     pub fn set_fault_seed(&mut self, seed: u64) {
         self.fault_rng = SimRng::seed_from_u64(seed);
     }

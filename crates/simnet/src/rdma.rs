@@ -14,16 +14,13 @@
 use crate::addr::{Proto, SocketAddr};
 use crate::fabric::{ConnectError, Fabric};
 use crate::socket::PeerInfo;
-use eus_simos::{NodeId, Uid};
+use eus_simos::NodeId;
 use std::fmt;
 
-/// A registered RDMA memory region.
+/// A registered RDMA memory region. It records no owner: the NIC never
+/// checks one.
 #[derive(Debug, Clone)]
 pub struct MemoryRegion {
-    /// Remote key handed to peers.
-    pub rkey: u64,
-    /// The uid that registered it (informational only — the NIC doesn't check).
-    pub owner: Uid,
     /// Region contents.
     pub data: Vec<u8>,
 }
@@ -74,17 +71,11 @@ impl std::error::Error for RdmaError {}
 
 impl Fabric {
     /// Register a memory region on a host; returns the rkey a peer would use.
-    pub fn rdma_register(
-        &mut self,
-        host: NodeId,
-        owner: Uid,
-        data: Vec<u8>,
-    ) -> Result<u64, RdmaError> {
+    pub fn rdma_register(&mut self, host: NodeId, data: Vec<u8>) -> Result<u64, RdmaError> {
         let h = self.host_mut(host).ok_or(RdmaError::NoSuchHost(host))?;
         let rkey = h.next_rkey;
         h.next_rkey += 1;
-        h.rdma_regions
-            .insert(rkey, MemoryRegion { rkey, owner, data });
+        h.rdma_regions.insert(rkey, MemoryRegion { data });
         Ok(rkey)
     }
 
@@ -149,7 +140,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eus_simos::Gid;
+    use eus_simos::{Gid, Uid};
 
     fn peer(uid: u32) -> PeerInfo {
         PeerInfo {
@@ -194,9 +185,7 @@ mod tests {
     #[test]
     fn rdma_read_ignores_ownership() {
         let mut f = fabric();
-        let rkey = f
-            .rdma_register(NodeId(2), Uid(100), b"victim data".to_vec())
-            .unwrap();
+        let rkey = f.rdma_register(NodeId(2), b"victim data".to_vec()).unwrap();
         let qp = f
             .setup_qp_native_cm(NodeId(1), peer(999), NodeId(2))
             .unwrap();

@@ -26,6 +26,7 @@ pub enum HidePid {
     #[default]
     Off,
     /// `hidepid=1`: foreign `/proc/<pid>` unreadable but listed.
+    // analyze:allow(dead-pub): the `hidepid=1` mount option an operator may choose over the paper's `hidepid=2`
     NoAccess,
     /// `hidepid=2`: foreign processes invisible (the paper's setting).
     Invisible,

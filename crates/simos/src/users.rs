@@ -371,21 +371,6 @@ impl UserDb {
     pub fn user_by_name(&self, name: &str) -> Option<&User> {
         self.users_by_name.get(name).and_then(|u| self.users.get(u))
     }
-
-    /// Look up a group by id.
-    pub fn group(&self, gid: Gid) -> Option<&Group> {
-        self.groups.get(&gid)
-    }
-
-    /// Iterate all users (including root).
-    pub fn users(&self) -> impl Iterator<Item = &User> {
-        self.users.values()
-    }
-
-    /// Iterate all groups.
-    pub fn groups(&self) -> impl Iterator<Item = &Group> {
-        self.groups.values()
-    }
 }
 
 #[cfg(test)]

@@ -40,6 +40,7 @@ impl PosixAcl {
     }
 
     /// Builder: add (or replace) a named group entry.
+    // analyze:allow(dead-pub): a user's `setfacl -m g:<group>:<perm>` grant, the ACL half of group sharing
     pub fn with_group(mut self, gid: Gid, perm: Perm) -> Self {
         self.groups.insert(gid, perm);
         self

@@ -3,7 +3,7 @@
 //! This is the substrate the paper's File Permission Handler patches apply
 //! to. It implements:
 //!
-//! * path resolution with search-permission checks and symlink following,
+//! * path resolution with search-permission checks,
 //! * the Linux permission algorithm (see [`perm::check_access`]) including
 //!   POSIX ACLs with Linux's mask-in-group-bits convention,
 //! * sticky-bit restricted deletion, setgid directory group inheritance,
@@ -50,11 +50,6 @@ pub enum InodeKind {
     Device {
         /// The device this node fronts.
         dev: DeviceId,
-    },
-    /// Symbolic link.
-    Symlink {
-        /// Link target (absolute, or relative without `..`).
-        target: String,
     },
 }
 
@@ -107,8 +102,6 @@ pub enum FileKind {
     Dir,
     /// Device node.
     Device,
-    /// Symlink.
-    Symlink,
 }
 
 /// `stat(2)`-shaped result.
@@ -196,12 +189,9 @@ pub enum FsError {
     },
     /// The File Permission Handler ACL patch refused the grant.
     AclRestricted(String),
-    /// ELOOP.
-    SymlinkLoop(String),
     /// ENOTEMPTY.
     DirectoryNotEmpty(String),
-    /// Malformed path (empty, relative at the API boundary, or `..` in a
-    /// symlink target).
+    /// Malformed path (empty, or relative at the API boundary).
     InvalidPath(String),
 }
 
@@ -218,7 +208,6 @@ impl fmt::Display for FsError {
                 write!(f, "permission denied ({op}): {path}")
             }
             FsError::AclRestricted(msg) => write!(f, "acl restricted: {msg}"),
-            FsError::SymlinkLoop(p) => write!(f, "too many levels of symbolic links: {p}"),
             FsError::DirectoryNotEmpty(p) => write!(f, "directory not empty: {p}"),
             FsError::InvalidPath(p) => write!(f, "invalid path: {p}"),
         }
@@ -229,8 +218,6 @@ impl std::error::Error for FsError {}
 
 /// Result alias for filesystem operations.
 pub type FsResult<T> = Result<T, FsError>;
-
-const SYMLINK_DEPTH_MAX: u32 = 8;
 
 /// The filesystem.
 #[derive(Debug, Clone)]
@@ -333,13 +320,10 @@ impl Vfs {
     }
 
     /// Walk components from the root, enforcing search permission on every
-    /// directory traversed and following symlinks (up to a depth cap). When
-    /// `follow_last` is false a trailing symlink is returned as itself.
-    fn walk(&self, ctx: &FsCtx, path: &str, follow_last: bool) -> FsResult<Ino> {
-        let mut queue: std::collections::VecDeque<String> = Self::normalize(path)?.into(); // front = next component
+    /// directory traversed.
+    fn walk(&self, ctx: &FsCtx, path: &str) -> FsResult<Ino> {
         let mut cur = self.root;
-        let mut depth = 0u32;
-        while let Some(name) = queue.pop_front() {
+        for name in Self::normalize(path)? {
             let dir = self.inode(cur);
             let entries = match &dir.kind {
                 InodeKind::Dir { entries } => entries,
@@ -351,36 +335,9 @@ impl Vfs {
                     path: path.to_string(),
                 });
             }
-            let child = *entries
+            cur = *entries
                 .get(&name)
                 .ok_or_else(|| FsError::NotFound(path.to_string()))?;
-            if let InodeKind::Symlink { target } = &self.inode(child).kind {
-                if queue.is_empty() && !follow_last {
-                    return Ok(child);
-                }
-                depth += 1;
-                if depth > SYMLINK_DEPTH_MAX {
-                    return Err(FsError::SymlinkLoop(path.to_string()));
-                }
-                if target.contains("..") {
-                    return Err(FsError::InvalidPath(target.clone()));
-                }
-                let tcomps: Vec<String> = target
-                    .split('/')
-                    .filter(|c| !c.is_empty() && *c != ".")
-                    .map(str::to_string)
-                    .collect();
-                for c in tcomps.into_iter().rev() {
-                    queue.push_front(c);
-                }
-                if target.starts_with('/') {
-                    cur = self.root;
-                }
-                // Relative targets resolve from `cur` (the dir holding the
-                // link), which is already correct.
-                continue;
-            }
-            cur = child;
         }
         Ok(cur)
     }
@@ -393,7 +350,7 @@ impl Vfs {
             .ok_or_else(|| FsError::InvalidPath(path.to_string()))?
             .clone();
         let parent_path = format!("/{}", comps[..comps.len() - 1].join("/"));
-        let parent = self.walk(ctx, &parent_path, true)?;
+        let parent = self.walk(ctx, &parent_path)?;
         if !self.inode(parent).is_dir() {
             return Err(FsError::NotADirectory(parent_path));
         }
@@ -502,18 +459,9 @@ impl Vfs {
         self.insert_child(ctx, path, false, mode, || InodeKind::Device { dev })
     }
 
-    /// Create a symlink (mode is conventionally 0777 and ignored by checks).
-    #[cfg(test)]
-    pub(crate) fn symlink(&mut self, ctx: &FsCtx, target: &str, linkpath: &str) -> FsResult<Ino> {
-        let target = target.to_string();
-        self.insert_child(ctx, linkpath, false, Mode::new(0o777), move || {
-            InodeKind::Symlink { target }
-        })
-    }
-
     /// Write (replace) a file's contents.
     pub fn write(&mut self, ctx: &FsCtx, path: &str, data: &[u8]) -> FsResult<()> {
-        let ino = self.walk(ctx, path, true)?;
+        let ino = self.walk(ctx, path)?;
         self.check(ctx, ino, Perm::W, "write", path)?;
         match &mut self.inode_mut(ino).kind {
             InodeKind::File { data: d } => {
@@ -537,7 +485,7 @@ impl Vfs {
 
     /// Read a file's contents.
     pub fn read(&self, ctx: &FsCtx, path: &str) -> FsResult<Vec<u8>> {
-        let ino = self.walk(ctx, path, true)?;
+        let ino = self.walk(ctx, path)?;
         self.check(ctx, ino, Perm::R, "read", path)?;
         match &self.inode(ino).kind {
             InodeKind::File { data } => Ok(data.clone()),
@@ -549,7 +497,7 @@ impl Vfs {
     /// List a directory's entry names (requires read on the directory —
     /// this is the `/tmp` *filename* disclosure path of Sec. V).
     pub fn readdir(&self, ctx: &FsCtx, path: &str) -> FsResult<Vec<String>> {
-        let ino = self.walk(ctx, path, true)?;
+        let ino = self.walk(ctx, path)?;
         self.check(ctx, ino, Perm::R, "readdir", path)?;
         match &self.inode(ino).kind {
             InodeKind::Dir { entries } => Ok(entries.keys().cloned().collect()),
@@ -557,15 +505,14 @@ impl Vfs {
         }
     }
 
-    /// `stat` (follows symlinks).
+    /// `stat`.
     pub fn stat(&self, ctx: &FsCtx, path: &str) -> FsResult<FileStat> {
-        let ino = self.walk(ctx, path, true)?;
+        let ino = self.walk(ctx, path)?;
         let node = self.inode(ino);
         let (kind, size) = match &node.kind {
             InodeKind::File { data } => (FileKind::File, data.len()),
             InodeKind::Dir { entries } => (FileKind::Dir, entries.len()),
             InodeKind::Device { .. } => (FileKind::Device, 0),
-            InodeKind::Symlink { target } => (FileKind::Symlink, target.len()),
         };
         Ok(FileStat {
             ino,
@@ -581,7 +528,7 @@ impl Vfs {
     /// Does the path resolve for this caller?
     #[cfg(test)]
     pub(crate) fn exists(&self, ctx: &FsCtx, path: &str) -> bool {
-        self.walk(ctx, path, true).is_ok()
+        self.walk(ctx, path).is_ok()
     }
 
     /// Sticky-bit deletion rule: in a sticky directory only the file owner,
@@ -594,7 +541,7 @@ impl Vfs {
         ctx.cred.uid == p.meta.uid || ctx.cred.uid == self.inode(child).meta.uid
     }
 
-    /// Remove a file, device, or symlink.
+    /// Remove a file or device.
     // analyze:allow(dead-pub): unlink(2): the sticky-bit deletion rule of world-writable directories
     pub fn unlink(&mut self, ctx: &FsCtx, path: &str) -> FsResult<()> {
         let (parent, name) = self.walk_parent(ctx, path)?;
@@ -700,7 +647,7 @@ impl Vfs {
     /// chmod, which is exactly what distinguishes smask from umask. Returns
     /// the mode that actually took effect.
     pub fn chmod(&mut self, ctx: &FsCtx, path: &str, mode: Mode) -> FsResult<Mode> {
-        let ino = self.walk(ctx, path, true)?;
+        let ino = self.walk(ctx, path)?;
         let node = self.inode(ino);
         if !(ctx.cred.is_root() || ctx.cred.uid == node.meta.uid) {
             return Err(FsError::PermissionDenied {
@@ -727,7 +674,7 @@ impl Vfs {
         new_uid: Option<Uid>,
         new_gid: Option<Gid>,
     ) -> FsResult<()> {
-        let ino = self.walk(ctx, path, true)?;
+        let ino = self.walk(ctx, path)?;
         let node = self.inode(ino);
         if let Some(u) = new_uid {
             if !ctx.cred.is_root() && u != node.meta.uid {
@@ -771,7 +718,7 @@ impl Vfs {
     /// grant permission to a group unless they are a member of said group"
     /// plus "ACLs to group members only".
     pub fn setfacl(&mut self, ctx: &FsCtx, path: &str, acl: PosixAcl, db: &UserDb) -> FsResult<()> {
-        let ino = self.walk(ctx, path, true)?;
+        let ino = self.walk(ctx, path)?;
         let node = self.inode(ino);
         if !(ctx.cred.is_root() || ctx.cred.uid == node.meta.uid) {
             return Err(FsError::PermissionDenied {
@@ -806,7 +753,7 @@ impl Vfs {
 
     /// Open a device node with the requested access, returning its id.
     pub fn open_device(&self, ctx: &FsCtx, path: &str, want: Perm) -> FsResult<DeviceId> {
-        let ino = self.walk(ctx, path, true)?;
+        let ino = self.walk(ctx, path)?;
         self.check(ctx, ino, want, "open-device", path)?;
         match &self.inode(ino).kind {
             InodeKind::Device { dev } => Ok(*dev),
@@ -818,7 +765,7 @@ impl Vfs {
     /// directly (e.g. make `/home/alice` root-owned, group `alice`, 0770).
     pub fn set_meta_as_root(&mut self, path: &str, f: impl FnOnce(&mut Metadata)) -> FsResult<()> {
         let ctx = FsCtx::root();
-        let ino = self.walk(&ctx, path, true)?;
+        let ino = self.walk(&ctx, path)?;
         f(&mut self.inode_mut(ino).meta);
         Ok(())
     }
@@ -1015,30 +962,6 @@ mod tests {
     }
 
     #[test]
-    fn symlink_resolution_and_loops() {
-        let mut fs = setup();
-        let ctx = user_ctx(100);
-        fs.write_file(&ctx, "/home/u100/real", Mode::new(0o644), b"data")
-            .unwrap();
-        fs.symlink(&ctx, "/home/u100/real", "/home/u100/link")
-            .unwrap();
-        assert_eq!(fs.read(&ctx, "/home/u100/link").unwrap(), b"data");
-        // lstat-style: stat on the link itself.
-        let st = fs.stat(&ctx, "/home/u100/link");
-        assert_eq!(st.unwrap().kind, FileKind::File, "stat follows");
-        // Loop detection.
-        fs.symlink(&ctx, "/home/u100/l2", "/home/u100/l1").unwrap();
-        fs.symlink(&ctx, "/home/u100/l1", "/home/u100/l2").unwrap();
-        assert!(matches!(
-            fs.read(&ctx, "/home/u100/l1").unwrap_err(),
-            FsError::SymlinkLoop(_)
-        ));
-        // Relative symlink.
-        fs.symlink(&ctx, "real", "/home/u100/rel").unwrap();
-        assert_eq!(fs.read(&ctx, "/home/u100/rel").unwrap(), b"data");
-    }
-
-    #[test]
     fn chown_rules() {
         let mut fs = setup();
         let alice = user_ctx(100);
@@ -1175,7 +1098,7 @@ mod tests {
             fs.read(&ctx, "relative/path").unwrap_err(),
             FsError::InvalidPath(_)
         ));
-        assert!(fs.walk(&ctx, "/", true).is_ok());
+        assert!(fs.walk(&ctx, "/").is_ok());
     }
 
     #[test]

@@ -153,12 +153,6 @@ impl Mode {
         Mode(self.0 & !mask.0)
     }
 
-    /// Union of bits.
-    #[inline]
-    pub const fn union(self, other: Mode) -> Mode {
-        Mode(self.0 | other.0)
-    }
-
     /// Replace the group-class bits (used when chmod adjusts the ACL mask).
     #[inline]
     pub const fn with_group(self, p: Perm) -> Mode {

@@ -60,11 +60,6 @@ impl UbfStatsInner {
             + self.denied.get()
     }
 
-    /// Total allowed.
-    pub fn allowed(&self) -> u64 {
-        self.total() - self.denied.get()
-    }
-
     fn record(&mut self, d: Decision) {
         match d {
             Decision::AllowSameUser => self.allowed_same_user.incr(),

@@ -63,12 +63,6 @@ impl UbfPacketStats {
         &self.stats
     }
 
-    /// Is recording on?
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.stats.enabled()
-    }
-
     /// Flip recording through the shared handle — reaches daemons already
     /// moved into the fabric.
     pub fn set_enabled(&self, on: bool) {

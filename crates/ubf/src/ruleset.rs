@@ -197,8 +197,8 @@ mod tests {
             .unwrap();
         // The default deploy wires a disabled handle; nothing accumulates.
         let pkt = UbfPacketStats::disabled();
-        assert_eq!(pkt.stats().total(), 0);
-        assert!(!pkt.enabled());
+        assert!(pkt.stats().snapshot().iter().all(|&(_, v)| v == 0));
+        assert!(!pkt.stats().enabled());
     }
 
     #[test]

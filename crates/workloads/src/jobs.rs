@@ -99,7 +99,7 @@ mod tests {
     fn gang_and_sessions_shapes() {
         let mpi = mpi_job(Uid(1), 64, 3600.0);
         assert_eq!(mpi.tasks, 64);
-        assert_eq!(mpi.total_cores(), 128);
+        assert_eq!(mpi.tasks * mpi.cpus_per_task, 128);
 
         let sess = interactive_session(Uid(1), 2.0);
         assert_eq!(sess.kind, JobKind::Interactive);

@@ -21,7 +21,7 @@ pub mod population;
 
 pub use jobs::{interactive_session, monte_carlo, mpi_job, parameter_sweep};
 pub use mix::{
-    hours, interactive_vs_bulk, multi_partition_storm, submission_storm, SharedTrace, Trace,
-    TraceEntry, WorkloadMix,
+    interactive_vs_bulk, multi_partition_storm, submission_storm, SharedTrace, Trace, TraceEntry,
+    WorkloadMix,
 };
 pub use population::UserPopulation;

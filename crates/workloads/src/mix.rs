@@ -42,6 +42,7 @@ impl Trace {
     }
 
     /// True when empty.
+    // analyze:allow(dead-pub): the emptiness check that goes with the live `len` (clippy::len_without_is_empty)
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -51,7 +52,9 @@ impl Trace {
     pub(crate) fn total_core_seconds(&self) -> f64 {
         self.entries
             .iter()
-            .map(|e| e.spec.total_cores() as f64 * e.spec.duration.as_secs_f64())
+            .map(|e| {
+                e.spec.tasks as f64 * e.spec.cpus_per_task as f64 * e.spec.duration.as_secs_f64()
+            })
             .collect::<Vec<_>>()
             .iter()
             .sum()
@@ -93,6 +96,7 @@ impl SharedTrace {
     }
 
     /// True when empty.
+    // analyze:allow(dead-pub): the emptiness check that goes with the live `len` (clippy::len_without_is_empty)
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -365,11 +369,6 @@ impl WorkloadMix {
         }
         Trace { entries }
     }
-}
-
-/// A convenience duration for trace horizons.
-pub const fn hours(h: u64) -> SimDuration {
-    SimDuration::from_secs(h * 3600)
 }
 
 #[cfg(test)]

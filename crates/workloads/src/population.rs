@@ -58,16 +58,6 @@ impl UserPopulation {
     pub fn active_user(&self, rng: &mut SimRng) -> Uid {
         self.users[self.activity.sample(rng)]
     }
-
-    /// Number of users.
-    pub fn len(&self) -> usize {
-        self.users.len()
-    }
-
-    /// Never true: construction requires at least one user.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]
@@ -79,17 +69,18 @@ mod tests {
         let mut db = UserDb::new();
         let mut rng = SimRng::seed_from_u64(1);
         let pop = UserPopulation::build(&mut db, 20, 5, 1.0, &mut rng);
-        assert_eq!(pop.len(), 20);
+        assert_eq!(pop.users.len(), 20);
         assert_eq!(pop.projects.len(), 5);
         // Every user has a private group containing exactly themselves.
         for &u in &pop.users {
             let cred = db.credentials(u).unwrap();
-            let g = db.group(cred.gid).unwrap();
-            assert_eq!(g.members.len(), 1);
+            for &v in &pop.users {
+                assert_eq!(db.is_member(v, cred.gid), v == u);
+            }
         }
         // Projects have at least their steward.
         for &p in &pop.projects {
-            assert!(!db.group(p).unwrap().members.is_empty());
+            assert!(pop.users.iter().any(|&u| db.is_member(u, p)));
         }
     }
 

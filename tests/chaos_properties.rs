@@ -64,14 +64,6 @@ struct ChaosRun {
     partitioned: bool,
 }
 
-/// Collapse a credential outcome to its observable shape.
-fn shape<T>(r: &Result<T, CredError>) -> String {
-    match r {
-        Ok(_) => "ok".into(),
-        Err(e) => format!("{e:?}"),
-    }
-}
-
 impl ChaosRun {
     /// `faults == 0` builds a clean (fault-free) control run.
     fn new(seed: u64, faults: usize, loud: bool) -> Self {
@@ -151,7 +143,7 @@ impl ChaosRun {
                 if r.is_ok() {
                     self.submitted += 1;
                 }
-                format!("submit:{}", shape(&r))
+                format!("submit:{}", common::shape(&r))
             }
             1 => {
                 self.clock += SimDuration::from_secs(30 * (1 + subject as u64 % 4));
@@ -160,7 +152,7 @@ impl ChaosRun {
             }
             2 => {
                 let r = self.c.login_at(&self.sister, alice);
-                let s = shape(&r);
+                let s = common::shape(&r);
                 if let Ok(t) = r {
                     self.minted.push(t);
                 }
@@ -169,7 +161,10 @@ impl ChaosRun {
             3 => match self.minted.get(subject as usize) {
                 Some(t) => {
                     let t = *t;
-                    format!("validate:{}", shape(&self.c.validate_federated_token(&t)))
+                    format!(
+                        "validate:{}",
+                        common::shape(&self.c.validate_federated_token(&t))
+                    )
                 }
                 None => "validate:none".into(),
             },

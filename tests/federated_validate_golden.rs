@@ -14,12 +14,13 @@
 //!   validate read path was rebuilt to take one plane guard. A rewrite of
 //!   that path keeps every constant.
 //! * a property: random tapes of login / revoke / `advance_to` / feed
-//!   partition / trust rotation / clock skew, with every minted token and
-//!   certificate (and a forged and a re-stamped copy of each) judged after
-//!   every op by the façade *and* by the same decision spelled out from
-//!   public parts — `TrustPolicy::gate` on the home plane's clock, the
-//!   home plane's own `validate_token`, `CrlReplica::validate_*`. The two
-//!   must agree exactly, and so must the mesh's replica route.
+//!   partition / trust grants / clock skew, with every minted token (and a
+//!   forged and a re-stamped copy of each) judged after every op by the
+//!   façade *and* by the same decision spelled out from public parts —
+//!   `TrustPolicy::gate` on the home plane's clock, the home plane's own
+//!   `validate_token`, `CrlReplica::validate_token`. The two must agree
+//!   exactly, and so must the mesh's replica route. After every op, every
+//!   trusted registered realm must have a subscribed replica.
 //!   CI raises its case count through `FEDERATED_PROPTEST_CASES`.
 //!
 //! To re-record after an *intended* behaviour change, run the test and
@@ -30,7 +31,6 @@ mod common;
 use eus_revsync::{RevSyncConfig, RevSyncMesh};
 use hpc_user_separation::fedauth::{
     shared_broker, BrokerPolicy, CredError, CredentialBroker, RealmId, SharedBroker, SignedToken,
-    SshCertificate,
 };
 use hpc_user_separation::simcore::{SimDuration, SimTime};
 use hpc_user_separation::simos::Uid;
@@ -39,7 +39,7 @@ use proptest::prelude::*;
 
 /// On the config allow-list and registered: permanently trusted.
 const PERMANENT: RealmId = RealmId(2);
-/// Registered through `register_sister_realm_until`: trusted before
+/// Registered, then granted time-boxed trust: trusted before
 /// [`Fixture::box_end`] only.
 const TIMEBOXED: RealmId = RealmId(3);
 /// Registered, never trusted.
@@ -96,7 +96,8 @@ impl Fixture {
         ));
         let box_end = T0 + box_len;
         c.register_sister_realm(PERMANENT, permanent.clone());
-        c.register_sister_realm_until(TIMEBOXED, timeboxed.clone(), box_end);
+        c.register_sister_realm(TIMEBOXED, timeboxed.clone());
+        c.grant_trust(TIMEBOXED, Some(box_end));
         c.register_sister_realm(UNTRUSTED, untrusted.clone());
         Fixture {
             c,
@@ -406,6 +407,24 @@ fn the_scenarios_cover_every_refusal_the_facade_can_give() {
     }
 }
 
+/// Trust granted to a realm that registered untrusted subscribes its
+/// replica: the realm's tokens validate at once instead of failing closed
+/// `UnknownRealm` because no replica was ever bootstrapped.
+#[test]
+fn granting_trust_to_a_registered_realm_validates_its_tokens() {
+    let mut f = Fixture::golden();
+    let token = f.c.login_at(&f.untrusted, f.users[0]).unwrap();
+    assert_eq!(
+        f.c.validate_federated_token(&token),
+        Err(CredError::UntrustedRealm {
+            ours: HOME_REALM,
+            theirs: UNTRUSTED
+        })
+    );
+    f.c.grant_trust(UNTRUSTED, None);
+    assert_eq!(f.c.validate_federated_token(&token), Ok(f.users[0]));
+}
+
 // ----------------------------------------------------------------------
 // The oracle: the same decisions, spelled out from public parts.
 // ----------------------------------------------------------------------
@@ -418,22 +437,16 @@ fn gate(c: &SecureCluster, issuer: RealmId) -> Result<SimTime, CredError> {
         .ok_or(CredError::UnknownRealm(HOME_REALM))?
         .read()
         .now();
-    c.trust.gate(issuer, now)?;
+    c.trust().gate(issuer, now)?;
     Ok(now)
 }
 
-/// `RevSyncMesh::validate_*_at(HOME, ..)`: the subscribed replica under the
-/// mesh's staleness budget.
+/// `RevSyncMesh::validate_token_at(HOME, ..)`: the subscribed replica under
+/// the mesh's staleness budget.
 fn replica_token(mesh: &RevSyncMesh, t: &SignedToken, now: SimTime) -> Verdict {
     mesh.replica(HOME_REALM, t.realm)
         .ok_or(CredError::UnknownRealm(t.realm))?
         .validate_token(t, now, mesh.config().max_lag)
-}
-
-fn replica_cert(mesh: &RevSyncMesh, cert: &SshCertificate, now: SimTime) -> Verdict {
-    mesh.replica(HOME_REALM, cert.realm)
-        .ok_or(CredError::UnknownRealm(cert.realm))?
-        .validate_cert(cert, now, mesh.config().max_lag)
 }
 
 /// `SecureCluster::validate_federated_token`: gate, then home tokens at
@@ -469,7 +482,6 @@ proptest! {
         ];
         let realms = [HOME_REALM, PERMANENT, TIMEBOXED, UNTRUSTED, UNREGISTERED];
         let mut tokens: Vec<(usize, SignedToken)> = Vec::new();
-        let mut certs: Vec<SshCertificate> = Vec::new();
 
         for (step, &(action, subject, arg)) in tape.iter().enumerate() {
             match action {
@@ -478,7 +490,6 @@ proptest! {
                     let user = users[arg as usize % users.len()];
                     let t = f.c.login_at(&planes[p], user).unwrap();
                     tokens.push((p, t));
-                    certs.push(planes[p].read().current_cert(user).unwrap());
                 }
                 1 => {
                     if !tokens.is_empty() {
@@ -505,10 +516,7 @@ proptest! {
                         0 => None,
                         k => Some(f.now() + secs(600 * k as u64)),
                     };
-                    match until {
-                        Some(t) => f.c.trust.trust_until(realm, t),
-                        None => f.c.trust.trust(realm),
-                    }
+                    f.c.grant_trust(realm, until);
                 }
                 _ => {
                     let realm = realms[subject as usize % 3];
@@ -519,6 +527,16 @@ proptest! {
 
             let mesh = f.c.revsync.as_ref().unwrap();
             let now = f.home.read().now();
+            // Trust without a replica would refuse every token of the realm
+            // `UnknownRealm`: a grant must subscribe a registered realm.
+            for realm in [PERMANENT, TIMEBOXED, UNTRUSTED] {
+                if f.c.trust().gate(realm, now).is_ok() {
+                    prop_assert!(
+                        mesh.replica(HOME_REALM, realm).is_some(),
+                        "step {}: {:?} is trusted but has no replica", step, realm
+                    );
+                }
+            }
             for (_, t) in &tokens {
                 let other = if t.realm == HOME_REALM { PERMANENT } else { HOME_REALM };
                 for probe in [*t, forged(t), restamped(t, other)] {
@@ -530,16 +548,6 @@ proptest! {
                     prop_assert_eq!(
                         mesh.validate_token_at(HOME_REALM, &probe, now),
                         replica_token(mesh, &probe, now),
-                        "mesh diverged at step {} on {:?}", step, probe
-                    );
-                }
-            }
-            for cert in &certs {
-                let bent = SshCertificate { sig: cert.sig ^ 1, ..*cert };
-                for probe in [*cert, bent] {
-                    prop_assert_eq!(
-                        mesh.validate_cert_at(HOME_REALM, &probe, now),
-                        replica_cert(mesh, &probe, now),
                         "mesh diverged at step {} on {:?}", step, probe
                     );
                 }

@@ -13,6 +13,8 @@
 //!    revsync.mesh.push → revsync.replica.apply` prefix, whatever the
 //!    surrounding schedule.
 
+mod common;
+
 use eus_fedauth::{shared_broker, BrokerPolicy, CredError, CredentialBroker, RealmId, SignedToken};
 use eus_simcore::{SimDuration, SimTime};
 use hpc_user_separation::obs::{check_well_formed, AlertKind, ObsConfig, TraceSpan};
@@ -20,14 +22,6 @@ use hpc_user_separation::sched::{JobSpec, QosClass};
 use hpc_user_separation::{ClusterSpec, SecureCluster, SeparationConfig};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-
-/// Collapse a credential outcome to its observable shape.
-fn shape<T>(r: &Result<T, CredError>) -> String {
-    match r {
-        Ok(_) => "ok".into(),
-        Err(e) => format!("{e:?}"),
-    }
-}
 
 /// One cluster under a fixed op sequence; `loud` turns every ring on.
 struct Run {
@@ -69,7 +63,7 @@ impl Run {
         let out = match action % 6 {
             0 => {
                 let spec = JobSpec::new(alice, "job", SimDuration::from_secs(10 + subject as u64));
-                format!("submit:{}", shape(&self.c.try_submit(spec)))
+                format!("submit:{}", common::shape(&self.c.try_submit(spec)))
             }
             1 => {
                 self.clock += SimDuration::from_secs(10 * (1 + subject as u64 % 3));
@@ -78,7 +72,7 @@ impl Run {
             }
             2 => {
                 let r = self.c.login_at(&self.sister, alice);
-                let s = shape(&r);
+                let s = common::shape(&r);
                 if let Ok(t) = r {
                     self.minted.push(t);
                 }
@@ -87,7 +81,10 @@ impl Run {
             3 => match self.minted.get(subject as usize) {
                 Some(t) => {
                     let t = *t;
-                    format!("validate:{}", shape(&self.c.validate_federated_token(&t)))
+                    format!(
+                        "validate:{}",
+                        common::shape(&self.c.validate_federated_token(&t))
+                    )
                 }
                 None => "validate:none".into(),
             },

@@ -25,11 +25,14 @@ fn routes_die_with_their_job() {
         .unwrap();
     let token = c.portal_login(alice).unwrap();
     assert!(c.portal_fetch(token, &key).is_ok());
-    assert_eq!(c.portal.routes.len(), 1);
+    assert_eq!(c.portal.routes.for_user(alice).len(), 1);
 
     // The job completes; the epilog removes the route.
     c.run_to_completion();
-    assert_eq!(c.portal.routes.len(), 0, "route cleaned up by epilog");
+    assert!(
+        c.portal.routes.for_user(alice).is_empty(),
+        "route cleaned up by epilog"
+    );
     assert!(matches!(
         c.portal_fetch(token, &key),
         Err(PortalError::NoSuchRoute(_))

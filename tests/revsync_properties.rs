@@ -183,7 +183,9 @@ proptest! {
         let token = sister_plane.write().login(&db, users[0], None).unwrap();
 
         mesh.set_partitioned(sister, home, true);
-        let last_sync = mesh.replica(home, sister).unwrap().last_sync();
+        // The lag at any instant past the last sync dates that sync.
+        let probe = SimTime::from_secs(1 << 30);
+        let last_sync = probe - mesh.replica(home, sister).unwrap().lag(probe);
 
         // At the edge: still answering.
         let edge = last_sync + cfg.max_lag;

@@ -251,8 +251,8 @@ fn drive_pair(
         pair.reference.metrics.timed_out.get()
     );
     prop_assert_eq!(
-        pair.opt.metrics.wait_times.len(),
-        pair.reference.metrics.wait_times.len()
+        pair.opt.metrics.wait_times.summary().map(|s| s.count),
+        pair.reference.metrics.wait_times.summary().map(|s| s.count)
     );
     // Forced-failure hook: proves the flight tails actually print on a red
     // run (`SCHED_EQUIV_FORCE_FAIL=1 cargo test --test sched_equivalence`).

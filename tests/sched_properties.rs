@@ -3,7 +3,7 @@
 //! hold for every trace the generator can produce.
 
 use hpc_user_separation::sched::{JobState, NodeSharing, SchedConfig, Scheduler};
-use hpc_user_separation::simcore::{SimRng, SimTime};
+use hpc_user_separation::simcore::{SimDuration, SimRng, SimTime};
 use hpc_user_separation::simos::UserDb;
 use hpc_user_separation::workloads::{UserPopulation, WorkloadMix};
 use proptest::prelude::*;
@@ -63,9 +63,12 @@ proptest! {
             prop_assert_eq!(node.free_gpus(), node.gpus);
             prop_assert_eq!(node.free_mem_mib(), node.mem_mib);
         }
-        // The busy integral must have returned to zero.
-        prop_assert_eq!(sched.metrics.busy_cores.current(), 0.0);
-        prop_assert_eq!(sched.metrics.used_cores.current(), 0.0);
+        // The busy integral must have stopped growing: nothing is charged
+        // any more.
+        let (now, later) = (sched.now(), sched.now() + SimDuration::from_secs(1));
+        for tw in [&sched.metrics.busy_cores, &sched.metrics.used_cores] {
+            prop_assert_eq!(tw.integral(later), tw.integral(now));
+        }
     }
 
     /// At every sampled instant, no node is overcommitted and whole-node
