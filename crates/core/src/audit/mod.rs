@@ -1,8 +1,8 @@
 //! The separation audit: enumerate every cross-user channel against a
-//! configuration and report which are open (experiment E12, reproducing the
-//! Sec. V claims: the full configuration closes everything except three
-//! named residual paths, and "for users, it looks like they're the only one
-//! on the HPC system").
+//! configuration and report which are open. `tests/separation_integration.rs`
+//! reproduces the Sec. V claims with it: the full configuration closes
+//! everything except three named residual paths, and "for users, it looks
+//! like they're the only one on the HPC system".
 
 pub mod channels;
 pub mod report;

@@ -1248,9 +1248,11 @@ impl SecureCluster {
     }
 
     /// Push every plane's ring dumps into the `EUS_FLIGHT_DUMP` panic sink
-    /// (no-op unless the env hook is armed). Called at every cycle
-    /// boundary while observability is on, so a panicking test or
-    /// experiment leaves its full flight state on disk.
+    /// (no-op unless the env hook is armed): the trace rings, the core
+    /// alert log, and the core and scheduler flight recorders (the
+    /// latter holds the `job.submit` / `job.start` / `job.end` trail).
+    /// Called at every cycle boundary while observability is on, so a
+    /// panicking test or experiment leaves its full flight state on disk.
     pub fn publish_flight_dumps(&self) {
         use crate::obs::panicdump;
         if !panicdump::armed() {
@@ -1258,8 +1260,13 @@ impl SecureCluster {
         }
         panicdump::publish("core.trace", self.obs.trace.dump_json());
         panicdump::publish("core.alerts", self.obs.slo.alerts().dump_json());
+        panicdump::publish("core.flight", self.obs.rec.flight.dump_json());
         panicdump::publish("portal.trace", self.portal.obs.trace.dump_json());
-        panicdump::publish("sched.trace", self.sched.read().obs.trace.dump_json());
+        {
+            let sched = self.sched.read();
+            panicdump::publish("sched.trace", sched.obs.trace.dump_json());
+            panicdump::publish("sched.flight", sched.obs.rec.flight.dump_json());
+        }
         if let Some(b) = &self.broker {
             panicdump::publish("cred.trace", b.read().trace.dump_json());
         }

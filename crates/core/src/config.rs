@@ -3,8 +3,9 @@
 //! [`SeparationConfig::baseline`] is a stock Linux + Slurm cluster (every
 //! control off, shared nodes); [`SeparationConfig::llsc`] is the paper's full
 //! deployment. Each [`Mechanism`] is one toggle, and `llsc().without(m)` is
-//! its single-mechanism ablation: the sweep in experiment E12 shows which
-//! cross-user channels each control closes — the paper's defense-in-depth
+//! its single-mechanism ablation: the sweep in
+//! `separation_integration::every_single_ablation_reopens_something` shows
+//! which cross-user channels each control closes — the paper's defense-in-depth
 //! argument (e.g. whole-node scheduling does *not* make `hidepid` redundant,
 //! Sec. IV-B).
 

@@ -123,6 +123,29 @@ impl FlightRecorder {
         }
         out
     }
+
+    /// Dump every retained event as a JSON array, oldest first — the
+    /// payload `SecureCluster::publish_flight_dumps` hands the
+    /// `EUS_FLIGHT_DUMP` sink. Hand-rolled: kinds are static identifiers,
+    /// so no string escaping is needed.
+    pub fn dump_json(&self) -> String {
+        let mut out = String::from("[");
+        for (i, ev) in self.events().iter().enumerate() {
+            let _ = write!(
+                out,
+                "{}\n  {{ \"seq\": {}, \"t\": {:.6}, \"kind\": \"{}\", \"a\": {}, \"b\": {}, \"c\": {} }}",
+                if i == 0 { "" } else { "," },
+                ev.seq,
+                ev.at.as_secs_f64(),
+                ev.kind,
+                ev.a,
+                ev.b,
+                ev.c
+            );
+        }
+        out.push_str("\n]");
+        out
+    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! The UBF only inspects the *first* packet of a flow; conntrack recognizes
 //! every subsequent packet (both directions) as `Established` and the
 //! firewall's passthrough rule accepts it without touching the queue. That
-//! is why the UBF's cost lands entirely on connection setup (paper Sec. IV-D,
-//! measured in experiment E9).
+//! is why the UBF's cost lands entirely on connection setup (paper Sec. IV-D;
+//! asserted by `network_ubf::overhead_lands_on_setup_only`).
 
 use crate::addr::FiveTuple;
 use eus_simcore::{HashKey, KeyedSet};

@@ -5,7 +5,8 @@
 //! applications use a TCP connection as a control channel to set up their
 //! InfiniBand queue pairs and thus can be effectively controlled by the UBF.
 //! This does not prevent applications from using the connection manager (CM)
-//! directly" — the residual path experiment E9/E12 demonstrates.
+//! directly" — the residual path
+//! `network_ubf::rdma_tcp_setup_governed_native_cm_not` demonstrates.
 //!
 //! Once a QP exists, [`Fabric::rdma_read`] reads registered memory regions
 //! with **no credential checks at all**, modeling the hardware's

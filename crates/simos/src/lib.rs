@@ -40,7 +40,7 @@ pub use devices::DeviceId;
 pub use ids::{Gid, NodeId, Pid, SessionId, Uid, ROOT_GID, ROOT_UID};
 pub use node::{LoginError, NodeOs};
 pub use pam::{PamContext, PamDenied, PamModule, PamStack, PamVerdict, Session};
-pub use process::{ProcState, Process, ProcessTable};
+pub use process::{Process, ProcessTable};
 pub use procfs::{HidePid, ProcError, ProcFs, ProcMountOpts};
 pub use shm::{AbstractSocket, AbstractSocketSpace, ShmError};
 pub use users::{Group, GroupKind, User, UserDb, UserDbError};

@@ -10,13 +10,6 @@ use crate::ids::{Pid, Uid};
 use eus_simcore::SimTime;
 use std::collections::BTreeMap;
 
-/// Process run state (coarse; enough for `ps`-shaped output).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProcState {
-    /// On CPU or runnable.
-    Running,
-}
-
 /// One process.
 #[derive(Debug, Clone)]
 pub struct Process {
@@ -28,8 +21,6 @@ pub struct Process {
     pub cmdline: Vec<String>,
     /// Environment variables (`/proc/<pid>/environ`).
     pub environ: BTreeMap<String, String>,
-    /// Run state.
-    pub state: ProcState,
     /// Simulated start time.
     pub started: SimTime,
     /// Parent pid, if any.
@@ -94,7 +85,6 @@ impl ProcessTable {
                 cred,
                 cmdline: cmdline.into_iter().map(Into::into).collect(),
                 environ,
-                state: ProcState::Running,
                 started,
                 parent,
             },

@@ -16,7 +16,7 @@
 
 use crate::cred::Credentials;
 use crate::ids::{Gid, Pid, Uid};
-use crate::process::{ProcState, ProcessTable};
+use crate::process::ProcessTable;
 use std::fmt;
 
 /// The `hidepid=` mount option.
@@ -81,8 +81,6 @@ pub struct ProcEntry {
     pub uid: Uid,
     /// Command name.
     pub comm: String,
-    /// Run state.
-    pub state: ProcState,
 }
 
 /// A read-only view of a node's process table through its `/proc` mount.
@@ -120,7 +118,6 @@ impl<'a> ProcFs<'a> {
                 pid: p.pid,
                 uid: p.uid(),
                 comm: p.comm().to_string(),
-                state: p.state,
             })
             .collect()
     }

@@ -2,8 +2,11 @@
 //!
 //! The ident round-trip dominates connection-setup cost, and HPC workloads
 //! open many flows between the same (user, user) pairs in bursts (MPI rank
-//! wire-up). A small positive/negative cache with bounded capacity removes
-//! repeat ident queries (`ubf.cache_hit_ratio` in the benchmark). Entries are
+//! wire-up). A small positive/negative cache removes repeat ident queries
+//! (`ubf.cache_hit_ratio` in the benchmark). Its capacity bounds the
+//! number of entries, not the memory: the tables start empty and grow with
+//! the entries actually held, so a host that judges a few hundred pairs
+//! pays for a few hundred, whatever the bound. Entries are
 //! keyed by both endpoints' (uid, egid), so a `newgrp` restart naturally
 //! misses. A change of group *membership* does not change the key: the
 //! daemon compares [`eus_simos::UserDb::membership_epoch`] on every
@@ -63,10 +66,11 @@ pub struct DecisionCache {
 
 impl DecisionCache {
     /// A cache holding at most `capacity` decisions (0 disables caching).
+    /// Nothing is reserved up front: the tables grow with the entries.
     pub fn new(capacity: usize) -> Self {
         DecisionCache {
-            map: KeyedMap::with_capacity_and_hasher(capacity, CACHE_KEY),
-            order: VecDeque::with_capacity(capacity),
+            map: KeyedMap::with_hasher(CACHE_KEY),
+            order: VecDeque::new(),
             capacity,
         }
     }
@@ -167,6 +171,84 @@ mod tests {
         c.put(CacheKey::new(&peer(1, 1), &peer(2, 2)), ALLOW);
         c.invalidate_all();
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn a_new_cache_reserves_nothing() {
+        for capacity in [0, 1, 4096] {
+            let c = DecisionCache::new(capacity);
+            assert_eq!(c.map.capacity(), 0, "capacity {capacity}");
+            assert!(c.order.is_empty() && c.order.capacity() == 0);
+        }
+    }
+
+    /// The cache against a naive FIFO model, a `VecDeque` of (key,
+    /// decision) in insertion order, over random `put` / `get` /
+    /// `invalidate_all` tapes. Every `get` agrees, `len() ≤ capacity` after
+    /// every step, and each eviction takes the model's oldest key.
+    #[test]
+    fn matches_a_naive_fifo_model_on_random_tapes() {
+        use eus_simcore::SimRng;
+        const DECISIONS: [Decision; 4] = [
+            Decision::AllowSameUser,
+            Decision::AllowGroupMember,
+            Decision::AllowSystemService,
+            Decision::Deny,
+        ];
+        let key = |i: usize| CacheKey::new(&peer(i as u32, 100 + i as u32 % 3), &peer(7, 7));
+        // (capacity, distinct keys, steps per tape, tapes): the key pool
+        // exceeds every capacity so the bound is reached and evicts.
+        for (capacity, keys, steps, tapes) in [
+            (0, 8, 300, 16),
+            (1, 8, 300, 32),
+            (2, 8, 300, 32),
+            (7, 24, 600, 32),
+            (4096, 6000, 16_000, 2),
+        ] {
+            for seed in 0..tapes {
+                let mut rng = SimRng::seed_from_u64(seed * 1_000 + capacity as u64);
+                let mut c = DecisionCache::new(capacity);
+                let mut model: VecDeque<(CacheKey, Decision)> = VecDeque::new();
+                let find = |m: &VecDeque<(CacheKey, Decision)>, k: &CacheKey| {
+                    m.iter().find(|(mk, _)| mk == k).map(|&(_, d)| d)
+                };
+                for step in 0..steps {
+                    let k = key(rng.index(keys));
+                    let roll = rng.index(1_000);
+                    if roll < 2 {
+                        c.invalidate_all();
+                        model.clear();
+                    } else if roll < 450 {
+                        assert_eq!(
+                            c.get(&k),
+                            find(&model, &k),
+                            "cap {capacity} seed {seed} step {step}"
+                        );
+                    } else {
+                        let d = *rng.pick(&DECISIONS);
+                        c.put(k, d);
+                        if capacity > 0 {
+                            if let Some(slot) = model.iter_mut().find(|(mk, _)| *mk == k) {
+                                slot.1 = d;
+                            } else {
+                                model.push_back((k, d));
+                                if model.len() > capacity {
+                                    let (evicted, _) = model.pop_front().unwrap();
+                                    assert_eq!(
+                                        c.get(&evicted),
+                                        None,
+                                        "cap {capacity} seed {seed}: not FIFO"
+                                    );
+                                }
+                            }
+                        }
+                        assert_eq!(c.get(&k), find(&model, &k));
+                    }
+                    assert!(c.len() <= capacity);
+                    assert_eq!(c.len(), model.len());
+                }
+            }
+        }
     }
 
     #[test]

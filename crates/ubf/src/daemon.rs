@@ -78,7 +78,9 @@ pub type UbfStats = Arc<Mutex<UbfStatsInner>>;
 pub struct UbfConfig {
     /// Policy knobs.
     pub policy: UbfPolicy,
-    /// Decision-cache capacity (0 disables; the ablation point for E9).
+    /// Decision-cache capacity: the most entries the cache holds (0
+    /// disables it). `net_wireup`'s `ubf.cache_hit_ratio` measures what the
+    /// cache saves.
     pub cache_capacity: usize,
 }
 

@@ -19,8 +19,9 @@
 //!   after daemons have moved into the fabric.
 //!
 //! Established flows never revisit the daemon (conntrack passthrough), so
-//! the UBF's entire cost lands on connection setup — experiment E9 measures
-//! exactly that.
+//! the UBF's entire cost lands on connection setup
+//! (`network_ubf::overhead_lands_on_setup_only` asserts it; the benchmark's
+//! `net_wireup` workload reports the cache's `ubf.cache_hit_ratio`).
 
 #![warn(missing_docs)]
 
