@@ -116,7 +116,7 @@ impl EnterpriseRuntime {
 mod tests {
     use super::*;
     use eus_simos::procfs::{HidePid, ProcMountOpts};
-    use eus_simos::{NodeId, UserDb};
+    use eus_simos::{Mode, NodeId, UserDb};
 
     fn node_with_users() -> (UserDb, NodeOs, eus_simos::Uid, eus_simos::Uid) {
         let mut db = UserDb::new();
@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn container_process_keeps_user_credentials() {
         let (db, mut node, alice, _) = node_with_users();
-        let sid = node.login(&db, alice, "sshd").unwrap();
+        let sid = node.open_session(db.credentials(alice).unwrap(), Mode::new(0));
         let session = node.session(sid).unwrap().clone();
         let image = Image::typical_research_stack("stack.sif", SimTime::ZERO);
         let cp = HpcRuntime.launch(
@@ -155,8 +155,8 @@ mod tests {
         // live in the host table, so hidepid hides them from other users
         // and hides other users from them.
         let (db, mut node, alice, bob) = node_with_users();
-        let sid_a = node.login(&db, alice, "sshd").unwrap();
-        let sid_b = node.login(&db, bob, "sshd").unwrap();
+        let sid_a = node.open_session(db.credentials(alice).unwrap(), Mode::new(0));
+        let sid_b = node.open_session(db.credentials(bob).unwrap(), Mode::new(0));
         let sa = node.session(sid_a).unwrap().clone();
         let sb = node.session(sid_b).unwrap().clone();
         let image = Image::typical_research_stack("stack.sif", SimTime::ZERO);
@@ -171,7 +171,7 @@ mod tests {
     #[test]
     fn builds_refused_on_cluster() {
         let (db, mut node, alice, _) = node_with_users();
-        let sid = node.login(&db, alice, "sshd").unwrap();
+        let sid = node.open_session(db.credentials(alice).unwrap(), Mode::new(0));
         let session = node.session(sid).unwrap().clone();
         assert_eq!(
             HpcRuntime.build(&session, "new.sif").unwrap_err(),
@@ -182,7 +182,7 @@ mod tests {
     #[test]
     fn enterprise_runtime_rejected_for_users() {
         let (db, mut node, alice, _) = node_with_users();
-        let sid = node.login(&db, alice, "sshd").unwrap();
+        let sid = node.open_session(db.credentials(alice).unwrap(), Mode::new(0));
         let session = node.session(sid).unwrap().clone();
         assert_eq!(
             EnterpriseRuntime.launch(&session).unwrap_err(),

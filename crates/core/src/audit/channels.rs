@@ -5,7 +5,7 @@
 //! list in Sec. V. A probe stages the scenario on a fresh cluster with an
 //! `attacker` and a `victim` account and reports whether the channel leaked.
 
-use crate::cluster::SecureCluster;
+use crate::cluster::{LoginError, SecureCluster};
 use crate::config::Mechanism;
 use eus_sched::{JobId, JobSpec};
 use eus_simcore::{SimDuration, SimTime};
@@ -284,8 +284,25 @@ fn probe_ssh_foreign(c: &mut SecureCluster, attacker: Uid, victim: Uid) -> Outco
     };
     match c.ssh(attacker, node) {
         Ok(_) => Outcome::Leaked(format!("attacker shelled into {node} beside the victim")),
-        Err(_) => Outcome::Blocked("pam_slurm: no job on that node".into()),
+        Err(e) => ssh_refused(
+            Channel::SshForeignNode,
+            &e,
+            "pam_slurm: no job on that node",
+        ),
     }
+}
+
+/// A refused ssh is `Blocked` only when the mechanism that closes `channel`
+/// refused it. A refusal from anywhere else (an unknown node or user,
+/// another gate) means the probe never reached the gate it tests: that
+/// fails the probe loudly rather than reading as a block.
+fn ssh_refused(channel: Channel, err: &LoginError, evidence: &str) -> Outcome {
+    assert_eq!(
+        err.mechanism(),
+        channel.closed_by(),
+        "{channel} probe: ssh refused by the wrong gate: {err}"
+    );
+    Outcome::Blocked(evidence.into())
 }
 
 fn probe_cohabitation(c: &mut SecureCluster, attacker: Uid, victim: Uid) -> Outcome {
@@ -571,18 +588,20 @@ fn probe_ssh_expired_cert(c: &mut SecureCluster, victim: Uid) -> Outcome {
                 .expect("users are provisioned at creation")
                 .expires;
             broker.write().advance_to(expiry);
-            // Replay: the PAM stack judges the stale certificate as-is (no
-            // transparent refresh — the attacker cannot re-authenticate).
+            // Replay: the account check judges the stale certificate as-is
+            // (no transparent refresh — the attacker cannot re-authenticate).
             match c.ssh_raw(victim, login) {
                 Ok(_) => Outcome::Leaked("expired certificate accepted for ssh".into()),
-                Err(_) => {
-                    Outcome::Blocked("pam_fedauth: certificate outside validity window".into())
-                }
+                Err(e) => ssh_refused(
+                    Channel::SshExpiredCert,
+                    &e,
+                    "pam_fedauth: certificate outside validity window",
+                ),
             }
         }
         None => match c.ssh_raw(victim, login) {
             Ok(_) => Outcome::Leaked("stolen long-lived ssh key grants access indefinitely".into()),
-            Err(_) => Outcome::Blocked("login refused".into()),
+            Err(e) => ssh_refused(Channel::SshExpiredCert, &e, "login refused"),
         },
     }
 }

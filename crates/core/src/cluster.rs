@@ -3,9 +3,9 @@
 //!
 //! This is the deployable artifact the paper describes: login + compute
 //! nodes with shared `/home` and `/proj` filesystems, a Slurm-like scheduler
-//! with the chosen node-sharing policy, per-node `/proc` options and PAM
-//! stacks, the User-Based Firewall on every host, scheduler-managed GPUs,
-//! and the web portal. The audit engine and every experiment run against
+//! with the chosen node-sharing policy, per-node `/proc` options, the login
+//! gates ssh runs, the User-Based Firewall on every host, scheduler-managed
+//! GPUs, and the web portal. The audit engine and every experiment run against
 //! this type.
 
 use crate::config::{Mechanism, SeparationConfig};
@@ -13,27 +13,24 @@ use crate::obs::{CoreObs, ObsConfig};
 use eus_accel::GpuPool;
 use eus_containers::{ContainerRegistry, HpcRuntime};
 use eus_fedauth::{
-    shared_broker, BrokerPolicy, CredSerial, CredentialBroker, PamFedAuth, RealmId, SharedBroker,
-    SignedToken, TrustPolicy,
+    shared_broker, BrokerPolicy, CredSerial, CredentialBroker, RealmId, SharedBroker, SignedToken,
+    TrustPolicy,
 };
-use eus_fsperm::{apply_kernel_patches, FilePermissionHandler, PamSmask, LLSC_SMASK};
+use eus_fsperm::{apply_kernel_patches, FilePermissionHandler};
 use eus_portal::{PortalGateway, RouteKey, WebAppRegistry};
 use eus_revsync::{RevSyncConfig, RevSyncMesh};
-use eus_sched::{
-    shared_scheduler, JobId, JobSpec, JobState, PamSlurm, SchedConfig, Scheduler, SharedScheduler,
-};
+use eus_sched::{JobId, JobSpec, JobState, SchedConfig, Scheduler};
 use eus_simcore::{SimDuration, SimTime};
 use eus_simnet::{ConnId, ConnectError, Fabric, PeerInfo, Port, Proto, SocketAddr};
-use eus_simos::node::LoginError;
 use eus_simos::procfs::ProcMountOpts;
 use eus_simos::{
     Credentials, DeviceId, FsCtx, FsError, FsResult, Gid, Mode, NodeId, NodeOs, Pid, SessionId,
     Uid, UserDb, UserDbError, Vfs,
 };
-use eus_ubf::{
-    deploy_ubf_observed, shared_user_db, SharedUserDb, UbfConfig, UbfPacketStats, UbfStats,
-};
+use eus_ubf::{deploy_ubf, shared_user_db, SharedUserDb, UbfStats};
+use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 /// Hardware shape of the cluster.
 #[derive(Debug, Clone)]
@@ -185,6 +182,46 @@ impl Residue {
     }
 }
 
+/// Why an ssh login was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LoginError {
+    /// A login gate refused: `pam_fedauth` ([`Mechanism::FedAuth`]) or
+    /// `pam_slurm` ([`Mechanism::PamSlurm`]), with its reason.
+    Denied {
+        /// The mechanism whose gate refused.
+        by: Mechanism,
+        /// The gate's reason.
+        reason: String,
+    },
+    /// The user database rejected the user.
+    User(UserDbError),
+    /// The cluster has no node with this id.
+    NoSuchNode(NodeId),
+}
+
+impl LoginError {
+    /// The mechanism that refused the login (`None`: no gate ran far
+    /// enough to refuse — an unknown node or user).
+    pub fn mechanism(&self) -> Option<Mechanism> {
+        match self {
+            LoginError::Denied { by, .. } => Some(*by),
+            LoginError::User(_) | LoginError::NoSuchNode(_) => None,
+        }
+    }
+}
+
+impl fmt::Display for LoginError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LoginError::Denied { by, reason } => write!(f, "{by:?} denied login: {reason}"),
+            LoginError::User(e) => write!(f, "{e}"),
+            LoginError::NoSuchNode(n) => write!(f, "no such node {n}"),
+        }
+    }
+}
+
+impl std::error::Error for LoginError {}
+
 /// The node hand-off's one ledger.
 #[derive(Debug, Default)]
 struct Tenancy {
@@ -214,8 +251,10 @@ pub struct SecureCluster {
     pub spec: ClusterSpec,
     /// Shared account database.
     pub db: SharedUserDb,
-    /// The scheduler (shared: PAM stacks hold handles).
-    pub sched: SharedScheduler,
+    /// The scheduler. The cluster is its one owner and never nests this
+    /// guard with another; the lock stays only because the benchmark
+    /// harness reaches the scheduler through `sched.read()` / `.write()`.
+    pub sched: RwLock<Scheduler>,
     /// The network.
     pub fabric: Fabric,
     nodes: BTreeMap<NodeId, NodeOs>,
@@ -240,13 +279,8 @@ pub struct SecureCluster {
     pub containers: ContainerRegistry,
     /// Per-host UBF statistics handles (empty when UBF off).
     pub ubf_stats: Vec<UbfStats>,
-    /// One shared packet-path slot registry wired into every UBF daemon
-    /// (cache hit ratios, denies, ident round trips, occupancy peak).
-    /// Disabled until `enable_obs`; the handle reaches daemons already
-    /// moved into the fabric.
-    pub ubf_pkt: UbfPacketStats,
     /// The federated credential plane (`Some` when `config.federated_auth`):
-    /// sshd PAM, job submission, and the portal all consult it.
+    /// sshd's account check, job submission, and the portal all consult it.
     pub broker: Option<SharedBroker>,
     /// The home site's realm allow-list: `config.trusted_realms`
     /// permanently, plus every [`grant_trust`](Self::grant_trust).
@@ -335,7 +369,7 @@ impl SecureCluster {
                 )
             })
             .collect();
-        let sched = shared_scheduler(scheduler);
+        let sched = RwLock::new(scheduler);
 
         // Shared filesystems.
         let mut shared_home = Vfs::new("shared-home");
@@ -373,7 +407,6 @@ impl SecureCluster {
             .collect();
         let mut fabric = Fabric::new();
         let mut ubf_stats = Vec::new();
-        let ubf_pkt = UbfPacketStats::disabled();
         let mut gpus = GpuPool::new();
 
         for (idx, id) in compute_ids
@@ -389,30 +422,15 @@ impl SecureCluster {
                 format!("login{}", id.0)
             };
             let mut node = NodeOs::new(id, name);
-            if let Some(b) = &broker {
-                // Account phase runs first: no live SSH certificate, no login
-                // anywhere — login or compute node alike.
-                node.pam.push(Box::new(PamFedAuth::new(b.clone())));
-            }
             if config.hidepid {
                 node.proc_opts = ProcMountOpts::llsc(seepid_gid);
             }
             if config.fsperm {
                 apply_kernel_patches(&mut node.local_fs);
-                node.pam
-                    .push(Box::new(PamSmask::from_handler(&fsperm_policy)));
-            }
-            if config.pam_slurm && is_compute {
-                node.pam.push(Box::new(PamSlurm::new(sched.clone())));
             }
             let host = fabric.add_host(id);
             if config.ubf {
-                ubf_stats.push(deploy_ubf_observed(
-                    host,
-                    db.clone(),
-                    UbfConfig::default(),
-                    ubf_pkt.clone(),
-                ));
+                ubf_stats.push(deploy_ubf(host, db.clone()));
             }
             if is_compute && spec.gpus_per_node > 0 {
                 gpus.install(
@@ -459,7 +477,6 @@ impl SecureCluster {
             runtime: HpcRuntime,
             containers: ContainerRegistry::new(),
             ubf_stats,
-            ubf_pkt,
             broker,
             trust,
             revsync,
@@ -480,11 +497,12 @@ impl SecureCluster {
     /// recorder (plus its trace ring and SLO plane), the scheduler's
     /// [`eus_sched::SchedObs`], the broker's atomic
     /// [`eus_fedauth::ValidateStats`] and trace ring, the revsync mesh's
-    /// [`eus_revsync::MeshObs`], the portal's [`eus_portal::PortalObs`],
-    /// and every UBF daemon's shared packet slots. Each plane keeps its own
-    /// namespace (`core.*`, `sched.*`, `cred.*`, `revsync.*`, `portal.*`,
-    /// `ubf.*`); snapshots are read per plane. The `revsync.replica.lag`
-    /// SLO is re-aimed to half the configured staleness budget.
+    /// [`eus_revsync::MeshObs`] and the portal's [`eus_portal::PortalObs`].
+    /// Each plane keeps its own namespace (`core.*`, `sched.*`, `cred.*`,
+    /// `revsync.*`, `portal.*`); snapshots are read per plane. The UBF
+    /// daemons' counters (`ubf_stats`) are always on. The
+    /// `revsync.replica.lag` SLO is re-aimed to half the configured
+    /// staleness budget.
     pub fn enable_obs(&mut self, cfg: ObsConfig) {
         self.obs = CoreObs::new(&cfg);
         self.obs.slo.set_target(
@@ -493,7 +511,6 @@ impl SecureCluster {
         );
         self.sched.write().enable_obs(cfg);
         self.portal.obs = eus_portal::PortalObs::new(&cfg);
-        self.ubf_pkt.set_enabled(cfg.enabled);
         if let Some(b) = &self.broker {
             let guard = b.read();
             guard.stats.set_enabled(cfg.enabled);
@@ -590,7 +607,7 @@ impl SecureCluster {
         self.db.write().add_to_group(steward, project, user)
     }
 
-    /// The filesystem context a PAM login session would give this user:
+    /// The filesystem context a login session would give this user:
     /// credentials from the database, smask 007 when the File Permission
     /// Handler is deployed. `Err` for a uid the database does not know.
     pub fn user_fs_ctx(&self, user: Uid) -> Result<FsCtx, UserDbError> {
@@ -599,12 +616,17 @@ impl SecureCluster {
 
     /// [`Self::user_fs_ctx`] judged under a db guard the caller holds.
     fn fs_ctx(&self, db: &UserDb, user: Uid) -> Result<FsCtx, UserDbError> {
-        let ctx = FsCtx::user(db.credentials(user)?);
-        Ok(if self.config.fsperm {
-            ctx.with_smask(LLSC_SMASK)
+        Ok(FsCtx::user(db.credentials(user)?).with_smask(self.session_smask()))
+    }
+
+    /// The smask every login session opens with: the File Permission
+    /// Handler's site default (007) when it is deployed, none otherwise.
+    fn session_smask(&self) -> Mode {
+        if self.config.fsperm {
+            self.fsperm_policy.default_smask
         } else {
-            ctx
-        })
+            Mode::new(0)
+        }
     }
 
     /// As whom an `fs_*` call runs, failing closed: an unknown uid is
@@ -674,26 +696,54 @@ impl SecureCluster {
     // Login / processes
     // ------------------------------------------------------------------
 
-    /// ssh to a node through its PAM stack, refreshing the user's federated
-    /// credentials first when the broker is deployed — the legitimate-client
-    /// path (`ssh` fetches a fresh short-lived certificate at connect time).
+    /// ssh to a node through its login gates, refreshing the user's
+    /// federated credentials first when the broker is deployed — the
+    /// legitimate-client path (`ssh` fetches a fresh short-lived
+    /// certificate at connect time).
     pub fn ssh(&mut self, user: Uid, node: NodeId) -> Result<SessionId, LoginError> {
         self.refresh_credentials(user);
         self.ssh_raw(user, node)
     }
 
     /// ssh without the transparent credential refresh: whatever certificate
-    /// the broker currently holds for `user` is what PAM judges. Audit
-    /// probes use this to model replaying stolen or expired material.
+    /// the broker currently holds for `user` is what the account check
+    /// judges. Audit probes use this to model replaying stolen or expired
+    /// material.
+    ///
+    /// The whole login path, in sshd's order: the node must exist and the
+    /// user resolve; then `pam_fedauth` (every node, root exempt) and, on a
+    /// compute node, `pam_slurm` may refuse; then the session opens with
+    /// the File Permission Handler's smask. Each gate takes its one guard
+    /// (user db, broker, scheduler) and releases it before the next, so
+    /// login nests no guards.
     pub fn ssh_raw(&mut self, user: Uid, node: NodeId) -> Result<SessionId, LoginError> {
-        // The db guard is held across the PAM stack (borrowed, never
-        // copied). Global lock order: user db -> broker (PamFedAuth) ->
-        // scheduler (PamSlurm); lock_order_check enforces it stays acyclic.
-        let db = self.db.read();
-        self.nodes
+        let smask = self.session_smask();
+        let os = self
+            .nodes
             .get_mut(&node)
-            .ok_or(LoginError::NoSuchNode(node))?
-            .login(&db, user, "sshd")
+            .ok_or(LoginError::NoSuchNode(node))?;
+        let cred = self.db.read().credentials(user).map_err(LoginError::User)?;
+        if let Some(b) = self.broker.as_ref().filter(|_| !cred.is_root()) {
+            let guard = b.read();
+            // Entry point: mint a trace root around the authorization (free
+            // when tracing is off).
+            let tok = guard.trace.root("cred.pam.account", guard.now());
+            let r = guard.authorize_ssh(user);
+            guard.trace.finish_with(tok, guard.now(), user.0 as u64);
+            r.map_err(|e| LoginError::Denied {
+                by: Mechanism::FedAuth,
+                reason: format!("no valid ssh certificate: {e}"),
+            })?;
+        }
+        if self.config.pam_slurm && !self.login_ids.contains(&node) {
+            eus_sched::pam_slurm::account(&self.sched.read(), &cred, node).map_err(|reason| {
+                LoginError::Denied {
+                    by: Mechanism::PamSlurm,
+                    reason,
+                }
+            })?;
+        }
+        Ok(os.open_session(cred, smask))
     }
 
     // ------------------------------------------------------------------
@@ -2076,6 +2126,47 @@ mod tests {
         // The cluster is still usable afterwards (no guard left behind).
         assert!(c.ssh(alice, c.login_node()).is_ok());
         c.add_user("bob").unwrap();
+    }
+
+    #[test]
+    fn a_refused_ssh_names_the_gate_that_refused() {
+        use eus_fsperm::LLSC_SMASK;
+        use eus_simos::ROOT_UID;
+        // (pam_slurm's verdict on a compute node without a job, the account
+        // check's once the certificate has lapsed, the login session's smask).
+        let gates = |cfg: SeparationConfig| {
+            let mut c = SecureCluster::new(cfg, ClusterSpec::tiny());
+            let alice = c.add_user("alice").unwrap();
+            let (compute, login) = (c.compute_ids[0], c.login_node());
+            let no_job = c.ssh(alice, compute).err().and_then(|e| e.mechanism());
+            let sid = c.ssh(alice, login).unwrap();
+            let smask = c.node(login).session(sid).unwrap().smask;
+            if let Some(b) = &c.broker {
+                let expiry = b.read().current_cert(alice).unwrap().expires;
+                b.write().advance_to(expiry);
+            }
+            let lapsed = c.ssh_raw(alice, login).err().and_then(|e| e.mechanism());
+            // Root is exempt from both gates; an unknown uid no gate refuses.
+            assert!(c.ssh_raw(ROOT_UID, compute).is_ok());
+            let ghost = c.ssh_raw(Uid(99_999), login).unwrap_err();
+            assert!(matches!(ghost, LoginError::User(_)) && ghost.mechanism().is_none());
+            (no_job, lapsed, smask)
+        };
+        use Mechanism::{FedAuth, Fsperm, PamSlurm};
+        let llsc = SeparationConfig::llsc;
+        assert_eq!(gates(llsc()), (Some(PamSlurm), Some(FedAuth), LLSC_SMASK));
+        assert_eq!(
+            gates(llsc().without(PamSlurm)),
+            (None, Some(FedAuth), LLSC_SMASK)
+        );
+        assert_eq!(
+            gates(llsc().without(FedAuth)),
+            (Some(PamSlurm), None, LLSC_SMASK)
+        );
+        assert_eq!(
+            gates(llsc().without(Fsperm)),
+            (Some(PamSlurm), Some(FedAuth), Mode::new(0))
+        );
     }
 
     #[test]

@@ -85,8 +85,8 @@ pub struct SeparationConfig {
     pub node_policy: NodeSharing,
     /// `pam_slurm`: ssh only where your job runs (Sec. IV-B).
     pub pam_slurm: bool,
-    /// File Permission Handler: smask kernel patches + PAM session module +
-    /// ACL restrictions (Sec. IV-C).
+    /// File Permission Handler: smask kernel patches + the smask every
+    /// login session opens with + ACL restrictions (Sec. IV-C).
     pub fsperm: bool,
     /// User-Based Firewall rules + daemons on every node (Sec. IV-D).
     pub ubf: bool,

@@ -20,7 +20,7 @@
 //!   [`config::SeparationConfig::federated_auth`]) — the companion paper's
 //!   identity layer (*Securing HPC using Federated Authentication*, Prout
 //!   et al. 2019): a per-realm broker mints short-lived signed bearer
-//!   tokens and SSH certificates that sshd (PAM account phase), the job
+//!   tokens and SSH certificates that sshd's account check, the job
 //!   submission gate, and the portal all consult, with O(1) revocation.
 //!   Three audit channels measure it: stolen-token replay, expired-cert
 //!   ssh, and cross-realm impersonation.
@@ -41,7 +41,9 @@ pub mod obs;
 pub mod support;
 
 pub use audit::{expected_residuals, run_audit, AuditReport, Channel, Outcome};
-pub use cluster::{ClusterSpec, DepHealth, Dependency, Residue, SecureCluster, HOME_REALM};
+pub use cluster::{
+    ClusterSpec, DepHealth, Dependency, LoginError, Residue, SecureCluster, HOME_REALM,
+};
 pub use config::{Mechanism, SeparationConfig};
 pub use obs::CoreObs;
 pub use support::{attribute_load, LoadReport};

@@ -14,15 +14,15 @@
 //!
 //! [`crate::SecureCluster::enable_obs`] turns on every plane at once:
 //! this recorder, the scheduler's [`eus_sched::SchedObs`], the broker's
-//! [`eus_fedauth::ValidateStats`], the mesh's [`eus_revsync::MeshObs`],
-//! the portal's [`eus_portal::PortalObs`], and the UBF daemons'
-//! [`eus_ubf::UbfPacketStats`].
+//! [`eus_fedauth::ValidateStats`], the mesh's [`eus_revsync::MeshObs`]
+//! and the portal's [`eus_portal::PortalObs`]. The UBF daemons' counters
+//! ([`eus_ubf::UbfStats`]) need no switch: they are always on.
 //!
 //! Obs v2 adds two cluster-level pillars on top of the counters:
 //!
 //! * **Causal tracing** — entry points mint [`TraceCtx`]s (`core.submit.try`
 //!   here, `portal.route.revoke` on the portal ring, `cred.pam.account` on
-//!   the broker ring) that flow by value through the credential plane, the
+//!   the broker ring, at ssh's federated account check) that flow by value through the credential plane, the
 //!   scheduler dispatch path, and across the simulated WAN inside revocation
 //!   deltas. [`crate::SecureCluster::collect_trace`] reassembles one trace
 //!   from every plane's ring; [`render_trace`] draws the tree.

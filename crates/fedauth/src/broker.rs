@@ -1,7 +1,7 @@
 //! The credential broker: the single enforcement point every service
 //! consults instead of trusting raw uids or long-lived keys.
 //!
-//! sshd's PAM account phase ([`crate::PamFedAuth`]), the scheduler's
+//! sshd's account check ([`CredentialBroker::authorize_ssh`]), the scheduler's
 //! submission path, and the portal's session layer all hold a
 //! [`crate::SharedBroker`] and ask it one O(1) question — "does this principal hold
 //! a live, unrevoked credential of the right kind *right now*?" — keeping
@@ -74,8 +74,9 @@ pub struct CredentialBroker {
     /// never consulted by an accept/reject decision.
     pub stats: ValidateStats,
     /// Causal trace ring for the credential plane (off by default).
-    /// Interior-mutable so entry points behind a read lock (PAM account
-    /// phase, submission gate) can mint and record spans through `&self`.
+    /// Interior-mutable so entry points behind a read lock (the ssh
+    /// account check, submission gate) can mint and record spans through
+    /// `&self`.
     pub trace: TraceBuffer,
 }
 
@@ -354,6 +355,29 @@ mod tests {
         let alice = db.create_user("alice").unwrap();
         let broker = CredentialBroker::new(RealmId(1), 11, BrokerPolicy::default());
         (db, broker, alice)
+    }
+
+    #[test]
+    fn login_requires_live_certificate() {
+        let (db, mut broker, alice) = setup();
+        // No credential yet: sshd's account check refuses.
+        assert!(broker.authorize_ssh(alice).is_err());
+        // After federated login: allowed.
+        broker.login(&db, alice, None).unwrap();
+        assert!(broker.authorize_ssh(alice).is_ok());
+    }
+
+    #[test]
+    fn expired_certificate_shuts_the_door() {
+        let (db, mut broker, alice) = setup();
+        broker.login(&db, alice, None).unwrap();
+        assert!(broker.authorize_ssh(alice).is_ok());
+        let expiry = broker.current_cert(alice).unwrap().expires;
+        broker.advance_to(expiry);
+        assert!(
+            broker.authorize_ssh(alice).is_err(),
+            "certificate lapsed; the stolen key alone no longer works"
+        );
     }
 
     #[test]

@@ -22,15 +22,14 @@
 //! * [`revocation`] — the O(1) revocation list, plus the sequence-numbered
 //!   append-only delta log that `eus-revsync` replicates between realms.
 //! * [`broker`] — the [`CredentialBroker`] every enforcement point consults
-//!   (sshd PAM, scheduler submission, portal fetch), over one session
-//!   table.
+//!   (sshd's account check, scheduler submission, portal fetch), over one
+//!   session table.
 //! * [`plane`] — the [`SharedBroker`] handle those enforcement points hold
 //!   and the [`PlaneClock`] the broker publishes.
 //! * [`federation`] — [`TrustPolicy`], the home site's realm allow-list: a
 //!   trusted sister realm's credential validates at the home site (against
 //!   the local revocation replica `eus-revsync` keeps) while untrusted
 //!   realms fail closed.
-//! * [`pam`] — [`PamFedAuth`], the sshd account-phase module.
 //!
 //! ```
 //! use eus_fedauth::{BrokerPolicy, CredentialBroker, RealmId};
@@ -51,7 +50,6 @@ pub mod broker;
 pub mod ca;
 pub mod federation;
 pub mod obs;
-pub mod pam;
 pub mod plane;
 pub mod realm;
 pub mod revocation;
@@ -63,7 +61,6 @@ pub use ca::{
 };
 pub use federation::TrustPolicy;
 pub use obs::ValidateStats;
-pub use pam::PamFedAuth;
 pub use plane::{shared_broker, PlaneClock, SharedBroker};
 pub use realm::{
     IdentityAssertion, IdentityProvider, MfaCode, MfaEnrollment, MfaSecret, RealmId, RecoveryCode,

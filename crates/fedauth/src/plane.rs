@@ -1,7 +1,7 @@
-//! The plane's shared surfaces: [`SharedBroker`], the handle every
-//! enforcement point (sshd PAM, the scheduler submission gate, the portal)
-//! holds on the realm's [`CredentialBroker`], and [`PlaneClock`], the
-//! clock that plane publishes.
+//! The plane's shared surfaces: [`SharedBroker`], the handle the cluster,
+//! the portal and the revocation mesh hold on the realm's
+//! [`CredentialBroker`], and [`PlaneClock`], the clock that plane
+//! publishes.
 
 use crate::broker::CredentialBroker;
 use eus_simcore::SimTime;
@@ -36,8 +36,8 @@ impl PlaneClock {
     }
 }
 
-/// A shared credential-plane handle (PAM stacks, the scheduler, and the
-/// portal all hold one).
+/// A shared credential-plane handle (the cluster, the portal and the
+/// revocation mesh each hold one).
 pub type SharedBroker = Arc<RwLock<CredentialBroker>>;
 
 /// Wrap a broker for sharing.

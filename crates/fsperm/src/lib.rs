@@ -2,15 +2,14 @@
 //!
 //! Reproduction of the paper's first released artifact
 //! (`mit-llsc/HPCFilePermissionHandler`, Sec. IV-C + Appendix): two kernel
-//! patches and a PAM module that, combined with the user-private-group
+//! patches and a PAM session smask that, combined with the user-private-group
 //! scheme, prevent users from sharing data through the filesystem except via
 //! membership in a common supplementary (project) group.
 //!
 //! * [`smask`] — patch activation ([`smask::apply_kernel_patches`]) and site
-//!   policy ([`smask::FilePermissionHandler`]). The `smask` is like
-//!   `umask 007` but **immutable and enforced, even on chmod**.
-//! * [`pam_module`] — [`pam_module::PamSmask`], the session module that
-//!   installs the smask at login.
+//!   policy ([`smask::FilePermissionHandler`], whose `default_smask` every
+//!   login session opens with). The `smask` is like `umask 007` but
+//!   **immutable and enforced, even on chmod**.
 //! * [`tools`] — `seepid` and `smask_relax`/`smask_restore`, the whitelisted
 //!   support-staff escape hatches.
 //! * `lustre` (test-only) — the LU-4746 model: pre-2.7.0 Lustre clients
@@ -19,18 +18,16 @@
 //!   the crate's tests.
 //!
 //! Property tests at the bottom of this crate state the headline invariant:
-//! under the patch + PAM module, **no operation available to an unprivileged
+//! under the patch + session smask, **no operation available to an unprivileged
 //! user ever produces a world-accessible file**.
 
 #![warn(missing_docs)]
 
 #[cfg(test)]
 mod lustre;
-pub mod pam_module;
 pub mod smask;
 pub mod tools;
 
-pub use pam_module::PamSmask;
 pub use smask::{apply_kernel_patches, FilePermissionHandler, LLSC_SMASK, RELAXED_SMASK};
 pub use tools::{seepid, smask_relax, smask_restore, ToolError};
 

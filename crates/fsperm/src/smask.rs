@@ -29,7 +29,8 @@ pub fn apply_kernel_patches(fs: &mut Vfs) {
 /// Site policy for the File Permission Handler deployment.
 #[derive(Debug, Clone)]
 pub struct FilePermissionHandler {
-    /// The smask installed into every login session by the PAM module.
+    /// The smask every login session opens with (the session module's
+    /// job, run by the cluster's login path).
     pub default_smask: Mode,
     /// Support staff allowed to run `smask_relax`.
     pub relax_whitelist: BTreeSet<Uid>,
@@ -68,7 +69,7 @@ impl FilePermissionHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eus_simos::{Credentials, FsCtx};
+    use eus_simos::{Credentials, FsCtx, NodeId, NodeOs, UserDb};
 
     #[test]
     fn patches_flip_both_flags() {
@@ -109,5 +110,54 @@ mod tests {
         assert!(h.relax_whitelist.contains(&Uid(5)));
         assert_eq!(h.seepid_whitelist.len(), 2);
         assert_eq!(h.default_smask, LLSC_SMASK);
+    }
+
+    #[test]
+    fn sessions_get_the_site_smask() {
+        let mut db = UserDb::new();
+        let alice = db.create_user("alice").unwrap();
+        let mut node = NodeOs::new(NodeId(1), "login1");
+        let handler = FilePermissionHandler::new(Gid(900));
+
+        let sid = node.open_session(db.credentials(alice).unwrap(), handler.default_smask);
+        let session = node.session(sid).unwrap();
+        assert_eq!(session.smask, LLSC_SMASK);
+        assert_eq!(session.fs_ctx().smask, LLSC_SMASK);
+    }
+
+    #[test]
+    fn pam_plus_patch_blocks_world_sharing_via_session_io() {
+        let mut db = UserDb::new();
+        let alice = db.create_user("alice").unwrap();
+        let mut node = NodeOs::new(NodeId(1), "login1");
+        apply_kernel_patches(&mut node.local_fs);
+        let sid = node.open_session(db.credentials(alice).unwrap(), LLSC_SMASK);
+        let ctx = node.session(sid).unwrap().fs_ctx();
+
+        let fs = &mut node.local_fs;
+        fs.write_file(&ctx, "/tmp/drop", Mode::new(0o666), b"payload")
+            .unwrap();
+        let st = fs.stat(&ctx, "/tmp/drop").unwrap();
+        assert!(!st.mode.any_world(), "world bits must be stripped");
+
+        // And chmod inside the session cannot restore them.
+        fs.chmod(&ctx, "/tmp/drop", Mode::new(0o666)).unwrap();
+        assert!(!fs.stat(&ctx, "/tmp/drop").unwrap().mode.any_world());
+    }
+
+    #[test]
+    fn unconfigured_node_keeps_vanilla_behaviour() {
+        let mut db = UserDb::new();
+        let alice = db.create_user("alice").unwrap();
+        let mut node = NodeOs::new(NodeId(1), "login1");
+        let sid = node.open_session(db.credentials(alice).unwrap(), Mode::new(0));
+        let ctx = node.session(sid).unwrap().fs_ctx().with_umask(Mode::new(0));
+        node.local_fs
+            .write_file(&ctx, "/tmp/open", Mode::new(0o666), b"x")
+            .unwrap();
+        assert_eq!(
+            node.local_fs.stat(&ctx, "/tmp/open").unwrap().mode.bits(),
+            0o666
+        );
     }
 }

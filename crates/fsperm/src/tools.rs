@@ -77,11 +77,10 @@ pub fn smask_restore(handler: &FilePermissionHandler, session: &mut Session) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pam_module::PamSmask;
     use crate::smask::{apply_kernel_patches, LLSC_SMASK};
     use eus_simcore::SimTime;
     use eus_simos::procfs::{HidePid, ProcMountOpts};
-    use eus_simos::{Gid, Mode, NodeId, NodeOs, UserDb};
+    use eus_simos::{Gid, Mode, NodeId, NodeOs, SessionId, UserDb};
 
     fn staff_node() -> (UserDb, NodeOs, FilePermissionHandler, Uid, Uid) {
         let mut db = UserDb::new();
@@ -97,19 +96,23 @@ mod tests {
         let handler = FilePermissionHandler::new(seepid_gid)
             .allow_relax(staff)
             .allow_seepid(staff);
-        node.pam.push(Box::new(PamSmask::from_handler(&handler)));
         (db, node, handler, staff, user)
+    }
+
+    /// A login session with the site smask the session module installs.
+    fn login(db: &UserDb, node: &mut NodeOs, h: &FilePermissionHandler, u: Uid) -> SessionId {
+        node.open_session(db.credentials(u).unwrap(), h.default_smask)
     }
 
     #[test]
     fn seepid_reveals_foreign_processes_for_staff_only() {
         let (db, mut node, handler, staff, user) = staff_node();
         // A researcher's job is running.
-        let user_sid = node.login(&db, user, "sshd").unwrap();
+        let user_sid = login(&db, &mut node, &handler, user);
         node.spawn(user_sid, ["python", "train.py"], SimTime::ZERO)
             .unwrap();
 
-        let staff_sid = node.login(&db, staff, "sshd").unwrap();
+        let staff_sid = login(&db, &mut node, &handler, staff);
         // Before seepid: hidepid=2 hides the researcher's process.
         let cred_before = node.session(staff_sid).unwrap().cred.clone();
         assert_eq!(node.procfs().foreign_visible_count(&cred_before), 0);
@@ -130,7 +133,7 @@ mod tests {
     #[test]
     fn smask_relax_allows_world_read_not_world_write() {
         let (db, mut node, handler, staff, _user) = staff_node();
-        let sid = node.login(&db, staff, "sshd").unwrap();
+        let sid = login(&db, &mut node, &handler, staff);
         assert_eq!(node.session(sid).unwrap().smask, LLSC_SMASK);
 
         smask_relax(&handler, node.session_mut(sid).unwrap()).unwrap();
@@ -153,7 +156,7 @@ mod tests {
     #[test]
     fn relax_denied_for_regular_users() {
         let (db, mut node, handler, _staff, user) = staff_node();
-        let sid = node.login(&db, user, "sshd").unwrap();
+        let sid = login(&db, &mut node, &handler, user);
         let err = smask_relax(&handler, node.session_mut(sid).unwrap()).unwrap_err();
         assert_eq!(
             err,
@@ -168,7 +171,7 @@ mod tests {
     #[test]
     fn seepid_grants_membership_in_exemption_group_only() {
         let (db, mut node, handler, staff, _user) = staff_node();
-        let sid = node.login(&db, staff, "sshd").unwrap();
+        let sid = login(&db, &mut node, &handler, staff);
         seepid(&handler, node.session_mut(sid).unwrap()).unwrap();
         let cred = &node.session(sid).unwrap().cred;
         assert!(cred.is_member(handler.seepid_gid));

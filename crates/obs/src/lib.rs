@@ -32,8 +32,8 @@
 //! discipline:
 //!
 //! * [`trace`] — causal cross-plane tracing: a [`TraceCtx`] minted at an
-//!   entry point (portal route, `try_submit`, `PamFedAuth`, revocation
-//!   API) propagates by value through the planes — and across the simnet
+//!   entry point (portal route, `try_submit`, ssh's account check,
+//!   revocation API) propagates by value through the planes — and across the simnet
 //!   WAN inside `CrlDelta` messages — so one trace covers portal revoke →
 //!   mesh propagation → sister-replica apply → fail-closed deny. Completed
 //!   spans land in per-plane [`TraceBuffer`] rings; [`render_trace`] draws

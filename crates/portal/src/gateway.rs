@@ -89,7 +89,7 @@ impl PortalGateway {
             authorize_routes: true,
             forward_as_user: true,
             obs: PortalObs::disabled(),
-            plugin: HttpdUbfPlugin::new(db.clone(), eus_ubf::UbfPolicy::default()),
+            plugin: HttpdUbfPlugin::new(db.clone()),
             db,
         }
     }
@@ -207,7 +207,7 @@ mod tests {
     use eus_sched::JobId;
     use eus_simnet::SocketAddr;
     use eus_simos::Uid;
-    use eus_ubf::{deploy_ubf_observed, shared_user_db, UbfConfig, UbfPacketStats};
+    use eus_ubf::{deploy_ubf, shared_user_db};
 
     struct World {
         fabric: Fabric,
@@ -226,12 +226,7 @@ mod tests {
         let mut fabric = Fabric::new();
         fabric.add_host(NodeId(1)); // portal node
         fabric.add_host(NodeId(7)); // compute node
-        deploy_ubf_observed(
-            fabric.host_mut(NodeId(7)).unwrap(),
-            db.clone(),
-            UbfConfig::default(),
-            UbfPacketStats::disabled(),
-        );
+        deploy_ubf(fabric.host_mut(NodeId(7)).unwrap(), db.clone());
         let gateway = PortalGateway::new(NodeId(1), db.clone());
         World {
             fabric,

@@ -13,8 +13,8 @@
 //!   for the GPU-scrub and cleanup duties of Sec. IV-F,
 //! * [`privatedata`] / [`accounting`] — `PrivateData`-filtered `squeue` and
 //!   `sacct` views,
-//! * [`pam_slurm`] — ssh-only-where-your-job-runs, as a PAM module over a
-//!   shared scheduler handle.
+//! * [`pam_slurm`] — ssh-only-where-your-job-runs, as a plain check over
+//!   the scheduler the cluster lends for the login.
 //!
 //! # Scheduler internals
 //!
@@ -89,7 +89,6 @@ pub use engine::{
 pub use job::{Job, JobId, JobKind, JobSpec, JobState, QosClass, TaskAlloc};
 pub use node::{NodeState, SchedNode};
 pub use obs::SchedObs;
-pub use pam_slurm::{shared_scheduler, PamSlurm, SharedScheduler};
 pub use partition::{ClassId, Partition, PartitionError, PartitionTable};
 pub use policy::{tasks_that_fit, NodeSharing};
 pub use privatedata::{may_view, JobView, PrivateData};

@@ -1,15 +1,16 @@
 //! `pam_slurm`: "users can only ssh into compute nodes on which they have
 //! one or more jobs currently executing" (paper Sec. IV-B).
 //!
-//! Implemented as a [`PamModule`] holding a shared handle to the scheduler;
-//! the account phase consults the live allocation state at login time.
+//! [`account`] is the account check sshd runs on a compute node, over the
+//! scheduler the cluster lends it for the call: it consults the live
+//! allocation state at login time.
 //!
 //! # How the decision is made
 //!
-//! The module answers exactly one question per login —
+//! The check answers exactly one question per login —
 //! [`Scheduler::has_running_job_on`] — which is O(log n) against the
 //! node's cached per-user job counts (no allocation-map scan), so a
-//! login-storm on a busy cluster costs the PAM stack nothing measurable.
+//! login-storm on a busy cluster costs nothing measurable.
 //! Root and registered operators ([`Scheduler::add_admin`]) bypass the
 //! check, mirroring the production exemption for administrators.
 //!
@@ -28,52 +29,17 @@
 //!   which is what shrinks the paper's failure "blast radius" to one user.
 
 use crate::engine::Scheduler;
-use eus_simos::pam::{PamContext, PamModule, PamVerdict};
-use parking_lot::RwLock;
-use std::sync::Arc;
+use eus_simos::{Credentials, NodeId};
 
-/// Shared scheduler handle, as every login node's PAM stack needs one.
-pub type SharedScheduler = Arc<RwLock<Scheduler>>;
-
-/// Wrap a scheduler for sharing.
-pub fn shared_scheduler(s: Scheduler) -> SharedScheduler {
-    Arc::new(RwLock::new(s))
-}
-
-/// The PAM module.
-pub struct PamSlurm {
-    sched: SharedScheduler,
-}
-
-impl PamSlurm {
-    /// Bind to the scheduler.
-    pub fn new(sched: SharedScheduler) -> Self {
-        PamSlurm { sched }
-    }
-}
-
-impl PamModule for PamSlurm {
-    fn name(&self) -> &str {
-        "pam_slurm"
-    }
-
-    fn account(&self, ctx: &PamContext) -> PamVerdict {
-        // Root and registered operators may always log in (administration).
-        if ctx.cred.is_root() {
-            return PamVerdict::Success;
-        }
-        let sched = self.sched.read();
-        if sched.is_admin(ctx.user) {
-            return PamVerdict::Success;
-        }
-        if sched.has_running_job_on(ctx.user, ctx.node) {
-            PamVerdict::Success
-        } else {
-            PamVerdict::Denied(format!(
-                "user {} has no running job on {}",
-                ctx.user, ctx.node
-            ))
-        }
+/// May `cred` ssh to compute node `node`? `Err` carries the refusal's
+/// reason. Root and registered operators may always log in
+/// (administration).
+pub fn account(sched: &Scheduler, cred: &Credentials, node: NodeId) -> Result<(), String> {
+    let user = cred.uid;
+    if cred.is_root() || sched.is_admin(user) || sched.has_running_job_on(user, node) {
+        Ok(())
+    } else {
+        Err(format!("user {user} has no running job on {node}"))
     }
 }
 
@@ -84,9 +50,9 @@ mod tests {
     use crate::job::JobSpec;
     use crate::policy::NodeSharing;
     use eus_simcore::{SimDuration, SimTime};
-    use eus_simos::{NodeId, NodeOs, Uid, UserDb};
+    use eus_simos::UserDb;
 
-    fn setup() -> (UserDb, SharedScheduler, Uid, Uid) {
+    fn setup() -> (Scheduler, Credentials, Credentials) {
         let mut db = UserDb::new();
         let alice = db.create_user("alice").unwrap();
         let bob = db.create_user("bob").unwrap();
@@ -101,43 +67,49 @@ mod tests {
             JobSpec::new(alice, "train", SimDuration::from_secs(100)).with_tasks(2),
         );
         s.run_until(SimTime::from_secs(1));
-        (db, shared_scheduler(s), alice, bob)
+        let cred = |u| db.credentials(u).unwrap();
+        (s, cred(alice), cred(bob))
     }
 
     #[test]
     fn ssh_allowed_only_where_job_runs() {
-        let (db, sched, alice, bob) = setup();
-        let mut node1 = NodeOs::new(NodeId(1), "c1");
-        node1.pam.push(Box::new(PamSlurm::new(sched.clone())));
-        let mut node2 = NodeOs::new(NodeId(2), "c2");
-        node2.pam.push(Box::new(PamSlurm::new(sched.clone())));
-
+        let (sched, alice, bob) = setup();
         // Alice's job landed on node 1.
-        assert!(node1.login(&db, alice, "sshd").is_ok());
-        assert!(node2.login(&db, alice, "sshd").is_err(), "no job on node 2");
-        assert!(node1.login(&db, bob, "sshd").is_err(), "bob has no jobs");
+        assert!(account(&sched, &alice, NodeId(1)).is_ok());
+        assert!(
+            account(&sched, &alice, NodeId(2)).is_err(),
+            "no job on node 2"
+        );
+        assert_eq!(
+            account(&sched, &bob, NodeId(1)),
+            Err(format!(
+                "user {} has no running job on {}",
+                bob.uid,
+                NodeId(1)
+            )),
+            "bob has no jobs"
+        );
     }
 
     #[test]
     fn access_expires_with_the_job() {
-        let (db, sched, alice, _) = setup();
-        let mut node1 = NodeOs::new(NodeId(1), "c1");
-        node1.pam.push(Box::new(PamSlurm::new(sched.clone())));
-        assert!(node1.login(&db, alice, "sshd").is_ok());
-        sched.write().run_to_completion();
+        let (mut sched, alice, _) = setup();
+        assert!(account(&sched, &alice, NodeId(1)).is_ok());
+        sched.run_to_completion();
         assert!(
-            node1.login(&db, alice, "sshd").is_err(),
+            account(&sched, &alice, NodeId(1)).is_err(),
             "job finished: ssh access revoked"
         );
     }
 
     #[test]
     fn root_and_admins_exempt() {
-        let (db, sched, _, bob) = setup();
-        sched.write().add_admin(bob);
-        let mut node2 = NodeOs::new(NodeId(2), "c2");
-        node2.pam.push(Box::new(PamSlurm::new(sched.clone())));
-        assert!(node2.login(&db, eus_simos::ROOT_UID, "sshd").is_ok());
-        assert!(node2.login(&db, bob, "sshd").is_ok(), "admin whitelisted");
+        let (mut sched, _, bob) = setup();
+        sched.add_admin(bob.uid);
+        assert!(account(&sched, &Credentials::root(), NodeId(2)).is_ok());
+        assert!(
+            account(&sched, &bob, NodeId(2)).is_ok(),
+            "admin whitelisted"
+        );
     }
 }

@@ -11,8 +11,8 @@
 //! * [`vfs`] — a full-DAC filesystem (mode bits, POSIX ACLs, sticky/setgid,
 //!   umask) with the File Permission Handler's patch points (`smask`
 //!   enforcement and ACL restriction — flipped on by `eus-fsperm`),
-//! * [`pam`] — the module stack `pam_slurm` and the smask session module
-//!   plug into,
+//! * [`pam`] — the login [`Session`] a node opens once `pam_slurm` and the
+//!   other login gates pass, carrying the smask the session module sets,
 //! * [`node`] — nodes with their local filesystem and login sessions,
 //! * [`shm`] — abstract-namespace Unix sockets, one of the residual channels
 //!   of Sec. V,
@@ -38,8 +38,8 @@ pub mod vfs;
 pub use cred::Credentials;
 pub use devices::DeviceId;
 pub use ids::{Gid, NodeId, Pid, SessionId, Uid, ROOT_GID, ROOT_UID};
-pub use node::{LoginError, NodeOs};
-pub use pam::{PamContext, PamDenied, PamModule, PamStack, PamVerdict, Session};
+pub use node::NodeOs;
+pub use pam::Session;
 pub use process::{Process, ProcessTable};
 pub use procfs::{HidePid, ProcError, ProcFs, ProcMountOpts};
 pub use shm::{AbstractSocket, AbstractSocketSpace, ShmError};

@@ -15,7 +15,7 @@
 //!   limited to users sharing a group with the granter.
 //!
 //! The patch flags live here (they are kernel behaviour); the `eus-fsperm`
-//! crate flips them and manages per-session smask values via PAM.
+//! crate flips them and sets the smask each login session opens with.
 
 pub mod acl;
 pub mod perm;
@@ -125,7 +125,7 @@ pub struct FileStat {
 
 /// The caller context for filesystem operations: credentials plus the
 /// create-time masks. `umask` is the classic advisory mask; `smask` is the
-/// paper's enforced security mask, set per session by the PAM module and
+/// paper's enforced security mask, set per session at login and
 /// honored only when the kernel patch ([`Vfs::enforce_smask`]) is active.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FsCtx {

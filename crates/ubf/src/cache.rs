@@ -104,6 +104,7 @@ impl DecisionCache {
     }
 
     /// Current number of cached decisions.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.map.len()
     }

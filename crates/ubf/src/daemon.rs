@@ -17,8 +17,7 @@
 //! them after the daemon has been moved into the fabric.
 
 use crate::cache::{CacheKey, DecisionCache};
-use crate::obs::UbfPacketStats;
-use crate::policy::{decide, Decision, UbfPolicy};
+use crate::policy::{decide, Decision};
 use eus_simcore::Counter;
 use eus_simnet::{QueueCtx, QueueHandler, Verdict};
 use eus_simos::UserDb;
@@ -73,49 +72,28 @@ impl UbfStatsInner {
 /// Shared statistics handle.
 pub type UbfStats = Arc<Mutex<UbfStatsInner>>;
 
-/// Configuration for one daemon instance.
-#[derive(Debug, Clone)]
-pub struct UbfConfig {
-    /// Policy knobs.
-    pub policy: UbfPolicy,
-    /// Decision-cache capacity: the most entries the cache holds (0
-    /// disables it). `net_wireup`'s `ubf.cache_hit_ratio` measures what the
-    /// cache saves.
-    pub cache_capacity: usize,
-}
-
-impl Default for UbfConfig {
-    fn default() -> Self {
-        UbfConfig {
-            policy: UbfPolicy::default(),
-            cache_capacity: 4096,
-        }
-    }
-}
+/// Every daemon's decision-cache bound: the most entries its cache holds.
+/// `net_wireup`'s `ubf.cache_hit_ratio` measures what the cache saves.
+pub const UBF_CACHE_CAPACITY: usize = 4096;
 
 /// The daemon. One instance runs per host (attached to that host's queue 0).
 pub struct UbfDaemon {
     db: SharedUserDb,
-    config: UbfConfig,
     cache: DecisionCache,
     /// The [`UserDb::membership_epoch`] every cached decision was made under.
     cache_epoch: u64,
     stats: UbfStats,
-    pkt: UbfPacketStats,
 }
 
 impl UbfDaemon {
     /// Create a daemon bound to the shared user database.
-    pub fn new(db: SharedUserDb, config: UbfConfig) -> Self {
-        let cache = DecisionCache::new(config.cache_capacity);
+    pub fn new(db: SharedUserDb) -> Self {
         let cache_epoch = db.read().membership_epoch();
         UbfDaemon {
             db,
-            config,
-            cache,
+            cache: DecisionCache::new(UBF_CACHE_CAPACITY),
             cache_epoch,
             stats: Arc::new(Mutex::new(UbfStatsInner::default())),
-            pkt: UbfPacketStats::disabled(),
         }
     }
 
@@ -123,12 +101,6 @@ impl UbfDaemon {
     /// the fabric).
     pub fn stats(&self) -> UbfStats {
         self.stats.clone()
-    }
-
-    /// Replace the packet-path slot handle (keep a clone to read/enable
-    /// after the daemon moves into the fabric).
-    pub fn set_packet_stats(&mut self, pkt: UbfPacketStats) {
-        self.pkt = pkt;
     }
 }
 
@@ -141,8 +113,6 @@ impl QueueHandler for UbfDaemon {
     fn judge(&mut self, ctx: &mut QueueCtx<'_>) -> Verdict {
         // Local lookup of our own endpoint (one daemon lookup).
         ctx.costs.daemon_lookups += 1;
-        let pkt = &self.pkt;
-        pkt.stats().incr(pkt.s_packets);
 
         let key = CacheKey::new(&ctx.initiator, &ctx.listener);
         let (d, hit) = {
@@ -153,10 +123,7 @@ impl QueueHandler for UbfDaemon {
             }
             match self.cache.get(&key) {
                 Some(d) => (d, true),
-                None => (
-                    decide(&self.config.policy, &db, &ctx.initiator, &ctx.listener),
-                    false,
-                ),
+                None => (decide(&db, &ctx.initiator, &ctx.listener), false),
             }
         };
         let mut stats = self.stats.lock();
@@ -167,18 +134,13 @@ impl QueueHandler for UbfDaemon {
                 ctx.costs.daemon_lookups += 1;
             }
             stats.cache_hits.incr();
-            pkt.stats().incr(pkt.s_cache_hits);
         } else {
             // Cache miss: ident round trip to the peer host, then a group
             // membership lookup.
             ctx.costs.ident_rtts += 1;
             ctx.costs.daemon_lookups += 1;
             stats.ident_queries.incr();
-            pkt.stats().incr(pkt.s_cache_misses);
-            pkt.stats().incr(pkt.s_ident_rtts);
             self.cache.put(key, d);
-            pkt.stats()
-                .max(pkt.s_occupancy_peak, self.cache.len() as u64);
         }
         stats.record(d);
         drop(stats);
@@ -186,7 +148,6 @@ impl QueueHandler for UbfDaemon {
         if d.allowed() {
             Verdict::Accept
         } else {
-            pkt.stats().incr(pkt.s_denies);
             Verdict::Drop
         }
     }
@@ -228,7 +189,7 @@ mod tests {
     #[test]
     fn same_user_accepted_stranger_dropped() {
         let (db, a, b) = db_two_users();
-        let mut daemon = UbfDaemon::new(db.clone(), UbfConfig::default());
+        let mut daemon = UbfDaemon::new(db.clone());
         let stats = daemon.stats();
 
         let mut costs = SetupCosts::default();
@@ -248,7 +209,7 @@ mod tests {
     #[test]
     fn cache_skips_ident_on_repeat() {
         let (db, a, _) = db_two_users();
-        let mut daemon = UbfDaemon::new(db.clone(), UbfConfig::default());
+        let mut daemon = UbfDaemon::new(db.clone());
         let stats = daemon.stats();
 
         let mut c1 = SetupCosts::default();
@@ -267,28 +228,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_disabled_always_queries() {
-        let (db, a, _) = db_two_users();
-        let mut daemon = UbfDaemon::new(
-            db.clone(),
-            UbfConfig {
-                cache_capacity: 0,
-                ..UbfConfig::default()
-            },
-        );
-        for _ in 0..3 {
-            let mut c = SetupCosts::default();
-            daemon.judge(&mut ctx_for(&db, a, a, &mut c));
-            assert_eq!(c.ident_rtts, 1);
-        }
-        assert_eq!(daemon.stats().lock().ident_queries.get(), 3);
-    }
-
-    #[test]
     fn membership_change_drops_cached_decisions() {
         let (db, a, b) = db_two_users();
         let proj = db.write().create_project_group("proj", a).unwrap();
-        let mut daemon = UbfDaemon::new(db.clone(), UbfConfig::default());
+        let mut daemon = UbfDaemon::new(db.clone());
         // a listens with egid = proj; b connects. Same cache key throughout.
         let judge = |daemon: &mut UbfDaemon| {
             let mut costs = SetupCosts::default();

@@ -8,7 +8,7 @@
 //! target listener's identity, so "the entire connection path is
 //! authenticated and authorized" (Sec. IV-E).
 
-use crate::policy::{decide, Decision, UbfPolicy};
+use crate::policy::{decide, Decision};
 use crate::SharedUserDb;
 use eus_simnet::PeerInfo;
 use eus_simos::Credentials;
@@ -17,19 +17,18 @@ use eus_simos::Credentials;
 #[derive(Debug, Clone)]
 pub struct HttpdUbfPlugin {
     db: SharedUserDb,
-    policy: UbfPolicy,
 }
 
 impl HttpdUbfPlugin {
     /// Bind the plug-in to the shared user database.
-    pub fn new(db: SharedUserDb, policy: UbfPolicy) -> Self {
-        HttpdUbfPlugin { db, policy }
+    pub fn new(db: SharedUserDb) -> Self {
+        HttpdUbfPlugin { db }
     }
 
     /// May `portal_user` be forwarded to a backend owned by `listener`?
     pub fn authorize(&self, portal_user: &Credentials, listener: &PeerInfo) -> Decision {
         let initiator = PeerInfo::from_cred(portal_user);
-        decide(&self.policy, &self.db.read(), &initiator, listener)
+        decide(&self.db.read(), &initiator, listener)
     }
 }
 
@@ -45,7 +44,7 @@ mod tests {
         let a = db.create_user("a").unwrap();
         let b = db.create_user("b").unwrap();
         let shared = shared_user_db(db);
-        let plugin = HttpdUbfPlugin::new(shared.clone(), UbfPolicy::default());
+        let plugin = HttpdUbfPlugin::new(shared.clone());
 
         let cred_a = shared.read().credentials(a).unwrap();
         let cred_b = shared.read().credentials(b).unwrap();
@@ -63,7 +62,7 @@ mod tests {
         let proj = db.create_project_group("proj", a).unwrap();
         db.add_to_group(a, proj, b).unwrap();
         let shared = shared_user_db(db);
-        let plugin = HttpdUbfPlugin::new(shared.clone(), UbfPolicy::default());
+        let plugin = HttpdUbfPlugin::new(shared.clone());
 
         let cred_a = shared.read().credentials(a).unwrap();
         let backend = PeerInfo::from_cred(&shared.read().newgrp(&cred_a, proj).unwrap());

@@ -12,11 +12,9 @@
 //! * [`daemon`] — the NFQUEUE handler with ident querying, decision cache,
 //!   and exported statistics.
 //! * [`ruleset`] — the nftables-shaped rules ([`ruleset::install_ubf_rules`])
-//!   and one-call host deployment ([`ruleset::deploy_ubf_observed`]).
+//!   and one-call host deployment ([`ruleset::deploy_ubf`]).
 //! * [`cache`] — bounded decision cache.
 //! * [`httpd_plugin`] — the portal-side authorization hook.
-//! * [`obs`] — `Arc`-shared slot counters for the judge path, switchable
-//!   after daemons have moved into the fabric.
 //!
 //! Established flows never revisit the daemon (conntrack passthrough), so
 //! the UBF's entire cost lands on connection setup
@@ -28,13 +26,13 @@
 pub mod cache;
 pub mod daemon;
 pub mod httpd_plugin;
-pub mod obs;
 pub mod policy;
 pub mod ruleset;
 
 pub use cache::{CacheKey, DecisionCache};
-pub use daemon::{shared_user_db, SharedUserDb, UbfConfig, UbfDaemon, UbfStats, UbfStatsInner};
+pub use daemon::{
+    shared_user_db, SharedUserDb, UbfDaemon, UbfStats, UbfStatsInner, UBF_CACHE_CAPACITY,
+};
 pub use httpd_plugin::HttpdUbfPlugin;
-pub use obs::UbfPacketStats;
-pub use policy::{decide, Decision, UbfPolicy};
-pub use ruleset::{deploy_ubf_observed, install_ubf_rules, UBF_INSPECT_FROM, UBF_QUEUE};
+pub use policy::{decide, Decision};
+pub use ruleset::{deploy_ubf, install_ubf_rules, UBF_INSPECT_FROM, UBF_QUEUE};

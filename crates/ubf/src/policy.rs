@@ -45,34 +45,16 @@ impl fmt::Display for Decision {
     }
 }
 
-/// Policy knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UbfPolicy {
-    /// Honor the listener-egid group opt-in (paper default: yes).
-    pub group_optin: bool,
-}
-
-impl Default for UbfPolicy {
-    fn default() -> Self {
-        UbfPolicy { group_optin: true }
-    }
-}
-
 // analyze:hot-path-begin(ubf-decide)
 /// Decide a (initiator → listener) connection against the user database.
-pub fn decide(
-    policy: &UbfPolicy,
-    db: &UserDb,
-    initiator: &PeerInfo,
-    listener: &PeerInfo,
-) -> Decision {
+pub fn decide(db: &UserDb, initiator: &PeerInfo, listener: &PeerInfo) -> Decision {
     if initiator.is_root() || listener.is_root() {
         return Decision::AllowSystemService;
     }
     if initiator.uid == listener.uid {
         return Decision::AllowSameUser;
     }
-    if policy.group_optin && db.is_member(initiator.uid, listener.egid) {
+    if db.is_member(initiator.uid, listener.egid) {
         return Decision::AllowGroupMember;
     }
     Decision::Deny
@@ -102,10 +84,7 @@ mod tests {
     fn same_user_allowed() {
         let (db, alice, ..) = setup();
         let p = peer(&db, alice);
-        assert_eq!(
-            decide(&UbfPolicy::default(), &db, &p, &p),
-            Decision::AllowSameUser
-        );
+        assert_eq!(decide(&db, &p, &p), Decision::AllowSameUser);
     }
 
     #[test]
@@ -113,8 +92,8 @@ mod tests {
         let (db, alice, _, carol, _) = setup();
         let a = peer(&db, alice);
         let c = peer(&db, carol);
-        assert_eq!(decide(&UbfPolicy::default(), &db, &c, &a), Decision::Deny);
-        assert_eq!(decide(&UbfPolicy::default(), &db, &a, &c), Decision::Deny);
+        assert_eq!(decide(&db, &c, &a), Decision::Deny);
+        assert_eq!(decide(&db, &a, &c), Decision::Deny);
     }
 
     #[test]
@@ -124,34 +103,15 @@ mod tests {
         // though they share `proj` — sharing requires the explicit opt-in.
         let a_default = peer(&db, alice);
         let b = peer(&db, bob);
-        assert_eq!(
-            decide(&UbfPolicy::default(), &db, &b, &a_default),
-            Decision::Deny
-        );
+        assert_eq!(decide(&db, &b, &a_default), Decision::Deny);
         // Alice runs `newgrp proj` and restarts her listener: bob allowed.
         let a_proj =
             PeerInfo::from_cred(&db.newgrp(&db.credentials(alice).unwrap(), proj).unwrap());
-        assert_eq!(
-            decide(&UbfPolicy::default(), &db, &b, &a_proj),
-            Decision::AllowGroupMember
-        );
+        assert_eq!(decide(&db, &b, &a_proj), Decision::AllowGroupMember);
         // Carol (not in proj) still denied.
         let carol = db.user_by_name("carol").unwrap().uid;
         let c = peer(&db, carol);
-        assert_eq!(
-            decide(&UbfPolicy::default(), &db, &c, &a_proj),
-            Decision::Deny
-        );
-    }
-
-    #[test]
-    fn group_optin_can_be_disabled() {
-        let (db, alice, bob, _, proj) = setup();
-        let a_proj =
-            PeerInfo::from_cred(&db.newgrp(&db.credentials(alice).unwrap(), proj).unwrap());
-        let b = peer(&db, bob);
-        let strict = UbfPolicy { group_optin: false };
-        assert_eq!(decide(&strict, &db, &b, &a_proj), Decision::Deny);
+        assert_eq!(decide(&db, &c, &a_proj), Decision::Deny);
     }
 
     #[test]
@@ -162,8 +122,8 @@ mod tests {
             ..PeerInfo::from_cred(&Credentials::root())
         };
         let a = peer(&db, alice);
-        assert!(decide(&UbfPolicy::default(), &db, &root, &a).allowed());
-        assert!(decide(&UbfPolicy::default(), &db, &a, &root).allowed());
+        assert!(decide(&db, &root, &a).allowed());
+        assert!(decide(&db, &a, &root).allowed());
     }
 
     #[test]

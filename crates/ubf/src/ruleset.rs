@@ -3,8 +3,7 @@
 //! established traffic straight through; leave privileged ports to the
 //! conventional pre-approved-services policy.
 
-use crate::daemon::{UbfConfig, UbfDaemon, UbfStats};
-use crate::obs::UbfPacketStats;
+use crate::daemon::{UbfDaemon, UbfStats};
 use crate::SharedUserDb;
 use eus_simnet::{ConnState, Firewall, HostNet, Proto, RuleMatch, Verdict};
 
@@ -47,21 +46,11 @@ pub fn install_ubf_rules(fw: &mut Firewall) {
 }
 
 /// Deploy the full UBF onto one host: rules plus a daemon instance bound to
-/// the shared user database, wired to a caller-held [`UbfPacketStats`]
-/// handle so the judge path's slot counters (packets, cache hits/misses,
-/// denies, ident round trips, cache occupancy peak) stay readable — and
-/// switchable — after the daemon has moved into the fabric
-/// ([`UbfPacketStats::disabled`] when nobody reads them). Returns the
-/// daemon's statistics handle.
-pub fn deploy_ubf_observed(
-    host: &mut HostNet,
-    db: SharedUserDb,
-    config: UbfConfig,
-    pkt: UbfPacketStats,
-) -> UbfStats {
+/// the shared user database. Returns the daemon's statistics handle, which
+/// stays readable after the daemon has moved into the fabric.
+pub fn deploy_ubf(host: &mut HostNet, db: SharedUserDb) -> UbfStats {
     install_ubf_rules(&mut host.firewall);
-    let mut daemon = UbfDaemon::new(db, config);
-    daemon.set_packet_stats(pkt);
+    let daemon = UbfDaemon::new(db);
     let stats = daemon.stats();
     host.set_queue_handler(UBF_QUEUE, Box::new(daemon));
     stats
@@ -84,12 +73,7 @@ mod tests {
         f.add_host(NodeId(2));
         for n in [NodeId(1), NodeId(2)] {
             let host = f.host_mut(n).unwrap();
-            deploy_ubf_observed(
-                host,
-                shared.clone(),
-                UbfConfig::default(),
-                UbfPacketStats::disabled(),
-            );
+            deploy_ubf(host, shared.clone());
         }
         (f, shared, a, b)
     }
@@ -153,55 +137,6 @@ mod tests {
     }
 
     #[test]
-    fn packet_slots_read_back_after_deploy() {
-        let mut db = UserDb::new();
-        let a = db.create_user("a").unwrap();
-        let b = db.create_user("b").unwrap();
-        let shared = shared_user_db(db);
-        let mut f = Fabric::new();
-        f.add_host(NodeId(1));
-        f.add_host(NodeId(2));
-        let pkt = UbfPacketStats::new(true);
-        deploy_ubf_observed(
-            f.host_mut(NodeId(2)).unwrap(),
-            shared.clone(),
-            UbfConfig::default(),
-            pkt.clone(),
-        );
-        let pa = peer(&shared, a);
-        let pb = peer(&shared, b);
-        f.listen(NodeId(2), Proto::Tcp, 9999, pa).unwrap();
-        // Miss, hit, deny.
-        f.connect(NodeId(1), pa, SocketAddr::new(NodeId(2), 9999), Proto::Tcp)
-            .unwrap();
-        f.connect(NodeId(1), pa, SocketAddr::new(NodeId(2), 9999), Proto::Tcp)
-            .unwrap();
-        f.connect(NodeId(1), pb, SocketAddr::new(NodeId(2), 9999), Proto::Tcp)
-            .unwrap_err();
-        let s = pkt.stats();
-        assert_eq!(s.value(pkt.s_packets), 3);
-        assert_eq!(s.value(pkt.s_cache_hits), 1);
-        assert_eq!(s.value(pkt.s_cache_misses), 2);
-        assert_eq!(s.value(pkt.s_ident_rtts), 2);
-        assert_eq!(s.value(pkt.s_denies), 1);
-        assert_eq!(s.value(pkt.s_occupancy_peak), 2);
-        assert!((pkt.cache_hit_ratio() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quiet_deploy_records_nothing() {
-        let (mut f, db, a, _) = cluster();
-        let pa = peer(&db, a);
-        f.listen(NodeId(2), Proto::Tcp, 8888, pa).unwrap();
-        f.connect(NodeId(1), pa, SocketAddr::new(NodeId(2), 8888), Proto::Tcp)
-            .unwrap();
-        // The default deploy wires a disabled handle; nothing accumulates.
-        let pkt = UbfPacketStats::disabled();
-        assert!(pkt.stats().snapshot().iter().all(|&(_, v)| v == 0));
-        assert!(!pkt.stats().enabled());
-    }
-
-    #[test]
     fn stats_handle_reads_back() {
         let mut db = UserDb::new();
         let a = db.create_user("a").unwrap();
@@ -209,12 +144,7 @@ mod tests {
         let mut f = Fabric::new();
         f.add_host(NodeId(1));
         f.add_host(NodeId(2));
-        let stats = deploy_ubf_observed(
-            f.host_mut(NodeId(2)).unwrap(),
-            shared.clone(),
-            UbfConfig::default(),
-            UbfPacketStats::disabled(),
-        );
+        let stats = deploy_ubf(f.host_mut(NodeId(2)).unwrap(), shared.clone());
         let pa = peer(&shared, a);
         f.listen(NodeId(2), Proto::Tcp, 9999, pa).unwrap();
         f.connect(NodeId(1), pa, SocketAddr::new(NodeId(2), 9999), Proto::Tcp)

@@ -12,7 +12,7 @@ use hpc_user_separation::sched::JobSpec;
 use hpc_user_separation::simcore::{SimDuration, SimTime};
 use hpc_user_separation::simnet::{Proto, SocketAddr};
 use hpc_user_separation::simos::Mode;
-use hpc_user_separation::{ClusterSpec, SecureCluster, SeparationConfig};
+use hpc_user_separation::{ClusterSpec, Mechanism, SecureCluster, SeparationConfig};
 
 fn main() {
     let mut cluster = SecureCluster::new(SeparationConfig::llsc(), ClusterSpec::default());
@@ -116,7 +116,7 @@ fn main() {
     let ssh = cluster.ssh(mallory, alice_node);
     check(
         "ssh to her node",
-        ssh.is_err(),
+        ssh.is_err_and(|e| e.mechanism() == Some(Mechanism::PamSlurm)),
         "pam_slurm: no running job there",
     );
 

@@ -29,7 +29,8 @@ fn main() {
         cert.serial, cert.expires
     );
 
-    // 2. ssh to the login node: pam_fedauth verifies the live certificate.
+    // 2. ssh to the login node: ssh's federated account check verifies the
+    //    live certificate.
     let login = cluster.login_node();
     let session = cluster.ssh(alice, login).expect("live certificate");
     println!("ssh:     session {:?} opened on {login}", session);

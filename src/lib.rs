@@ -5,10 +5,10 @@
 //! HPC cluster in which every mechanism from the paper is implemented and
 //! measurable — `hidepid`/`seepid`, Slurm `PrivateData` and whole-node
 //! user-based scheduling, `pam_slurm`, the File Permission Handler (`smask`
-//! kernel patches + PAM module + `smask_relax`), the User-Based Firewall,
-//! the authenticated web portal, scheduler-managed GPU device permissions
-//! with epilog scrubbing, Apptainer-style containers with host security
-//! passthrough, and the companion paper's federated identity plane
+//! kernel patches + per-session smask + `smask_relax`), the User-Based
+//! Firewall, the authenticated web portal, scheduler-managed GPU device
+//! permissions with epilog scrubbing, Apptainer-style containers with host
+//! security passthrough, and the companion paper's federated identity plane
 //! (short-lived broker-issued credentials replacing raw-uid trust and
 //! long-lived keys; see [`eus_core::fedauth`]).
 //!

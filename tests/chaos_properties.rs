@@ -283,7 +283,7 @@ proptest! {
     /// chaos run that has it): fair-share classes over two partitions,
     /// the same random fault plans, the same posture afterwards.
     #[test]
-    fn sharded_dispatch_under_chaos_matches_sequential_and_never_breaches(
+    fn fair_share_dispatch_under_chaos_never_breaches(
         seed in any::<u64>(),
         ops in proptest::collection::vec((0u8..6, 0u8..8), 1..40),
     ) {

@@ -13,7 +13,8 @@
 //! 3. (`--cfg lock_order_check` builds) a home-token validation and each
 //!    session gate (`authorize_ssh`, `authorize_submit_at`,
 //!    `validate_serial`) acquire exactly one lock, a sister-token
-//!    validation and `replica_lag` none.
+//!    validation and `replica_lag` none; `ssh_raw` takes one lock per login
+//!    gate it runs.
 
 use eus_fedauth::{shared_broker, BrokerPolicy, CredError, CredentialBroker, RealmId, SignedToken};
 use eus_simcore::{SimDuration, SimTime};
@@ -261,11 +262,6 @@ proptest! {
 #[cfg(lock_order_check)]
 #[test]
 fn a_home_validation_takes_one_guard_and_a_sister_validation_none() {
-    fn guards<R>(f: impl FnOnce() -> R) -> (u64, R) {
-        let before = parking_lot::acquisitions();
-        let r = f();
-        (parking_lot::acquisitions() - before, r)
-    }
     let sister_realm = RealmId(2);
     let cfg = SeparationConfig::llsc().with_trusted_realms(vec![sister_realm.0]);
     let mut c = SecureCluster::new(cfg, ClusterSpec::tiny());
@@ -321,6 +317,50 @@ fn a_home_validation_takes_one_guard_and_a_sister_validation_none() {
     let (n, lag) = guards(|| c.replica_lag(sister_realm));
     assert!(lag.is_some());
     assert_eq!(n, 0, "replica_lag");
+}
+
+/// Lock acquisitions `f` makes on this thread, and its result.
+#[cfg(lock_order_check)]
+fn guards<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = parking_lot::acquisitions();
+    let r = f();
+    (parking_lot::acquisitions() - before, r)
+}
+
+/// Guard counts on `ssh_raw`: each login gate takes its one guard and
+/// drops it before the next — the user db (every login), the broker
+/// (every node under `federated_auth`), the scheduler (compute nodes
+/// under `pam_slurm`) — so an `llsc()` compute-node login takes 3, a
+/// login-node login 2, and a `baseline()` login 1, whatever the verdict.
+#[cfg(lock_order_check)]
+#[test]
+fn ssh_raw_takes_one_guard_per_gate() {
+    let mut c = SecureCluster::new(SeparationConfig::llsc(), ClusterSpec::tiny());
+    let alice = c.add_user("alice").unwrap();
+    let (compute, login) = (c.compute_ids[0], c.login_node());
+    let (n, r) = guards(|| c.ssh_raw(alice, compute));
+    assert!(r.is_err(), "no job on {compute} yet");
+    assert_eq!(n, 3, "llsc compute node, refused");
+    c.submit(eus_sched::JobSpec::new(
+        alice,
+        "j",
+        SimDuration::from_secs(100),
+    ));
+    c.advance_to(SimTime::from_secs(1));
+    let (n, r) = guards(|| c.ssh_raw(alice, compute));
+    assert!(r.is_ok(), "{r:?}");
+    assert_eq!(n, 3, "llsc compute node, allowed");
+    let (n, r) = guards(|| c.ssh_raw(alice, login));
+    assert!(r.is_ok(), "{r:?}");
+    assert_eq!(n, 2, "llsc login node");
+
+    let mut c = SecureCluster::new(SeparationConfig::baseline(), ClusterSpec::tiny());
+    let alice = c.add_user("alice").unwrap();
+    for node in [c.compute_ids[0], c.login_node()] {
+        let (n, r) = guards(|| c.ssh_raw(alice, node));
+        assert!(r.is_ok(), "{r:?}");
+        assert_eq!(n, 1, "baseline {node}");
+    }
 }
 
 #[test]

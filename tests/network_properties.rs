@@ -4,9 +4,7 @@
 //! end-to-end fabric outcome.
 
 use bytes::Bytes;
-use eus_ubf::{
-    decide, deploy_ubf_observed, shared_user_db, Decision, UbfConfig, UbfPacketStats, UbfPolicy,
-};
+use eus_ubf::{decide, deploy_ubf, shared_user_db, Decision};
 use hpc_user_separation::simnet::{ConnId, Fabric, PeerInfo, Proto, SocketAddr};
 use hpc_user_separation::simos::{Gid, NodeId, Uid, UserDb};
 use proptest::prelude::*;
@@ -63,7 +61,7 @@ proptest! {
         for h in hosts {
             f.add_host(h);
             let host = f.host_mut(h).unwrap();
-            deploy_ubf_observed(host, shared.clone(), UbfConfig::default(), UbfPacketStats::disabled());
+            deploy_ubf(host, shared.clone());
         }
         let ports = [8000u16, 8001, 8002, 8003];
         let peer = |u: u8| PeerInfo::from_cred(&shared.read().credentials(users[u as usize]).unwrap());
@@ -105,12 +103,8 @@ proptest! {
                                 .listener(Proto::Tcp, port)
                                 .unwrap()
                                 .owner;
-                            let expected = decide(
-                                &UbfPolicy::default(),
-                                &shared.read(),
-                                &peer(user),
-                                &listener_peer,
-                            );
+                            let expected =
+                                decide(&shared.read(), &peer(user), &listener_peer);
                             prop_assert_eq!(
                                 res.is_ok(),
                                 expected.allowed(),
@@ -178,7 +172,7 @@ proptest! {
             PeerInfo::from_cred(&listen_cred)
         };
         let initiator = PeerInfo::from_cred(&init_cred);
-        let d = decide(&UbfPolicy::default(), &db, &initiator, &listener);
+        let d = decide(&db, &initiator, &listener);
         if initiator.uid == listener.uid {
             prop_assert_eq!(d, Decision::AllowSameUser);
         } else if db.is_member(initiator.uid, listener.egid) {

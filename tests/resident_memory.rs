@@ -6,14 +6,14 @@
 //! holds, whatever the other tests do in parallel.
 //!
 //! The UBF puts a decision daemon on every host. Its `DecisionCache` is
-//! bounded at `UbfConfig::default().cache_capacity` entries; reserving that
+//! bounded at `UBF_CACHE_CAPACITY` entries; reserving that
 //! bound up front cost ≈232 KiB per host, ≈14.7 MiB for a 64-node cluster
 //! that judged nothing. These tests pin that the fresh cluster stays small
 //! and that what a wire-up adds to the UBF plane follows the identity pairs
 //! it judged.
 
 use hpc_user_separation::simnet::{Proto, SocketAddr};
-use hpc_user_separation::ubf::UbfConfig;
+use hpc_user_separation::ubf::UBF_CACHE_CAPACITY;
 use hpc_user_separation::{ClusterSpec, Mechanism, SecureCluster, SeparationConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -152,7 +152,7 @@ fn wire_up(config: SeparationConfig, users: usize) -> (usize, usize) {
 fn the_ubf_planes_heap_follows_the_pairs_it_judged() {
     let hosts = 65;
     // The FIFO alone, at the bound, holds one 16-byte key per entry.
-    let per_host_bound = UbfConfig::default().cache_capacity * 16;
+    let per_host_bound = UBF_CACHE_CAPACITY * 16;
     for users in [2, 24] {
         let (with_ubf, judged) = wire_up(SeparationConfig::llsc(), users);
         let (without, _) = wire_up(SeparationConfig::llsc().without(Mechanism::Ubf), users);
