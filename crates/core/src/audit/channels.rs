@@ -7,6 +7,7 @@
 
 use crate::cluster::{LoginError, SecureCluster};
 use crate::config::Mechanism;
+use eus_fedauth::{CredError, RealmId};
 use eus_sched::{JobId, JobSpec};
 use eus_simcore::{SimDuration, SimTime};
 use eus_simnet::{Proto, SocketAddr};
@@ -557,7 +558,13 @@ fn probe_token_replay(c: &mut SecureCluster, _attacker: Uid, victim: Uid) -> Out
             broker.write().revoke_user(victim);
             match broker.read().validate_token(&stolen) {
                 Ok(_) => Outcome::Leaked("revoked bearer token still accepted".into()),
-                Err(_) => Outcome::Blocked("central revocation: replayed token refused".into()),
+                Err(CredError::Revoked(s)) if s == stolen.serial => {
+                    Outcome::Blocked("central revocation: replayed token refused".into())
+                }
+                Err(e) => panic!(
+                    "{} probe: replay refused by the wrong check: {e}",
+                    Channel::AuthTokenReplay
+                ),
             }
         }
         None => {
@@ -607,6 +614,7 @@ fn probe_ssh_expired_cert(c: &mut SecureCluster, victim: Uid) -> Outcome {
 }
 
 fn probe_cross_realm(c: &mut SecureCluster, victim: Uid) -> Outcome {
+    const FOREIGN: RealmId = RealmId(99);
     // Federation means other sites also issue credentials; uid numbers
     // collide across sites. The attacker controls an account at a sister
     // site whose uid equals the victim's and presents that site's credential
@@ -614,7 +622,7 @@ fn probe_cross_realm(c: &mut SecureCluster, victim: Uid) -> Outcome {
     match &c.broker {
         Some(broker) => {
             let mut foreign = eus_fedauth::CredentialBroker::new(
-                eus_fedauth::RealmId(99),
+                FOREIGN,
                 0x0BAD_5EED,
                 eus_fedauth::BrokerPolicy::default(),
             );
@@ -623,7 +631,13 @@ fn probe_cross_realm(c: &mut SecureCluster, victim: Uid) -> Outcome {
                 .expect("uid collides across realms");
             match broker.read().validate_token(&forged) {
                 Ok(_) => Outcome::Leaked("foreign realm credential accepted".into()),
-                Err(_) => Outcome::Blocked("realm binding: foreign credential refused".into()),
+                Err(CredError::RealmMismatch { theirs, .. }) if theirs == FOREIGN => {
+                    Outcome::Blocked("realm binding: foreign credential refused".into())
+                }
+                Err(e) => panic!(
+                    "{} probe: foreign credential refused by the wrong check: {e}",
+                    Channel::CrossRealmSpoof
+                ),
             }
         }
         None => {

@@ -349,6 +349,8 @@ impl CredentialBroker {
 mod tests {
     use super::*;
     use crate::revocation::SerialSet;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     fn setup() -> (UserDb, CredentialBroker, Uid) {
         let mut db = UserDb::new();
@@ -526,7 +528,7 @@ mod tests {
 
     #[test]
     fn many_concurrent_sessions_stay_indexed_by_serial() {
-        // The serial-keyed index must keep every behavior of the old Vec:
+        // The `(user, serial)`-keyed table must keep every behavior of the old Vec:
         // oldest-first ordering, newest-token lookup, all-sessions revoke —
         // while making per-serial validation a map hit.
         let (db, mut b, alice) = setup();
@@ -738,5 +740,270 @@ mod tests {
         expect.sort_unstable();
         assert_eq!(p.revocation_snapshot(), expect);
         assert_eq!(p.compact_revocations_below(1), 0, "below floor: no-op");
+    }
+
+    /// The naive session table: per user, a `Vec` of live tokens (oldest
+    /// first) and the current certificate, beside the revocation log in
+    /// API order and every token minted so far with its owner.
+    struct Model {
+        now: SimTime,
+        next_serial: u64,
+        tokens: Vec<Vec<SignedToken>>,
+        certs: Vec<Option<SshCertificate>>,
+        revoked: Vec<CredSerial>,
+        minted: Vec<(usize, SignedToken)>,
+    }
+
+    const TAPE_USERS: usize = 4;
+
+    /// Short windows, so that a tape of a few minutes sees expiry.
+    const TAPE_POLICY: BrokerPolicy = BrokerPolicy {
+        token_ttl: SimDuration::from_secs(100),
+        cert_ttl: SimDuration::from_secs(30),
+        require_mfa: false,
+    };
+
+    fn window(issued: SimTime, expires: SimTime, at: SimTime) -> Result<(), CredError> {
+        if at < issued {
+            Err(CredError::NotYetValid { from: issued })
+        } else if at >= expires {
+            Err(CredError::Expired { until: expires })
+        } else {
+            Ok(())
+        }
+    }
+
+    impl Model {
+        fn is_revoked(&self, s: CredSerial) -> bool {
+            self.revoked.contains(&s)
+        }
+
+        fn revoke(&mut self, s: CredSerial) {
+            if !self.is_revoked(s) {
+                self.revoked.push(s);
+            }
+        }
+
+        /// A presented credential's verdict now: window, then revocation.
+        fn verdict(
+            &self,
+            serial: CredSerial,
+            issued: SimTime,
+            expires: SimTime,
+        ) -> Result<(), CredError> {
+            window(issued, expires, self.now)?;
+            if self.is_revoked(serial) {
+                Err(CredError::Revoked(serial))
+            } else {
+                Ok(())
+            }
+        }
+
+        fn token_ok(&self, t: &SignedToken) -> bool {
+            self.verdict(t.serial, t.issued, t.expires).is_ok()
+        }
+
+        /// The certificate the CA mints next for user `u`. The model cannot
+        /// sign, so realm and signature are taken from `certs[u]`, which the
+        /// caller has just set to the broker's answer (`None` fails here).
+        fn expect_cert(&mut self, users: &[Uid], u: usize) -> SshCertificate {
+            let serial = CredSerial(self.next_serial);
+            self.next_serial += 1;
+            SshCertificate {
+                serial,
+                user: users[u],
+                issued: self.now,
+                expires: self.now + TAPE_POLICY.cert_ttl,
+                ..self.certs[u].expect("the broker holds a certificate for the user")
+            }
+        }
+
+        /// Record a login the broker answered with `t`, checking what it
+        /// minted: the next token serial, then the next certificate serial.
+        fn logged_in(
+            &mut self,
+            b: &CredentialBroker,
+            users: &[Uid],
+            u: usize,
+            t: SignedToken,
+        ) -> Result<(), TestCaseError> {
+            prop_assert_eq!(t.serial, CredSerial(self.next_serial));
+            prop_assert_eq!((t.user, t.issued), (users[u], self.now));
+            prop_assert_eq!(t.expires, self.now + TAPE_POLICY.token_ttl);
+            self.next_serial += 1;
+            let cert = b.current_cert(users[u]);
+            self.certs[u] = cert;
+            let expect = self.expect_cert(users, u);
+            prop_assert_eq!(cert, Some(expect));
+            self.tokens[u].push(t);
+            self.minted.push((u, t));
+            Ok(())
+        }
+
+        /// Every read the broker answers about the session table.
+        fn check(&self, b: &CredentialBroker, users: &[Uid]) -> Result<(), TestCaseError> {
+            prop_assert_eq!(b.now(), self.now);
+            for (u, &user) in users.iter().enumerate() {
+                prop_assert_eq!(b.current_token(user), self.tokens[u].last().copied());
+                let ssh = match self.certs[u] {
+                    None => Err(CredError::NoCredential(user)),
+                    Some(c) => self.verdict(c.serial, c.issued, c.expires),
+                };
+                prop_assert_eq!(b.authorize_ssh(user), ssh);
+                for ahead in [0, 50, 200] {
+                    let at = self.now + SimDuration::from_secs(ahead);
+                    let mut expect = Err(CredError::NoCredential(user));
+                    for t in self.tokens[u].iter().rev() {
+                        if self.is_revoked(t.serial) {
+                            expect = Err(CredError::Revoked(t.serial));
+                            continue;
+                        }
+                        expect = window(t.issued, t.expires, at);
+                        if expect.is_ok() {
+                            break;
+                        }
+                    }
+                    prop_assert_eq!(
+                        b.authorize_submit_at(user, at),
+                        expect,
+                        "{} +{}s",
+                        user,
+                        ahead
+                    );
+                }
+            }
+            for &(owner, t) in &self.minted {
+                let other = users[(owner + 1) % TAPE_USERS];
+                let (for_owner, for_other) = if self.is_revoked(t.serial) {
+                    (
+                        Err(CredError::Revoked(t.serial)),
+                        Err(CredError::Revoked(t.serial)),
+                    )
+                } else if self.tokens[owner].contains(&t) {
+                    (
+                        window(t.issued, t.expires, self.now),
+                        Err(CredError::NoCredential(other)),
+                    )
+                } else {
+                    let owner = users[owner];
+                    (
+                        Err(CredError::NoCredential(owner)),
+                        Err(CredError::NoCredential(other)),
+                    )
+                };
+                prop_assert_eq!(b.validate_serial(users[owner], t.serial), for_owner);
+                prop_assert_eq!(b.validate_serial(other, t.serial), for_other);
+            }
+            let live: usize = self.tokens.iter().map(Vec::len).sum();
+            prop_assert_eq!(b.live_sessions(), live);
+            prop_assert_eq!(b.revocations_since(0), self.revoked.clone());
+            Ok(())
+        }
+    }
+
+    proptest! {
+        /// The session table against the naive model, after every op of a
+        /// random tape over 4 users: login, a second concurrent login,
+        /// `mint_ssh_cert` (presenting any token minted so far, revoked or
+        /// lapsed ones included), `revoke_user`, `advance_to`,
+        /// `sweep_expired` and `ensure_session`.
+        #[test]
+        fn the_session_table_matches_a_per_user_model(
+            tape in proptest::collection::vec((0u8..7, 0usize..TAPE_USERS, 0u64..60), 0..48),
+        ) {
+            let mut db = UserDb::new();
+            let users: Vec<Uid> = (0..TAPE_USERS)
+                .map(|i| db.create_user(&format!("u{i}")).unwrap())
+                .collect();
+            let mut b = CredentialBroker::new(RealmId(1), 41, TAPE_POLICY);
+            let mut m = Model {
+                now: b.now(),
+                next_serial: 1,
+                tokens: vec![Vec::new(); TAPE_USERS],
+                certs: vec![None; TAPE_USERS],
+                revoked: Vec::new(),
+                minted: Vec::new(),
+            };
+            for (op, u, arg) in tape {
+                let user = users[u];
+                match op {
+                    0 => {
+                        let t = b.login(&db, user, None).unwrap();
+                        m.logged_in(&b, &users, u, t)?;
+                    }
+                    1 => {
+                        for _ in 0..2 {
+                            let t = b.login(&db, user, None).unwrap();
+                            m.logged_in(&b, &users, u, t)?;
+                        }
+                    }
+                    2 => {
+                        if m.minted.is_empty() {
+                            continue;
+                        }
+                        let (owner, t) = m.minted[arg as usize % m.minted.len()];
+                        let got = b.mint_ssh_cert(&t);
+                        match m.verdict(t.serial, t.issued, t.expires) {
+                            Ok(()) => {
+                                let cert = got.unwrap();
+                                m.certs[owner] = Some(cert);
+                                prop_assert_eq!(cert, m.expect_cert(&users, owner));
+                            }
+                            Err(e) => prop_assert_eq!(got, Err(e)),
+                        }
+                    }
+                    3 => {
+                        b.revoke_user(user);
+                        for t in std::mem::take(&mut m.tokens[u]) {
+                            m.revoke(t.serial);
+                        }
+                        if let Some(c) = m.certs[u].take() {
+                            m.revoke(c.serial);
+                        }
+                    }
+                    4 => {
+                        m.now += SimDuration::from_secs(arg);
+                        b.advance_to(m.now);
+                    }
+                    5 => {
+                        let before = m.tokens.iter().map(Vec::len).sum::<usize>()
+                            + m.certs.iter().flatten().count();
+                        for v in 0..TAPE_USERS {
+                            let kept: Vec<SignedToken> = m.tokens[v]
+                                .iter()
+                                .filter(|t| m.now < t.expires && !m.is_revoked(t.serial))
+                                .copied()
+                                .collect();
+                            m.tokens[v] = kept;
+                            if m.certs[v]
+                                .is_some_and(|c| m.now >= c.expires || m.is_revoked(c.serial))
+                            {
+                                m.certs[v] = None;
+                            }
+                        }
+                        let after = m.tokens.iter().map(Vec::len).sum::<usize>()
+                            + m.certs.iter().flatten().count();
+                        prop_assert_eq!(b.sweep_expired(), before - after);
+                    }
+                    _ => {
+                        let live = m.tokens[u].iter().rev().find(|t| m.token_ok(t)).copied();
+                        let got = b.ensure_session(&db, user).unwrap();
+                        match live {
+                            None => m.logged_in(&b, &users, u, got)?,
+                            Some(t) => {
+                                prop_assert_eq!(got, t);
+                                let ssh = m.certs[u].map(|c| m.verdict(c.serial, c.issued, c.expires));
+                                if ssh != Some(Ok(())) {
+                                    let cert = b.current_cert(user);
+                                    m.certs[u] = cert;
+                                    prop_assert_eq!(cert, Some(m.expect_cert(&users, u)));
+                                }
+                            }
+                        }
+                    }
+                }
+                m.check(&b, &users)?;
+            }
+        }
     }
 }

@@ -49,13 +49,12 @@ pub(crate) struct SessionTable {
     pub(crate) idp: IdentityProvider,
     pub(crate) ca: CertificateAuthority,
     clock: PlaneClock,
-    /// Live tokens per user, **keyed by serial** (serials are monotonic per
-    /// CA, so iteration order is still oldest-first). The serial key makes
-    /// `validate_serial` an O(log) map lookup instead of a linear scan of
-    /// the user's sessions — users with hundreds of concurrent portal tabs
-    /// and sbatch tokens are real (concurrent sessions are: two portal
-    /// tabs, a portal session plus an sbatch token, ...).
-    sessions: BTreeMap<Uid, BTreeMap<CredSerial, SignedToken>>,
+    /// Live tokens, one entry per session, **keyed by `(user, serial)`**:
+    /// a user's sessions are the contiguous key range `user_tokens` walks,
+    /// oldest first (serials are monotonic per CA). A user with one session
+    /// holds one entry, not a B-tree of their own, and `validate_serial` is
+    /// one O(log n) lookup however many tabs and sbatch tokens they hold.
+    sessions: BTreeMap<(Uid, CredSerial), SignedToken>,
     certs: BTreeMap<Uid, SshCertificate>,
 }
 
@@ -117,10 +116,7 @@ impl SessionTable {
         let now = self.clock.now();
         let token = self.ca.mint_token(assertion, now);
         let cert = self.ca.mint_cert(assertion, now);
-        self.sessions
-            .entry(assertion.user)
-            .or_default()
-            .insert(token.serial, token);
+        self.sessions.insert((assertion.user, token.serial), token);
         self.certs.insert(assertion.user, cert);
         token
     }
@@ -160,11 +156,10 @@ impl SessionTable {
         user: Uid,
     ) -> Result<SignedToken, CredError> {
         let now = self.clock.now();
-        let live = self.sessions.get(&user).and_then(|v| {
-            v.values()
-                .rev()
-                .find(|t| self.ca.validate_token(t, now, revoked).is_ok())
-        });
+        let live = self
+            .user_tokens(user)
+            .rev()
+            .find(|t| self.ca.validate_token(t, now, revoked).is_ok());
         let token = match live {
             Some(t) => *t,
             None => {
@@ -182,9 +177,8 @@ impl SessionTable {
 
     // analyze:hot-path-begin(session-validate)
     /// Validate a serial known to the table (portal sessions keep only the
-    /// serial after login). O(log) via the serial-keyed session index —
-    /// constant-time in the user's concurrent-session count, however many
-    /// tabs and tokens they hold.
+    /// serial after login). One O(log n) lookup of the `(user, serial)`
+    /// key, whatever the user's concurrent-session count.
     pub(crate) fn validate_serial(
         &self,
         revoked: &SerialSet,
@@ -194,7 +188,7 @@ impl SessionTable {
         if revoked.contains(&serial) {
             return Err(CredError::Revoked(serial));
         }
-        match self.sessions.get(&user).and_then(|v| v.get(&serial)) {
+        match self.sessions.get(&(user, serial)) {
             Some(t) => self.ca.verify_token(t, self.clock.now()),
             None => Err(CredError::NoCredential(user)),
         }
@@ -220,13 +214,7 @@ impl SessionTable {
     ) -> Result<(), CredError> {
         let when = at.max(self.clock.now());
         let mut last = CredError::NoCredential(user);
-        for token in self
-            .sessions
-            .get(&user)
-            .into_iter()
-            .flat_map(|v| v.values())
-            .rev()
-        {
+        for token in self.user_tokens(user).rev() {
             if revoked.contains(&token.serial) {
                 last = CredError::Revoked(token.serial);
                 continue;
@@ -247,15 +235,17 @@ impl SessionTable {
 
     /// The user's most recent token, if any (highest serial = newest).
     pub(crate) fn current_token(&self, user: Uid) -> Option<SignedToken> {
-        self.sessions
-            .get(&user)
-            .and_then(|v| v.values().next_back().copied())
+        self.user_tokens(user).next_back().copied()
     }
 
     /// Revoke every live credential of a user (incident response / logout)
     /// into the plane's list: tokens oldest first, then the certificate.
     pub(crate) fn revoke_user(&mut self, revocations: &mut RevocationList, user: Uid) {
-        for (serial, _) in self.sessions.remove(&user).unwrap_or_default() {
+        // Remove key by key: only the user's range is touched (cutting the
+        // range out with `split_off` + `append` rebuilds the whole map).
+        let serials: Vec<CredSerial> = self.user_tokens(user).map(|t| t.serial).collect();
+        for serial in serials {
+            self.sessions.remove(&(user, serial));
             revocations.revoke(serial);
         }
         if let Some(c) = self.certs.remove(&user) {
@@ -271,10 +261,8 @@ impl SessionTable {
     pub(crate) fn sweep_expired(&mut self, revoked: &SerialSet) -> usize {
         let now = self.clock.now();
         let before = self.live_sessions() + self.certs.len();
-        for tokens in self.sessions.values_mut() {
-            tokens.retain(|serial, t| now < t.expires && !revoked.contains(serial));
-        }
-        self.sessions.retain(|_, tokens| !tokens.is_empty());
+        self.sessions
+            .retain(|(_, serial), t| now < t.expires && !revoked.contains(serial));
         self.certs
             .retain(|_, c| now < c.expires && !revoked.contains(&c.serial));
         before - (self.live_sessions() + self.certs.len())
@@ -282,7 +270,13 @@ impl SessionTable {
 
     /// Number of live (unswept) session tokens across all users.
     pub(crate) fn live_sessions(&self) -> usize {
-        self.sessions.values().map(BTreeMap::len).sum()
+        self.sessions.len()
+    }
+
+    /// The user's live tokens, oldest first.
+    fn user_tokens(&self, user: Uid) -> impl DoubleEndedIterator<Item = &SignedToken> {
+        let keys = (user, CredSerial(0))..=(user, CredSerial(u64::MAX));
+        self.sessions.range(keys).map(|(_, t)| t)
     }
 
     // MFA management asserts against the IdP, so it needs the IdP up like

@@ -10,7 +10,8 @@
 //! bound up front cost ≈232 KiB per host, ≈14.7 MiB for a 64-node cluster
 //! that judged nothing. These tests pin that the fresh cluster stays small
 //! and that what a wire-up adds to the UBF plane follows the identity pairs
-//! it judged.
+//! it judged. The credential plane keeps one session-table entry per live
+//! token, not a map per user, whose B-tree leaf a one-token user held whole.
 
 use hpc_user_separation::simnet::{Proto, SocketAddr};
 use hpc_user_separation::ubf::UBF_CACHE_CAPACITY;
@@ -172,4 +173,35 @@ fn the_ubf_planes_heap_follows_the_pairs_it_judged() {
             hosts * per_host_bound
         );
     }
+}
+
+/// Users provisioned in `the_credential_plane_holds_one_entry_per_session`.
+const CRED_USERS: usize = 2_000;
+
+/// The heap a `ClusterSpec::tiny()` cluster under `config` holds after
+/// provisioning `CRED_USERS` accounts (each with its first login).
+fn provisioned(config: SeparationConfig) -> usize {
+    let (_cluster, bytes) = held(|| {
+        let mut c = SecureCluster::new(config, ClusterSpec::tiny());
+        for u in 0..CRED_USERS {
+            c.add_user(&format!("cred-user{u}")).unwrap();
+        }
+        c
+    });
+    bytes
+}
+
+/// What provisioning adds to the credential plane (the cluster with FedAuth
+/// minus the same cluster without it) is a session-table entry and a
+/// certificate per user, plus the IdP's account: ≈238 B per user. A
+/// per-user token map held ≈958 B.
+#[test]
+fn the_credential_plane_holds_one_entry_per_session() {
+    let with = provisioned(SeparationConfig::llsc());
+    let without = provisioned(SeparationConfig::llsc().without(Mechanism::FedAuth));
+    let per_user = with.saturating_sub(without) / CRED_USERS;
+    assert!(
+        per_user <= 320,
+        "the credential plane holds {per_user} B per provisioned user (bound 320 B)"
+    );
 }
