@@ -1,9 +1,6 @@
 //! Diagnostics: rule identifiers, the finding record, and the human /
 //! machine renderings.
 
-/// R1 — no wall-clock reads, sleeps, or `HashMap`/`HashSet` iteration in
-/// engine crates (sim determinism).
-pub const R1_SIM_DETERMINISM: &str = "sim-determinism";
 /// R2 — no `unwrap`/`expect`/panic macros/indexing inside annotated
 /// hot-path regions.
 pub const R2_HOT_PATH_PANIC: &str = "hot-path-panic";
@@ -24,7 +21,6 @@ pub const RD_DIRECTIVE: &str = "directive";
 
 /// Every rule id, in report order.
 pub const ALL_RULES: &[&str] = &[
-    R1_SIM_DETERMINISM,
     R2_HOT_PATH_PANIC,
     R3_OBS_NAMING,
     R4_DOCS_SYNC,
@@ -111,18 +107,18 @@ mod tests {
         let d = Diag {
             file: "crates/x/src/a.rs".into(),
             line: 7,
-            rule: R1_SIM_DETERMINISM,
-            msg: "wall-clock read".into(),
-            hint: "use SimTime".into(),
+            rule: R5_LOCK_DISCIPLINE,
+            msg: "nested lock scope".into(),
+            hint: "drop the first guard".into(),
         };
         assert_eq!(
             d.human(),
-            "crates/x/src/a.rs:7: [sim-determinism] wall-clock read\n    hint: use SimTime"
+            "crates/x/src/a.rs:7: [lock-discipline] nested lock scope\n    hint: drop the first guard"
         );
         let j = render_json(std::slice::from_ref(&d));
         assert!(j.starts_with('['));
         assert!(j.contains("\"line\":7"));
-        assert!(j.contains("sim-determinism"));
+        assert!(j.contains("\"rule\":\"lock-discipline\""));
     }
 
     #[test]

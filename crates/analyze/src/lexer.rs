@@ -6,7 +6,7 @@
 //! literals (including raw strings with hash fences), lifetimes, numbers,
 //! raw identifiers, and single-character punctuation. Multi-character
 //! operators are left as punctuation sequences — the rules match token
-//! *sequences* (`Instant` `:` `:` `now`), so `::` never needs to be a
+//! *sequences* (`.` `lock` `(` `)`), so `::` or `()` never needs to be a
 //! single token.
 //!
 //! Line comments are additionally scanned for `analyze:` directives:

@@ -3,7 +3,7 @@
 //! per-line `analyze:allow` suppressions — and the workspace walker that
 //! feeds it.
 
-use crate::diag::{Diag, RD_DIRECTIVE};
+use crate::diag::{Diag, ALL_RULES, RD_DIRECTIVE};
 use crate::lexer::{lex, Directive, Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -44,6 +44,15 @@ impl SourceFile {
                     own_line,
                     rules,
                 } => {
+                    for unknown in rules.iter().filter(|r| !ALL_RULES.contains(&r.as_str())) {
+                        pre_diags.push(Diag {
+                            file: rel.to_string(),
+                            line: *line,
+                            rule: RD_DIRECTIVE,
+                            msg: format!("analyze:allow names no rule: `{unknown}`"),
+                            hint: format!("rule ids: {}", ALL_RULES.join(", ")),
+                        });
+                    }
                     let mut lines = vec![*line];
                     if *own_line {
                         // A standalone allow comment covers the next line
@@ -120,9 +129,7 @@ impl SourceFile {
 
     /// Is `rule` suppressed on `line`?
     pub fn allowed(&self, line: u32, rule: &str) -> bool {
-        self.allow
-            .get(&line)
-            .is_some_and(|set| set.contains(rule) || set.contains("all"))
+        self.allow.get(&line).is_some_and(|set| set.contains(rule))
     }
 
     /// The hot-path label covering `line`, if any.
@@ -303,7 +310,32 @@ mod tests {
             "// analyze:allow(lock-discipline): reason\nlet g = a.lock();\n",
         );
         assert!(f.allowed(2, "lock-discipline"));
-        assert!(!f.allowed(2, "sim-determinism"));
+        assert!(!f.allowed(2, "hot-path-panic"));
+        assert!(f.pre_diags.is_empty());
+    }
+
+    #[test]
+    fn an_allow_naming_no_rule_is_a_finding() {
+        for (text, name) in [
+            (
+                "// analyze:allow(no-such-rule): typo\nlet g = a.lock();\n",
+                "no-such-rule",
+            ),
+            (
+                "x[0]; // analyze:allow(hot-path-panik): typo\n",
+                "hot-path-panik",
+            ),
+            (
+                "// analyze:allow(lock-discipline, all): both\nlet g = a.lock();\n",
+                "all",
+            ),
+        ] {
+            let f = SourceFile::parse("crates/x/src/a.rs", text);
+            assert_eq!(f.pre_diags.len(), 1, "{text}");
+            assert_eq!(f.pre_diags[0].rule, RD_DIRECTIVE);
+            assert_eq!(f.pre_diags[0].line, 1);
+            assert!(f.pre_diags[0].msg.contains(&format!("`{name}`")), "{text}");
+        }
     }
 
     #[test]

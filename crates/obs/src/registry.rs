@@ -153,6 +153,7 @@ impl Recorder {
 
     /// Open a span: captures the wall clock only when enabled.
     #[inline]
+    #[allow(clippy::disallowed_methods)] // a span timer: its reading feeds metrics, never a decision
     pub fn span_start(&self) -> SpanToken {
         if self.enabled {
             SpanToken(Some(Instant::now()))

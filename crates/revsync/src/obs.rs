@@ -104,6 +104,7 @@ impl MeshObs {
     }
 
     /// Start timing one replica validation. `None` (free) when disabled.
+    #[allow(clippy::disallowed_methods)] // a span timer: its reading feeds metrics, never a decision
     pub fn begin_validate(&self) -> Option<Instant> {
         if self.stats.enabled() {
             Some(Instant::now())
