@@ -307,6 +307,13 @@ mod tests {
     }
 
     #[test]
+    fn a_new_table_reserves_nothing() {
+        let key = HashKey::from_secret(1);
+        assert_eq!(KeyedMap::<u64, u64>::with_hasher(key).0.capacity(), 0);
+        assert_eq!(KeyedSet::<u64>::with_hasher(key).0.capacity(), 0);
+    }
+
+    #[test]
     fn sorted_is_the_same_under_every_key() {
         let members: Vec<u64> = (1..=2_000u64).map(|k| 3 + 4 * k).rev().collect();
         let under = |secret: u64| {

@@ -174,14 +174,16 @@ mod tests {
         assert!(c.is_empty());
     }
 
-    /// The map's half (`KeyedMap::with_hasher` reserves nothing) is counted
-    /// by `tests/resident_memory.rs`, which weighs every daemon's cache.
+    /// The map's half is `KeyedMap::with_hasher`, whose own test in
+    /// `eus_simcore::hash` checks that it reserves nothing.
     #[test]
     fn a_new_cache_reserves_nothing() {
         for capacity in [0, 1, 4096] {
             let c = DecisionCache::new(capacity);
-            assert!(c.map.is_empty(), "capacity {capacity}");
-            assert!(c.order.is_empty() && c.order.capacity() == 0);
+            assert!(
+                c.order.is_empty() && c.order.capacity() == 0,
+                "capacity {capacity}"
+            );
         }
     }
 
