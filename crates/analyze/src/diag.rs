@@ -4,11 +4,6 @@
 /// R2 — no `unwrap`/`expect`/panic macros/indexing inside annotated
 /// hot-path regions.
 pub const R2_HOT_PATH_PANIC: &str = "hot-path-panic";
-/// R3 — obs registrations use the dotted `plane.subsystem.name` convention
-/// and each name is registered exactly once.
-pub const R3_OBS_NAMING: &str = "obs-naming";
-/// R4 — ARCHITECTURE.md audit-channel and obs-span tables match the code.
-pub const R4_DOCS_SYNC: &str = "docs-sync";
 /// R5 — no nested lock scopes (static approximation; the dynamic
 /// `lock_order_check` cfg covers ordering across threads).
 pub const R5_LOCK_DISCIPLINE: &str = "lock-discipline";
@@ -22,8 +17,6 @@ pub const RD_DIRECTIVE: &str = "directive";
 /// Every rule id, in report order.
 pub const ALL_RULES: &[&str] = &[
     R2_HOT_PATH_PANIC,
-    R3_OBS_NAMING,
-    R4_DOCS_SYNC,
     R5_LOCK_DISCIPLINE,
     R6_DEAD_PUB,
     RD_DIRECTIVE,

@@ -1,10 +1,7 @@
 //! Meta-test: the linter's own workspace must be clean — the same check CI
-//! runs as `cargo run -p eus-analyze -- --deny` — and R4 must catch drift
-//! seeded into the *real* ARCHITECTURE.md, not just fixture docs.
+//! runs as `cargo run -p eus-analyze -- --deny`.
 
-use eus_analyze::rules::{docsync, obsnames};
-use eus_analyze::source::{collect_sources, SourceFile};
-use eus_analyze::{analyze_workspace, diag};
+use eus_analyze::analyze_workspace;
 use std::path::{Path, PathBuf};
 
 fn workspace_root() -> PathBuf {
@@ -20,91 +17,5 @@ fn real_workspace_has_zero_findings() {
         report.diags.is_empty(),
         "the committed workspace must lint clean (CI runs --deny):\n{}",
         rendered.join("\n")
-    );
-}
-
-/// Collect the real span registrations the same way `analyze_workspace`
-/// does, so the drift test cross-checks against live code.
-fn real_span_regs(root: &Path) -> Vec<obsnames::Registration> {
-    let mut regs = Vec::new();
-    let mut sink = Vec::new();
-    for (rel, path) in collect_sources(root).expect("walk workspace") {
-        let text = std::fs::read_to_string(path).expect("read source");
-        let f = SourceFile::parse(&rel, &text);
-        regs.extend(obsnames::collect(&f, &mut sink));
-    }
-    regs
-}
-
-#[test]
-fn seeded_architecture_drift_is_caught() {
-    let root = workspace_root();
-    let arch = std::fs::read_to_string(root.join("ARCHITECTURE.md")).expect("ARCHITECTURE.md");
-    let channels = std::fs::read_to_string(root.join("crates/core/src/audit/channels.rs"))
-        .expect("channels.rs");
-    let faults = std::fs::read_to_string(root.join("crates/chaos/src/fault.rs")).expect("fault.rs");
-    let regs = real_span_regs(&root);
-
-    // Sanity: untampered, the real doc is in sync.
-    let mut clean = Vec::new();
-    docsync::check(
-        &arch,
-        "ARCHITECTURE.md",
-        &channels,
-        "crates/core/src/audit/channels.rs",
-        &faults,
-        "crates/chaos/src/fault.rs",
-        &regs,
-        &mut clean,
-    );
-    let rendered: Vec<String> = clean.iter().map(|d| d.human()).collect();
-    assert!(clean.is_empty(), "{}", rendered.join("\n"));
-
-    // Seed drift: rename a documented span row and a documented fault row.
-    // Both directions must fire for each — the registered span / real
-    // variant loses its row, and the renamed row documents a name nobody
-    // has.
-    let tampered = arch
-        .replace("`sched.cycle.select`", "`sched.cycle.selekt`")
-        .replace("| `FeedStall` |", "| `FeedStale` |");
-    assert_ne!(
-        tampered, arch,
-        "ARCHITECTURE.md documents sched.cycle.select and FeedStall"
-    );
-    let mut drift = Vec::new();
-    docsync::check(
-        &tampered,
-        "ARCHITECTURE.md",
-        &channels,
-        "crates/core/src/audit/channels.rs",
-        &faults,
-        "crates/chaos/src/fault.rs",
-        &regs,
-        &mut drift,
-    );
-    assert!(drift.iter().all(|d| d.rule == diag::R4_DOCS_SYNC));
-    assert!(
-        drift
-            .iter()
-            .any(|d| d.msg.contains("`sched.cycle.select`") && d.msg.contains("no row")),
-        "missing-row direction not caught: {drift:?}"
-    );
-    assert!(
-        drift
-            .iter()
-            .any(|d| d.msg.contains("`sched.cycle.selekt`") && d.msg.contains("not registered")),
-        "stale-row direction not caught: {drift:?}"
-    );
-    assert!(
-        drift
-            .iter()
-            .any(|d| d.msg.contains("`FeedStall`") && d.msg.contains("no row")),
-        "missing fault row not caught: {drift:?}"
-    );
-    assert!(
-        drift
-            .iter()
-            .any(|d| d.msg.contains("`FeedStale`") && d.msg.contains("does not exist")),
-        "stale fault row not caught: {drift:?}"
     );
 }

@@ -8,9 +8,10 @@
 use crate::cluster::{LoginError, SecureCluster};
 use crate::config::Mechanism;
 use eus_fedauth::{CredError, RealmId};
+use eus_portal::PortalError;
 use eus_sched::{JobId, JobSpec};
 use eus_simcore::{SimDuration, SimTime};
-use eus_simnet::{Proto, SocketAddr};
+use eus_simnet::{ConnectError, Proto, SocketAddr};
 use eus_simos::{Mode, PosixAcl, Uid};
 use std::fmt;
 
@@ -409,10 +410,25 @@ fn probe_net(
     let n1 = c.compute_ids[0];
     let n2 = c.compute_ids[1];
     c.listen(victim, n2, proto, port, None).expect("port free");
+    let channel = match proto {
+        Proto::Tcp => Channel::NetTcp,
+        Proto::Udp => Channel::NetUdp,
+    };
     match c.connect(attacker, n1, SocketAddr::new(n2, port), proto) {
         Ok(_) => Outcome::Leaked(format!("{proto} connection to a foreign service")),
-        Err(_) => Outcome::Blocked("UBF: not same user, no group opt-in".into()),
+        Err(e) => ubf_refused(channel, &e, "UBF: not same user, no group opt-in"),
     }
+}
+
+/// A refused connect is `Blocked` only when the UBF daemon refused it; a
+/// refusal from anywhere else (no listener, a firewall chain, a refused
+/// `newgrp`) means the probe never reached the UBF, and fails loudly.
+fn ubf_refused(channel: Channel, err: &ConnectError, evidence: &str) -> Outcome {
+    assert!(
+        matches!(err, ConnectError::DeniedByDaemon { handler, .. } if handler == "ubf-daemon"),
+        "{channel} probe: connect refused by something other than the UBF: {err}"
+    );
+    Outcome::Blocked(evidence.into())
 }
 
 fn probe_abstract_socket(c: &mut SecureCluster, attacker: Uid, victim: Uid) -> Outcome {
@@ -453,7 +469,11 @@ fn probe_rdma_tcp(c: &mut SecureCluster, attacker: Uid, victim: Uid) -> Outcome 
             Ok(_) => Outcome::Leaked("QP established over TCP; remote memory read".into()),
             Err(_) => Outcome::Blocked("QP up but region gone".into()),
         },
-        Err(_) => Outcome::Blocked("UBF blocked the TCP control channel".into()),
+        Err(e) => ubf_refused(
+            Channel::RdmaTcpSetup,
+            &e,
+            "UBF blocked the TCP control channel",
+        ),
     }
 }
 
@@ -540,7 +560,13 @@ fn probe_portal(c: &mut SecureCluster, attacker: Uid, victim: Uid) -> Outcome {
             "fetched foreign app page ({} bytes)",
             resp.body.len()
         )),
-        Err(_) => Outcome::Blocked("portal authorization + user-identity forward".into()),
+        Err(PortalError::Forbidden) => {
+            Outcome::Blocked("portal authorization + user-identity forward".into())
+        }
+        Err(e) => panic!(
+            "{} probe: fetch refused by something other than portal authorization: {e}",
+            Channel::PortalCrossUser
+        ),
     }
 }
 

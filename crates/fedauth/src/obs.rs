@@ -1,8 +1,8 @@
 //! Lock-free validate-path statistics for the credential plane.
 //!
-//! The broker's verification hot path runs behind a `RwLock` read guard
-//! (`&self`), possibly from several threads at once, so it cannot use the
-//! single-writer [`eus_obs::Recorder`]. [`ValidateStats`] wraps
+//! The broker's verification hot path records through `&self` under a
+//! `RwLock` read guard, so it cannot use the `&mut`-recording
+//! [`eus_obs::Recorder`]. [`ValidateStats`] wraps
 //! [`eus_obs::SharedStats`] — relaxed atomic slots — with the handle set
 //! the verify path records through: call/outcome counts and wall-clock
 //! nanoseconds (sum + max). Disabled (the default) every record call is
@@ -81,6 +81,12 @@ impl ValidateStats {
     /// Total verification wall time, nanoseconds.
     pub fn total_ns(&self) -> u64 {
         self.stats.value(self.s_ns)
+    }
+
+    /// Every slot as `(name, value)`, in registration order.
+    // analyze:allow(dead-pub): read by tests/docs_sync.rs, which checks every plane's obs names
+    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
+        self.stats.snapshot()
     }
 }
 

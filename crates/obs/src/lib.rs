@@ -24,9 +24,10 @@
 //!   tail ([`FlightRecorder::render_tail`]) when a property test or experiment
 //!   assertion fails — replayable forensics instead of an opaque mismatch.
 //!
-//! `&self` hot paths that cannot take `&mut` (credential validation
-//! behind read locks) use [`SharedStats`] — the same
-//! pre-registered-handle discipline over relaxed atomics.
+//! `&self` hot paths that cannot take `&mut` (credential validation,
+//! which records under a read guard) use [`SharedStats`] — the same
+//! pre-registered-handle discipline, made interior-mutable with relaxed
+//! atomics. The program spawns no threads.
 //!
 //! The second generation (obs v2) adds three more pillars on the same
 //! discipline:

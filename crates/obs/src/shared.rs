@@ -1,11 +1,12 @@
-//! Lock-free stats for `&self` hot paths.
+//! Stats for `&self` hot paths.
 //!
 //! The credential broker and the CRL replicas validate tokens
-//! through `&self` behind read locks — a `&mut Recorder` cannot reach
+//! through `&self` under a read guard — a `&mut Recorder` cannot reach
 //! them. [`SharedStats`] applies the same pre-registered-handle
-//! discipline over relaxed atomics: register slots up front, bump them
-//! from any thread, read them out when the run settles. Relaxed ordering
-//! is deliberate — these are statistical tallies, not synchronization.
+//! discipline with interior mutability: register slots up front, bump
+//! them through `&self`, read them out when the run settles. The slots
+//! are relaxed atomics, which keep the owning plane `Sync`; the program
+//! runs on one thread, so nothing here synchronizes anything.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 

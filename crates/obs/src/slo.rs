@@ -11,9 +11,10 @@
 //! quiet→breach transition, one clears on breach→quiet, and the
 //! [`AlertLog`] keeps the full history for queries.
 //!
-//! SLO names follow the `plane.subsystem.name` convention and are checked
-//! by `eus-analyze` (R3 name format/uniqueness, R4 against the
-//! ARCHITECTURE.md SLO table) exactly like span registrations.
+//! SLO names follow the `plane.subsystem.name` convention; the root
+//! package's `tests/docs_sync.rs` checks the registered names' format and
+//! uniqueness and holds them against the ARCHITECTURE.md SLO table,
+//! exactly like span registrations.
 
 use crate::timeseries::TsRing;
 use eus_simcore::{SimDuration, SimTime};
@@ -248,6 +249,12 @@ impl SloPlane {
     /// The alert history.
     pub fn alerts(&self) -> &AlertLog {
         &self.log
+    }
+
+    /// Every registered objective's name, in registration order.
+    // analyze:allow(dead-pub): read by tests/docs_sync.rs, which holds the names against ARCHITECTURE.md's SLO table
+    pub fn names(&self) -> &[&'static str] {
+        &self.names
     }
 }
 

@@ -65,13 +65,11 @@ pub struct PortalGateway {
     pub auth: PortalAuth,
     /// Route registry.
     pub routes: RouteTable,
-    /// Run the httpd UBF plug-in before forwarding (the paper's deployment).
-    /// When false the portal is a naive authenticated reverse proxy — the
-    /// ablation baseline.
-    pub authorize_routes: bool,
-    /// Forward with the requesting user's identity (true, the paper's
-    /// design) or as the portal's own root service (false, naive proxy).
-    pub forward_as_user: bool,
+    /// The paper's deployment (true): run the httpd UBF plug-in before
+    /// forwarding, and forward with the requesting user's identity. False
+    /// is the ablation baseline set by [`naive_proxy`](Self::naive_proxy):
+    /// an authenticated reverse proxy that forwards as its own root service.
+    authz: bool,
     /// Pre-registered route spans, outcome counters, and the entry-point
     /// trace ring (disabled until the cluster's `enable_obs` fan-out).
     pub obs: PortalObs,
@@ -86,8 +84,7 @@ impl PortalGateway {
             host,
             auth: PortalAuth::new(),
             routes: RouteTable::new(),
-            authorize_routes: true,
-            forward_as_user: true,
+            authz: true,
             obs: PortalObs::disabled(),
             plugin: HttpdUbfPlugin::new(db.clone()),
             db,
@@ -97,8 +94,7 @@ impl PortalGateway {
     /// Configure the naive reverse-proxy baseline (no route authorization,
     /// forwards as the portal service identity).
     pub fn naive_proxy(mut self) -> Self {
-        self.authorize_routes = false;
-        self.forward_as_user = false;
+        self.authz = false;
         self
     }
 
@@ -173,14 +169,14 @@ impl PortalGateway {
         let cred = self
             .with_db(|db| db.credentials(user))
             .map_err(|_| PortalError::Forbidden)?;
-        if self.authorize_routes && !self.plugin.authorize(&cred, &route.listener).allowed() {
+        if self.authz && !self.plugin.authorize(&cred, &route.listener).allowed() {
             return Err(PortalError::Forbidden);
         }
         // 4. Forward: the per-user forwarder connects from the portal host
         //    with the user's own identity, so the compute node's UBF also
         //    judges the true initiator. (A naive proxy instead connects as
         //    the portal's root service — which a UBF would wave through.)
-        let initiator = if self.forward_as_user {
+        let initiator = if self.authz {
             PeerInfo::from_cred(&cred)
         } else {
             PeerInfo::from_cred(&eus_simos::Credentials::root())

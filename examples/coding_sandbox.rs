@@ -10,7 +10,7 @@
 
 use hpc_user_separation::sched::JobSpec;
 use hpc_user_separation::simcore::{SimDuration, SimTime};
-use hpc_user_separation::simnet::{Proto, SocketAddr};
+use hpc_user_separation::simnet::{ConnectError, Proto, SocketAddr};
 use hpc_user_separation::simos::Mode;
 use hpc_user_separation::{ClusterSpec, Mechanism, SecureCluster, SeparationConfig};
 
@@ -108,7 +108,9 @@ fn main() {
     );
     check(
         "tcp connect",
-        conn.is_err(),
+        conn.is_err_and(
+            |e| matches!(e, ConnectError::DeniedByDaemon { handler, .. } if handler == "ubf-daemon"),
+        ),
         "UBF: different user, no group opt-in",
     );
 

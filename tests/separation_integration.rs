@@ -195,44 +195,6 @@ fn every_single_ablation_reopens_something() {
 }
 
 #[test]
-fn architecture_audit_table_names_each_channels_closer() {
-    // ARCHITECTURE.md "The separation audit" renders `Channel::closed_by`:
-    // every row ends in its closer's ablation label, residual rows in `—`.
-    let doc = include_str!("../ARCHITECTURE.md");
-    let section = doc
-        .split("## The separation audit")
-        .nth(1)
-        .expect("section exists");
-    let rows: Vec<Vec<&str>> = section
-        .lines()
-        .take_while(|l| !l.starts_with("## "))
-        .filter(|l| l.starts_with('|'))
-        .map(|l| l.trim_matches('|').split('|').map(str::trim).collect())
-        .collect();
-    for &ch in Channel::all() {
-        let name = ch.to_string();
-        let row = rows
-            .iter()
-            .find(|r| r[0] == name)
-            .unwrap_or_else(|| panic!("no audit-table row for {name}"));
-        let closer = row.last().expect("row has cells");
-        match ch.closed_by() {
-            Some(m) => assert!(
-                closer.ends_with(&format!("({})", m.label())),
-                "{name}: {closer:?} should end in ({})",
-                m.label()
-            ),
-            None => assert!(closer.starts_with('—'), "{name}: {closer:?} is a residual"),
-        }
-    }
-    assert_eq!(
-        rows.len(),
-        Channel::all().len() + 2,
-        "header, rule, one row per channel"
-    );
-}
-
-#[test]
 fn same_port_collision_cannot_crosstalk() {
     // Sec. V: "Even if two users accidentally choose the same port number
     // for a network service, they cannot crosstalk and corrupt each others
