@@ -1,8 +1,9 @@
 //! R5 `lock-discipline`: no nested lock scopes.
 //!
 //! The workspace's locks (vendored `parking_lot` `Mutex`/`RwLock`) guard
-//! single subsystems: the scheduler, the shared user db, each realm's
-//! credential broker. Holding one while acquiring another creates an ordering edge,
+//! single subsystems: the scheduler and the user db (each with one owner,
+//! the cluster), each realm's credential broker, and each UBF daemon's
+//! statistics. Holding one while acquiring another creates an ordering edge,
 //! and two code paths with opposite edges deadlock under load. The static
 //! rule is a lexical approximation — it flags any `.lock()`/`.read()`/
 //! `.write()` (zero-argument, the guard-returning forms) while another

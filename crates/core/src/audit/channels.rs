@@ -12,7 +12,7 @@ use eus_portal::PortalError;
 use eus_sched::{JobId, JobSpec};
 use eus_simcore::{SimDuration, SimTime};
 use eus_simnet::{ConnectError, Proto, SocketAddr};
-use eus_simos::{Mode, PosixAcl, Uid};
+use eus_simos::{FsCtx, FsError, Mode, PosixAcl, Uid};
 use std::fmt;
 
 /// One potential cross-user channel.
@@ -344,8 +344,37 @@ fn probe_fs_world_bit(c: &mut SecureCluster, attacker: Uid, victim: Uid) -> Outc
     let _ = c.fs_chmod(victim, login, "/tmp/drop", Mode::new(0o644));
     match c.fs_read(attacker, login, "/tmp/drop") {
         Ok(_) => Outcome::Leaked("world-readable file shared via /tmp".into()),
-        Err(_) => Outcome::Blocked("smask strips world bits at create and chmod".into()),
+        Err(e) => {
+            let blocked = dac_refused(
+                Channel::FsWorldBit,
+                &e,
+                "smask strips world bits at create and chmod",
+            );
+            let mode = c
+                .node(login)
+                .local_fs
+                .stat(&FsCtx::root(), "/tmp/drop")
+                .expect("the victim just wrote it")
+                .mode;
+            assert!(
+                !mode.any_world(),
+                "{} probe: read refused although the file is {mode}",
+                Channel::FsWorldBit
+            );
+            blocked
+        }
     }
+}
+
+/// A refused file access is `Blocked` only on a DAC `PermissionDenied`; a
+/// missing path or an unknown node or user means the probe never reached
+/// the permission check, and fails loudly.
+fn dac_refused(channel: Channel, err: &FsError, evidence: &str) -> Outcome {
+    assert!(
+        matches!(err, FsError::PermissionDenied { .. }),
+        "{channel} probe: refused by something other than the permission check: {err}"
+    );
+    Outcome::Blocked(evidence.into())
 }
 
 fn probe_fs_acl(c: &mut SecureCluster, attacker: Uid, victim: Uid) -> Outcome {
@@ -354,10 +383,17 @@ fn probe_fs_acl(c: &mut SecureCluster, attacker: Uid, victim: Uid) -> Outcome {
         .expect("tmp writable");
     let acl = PosixAcl::new(eus_simos::Perm::NONE).with_user(attacker, eus_simos::Perm::R);
     match c.fs_setfacl(victim, login, "/tmp/acl-share", acl) {
-        Err(_) => Outcome::Blocked("ACL grant to non-group-peer refused".into()),
+        Err(e) => {
+            assert!(
+                matches!(e, FsError::AclRestricted(_)),
+                "{} probe: grant refused by something other than the ACL patch: {e}",
+                Channel::FsAclGrant
+            );
+            Outcome::Blocked("ACL grant to non-group-peer refused".into())
+        }
         Ok(()) => match c.fs_read(attacker, login, "/tmp/acl-share") {
             Ok(_) => Outcome::Leaked("file shared via named-user ACL".into()),
-            Err(_) => Outcome::Blocked("ACL set but read still denied".into()),
+            Err(e) => dac_refused(Channel::FsAclGrant, &e, "ACL set but read still denied"),
         },
     }
 }
@@ -396,7 +432,11 @@ fn probe_fs_home(c: &mut SecureCluster, attacker: Uid, victim: Uid) -> Outcome {
         .expect("own home writable");
     match c.fs_read(attacker, login, &path) {
         Ok(_) => Outcome::Leaked("file read out of a foreign home directory".into()),
-        Err(_) => Outcome::Blocked("home unreachable (root-owned 0770, UPG)".into()),
+        Err(e) => dac_refused(
+            Channel::FsHomeAccess,
+            &e,
+            "home unreachable (root-owned 0770, UPG)",
+        ),
     }
 }
 
@@ -461,10 +501,10 @@ fn probe_rdma_tcp(c: &mut SecureCluster, attacker: Uid, victim: Uid) -> Outcome 
     c.listen(victim, n2, Proto::Tcp, 18515, None)
         .expect("port free");
     let a_peer = eus_simnet::PeerInfo::from_cred(&c.credentials(attacker));
-    match c
+    let qp = c
         .fabric
-        .setup_qp_via_tcp(n1, a_peer, SocketAddr::new(n2, 18515))
-    {
+        .setup_qp_via_tcp(&c.db.read(), n1, a_peer, SocketAddr::new(n2, 18515));
+    match qp {
         Ok(qp) => match c.fabric.rdma_read(&qp, rkey) {
             Ok(_) => Outcome::Leaked("QP established over TCP; remote memory read".into()),
             Err(_) => Outcome::Blocked("QP up but region gone".into()),
@@ -499,16 +539,20 @@ fn probe_gpu_dev(c: &mut SecureCluster, attacker: Uid, victim: Uid) -> Outcome {
     c.submit(JobSpec::new(victim, "train", SimDuration::from_secs(1000)).with_gpus_per_task(1));
     c.advance_to(SimTime::from_secs(1));
     let node = c.compute_ids[0];
-    let Ok(ctx) = c.user_fs_ctx(attacker) else {
-        return Outcome::Blocked("attacker has no account".into());
-    };
+    let ctx = c
+        .user_fs_ctx(attacker)
+        .unwrap_or_else(|e| panic!("{} probe: {e}", Channel::GpuDevAccess));
     match c
         .node(node)
         .local_fs
         .open_device(&ctx, "/dev/gpu0", eus_simos::Perm::RW)
     {
         Ok(_) => Outcome::Leaked("opened a GPU in use by another user".into()),
-        Err(_) => Outcome::Blocked("device group-owned by assignee's UPG".into()),
+        Err(e) => dac_refused(
+            Channel::GpuDevAccess,
+            &e,
+            "device group-owned by assignee's UPG",
+        ),
     }
 }
 

@@ -27,7 +27,7 @@ use eus_simos::{
     Credentials, DeviceId, FsCtx, FsError, FsResult, Gid, Mode, NodeId, NodeOs, Pid, SessionId,
     Uid, UserDb, UserDbError, Vfs,
 };
-use eus_ubf::{deploy_ubf, shared_user_db, SharedUserDb, UbfStats};
+use eus_ubf::{deploy_ubf, UbfStats};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -249,8 +249,11 @@ pub struct SecureCluster {
     pub config: SeparationConfig,
     /// Hardware shape.
     pub spec: ClusterSpec,
-    /// Shared account database.
-    pub db: SharedUserDb,
+    /// The account database. The cluster is its one owner and lends it
+    /// for each call (the UBF daemons and the portal judge against the
+    /// `&UserDb` a connect or fetch passes down); the lock stays only
+    /// because the benchmark harness reads accounts through `db.read()`.
+    pub db: RwLock<UserDb>,
     /// The scheduler. The cluster is its one owner and never nests this
     /// guard with another; the lock stays only because the benchmark
     /// harness reaches the scheduler through `sched.read()` / `.write()`.
@@ -349,7 +352,7 @@ impl SecureCluster {
         let seepid_gid = udb
             .create_system_group("proc-exempt")
             .expect("fresh db has no such group");
-        let db = shared_user_db(udb);
+        let db = RwLock::new(udb);
 
         // Scheduler with the configured policy (+ policy plane knobs).
         let mut scheduler = Scheduler::new(SchedConfig {
@@ -430,7 +433,7 @@ impl SecureCluster {
             }
             let host = fabric.add_host(id);
             if config.ubf {
-                ubf_stats.push(deploy_ubf(host, db.clone()));
+                ubf_stats.push(deploy_ubf(host));
             }
             if is_compute && spec.gpus_per_node > 0 {
                 gpus.install(
@@ -451,7 +454,7 @@ impl SecureCluster {
         }
 
         let portal_host = login_ids[0];
-        let mut portal = PortalGateway::new(portal_host, db.clone());
+        let mut portal = PortalGateway::new(portal_host);
         if !config.portal_authz {
             portal = portal.naive_proxy();
         }
@@ -1611,8 +1614,11 @@ impl SecureCluster {
 
     /// The credentials an endpoint of `user`'s runs under: the login
     /// credentials, or those after `newgrp` to a group the user belongs to.
-    fn endpoint_cred(&self, user: Uid, newgrp: Option<Gid>) -> Result<Credentials, ConnectError> {
-        let db = self.db.read();
+    fn endpoint_cred(
+        db: &UserDb,
+        user: Uid,
+        newgrp: Option<Gid>,
+    ) -> Result<Credentials, ConnectError> {
         let cred = db
             .credentials(user)
             .map_err(|_| ConnectError::NoSuchUser(user))?;
@@ -1634,12 +1640,14 @@ impl SecureCluster {
         port: Port,
         newgrp: Option<Gid>,
     ) -> Result<(), ConnectError> {
-        let cred = self.endpoint_cred(user, newgrp)?;
+        let cred = Self::endpoint_cred(&self.db.read(), user, newgrp)?;
         self.fabric
             .listen(node, proto, port, PeerInfo::from_cred(&cred))
     }
 
-    /// Connect as `user` from one node to an endpoint.
+    /// Connect as `user` from one node to an endpoint. One read guard on
+    /// the account database serves the caller's credentials and every UBF
+    /// daemon the flow meets.
     pub fn connect(
         &mut self,
         user: Uid,
@@ -1647,8 +1655,9 @@ impl SecureCluster {
         to: SocketAddr,
         proto: Proto,
     ) -> Result<(ConnId, SimDuration), ConnectError> {
-        let peer = PeerInfo::from_cred(&self.endpoint_cred(user, None)?);
-        self.fabric.connect(from, peer, to, proto)
+        let db = self.db.read();
+        let peer = PeerInfo::from_cred(&Self::endpoint_cred(&db, user, None)?);
+        self.fabric.connect(&db, from, peer, to, proto)
     }
 
     // ------------------------------------------------------------------
@@ -1668,7 +1677,7 @@ impl SecureCluster {
         content: &str,
         newgrp: Option<Gid>,
     ) -> Result<RouteKey, ConnectError> {
-        let cred = self.endpoint_cred(user, newgrp)?;
+        let cred = Self::endpoint_cred(&self.db.read(), user, newgrp)?;
         let endpoint = self
             .apps
             .launch(&mut self.fabric, node, &cred, port, content)?;
@@ -1744,13 +1753,16 @@ impl SecureCluster {
         self.portal.unenroll_mfa(token, mfa)
     }
 
-    /// Fetch a route through the portal.
+    /// Fetch a route through the portal. One read guard on the account
+    /// database serves the portal's plug-in and the forwarded connect.
     pub fn portal_fetch(
         &mut self,
         token: eus_portal::Token,
         key: &RouteKey,
     ) -> Result<eus_portal::Response, eus_portal::PortalError> {
-        self.portal.fetch(&mut self.fabric, &self.apps, token, key)
+        let db = self.db.read();
+        self.portal
+            .fetch(&db, &mut self.fabric, &self.apps, token, key)
     }
 }
 

@@ -84,9 +84,6 @@ pub struct ObsConfig {
     pub enabled: bool,
     /// Flight-recorder capacity (events retained before wrap-around).
     pub flight_capacity: usize,
-    /// Reservoir size for span/value histograms (bounded memory under
-    /// million-event storms; summaries stay exact for count/mean/min/max).
-    pub reservoir: usize,
 }
 
 impl Default for ObsConfig {
@@ -94,7 +91,6 @@ impl Default for ObsConfig {
         ObsConfig {
             enabled: false,
             flight_capacity: 4096,
-            reservoir: 4096,
         }
     }
 }

@@ -41,11 +41,14 @@ pub struct SpanStats {
     pub wall_ns: Histogram,
 }
 
+/// Reservoir size of every span's wall-time histogram: bounded memory
+/// under million-event storms, while count/total/mean/min/max stay exact.
+const SPAN_RESERVOIR: usize = 4096;
+
 /// The registry + storage for one plane's metrics and flight recorder.
 #[derive(Debug, Clone)]
 pub struct Recorder {
     enabled: bool,
-    reservoir: usize,
     counter_names: Vec<&'static str>,
     counters: Vec<u64>,
     gauge_names: Vec<&'static str>,
@@ -63,7 +66,6 @@ impl Recorder {
     pub fn new(cfg: &ObsConfig) -> Self {
         Recorder {
             enabled: cfg.enabled,
-            reservoir: cfg.reservoir,
             counter_names: Vec::new(),
             counters: Vec::new(),
             gauge_names: Vec::new(),
@@ -118,7 +120,7 @@ impl Recorder {
         self.spans.push(SpanStats {
             count: 0,
             total_ns: 0,
-            wall_ns: Histogram::with_reservoir(self.reservoir),
+            wall_ns: Histogram::with_reservoir(SPAN_RESERVOIR),
         });
         SpanId((self.span_names.len() - 1) as u16)
     }

@@ -4,9 +4,11 @@
 //!
 //! Two properties the experiments check:
 //! 1. the entire path is authenticated and authorized — a valid token is
-//!    required, the httpd UBF plug-in authorizes the (user → listener) pair,
-//!    and the forwarded hop itself runs as the requesting user's identity so
-//!    the compute node's packet-level UBF also sees the true initiator;
+//!    required, the httpd UBF plug-in ([`eus_ubf::decide`], against the
+//!    account database the caller lends) authorizes the (user → listener)
+//!    pair, and the forwarded hop itself runs as the requesting user's
+//!    identity so the compute node's packet-level UBF also sees the true
+//!    initiator;
 //! 2. apps can run on *any* compute node, not a dedicated partition — the
 //!    gateway just dials whatever endpoint the route names.
 
@@ -16,7 +18,7 @@ use crate::obs::PortalObs;
 use crate::routes::{RouteKey, RouteTable};
 use eus_simnet::{ConnectError, Fabric, PeerInfo, Proto};
 use eus_simos::{NodeId, UserDb};
-use eus_ubf::{HttpdUbfPlugin, SharedUserDb};
+use eus_ubf::decide;
 use std::fmt;
 
 /// Gateway request errors.
@@ -73,21 +75,18 @@ pub struct PortalGateway {
     /// Pre-registered route spans, outcome counters, and the entry-point
     /// trace ring (disabled until the cluster's `enable_obs` fan-out).
     pub obs: PortalObs,
-    plugin: HttpdUbfPlugin,
-    db: SharedUserDb,
 }
 
 impl PortalGateway {
-    /// A gateway on `host`, authorizing against the shared user database.
-    pub fn new(host: NodeId, db: SharedUserDb) -> Self {
+    /// A gateway on `host`. It keeps no accounts: each [`fetch`](Self::fetch)
+    /// authorizes against the database its caller lends.
+    pub fn new(host: NodeId) -> Self {
         PortalGateway {
             host,
             auth: PortalAuth::new(),
             routes: RouteTable::new(),
             authz: true,
             obs: PortalObs::disabled(),
-            plugin: HttpdUbfPlugin::new(db.clone()),
-            db,
         }
     }
 
@@ -96,11 +95,6 @@ impl PortalGateway {
     pub fn naive_proxy(mut self) -> Self {
         self.authz = false;
         self
-    }
-
-    /// Read-only view of the user database.
-    fn with_db<R>(&self, f: impl FnOnce(&UserDb) -> R) -> R {
-        f(&self.db.read())
     }
 
     /// The `enroll_mfa` route: a logged-in user binds a second factor at
@@ -131,16 +125,18 @@ impl PortalGateway {
             .map_err(PortalError::Auth)
     }
 
-    /// Fetch a route's app content on behalf of an authenticated user.
+    /// Fetch a route's app content on behalf of an authenticated user,
+    /// judged against `db`, the caller's account database.
     pub fn fetch(
         &mut self,
+        db: &UserDb,
         fabric: &mut Fabric,
         apps: &WebAppRegistry,
         token: Token,
         key: &RouteKey,
     ) -> Result<Response, PortalError> {
         let span = self.obs.rec.span_start();
-        let r = self.fetch_inner(fabric, apps, token, key);
+        let r = self.fetch_inner(db, fabric, apps, token, key);
         if self.obs.rec.enabled() {
             let outcome = self.obs.fetch_outcome_counter(&r);
             self.obs.rec.incr(outcome);
@@ -151,6 +147,7 @@ impl PortalGateway {
 
     fn fetch_inner(
         &mut self,
+        db: &UserDb,
         fabric: &mut Fabric,
         apps: &WebAppRegistry,
         token: Token,
@@ -165,11 +162,12 @@ impl PortalGateway {
             .ok_or_else(|| PortalError::NoSuchRoute(key.name.clone()))?
             .clone();
         // 3. Authorize via the httpd UBF plug-in: the *requesting* user
-        //    against the listening process's identity.
-        let cred = self
-            .with_db(|db| db.credentials(user))
-            .map_err(|_| PortalError::Forbidden)?;
-        if self.authz && !self.plugin.authorize(&cred, &route.listener).allowed() {
+        //    against the listening process's identity. A session whose
+        //    account is gone is an authentication failure, not a refusal.
+        let cred = db
+            .credentials(user)
+            .map_err(|_| PortalError::Auth(AuthError::NoSuchUser(user)))?;
+        if self.authz && !decide(db, &PeerInfo::from_cred(&cred), &route.listener).allowed() {
             return Err(PortalError::Forbidden);
         }
         // 4. Forward: the per-user forwarder connects from the portal host
@@ -182,7 +180,7 @@ impl PortalGateway {
             PeerInfo::from_cred(&eus_simos::Credentials::root())
         };
         let (conn, setup) = fabric
-            .connect(self.host, initiator, route.target, Proto::Tcp)
+            .connect(db, self.host, initiator, route.target, Proto::Tcp)
             .map_err(PortalError::Connect)?;
         let app = apps.get(route.target).ok_or(PortalError::AppGone)?;
         let xfer = fabric
@@ -203,27 +201,26 @@ mod tests {
     use eus_sched::JobId;
     use eus_simnet::SocketAddr;
     use eus_simos::Uid;
-    use eus_ubf::{deploy_ubf, shared_user_db};
+    use eus_ubf::deploy_ubf;
 
     struct World {
         fabric: Fabric,
         apps: WebAppRegistry,
         gateway: PortalGateway,
-        db: SharedUserDb,
+        db: UserDb,
         alice: Uid,
         bob: Uid,
     }
 
     fn world() -> World {
-        let mut udb = UserDb::new();
-        let alice = udb.create_user("alice").unwrap();
-        let bob = udb.create_user("bob").unwrap();
-        let db = shared_user_db(udb);
+        let mut db = UserDb::new();
+        let alice = db.create_user("alice").unwrap();
+        let bob = db.create_user("bob").unwrap();
         let mut fabric = Fabric::new();
         fabric.add_host(NodeId(1)); // portal node
         fabric.add_host(NodeId(7)); // compute node
-        deploy_ubf(fabric.host_mut(NodeId(7)).unwrap(), db.clone());
-        let gateway = PortalGateway::new(NodeId(1), db.clone());
+        deploy_ubf(fabric.host_mut(NodeId(7)).unwrap());
+        let gateway = PortalGateway::new(NodeId(1));
         World {
             fabric,
             apps: WebAppRegistry::new(),
@@ -235,7 +232,7 @@ mod tests {
     }
 
     fn launch_alice_app(w: &mut World) -> RouteKey {
-        let cred = w.db.read().credentials(w.alice).unwrap();
+        let cred = w.db.credentials(w.alice).unwrap();
         let ep = w
             .apps
             .launch(&mut w.fabric, NodeId(7), &cred, 8888, "alice notebook")
@@ -257,10 +254,10 @@ mod tests {
     fn owner_fetches_through_full_path() {
         let mut w = world();
         let key = launch_alice_app(&mut w);
-        let token = w.gateway.auth.login(&w.db.read(), w.alice).unwrap();
+        let token = w.gateway.auth.login(&w.db, w.alice).unwrap();
         let resp = w
             .gateway
-            .fetch(&mut w.fabric, &w.apps, token, &key)
+            .fetch(&w.db, &mut w.fabric, &w.apps, token, &key)
             .unwrap();
         assert_eq!(resp.body, "alice notebook");
         assert!(resp.latency_us > 0);
@@ -274,17 +271,17 @@ mod tests {
         // Garbage token.
         let err = w
             .gateway
-            .fetch(&mut w.fabric, &w.apps, Token(4242), &key)
+            .fetch(&w.db, &mut w.fabric, &w.apps, Token(4242), &key)
             .unwrap_err();
         assert!(matches!(err, PortalError::Auth(_)));
 
         // Bob authenticates but is not alice: plugin refuses before any
         // packet moves.
-        let bob_token = w.gateway.auth.login(&w.db.read(), w.bob).unwrap();
+        let bob_token = w.gateway.auth.login(&w.db, w.bob).unwrap();
         let attempted_before = w.fabric.metrics.connects_attempted.get();
         let err = w
             .gateway
-            .fetch(&mut w.fabric, &w.apps, bob_token, &key)
+            .fetch(&w.db, &mut w.fabric, &w.apps, bob_token, &key)
             .unwrap_err();
         assert_eq!(err, PortalError::Forbidden);
         assert_eq!(
@@ -294,16 +291,31 @@ mod tests {
         );
     }
 
+    /// A session whose account the lent database does not know fails
+    /// authentication; `Forbidden` is only ever the plug-in's refusal.
+    #[test]
+    fn a_session_without_an_account_is_an_auth_failure() {
+        let mut w = world();
+        let key = launch_alice_app(&mut w);
+        let token = w.gateway.auth.login(&w.db, w.bob).unwrap();
+        let err = w
+            .gateway
+            .fetch(&UserDb::new(), &mut w.fabric, &w.apps, token, &key)
+            .unwrap_err();
+        assert_eq!(err, PortalError::Auth(AuthError::NoSuchUser(w.bob)));
+    }
+
     #[test]
     fn direct_connection_bypassing_portal_still_hits_ubf() {
         let mut w = world();
         launch_alice_app(&mut w);
         // Bob skips the portal and dials the compute node directly: the
         // node-level UBF denies him anyway (defense in depth).
-        let bob_peer = PeerInfo::from_cred(&w.db.read().credentials(w.bob).unwrap());
+        let bob_peer = PeerInfo::from_cred(&w.db.credentials(w.bob).unwrap());
         let err = w
             .fabric
             .connect(
+                &w.db,
                 NodeId(1),
                 bob_peer,
                 SocketAddr::new(NodeId(7), 8888),
@@ -317,14 +329,10 @@ mod tests {
     fn project_group_app_shared_with_member() {
         let mut w = world();
         // Alice opts her app into a project group bob belongs to.
-        let proj = {
-            let mut db = w.db.write();
-            let proj = db.create_project_group("proj", w.alice).unwrap();
-            db.add_to_group(w.alice, proj, w.bob).unwrap();
-            proj
-        };
-        let cred = w.db.read().credentials(w.alice).unwrap();
-        let cred_proj = w.db.read().newgrp(&cred, proj).unwrap();
+        let proj = w.db.create_project_group("proj", w.alice).unwrap();
+        w.db.add_to_group(w.alice, proj, w.bob).unwrap();
+        let cred = w.db.credentials(w.alice).unwrap();
+        let cred_proj = w.db.newgrp(&cred, proj).unwrap();
         let ep = w
             .apps
             .launch(&mut w.fabric, NodeId(7), &cred_proj, 9999, "team dashboard")
@@ -339,10 +347,10 @@ mod tests {
             target: ep,
             listener: PeerInfo::from_cred(&cred_proj),
         });
-        let bob_token = w.gateway.auth.login(&w.db.read(), w.bob).unwrap();
+        let bob_token = w.gateway.auth.login(&w.db, w.bob).unwrap();
         let resp = w
             .gateway
-            .fetch(&mut w.fabric, &w.apps, bob_token, &key)
+            .fetch(&w.db, &mut w.fabric, &w.apps, bob_token, &key)
             .unwrap();
         assert_eq!(resp.body, "team dashboard");
     }
@@ -353,13 +361,13 @@ mod tests {
         let key = launch_alice_app(&mut w);
         w.gateway.obs = crate::obs::PortalObs::new(&eus_obs::ObsConfig::enabled());
 
-        let token = w.gateway.auth.login(&w.db.read(), w.alice).unwrap();
+        let token = w.gateway.auth.login(&w.db, w.alice).unwrap();
         w.gateway
-            .fetch(&mut w.fabric, &w.apps, token, &key)
+            .fetch(&w.db, &mut w.fabric, &w.apps, token, &key)
             .unwrap();
-        let bob_token = w.gateway.auth.login(&w.db.read(), w.bob).unwrap();
+        let bob_token = w.gateway.auth.login(&w.db, w.bob).unwrap();
         w.gateway
-            .fetch(&mut w.fabric, &w.apps, bob_token, &key)
+            .fetch(&w.db, &mut w.fabric, &w.apps, bob_token, &key)
             .unwrap_err();
 
         let obs = &w.gateway.obs;
@@ -373,12 +381,12 @@ mod tests {
     fn stopped_app_reports_gone() {
         let mut w = world();
         let key = launch_alice_app(&mut w);
-        let token = w.gateway.auth.login(&w.db.read(), w.alice).unwrap();
+        let token = w.gateway.auth.login(&w.db, w.alice).unwrap();
         let ep = w.gateway.routes.get(&key).unwrap().target;
         w.apps.stop(&mut w.fabric, ep);
         let err = w
             .gateway
-            .fetch(&mut w.fabric, &w.apps, token, &key)
+            .fetch(&w.db, &mut w.fabric, &w.apps, token, &key)
             .unwrap_err();
         // The listener is gone, so the connect refuses.
         assert!(matches!(err, PortalError::Connect(_)));

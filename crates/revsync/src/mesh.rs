@@ -37,7 +37,7 @@ use eus_fedauth::{CredError, CredSerial, PlaneClock, SharedBroker, SignedToken};
 use eus_obs::TraceCtx;
 use eus_simcore::{SimDuration, SimRng, SimTime};
 use eus_simnet::{Fabric, PeerInfo, Port, Proto, SocketAddr};
-use eus_simos::{Gid, NodeId, Uid};
+use eus_simos::{Gid, NodeId, Uid, UserDb};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The well-known port each realm's CRL feed daemon listens on.
@@ -136,6 +136,10 @@ struct InFlight {
 pub struct RevSyncMesh {
     cfg: RevSyncConfig,
     fabric: Fabric,
+    /// The accounts the WAN's connects are judged against: root only. The
+    /// feed daemons run as root and no WAN host has a queue handler, so
+    /// nothing consults it; [`Fabric::connect`] borrows it all the same.
+    wan_accounts: UserDb,
     sites: BTreeMap<RealmId, Site>,
     links: Vec<FeedLink>,
     in_flight: Vec<InFlight>,
@@ -184,6 +188,7 @@ impl RevSyncMesh {
             rng: SimRng::seed_from_u64(SEED ^ 0x9EC5_11AD),
             cfg,
             fabric,
+            wan_accounts: UserDb::new(),
             sites: BTreeMap::new(),
             links: Vec::new(),
             in_flight: Vec::new(),
@@ -325,7 +330,13 @@ impl RevSyncMesh {
         };
         let (conn, _setup) = self
             .fabric
-            .connect(from, daemon, SocketAddr::new(to, CRL_FEED_PORT), Proto::Tcp)
+            .connect(
+                &self.wan_accounts,
+                from,
+                daemon,
+                SocketAddr::new(to, CRL_FEED_PORT),
+                Proto::Tcp,
+            )
             .expect("mesh hosts listen on the feed port");
         let body = bytes::Bytes::from(vec![0u8; wire]);
         self.fabric.send(conn, &body).expect("just connected");
@@ -822,10 +833,13 @@ impl RevSyncMesh {
             egid: Gid(0),
             pid: None,
         };
-        let Ok((conn, setup)) =
-            self.fabric
-                .connect(from, daemon, SocketAddr::new(to, CRL_FEED_PORT), Proto::Tcp)
-        else {
+        let Ok((conn, setup)) = self.fabric.connect(
+            &self.wan_accounts,
+            from,
+            daemon,
+            SocketAddr::new(to, CRL_FEED_PORT),
+            Proto::Tcp,
+        ) else {
             return false;
         };
         let body = bytes::Bytes::from(vec![0u8; delta.wire_bytes()]);

@@ -15,12 +15,13 @@ use crate::netfilter::{ConnState, Firewall, PacketMeta, Verdict};
 use crate::rdma::MemoryRegion;
 use crate::socket::{BindError, PeerInfo, SocketTable};
 use eus_simcore::{Counter, SimDuration, SimRng};
-use eus_simos::{Gid, NodeId, Uid};
+use eus_simos::{Gid, NodeId, Uid, UserDb};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-/// Everything a queued-connection handler gets to see: the flow, plus both
-/// endpoint identities. `initiator` is what the ident query to the
+/// Everything a queued-connection handler gets to see: the flow, both
+/// endpoint identities, and the account database the connect's caller
+/// lends for the call. `initiator` is what the ident query to the
 /// initiating host returns; `listener` is the receiving daemon's local
 /// lookup. The handler records what the decision cost into `costs`.
 #[derive(Debug)]
@@ -31,6 +32,8 @@ pub struct QueueCtx<'a> {
     pub initiator: PeerInfo,
     /// Identity of the listening process.
     pub listener: PeerInfo,
+    /// The accounts (and group memberships) the flow is judged against.
+    pub directory: &'a UserDb,
     /// Cost accounting, filled by the handler.
     pub costs: &'a mut SetupCosts,
 }
@@ -89,16 +92,14 @@ impl HostNet {
     }
 
     /// Run a new flow's packet through this host's `chain` (`"output"` or
-    /// `"input"`): accept, drop, or hand the flow to the handler on the
-    /// queue the chain names. `Ok(true)` when a handler judged (and
+    /// `"input"`): accept, drop, or hand the flow (`ctx`) to the handler on
+    /// the queue the chain names. `Ok(true)` when a handler judged (and
     /// accepted) it.
     fn pass_chain(
         &mut self,
         chain: &'static str,
         pkt: &PacketMeta,
-        initiator: PeerInfo,
-        listener: PeerInfo,
-        costs: &mut SetupCosts,
+        ctx: &mut QueueCtx<'_>,
         queued_packets: &mut Counter,
     ) -> Result<bool, ConnectError> {
         let rules = if chain == "output" {
@@ -115,13 +116,7 @@ impl HostNet {
                     .handlers
                     .get_mut(&queue)
                     .ok_or(ConnectError::NoHandler(queue))?;
-                let mut ctx = QueueCtx {
-                    tuple: pkt.tuple,
-                    initiator,
-                    listener,
-                    costs,
-                };
-                match handler.judge(&mut ctx) {
+                match handler.judge(ctx) {
                     Verdict::Accept => Ok(true),
                     _ => Err(ConnectError::DeniedByDaemon {
                         queue,
@@ -467,6 +462,7 @@ impl Fabric {
     /// Returns whether a handler judged the flow, and the listener.
     fn admit(
         &mut self,
+        directory: &UserDb,
         s: usize,
         d: usize,
         pkt: &PacketMeta,
@@ -479,23 +475,32 @@ impl Fabric {
             .listener(pkt.tuple.proto, dst.port)
             .ok_or(ConnectError::ConnectionRefused(dst))?
             .owner;
+        let mut ctx = QueueCtx {
+            tuple: pkt.tuple,
+            initiator,
+            listener,
+            directory,
+            costs,
+        };
         let queued = &mut self.metrics.queued_packets;
-        let out = self.hosts[s].pass_chain("output", pkt, initiator, listener, costs, queued)?;
-        let inp = self.hosts[d].pass_chain("input", pkt, initiator, listener, costs, queued)?;
+        let out = self.hosts[s].pass_chain("output", pkt, &mut ctx, queued)?;
+        let inp = self.hosts[d].pass_chain("input", pkt, &mut ctx, queued)?;
         Ok((out || inp, listener))
     }
 
-    /// Attempt a new connection. On success returns the connection handle
-    /// and the modeled setup latency.
+    /// Attempt a new connection; a queue handler on either host judges it
+    /// against `directory`, the caller's account database. On success
+    /// returns the connection handle and the modeled setup latency.
     pub fn connect(
         &mut self,
+        directory: &UserDb,
         src_host: NodeId,
         initiator: PeerInfo,
         dst: SocketAddr,
         proto: Proto,
     ) -> Result<(ConnId, SimDuration), ConnectError> {
         self.metrics.connects_attempted.incr();
-        let result = self.connect_inner(src_host, initiator, dst, proto);
+        let result = self.connect_inner(directory, src_host, initiator, dst, proto);
         match &result {
             Ok(_) => self.metrics.connects_allowed.incr(),
             Err(_) => self.metrics.connects_denied.incr(),
@@ -505,6 +510,7 @@ impl Fabric {
 
     fn connect_inner(
         &mut self,
+        directory: &UserDb,
         src_host: NodeId,
         initiator: PeerInfo,
         dst: SocketAddr,
@@ -547,7 +553,7 @@ impl Fabric {
             payload_len: 0,
         };
         let mut costs = SetupCosts::default();
-        let (queued, listener) = match self.admit(s, d, &pkt, initiator, &mut costs) {
+        let (queued, listener) = match self.admit(directory, s, d, &pkt, initiator, &mut costs) {
             Ok(admitted) => admitted,
             Err(e) => {
                 self.hosts[s].sockets.close(proto, src_port);
@@ -649,6 +655,13 @@ mod tests {
         }
     }
 
+    /// Connect as `peer(uid)` from host 1 to `port` on host 2 over TCP.
+    /// No handler here reads accounts, so the directory is empty.
+    fn dial(f: &mut Fabric, uid: u32, port: Port) -> Result<(ConnId, SimDuration), ConnectError> {
+        let to = SocketAddr::new(NodeId(2), port);
+        f.connect(&UserDb::new(), NodeId(1), peer(uid), to, Proto::Tcp)
+    }
+
     fn two_hosts() -> Fabric {
         let mut f = Fabric::new();
         f.add_host(NodeId(1));
@@ -661,14 +674,7 @@ mod tests {
         let mut f = two_hosts();
         f.listen(NodeId(2), Proto::Tcp, 8888, peer(100)).unwrap();
         assert_eq!(f.flows_tracked(), 0);
-        let (id, _) = f
-            .connect(
-                NodeId(1),
-                peer(101),
-                SocketAddr::new(NodeId(2), 8888),
-                Proto::Tcp,
-            )
-            .unwrap();
+        let (id, _) = dial(&mut f, 101, 8888).unwrap();
         // One flow: two directional entries at each endpoint.
         assert_eq!(f.flows_tracked(), 4);
         for n in [NodeId(1), NodeId(2)] {
@@ -682,14 +688,7 @@ mod tests {
     fn open_firewall_connect_and_send() {
         let mut f = two_hosts();
         f.listen(NodeId(2), Proto::Tcp, 8888, peer(100)).unwrap();
-        let (id, setup) = f
-            .connect(
-                NodeId(1),
-                peer(101),
-                SocketAddr::new(NodeId(2), 8888),
-                Proto::Tcp,
-            )
-            .unwrap();
+        let (id, setup) = dial(&mut f, 101, 8888).unwrap();
         assert_eq!(setup, f.latency.base_rtt, "no inspection on open firewall");
         let t = f.send(id, &bytes::Bytes::from_static(b"hello")).unwrap();
         assert!(t > SimDuration::ZERO);
@@ -702,14 +701,7 @@ mod tests {
     #[test]
     fn connection_refused_without_listener() {
         let mut f = two_hosts();
-        let err = f
-            .connect(
-                NodeId(1),
-                peer(1),
-                SocketAddr::new(NodeId(2), 9999),
-                Proto::Tcp,
-            )
-            .unwrap_err();
+        let err = dial(&mut f, 1, 9999).unwrap_err();
         assert_eq!(
             err,
             ConnectError::ConnectionRefused(SocketAddr::new(NodeId(2), 9999))
@@ -732,14 +724,7 @@ mod tests {
             Verdict::Drop,
             "block 8888",
         );
-        let err = f
-            .connect(
-                NodeId(1),
-                peer(1),
-                SocketAddr::new(NodeId(2), 8888),
-                Proto::Tcp,
-            )
-            .unwrap_err();
+        let err = dial(&mut f, 1, 8888).unwrap_err();
         assert_eq!(err, ConnectError::Dropped { chain: "input" });
     }
 
@@ -777,25 +762,11 @@ mod tests {
             .set_queue_handler(0, Box::new(DenyUid(666)));
 
         // Denied initiator.
-        let err = f
-            .connect(
-                NodeId(1),
-                peer(666),
-                SocketAddr::new(NodeId(2), 8888),
-                Proto::Tcp,
-            )
-            .unwrap_err();
+        let err = dial(&mut f, 666, 8888).unwrap_err();
         assert!(matches!(err, ConnectError::DeniedByDaemon { queue: 0, .. }));
 
         // Allowed initiator pays the inspection latency.
-        let (_, setup) = f
-            .connect(
-                NodeId(1),
-                peer(5),
-                SocketAddr::new(NodeId(2), 8888),
-                Proto::Tcp,
-            )
-            .unwrap();
+        let (_, setup) = dial(&mut f, 5, 8888).unwrap();
         assert!(setup > f.latency.base_rtt);
         assert_eq!(f.metrics.queued_packets.get(), 2);
     }
@@ -809,14 +780,7 @@ mod tests {
             Verdict::Queue(3),
             "orphaned queue",
         );
-        let err = f
-            .connect(
-                NodeId(1),
-                peer(1),
-                SocketAddr::new(NodeId(2), 8888),
-                Proto::Tcp,
-            )
-            .unwrap_err();
+        let err = dial(&mut f, 1, 8888).unwrap_err();
         assert_eq!(err, ConnectError::NoHandler(3));
     }
 
@@ -846,14 +810,7 @@ mod tests {
             .unwrap()
             .set_queue_handler(0, Box::new(DenyUid(u32::MAX)));
 
-        let (id, _) = f
-            .connect(
-                NodeId(1),
-                peer(5),
-                SocketAddr::new(NodeId(2), 8888),
-                Proto::Tcp,
-            )
-            .unwrap();
+        let (id, _) = dial(&mut f, 5, 8888).unwrap();
         let queued_before = f.metrics.queued_packets.get();
         for _ in 0..10 {
             f.send(id, &bytes::Bytes::from_static(b"data")).unwrap();
@@ -871,14 +828,7 @@ mod tests {
         let mut f = two_hosts();
         f.listen(NodeId(2), Proto::Tcp, 8888, peer(100)).unwrap();
         f.set_partitioned(NodeId(2), NodeId(1), true); // either order
-        let err = f
-            .connect(
-                NodeId(1),
-                peer(1),
-                SocketAddr::new(NodeId(2), 8888),
-                Proto::Tcp,
-            )
-            .unwrap_err();
+        let err = dial(&mut f, 1, 8888).unwrap_err();
         assert_eq!(
             err,
             ConnectError::Partitioned {
@@ -891,14 +841,7 @@ mod tests {
         // No ephemeral port leaked by the refused attempt.
         assert!(f.host(NodeId(1)).unwrap().sockets.is_empty());
         f.set_partitioned(NodeId(1), NodeId(2), false);
-        assert!(f
-            .connect(
-                NodeId(1),
-                peer(1),
-                SocketAddr::new(NodeId(2), 8888),
-                Proto::Tcp,
-            )
-            .is_ok());
+        assert!(dial(&mut f, 1, 8888).is_ok());
     }
 
     #[test]
@@ -907,28 +850,12 @@ mod tests {
         f.listen(NodeId(2), Proto::Tcp, 8888, peer(100)).unwrap();
         f.set_link_loss(NodeId(1), NodeId(2), 1.0);
         for _ in 0..5 {
-            assert_eq!(
-                f.connect(
-                    NodeId(1),
-                    peer(1),
-                    SocketAddr::new(NodeId(2), 8888),
-                    Proto::Tcp,
-                )
-                .unwrap_err(),
-                ConnectError::LinkLost
-            );
+            assert_eq!(dial(&mut f, 1, 8888).unwrap_err(), ConnectError::LinkLost);
         }
         assert_eq!(f.metrics.connects_lost.get(), 5);
         assert!(f.host(NodeId(1)).unwrap().sockets.is_empty());
         f.set_link_loss(NodeId(1), NodeId(2), 0.0);
-        assert!(f
-            .connect(
-                NodeId(1),
-                peer(1),
-                SocketAddr::new(NodeId(2), 8888),
-                Proto::Tcp,
-            )
-            .is_ok());
+        assert!(dial(&mut f, 1, 8888).is_ok());
         // Same seed, same partial-loss decisions.
         let run = |seed: u64| {
             let mut f = two_hosts();
@@ -937,12 +864,7 @@ mod tests {
             f.set_link_loss(NodeId(1), NodeId(2), 0.5);
             (0..32)
                 .map(|_| {
-                    let r = f.connect(
-                        NodeId(1),
-                        peer(1),
-                        SocketAddr::new(NodeId(2), 8888),
-                        Proto::Tcp,
-                    );
+                    let r = dial(&mut f, 1, 8888);
                     if let Ok((id, _)) = r {
                         f.close(id);
                         true
@@ -961,27 +883,13 @@ mod tests {
     fn latency_spike_penalizes_setup_and_transfer() {
         let mut f = two_hosts();
         f.listen(NodeId(2), Proto::Tcp, 8888, peer(100)).unwrap();
-        let (id, base_setup) = f
-            .connect(
-                NodeId(1),
-                peer(1),
-                SocketAddr::new(NodeId(2), 8888),
-                Proto::Tcp,
-            )
-            .unwrap();
+        let (id, base_setup) = dial(&mut f, 1, 8888).unwrap();
         let base_xfer = f.send(id, &bytes::Bytes::from_static(b"data")).unwrap();
         let extra = SimDuration::from_millis(250);
         f.set_latency_spike(NodeId(1), NodeId(2), extra);
         let spiked_xfer = f.send(id, &bytes::Bytes::from_static(b"data")).unwrap();
         assert_eq!(spiked_xfer, base_xfer + extra);
-        let (id2, spiked_setup) = f
-            .connect(
-                NodeId(1),
-                peer(2),
-                SocketAddr::new(NodeId(2), 8888),
-                Proto::Tcp,
-            )
-            .unwrap();
+        let (id2, spiked_setup) = dial(&mut f, 2, 8888).unwrap();
         assert_eq!(spiked_setup, base_setup + extra);
         f.set_latency_spike(NodeId(1), NodeId(2), SimDuration::ZERO);
         assert_eq!(
@@ -997,6 +905,7 @@ mod tests {
         f.add_host(NodeId(1));
         assert_eq!(
             f.connect(
+                &UserDb::new(),
                 NodeId(1),
                 peer(1),
                 SocketAddr::new(NodeId(9), 80),
@@ -1007,6 +916,7 @@ mod tests {
         );
         assert_eq!(
             f.connect(
+                &UserDb::new(),
                 NodeId(9),
                 peer(1),
                 SocketAddr::new(NodeId(1), 80),

@@ -15,7 +15,7 @@
 use crate::addr::{Proto, SocketAddr};
 use crate::fabric::{ConnectError, Fabric};
 use crate::socket::PeerInfo;
-use eus_simos::NodeId;
+use eus_simos::{NodeId, UserDb};
 use std::fmt;
 
 /// A registered RDMA memory region. It records no owner: the NIC never
@@ -81,15 +81,18 @@ impl Fabric {
     }
 
     /// Set up a QP using a TCP control channel to a rendezvous listener on
-    /// the target — the path the UBF governs. The control connection stays
-    /// open for the QP's lifetime (as MPI runtimes do).
+    /// the target — the path the UBF governs, judged against `directory`
+    /// as [`Fabric::connect`] is. The control connection stays open for the
+    /// QP's lifetime (as MPI runtimes do).
     pub fn setup_qp_via_tcp(
         &mut self,
+        directory: &UserDb,
         src_host: NodeId,
         initiator: PeerInfo,
         rendezvous: SocketAddr,
     ) -> Result<QueuePair, ConnectError> {
-        let (_conn, _setup) = self.connect(src_host, initiator, rendezvous, Proto::Tcp)?;
+        let (_conn, _setup) =
+            self.connect(directory, src_host, initiator, rendezvous, Proto::Tcp)?;
         let id = self.next_qp;
         self.next_qp += 1;
         Ok(QueuePair {
@@ -161,15 +164,16 @@ mod tests {
     #[test]
     fn tcp_setup_path_goes_through_connect() {
         let mut f = fabric();
+        let (db, rendezvous) = (UserDb::new(), SocketAddr::new(NodeId(2), 18515));
         // No rendezvous listener → setup fails exactly like a TCP connect.
         let err = f
-            .setup_qp_via_tcp(NodeId(1), peer(1), SocketAddr::new(NodeId(2), 18515))
+            .setup_qp_via_tcp(&db, NodeId(1), peer(1), rendezvous)
             .unwrap_err();
         assert!(matches!(err, ConnectError::ConnectionRefused(_)));
 
         f.listen(NodeId(2), Proto::Tcp, 18515, peer(2)).unwrap();
         let qp = f
-            .setup_qp_via_tcp(NodeId(1), peer(1), SocketAddr::new(NodeId(2), 18515))
+            .setup_qp_via_tcp(&db, NodeId(1), peer(1), rendezvous)
             .unwrap();
         assert_eq!(qp.path, QpSetupPath::TcpControl);
     }

@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 use eus_simnet::{ConnId, ConnectError, Fabric, PeerInfo, Proto, SendError, SocketAddr};
-use eus_simos::{Gid, NodeId, Uid};
+use eus_simos::{Gid, NodeId, Uid, UserDb};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -59,6 +59,8 @@ proptest! {
         tape in proptest::collection::vec((0u8..5, 0u8..8, any::<u8>(), any::<u8>()), 1..150),
     ) {
         let mut f = Fabric::new();
+        // No queue handler is installed, so nothing consults the accounts.
+        let accounts = UserDb::new();
         let mut hosts: BTreeSet<NodeId> = BTreeSet::new();
         let mut live: BTreeMap<ConnId, Flow> = BTreeMap::new();
         let mut closed: Vec<ConnId> = Vec::new();
@@ -86,7 +88,7 @@ proptest! {
                         .and_then(|h| h.sockets.listener(Proto::Tcp, port))
                         .map(|e| e.owner.uid);
                     let initiator = peer(a);
-                    let r = f.connect(src, initiator, SocketAddr::new(dst, port), Proto::Tcp);
+                    let r = f.connect(&accounts, src, initiator, SocketAddr::new(dst, port), Proto::Tcp);
                     // The firewalls are open: a listener is all it takes.
                     prop_assert_eq!(
                         r.is_ok(),

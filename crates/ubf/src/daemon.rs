@@ -4,7 +4,11 @@
 //! Per queued packet the daemon performs:
 //! 1. a local lookup of its own endpoint's socket owner,
 //! 2. an ident-style query to the peer host (skipped on a cache hit),
-//! 3. the [`crate::policy::decide`] check against the shared user database.
+//! 3. the [`crate::policy::decide`] check against the account database
+//!    the connect's caller lends for the call ([`QueueCtx::directory`]).
+//!
+//! The daemon keeps no account state of its own: every host's daemon
+//! reads the one database the cluster owns, as LDAP/sssd would provide.
 //!
 //! **Cache coherence.** A cached verdict can rest on group membership, and
 //! its key — (uid, egid) of both ends — does not move when a user joins or
@@ -20,18 +24,10 @@ use crate::cache::{CacheKey, DecisionCache};
 use crate::policy::{decide, Decision};
 use eus_simcore::Counter;
 use eus_simnet::{QueueCtx, QueueHandler, Verdict};
+#[cfg(doc)]
 use eus_simos::UserDb;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::sync::Arc;
-
-/// Shared handle to the cluster user database (every daemon, the scheduler,
-/// and the portal consult the same accounts, as LDAP/sssd would provide).
-pub type SharedUserDb = Arc<RwLock<UserDb>>;
-
-/// Wrap a [`UserDb`] for sharing.
-pub fn shared_user_db(db: UserDb) -> SharedUserDb {
-    Arc::new(RwLock::new(db))
-}
 
 /// Daemon counters, readable from outside via [`UbfStats`] handle.
 #[derive(Debug, Default)]
@@ -78,25 +74,25 @@ pub const UBF_CACHE_CAPACITY: usize = 4096;
 
 /// The daemon. One instance runs per host (attached to that host's queue 0).
 pub struct UbfDaemon {
-    db: SharedUserDb,
     cache: DecisionCache,
-    /// The [`UserDb::membership_epoch`] every cached decision was made under.
+    /// The [`UserDb::membership_epoch`] every cached decision was made under
+    /// (0 while the cache is empty: an empty cache is valid under any).
     cache_epoch: u64,
     stats: UbfStats,
 }
 
-impl UbfDaemon {
-    /// Create a daemon bound to the shared user database.
-    pub fn new(db: SharedUserDb) -> Self {
-        let cache_epoch = db.read().membership_epoch();
+impl Default for UbfDaemon {
+    /// A daemon with an empty decision cache.
+    fn default() -> Self {
         UbfDaemon {
-            db,
             cache: DecisionCache::new(UBF_CACHE_CAPACITY),
-            cache_epoch,
+            cache_epoch: 0,
             stats: Arc::new(Mutex::new(UbfStatsInner::default())),
         }
     }
+}
 
+impl UbfDaemon {
     /// Clone the statistics handle (do this before moving the daemon into
     /// the fabric).
     pub fn stats(&self) -> UbfStats {
@@ -115,16 +111,14 @@ impl QueueHandler for UbfDaemon {
         ctx.costs.daemon_lookups += 1;
 
         let key = CacheKey::new(&ctx.initiator, &ctx.listener);
-        let (d, hit) = {
-            let db = self.db.read();
-            if db.membership_epoch() != self.cache_epoch {
-                self.cache.invalidate_all();
-                self.cache_epoch = db.membership_epoch();
-            }
-            match self.cache.get(&key) {
-                Some(d) => (d, true),
-                None => (decide(&db, &ctx.initiator, &ctx.listener), false),
-            }
+        let db = ctx.directory;
+        if db.membership_epoch() != self.cache_epoch {
+            self.cache.invalidate_all();
+            self.cache_epoch = db.membership_epoch();
+        }
+        let (d, hit) = match self.cache.get(&key) {
+            Some(d) => (d, true),
+            None => (decide(db, &ctx.initiator, &ctx.listener), false),
         };
         let mut stats = self.stats.lock();
         if hit {
@@ -158,30 +152,30 @@ impl QueueHandler for UbfDaemon {
 mod tests {
     use super::*;
     use eus_simnet::{FiveTuple, PeerInfo, Proto, SetupCosts, SocketAddr};
-    use eus_simos::{NodeId, Uid};
+    use eus_simos::{NodeId, Uid, UserDb};
 
-    fn db_two_users() -> (SharedUserDb, Uid, Uid) {
+    fn db_two_users() -> (UserDb, Uid, Uid) {
         let mut db = UserDb::new();
         let a = db.create_user("a").unwrap();
         let b = db.create_user("b").unwrap();
-        (shared_user_db(db), a, b)
+        (db, a, b)
     }
 
     fn ctx_for<'a>(
-        db: &SharedUserDb,
+        db: &'a UserDb,
         init: Uid,
         listen: Uid,
         costs: &'a mut SetupCosts,
     ) -> QueueCtx<'a> {
-        let guard = db.read();
         QueueCtx {
             tuple: FiveTuple {
                 proto: Proto::Tcp,
                 src: SocketAddr::new(NodeId(1), 40000),
                 dst: SocketAddr::new(NodeId(2), 8888),
             },
-            initiator: PeerInfo::from_cred(&guard.credentials(init).unwrap()),
-            listener: PeerInfo::from_cred(&guard.credentials(listen).unwrap()),
+            initiator: PeerInfo::from_cred(&db.credentials(init).unwrap()),
+            listener: PeerInfo::from_cred(&db.credentials(listen).unwrap()),
+            directory: db,
             costs,
         }
     }
@@ -189,7 +183,7 @@ mod tests {
     #[test]
     fn same_user_accepted_stranger_dropped() {
         let (db, a, b) = db_two_users();
-        let mut daemon = UbfDaemon::new(db.clone());
+        let mut daemon = UbfDaemon::default();
         let stats = daemon.stats();
 
         let mut costs = SetupCosts::default();
@@ -209,7 +203,7 @@ mod tests {
     #[test]
     fn cache_skips_ident_on_repeat() {
         let (db, a, _) = db_two_users();
-        let mut daemon = UbfDaemon::new(db.clone());
+        let mut daemon = UbfDaemon::default();
         let stats = daemon.stats();
 
         let mut c1 = SetupCosts::default();
@@ -229,28 +223,34 @@ mod tests {
 
     #[test]
     fn membership_change_drops_cached_decisions() {
-        let (db, a, b) = db_two_users();
-        let proj = db.write().create_project_group("proj", a).unwrap();
-        let mut daemon = UbfDaemon::new(db.clone());
+        let (mut db, a, b) = db_two_users();
+        let proj = db.create_project_group("proj", a).unwrap();
+        let mut daemon = UbfDaemon::default();
         // a listens with egid = proj; b connects. Same cache key throughout.
-        let judge = |daemon: &mut UbfDaemon| {
+        let judge = |daemon: &mut UbfDaemon, db: &UserDb| {
             let mut costs = SetupCosts::default();
-            let mut ctx = ctx_for(&db, b, a, &mut costs);
-            let guard = db.read();
+            let mut ctx = ctx_for(db, b, a, &mut costs);
             ctx.listener =
-                PeerInfo::from_cred(&guard.newgrp(&guard.credentials(a).unwrap(), proj).unwrap());
-            drop(guard);
+                PeerInfo::from_cred(&db.newgrp(&db.credentials(a).unwrap(), proj).unwrap());
             (daemon.judge(&mut ctx), ctx.costs.cache_hit)
         };
-        assert_eq!(judge(&mut daemon), (Verdict::Drop, false));
-        assert_eq!(judge(&mut daemon), (Verdict::Drop, true));
+        assert_eq!(judge(&mut daemon, &db), (Verdict::Drop, false));
+        assert_eq!(judge(&mut daemon, &db), (Verdict::Drop, true));
 
-        db.write().add_to_group(a, proj, b).unwrap();
-        assert_eq!(judge(&mut daemon), (Verdict::Accept, false), "stale deny");
-        assert_eq!(judge(&mut daemon), (Verdict::Accept, true));
+        db.add_to_group(a, proj, b).unwrap();
+        assert_eq!(
+            judge(&mut daemon, &db),
+            (Verdict::Accept, false),
+            "stale deny"
+        );
+        assert_eq!(judge(&mut daemon, &db), (Verdict::Accept, true));
 
-        db.write().remove_from_group(a, proj, b).unwrap();
-        assert_eq!(judge(&mut daemon), (Verdict::Drop, false), "stale allow");
+        db.remove_from_group(a, proj, b).unwrap();
+        assert_eq!(
+            judge(&mut daemon, &db),
+            (Verdict::Drop, false),
+            "stale allow"
+        );
         assert_eq!(daemon.stats().lock().allowed_group.get(), 2);
     }
 }

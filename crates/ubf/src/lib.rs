@@ -14,7 +14,14 @@
 //! * [`ruleset`] — the nftables-shaped rules ([`ruleset::install_ubf_rules`])
 //!   and one-call host deployment ([`ruleset::deploy_ubf`]).
 //! * [`cache`] — bounded decision cache.
-//! * [`httpd_plugin`] — the portal-side authorization hook.
+//!
+//! The portal-side authorization hook (the artifact's Apache httpd
+//! plug-in) is [`decide`] itself: the portal gateway calls it with the
+//! requesting user as initiator against the target app's listener.
+//!
+//! Neither the daemons nor the portal keep the account database: the
+//! cluster owns it and lends `&UserDb` for each call
+//! ([`eus_simnet::QueueCtx::directory`]).
 //!
 //! Established flows never revisit the daemon (conntrack passthrough), so
 //! the UBF's entire cost lands on connection setup
@@ -25,14 +32,10 @@
 
 pub mod cache;
 pub mod daemon;
-pub mod httpd_plugin;
 pub mod policy;
 pub mod ruleset;
 
 pub use cache::{CacheKey, DecisionCache};
-pub use daemon::{
-    shared_user_db, SharedUserDb, UbfDaemon, UbfStats, UbfStatsInner, UBF_CACHE_CAPACITY,
-};
-pub use httpd_plugin::HttpdUbfPlugin;
+pub use daemon::{UbfDaemon, UbfStats, UbfStatsInner, UBF_CACHE_CAPACITY};
 pub use policy::{decide, Decision};
 pub use ruleset::{deploy_ubf, install_ubf_rules, UBF_INSPECT_FROM, UBF_QUEUE};

@@ -4,7 +4,6 @@
 //! conventional pre-approved-services policy.
 
 use crate::daemon::{UbfDaemon, UbfStats};
-use crate::SharedUserDb;
 use eus_simnet::{ConnState, Firewall, HostNet, Proto, RuleMatch, Verdict};
 
 /// The queue number the UBF daemon listens on.
@@ -45,12 +44,13 @@ pub fn install_ubf_rules(fw: &mut Firewall) {
     // the conventional pre-approved PPS ruleset.
 }
 
-/// Deploy the full UBF onto one host: rules plus a daemon instance bound to
-/// the shared user database. Returns the daemon's statistics handle, which
-/// stays readable after the daemon has moved into the fabric.
-pub fn deploy_ubf(host: &mut HostNet, db: SharedUserDb) -> UbfStats {
+/// Deploy the full UBF onto one host: rules plus a daemon instance, which
+/// judges each flow against the account database the connect lends it.
+/// Returns the daemon's statistics handle, which stays readable after the
+/// daemon has moved into the fabric.
+pub fn deploy_ubf(host: &mut HostNet) -> UbfStats {
     install_ubf_rules(&mut host.firewall);
-    let daemon = UbfDaemon::new(db);
+    let daemon = UbfDaemon::default();
     let stats = daemon.stats();
     host.set_queue_handler(UBF_QUEUE, Box::new(daemon));
     stats
@@ -59,50 +59,51 @@ pub fn deploy_ubf(host: &mut HostNet, db: SharedUserDb) -> UbfStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::daemon::shared_user_db;
-    use eus_simnet::{Fabric, PeerInfo, SocketAddr};
+    use eus_simcore::SimDuration;
+    use eus_simnet::{ConnId, ConnectError, Fabric, PeerInfo, SocketAddr};
     use eus_simos::{NodeId, UserDb};
 
-    fn cluster() -> (Fabric, SharedUserDb, eus_simos::Uid, eus_simos::Uid) {
+    /// Two UBF hosts and two users' endpoints; the stats are host 2's.
+    fn cluster() -> (Fabric, UserDb, PeerInfo, PeerInfo, UbfStats) {
         let mut db = UserDb::new();
         let a = db.create_user("a").unwrap();
         let b = db.create_user("b").unwrap();
-        let shared = shared_user_db(db);
+        let peer = |uid| PeerInfo::from_cred(&db.credentials(uid).unwrap());
+        let (pa, pb) = (peer(a), peer(b));
         let mut f = Fabric::new();
         f.add_host(NodeId(1));
         f.add_host(NodeId(2));
-        for n in [NodeId(1), NodeId(2)] {
-            let host = f.host_mut(n).unwrap();
-            deploy_ubf(host, shared.clone());
-        }
-        (f, shared, a, b)
+        deploy_ubf(f.host_mut(NodeId(1)).unwrap());
+        let stats = deploy_ubf(f.host_mut(NodeId(2)).unwrap());
+        (f, db, pa, pb, stats)
     }
 
-    fn peer(db: &SharedUserDb, uid: eus_simos::Uid) -> PeerInfo {
-        PeerInfo::from_cred(&db.read().credentials(uid).unwrap())
+    /// Connect as `who` from host 1 to `port` on host 2.
+    fn dial(
+        f: &mut Fabric,
+        db: &UserDb,
+        who: PeerInfo,
+        port: u16,
+        proto: Proto,
+    ) -> Result<(ConnId, SimDuration), ConnectError> {
+        f.connect(db, NodeId(1), who, SocketAddr::new(NodeId(2), port), proto)
     }
 
     #[test]
     fn end_to_end_same_user_allowed_cross_user_denied() {
-        let (mut f, db, a, b) = cluster();
-        let pa = peer(&db, a);
-        let pb = peer(&db, b);
+        let (mut f, db, pa, pb, _) = cluster();
         f.listen(NodeId(2), Proto::Tcp, 8888, pa).unwrap();
 
         // Same user connects fine.
-        let (conn, setup) = f
-            .connect(NodeId(1), pa, SocketAddr::new(NodeId(2), 8888), Proto::Tcp)
-            .unwrap();
+        let (conn, setup) = dial(&mut f, &db, pa, 8888, Proto::Tcp).unwrap();
         assert!(setup > f.latency.base_rtt, "inspection adds latency");
         f.close(conn);
 
         // Different user is dropped by the daemon.
-        let err = f
-            .connect(NodeId(1), pb, SocketAddr::new(NodeId(2), 8888), Proto::Tcp)
-            .unwrap_err();
+        let err = dial(&mut f, &db, pb, 8888, Proto::Tcp).unwrap_err();
         assert!(matches!(
             err,
-            eus_simnet::ConnectError::DeniedByDaemon {
+            ConnectError::DeniedByDaemon {
                 queue: UBF_QUEUE,
                 ..
             }
@@ -111,44 +112,27 @@ mod tests {
 
     #[test]
     fn privileged_ports_bypass_inspection() {
-        let (mut f, db, a, _) = cluster();
+        let (mut f, db, pa, _, _) = cluster();
         let root = PeerInfo::from_cred(&eus_simos::Credentials::root());
         f.listen(NodeId(2), Proto::Tcp, 22, root).unwrap();
-        let pa = peer(&db, a);
-        let (_, setup) = f
-            .connect(NodeId(1), pa, SocketAddr::new(NodeId(2), 22), Proto::Tcp)
-            .unwrap();
+        let (_, setup) = dial(&mut f, &db, pa, 22, Proto::Tcp).unwrap();
         assert_eq!(setup, f.latency.base_rtt, "port 22 not queued");
         assert_eq!(f.metrics.queued_packets.get(), 0);
     }
 
     #[test]
     fn udp_also_inspected() {
-        let (mut f, db, a, b) = cluster();
-        let pa = peer(&db, a);
-        let pb = peer(&db, b);
+        let (mut f, db, pa, pb, _) = cluster();
         f.listen(NodeId(2), Proto::Udp, 5001, pa).unwrap();
-        assert!(f
-            .connect(NodeId(1), pa, SocketAddr::new(NodeId(2), 5001), Proto::Udp)
-            .is_ok());
-        assert!(f
-            .connect(NodeId(1), pb, SocketAddr::new(NodeId(2), 5001), Proto::Udp)
-            .is_err());
+        assert!(dial(&mut f, &db, pa, 5001, Proto::Udp).is_ok());
+        assert!(dial(&mut f, &db, pb, 5001, Proto::Udp).is_err());
     }
 
     #[test]
     fn stats_handle_reads_back() {
-        let mut db = UserDb::new();
-        let a = db.create_user("a").unwrap();
-        let shared = shared_user_db(db);
-        let mut f = Fabric::new();
-        f.add_host(NodeId(1));
-        f.add_host(NodeId(2));
-        let stats = deploy_ubf(f.host_mut(NodeId(2)).unwrap(), shared.clone());
-        let pa = peer(&shared, a);
+        let (mut f, db, pa, _, stats) = cluster();
         f.listen(NodeId(2), Proto::Tcp, 9999, pa).unwrap();
-        f.connect(NodeId(1), pa, SocketAddr::new(NodeId(2), 9999), Proto::Tcp)
-            .unwrap();
+        dial(&mut f, &db, pa, 9999, Proto::Tcp).unwrap();
         assert_eq!(stats.lock().allowed_same_user.get(), 1);
     }
 }

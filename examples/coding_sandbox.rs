@@ -11,7 +11,7 @@
 use hpc_user_separation::sched::JobSpec;
 use hpc_user_separation::simcore::{SimDuration, SimTime};
 use hpc_user_separation::simnet::{ConnectError, Proto, SocketAddr};
-use hpc_user_separation::simos::Mode;
+use hpc_user_separation::simos::{FsError, Mode};
 use hpc_user_separation::{ClusterSpec, Mechanism, SecureCluster, SeparationConfig};
 
 fn main() {
@@ -77,7 +77,7 @@ fn main() {
     let read = cluster.fs_read(mallory, login, "/home/alice/results.csv");
     check(
         "home read",
-        read.is_err(),
+        matches!(read, Err(FsError::PermissionDenied { .. })),
         "root-owned 0770 home, user private group",
     );
 

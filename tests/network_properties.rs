@@ -4,7 +4,7 @@
 //! end-to-end fabric outcome.
 
 use bytes::Bytes;
-use eus_ubf::{decide, deploy_ubf, shared_user_db, Decision};
+use eus_ubf::{decide, deploy_ubf, Decision};
 use hpc_user_separation::simnet::{ConnId, Fabric, PeerInfo, Proto, SocketAddr};
 use hpc_user_separation::simos::{Gid, NodeId, Uid, UserDb};
 use proptest::prelude::*;
@@ -55,16 +55,15 @@ proptest! {
         let users: Vec<Uid> = (0..4)
             .map(|i| db.create_user(&format!("u{i}")).unwrap())
             .collect();
-        let shared = shared_user_db(db);
         let mut f = Fabric::new();
         let hosts = [NodeId(1), NodeId(2), NodeId(3)];
         for h in hosts {
             f.add_host(h);
             let host = f.host_mut(h).unwrap();
-            deploy_ubf(host, shared.clone());
+            deploy_ubf(host);
         }
         let ports = [8000u16, 8001, 8002, 8003];
-        let peer = |u: u8| PeerInfo::from_cred(&shared.read().credentials(users[u as usize]).unwrap());
+        let peer = |u: u8| PeerInfo::from_cred(&db.credentials(users[u as usize]).unwrap());
 
         let mut open: Vec<ConnId> = Vec::new();
         let mut listeners: std::collections::BTreeMap<(NodeId, u16), Uid> = Default::default();
@@ -90,7 +89,7 @@ proptest! {
                     let src = hosts[from as usize];
                     let dst = hosts[to as usize];
                     let port = ports[port_slot as usize];
-                    let res = f.connect(src, peer(user), SocketAddr::new(dst, port), Proto::Tcp);
+                    let res = f.connect(&db, src, peer(user), SocketAddr::new(dst, port), Proto::Tcp);
                     match listeners.get(&(dst, port)) {
                         None => prop_assert!(res.is_err(), "no listener must refuse"),
                         Some(owner) => {
@@ -104,7 +103,7 @@ proptest! {
                                 .unwrap()
                                 .owner;
                             let expected =
-                                decide(&shared.read(), &peer(user), &listener_peer);
+                                decide(&db, &peer(user), &listener_peer);
                             prop_assert_eq!(
                                 res.is_ok(),
                                 expected.allowed(),

@@ -251,14 +251,14 @@ fn rdma_tcp_setup_governed_native_cm_not() {
     let eve_peer = eus_simnet::PeerInfo::from_cred(&c.credentials(eve));
     assert!(c
         .fabric
-        .setup_qp_via_tcp(n1, eve_peer, SocketAddr::new(n2, 18515))
+        .setup_qp_via_tcp(&c.db.read(), n1, eve_peer, SocketAddr::new(n2, 18515))
         .is_err());
 
     // Alice's own works, and she reads her region.
     let alice_peer = eus_simnet::PeerInfo::from_cred(&c.credentials(alice));
     let qp = c
         .fabric
-        .setup_qp_via_tcp(n1, alice_peer, SocketAddr::new(n2, 18515))
+        .setup_qp_via_tcp(&c.db.read(), n1, alice_peer, SocketAddr::new(n2, 18515))
         .unwrap();
     assert_eq!(c.fabric.rdma_read(&qp, rkey).unwrap(), b"alice tensor");
 
@@ -300,4 +300,35 @@ fn baseline_network_wide_open() {
         .unwrap();
     // And no inspection latency either.
     assert_eq!(setup, c.fabric.latency.base_rtt);
+}
+
+/// Lock acquisitions `f` makes on this thread, and its result.
+#[cfg(lock_order_check)]
+fn guards<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = parking_lot::acquisitions();
+    let r = f();
+    (parking_lot::acquisitions() - before, r)
+}
+
+/// Guard counts on the network paths: `listen` takes the account db's read
+/// guard once; an inspected `connect` takes it once for the caller's
+/// credentials and every daemon it meets, plus the judging daemon's stats
+/// mutex, on a cache miss, a cache hit and a refusal alike.
+#[cfg(lock_order_check)]
+#[test]
+fn network_calls_take_the_account_guard_once() {
+    let (mut c, alice, _, eve, _) = hardened();
+    let (n1, n2) = (c.compute_ids[0], c.compute_ids[1]);
+    let to = SocketAddr::new(n2, 9700);
+    let (n, r) = guards(|| c.listen(alice, n2, Proto::Tcp, 9700, None));
+    assert_eq!((n, r), (1, Ok(())), "listen");
+    let (n, r) = guards(|| c.connect(alice, n1, to, Proto::Tcp));
+    assert!(r.is_ok_and(|_| c.fabric.metrics.queued_packets.get() == 1));
+    assert_eq!(n, 2, "connect, cache miss");
+    let (n, r) = guards(|| c.connect(alice, n1, to, Proto::Tcp));
+    assert!(r.is_ok());
+    assert_eq!(n, 2, "connect, cache hit");
+    let (n, r) = guards(|| c.connect(eve, n1, to, Proto::Tcp));
+    assert!(matches!(r, Err(ConnectError::DeniedByDaemon { .. })));
+    assert_eq!(n, 2, "connect, cross-user refusal");
 }

@@ -151,3 +151,32 @@ fn apps_reachable_on_any_partition_through_portal() {
     let resp = c.portal_fetch(token, &key).unwrap();
     assert_eq!(resp.body, "debug-partition nb");
 }
+
+/// Guard counts on `portal_fetch`: the account db's read guard once (the
+/// plug-in's check and the forwarded connect share it), the broker's for
+/// the session, and the judging UBF daemon's stats mutex. A plug-in refusal
+/// stops before the connect.
+#[cfg(lock_order_check)]
+#[test]
+fn portal_fetch_takes_three_guards() {
+    fn guards<R>(f: impl FnOnce() -> R) -> (u64, R) {
+        let before = parking_lot::acquisitions();
+        let r = f();
+        (parking_lot::acquisitions() - before, r)
+    }
+    let mut c = SecureCluster::new(SeparationConfig::llsc(), ClusterSpec::tiny());
+    let alice = c.add_user("alice").unwrap();
+    let bob = c.add_user("bob").unwrap();
+    let job = hpc_user_separation::sched::JobId(1);
+    let key = c
+        .launch_webapp(alice, job, "nb", c.compute_ids[0], 8888, "nb", None)
+        .unwrap();
+    let token = c.portal_login(alice).unwrap();
+    let (n, r) = guards(|| c.portal_fetch(token, &key));
+    assert!(r.is_ok(), "{r:?}");
+    assert_eq!(n, 3, "allowed fetch");
+    let token = c.portal_login(bob).unwrap();
+    let (n, r) = guards(|| c.portal_fetch(token, &key));
+    assert_eq!(r, Err(PortalError::Forbidden));
+    assert_eq!(n, 2, "refused by the plug-in");
+}
