@@ -18,7 +18,7 @@ use eus_simos::NodeId;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Fault {
     /// Crash one compute node: running jobs requeue per scheduler policy
-    /// and the node auto-repairs after the scheduler's `repair_time`.
+    /// and the node auto-repairs after `eus_sched::REPAIR_TIME`.
     NodeCrash {
         /// The victim.
         node: NodeId,

@@ -471,6 +471,10 @@ fn ubf_refused(channel: Channel, err: &ConnectError, evidence: &str) -> Outcome 
     Outcome::Blocked(evidence.into())
 }
 
+/// The abstract-socket and RDMA probes below test channels no mechanism
+/// closes: they leak under every configuration. An error on their leak
+/// path means the probe itself is broken, so it panics naming the channel
+/// rather than reading as a block.
 fn probe_abstract_socket(c: &mut SecureCluster, attacker: Uid, victim: Uid) -> Outcome {
     let login = c.login_node();
     let v_cred = c.credentials(victim);
@@ -487,7 +491,7 @@ fn probe_abstract_socket(c: &mut SecureCluster, attacker: Uid, victim: Uid) -> O
         Ok(owner) => Outcome::Leaked(format!(
             "connected to {owner}'s abstract socket (no DAC exists)"
         )),
-        Err(_) => Outcome::Blocked("abstract namespace isolated".into()),
+        Err(e) => panic!("{} probe: connect failed: {e}", Channel::AbstractSocket),
     }
 }
 
@@ -507,7 +511,10 @@ fn probe_rdma_tcp(c: &mut SecureCluster, attacker: Uid, victim: Uid) -> Outcome 
     match qp {
         Ok(qp) => match c.fabric.rdma_read(&qp, rkey) {
             Ok(_) => Outcome::Leaked("QP established over TCP; remote memory read".into()),
-            Err(_) => Outcome::Blocked("QP up but region gone".into()),
+            Err(e) => panic!(
+                "{} probe: read over an open QP failed: {e}",
+                Channel::RdmaTcpSetup
+            ),
         },
         Err(e) => ubf_refused(
             Channel::RdmaTcpSetup,
@@ -528,9 +535,9 @@ fn probe_rdma_native(c: &mut SecureCluster, attacker: Uid) -> Outcome {
     match c.fabric.setup_qp_native_cm(n1, a_peer, n2) {
         Ok(qp) => match c.fabric.rdma_read(&qp, rkey) {
             Ok(_) => Outcome::Leaked("native-CM QP bypassed the UBF; memory read".into()),
-            Err(_) => Outcome::Blocked("region unavailable".into()),
+            Err(e) => panic!("{} probe: read failed: {e}", Channel::RdmaNativeCm),
         },
-        Err(_) => Outcome::Blocked("native CM unavailable".into()),
+        Err(e) => panic!("{} probe: QP setup failed: {e}", Channel::RdmaNativeCm),
     }
 }
 

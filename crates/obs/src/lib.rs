@@ -77,30 +77,16 @@ pub use trace::{
 
 /// Observability configuration: one struct, off by default, handed to each
 /// plane's `enable_obs`-style entry point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ObsConfig {
     /// Master switch. Off ⇒ every record call is a single never-taken
     /// branch and the flight recorder retains nothing.
     pub enabled: bool,
-    /// Flight-recorder capacity (events retained before wrap-around).
-    pub flight_capacity: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            enabled: false,
-            flight_capacity: 4096,
-        }
-    }
 }
 
 impl ObsConfig {
-    /// An enabled configuration with default capacities.
+    /// The enabled configuration.
     pub fn enabled() -> Self {
-        ObsConfig {
-            enabled: true,
-            ..Self::default()
-        }
+        ObsConfig { enabled: true }
     }
 }

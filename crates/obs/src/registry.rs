@@ -45,6 +45,10 @@ pub struct SpanStats {
 /// under million-event storms, while count/total/mean/min/max stay exact.
 const SPAN_RESERVOIR: usize = 4096;
 
+/// Flight-recorder capacity of every recorder (events retained before
+/// wrap-around).
+const FLIGHT_CAPACITY: usize = 4096;
+
 /// The registry + storage for one plane's metrics and flight recorder.
 #[derive(Debug, Clone)]
 pub struct Recorder {
@@ -72,7 +76,7 @@ impl Recorder {
             gauges: Vec::new(),
             span_names: Vec::new(),
             spans: Vec::new(),
-            flight: FlightRecorder::new(cfg.flight_capacity),
+            flight: FlightRecorder::new(FLIGHT_CAPACITY),
         }
     }
 

@@ -15,8 +15,8 @@
 //! they fit, may preempt for a blocked latency-sensitive head, then
 //! backfills behind the blocked head under its EASY shadow (and, with
 //! reservations on, the conservative calendar). With every knob off that
-//! is FCFS + EASY over one FIFO, the behaviour
-//! [`crate::reference::ReferenceScheduler`] checks.
+//! is FCFS + EASY over one FIFO, the behaviour the unoptimised
+//! `ReferenceScheduler` in `tests/common/reference.rs` checks.
 //!
 //! # Scheduler internals (the hot path)
 //!
@@ -67,13 +67,13 @@
 //!   strings, and partition eligible-sets are borrowed rather than cloned
 //!   per cycle.
 //!
-//! The pre-overhaul implementation is retained verbatim in
-//! [`crate::reference`]; `tests/sched_equivalence.rs` proves the two
-//! observationally identical over random traces × policies, and
-//! `benches/sched_throughput.rs` + `exp_sched_scale` keep the speedup
-//! measured. One invariant to keep in mind: `config.policy` must not change
-//! mid-run (the index assumes placement decisions were made under the same
-//! policy — `SchedConfig` is documented immutable per run).
+//! The pre-overhaul implementation is retained verbatim as the test
+//! oracle `tests/common/reference.rs`; `tests/sched_equivalence.rs` proves
+//! the two observationally identical over random traces × policies, and
+//! `exp_sched_scale` keeps the engine's own replay cost measured. One
+//! invariant to keep in mind: `config.policy` must not change mid-run (the
+//! index assumes placement decisions were made under the same policy —
+//! `SchedConfig` is documented immutable per run).
 //!
 //! # What a cycle memoizes, and what invalidates it
 //!
@@ -165,6 +165,12 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::ops::Bound;
 use std::sync::Arc;
 
+/// How many queued jobs behind a blocked head backfill may consider.
+pub const BACKFILL_DEPTH: usize = 64;
+
+/// How long a crashed node stays down before rejoining.
+pub const REPAIR_TIME: SimDuration = SimDuration::from_secs(600);
+
 /// Scheduler configuration. Immutable once jobs are queued. Every field
 /// tunes the one scheduling cycle; `fair_share`, `preemption` and
 /// `reservations` (the policy plane) default off, which is plain FCFS +
@@ -175,14 +181,10 @@ pub struct SchedConfig {
     /// placement index assumes all standing allocations were admitted under
     /// this policy.
     pub policy: NodeSharing,
-    /// Enable EASY backfill.
+    /// Enable EASY backfill ([`BACKFILL_DEPTH`] candidates deep).
     pub backfill: bool,
-    /// How many queued jobs behind the head backfill may consider.
-    pub backfill_depth: usize,
     /// View filtering.
     pub private_data: PrivateData,
-    /// How long a crashed node stays down before rejoining.
-    pub repair_time: SimDuration,
     /// Policy plane: one scheduling class per partition, each selecting
     /// its head over the decayed usage ledger. Off = one whole-cluster
     /// class in strict FIFO order (the reference behavior).
@@ -206,9 +208,7 @@ impl Default for SchedConfig {
         SchedConfig {
             policy: NodeSharing::Shared,
             backfill: true,
-            backfill_depth: 64,
             private_data: PrivateData::open(),
-            repair_time: SimDuration::from_secs(600),
             fair_share: false,
             fair_share_half_life: crate::accounting::FAIR_SHARE_HALF_LIFE,
             preemption: false,
@@ -336,7 +336,7 @@ impl ShadowNode {
 
     // analyze:hot-path-begin(sched-shadow-fit)
     /// Tasks of `spec` this node could host right now — the one fit
-    /// routine the engine runs, equal to the oracle's `node_admits` +
+    /// routine the engine runs, equal to the test oracle's `node_admits` +
     /// `tasks_that_fit` (capped at `u32::MAX` like them).
     pub(crate) fn fit(&self, spec: &JobSpec, policy: NodeSharing) -> u64 {
         if !self.up {
@@ -975,7 +975,7 @@ impl Scheduler {
     }
 
     /// Inject a node crash at `at` (the OOM-takes-down-the-node scenario of
-    /// Sec. IV-B). The node repairs after `config.repair_time`.
+    /// Sec. IV-B). The node repairs after [`REPAIR_TIME`].
     // analyze:allow(dead-pub): operator fault drill: crash a node (Sec. IV-B's OOM scenario, the chaos plane's NodeCrash)
     pub fn schedule_node_failure(&mut self, at: SimTime, node: NodeId) {
         self.push_event(at, Ev::NodeFail(node));
@@ -1127,7 +1127,7 @@ impl Scheduler {
             self.finish_job(j, JobState::Failed);
         }
         self.failures.push(record);
-        self.push_event(self.now + self.config.repair_time, Ev::NodeRepair(n));
+        self.push_event(self.now + REPAIR_TIME, Ev::NodeRepair(n));
     }
 
     // ------------------------------------------------------------------
@@ -1811,7 +1811,7 @@ impl Scheduler {
                 if key == head_seq {
                     continue;
                 }
-                if scanned >= self.config.backfill_depth {
+                if scanned >= BACKFILL_DEPTH {
                     break 'scan;
                 }
                 scanned += 1;
@@ -2228,6 +2228,54 @@ mod tests {
         .with_mem_per_task(100)
     }
 
+    /// A 16-core, 32 GiB, 2-GPU node holding one 2-core task of user 1.
+    fn busy_node() -> SchedNode {
+        let mut n = SchedNode::new(NodeId(1), 16, 32_768, 2);
+        let alloc = TaskAlloc {
+            tasks: 1,
+            cores: 2,
+            mem_mib: 4096,
+            gpus: 0,
+        };
+        n.claim(JobId(1), alloc, Uid(1));
+        n
+    }
+
+    #[test]
+    fn fit_admits_by_policy() {
+        let idle = ShadowNode::from_node(&SchedNode::new(NodeId(1), 16, 32_768, 2));
+        let busy = ShadowNode::from_node(&busy_node());
+        let (own, other) = (job(1, 1, 10), job(2, 1, 10));
+        for policy in NodeSharing::all() {
+            assert!(
+                idle.fit(&other, policy) > 0,
+                "{policy}: an idle node admits"
+            );
+            assert_eq!(busy.fit(&own.clone().exclusive(), policy), 0, "--exclusive");
+        }
+        assert!(busy.fit(&other, NodeSharing::Shared) > 0);
+        assert_eq!(busy.fit(&own, NodeSharing::Exclusive), 0, "even the owner");
+        assert!(busy.fit(&own, NodeSharing::WholeNodeUser) > 0);
+        assert_eq!(busy.fit(&other, NodeSharing::WholeNodeUser), 0);
+    }
+
+    #[test]
+    fn fit_is_the_min_over_resources_and_zero_when_down() {
+        let n = ShadowNode::from_node(&SchedNode::new(NodeId(1), 16, 32_768, 2));
+        let spec = job(1, 1, 10).with_cpus_per_task(2).with_mem_per_task(4096);
+        assert_eq!(n.fit(&spec, NodeSharing::Shared), 8, "8 by cores, 8 by mem");
+        let gpus = spec.clone().with_gpus_per_task(1);
+        assert_eq!(n.fit(&gpus, NodeSharing::Shared), 2);
+        let fat = spec.clone().with_mem_per_task(20_000);
+        assert_eq!(n.fit(&fat, NodeSharing::Shared), 1);
+        let mut down = SchedNode::new(NodeId(1), 16, 32_768, 2);
+        down.state = NodeState::Down;
+        assert_eq!(
+            ShadowNode::from_node(&down).fit(&spec, NodeSharing::Shared),
+            0
+        );
+    }
+
     #[test]
     fn single_job_runs_to_completion() {
         let mut s = sched(NodeSharing::Shared, 1, 8);
@@ -2379,7 +2427,7 @@ mod tests {
         assert_eq!(s.failures.len(), 1);
         assert_eq!(s.failures[0].affected_users().len(), 2, "blast radius 2");
         assert_eq!(s.metrics.failed.get(), 2);
-        // Node repairs after repair_time (600s default).
+        // Node repairs after REPAIR_TIME (600 s).
         s.run_until(SimTime::from_secs(700));
         assert_eq!(s.nodes[&NodeId(1)].state, NodeState::Up);
     }
@@ -2413,7 +2461,7 @@ mod tests {
         assert_eq!(
             s.jobs[&late].started,
             Some(SimTime::from_secs(610)),
-            "starts at repair (10s failure + 600s repair_time)"
+            "starts at repair (10s failure + 600s REPAIR_TIME)"
         );
     }
 
@@ -2669,25 +2717,34 @@ mod tests {
 
     #[test]
     fn fair_share_unblocks_backlogged_partitions() {
-        let mut s = Scheduler::new(SchedConfig {
-            policy: NodeSharing::Shared,
-            fair_share: true,
-            backfill_depth: 2, // tiny budget: global FCFS would starve "debug"
-            ..SchedConfig::default()
-        });
-        for _ in 0..2 {
-            s.add_node(8, 64_000, 0);
-        }
-        s.partitions_mut().add("batch", [NodeId(1)], true).unwrap();
-        s.partitions_mut().add("debug", [NodeId(2)], false).unwrap();
-        // Deep batch backlog ahead of the debug job in global order.
-        for i in 0..50 {
-            s.submit_at(SimTime::ZERO, job(1, 8, 1000 + i));
-        }
-        let debug_job = s.submit_at(SimTime::from_secs(1), job(2, 4, 10).with_partition("debug"));
-        s.run_until(SimTime::from_secs(2));
+        let debug_state = |fair_share| {
+            let mut s = Scheduler::new(SchedConfig {
+                policy: NodeSharing::Shared,
+                fair_share,
+                ..SchedConfig::default()
+            });
+            for _ in 0..2 {
+                s.add_node(8, 64_000, 0);
+            }
+            s.partitions_mut().add("batch", [NodeId(1)], true).unwrap();
+            s.partitions_mut().add("debug", [NodeId(2)], false).unwrap();
+            // A batch backlog deeper than backfill scans, ahead of the
+            // debug job in global order.
+            for i in 0..BACKFILL_DEPTH as u64 + 16 {
+                s.submit_at(SimTime::ZERO, job(1, 8, 1000 + i));
+            }
+            let debug_job =
+                s.submit_at(SimTime::from_secs(1), job(2, 4, 10).with_partition("debug"));
+            s.run_until(SimTime::from_secs(2));
+            s.jobs[&debug_job].state
+        };
         assert_eq!(
-            s.jobs[&debug_job].state,
+            debug_state(false),
+            JobState::Pending,
+            "global FCFS starves debug behind the backlog"
+        );
+        assert_eq!(
+            debug_state(true),
             JobState::Running,
             "debug partition schedules despite the batch backlog"
         );
@@ -2928,7 +2985,6 @@ mod tests {
             fair_share: true,
             preemption: true,
             reservations: 2,
-            repair_time: SimDuration::from_secs(40),
             ..SchedConfig::default()
         });
         for _ in 0..5 {
@@ -2976,6 +3032,8 @@ mod tests {
         }
         assert!(edited);
         assert!(events > 30, "rows were compared after {events} events");
+        assert!(s.now >= at(30) + REPAIR_TIME, "ran past both repairs");
+        assert!(s.nodes.values().all(|n| n.state == NodeState::Up));
         assert_eq!(s.preemptions.len(), 2, "the urgent job took both nodes");
         assert_eq!(s.failures.len(), 2);
         assert!(s.failures.iter().all(|f| !f.failed_jobs.is_empty()));

@@ -34,14 +34,14 @@
 //!   shifting `Vec`, and `Arc`-shared job specs instead of per-cycle deep
 //!   clones.
 //!
-//! The pre-overhaul engine is retained in [`mod@reference`] as the oracle for
-//! `tests/sched_equivalence.rs` and `tests/sched_policy_properties.rs`, and
-//! as the baseline for the `benches/sched_throughput.rs` criterion bench.
+//! The pre-overhaul engine is kept outside the library, as the test oracle
+//! `tests/common/reference.rs` that `tests/sched_equivalence.rs` and
+//! `tests/sched_policy_properties.rs` judge the engine against.
 //!
 //! # The policy plane
 //!
 //! Three opt-in [`engine::SchedConfig`] knobs — all **off** by default, in
-//! which case the engine is observationally identical to [`mod@reference`]:
+//! which case the engine is observationally identical to that reference:
 //!
 //! * `fair_share` — per-partition queues ordered by a decayed
 //!   per-user/per-partition usage ledger ([`accounting::FairShareLedger`]),
@@ -78,19 +78,18 @@ pub mod pam_slurm;
 pub mod partition;
 pub mod policy;
 pub mod privatedata;
-pub mod reference;
 pub mod table;
 
 pub use accounting::{AcctRecord, FairShareLedger, FAIR_SHARE_HALF_LIFE};
 pub use calendar::{Reservation, ReservationCalendar};
 pub use engine::{
     EpilogEvent, FailureRecord, PreemptionRecord, SchedConfig, SchedMetrics, Scheduler,
+    BACKFILL_DEPTH, REPAIR_TIME,
 };
 pub use job::{Job, JobId, JobKind, JobSpec, JobState, QosClass, TaskAlloc};
 pub use node::{NodeState, SchedNode};
 pub use obs::SchedObs;
 pub use partition::{ClassId, Partition, PartitionError, PartitionTable};
-pub use policy::{tasks_that_fit, NodeSharing};
+pub use policy::NodeSharing;
 pub use privatedata::{may_view, JobView, PrivateData};
-pub use reference::ReferenceScheduler;
 pub use table::{NodeSet, NodeTable};

@@ -13,13 +13,14 @@
 //!
 //! # Where these rules are consulted
 //!
-//! [`NodeSharing::node_admits`] is the single admissibility predicate: the
-//! engine's placement walk, the EASY-shadow / reservation-calendar replays
-//! (via their capacity-vector `fit`, which mirrors this logic exactly —
-//! placement exists **iff** the summed per-node fit covers the task
-//! count), and the preemption feasibility check all answer through it or
-//! its mirror. [`tasks_that_fit`] is the capacity half: how many tasks of
-//! a spec the node's *cached* free counters admit, O(1) per node.
+//! The engine applies a policy in one place, the capacity row's `fit`
+//! (`engine.rs`): admissibility and capacity together, as the number of a
+//! spec's tasks a node could host. The placement walk, the EASY-shadow /
+//! reservation-calendar replays (placement exists **iff** the summed
+//! per-node fit covers the task count) and the preemption feasibility
+//! check all answer through it. The unoptimised reference in
+//! `tests/common/reference.rs` spells the same rule over a `SchedNode`,
+//! and the equivalence suites hold the two equal.
 //!
 //! Orthogonal axes that compose with the policy:
 //!
@@ -27,12 +28,10 @@
 //!   tightens any policy to an empty node and charges the whole node;
 //! * the QoS class ([`crate::job::QosClass`]) never changes *where* a job
 //!   may run — preemption frees capacity and then places through the same
-//!   `node_admits` gate, so no policy invariant (e.g. one user per node)
+//!   `fit`, so no policy invariant (e.g. one user per node)
 //!   is ever violated by urgency.
 
 use crate::job::JobSpec;
-use crate::node::{NodeState, SchedNode};
-use eus_simos::Uid;
 use std::fmt;
 
 /// The cluster-wide node-sharing policy.
@@ -66,26 +65,6 @@ impl NodeSharing {
         ]
     }
 
-    /// May tasks of `user` be placed on `node` under this policy (capacity
-    /// aside)? A per-job `--exclusive` request tightens Shared/WholeNodeUser
-    /// to an empty node.
-    pub fn node_admits(&self, node: &SchedNode, user: Uid, spec: &JobSpec) -> bool {
-        if node.state != NodeState::Up {
-            return false;
-        }
-        if spec.request_exclusive && !node.is_idle() {
-            return false;
-        }
-        match self {
-            NodeSharing::Shared => true,
-            NodeSharing::Exclusive => node.is_idle(),
-            NodeSharing::WholeNodeUser => match node.owner() {
-                None => true,
-                Some(owner) => owner == user,
-            },
-        }
-    }
-
     /// Does this policy charge the whole node to a job placed on it?
     /// (Exclusive jobs hold every core even if tasks need fewer.)
     pub fn charges_whole_node(&self, spec: &JobSpec) -> bool {
@@ -93,33 +72,11 @@ impl NodeSharing {
     }
 }
 
-/// How many tasks of `spec` fit in the node's current free capacity.
-pub fn tasks_that_fit(node: &SchedNode, spec: &JobSpec) -> u32 {
-    if node.state != NodeState::Up {
-        return 0;
-    }
-    let by_cores = node.free_cores() / spec.cpus_per_task.max(1);
-    let by_mem = node
-        .free_mem_mib()
-        .checked_div(spec.mem_per_task_mib)
-        .map_or(u32::MAX, |n| n.min(u32::MAX as u64) as u32);
-    let by_gpus = node
-        .free_gpus()
-        .checked_div(spec.gpus_per_task)
-        .unwrap_or(u32::MAX);
-    by_cores.min(by_mem).min(by_gpus)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{JobId, TaskAlloc};
     use eus_simcore::SimDuration;
-    use eus_simos::NodeId;
-
-    fn node() -> SchedNode {
-        SchedNode::new(NodeId(1), 16, 32_768, 2)
-    }
+    use eus_simos::Uid;
 
     fn spec(user: u32) -> JobSpec {
         JobSpec::new(Uid(user), "j", SimDuration::from_secs(10))
@@ -128,93 +85,10 @@ mod tests {
     }
 
     #[test]
-    fn shared_admits_everyone() {
-        let mut n = node();
-        n.claim(
-            JobId(1),
-            TaskAlloc {
-                tasks: 1,
-                cores: 2,
-                mem_mib: 4096,
-                gpus: 0,
-            },
-            Uid(1),
-        );
-        assert!(NodeSharing::Shared.node_admits(&n, Uid(2), &spec(2)));
-    }
-
-    #[test]
-    fn exclusive_requires_idle() {
-        let mut n = node();
-        assert!(NodeSharing::Exclusive.node_admits(&n, Uid(1), &spec(1)));
-        n.claim(
-            JobId(1),
-            TaskAlloc {
-                tasks: 1,
-                cores: 2,
-                mem_mib: 4096,
-                gpus: 0,
-            },
-            Uid(1),
-        );
-        // Even the same user cannot add an exclusive job to a busy node.
-        assert!(!NodeSharing::Exclusive.node_admits(&n, Uid(1), &spec(1)));
-    }
-
-    #[test]
-    fn whole_node_admits_owner_only() {
-        let mut n = node();
-        assert!(NodeSharing::WholeNodeUser.node_admits(&n, Uid(1), &spec(1)));
-        n.claim(
-            JobId(1),
-            TaskAlloc {
-                tasks: 1,
-                cores: 2,
-                mem_mib: 4096,
-                gpus: 0,
-            },
-            Uid(1),
-        );
-        assert!(NodeSharing::WholeNodeUser.node_admits(&n, Uid(1), &spec(1)));
-        assert!(!NodeSharing::WholeNodeUser.node_admits(&n, Uid(2), &spec(2)));
-    }
-
-    #[test]
-    fn per_job_exclusive_request_respected() {
-        let mut n = node();
-        n.claim(
-            JobId(1),
-            TaskAlloc {
-                tasks: 1,
-                cores: 2,
-                mem_mib: 4096,
-                gpus: 0,
-            },
-            Uid(1),
-        );
+    fn per_job_exclusive_request_charges_the_whole_node() {
         let excl = spec(1).exclusive();
-        assert!(!NodeSharing::Shared.node_admits(&n, Uid(1), &excl));
         assert!(NodeSharing::Shared.charges_whole_node(&excl));
         assert!(!NodeSharing::Shared.charges_whole_node(&spec(1)));
         assert!(NodeSharing::Exclusive.charges_whole_node(&spec(1)));
-    }
-
-    #[test]
-    fn down_node_admits_nothing() {
-        let mut n = node();
-        n.state = NodeState::Down;
-        assert!(!NodeSharing::Shared.node_admits(&n, Uid(1), &spec(1)));
-        assert_eq!(tasks_that_fit(&n, &spec(1)), 0);
-    }
-
-    #[test]
-    fn fit_is_min_over_resources() {
-        let n = node(); // 16 cores, 32 GiB, 2 GPUs
-        let s = spec(1); // 2 cores + 4 GiB per task → 8 by cores, 8 by mem
-        assert_eq!(tasks_that_fit(&n, &s), 8);
-        let gpu_spec = spec(1).with_gpus_per_task(1); // 2 GPUs → 2 tasks
-        assert_eq!(tasks_that_fit(&n, &gpu_spec), 2);
-        let fat_mem = spec(1).with_mem_per_task(20_000); // 1 by memory
-        assert_eq!(tasks_that_fit(&n, &fat_mem), 1);
     }
 }

@@ -4,6 +4,8 @@
 
 use hpc_user_separation::fedauth::CredError;
 
+pub mod reference;
+
 /// A property's case count: `default`, or the number the environment
 /// variable `var` holds — the CI property jobs raise each suite's count
 /// through its own variable.

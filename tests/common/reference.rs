@@ -1,6 +1,6 @@
 //! The **retained reference scheduler** — the pre-overhaul scan-the-world
 //! implementation, kept verbatim as the correctness oracle for the
-//! optimized [`crate::engine::Scheduler`].
+//! optimized [`eus_sched::Scheduler`].
 //!
 //! Every scheduling decision here is made the expensive way the engine used
 //! to make it:
@@ -13,17 +13,17 @@
 //! `tests/sched_equivalence.rs` replays random traces through both
 //! schedulers and asserts identical observable behavior (start times,
 //! placements, epilogs, squeue views) across all `NodeSharing` policies.
-//! `benches/sched_throughput.rs` races the two at 256 nodes so the speedup
-//! claim stays measured. Do **not** optimize this module — its slowness is
-//! its value.
+//! Do **not** optimize this module — its slowness is its value.
 
-use crate::engine::{EpilogEvent, FailureRecord, SchedConfig, SchedMetrics};
-use crate::job::{Job, JobId, JobSpec, JobState, TaskAlloc};
-use crate::node::{NodeState, SchedNode};
-use crate::partition::{PartitionError, PartitionTable};
-use crate::policy::{tasks_that_fit, NodeSharing};
-use crate::privatedata::{may_view, JobView};
 use eus_obs::FlightRecorder;
+use eus_sched::engine::{
+    EpilogEvent, FailureRecord, SchedConfig, SchedMetrics, BACKFILL_DEPTH, REPAIR_TIME,
+};
+use eus_sched::job::{Job, JobId, JobSpec, JobState, TaskAlloc};
+use eus_sched::node::{NodeState, SchedNode};
+use eus_sched::partition::{PartitionError, PartitionTable};
+use eus_sched::policy::NodeSharing;
+use eus_sched::privatedata::{may_view, JobView};
 use eus_simcore::{Counter, Histogram, SimTime, TimeWeighted};
 use eus_simos::{Credentials, NodeId, Uid};
 use std::cmp::Reverse;
@@ -99,7 +99,6 @@ impl ReferenceScheduler {
     /// Attach a flight recorder (capacity-bounded ring) recording the same
     /// event kinds as the engine: `job.submit`, `job.start`, `job.end`,
     /// `node.fail`, `node.repair`.
-    // analyze:allow(dead-pub): the reference's event log, compared with the engine's by the equivalence suites
     pub fn enable_flight(&mut self, capacity: usize) {
         self.flight = Some(FlightRecorder::new(capacity));
     }
@@ -120,19 +119,16 @@ impl ReferenceScheduler {
     }
 
     /// Current simulated time.
-    // analyze:allow(dead-pub): the executable spec's side of tests/sched_equivalence (ROADMAP item 11 moves the spec into the tests)
     pub fn now(&self) -> SimTime {
         self.now
     }
 
     /// Number of jobs waiting in queue.
-    // analyze:allow(dead-pub): the executable spec's side of tests/sched_equivalence (ROADMAP item 11 moves the spec into the tests)
     pub fn pending_count(&self) -> usize {
         self.queue.len()
     }
 
     /// Number of running jobs (old full-scan form).
-    // analyze:allow(dead-pub): the executable spec's side of tests/sched_equivalence (ROADMAP item 11 moves the spec into the tests)
     pub fn running_count(&self) -> usize {
         self.jobs
             .values()
@@ -148,7 +144,6 @@ impl ReferenceScheduler {
     }
 
     /// Submit a job to arrive at `at` (clamped to now).
-    // analyze:allow(dead-pub): the executable spec's side of tests/sched_equivalence (ROADMAP item 11 moves the spec into the tests)
     pub fn submit_at(&mut self, at: SimTime, spec: JobSpec) -> JobId {
         self.submit_at_shared(at, Arc::new(spec))
     }
@@ -186,19 +181,16 @@ impl ReferenceScheduler {
     }
 
     /// Submit arriving now.
-    // analyze:allow(dead-pub): the executable spec's side of tests/sched_equivalence (ROADMAP item 11 moves the spec into the tests)
     pub fn submit(&mut self, spec: JobSpec) -> JobId {
         self.submit_at(self.now, spec)
     }
 
     /// Inject a node crash at `at`.
-    // analyze:allow(dead-pub): the executable spec's side of tests/sched_equivalence (ROADMAP item 11 moves the spec into the tests)
     pub fn schedule_node_failure(&mut self, at: SimTime, node: NodeId) {
         self.push_event(at, Ev::NodeFail(node));
     }
 
     /// Drain accumulated epilog work.
-    // analyze:allow(dead-pub): the executable spec's side of tests/sched_equivalence (ROADMAP item 11 moves the spec into the tests)
     pub fn drain_epilogs(&mut self) -> Vec<EpilogEvent> {
         std::mem::take(&mut self.epilogs)
     }
@@ -214,7 +206,6 @@ impl ReferenceScheduler {
     /// `squeue` as seen by `viewer` (same view type as the engine's). The
     /// reference registers no operators, so only root sees through
     /// PrivateData here.
-    // analyze:allow(dead-pub): the executable spec's side of tests/sched_equivalence (ROADMAP item 11 moves the spec into the tests)
     pub fn squeue(&self, viewer: &Credentials) -> Vec<JobView> {
         self.jobs
             .values()
@@ -235,7 +226,6 @@ impl ReferenceScheduler {
     // ------------------------------------------------------------------
 
     /// Fire events up to and including `horizon`.
-    // analyze:allow(dead-pub): the executable spec's side of tests/sched_equivalence (ROADMAP item 11 moves the spec into the tests)
     pub fn run_until(&mut self, horizon: SimTime) {
         while let Some(Reverse((t, _, _))) = self.events.peek() {
             if *t > horizon {
@@ -317,7 +307,7 @@ impl ReferenceScheduler {
             self.finish_job(j, JobState::Failed);
         }
         self.failures.push(record);
-        self.push_event(self.now + self.config.repair_time, Ev::NodeRepair(n));
+        self.push_event(self.now + REPAIR_TIME, Ev::NodeRepair(n));
     }
 
     fn finish_job(&mut self, id: JobId, state: JobState) {
@@ -420,7 +410,7 @@ impl ReferenceScheduler {
         let mut candidates: Vec<&SchedNode> = nodes
             .values()
             .filter(|n| eligible.is_none_or(|set| set.contains(&n.id)))
-            .filter(|n| policy.node_admits(n, user, spec))
+            .filter(|n| node_admits(policy, n, user, spec))
             .collect();
         candidates.sort_by_key(|n| {
             let owned = match n.owner() {
@@ -531,7 +521,7 @@ impl ReferenceScheduler {
             let shadow = self.shadow_time_for(&head_spec);
             let mut idx = 1;
             let mut scanned = 0;
-            while idx < self.queue.len() && scanned < self.config.backfill_depth {
+            while idx < self.queue.len() && scanned < BACKFILL_DEPTH {
                 scanned += 1;
                 let cand = self.queue[idx];
                 let spec = Arc::clone(&self.jobs[&cand].spec);
@@ -559,4 +549,41 @@ impl ReferenceScheduler {
             return;
         }
     }
+}
+
+/// May tasks of `user` be placed on `node` under `policy` (capacity
+/// aside)? A per-job `--exclusive` request tightens Shared/WholeNodeUser
+/// to an empty node.
+fn node_admits(policy: NodeSharing, node: &SchedNode, user: Uid, spec: &JobSpec) -> bool {
+    if node.state != NodeState::Up {
+        return false;
+    }
+    if spec.request_exclusive && !node.is_idle() {
+        return false;
+    }
+    match policy {
+        NodeSharing::Shared => true,
+        NodeSharing::Exclusive => node.is_idle(),
+        NodeSharing::WholeNodeUser => match node.owner() {
+            None => true,
+            Some(owner) => owner == user,
+        },
+    }
+}
+
+/// How many tasks of `spec` fit in the node's current free capacity.
+fn tasks_that_fit(node: &SchedNode, spec: &JobSpec) -> u32 {
+    if node.state != NodeState::Up {
+        return 0;
+    }
+    let by_cores = node.free_cores() / spec.cpus_per_task.max(1);
+    let by_mem = node
+        .free_mem_mib()
+        .checked_div(spec.mem_per_task_mib)
+        .map_or(u32::MAX, |n| n.min(u32::MAX as u64) as u32);
+    let by_gpus = node
+        .free_gpus()
+        .checked_div(spec.gpus_per_task)
+        .unwrap_or(u32::MAX);
+    by_cores.min(by_mem).min(by_gpus)
 }

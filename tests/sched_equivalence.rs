@@ -11,10 +11,10 @@
 
 mod common;
 
+use common::reference::ReferenceScheduler;
 use hpc_user_separation::obs::ObsConfig;
 use hpc_user_separation::sched::{
-    JobSpec, JobState, NodeSharing, PrivateData, QosClass, ReferenceScheduler, SchedConfig,
-    Scheduler,
+    JobSpec, JobState, NodeSharing, PrivateData, QosClass, SchedConfig, Scheduler,
 };
 use hpc_user_separation::simcore::{SimDuration, SimRng, SimTime};
 use hpc_user_separation::simos::{Credentials, Gid, NodeId, Uid, UserDb};
@@ -151,10 +151,7 @@ fn assert_equivalent(
         with_partitions,
         private_data,
     );
-    pair.opt.enable_obs(ObsConfig {
-        flight_capacity: 256,
-        ..ObsConfig::enabled()
-    });
+    pair.opt.enable_obs(ObsConfig::enabled());
     pair.reference.enable_flight(256);
     let result = drive_pair(&mut pair, seed, nodes, failures, with_partitions);
     if result.is_err() {

@@ -23,9 +23,10 @@
 
 mod common;
 
+use common::reference::ReferenceScheduler;
 use hpc_user_separation::obs::ObsConfig;
 use hpc_user_separation::sched::{
-    JobSpec, JobState, NodeSharing, QosClass, ReferenceScheduler, SchedConfig, Scheduler,
+    JobSpec, JobState, NodeSharing, QosClass, SchedConfig, Scheduler,
 };
 use hpc_user_separation::simcore::{SimDuration, SimRng, SimTime};
 use hpc_user_separation::simos::{NodeId, UserDb};
@@ -115,10 +116,7 @@ fn assert_plane_invariants(
     late: u32,
 ) -> Result<(), TestCaseError> {
     let mut s = plane_scheduler(policy, 8, with_partitions, late);
-    s.enable_obs(ObsConfig {
-        flight_capacity: 256,
-        ..ObsConfig::enabled()
-    });
+    s.enable_obs(ObsConfig::enabled());
     let result = run_plane_invariants(&mut s, seed, with_partitions, late);
     if result.is_err() {
         eprintln!("{}", s.obs.rec.flight.render_tail("policy plane", 48));
@@ -237,10 +235,7 @@ fn assert_no_double_booking(seed: u64) -> Result<(), TestCaseError> {
         reservations: 6,
         ..SchedConfig::default()
     });
-    s.enable_obs(ObsConfig {
-        flight_capacity: 256,
-        ..ObsConfig::enabled()
-    });
+    s.enable_obs(ObsConfig::enabled());
     for _ in 0..6 {
         s.add_node(8, 16_384, 0);
     }
@@ -322,10 +317,7 @@ fn assert_off_matches_reference(seed: u64, policy: NodeSharing) -> Result<(), Te
     assert!(!config.fair_share && !config.preemption && config.reservations == 0);
     let mut opt = Scheduler::new(config.clone());
     let mut reference = ReferenceScheduler::new(config);
-    opt.enable_obs(ObsConfig {
-        flight_capacity: 256,
-        ..ObsConfig::enabled()
-    });
+    opt.enable_obs(ObsConfig::enabled());
     reference.enable_flight(256);
     for _ in 0..8 {
         opt.add_node(8, 16_384, 2);
@@ -405,10 +397,7 @@ fn assert_replay_deterministic(
     const NODES: u32 = 8;
     let replay = || {
         let mut s = plane_scheduler(policy, NODES, true, 0);
-        s.enable_obs(ObsConfig {
-            flight_capacity: 512,
-            ..ObsConfig::enabled()
-        });
+        s.enable_obs(ObsConfig::enabled());
         for (at, spec) in decorated_trace(seed) {
             s.submit_at_shared(at, spec);
         }
